@@ -20,9 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .core import Presentation, SkewPoly
-from .errors import CompatibilityError, ConfigError, NotAVolumeFormError
+from .core import Presentation, SkewPoly, exponents_upto
+from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
 from .extended import AlgebraEndo, extend_sigma, hypothesis_check
+from .lincomb import LinComb, add_terms, sum_terms
 from .linalg import kernel_basis, solve
 from .sampling import random_skew
 from .scalars import Scalar
@@ -51,24 +52,21 @@ class CalculusSpec:
     mode: str = FLAT_MODE
 
 
-class DiffForm:
+class DiffForm(LinComb):
     """Element of the graded algebra: map from sorted index subsets to right
     coefficients, meaning ``sum du_S * f_S``."""
 
-    __slots__ = ("components", "n")
+    __slots__ = ("n",)
 
-    def __init__(self, components: dict, n: int):
-        self.components = components
+    def __init__(self, terms: dict, n: int):
+        self.terms = terms
         self.n = n
 
-    def _make(self, components) -> "DiffForm":
-        return DiffForm(components, self.n)
-
-    def is_zero(self) -> bool:
-        return not self.components
+    def _make(self, terms) -> "DiffForm":
+        return DiffForm(terms, self.n)
 
     def degrees(self):
-        return sorted({len(s) for s in self.components})
+        return sorted({len(s) for s in self.terms})
 
     def homogeneous_degree(self):
         degs = self.degrees()
@@ -78,59 +76,25 @@ class DiffForm:
             raise ValueError("form is not homogeneous")
         return degs[0]
 
-    def __add__(self, other: "DiffForm") -> "DiffForm":
-        out = dict(self.components)
-        for s, f in other.components.items():
-            if s in out:
-                g = out[s] + f
-                if g.is_zero():
-                    del out[s]
-                else:
-                    out[s] = g
-            else:
-                out[s] = f
-        return self._make(out)
 
-    def __neg__(self) -> "DiffForm":
-        return self._make({s: -f for s, f in self.components.items()})
-
-    def __sub__(self, other: "DiffForm") -> "DiffForm":
-        return self + (-other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiffForm):
-            return NotImplemented
-        if self.components.keys() != other.components.keys():
-            return False
-        return all(self.components[s] == other.components[s] for s in self.components)
-
-    __hash__ = None
-
-
-class IntegralForm:
+class IntegralForm(LinComb):
     """Right-linear functional on forms of one degree, stored by its values
-    on the wedge basis: ``phi(du_S * f) = values[S] * f``."""
+    on the wedge basis: ``phi(du_S * f) = terms[S] * f``."""
 
-    __slots__ = ("degree", "values", "n")
+    __slots__ = ("degree", "n")
 
-    def __init__(self, degree: int, values: dict, n: int):
+    def __init__(self, degree: int, terms: dict, n: int):
         self.degree = degree
-        self.values = values
+        self.terms = terms
         self.n = n
 
+    def _make(self, terms) -> "IntegralForm":
+        return IntegralForm(self.degree, terms, self.n)
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, IntegralForm):
+        if type(other) is not IntegralForm:
             return NotImplemented
-        if self.degree != other.degree:
-            return False
-        if self.values.keys() != other.values.keys():
-            return False
-        return all(self.values[s] == other.values[s] for s in self.values)
-
-    __hash__ = None
-
-    def is_zero(self) -> bool:
-        return not self.values
+        return self.degree == other.degree and LinComb.__eq__(self, other)
 
 
 @dataclass
@@ -151,7 +115,14 @@ class CheckOutcome:
 
 
 class Calculus:
-    """Built and compatibility-checked context; all checks are pure."""
+    """Built and compatibility-checked context.
+
+    The checks return new values and leave the presentation's data alone,
+    but the calculus records what it learns: ``volume()`` caches its result
+    in ``_volume``, ``integrability_check`` sets ``integrability_passed``
+    (which the divergence checks require), and construction sets
+    ``compatibility``.  Memo tables of the presentation and the twists fill
+    as it runs, so one calculus belongs to one thread at a time."""
 
     def __init__(self, P: Presentation, spec: CalculusSpec):
         self.P = P
@@ -164,12 +135,6 @@ class Calculus:
         self.compatibility = None
 
     # -- symbols ------------------------------------------------------------
-
-    def sym_skew(self, s: int) -> SkewPoly:
-        P = self.P
-        if s < P.ring.nvars:
-            return P.from_coeff(P.ring.var(s))
-        return P.gen(s - P.ring.nvars)
 
     def sym_name(self, s: int) -> str:
         P = self.P
@@ -262,16 +227,15 @@ class Calculus:
         return self.form(S, self.twist_apply_set(S, f))
 
     def left_multiply(self, a: SkewPoly, form: DiffForm) -> DiffForm:
-        out = self.zero_form()
-        for S, f in form.components.items():
-            out = out + self.form(S, self.P.multiply(self.twist_apply_set(S, a), f))
-        return out
+        return self._sum(
+            self.form(S, self.P.multiply(self.twist_apply_set(S, a), f)) for S, f in form.terms.items()
+        )
 
     def right_multiply(self, form: DiffForm, a: SkewPoly) -> DiffForm:
-        out = self.zero_form()
-        for S, f in form.components.items():
-            out = out + self.form(S, self.P.multiply(f, a))
-        return out
+        return self._sum(self.form(S, self.P.multiply(f, a)) for S, f in form.terms.items())
+
+    def _sum(self, forms) -> DiffForm:
+        return DiffForm(sum_terms(forms), self.N)
 
     def _basis_product(self, S, T):
         """Merge two sorted index sets: None on repeats, else the merged set
@@ -288,22 +252,22 @@ class Calculus:
     def wedge(self, a: DiffForm, b: DiffForm) -> DiffForm:
         """Graded product: repeated generators annihilate, crossings pick up
         the sign and wedge constants, coefficients pass through twists."""
-        out = self.zero_form()
+        acc: dict = {}
         P = self.P
-        for S, f in a.components.items():
-            for T, g in b.components.items():
+        for S, f in a.terms.items():
+            for T, g in b.terms.items():
                 merged = self._basis_product(S, T)
                 if merged is None:
                     continue
                 U, factor = merged
                 coeff = P.multiply(self.twist_apply_set(T, f), g).scale(factor)
-                out = out + self.form(U, coeff)
-        return out
+                add_terms(acc, self.form(U, coeff).terms)
+        return DiffForm(acc, self.N)
 
     def d0(self, f: SkewPoly) -> DiffForm:
         """Differential of a degree-zero element via the product-rule word
         expansion, normalized to right-coefficient form."""
-        out = self.zero_form()
+        acc: dict = {}
         for e, c in f.terms.items():
             for tvec, s in c.terms.items():
                 word = []
@@ -311,12 +275,12 @@ class Calculus:
                     word.extend([j] * k)
                 for i, k in enumerate(e):
                     word.extend([self.P.ring.nvars + i] * k)
-                out = out + self._d_word(word, s)
-        return out
+                add_terms(acc, self._d_word(word, s).terms)
+        return DiffForm(acc, self.N)
 
     def _d_word(self, word, weight: Scalar) -> DiffForm:
         P = self.P
-        out = self.zero_form()
+        acc: dict = {}
         for p, sym in enumerate(word):
             row = self._dcoords[sym]
             if row is None:
@@ -327,8 +291,8 @@ class Calculus:
                 if coeff.is_zero():
                     continue
                 moved = P.multiply(self.twist_apply(i, pre), post).scale(coeff * weight)
-                out = out + self.form((i,), moved)
-        return out
+                add_terms(acc, self.form((i,), moved).terms)
+        return DiffForm(acc, self.N)
 
     def _word_poly(self, word) -> SkewPoly:
         P = self.P
@@ -337,13 +301,11 @@ class Calculus:
 
     def differential(self, a: DiffForm) -> DiffForm:
         """Degree-one map: ``d(du_S f) = (-1)^{|S|} du_S ^ d(f)``."""
-        out = self.zero_form()
-        for S, f in a.components.items():
+        acc: dict = {}
+        for S, f in a.terms.items():
             part = self.wedge(self.form(S, self.P.one()), self.d0(f))
-            if len(S) % 2:
-                part = -part
-            out = out + part
-        return out
+            add_terms(acc, (-part if len(S) % 2 else part).terms)
+        return DiffForm(acc, self.N)
 
     # -- compatibility -----------------------------------------------------------------
 
@@ -408,8 +370,8 @@ class Calculus:
 
     def _monomials_upto(self, bound: int):
         P = self.P
-        for beta in _expos(P.ring.nvars, bound):
-            for alpha in _expos(P.n, bound - sum(beta)):
+        for beta in exponents_upto(P.ring.nvars, bound):
+            for alpha in exponents_upto(P.n, bound - sum(beta)):
                 yield (beta, alpha)
 
     def connectedness_check(self, degree_bound: int) -> CheckOutcome:
@@ -425,7 +387,7 @@ class Calculus:
             f = self.P.monomial(mono[1], self.P.ring.monomial(mono[0]))
             columns.append(self.d0(f))
         for col, df in enumerate(columns):
-            for S, f in df.components.items():
+            for S, f in df.terms.items():
                 i = S[0]
                 for e, c in f.terms.items():
                     for tvec, s in c.terms.items():
@@ -452,7 +414,7 @@ class Calculus:
         return self.form(tuple(range(self.N)), self.P.one())
 
     def pi_omega(self, form: DiffForm) -> SkewPoly:
-        return form.components.get(tuple(range(self.N)), self.P.zero())
+        return form.terms.get(tuple(range(self.N)), self.P.zero())
 
     def volume(self) -> VolumeData:
         """Compute the volume twist by pushing each symbol through the top
@@ -464,7 +426,7 @@ class Calculus:
         cimgs = []
         gimgs = []
         for s in range(self.nsyms):
-            img = self.twist_apply_set(full, self.sym_skew(s))
+            img = self.twist_apply_set(full, P.symbol(s))
             if s < P.ring.nvars:
                 cimgs.append(img)
             else:
@@ -472,7 +434,7 @@ class Calculus:
         inv_c = []
         inv_g = []
         for s in range(self.nsyms):
-            img = self.twist_inv_apply_set(full, self.sym_skew(s))
+            img = self.twist_inv_apply_set(full, P.symbol(s))
             if s < P.ring.nvars:
                 inv_c.append(img)
             else:
@@ -480,10 +442,10 @@ class Calculus:
         try:
             inverse = AlgebraEndo(P, inv_c, inv_g, check=False)
             nu = AlgebraEndo(P, cimgs, gimgs, inverse=inverse, check=True)
-        except ValueError as exc:
+        except MapError as exc:
             raise NotAVolumeFormError(f"volume twist rejected: {exc}") from exc
         for s in range(self.nsyms):
-            a = self.sym_skew(s)
+            a = P.symbol(s)
             lhs = self.left_multiply(a, self.omega())
             rhs = self.right_multiply(self.omega(), nu.apply(a))
             if lhs != rhs:
@@ -496,7 +458,7 @@ class Calculus:
             for i in range(1, P.n):
                 comp = comp.compose(extend_sigma(P, i))
             matches = all(
-                nu.apply(self.sym_skew(s)) == comp.apply(self.sym_skew(s))
+                nu.apply(P.symbol(s)) == comp.apply(P.symbol(s))
                 for s in range(self.nsyms)
             )
         self._volume = VolumeData(self.omega(), nu, matches)
@@ -523,10 +485,12 @@ class Calculus:
             # identity on every basis form of degree k
             for S0 in gen_sets:
                 target = self.form(S0, self.P.one())
-                total = self.zero_form()
-                for S in gen_sets:
-                    coeff = self.pi_omega(self.wedge(comp_cache[S], target))
-                    total = total + self.right_multiply(self.form(S, self.P.one()), coeff)
+                total = self._sum(
+                    self.right_multiply(
+                        self.form(S, self.P.one()), self.pi_omega(self.wedge(comp_cache[S], target))
+                    )
+                    for S in gen_sets
+                )
                 if total != target:
                     witnesses.append(f"basis expansion fails for du{list(S0)}")
             # sampled identity with coefficients and the inverse volume twist
@@ -536,12 +500,13 @@ class Calculus:
                 S0 = gen_sets[rng.randrange(len(gen_sets))]
                 f = random_skew(self.P, rng, degree_bound)
                 target = self.form(S0, f)
-                total = self.zero_form()
-                for Q in big_sets:
-                    a = vol.nu.inverse.apply(
-                        self.pi_omega(self.wedge(target, self.form(Q, self.P.one())))
+                total = self._sum(
+                    self.left_multiply(
+                        vol.nu.inverse.apply(self.pi_omega(self.wedge(target, self.form(Q, self.P.one())))),
+                        comp_of_big[Q],
                     )
-                    total = total + self.left_multiply(a, comp_of_big[Q])
+                    for Q in big_sets
+                )
                 if total != target:
                     witnesses.append(
                         f"coefficient expansion fails for du{list(S0)} * ({self.P.render(f)})"
@@ -561,14 +526,14 @@ class Calculus:
         return IntegralForm(len(S), {tuple(S): self.P.one()}, self.N)
 
     def evaluate(self, phi: IntegralForm, form: DiffForm) -> SkewPoly:
-        out = self.P.zero()
-        for S, f in form.components.items():
+        acc: dict = {}
+        for S, f in form.terms.items():
             if len(S) != phi.degree:
                 raise ConfigError("form degree does not match the functional")
-            v = phi.values.get(S)
+            v = phi.terms.get(S)
             if v is not None:
-                out = out + self.P.multiply(v, f)
-        return out
+                add_terms(acc, self.P.multiply(v, f).terms)
+        return SkewPoly(acc, self.P.n)
 
     def dual_action(self, phi: IntegralForm, w: DiffForm) -> IntegralForm:
         """Right action of forms on functionals: ``(phi . w)(w') = phi(w ^ w')``."""
@@ -590,10 +555,7 @@ class Calculus:
         if form.is_zero():
             return IntegralForm(self.N - k, {}, self.N)
         phi = self.dual_action(self._pi_functional(), form)
-        sign = -1 if ((self.N - 1) * k) % 2 else 1
-        if sign == 1:
-            return phi
-        return IntegralForm(phi.degree, {S: -v for S, v in phi.values.items()}, self.N)
+        return -phi if ((self.N - 1) * k) % 2 else phi
 
     def _pi_functional(self) -> IntegralForm:
         return IntegralForm(self.N, {tuple(range(self.N)): self.P.one()}, self.N)
@@ -603,16 +565,16 @@ class Calculus:
         if phi.degree != self.N - k:
             raise ConfigError("functional degree does not match the transport")
         sign = -1 if ((self.N - 1) * k) % 2 else 1
-        out = self.zero_form()
+        acc: dict = {}
         for S in combinations(range(self.N), k):
             comp = tuple(i for i in range(self.N) if i not in S)
-            v = phi.values.get(comp)
+            v = phi.terms.get(comp)
             if v is None:
                 continue
             _, w = self._basis_product(tuple(S), comp)
             coeff = self.twist_inv_apply_set(comp, v.scale(w.inverse() * self.P.ring.scalar(sign)))
-            out = out + self.form(S, coeff)
-        return out
+            add_terms(acc, self.form(S, coeff).terms)
+        return DiffForm(acc, self.N)
 
     def divergence_chain(self, k: int):
         """The map from functionals of degree N-k to degree N-k-1, computed
@@ -628,7 +590,7 @@ class Calculus:
         nab = self.divergence_chain(self.N - 1)
         def to_algebra(phi: IntegralForm) -> SkewPoly:
             out = nab(phi)
-            return out.values.get((), self.P.zero())
+            return out.terms.get((), self.P.zero())
         return to_algebra
 
     def divergence_leibniz_check(self, samples: int, degree: int, rng) -> CheckOutcome:
@@ -661,7 +623,7 @@ class Calculus:
         for phi in self.integral_basis(2):
             out = nabla0(nabla1(phi))
             if not out.is_zero():
-                witnesses.append(f"curvature nonzero on du{list(next(iter(phi.values)))}")
+                witnesses.append(f"curvature nonzero on du{list(next(iter(phi.terms)))}")
         return CheckOutcome(not witnesses, witnesses)
 
     # -- rendering --------------------------------------------------------------------------
@@ -670,24 +632,10 @@ class Calculus:
         if form.is_zero():
             return "0"
         parts = []
-        for S in sorted(form.components, key=lambda s: (len(s), s)):
+        for S in sorted(form.terms, key=lambda s: (len(s), s)):
             basis = "".join(f"d({self.spec.dgens[i].name})" for i in S) or "1"
-            parts.append(f"{basis}*({self.P.render(form.components[S])})")
+            parts.append(f"{basis}*({self.P.render(form.terms[S])})")
         return " + ".join(parts)
-
-
-def _expos(nvars: int, max_total: int):
-    if nvars == 0:
-        yield ()
-        return
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for v in range(remaining + 1):
-                yield prefix + (v,)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + (v,), remaining - v, slots - 1)
-    yield from rec((), max_total, nvars)
 
 
 def build_calculus(P: Presentation, spec: CalculusSpec) -> Calculus:

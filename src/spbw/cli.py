@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .corpus import CORPUS_NAMES, corpus_doc, corpus_source
-from .dsl import ParseError, build_presentation, parse_expression, parse_presentation
+from .dsl import ParseError, build_presentation, parse_expression, parse_presentation, set_option
 from .errors import SpbwError
 from .gkdim import FAILED
 from .pipeline import run_calculus_check, run_check_hypotheses, run_check_pbw, run_gkdim, run_smooth
@@ -32,25 +32,27 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-def _load_doc(spec: str):
+def _load_doc(args, max_degree_option="gk_degree"):
+    """The document named by ``args.file`` with the command-line overrides
+    applied; ``--max-degree`` sets ``max_degree_option``."""
+    spec = args.file
     if spec.startswith("corpus:"):
-        return corpus_doc(spec.split(":", 1)[1])
-    return parse_presentation(Path(spec).read_text(encoding="utf-8"))
-
-
-def _apply_overrides(doc, args):
-    if getattr(args, "seed", None) is not None:
-        doc.options["seed"] = args.seed
-    if getattr(args, "samples", None) is not None:
-        doc.options["samples"] = args.samples
+        doc = corpus_doc(spec.split(":", 1)[1])
+    else:
+        doc = parse_presentation(Path(spec).read_text(encoding="utf-8"))
+    overrides = (
+        ("seed", getattr(args, "seed", None)),
+        ("samples", getattr(args, "samples", None)),
+        (max_degree_option, getattr(args, "max_degree", None)),
+    )
+    for key, value in overrides:
+        if value is not None:
+            set_option(doc.options, key, value)
     return doc
 
 
 def _cmd_smooth(args) -> int:
-    doc = _apply_overrides(_load_doc(args.file), args)
-    if args.max_degree is not None:
-        doc.options["gk_degree"] = args.max_degree
-    report = run_smooth(doc)
+    report = run_smooth(_load_doc(args))
     if args.json:
         Path(args.json).write_text(report.to_json(), encoding="utf-8")
     sys.stdout.write(report.human_text())
@@ -65,10 +67,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    doc = _load_doc(args.file)
+    doc = _load_doc(args, "pbw_degree")
     if args.what == "pbw":
-        if args.max_degree is not None:
-            doc.options["pbw_degree"] = args.max_degree
         P, audit = run_check_pbw(doc)
         if audit.ok:
             print("pbw consistency: pass")
@@ -97,14 +97,13 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_calculus(args) -> int:
-    doc = _load_doc(args.file)
-    calc = run_calculus_check(doc)
+    calc = run_calculus_check(_load_doc(args))
     print(f"calculus: compatible, dimension {calc.N}")
     return EXIT_OK
 
 
 def _cmd_normalize(args) -> int:
-    doc = _load_doc(args.file)
+    doc = _load_doc(args)
     P = build_presentation(doc)
     result = parse_expression(doc, args.expr, P)
     print(P.render(result))
@@ -112,8 +111,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_gkdim(args) -> int:
-    doc = _load_doc(args.file)
-    table, (est, diag) = run_gkdim(doc, args.max_degree)
+    table, (est, diag) = run_gkdim(_load_doc(args))
     print(f"dimensions: {table.dims}")
     if est is None:
         print(f"estimate: ambiguous (differences say {diag.difference_degree}, "

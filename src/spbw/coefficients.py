@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .errors import MapError
+from .lincomb import LinComb, add_terms, is_spaced_sum, render_sum, sum_terms
 from .scalars import Scalar, render_scalar
 
 
@@ -82,14 +84,14 @@ class CoeffRing:
         return render_coeff(p, self.params, self.coeff_vars)
 
 
-class CoeffPoly:
+class CoeffPoly(LinComb):
     """Polynomial in the coefficient variables with Scalar coefficients.
 
     ``terms`` never stores a zero Scalar; the zero polynomial is the empty
     map.  Immutable by convention.
     """
 
-    __slots__ = ("terms", "nvars", "nparams")
+    __slots__ = ("nvars", "nparams")
 
     def __init__(self, terms: dict, nvars: int, nparams: int):
         self.terms = terms
@@ -98,9 +100,6 @@ class CoeffPoly:
 
     def _make(self, terms: dict) -> "CoeffPoly":
         return CoeffPoly(terms, self.nvars, self.nparams)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
@@ -115,25 +114,6 @@ class CoeffPoly:
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
-
-    def __add__(self, other: "CoeffPoly") -> "CoeffPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return self._make(out)
-
-    def __neg__(self) -> "CoeffPoly":
-        return self._make({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "CoeffPoly") -> "CoeffPoly":
-        return self + (-other)
 
     def __mul__(self, other: "CoeffPoly") -> "CoeffPoly":
         out: dict = {}
@@ -157,15 +137,6 @@ class CoeffPoly:
         for _ in range(k):
             out = out * self
         return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CoeffPoly):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
-
-    __hash__ = None
 
     def __repr__(self):
         return f"CoeffPoly({render_coeff(self, tuple(f'p{i}' for i in range(self.nparams)), tuple(f't{j}' for j in range(self.nvars)))})"
@@ -216,14 +187,13 @@ class CoeffEndo:
         self.inverse_images = tuple(inverse_images) if inverse_images is not None else None
         self._memo = {}
         if self.inverse_images is not None:
-            fwd_then_back = [apply_endo(CoeffEndo(self.inverse_images), img) for img in self.images]
-            for j, p in enumerate(fwd_then_back):
-                var = _var_poly(self.images, j)
-                if p != var:
-                    raise ValueError(f"claimed inverse does not undo image of variable {j}")
+            back = CoeffEndo(self.inverse_images)
+            for j, img in enumerate(self.images):
+                if apply_endo(back, img) != _variable(img, j):
+                    raise MapError(f"claimed inverse does not undo image of variable {j}")
 
     def is_identity(self) -> bool:
-        return all(img == _var_poly(self.images, j) for j, img in enumerate(self.images))
+        return all(img == _variable(img, j) for j, img in enumerate(self.images))
 
     def inverse(self) -> "CoeffEndo":
         if self.inverse_images is None:
@@ -231,24 +201,24 @@ class CoeffEndo:
         return CoeffEndo(self.inverse_images, self.images)
 
 
-def _var_poly(images, j: int) -> CoeffPoly:
-    ref = images[j]
+def _variable(ref: CoeffPoly, j: int) -> CoeffPoly:
+    """The j-th coefficient variable, over the same ring as ``ref``."""
     e = [0] * ref.nvars
     e[j] = 1
-    return CoeffPoly({tuple(e): Scalar.const(ref.nparams, 1)}, ref.nvars, ref.nparams)
+    return ref._make({tuple(e): Scalar.const(ref.nparams, 1)})
 
 
 def apply_endo(sigma: CoeffEndo, p: CoeffPoly) -> CoeffPoly:
     """Substitution homomorphism: each variable replaced by its image."""
-    out = CoeffPoly({}, p.nvars, p.nparams)
-    one = CoeffPoly({(0,) * p.nvars: Scalar.const(p.nparams, 1)}, p.nvars, p.nparams)
+    const = (0,) * p.nvars
+    acc: dict = {}
     for e, c in p.terms.items():
-        term = one.scale(c)
+        term = p._make({const: c})
         for j, k in enumerate(e):
             if k:
                 term = term * _endo_power(sigma, j, k)
-        out = out + term
-    return out
+        add_terms(acc, term.terms)
+    return p._make(acc)
 
 
 def _endo_power(sigma: CoeffEndo, j: int, k: int) -> CoeffPoly:
@@ -280,10 +250,7 @@ class CoeffSigmaDerivation:
 def apply_sder(delta: CoeffSigmaDerivation, p: CoeffPoly) -> CoeffPoly:
     """Extend ``delta`` from variable images to all of R by the twisted
     product rule; scalars map to zero."""
-    out = CoeffPoly({}, p.nvars, p.nparams)
-    for e, c in p.terms.items():
-        out = out + _sder_monomial(delta, e, p).scale(c)
-    return out
+    return p._make(sum_terms(_sder_monomial(delta, e, p).scale(c) for e, c in p.terms.items()))
 
 
 def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> CoeffPoly:
@@ -291,23 +258,17 @@ def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> Coe
         return delta._memo[e]
     j = next((i for i, k in enumerate(e) if k), None)
     if j is None:
-        result = CoeffPoly({}, ref.nvars, ref.nparams)
+        result = ref._make({})
     else:
         # split the monomial as t_j * rest and apply the product rule
         rest = list(e)
         rest[j] -= 1
         rest = tuple(rest)
-        rest_poly = CoeffPoly({rest: Scalar.const(ref.nparams, 1)}, ref.nvars, ref.nparams)
-        tj_image = apply_endo(delta.twist, _var_poly_dims(j, ref))
+        rest_poly = ref._make({rest: Scalar.const(ref.nparams, 1)})
+        tj_image = apply_endo(delta.twist, _variable(ref, j))
         result = tj_image * _sder_monomial(delta, rest, ref) + delta.images[j] * rest_poly
     delta._memo[e] = result
     return result
-
-
-def _var_poly_dims(j: int, ref: CoeffPoly) -> CoeffPoly:
-    e = [0] * ref.nvars
-    e[j] = 1
-    return CoeffPoly({tuple(e): Scalar.const(ref.nparams, 1)}, ref.nvars, ref.nparams)
 
 
 # -- commutation audit ------------------------------------------------------
@@ -351,31 +312,29 @@ def commutation_audit(sigmas, deltas) -> CommutationAudit:
     audit = CommutationAudit()
     n = len(sigmas)
     nvars = len(sigmas[0].images) if sigmas else 0
-
-    def vars_of(ref_endo):
-        return [_var_poly(ref_endo.images, j) for j in range(nvars)]
+    variables = [_variable(img, j) for j, img in enumerate(sigmas[0].images)] if sigmas else []
 
     for i in range(n):
         for j in range(i + 1, n):
             audit.sigma_sigma[(i, j)] = all(
                 apply_endo(sigmas[i], apply_endo(sigmas[j], v)) == apply_endo(sigmas[j], apply_endo(sigmas[i], v))
-                for v in vars_of(sigmas[i])
+                for v in variables
             ) if nvars else True
             audit.delta_delta[(i, j)] = all(
                 apply_sder(deltas[i], apply_sder(deltas[j], v)) == apply_sder(deltas[j], apply_sder(deltas[i], v))
-                for v in vars_of(sigmas[i])
+                for v in variables
             ) if nvars else True
     for i in range(n):
         for j in range(n):
             if i != j:
                 audit.delta_sigma[(i, j)] = all(
                     apply_sder(deltas[i], apply_endo(sigmas[j], v)) == apply_endo(sigmas[j], apply_sder(deltas[i], v))
-                    for v in vars_of(sigmas[i])
+                    for v in variables
                 ) if nvars else True
     for i in range(n):
         audit.sigma_delta_diag[i] = all(
             apply_endo(sigmas[i], apply_sder(deltas[i], v)) == apply_sder(deltas[i], apply_endo(sigmas[i], v))
-            for v in vars_of(sigmas[i])
+            for v in variables
         ) if nvars else True
     return audit
 
@@ -384,30 +343,10 @@ def commutation_audit(sigmas, deltas) -> CommutationAudit:
 
 
 def render_coeff(p: CoeffPoly, param_names, var_names) -> str:
-    if not p.terms:
-        return "0"
-    parts = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
-        c = p.terms[e]
-        factors = []
-        for name, k in zip(var_names, e):
-            if k == 1:
-                factors.append(name)
-            elif k:
-                factors.append(f"{name}^{k}")
-        cs = render_scalar(c, param_names)
-        if not factors:
-            term = cs
-        elif cs == "1":
-            term = "*".join(factors)
-        elif cs == "-1":
-            term = "-" + "*".join(factors)
-        else:
-            if ("+" in cs or (" - " in cs) or cs.startswith("(")) and not (cs.startswith("(") and cs.endswith(")")):
-                cs = f"({cs})"
-            term = cs + "*" + "*".join(factors)
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
-    return out
+    return render_sum(p.terms, var_names, lambda c: render_scalar(c, param_names), _bare_sum)
+
+
+def _bare_sum(cs: str) -> bool:
+    """A rendered quotient ``(a)/(b)`` binds tighter than ``*``; only a bare
+    sum needs parentheses."""
+    return not cs.startswith("(") and is_spaced_sum(cs)

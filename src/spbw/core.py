@@ -27,17 +27,17 @@ from .coefficients import (
     apply_endo,
     apply_sder,
     commutation_audit,
-    render_coeff,
 )
 from .errors import HypothesisError
+from .lincomb import LinComb, add_terms, render_sum, sum_terms
 from .scalars import Scalar
 
 
-class SkewPoly:
+class SkewPoly(LinComb):
     """Element in PBW normal form: finite sum of left coefficients times
     ordered generator monomials.  No stored coefficient is zero."""
 
-    __slots__ = ("terms", "ngens")
+    __slots__ = ("ngens",)
 
     def __init__(self, terms: dict, ngens: int):
         self.terms = terms
@@ -45,28 +45,6 @@ class SkewPoly:
 
     def _make(self, terms: dict) -> "SkewPoly":
         return SkewPoly(terms, self.ngens)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "SkewPoly") -> "SkewPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            if e in out:
-                s = out[e] + c
-                if s.is_zero():
-                    del out[e]
-                else:
-                    out[e] = s
-            else:
-                out[e] = c
-        return self._make(out)
-
-    def __neg__(self) -> "SkewPoly":
-        return self._make({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "SkewPoly") -> "SkewPoly":
-        return self + (-other)
 
     def scale_left(self, c: CoeffPoly) -> "SkewPoly":
         """Left multiplication by a coefficient (coefficients commute in R)."""
@@ -84,17 +62,7 @@ class SkewPoly:
             return self._make({})
         return self._make({e: c.scale(s) for e, c in self.terms.items()})
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SkewPoly):
-            return NotImplemented
-        if self.terms.keys() != other.terms.keys():
-            return False
-        return all(self.terms[e] == other.terms[e] for e in self.terms)
-
-    __hash__ = None
-
     def __repr__(self):
-        gens = tuple(f"x{i + 1}" for i in range(self.ngens))
         body = ", ".join(
             f"{e}: ..." for e in sorted(self.terms)
         )
@@ -128,7 +96,13 @@ class PbwAudit:
 class Presentation:
     """Full data of a skew PBW extension: coefficient ring, one
     (endomorphism, twisted derivation) pair per generator, and the pair
-    relations.  Immutable after construction; all operations are pure."""
+    relations.
+
+    The defining data is not changed after construction and no operation
+    changes a value it is given or has returned, but products of monomials
+    are memoized in ``_mono_cache`` (and the coefficient maps memoize their
+    powers), so a presentation is not safe to share between threads
+    without a lock."""
 
     def __init__(self, ring: CoeffRing, names, sigma, delta, relations):
         self.ring = ring
@@ -164,6 +138,12 @@ class Presentation:
     def const(self, value) -> SkewPoly:
         return self.from_coeff(self.ring.const(value))
 
+    def symbol(self, k: int) -> SkewPoly:
+        """Symbol k of the frame as an element: the coefficient variables
+        come first, then the generators."""
+        m = self.ring.nvars
+        return self.from_coeff(self.ring.var(k)) if k < m else self.gen(k - m)
+
     def gen(self, i: int) -> SkewPoly:
         e = [0] * self.n
         e[i] = 1
@@ -181,13 +161,12 @@ class Presentation:
         e = [0] * self.n
         e[i] += 1
         e[j] += 1
-        out = self.monomial(e, rel.d) + self.from_coeff(rel.r0)
+        parts = [self.monomial(e, rel.d), self.from_coeff(rel.r0)]
         for k, rk in enumerate(rel.rk):
-            if not rk.is_zero():
-                ek = [0] * self.n
-                ek[k] = 1
-                out = out + self.monomial(ek, rk)
-        return out
+            ek = [0] * self.n
+            ek[k] = 1
+            parts.append(self.monomial(ek, rk))
+        return SkewPoly(sum_terms(parts), self.n)
 
     # -- structured reduction path -----------------------------------------
 
@@ -215,13 +194,13 @@ class Presentation:
         if cached is not None:
             return cached
         word = _expand(e1) + _expand(e2)
-        acc = self.zero()
+        acc: dict = {}
         work = [(self.ring.one(), word)]
         while work:
             coeff, w = work.pop()
             pos = _first_inversion(w)
             if pos is None:
-                acc = acc + self.monomial(_pack(w, self.n), coeff)
+                add_terms(acc, self.monomial(_pack(w, self.n), coeff).terms)
                 continue
             pre, j, i, post = w[:pos], w[pos], w[pos + 1], w[pos + 2:]
             rel = self.relations[(i, j)]
@@ -234,19 +213,18 @@ class Presentation:
                 if not rk.is_zero():
                     for c, pre2 in self.push_coeff_left(pre, rk):
                         work.append((coeff * c, pre2 + (k,) + post))
-        self._mono_cache[key] = acc
-        return acc
+        product = SkewPoly(acc, self.n)
+        self._mono_cache[key] = product
+        return product
 
     def multiply(self, f: SkewPoly, g: SkewPoly) -> SkewPoly:
         """PBW normal form of the product; associative and unital."""
-        out = self.zero()
+        acc: dict = {}
         for e1, c1 in f.terms.items():
             for e2, c2 in g.terms.items():
-                moved = self.push_coeff_left(_expand(e1), c2)
-                for h, w in moved:
-                    part = self._mul_monomials(_pack(w, self.n), e2)
-                    out = out + part.scale_left(c1 * h)
-        return out
+                for h, w in self.push_coeff_left(_expand(e1), c2):
+                    add_terms(acc, self._mul_monomials(_pack(w, self.n), e2).scale_left(c1 * h).terms)
+        return SkewPoly(acc, self.n)
 
     def power(self, f: SkewPoly, k: int) -> SkewPoly:
         out = self.one()
@@ -261,7 +239,7 @@ class Presentation:
         is a CoeffPoly (or int/Scalar) and ``atoms`` is a sequence mixing
         generator indices (int) and CoeffPoly factors, in word order.
         """
-        total = self.zero()
+        acc: dict = {}
         for coeff, atoms in terms:
             if not isinstance(coeff, CoeffPoly):
                 coeff = self.ring.const(coeff)
@@ -269,8 +247,8 @@ class Presentation:
             for atom in atoms:
                 factor = self.gen(atom) if isinstance(atom, int) else self.from_coeff(atom)
                 cur = self.multiply(cur, factor)
-            total = total + cur
-        return total
+            add_terms(acc, cur.terms)
+        return SkewPoly(acc, self.n)
 
     # -- small-step oracle ---------------------------------------------------
 
@@ -282,13 +260,13 @@ class Presentation:
         generator followed by a coefficient, or an out-of-order generator
         pair.  Used as the independent oracle and by the diamond check.
         """
-        acc = self.zero()
+        acc: dict = {}
         work = [tuple(atoms)]
         while work:
             w = work.pop()
             pos = self._find_redex(w, strategy)
             if pos is None:
-                acc = acc + self._extract(w)
+                add_terms(acc, self._extract(w).terms)
                 continue
             a, b = w[pos], w[pos + 1]
             pre, post = w[:pos], w[pos + 2:]
@@ -312,7 +290,7 @@ class Presentation:
                 for k, rk in enumerate(rel.rk):
                     if not rk.is_zero():
                         work.append(pre + (rk, k) + post)
-        return acc
+        return SkewPoly(acc, self.n)
 
     @staticmethod
     def _find_redex(w, strategy):
@@ -350,7 +328,7 @@ class Presentation:
             raise HypothesisError(
                 f"sigma and delta of generator {self.names[i]} do not commute"
             )
-        out = self.zero()
+        acc: dict = {}
         for k in range(m + 1):
             img = r
             for _ in range(k):
@@ -361,13 +339,12 @@ class Presentation:
                 continue
             e = [0] * self.n
             e[i] = m - k
-            out = out + self.monomial(e, img.scale(self.ring.scalar(comb(m, k))))
-        return out
+            add_terms(acc, self.monomial(e, img.scale(self.ring.scalar(comb(m, k)))).terms)
+        return SkewPoly(acc, self.n)
 
     def power_commute_generic(self, i: int, m: int, r: CoeffPoly) -> SkewPoly:
         """Expand ``x_i^m * r`` by enumerating every interleaving of the
         sigma and delta applications; needs no commutation hypothesis."""
-        out = self.zero()
         # (composition applied so far, number of deltas used) with multiplicity
         layer = [(r, 0)]
         for _ in range(m):
@@ -376,11 +353,12 @@ class Presentation:
                 nxt.append((apply_endo(self.sigma[i], value), drops))
                 nxt.append((apply_sder(self.delta[i], value), drops + 1))
             layer = [(v, d) for v, d in nxt if not v.is_zero()]
+        acc: dict = {}
         for value, drops in layer:
             e = [0] * self.n
             e[i] = m - drops
-            out = out + self.monomial(e, value)
-        return out
+            add_terms(acc, self.monomial(e, value).terms)
+        return SkewPoly(acc, self.n)
 
     # -- consistency -----------------------------------------------------------
 
@@ -426,33 +404,7 @@ class Presentation:
     # -- rendering ------------------------------------------------------------
 
     def render(self, f: SkewPoly) -> str:
-        if f.is_zero():
-            return "0"
-        parts = []
-        for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True):
-            c = f.terms[e]
-            factors = []
-            for name, k in zip(self.names, e):
-                if k == 1:
-                    factors.append(name)
-                elif k:
-                    factors.append(f"{name}^{k}")
-            cs = render_coeff(c, self.ring.params, self.ring.coeff_vars)
-            if not factors:
-                term = cs
-            elif cs == "1":
-                term = "*".join(factors)
-            elif cs == "-1":
-                term = "-" + "*".join(factors)
-            else:
-                if " + " in cs or " - " in cs:
-                    cs = f"({cs})"
-                term = cs + "*" + "*".join(factors)
-            parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
+        return render_sum(f.terms, self.names, self.ring.render)
 
     def render_word(self, atoms) -> str:
         bits = []
@@ -483,6 +435,17 @@ def _first_inversion(w: tuple):
         if w[p] > w[p + 1]:
             return p
     return None
+
+
+def exponents_upto(nvars: int, total: int):
+    """Every exponent tuple of length ``nvars`` with entry sum at most
+    ``total``, in lexicographic order."""
+    if nvars == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in exponents_upto(nvars - 1, total - first):
+            yield (first,) + rest
 
 
 def _descending_words(n: int, length: int):

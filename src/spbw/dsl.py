@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation
 from .core import Presentation, Relation, SkewPoly
-from .errors import SpbwError
+from .errors import MapError, SpbwError
+from .lincomb import add_terms, is_spaced_sum, render_sum
 from .scalars import Scalar
 
 DEFAULT_OPTIONS = {
@@ -36,6 +37,18 @@ DEFAULT_OPTIONS = {
     "pbw_degree": 3,
 }
 
+# Smallest value each bounded option accepts.  The growth estimate needs the
+# table up to degree 8, the overlap check needs words of length 3, and a
+# sampled check on zero samples would certify nothing.
+OPTION_MINIMUMS = {
+    "samples": 1,
+    "sample_degree": 1,
+    "dsq_degree": 1,
+    "conn_degree": 1,
+    "gk_degree": 8,
+    "pbw_degree": 3,
+}
+
 
 class ParseError(SpbwError):
     def __init__(self, line: int, col: int, code: str, message: str):
@@ -43,6 +56,17 @@ class ParseError(SpbwError):
         self.line = line
         self.col = col
         self.code = code
+
+
+def set_option(options: dict, key: str, value: int, line: int = 0, col: int = 0):
+    """Store one pipeline option after checking its name and range; used by
+    the ``options`` line and by command-line overrides alike."""
+    if key not in DEFAULT_OPTIONS:
+        raise ParseError(line, col, "unknown-option", f"unknown option {key!r}")
+    minimum = OPTION_MINIMUMS.get(key)
+    if minimum is not None and value < minimum:
+        raise ParseError(line, col, "option-range", f"option {key} must be at least {minimum}, got {value}")
+    options[key] = value
 
 
 @dataclass
@@ -242,10 +266,10 @@ def _invert_free(base, k, ctx, col):
     return out
 
 
-def _free_to_coeff(free, ring: CoeffRing, line, allow_gens=False):
+def _free_to_coeff(free, ring: CoeffRing, line):
     """Collapse a free element into a commutative coefficient polynomial;
     generator symbols are rejected."""
-    out = ring.zero()
+    acc: dict = {}
     for s, word in free:
         e = [0] * ring.nvars
         for name in word:
@@ -254,8 +278,8 @@ def _free_to_coeff(free, ring: CoeffRing, line, allow_gens=False):
             else:
                 raise ParseError(line, 0, "generator-in-coefficient",
                                  f"generator {name!r} not allowed here")
-        out = out + ring.monomial(e, s)
-    return out
+        add_terms(acc, ring.monomial(e, s).terms)
+    return CoeffPoly(acc, ring.nvars, ring.nparams)
 
 
 # -- document parser ----------------------------------------------------------------
@@ -447,8 +471,6 @@ class _Parser:
     def _line_options(self, ts, line_no):
         while not ts.done():
             _, key, col = ts.expect("ident", what="an option name")
-            if key not in DEFAULT_OPTIONS:
-                raise ParseError(line_no, col, "unknown-option", f"unknown option {key!r}")
             ts.expect("op", "=", "an equals sign")
             sign = 1
             tok = ts.peek()
@@ -456,7 +478,7 @@ class _Parser:
                 ts.next()
                 sign = -1
             _, digits, _ = ts.expect("int", what="an integer")
-            self.options[key] = sign * int(digits)
+            set_option(self.options, key, sign * int(digits), line_no, col)
 
     # -- assembly --------------------------------------------------------------------------------
 
@@ -586,7 +608,7 @@ class _Parser:
         try:
             P = _presentation_from_parts(ring, tuple(self.gens), sigma_images, sigma_inverses,
                                          delta_images, relations)
-        except ValueError as exc:
+        except MapError as exc:
             raise ParseError(0, 0, "bad-inverse", str(exc)) from exc
         doc.dgen_names = tuple(self.dgen_names)
         symbols = list(self.coeff_vars) + list(self.gens)
@@ -595,7 +617,7 @@ class _Parser:
                 if name in self.dgen_exprs:
                     raise ParseError(self.dgen_exprs[name][1], 0, "duplicate-image",
                                      f"dgen {name!r} is a symbol; no dgen line allowed")
-                doc.potentials[name] = _symbol_skew(P, symbols.index(name))
+                doc.potentials[name] = P.symbol(symbols.index(name))
             else:
                 if name not in self.dgen_exprs:
                     raise ParseError(0, 0, "missing-dgen",
@@ -624,8 +646,7 @@ class _Parser:
         return doc
 
     def _twist_images(self, P, symbols, entries):
-        cimgs = [_symbol_skew(P, k) for k in range(P.ring.nvars)]
-        gimgs = [P.gen(i) for i in range(P.n)]
+        images = [P.symbol(k) for k in range(len(symbols))]
         seen = set()
         for var, free, line, col in entries:
             if var not in symbols:
@@ -634,18 +655,9 @@ class _Parser:
             if k in seen:
                 raise ParseError(line, col, "duplicate-image", f"two images for {var!r}")
             seen.add(k)
-            img = _free_to_skew(P, free, line)
-            if k < P.ring.nvars:
-                cimgs[k] = img
-            else:
-                gimgs[k - P.ring.nvars] = img
-        return tuple(cimgs), tuple(gimgs)
-
-
-def _symbol_skew(P: Presentation, k: int) -> SkewPoly:
-    if k < P.ring.nvars:
-        return P.from_coeff(P.ring.var(k))
-    return P.gen(k - P.ring.nvars)
+            images[k] = _free_to_skew(P, free, line)
+        m = P.ring.nvars
+        return tuple(images[:m]), tuple(images[m:])
 
 
 def _free_to_skew(P: Presentation, free, line) -> SkewPoly:
@@ -728,30 +740,7 @@ def _render_fraction(f: Fraction) -> str:
 
 
 def _render_scalar_dsl(s: Scalar, params) -> str:
-    def poly(p):
-        parts = []
-        for e in sorted(p, key=lambda e: (sum(e), e), reverse=True):
-            factors = []
-            c = p[e]
-            for name, k in zip(params, e):
-                if k:
-                    factors.append(name if k == 1 else f"{name}^{k}")
-            if not factors:
-                parts.append(_render_fraction(c))
-            elif c == 1:
-                parts.append("*".join(factors))
-            elif c == -1:
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(_render_fraction(c) + "*" + "*".join(factors))
-        out = parts[0]
-        for term in parts[1:]:
-            out += " - " + term[1:] if term.startswith("-") else " + " + term
-        return out
-
-    if not s.num:
-        return "0"
-    num = poly(s.num)
+    num = render_sum(s.num, params, _render_fraction)
     if s.den == {(0,) * s.nparams: Fraction(1)}:
         return num
     if len(s.den) == 1:
@@ -761,59 +750,15 @@ def _render_scalar_dsl(s: Scalar, params) -> str:
             if k:
                 bits.append(f"{name}^-{k}")
         return f"({num})" + ("*" + "*".join(bits) if bits else "")
-    return f"({num})*({poly(s.den)})^-1"
-
-
-def _render_monomial(names, e):
-    return [name if k == 1 else f"{name}^{k}" for name, k in zip(names, e) if k]
+    return f"({num})*({render_sum(s.den, params, _render_fraction)})^-1"
 
 
 def _render_coeff_dsl(p: CoeffPoly, params, var_names) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
-        s = p.terms[e]
-        factors = _render_monomial(var_names, e)
-        cs = _render_scalar_dsl(s, params)
-        if not factors:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("*".join(factors))
-        elif cs == "-1":
-            parts.append("-" + "*".join(factors))
-        else:
-            if " + " in cs or " - " in cs:
-                cs = f"({cs})"
-            parts.append(cs + "*" + "*".join(factors))
-    out = parts[0]
-    for term in parts[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
-    return out
+    return render_sum(p.terms, var_names, lambda s: _render_scalar_dsl(s, params))
 
 
 def _render_skew_dsl(f: SkewPoly, doc: PresentationDoc) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for e in sorted(f.terms, key=lambda e: (sum(e), e), reverse=True):
-        c = f.terms[e]
-        gens = _render_monomial(doc.gens, e)
-        cs = _render_coeff_dsl(c, doc.params, doc.coeff_vars)
-        if not gens:
-            parts.append(cs)
-        elif cs == "1":
-            parts.append("*".join(gens))
-        elif cs == "-1":
-            parts.append("-" + "*".join(gens))
-        else:
-            if " + " in cs or " - " in cs:
-                cs = f"({cs})"
-            parts.append(cs + "*" + "*".join(gens))
-    out = parts[0]
-    for term in parts[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
-    return out
+    return render_sum(f.terms, doc.gens, lambda c: _render_coeff_dsl(c, doc.params, doc.coeff_vars))
 
 
 def render_presentation(doc: PresentationDoc) -> str:
@@ -852,18 +797,18 @@ def render_presentation(doc: PresentationDoc) -> str:
         if d_str == "1":
             rhs.append(pair)
         else:
-            if " + " in d_str or " - " in d_str:
+            if is_spaced_sum(d_str):
                 d_str = f"({d_str})"
             rhs.append(f"{d_str} * {pair}")
         for k, rk in enumerate(rel.rk):
             if not rk.is_zero():
                 ck = _render_coeff_dsl(rk, doc.params, doc.coeff_vars)
-                if " + " in ck or " - " in ck:
+                if is_spaced_sum(ck):
                     ck = f"({ck})"
                 rhs.append(f"{ck} * {doc.gens[k]}" if ck != "1" else doc.gens[k])
         if not rel.r0.is_zero():
             c0 = _render_coeff_dsl(rel.r0, doc.params, doc.coeff_vars)
-            rhs.append(f"({c0})" if (" + " in c0 or " - " in c0 or c0.startswith("-")) else c0)
+            rhs.append(f"({c0})" if is_spaced_sum(c0) or c0.startswith("-") else c0)
         lines.append(f"rel {doc.gens[j]} {doc.gens[i]} = " + " + ".join(rhs))
 
     if doc.calculus is not None:
@@ -876,22 +821,17 @@ def render_presentation(doc: PresentationDoc) -> str:
             for name in cal.dgen_names:
                 if name not in symbols:
                     lines.append(f"dgen {name} = {_render_skew_dsl(cal.potentials[name], doc)}")
-            for name in cal.dgen_names:
-                entries = []
-                for k, sym in enumerate(symbols):
-                    img = cal.twist_coeff[name][k] if k < len(doc.coeff_vars) else cal.twist_gen[name][k - len(doc.coeff_vars)]
-                    if img != _symbol_skew(P, k):
-                        entries.append(f"{sym} -> {_render_skew_dsl(img, doc)}")
+
+            def twist_line(keyword, name, images):
+                entries = [f"{sym} -> {_render_skew_dsl(img, doc)}"
+                           for k, (sym, img) in enumerate(zip(symbols, images)) if img != P.symbol(k)]
                 if entries:
-                    lines.append(f"twist {name}: " + ", ".join(entries))
+                    lines.append(f"{keyword} {name}: " + ", ".join(entries))
+
+            for name in cal.dgen_names:
+                twist_line("twist", name, cal.twist_coeff[name] + cal.twist_gen[name])
                 if name in cal.itwist_coeff:
-                    entries = []
-                    for k, sym in enumerate(symbols):
-                        img = cal.itwist_coeff[name][k] if k < len(doc.coeff_vars) else cal.itwist_gen[name][k - len(doc.coeff_vars)]
-                        if img != _symbol_skew(P, k):
-                            entries.append(f"{sym} -> {_render_skew_dsl(img, doc)}")
-                    if entries:
-                        lines.append(f"itwist {name}: " + ", ".join(entries))
+                    twist_line("itwist", name, cal.itwist_coeff[name] + cal.itwist_gen[name])
             for (ia, ib), s in sorted(cal.wedge.items()):
                 lines.append(
                     f"wedge {cal.dgen_names[ia]} {cal.dgen_names[ib]} = "

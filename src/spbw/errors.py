@@ -35,3 +35,9 @@ class UnsupportedCaseError(SpbwError):
 class ConfigError(SpbwError):
     """A command was run against a document missing required blocks, or a
     pipeline stage was requested without its prerequisite certificate."""
+
+
+class MapError(SpbwError, ValueError):
+    """The images given for an endomorphism break a defining relation, or a
+    claimed inverse does not undo it.  Also a ``ValueError``, which is what
+    these checks raised before they had a class of their own."""

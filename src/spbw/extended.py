@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 from .coefficients import CoeffSigmaDerivation, apply_endo, apply_sder, commutation_audit
 from .core import Presentation, SkewPoly
-from .errors import HypothesisError
+from .errors import HypothesisError, MapError
+from .lincomb import add_terms, sum_terms
 from .linalg import solve
 from .scalars import Scalar
 
@@ -50,7 +51,7 @@ class AlgebraEndo:
                 lhs = P.multiply(self.coeff_images[a], self.coeff_images[b])
                 rhs = P.multiply(self.coeff_images[b], self.coeff_images[a])
                 if lhs != rhs:
-                    raise ValueError(
+                    raise MapError(
                         f"images of commuting variables {P.ring.coeff_vars[a]}, "
                         f"{P.ring.coeff_vars[b]} do not commute"
                     )
@@ -61,47 +62,47 @@ class AlgebraEndo:
                 dele = self.apply(P.from_coeff(apply_sder(P.delta[i], P.ring.var(j))))
                 rhs = P.multiply(sig, self.gen_images[i]) + dele
                 if lhs != rhs:
-                    raise ValueError(
+                    raise MapError(
                         f"relation {P.names[i]}*{P.ring.coeff_vars[j]} not respected"
                     )
         for (i, j), _rel in P.relations.items():
             lhs = P.multiply(self.gen_images[j], self.gen_images[i])
             rhs = self.apply(P.relation_rhs(i, j))
             if lhs != rhs:
-                raise ValueError(f"relation {P.names[j]}*{P.names[i]} not respected")
+                raise MapError(f"relation {P.names[j]}*{P.names[i]} not respected")
 
     def _check_inverse(self):
         P = self.P
         for j in range(P.ring.nvars):
             if self.inverse.apply(self.coeff_images[j]) != P.from_coeff(P.ring.var(j)):
-                raise ValueError(f"inverse does not undo {P.ring.coeff_vars[j]}")
+                raise MapError(f"inverse does not undo {P.ring.coeff_vars[j]}")
         for i in range(P.n):
             if self.inverse.apply(self.gen_images[i]) != P.gen(i):
-                raise ValueError(f"inverse does not undo {P.names[i]}")
+                raise MapError(f"inverse does not undo {P.names[i]}")
 
     # -- action ------------------------------------------------------------
 
     def apply(self, f: SkewPoly) -> SkewPoly:
         P = self.P
-        out = P.zero()
+        acc: dict = {}
         for e, c in f.terms.items():
             term = self._subst_coeff(c)
             for i, k in enumerate(e):
                 if k:
                     term = P.multiply(term, self._power("g", i, k))
-            out = out + term
-        return out
+            add_terms(acc, term.terms)
+        return SkewPoly(acc, P.n)
 
     def _subst_coeff(self, c) -> SkewPoly:
         P = self.P
-        out = P.zero()
+        acc: dict = {}
         for e, s in c.terms.items():
             term = P.const(s)
             for j, k in enumerate(e):
                 if k:
                     term = P.multiply(term, self._power("c", j, k))
-            out = out + term
-        return out
+            add_terms(acc, term.terms)
+        return SkewPoly(acc, P.n)
 
     def _power(self, kind, idx, k):
         key = (kind, idx, k)
@@ -152,10 +153,9 @@ class AlgebraEndo:
 
 
 def identity_images(P: Presentation):
-    return (
-        tuple(P.from_coeff(P.ring.var(j)) for j in range(P.ring.nvars)),
-        tuple(P.gen(i) for i in range(P.n)),
-    )
+    """(coefficient-variable images, generator images) of the identity map."""
+    m = P.ring.nvars
+    return tuple(P.symbol(k) for k in range(m)), tuple(P.symbol(m + i) for i in range(P.n))
 
 
 def frame_affine_inverse(P: Presentation, coeff_images, gen_images):
@@ -197,19 +197,14 @@ def frame_affine_inverse(P: Presentation, coeff_images, gen_images):
     if inv_cols is None:
         return None
 
-    def symbol(k):
-        return P.from_coeff(P.ring.var(k)) if k < m else P.gen(k - m)
-
     def build(srow):
         # inverse sends symbol srow to sum_k B[srow][k] (symbol_k - const_k)
         # with B = A^{-1}; inv_cols[k][srow] is B[srow][k]
-        out = P.zero()
-        for k in range(size):
-            a = inv_cols[k][srow]
-            if a.is_zero():
-                continue
-            out = out + (symbol(k) - P.const(consts[k])).scale(a)
-        return out
+        return SkewPoly(sum_terms(
+            (P.symbol(k) - P.const(consts[k])).scale(inv_cols[k][srow])
+            for k in range(size)
+            if not inv_cols[k][srow].is_zero()
+        ), P.n)
 
     return (
         tuple(build(j) for j in range(m)),
@@ -367,13 +362,8 @@ class ExtendedDerivation:
         self.gen_images = tuple(P.zero() for _ in range(P.n))
 
     def apply(self, f: SkewPoly) -> SkewPoly:
-        P = self.P
-        out = P.zero()
-        for e, c in f.terms.items():
-            img = apply_sder(self.base, c)
-            if not img.is_zero():
-                out = out + P.monomial(e, img)
-        return out
+        images = ((e, apply_sder(self.base, c)) for e, c in f.terms.items())
+        return SkewPoly({e: img for e, img in images if not img.is_zero()}, self.P.n)
 
 
 def extend_delta(P: Presentation, i: int) -> ExtendedDerivation:

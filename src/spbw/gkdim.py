@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from math import log
 
 from .coefficients import apply_endo, apply_sder
-from .core import Presentation
+from .core import Presentation, exponents_upto
 from .errors import UnsupportedPresentationError
 
 CERTIFIED = "certified-smooth"
@@ -67,7 +67,7 @@ def filtration_dims(P: Presentation, m_max: int) -> FiltrationTable:
     check_filtration_compatible(P)
     nsyms = P.ring.nvars + P.n
     counts = [0] * (m_max + 1)
-    for e in _tuples_bounded(nsyms, m_max):
+    for e in exponents_upto(nsyms, m_max):
         counts[sum(e)] += 1
     dims = []
     running = 0
@@ -75,20 +75,6 @@ def filtration_dims(P: Presentation, m_max: int) -> FiltrationTable:
         running += counts[m]
         dims.append(running)
     return FiltrationTable(dims)
-
-
-def _tuples_bounded(nvars: int, total: int):
-    if nvars == 0:
-        yield ()
-        return
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for v in range(remaining + 1):
-                yield prefix + (v,)
-            return
-        for v in range(remaining + 1):
-            yield from rec(prefix + (v,), remaining - v, slots - 1)
-    yield from rec((), total, nvars)
 
 
 @dataclass

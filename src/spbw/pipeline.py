@@ -11,26 +11,15 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import dataclass, replace
 
-from .calculus import CalculusSpec, DGen, build_calculus, theorem_spec
+from .calculus import Calculus, CalculusSpec, CheckOutcome, DGen, build_calculus, theorem_spec
+from .core import Presentation
 from .dsl import PresentationDoc, build_presentation
-from .errors import CompatibilityError, ConfigError, NotAVolumeFormError, SpbwError, UnsupportedPresentationError
+from .errors import ConfigError, SpbwError
 from .extended import AlgebraEndo, auto_inverse, hypothesis_check
-from .gkdim import CheckRecord, filtration_dims, gk_estimate, smoothness_verdict
+from .gkdim import HARD_CHECKS, CheckRecord, filtration_dims, gk_estimate, smoothness_verdict
 from .report import Report
-
-STAGES = (
-    "pbw-consistency",
-    "hypotheses",
-    "compatibility",
-    "d-squared",
-    "connectedness",
-    "volume",
-    "integrability",
-    "divergence-leibniz",
-    "flatness",
-    "gk-estimate",
-)
 
 
 def calculus_spec_from_doc(doc: PresentationDoc, P) -> CalculusSpec:
@@ -59,141 +48,139 @@ def calculus_spec_from_doc(doc: PresentationDoc, P) -> CalculusSpec:
     return CalculusSpec(dgens=dgens, wedge_signs=dict(cal.wedge), mode="flat")
 
 
-class _Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
+@dataclass
+class _Run:
+    """What the stages of one run share: the document, its presentation, the
+    one seeded generator, and the results later stages read."""
 
-    def __exit__(self, *exc):
-        self.seconds = time.perf_counter() - self.start
+    doc: PresentationDoc
+    P: Presentation
+    rng: random.Random
+    calculus: Calculus | None = None
+    gk: int | None = None
+
+    @property
+    def opts(self) -> dict:
+        return self.doc.options
+
+
+# Each stage function returns a CheckOutcome.  They look up the checks they
+# call as module globals at call time, so rebinding a name here (as a tracer
+# does) reaches every run.
+
+
+def _stage_pbw(run: _Run) -> CheckOutcome:
+    audit = run.P.pbw_consistency_check(run.opts["pbw_degree"])
+    if audit.ok:
+        return CheckOutcome(True)
+    return CheckOutcome(False, [f"word {audit.rendered} reduces two ways",
+                                f"leftmost: {run.P.render(audit.left)}",
+                                f"rightmost: {run.P.render(audit.right)}"])
+
+
+def _stage_hypotheses(run: _Run) -> CheckOutcome:
+    """Informational unless the calculus mode requires the blocks."""
+    rep = hypothesis_check(run.P)
+    mode = run.doc.calculus.mode if run.doc.calculus else None
+    ok = rep.theorem_ok if mode == "theorem" else True
+    data = {"lift_block": rep.proposition_ok, "plain_twist_block": rep.theorem_ok}
+    return CheckOutcome(ok, [] if ok else rep.failures[:4], data)
+
+
+def _stage_compatibility(run: _Run) -> CheckOutcome:
+    run.calculus = build_calculus(run.P, calculus_spec_from_doc(run.doc, run.P))
+    return CheckOutcome(True, data={"dimension": run.calculus.N})
+
+
+def _stage_d_squared(run: _Run) -> CheckOutcome:
+    bound = run.opts["dsq_degree"]
+    return replace(run.calculus.d_squared_check(bound), data={"bound": bound})
+
+
+def _stage_connectedness(run: _Run) -> CheckOutcome:
+    return run.calculus.connectedness_check(run.opts["conn_degree"])
+
+
+def _stage_volume(run: _Run) -> CheckOutcome:
+    matches = run.calculus.volume().matches_sigma_composition
+    if matches is None:
+        return CheckOutcome(True)
+    return CheckOutcome(matches, data={"matches_sigma_composition": matches})
+
+
+def _stage_integrability(run: _Run) -> CheckOutcome:
+    samples, degree = run.opts["samples"], run.opts["sample_degree"]
+    out = run.calculus.integrability_check(samples, degree, run.rng)
+    return replace(out, data={"samples": samples, "degree": degree})
+
+
+def _stage_divergence(run: _Run) -> CheckOutcome:
+    samples = run.opts["samples"]
+    out = run.calculus.divergence_leibniz_check(samples, run.opts["sample_degree"], run.rng)
+    return replace(out, data={"samples": samples})
+
+
+def _stage_flatness(run: _Run) -> CheckOutcome:
+    return run.calculus.flatness_check()
+
+
+def _stage_gk(run: _Run) -> CheckOutcome:
+    run.gk, diag = gk_estimate(filtration_dims(run.P, run.opts["gk_degree"]))
+    data = {
+        "difference_degree": diag.difference_degree,
+        "slope_estimate": diag.slope_estimate,
+        "ambiguous": diag.ambiguous,
+        "note": diag.note,
+    }
+    ok = run.gk is not None
+    return CheckOutcome(ok, [] if ok else ["growth detectors disagree"], data)
+
+
+# (name, stage function, hard failure): the stages in dependency order.  A
+# hard stage that does not pass skips every stage after it.
+_STAGE_TABLE = tuple((name, fn, name in HARD_CHECKS) for name, fn in (
+    ("pbw-consistency", _stage_pbw),
+    ("hypotheses", _stage_hypotheses),
+    ("compatibility", _stage_compatibility),
+    ("d-squared", _stage_d_squared),
+    ("connectedness", _stage_connectedness),
+    ("volume", _stage_volume),
+    ("integrability", _stage_integrability),
+    ("divergence-leibniz", _stage_divergence),
+    ("flatness", _stage_flatness),
+    ("gk-estimate", _stage_gk),
+))
+STAGES = tuple(name for name, _, _ in _STAGE_TABLE)
+
+
+def _run_stage(name, fn, run: _Run) -> CheckRecord:
+    """Run one stage, timed; a package error becomes an ``error`` record."""
+    start = time.perf_counter()
+    try:
+        out = fn(run)
+        rec = CheckRecord(name, "pass" if out.ok else "fail", out.witnesses, out.data)
+    except SpbwError as exc:
+        rec = CheckRecord(name, "error", [str(exc)])
+    rec.seconds = time.perf_counter() - start
+    return rec
 
 
 def run_smooth(doc: PresentationDoc) -> Report:
     """The full pipeline over one document."""
-    opts = doc.options
-    rng = random.Random(opts["seed"])
-    P = build_presentation(doc)
+    run = _Run(doc, build_presentation(doc), random.Random(doc.options["seed"]))
     checks = []
-    skipped_from = None
-    calculus = None
-    N = None
-    gk = None
-
-    def record(name, fn):
-        nonlocal skipped_from
-        if skipped_from is not None:
-            checks.append(CheckRecord(name=name, status="skipped"))
-            return None
-        with _Timer() as t:
-            try:
-                rec = fn()
-            except (CompatibilityError, NotAVolumeFormError, ConfigError,
-                    UnsupportedPresentationError) as exc:
-                rec = CheckRecord(name=name, status="error", witnesses=[str(exc)])
-        rec.name = name
-        rec.seconds = t.seconds
+    skipping = False
+    for name, fn, hard in _STAGE_TABLE:
+        if skipping:
+            checks.append(CheckRecord(name, "skipped"))
+            continue
+        rec = _run_stage(name, fn, run)
         checks.append(rec)
-        return rec
-
-    # 1: the presentation itself
-    def stage_pbw():
-        audit = P.pbw_consistency_check(opts["pbw_degree"])
-        if audit.ok:
-            return CheckRecord("", "pass")
-        return CheckRecord("", "fail",
-                           witnesses=[f"word {audit.rendered} reduces two ways",
-                                      f"leftmost: {P.render(audit.left)}",
-                                      f"rightmost: {P.render(audit.right)}"])
-    rec = record("pbw-consistency", stage_pbw)
-    if rec is not None and not rec.passed:
-        skipped_from = "pbw-consistency"
-
-    # 2: hypothesis blocks (informational unless the mode requires them)
-    def stage_hypotheses():
-        rep = hypothesis_check(P)
-        mode = doc.calculus.mode if doc.calculus else None
-        needed_ok = rep.theorem_ok if mode == "theorem" else True
-        data = {
-            "lift_block": rep.proposition_ok,
-            "plain_twist_block": rep.theorem_ok,
-        }
-        return CheckRecord("", "pass" if needed_ok else "fail",
-                           witnesses=[] if needed_ok else rep.failures[:4], data=data)
-    record("hypotheses", stage_hypotheses)
-
-    # 3: calculus construction (compatibility residuals)
-    def stage_compat():
-        nonlocal calculus, N
-        if doc.calculus is None:
-            raise ConfigError("document has no calculus block")
-        spec = calculus_spec_from_doc(doc, P)
-        calculus = build_calculus(P, spec)
-        N = calculus.N
-        return CheckRecord("", "pass", data={"dimension": calculus.N})
-    rec = record("compatibility", stage_compat)
-    if rec is not None and rec.status != "pass" and skipped_from is None:
-        skipped_from = "compatibility"
-
-    # 4..9: calculus checks
-    def stage_dsq():
-        out = calculus.d_squared_check(opts["dsq_degree"])
-        return CheckRecord("", "pass" if out.ok else "fail", witnesses=out.witnesses,
-                           data={"bound": opts["dsq_degree"]})
-    record("d-squared", stage_dsq)
-
-    def stage_conn():
-        out = calculus.connectedness_check(opts["conn_degree"])
-        return CheckRecord("", "pass" if out.ok else "fail", witnesses=out.witnesses, data=out.data)
-    record("connectedness", stage_conn)
-
-    def stage_volume():
-        vol = calculus.volume()
-        data = {}
-        status = "pass"
-        if vol.matches_sigma_composition is not None:
-            data["matches_sigma_composition"] = vol.matches_sigma_composition
-            if not vol.matches_sigma_composition:
-                status = "fail"
-        return CheckRecord("", status, data=data)
-    record("volume", stage_volume)
-
-    def stage_integrability():
-        out = calculus.integrability_check(opts["samples"], opts["sample_degree"], rng)
-        return CheckRecord("", "pass" if out.ok else "fail", witnesses=out.witnesses,
-                           data={"samples": opts["samples"], "degree": opts["sample_degree"]})
-    record("integrability", stage_integrability)
-
-    def stage_divergence():
-        out = calculus.divergence_leibniz_check(opts["samples"], opts["sample_degree"], rng)
-        return CheckRecord("", "pass" if out.ok else "fail", witnesses=out.witnesses,
-                           data={"samples": opts["samples"]})
-    record("divergence-leibniz", stage_divergence)
-
-    def stage_flatness():
-        out = calculus.flatness_check()
-        return CheckRecord("", "pass" if out.ok else "fail", witnesses=out.witnesses, data=out.data)
-    record("flatness", stage_flatness)
-
-    # 10: growth
-    def stage_gk():
-        nonlocal gk
-        table = filtration_dims(P, opts["gk_degree"])
-        est, diag = gk_estimate(table)
-        gk = est
-        data = {
-            "difference_degree": diag.difference_degree,
-            "slope_estimate": diag.slope_estimate,
-            "ambiguous": diag.ambiguous,
-            "note": diag.note,
-        }
-        status = "pass" if est is not None else "fail"
-        return CheckRecord("", status, data=data,
-                           witnesses=[] if est is not None else ["growth detectors disagree"])
-    record("gk-estimate", stage_gk)
-
-    rep = smoothness_verdict(checks, N, gk)
+        skipping = hard and not rec.passed
+    N = run.calculus.N if run.calculus is not None else None
+    rep = smoothness_verdict(checks, N, run.gk)
     mode = doc.calculus.mode if doc.calculus else None
-    return Report.from_smoothness(doc.name, mode, opts, rep)
+    return Report.from_smoothness(doc.name, mode, doc.options, rep)
 
 
 # -- single commands --------------------------------------------------------------
@@ -210,14 +197,12 @@ def run_check_hypotheses(doc: PresentationDoc):
 
 
 def run_calculus_check(doc: PresentationDoc):
-    if doc.calculus is None:
-        raise ConfigError("document has no calculus block")
     P = build_presentation(doc)
     spec = calculus_spec_from_doc(doc, P)
     return build_calculus(P, spec)
 
 
-def run_gkdim(doc: PresentationDoc, m_max: int | None = None):
+def run_gkdim(doc: PresentationDoc):
     P = build_presentation(doc)
-    table = filtration_dims(P, m_max if m_max is not None else doc.options["gk_degree"])
+    table = filtration_dims(P, doc.options["gk_degree"])
     return table, gk_estimate(table)

@@ -7,12 +7,13 @@ with the same seed checks the same elements.
 from __future__ import annotations
 
 from .core import Presentation, SkewPoly
+from .lincomb import add_terms
 
 
 def random_skew(P: Presentation, rng, degree: int = 4, max_terms: int = 3, param_pow: int = 1) -> SkewPoly:
     """Random normal-form element: a few terms of bounded total degree with
     small integer scalars, sprinkled with parameter factors when available."""
-    out = P.zero()
+    acc: dict = {}
     for _ in range(rng.randint(1, max_terms)):
         total = rng.randint(0, degree)
         tdeg = rng.randint(0, total) if P.ring.nvars else 0
@@ -24,8 +25,8 @@ def random_skew(P: Presentation, rng, degree: int = 4, max_terms: int = 3, param
             j = rng.randrange(P.ring.nparams)
             for _ in range(rng.randint(0, param_pow)):
                 s = s * P.ring.param(P.ring.params[j])
-        out = out + P.monomial(alpha, P.ring.monomial(beta, s))
-    return out
+        add_terms(acc, P.monomial(alpha, P.ring.monomial(beta, s)).terms)
+    return SkewPoly(acc, P.n)
 
 
 def random_expo(rng, nvars: int, total: int) -> tuple:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .lincomb import render_sum
+
 Expo = tuple  # exponent tuple, one non-negative int per parameter
 
 # Number of stored terms (num + den) above which a Scalar gets its numeric
@@ -208,36 +210,10 @@ def _strip(num: dict, den: dict) -> tuple:
 # -- rendering ------------------------------------------------------------
 
 
-def render_poly(p: dict, names) -> str:
-    """Human-readable form of a parameter polynomial, highest terms first."""
-    if not p:
-        return "0"
-    parts = []
-    for e in sorted(p, key=lambda e: (sum(e), e), reverse=True):
-        c = p[e]
-        factors = []
-        for name, k in zip(names, e):
-            if k == 1:
-                factors.append(name)
-            elif k:
-                factors.append(f"{name}^{k}")
-        if not factors:
-            term = str(c)
-        elif c == 1:
-            term = "*".join(factors)
-        elif c == -1:
-            term = "-" + "*".join(factors)
-        else:
-            term = str(c) + "*" + "*".join(factors)
-        parts.append(term)
-    out = parts[0]
-    for term in parts[1:]:
-        out += " - " + term[1:] if term.startswith("-") else " + " + term
-    return out
-
-
 def render_scalar(s: Scalar, names) -> str:
-    num = render_poly(s.num, names)
+    """Human-readable form, highest parameter terms first; a non-constant
+    denominator shows as ``(num)/(den)``."""
+    num = render_sum(s.num, names, str)
     if s.den == poly_const(s.nparams, 1):
         return num
-    return f"({num})/({render_poly(s.den, names)})"
+    return f"({num})/({render_sum(s.den, names, str)})"

@@ -186,9 +186,9 @@ def test_partial_coefficients_match_exponents(poly2_calc, poly2):
             f = poly2.monomial((a1, a2))
             df = poly2_calc.d0(f)
             if a1:
-                assert df.components[(0,)] == poly2.monomial((a1 - 1, a2)).scale(poly2.ring.scalar(a1))
+                assert df.terms[(0,)] == poly2.monomial((a1 - 1, a2)).scale(poly2.ring.scalar(a1))
             if a2:
-                assert df.components[(1,)] == poly2.monomial((a1, a2 - 1)).scale(poly2.ring.scalar(a2))
+                assert df.terms[(1,)] == poly2.monomial((a1, a2 - 1)).scale(poly2.ring.scalar(a2))
 
 
 def test_graded_leibniz_random(weyl_calc, jordan_calc, qplane_calc, rng):
@@ -314,7 +314,7 @@ def test_dual_action_unit(weyl_calc, weyl, rng):
 def test_dual_action_top_extraction(weyl_calc, weyl):
     pi = weyl_calc._pi_functional()
     acted = weyl_calc.dual_action(pi, weyl_calc.form((0,), weyl.one()))
-    val = acted.values[(1,)]
+    val = acted.terms[(1,)]
     assert val == weyl.one()
 
 

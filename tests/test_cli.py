@@ -108,3 +108,44 @@ def test_seed_override_recorded(weyl_file, tmp_path, capsys):
     assert main(["smooth", weyl_file, "--seed", "99", "--json", str(target)]) == 0
     capsys.readouterr()
     assert json.loads(target.read_text())["config"]["seed"] == 99
+
+
+BAD_TWIST = (
+    "name weyl\ngens x1 x2\nrel x2 x1 = x1 x2 - 1\n"
+    "calculus mode=flat\ndgens x1 x2\ntwist x1: x2 -> 2*x2\n"
+)
+
+
+def test_relation_breaking_twist_is_an_error_record(tmp_path, capsys):
+    path = tmp_path / "badtwist.spbw"
+    path.write_text(BAD_TWIST, encoding="utf-8")
+    target = tmp_path / "r.json"
+    assert main(["smooth", str(path), "--json", str(target)]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    doc = json.loads(target.read_text())
+    assert doc["verdict"] == "failed"
+    assert doc["failed_check"] == "compatibility"
+    compat = next(c for c in doc["checks"] if c["name"] == "compatibility")
+    assert compat["status"] == "error"
+    assert compat["witnesses"] == ["relation x2*x1 not respected"]
+
+
+def test_nonpositive_samples_rejected(capsys):
+    assert main(["smooth", "corpus:weyl", "--samples", "-3"]) == 2
+    assert "option-range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["smooth", "gkdim"])
+def test_small_max_degree_rejected(command, capsys):
+    assert main([command, "corpus:weyl", "--max-degree", "5"]) == 2
+    assert "option-range" in capsys.readouterr().err
+
+
+def test_wrong_claimed_inverse_exits_two(tmp_path, capsys):
+    path = tmp_path / "badinverse.spbw"
+    path.write_text(
+        "name bad\ncoeffs t\ngens x\nsigma x: t -> 2*t\nisigma x: t -> t\ncalculus mode=theorem\n",
+        encoding="utf-8",
+    )
+    assert main(["smooth", str(path)]) == 2
+    assert "claimed inverse does not undo" in capsys.readouterr().err

@@ -136,3 +136,13 @@ def test_options_parsed():
     assert doc.options["samples"] == 10
     assert doc.options["gk_degree"] == 9
     assert doc.options["dsq_degree"] == 6  # default
+
+
+def test_option_below_minimum_rejected():
+    # with words of length 2 only, the overlap check could not see that
+    # broken is inconsistent
+    src = corpus_source("broken") + "options pbw_degree=2\n"
+    with pytest.raises(ParseError) as info:
+        parse_presentation(src)
+    assert info.value.code == "option-range"
+    assert info.value.line == len(src.splitlines())

@@ -191,7 +191,7 @@ def test_partial_formula_matches_exponents_to_degree_six(calculi):
                     lower = list(alpha)
                     lower[i] -= 1
                     expected = P.monomial(lower).scale(P.ring.scalar(alpha[i]))
-                    assert df.components[(i,)] == expected, name
+                    assert df.terms[(i,)] == expected, name
 
 
 def test_filtration_matches_closed_form_per_corpus(presentations):
@@ -209,7 +209,7 @@ def test_volume_and_pi_identities_per_corpus(calculi):
         f = random_skew(calc.P, rng, 3)
         assert calc.pi_omega(calc.right_multiply(calc.omega(), f)) == f, name
         for s in range(calc.nsyms):
-            a = calc.sym_skew(s)
+            a = calc.P.symbol(s)
             lhs = calc.left_multiply(a, calc.omega())
             rhs = calc.right_multiply(calc.omega(), vol.nu.apply(a))
             assert lhs == rhs, name
