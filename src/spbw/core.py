@@ -5,8 +5,13 @@ tuples) to left coefficients in the coefficient ring.  Two reduction engines
 live here:
 
 * a structured path (:meth:`Presentation.multiply`), which keeps every term
-  as ``coefficient * ordered word`` and migrates coefficients left eagerly
-  while resolving out-of-order generator pairs from a worklist; and
+  as ``coefficient * word`` and merges equal words, so it runs in time
+  polynomial in the degree.  Coefficients migrate left one generator at a
+  time, with pending coefficients merged per subword; a constant passes
+  unchanged, since every sigma fixes scalars and every delta kills them.
+  Out-of-order generator pairs are resolved with the pending words taken in
+  decreasing (length, inversions) order, which every rewrite lowers, so each
+  word is rewritten once, with its coefficient complete; and
 * a small-step oracle (:meth:`Presentation.normalize_atoms`) that rewrites a
   raw word of generator/coefficient atoms one redex at a time under a
   selectable strategy.  The diamond check compares the two maximal
@@ -16,6 +21,7 @@ live here:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from math import comb
 from typing import NamedTuple
 
@@ -29,7 +35,7 @@ from .coefficients import (
     commutation_audit,
 )
 from .errors import HypothesisError
-from .lincomb import LinComb, add_terms, render_sum, sum_terms
+from .lincomb import LinComb, add_term, add_terms, render_sum, sum_terms
 from .scalars import Scalar
 
 
@@ -171,48 +177,77 @@ class Presentation:
     # -- structured reduction path -----------------------------------------
 
     def push_coeff_left(self, word: tuple, r: CoeffPoly):
-        """Expand ``x_word * r`` as a sum of ``coefficient * subword`` pairs,
-        applying ``x_i r = sigma_i(r) x_i + delta_i(r)`` from the right."""
+        """Expand ``x_word * r`` as a list of ``(coefficient, subword)``
+        pairs with distinct subwords.
+
+        The word is walked from the right, applying ``x_i c = sigma_i(c) x_i
+        + delta_i(c)`` to every pending coefficient; pending coefficients are
+        kept per suffix subword, so equal subwords merge at each step.  An
+        ordered word with exponents ``e`` yields at most ``prod(e_i + 1)``
+        pairs, not one per branch (``k + 1`` for ``x^k``, not ``2**k``).  A
+        constant ``r`` comes back unchanged with the whole word, since every
+        sigma fixes scalars and every delta kills them."""
         if r.is_zero():
             return []
-        if not word:
-            return [(r, ())]
-        head, last = word[:-1], word[-1]
-        out = []
-        sig = apply_endo(self.sigma[last], r)
-        if not sig.is_zero():
-            out.extend((c, w + (last,)) for c, w in self.push_coeff_left(head, sig))
-        dele = apply_sder(self.delta[last], r)
-        if not dele.is_zero():
-            out.extend(self.push_coeff_left(head, dele))
-        return out
+        if r.is_constant():
+            return [(r, word)]
+        layer = {(): r}
+        for letter in reversed(word):
+            nxt: dict = {}
+            for sub, c in layer.items():
+                sig = apply_endo(self.sigma[letter], c)
+                if not sig.is_zero():
+                    add_term(nxt, (letter,) + sub, sig)
+                dele = apply_sder(self.delta[letter], c)
+                if not dele.is_zero():
+                    add_term(nxt, sub, dele)
+            layer = nxt
+        return [(c, sub) for sub, c in layer.items()]
 
     def _mul_monomials(self, e1: tuple, e2: tuple) -> SkewPoly:
-        """Normal form of ``x^e1 * x^e2`` (both already ordered)."""
+        """Normal form of ``x^e1 * x^e2`` (both already ordered).
+
+        Pending words map to their summed left coefficients, so equal words
+        reached along different rewrite paths merge.  Each rewrite resolves
+        the leftmost inversion ``x_j x_i`` (j > i) by the stored relation;
+        every word it produces either has one inversion less at the same
+        length or is shorter.  Words are therefore taken in decreasing
+        (length, inversions) order from a heap, and a word is rewritten only
+        after every contribution to it has arrived."""
         key = (e1, e2)
         cached = self._mono_cache.get(key)
         if cached is not None:
             return cached
-        word = _expand(e1) + _expand(e2)
         acc: dict = {}
-        work = [(self.ring.one(), word)]
-        while work:
-            coeff, w = work.pop()
+        pending: dict = {}
+        heap: list = []
+
+        def add(coeff, w):
+            if w not in pending:
+                heappush(heap, (-len(w), -_inversions(w, self.n), w))
+            add_term(pending, w, coeff)
+
+        add(self.ring.one(), _expand(e1) + _expand(e2))
+        while heap:
+            w = heappop(heap)[2]
+            coeff = pending.pop(w, None)
+            if coeff is None:  # its contributions cancelled
+                continue
             pos = _first_inversion(w)
             if pos is None:
-                add_terms(acc, self.monomial(_pack(w, self.n), coeff).terms)
+                acc[_pack(w, self.n)] = coeff
                 continue
             pre, j, i, post = w[:pos], w[pos], w[pos + 1], w[pos + 2:]
             rel = self.relations[(i, j)]
             for c, pre2 in self.push_coeff_left(pre, rel.d):
-                work.append((coeff * c, pre2 + (i, j) + post))
+                add(coeff * c, pre2 + (i, j) + post)
             if not rel.r0.is_zero():
                 for c, pre2 in self.push_coeff_left(pre, rel.r0):
-                    work.append((coeff * c, pre2 + post))
+                    add(coeff * c, pre2 + post)
             for k, rk in enumerate(rel.rk):
                 if not rk.is_zero():
                     for c, pre2 in self.push_coeff_left(pre, rk):
-                        work.append((coeff * c, pre2 + (k,) + post))
+                        add(coeff * c, pre2 + (k,) + post)
         product = SkewPoly(acc, self.n)
         self._mono_cache[key] = product
         return product
@@ -435,6 +470,17 @@ def _first_inversion(w: tuple):
         if w[p] > w[p + 1]:
             return p
     return None
+
+
+def _inversions(w: tuple, n: int) -> int:
+    """Number of pairs p < q with ``w[p] > w[q]``, from per-letter counts of
+    the letters already seen, in O(len(w) * n)."""
+    seen = [0] * n
+    count = 0
+    for a in w:
+        count += sum(seen[a + 1:])
+        seen[a] += 1
+    return count
 
 
 def exponents_upto(nvars: int, total: int):

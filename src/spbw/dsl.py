@@ -51,8 +51,13 @@ OPTION_MINIMUMS = {
 
 
 class ParseError(SpbwError):
+    """Bad document text or option value.  Line 0 marks an error with no
+    place in the text (a whole-document check or a command-line override);
+    its message then carries no position."""
+
     def __init__(self, line: int, col: int, code: str, message: str):
-        super().__init__(f"line {line}, column {col}: {message} [{code}]")
+        where = f"line {line}, column {col}: " if line else ""
+        super().__init__(f"{where}{message} [{code}]")
         self.line = line
         self.col = col
         self.code = code
@@ -251,12 +256,14 @@ def _mul_free(a, b):
 
 
 def _invert_free(base, k, ctx, col):
-    if len(base) != 1 or base[0][1]:
+    if any(w for _, w in base):
         raise ParseError(
             ctx.line, col, "bad-inverse",
             "negative powers apply only to nonzero parameter/number expressions",
         )
-    s = base[0][0]
+    s = ctx.ring.szero()
+    for t, _ in base:
+        s = s + t
     if s.is_zero():
         raise ParseError(ctx.line, col, "division-by-zero", "negative power of zero")
     out = [(ctx.ring.sone(), ())]

@@ -42,18 +42,24 @@ class LinComb:
     __hash__ = None
 
 
+def add_term(acc: dict, key, value) -> None:
+    """Add ``value`` at ``key`` of ``acc`` in place, dropping the entry if
+    the sum vanishes.  ``acc`` must be a fresh map that no value owns."""
+    if key in acc:
+        s = acc[key] + value
+        if s.is_zero():
+            del acc[key]
+        else:
+            acc[key] = s
+    else:
+        acc[key] = value
+
+
 def add_terms(acc: dict, terms: dict) -> dict:
     """Add ``terms`` into ``acc`` in place, dropping sums that vanish, and
     return ``acc``.  ``acc`` must be a fresh map that no value owns."""
     for k, v in terms.items():
-        if k in acc:
-            s = acc[k] + v
-            if s.is_zero():
-                del acc[k]
-            else:
-                acc[k] = s
-        else:
-            acc[k] = v
+        add_term(acc, k, v)
     return acc
 
 

@@ -1,8 +1,14 @@
+from fractions import Fraction
+from math import comb, factorial
+
 import pytest
 
 from spbw.coefficients import CoeffRing
 from spbw.core import Presentation, Relation
+from spbw.corpus import corpus_doc
+from spbw.dsl import build_presentation
 from spbw.errors import HypothesisError
+from spbw.scalars import Scalar
 
 from conftest import commuting_relation, random_skew, trivial_maps
 
@@ -32,6 +38,21 @@ def weyl_poly3():
         (1, 2): commuting_relation(ring, 3, 1, 2),
     }
     return Presentation(ring, ("x1", "x2", "x3"), sigma, delta, rels)
+
+
+@pytest.fixture
+def un2():
+    """Enveloping algebra of the non-abelian 2-dimensional Lie algebra:
+    x2 x1 = x1 x2 + x1."""
+    ring = CoeffRing()
+    sigma, delta = trivial_maps(ring, 2)
+    rel = Relation(ring.one(), ring.zero(), (ring.one(), ring.zero()))
+    return Presentation(ring, ("x1", "x2"), sigma, delta, {(0, 1): rel})
+
+
+@pytest.fixture
+def aq():
+    return build_presentation(corpus_doc("aq"))
 
 
 @pytest.fixture
@@ -103,17 +124,75 @@ def test_multiply_qplane_example(qplane):
     assert got == qplane.monomial((1, 2), qplane.ring.const(q * q))
 
 
-def test_multiply_matches_oracle_on_random_words(weyl, qplane, jordan, rng):
-    for P in (weyl, qplane, jordan):
-        for _ in range(40):
-            length = rng.randint(1, 5)
+def test_multiply_matches_oracle_on_random_words(weyl, un2, jordan, qplane, qaffine3, aq, rng):
+    for P in (weyl, un2, jordan, qplane, qaffine3, aq):
+        for _ in range(60):
+            length = rng.randint(1, 7)
             word = []
             for _ in range(length):
-                if P.ring.nvars and rng.random() < 0.3:
-                    word.append(P.ring.var(rng.randrange(P.ring.nvars)))
+                if rng.random() < 0.3:
+                    word.append(_coefficient_atom(P, rng))
                 else:
                     word.append(rng.randrange(P.n))
             assert P.normalize([(1, word)]) == P.normalize_atoms(word)
+
+
+def _coefficient_atom(P, rng):
+    """A coefficient variable, or a nonzero constant (which every sigma
+    fixes and every delta kills)."""
+    if P.ring.nvars and rng.random() < 0.7:
+        return P.ring.var(rng.randrange(P.ring.nvars))
+    return P.ring.const(rng.choice((-1, 2, 3)))
+
+
+# High-degree products against closed forms.  Each merges many equal words
+# on the way; a reduction that followed every rewrite path separately would
+# take hours on them.
+
+
+def _rational_terms(f) -> dict:
+    """Exponent -> Fraction, for an element whose coefficients are all
+    parameter-free constants."""
+    assert all(c.is_constant() for c in f.terms.values())
+    return {e: c.constant_value().as_fraction() for e, c in f.terms.items()}
+
+
+def test_weyl_high_power_closed_form(weyl):
+    k = 10
+    got = weyl.multiply(weyl.monomial((0, k)), weyl.monomial((k, 0)))
+    want = {(k - j, k - j): Fraction((-1) ** j * comb(k, j) ** 2 * factorial(j)) for j in range(k + 1)}
+    assert _rational_terms(got) == want
+
+
+def test_un2_high_power_closed_form(un2):
+    # x2 x1^k = x1^k (x2 + k), so x2^k x1^k = x1^k (x2 + k)^k
+    k = 8
+    got = un2.multiply(un2.monomial((0, k)), un2.monomial((k, 0)))
+    want = {(k, j): Fraction(comb(k, j) * k ** (k - j)) for j in range(k + 1)}
+    assert _rational_terms(got) == want
+
+
+def test_qplane_high_power_closed_form(qplane):
+    k = 20
+    got = qplane.multiply(qplane.monomial((0, k)), qplane.monomial((k, 0)))
+    assert list(got.terms) == [(k, k)]
+    q_pow = Scalar({(k * k,): Fraction(1)}, {(0,): Fraction(1)}, 1)
+    assert got.terms[(k, k)].constant_value() == q_pow
+
+
+def test_jordan_high_power_closed_form(jordan):
+    k = 16
+    tk = jordan.ring.var(0) ** k
+    got = jordan.multiply(jordan.monomial((k,)), jordan.from_coeff(tk))
+    assert got == jordan.power_commute_closed(0, k, tk)
+
+
+def test_push_coeff_left_merges_equal_subwords(jordan):
+    k = 16
+    pairs = jordan.push_coeff_left((0,) * k, jordan.ring.var(0) ** k)
+    words = [w for _, w in pairs]
+    assert len(pairs) <= k + 1
+    assert len(set(words)) == len(words)
 
 
 def test_multiply_associative(weyl, qplane, jordan, rng):

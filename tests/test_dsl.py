@@ -72,6 +72,14 @@ def test_negative_power_of_variable_rejected():
     assert err.value.code == "bad-inverse"
 
 
+def test_multi_term_scalar_inverse_round_trip():
+    src = "name inv\nparams q\ngens x1 x2\nrel x2 x1 = (q - 1)^-1 * x1 x2\n"
+    doc = parse_presentation(src)
+    ring = doc.ring()
+    assert doc.relations[(0, 1)].d == ring.const((ring.param("q") - ring.sone()).inverse())
+    assert parse_presentation(render_presentation(doc)) == doc
+
+
 def test_unknown_option_diagnostic():
     src = "name bad\ngens x1 x2\nrel x2 x1 = x1 x2\noptions bogus=3\n"
     with pytest.raises(ParseError) as err:
