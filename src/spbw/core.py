@@ -7,11 +7,10 @@ live here:
 * a structured path (:meth:`Presentation.multiply`), which keeps every term
   as ``coefficient * word`` and merges equal words, so it runs in time
   polynomial in the degree.  Coefficients migrate left one generator at a
-  time, with pending coefficients merged per subword; a constant passes
-  unchanged, since every sigma fixes scalars and every delta kills them.
-  Out-of-order generator pairs are resolved with the pending words taken in
-  decreasing (length, inversions) order, which every rewrite lowers, so each
-  word is rewritten once, with its coefficient complete; and
+  time, with pending coefficients merged per subword.  Out-of-order
+  generator pairs are resolved with the pending words taken in decreasing
+  (length, inversions) order, which every rewrite lowers, so each word is
+  rewritten once, with its coefficient complete; and
 * a small-step oracle (:meth:`Presentation.normalize_atoms`) that rewrites a
   raw word of generator/coefficient atoms one redex at a time under a
   selectable strategy.  The diamond check compares the two maximal
@@ -184,13 +183,9 @@ class Presentation:
         + delta_i(c)`` to every pending coefficient; pending coefficients are
         kept per suffix subword, so equal subwords merge at each step.  An
         ordered word with exponents ``e`` yields at most ``prod(e_i + 1)``
-        pairs, not one per branch (``k + 1`` for ``x^k``, not ``2**k``).  A
-        constant ``r`` comes back unchanged with the whole word, since every
-        sigma fixes scalars and every delta kills them."""
+        pairs, not one per branch (``k + 1`` for ``x^k``, not ``2**k``)."""
         if r.is_zero():
             return []
-        if r.is_constant():
-            return [(r, word)]
         layer = {(): r}
         for letter in reversed(word):
             nxt: dict = {}
