@@ -24,7 +24,7 @@ from .core import Presentation, SkewPoly, exponents_upto
 from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
 from .extended import AlgebraEndo, extend_sigma, hypothesis_check
 from .lincomb import LinComb, add_terms, sum_terms
-from .linalg import kernel_basis, solve
+from .linalg import inverse, kernel_basis
 from .sampling import random_skew
 from .scalars import Scalar
 
@@ -134,57 +134,31 @@ class Calculus:
         self.integrability_passed = None
         self.compatibility = None
 
-    # -- symbols ------------------------------------------------------------
-
-    def sym_name(self, s: int) -> str:
-        P = self.P
-        if s < P.ring.nvars:
-            return P.ring.coeff_vars[s]
-        return P.names[s - P.ring.nvars]
-
     # -- setup ----------------------------------------------------------------
 
     def _build_dcoords(self):
         """Invert the frame matrix of the potentials so each covered symbol
         gets its differential as a combination of the du basis."""
         P = self.P
-        nparams = P.ring.nparams
-        zero = Scalar.const(nparams, 0)
-        used = set()
-        matrix_rows = []
+        rows = []
         for dg in self.spec.dgens:
-            row = [zero] * self.nsyms
-            for e, c in dg.potential.terms.items():
-                xdeg = sum(e)
-                for tvec, s in c.terms.items():
-                    if xdeg + sum(tvec) != 1:
-                        raise ConfigError(
-                            f"potential of d({dg.name}) must be frame-linear"
-                        )
-                    col = tvec.index(1) if sum(tvec) else P.ring.nvars + e.index(1)
-                    row[col] = row[col] + s
-                    used.add(col)
-            matrix_rows.append(row)
-        cols = sorted(used)
+            coords = P.frame_coordinates(dg.potential)
+            if coords is None or not coords[0].is_zero():
+                raise ConfigError(f"potential of d({dg.name}) must be frame-linear")
+            rows.append(coords[1])
+        cols = [k for k in range(self.nsyms) if any(not row[k].is_zero() for row in rows)]
         if len(cols) != self.N:
             raise ConfigError(
                 "differential generators must span as many symbols as there are "
                 f"of them (got {len(cols)} symbols for {self.N} generators)"
             )
-        square = [[r[c] for c in cols] for r in matrix_rows]
-        one = Scalar.const(nparams, 1)
-        units = []
-        for k in range(self.N):
-            col = [zero] * self.N
-            col[k] = one
-            units.append(col)
-        inv_cols = solve(square, units, nparams)
-        if inv_cols is None:
+        inv = inverse([[row[c] for c in cols] for row in rows], P.ring.nparams)
+        if inv is None:
             raise ConfigError("differential generator potentials are linearly dependent")
         dcoords = [None] * self.nsyms
         for pos, c in enumerate(cols):
             # symbol c = sum_i B[pos][i] * u_i with B the matrix inverse
-            dcoords[c] = tuple(inv_cols[i][pos] for i in range(self.N))
+            dcoords[c] = tuple(inv[pos])
         self._dcoords = dcoords
 
     # -- twists ------------------------------------------------------------------
@@ -423,44 +397,25 @@ class Calculus:
             return self._volume
         P = self.P
         full = tuple(range(self.N))
-        cimgs = []
-        gimgs = []
-        for s in range(self.nsyms):
-            img = self.twist_apply_set(full, P.symbol(s))
-            if s < P.ring.nvars:
-                cimgs.append(img)
-            else:
-                gimgs.append(img)
-        inv_c = []
-        inv_g = []
-        for s in range(self.nsyms):
-            img = self.twist_inv_apply_set(full, P.symbol(s))
-            if s < P.ring.nvars:
-                inv_c.append(img)
-            else:
-                inv_g.append(img)
+        images = [self.twist_apply_set(full, a) for a in P.frame()]
+        inv_images = [self.twist_inv_apply_set(full, a) for a in P.frame()]
         try:
-            inverse = AlgebraEndo(P, inv_c, inv_g, check=False)
-            nu = AlgebraEndo(P, cimgs, gimgs, inverse=inverse, check=True)
+            nu = AlgebraEndo(P, images, inverse=AlgebraEndo(P, inv_images, check=False))
         except MapError as exc:
             raise NotAVolumeFormError(f"volume twist rejected: {exc}") from exc
-        for s in range(self.nsyms):
-            a = P.symbol(s)
+        for s, a in enumerate(P.frame()):
             lhs = self.left_multiply(a, self.omega())
             rhs = self.right_multiply(self.omega(), nu.apply(a))
             if lhs != rhs:
                 raise NotAVolumeFormError(
-                    f"{self.sym_name(s)} * omega != omega * nu({self.sym_name(s)})"
+                    f"{P.symbol_name(s)} * omega != omega * nu({P.symbol_name(s)})"
                 )
         matches = None
         if self.spec.mode == THEOREM_MODE:
             comp = extend_sigma(P, 0)
             for i in range(1, P.n):
                 comp = comp.compose(extend_sigma(P, i))
-            matches = all(
-                nu.apply(P.symbol(s)) == comp.apply(P.symbol(s))
-                for s in range(self.nsyms)
-            )
+            matches = all(nu.apply(a) == comp.apply(a) for a in P.frame())
         self._volume = VolumeData(self.omega(), nu, matches)
         return self._volume
 

@@ -149,6 +149,32 @@ class Presentation:
         m = self.ring.nvars
         return self.from_coeff(self.ring.var(k)) if k < m else self.gen(k - m)
 
+    def symbol_name(self, k: int) -> str:
+        m = self.ring.nvars
+        return self.ring.coeff_vars[k] if k < m else self.names[k - m]
+
+    def frame(self) -> tuple:
+        """Every symbol of the frame, in order: the images of the identity."""
+        return tuple(self.symbol(k) for k in range(self.ring.nvars + self.n))
+
+    def frame_coordinates(self, f: SkewPoly):
+        """``(constant, row)`` with ``f = constant + sum_k row[k] *
+        symbol(k)``, or None when f has a term of degree two or more in the
+        frame."""
+        m = self.ring.nvars
+        constant = self.ring.szero()
+        row = [constant] * (m + self.n)
+        for e, c in f.terms.items():
+            for tvec, s in c.terms.items():
+                degree = sum(e) + sum(tvec)
+                if degree > 1:
+                    return None
+                if degree == 0:
+                    constant = s
+                else:
+                    row[tvec.index(1) if any(tvec) else m + e.index(1)] = s
+        return constant, row
+
     def gen(self, i: int) -> SkewPoly:
         e = [0] * self.n
         e[i] = 1
@@ -370,24 +396,6 @@ class Presentation:
             e = [0] * self.n
             e[i] = m - k
             add_terms(acc, self.monomial(e, img.scale(self.ring.scalar(comb(m, k)))).terms)
-        return SkewPoly(acc, self.n)
-
-    def power_commute_generic(self, i: int, m: int, r: CoeffPoly) -> SkewPoly:
-        """Expand ``x_i^m * r`` by enumerating every interleaving of the
-        sigma and delta applications; needs no commutation hypothesis."""
-        # (composition applied so far, number of deltas used) with multiplicity
-        layer = [(r, 0)]
-        for _ in range(m):
-            nxt = []
-            for value, drops in layer:
-                nxt.append((apply_endo(self.sigma[i], value), drops))
-                nxt.append((apply_sder(self.delta[i], value), drops + 1))
-            layer = [(v, d) for v, d in nxt if not v.is_zero()]
-        acc: dict = {}
-        for value, drops in layer:
-            e = [0] * self.n
-            e[i] = m - drops
-            add_terms(acc, self.monomial(e, value).terms)
         return SkewPoly(acc, self.n)
 
     # -- consistency -----------------------------------------------------------

@@ -79,10 +79,8 @@ class CalculusDoc:
     mode: str
     dgen_names: tuple = ()
     potentials: dict = field(default_factory=dict)      # name -> SkewPoly
-    twist_coeff: dict = field(default_factory=dict)     # name -> tuple[SkewPoly]
-    twist_gen: dict = field(default_factory=dict)       # name -> tuple[SkewPoly]
-    itwist_coeff: dict = field(default_factory=dict)    # name -> tuple[SkewPoly] | absent
-    itwist_gen: dict = field(default_factory=dict)
+    twist: dict = field(default_factory=dict)           # name -> frame images, tuple[SkewPoly]
+    itwist: dict = field(default_factory=dict)          # name -> frame images | absent
     wedge: dict = field(default_factory=dict)           # (i, j) -> Scalar
 
 
@@ -632,13 +630,9 @@ class _Parser:
                 free, line = self.dgen_exprs[name]
                 doc.potentials[name] = _free_to_skew(P, free, line)
         for name in self.dgen_names:
-            cimgs, gimgs = self._twist_images(P, symbols, self.twist_lines.get(name, []))
-            doc.twist_coeff[name] = cimgs
-            doc.twist_gen[name] = gimgs
+            doc.twist[name] = self._twist_images(P, symbols, self.twist_lines.get(name, []))
             if name in self.itwist_lines:
-                icimgs, igimgs = self._twist_images(P, symbols, self.itwist_lines[name])
-                doc.itwist_coeff[name] = icimgs
-                doc.itwist_gen[name] = igimgs
+                doc.itwist[name] = self._twist_images(P, symbols, self.itwist_lines[name])
         for a, b, free, line in self.wedge_lines:
             ia, ib = self.dgen_names.index(a), self.dgen_names.index(b)
             if ia >= ib:
@@ -653,7 +647,7 @@ class _Parser:
         return doc
 
     def _twist_images(self, P, symbols, entries):
-        images = [P.symbol(k) for k in range(len(symbols))]
+        images = list(P.frame())
         seen = set()
         for var, free, line, col in entries:
             if var not in symbols:
@@ -663,8 +657,7 @@ class _Parser:
                 raise ParseError(line, col, "duplicate-image", f"two images for {var!r}")
             seen.add(k)
             images[k] = _free_to_skew(P, free, line)
-        m = P.ring.nvars
-        return tuple(images[:m]), tuple(images[m:])
+        return tuple(images)
 
 
 def _free_to_skew(P: Presentation, free, line) -> SkewPoly:
@@ -831,14 +824,14 @@ def render_presentation(doc: PresentationDoc) -> str:
 
             def twist_line(keyword, name, images):
                 entries = [f"{sym} -> {_render_skew_dsl(img, doc)}"
-                           for k, (sym, img) in enumerate(zip(symbols, images)) if img != P.symbol(k)]
+                           for sym, img, a in zip(symbols, images, P.frame()) if img != a]
                 if entries:
                     lines.append(f"{keyword} {name}: " + ", ".join(entries))
 
             for name in cal.dgen_names:
-                twist_line("twist", name, cal.twist_coeff[name] + cal.twist_gen[name])
-                if name in cal.itwist_coeff:
-                    twist_line("itwist", name, cal.itwist_coeff[name] + cal.itwist_gen[name])
+                twist_line("twist", name, cal.twist[name])
+                if name in cal.itwist:
+                    twist_line("itwist", name, cal.itwist[name])
             for (ia, ib), s in sorted(cal.wedge.items()):
                 lines.append(
                     f"wedge {cal.dgen_names[ia]} {cal.dgen_names[ib]} = "

@@ -1,12 +1,12 @@
 """Lifts of coefficient maps to the whole extension, and the hypothesis
 package they require.
 
-An :class:`AlgebraEndo` is given by images of every coefficient variable and
-every generator; construction verifies that every defining relation of the
-presentation is respected, so the same type serves coefficientwise lifts,
-volume twists and user-supplied calculus twists uniformly.  An
-:class:`ExtendedDerivation` acts coefficientwise on normal forms and kills
-generator monomials.
+An :class:`AlgebraEndo` is given by the images of the symbol frame, in frame
+order: the coefficient variables first, then the generators.  Construction
+verifies that every defining relation of the presentation is respected, so
+the same type serves coefficientwise lifts, volume twists and user-supplied
+calculus twists uniformly.  An :class:`ExtendedDerivation` acts
+coefficientwise on normal forms and kills generator monomials.
 """
 
 from __future__ import annotations
@@ -17,24 +17,24 @@ from .coefficients import CoeffSigmaDerivation, apply_endo, apply_sder, commutat
 from .core import Presentation, SkewPoly
 from .errors import HypothesisError, MapError
 from .lincomb import add_terms, sum_terms
-from .linalg import solve
-from .scalars import Scalar
+from .linalg import inverse
 
 
 class AlgebraEndo:
-    """Endomorphism of the extension, determined by symbol images.
+    """Endomorphism of the extension, determined by the images of the symbol
+    frame.
 
-    ``coeff_images`` and ``gen_images`` are SkewPoly images of the
-    coefficient variables and generators.  Unless ``check=False``, the
-    constructor verifies that the images commute where the symbols do and
-    that every defining relation maps to zero; when an inverse is supplied
-    the round trip on every symbol is verified as well.
+    ``images`` holds one SkewPoly per symbol in frame order: the coefficient
+    variables first, then the generators (the order of
+    :meth:`Presentation.symbol`).  Unless ``check=False``, the constructor
+    verifies that the images commute where the symbols do and that every
+    defining relation maps to zero; when an inverse is supplied the round
+    trip on every symbol is verified as well.
     """
 
-    def __init__(self, P: Presentation, coeff_images, gen_images, inverse=None, check=True):
+    def __init__(self, P: Presentation, images, inverse=None, check=True):
         self.P = P
-        self.coeff_images = tuple(coeff_images)
-        self.gen_images = tuple(gen_images)
+        self.images = tuple(images)
         self.inverse = inverse
         self._power_memo: dict = {}
         if check:
@@ -46,50 +46,48 @@ class AlgebraEndo:
 
     def _check_relations(self):
         P = self.P
-        for a in range(P.ring.nvars):
-            for b in range(a + 1, P.ring.nvars):
-                lhs = P.multiply(self.coeff_images[a], self.coeff_images[b])
-                rhs = P.multiply(self.coeff_images[b], self.coeff_images[a])
-                if lhs != rhs:
+        m = P.ring.nvars
+        img = self.images
+        for a in range(m):
+            for b in range(a + 1, m):
+                if P.multiply(img[a], img[b]) != P.multiply(img[b], img[a]):
                     raise MapError(
                         f"images of commuting variables {P.ring.coeff_vars[a]}, "
                         f"{P.ring.coeff_vars[b]} do not commute"
                     )
         for i in range(P.n):
-            for j in range(P.ring.nvars):
-                lhs = P.multiply(self.gen_images[i], self.coeff_images[j])
+            for j in range(m):
+                lhs = P.multiply(img[m + i], img[j])
                 sig = self.apply(P.from_coeff(apply_endo(P.sigma[i], P.ring.var(j))))
                 dele = self.apply(P.from_coeff(apply_sder(P.delta[i], P.ring.var(j))))
-                rhs = P.multiply(sig, self.gen_images[i]) + dele
+                rhs = P.multiply(sig, img[m + i]) + dele
                 if lhs != rhs:
                     raise MapError(
                         f"relation {P.names[i]}*{P.ring.coeff_vars[j]} not respected"
                     )
         for (i, j), _rel in P.relations.items():
-            lhs = P.multiply(self.gen_images[j], self.gen_images[i])
+            lhs = P.multiply(img[m + j], img[m + i])
             rhs = self.apply(P.relation_rhs(i, j))
             if lhs != rhs:
                 raise MapError(f"relation {P.names[j]}*{P.names[i]} not respected")
 
     def _check_inverse(self):
         P = self.P
-        for j in range(P.ring.nvars):
-            if self.inverse.apply(self.coeff_images[j]) != P.from_coeff(P.ring.var(j)):
-                raise MapError(f"inverse does not undo {P.ring.coeff_vars[j]}")
-        for i in range(P.n):
-            if self.inverse.apply(self.gen_images[i]) != P.gen(i):
-                raise MapError(f"inverse does not undo {P.names[i]}")
+        for k, img in enumerate(self.images):
+            if self.inverse.apply(img) != P.symbol(k):
+                raise MapError(f"inverse does not undo {P.symbol_name(k)}")
 
     # -- action ------------------------------------------------------------
 
     def apply(self, f: SkewPoly) -> SkewPoly:
         P = self.P
+        m = P.ring.nvars
         acc: dict = {}
         for e, c in f.terms.items():
             term = self._subst_coeff(c)
             for i, k in enumerate(e):
                 if k:
-                    term = P.multiply(term, self._power("g", i, k))
+                    term = P.multiply(term, self._power(m + i, k))
             add_terms(acc, term.terms)
         return SkewPoly(acc, P.n)
 
@@ -100,18 +98,19 @@ class AlgebraEndo:
             term = P.const(s)
             for j, k in enumerate(e):
                 if k:
-                    term = P.multiply(term, self._power("c", j, k))
+                    term = P.multiply(term, self._power(j, k))
             add_terms(acc, term.terms)
         return SkewPoly(acc, P.n)
 
-    def _power(self, kind, idx, k):
-        key = (kind, idx, k)
+    def _power(self, s, k):
+        """The image of the k-th power of frame symbol s, memoized."""
+        key = (s, k)
         if key not in self._power_memo:
-            base = self.coeff_images[idx] if kind == "c" else self.gen_images[idx]
+            base = self.images[s]
             if k == 1:
                 self._power_memo[key] = base
             else:
-                self._power_memo[key] = self.P.multiply(self._power(kind, idx, k - 1), base)
+                self._power_memo[key] = self.P.multiply(self._power(s, k - 1), base)
         return self._power_memo[key]
 
     # -- composition --------------------------------------------------------
@@ -121,109 +120,57 @@ class AlgebraEndo:
         both are present."""
         inv = None
         if self.inverse is not None and other.inverse is not None:
-            inv = AlgebraEndo(
-                self.P,
-                [other.inverse.apply(img) for img in self.inverse.coeff_images],
-                [other.inverse.apply(img) for img in self.inverse.gen_images],
-                check=False,
-            )
-        return AlgebraEndo(
-            self.P,
-            [self.apply(img) for img in other.coeff_images],
-            [self.apply(img) for img in other.gen_images],
-            inverse=inv,
-            check=False,
-        )
-
-    def images_equal(self, other: "AlgebraEndo") -> bool:
-        return all(a == b for a, b in zip(self.coeff_images, other.coeff_images)) and all(
-            a == b for a, b in zip(self.gen_images, other.gen_images)
-        )
+            inv = AlgebraEndo(self.P, [other.inverse.apply(img) for img in self.inverse.images], check=False)
+        return AlgebraEndo(self.P, [self.apply(img) for img in other.images], inverse=inv, check=False)
 
     @staticmethod
     def identity(P: Presentation) -> "AlgebraEndo":
-        cimgs, gimgs = identity_images(P)
-        endo = AlgebraEndo(P, cimgs, gimgs, check=False)
-        endo.inverse = AlgebraEndo(P, cimgs, gimgs, check=False)
-        return endo
+        frame = P.frame()
+        return AlgebraEndo(P, frame, inverse=AlgebraEndo(P, frame, check=False), check=False)
 
     def is_identity(self) -> bool:
-        cimgs, gimgs = identity_images(self.P)
-        return self.images_equal(AlgebraEndo(self.P, cimgs, gimgs, check=False))
+        return self.images == self.P.frame()
 
 
-def identity_images(P: Presentation):
-    """(coefficient-variable images, generator images) of the identity map."""
-    m = P.ring.nvars
-    return tuple(P.symbol(k) for k in range(m)), tuple(P.symbol(m + i) for i in range(P.n))
-
-
-def frame_affine_inverse(P: Presentation, coeff_images, gen_images):
+def frame_affine_inverse(P: Presentation, images):
     """Invert a map whose symbol images are affine in the symbol frame
     (constant plus linear combination of the variables and generators).
 
-    Returns (coeff_images, gen_images) of the inverse, or None when an image
-    is not frame-affine or the linear part is singular.
+    Returns the frame images of the inverse, or None when an image is not
+    frame-affine or the linear part is singular.
     """
-    m, n = P.ring.nvars, P.n
-    size = m + n
-    nparams = P.ring.nparams
-    zero = Scalar.const(nparams, 0)
-    matrix = [[zero] * size for _ in range(size)]
-    consts = [zero] * size
-    images = list(coeff_images) + list(gen_images)
-    for row, img in enumerate(images):
-        for e, c in img.terms.items():
-            xdeg = sum(e)
-            for tvec, s in c.terms.items():
-                tdeg = sum(tvec)
-                if xdeg + tdeg > 1:
-                    return None
-                if xdeg == 0 and tdeg == 0:
-                    consts[row] = consts[row] + s
-                elif tdeg == 1:
-                    col = tvec.index(1)
-                    matrix[row][col] = matrix[row][col] + s
-                else:
-                    col = m + e.index(1)
-                    matrix[row][col] = matrix[row][col] + s
-    one = Scalar.const(nparams, 1)
-    unit_cols = []
-    for k in range(size):
-        col = [zero] * size
-        col[k] = one
-        unit_cols.append(col)
-    inv_cols = solve([list(r) for r in matrix], unit_cols, nparams)
-    if inv_cols is None:
+    consts, rows = [], []
+    for img in images:
+        coords = P.frame_coordinates(img)
+        if coords is None:
+            return None
+        consts.append(coords[0])
+        rows.append(coords[1])
+    inv = inverse(rows, P.ring.nparams)
+    if inv is None:
         return None
-
-    def build(srow):
-        # inverse sends symbol srow to sum_k B[srow][k] (symbol_k - const_k)
-        # with B = A^{-1}; inv_cols[k][srow] is B[srow][k]
-        return SkewPoly(sum_terms(
-            (P.symbol(k) - P.const(consts[k])).scale(inv_cols[k][srow])
-            for k in range(size)
-            if not inv_cols[k][srow].is_zero()
+    # the map sends symbol k to c_k + sum_l A[k][l] symbol_l, so the inverse
+    # sends symbol k to sum_l B[k][l] (symbol_l - c_l) with B = A^{-1}
+    return tuple(
+        SkewPoly(sum_terms(
+            (P.symbol(l) - P.const(consts[l])).scale(b) for l, b in enumerate(row) if not b.is_zero()
         ), P.n)
-
-    return (
-        tuple(build(j) for j in range(m)),
-        tuple(build(m + i) for i in range(n)),
+        for row in inv
     )
 
 
-def triangular_inverse(P: Presentation, coeff_images, gen_images):
+def triangular_inverse(P: Presentation, images):
     """Invert a map that fixes every coefficient variable and sends each
     generator to ``a*x_i + lower`` with ``lower`` free of x_i and of later
     generators.  Covers shear twists whose lower part is not frame-affine."""
-    m, n = P.ring.nvars, P.n
-    cid, gid = identity_images(P)
-    if any(img != cid[j] for j, img in enumerate(coeff_images)):
+    m = P.ring.nvars
+    frame = P.frame()
+    if tuple(images[:m]) != frame[:m]:
         return None
-    inv_gens = list(gid)
-    for i in range(n):
-        img = gen_images[i]
-        key = tuple(1 if k == i else 0 for k in range(n))
+    inv = list(frame)
+    for i in range(P.n):
+        img = images[m + i]
+        key = tuple(1 if k == i else 0 for k in range(P.n))
         lin = img.terms.get(key)
         if lin is None or not lin.is_constant():
             return None
@@ -231,15 +178,15 @@ def triangular_inverse(P: Presentation, coeff_images, gen_images):
         rest = img - P.gen(i).scale_left(lin)
         if any(e[i] or any(e[i + 1:]) for e in rest.terms):
             return None
-        inv_gens[i] = (P.gen(i) - rest).scale(a.inverse())
-    return tuple(cid), tuple(inv_gens)
+        inv[m + i] = (P.gen(i) - rest).scale(a.inverse())
+    return tuple(inv)
 
 
-def auto_inverse(P: Presentation, coeff_images, gen_images):
+def auto_inverse(P: Presentation, images):
     """Try the two mechanical inversion schemes; None when both fail."""
-    got = frame_affine_inverse(P, coeff_images, gen_images)
+    got = frame_affine_inverse(P, images)
     if got is None:
-        got = triangular_inverse(P, coeff_images, gen_images)
+        got = triangular_inverse(P, images)
     return got
 
 
@@ -336,30 +283,23 @@ def extend_sigma(P: Presentation, i: int) -> AlgebraEndo:
     """Lift sigma_i to the extension: coefficientwise on normal forms,
     fixing every generator.  Carries an inverse when sigma_i does."""
     _require_h_block(P)
-    cimgs = tuple(P.from_coeff(apply_endo(P.sigma[i], P.ring.var(j))) for j in range(P.ring.nvars))
-    _, gimgs = identity_images(P)
-    inverse = None
+    gens = P.frame()[P.ring.nvars:]
+    images = tuple(P.from_coeff(apply_endo(P.sigma[i], P.ring.var(j))) for j in range(P.ring.nvars))
+    inv = None
     if P.sigma[i].inverse_images is not None:
-        inv_c = tuple(P.from_coeff(img) for img in P.sigma[i].inverse_images)
-        inverse = AlgebraEndo(P, inv_c, gimgs, check=False)
-    return AlgebraEndo(P, cimgs, gimgs, inverse=inverse)
+        inv = AlgebraEndo(P, tuple(P.from_coeff(img) for img in P.sigma[i].inverse_images) + gens, check=False)
+    return AlgebraEndo(P, images + gens, inverse=inv)
 
 
 class ExtendedDerivation:
     """Coefficientwise lift of a twisted derivation: acts on the left
     coefficients of a normal form and kills generator monomials, so
-    ``apply(sum r_a x^a) = sum delta(r_a) x^a``.
-
-    ``gen_images`` is structurally fixed to zero for every generator; it is
-    stored so audits can report the full map data.
-    """
+    ``apply(sum r_a x^a) = sum delta(r_a) x^a``."""
 
     def __init__(self, P: Presentation, base: CoeffSigmaDerivation, twist: AlgebraEndo):
         self.P = P
         self.base = base
-        self.coeff_images = tuple(P.from_coeff(img) for img in base.images)
         self.twist = twist
-        self.gen_images = tuple(P.zero() for _ in range(P.n))
 
     def apply(self, f: SkewPoly) -> SkewPoly:
         images = ((e, apply_sder(self.base, c)) for e, c in f.terms.items())

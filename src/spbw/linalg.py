@@ -83,3 +83,16 @@ def solve(matrix, rhs_columns, nparams):
         for j in range(k):
             solutions[j][col] = row[n + j] * inv
     return solutions
+
+
+def inverse(matrix, nparams):
+    """Inverse of a square matrix as a list of rows, or None when the
+    matrix is singular."""
+    n = len(matrix)
+    zero = Scalar.const(nparams, 0)
+    one = Scalar.const(nparams, 1)
+    units = [[one if r == k else zero for r in range(n)] for k in range(n)]
+    columns = solve(matrix, units, nparams)
+    if columns is None:
+        return None
+    return [list(row) for row in zip(*columns)]

@@ -120,20 +120,10 @@ def ore_nu_maps(ring: CoeffRing, q: Scalar, r: Scalar, p: CoeffPoly) -> OreCaseD
             "the twist pair does not extend to algebra maps for this (q, r, p)"
         )
     P = ore_presentation(ring, q, r, p)
-    t_sk = P.from_coeff(ring.var(0))
-    x_sk = P.gen(0)
-    nu_t = AlgebraEndo(
-        P,
-        (t_sk,),
-        (x_sk.scale(q) + P.from_coeff(derivative(p)),),
-    )
-    nu_x = AlgebraEndo(
-        P,
-        ((t_sk - P.const(r)).scale(q.inverse()),),
-        (x_sk,),
-    )
-    for label, a, b in (("t", nu_x.apply(nu_t.coeff_images[0]), nu_t.apply(nu_x.coeff_images[0])),
-                        ("x", nu_x.apply(nu_t.gen_images[0]), nu_t.apply(nu_x.gen_images[0]))):
+    t_sk, x_sk = P.frame()
+    nu_t = AlgebraEndo(P, (t_sk, x_sk.scale(q) + P.from_coeff(derivative(p))))
+    nu_x = AlgebraEndo(P, ((t_sk - P.const(r)).scale(q.inverse()), x_sk))
+    for label, a, b in zip("tx", map(nu_x.apply, nu_t.images), map(nu_t.apply, nu_x.images)):
         if a != b:
             raise UnsupportedCaseError(f"nu_x and nu_t fail to commute on {label}")
     return OreCaseData(q, r, p, tag, nu_t, nu_x, P)

@@ -32,18 +32,13 @@ def calculus_spec_from_doc(doc: PresentationDoc, P) -> CalculusSpec:
         return theorem_spec(P)
     dgens = []
     for name in cal.dgen_names:
-        cimgs = cal.twist_coeff[name]
-        gimgs = cal.twist_gen[name]
-        if name in cal.itwist_coeff:
-            inv_images = (cal.itwist_coeff[name], cal.itwist_gen[name])
-        else:
-            inv_images = auto_inverse(P, cimgs, gimgs)
-            if inv_images is None:
-                raise ConfigError(
-                    f"twist for d({name}) is not mechanically invertible; add an itwist line"
-                )
-        inverse = AlgebraEndo(P, inv_images[0], inv_images[1], check=False)
-        twist = AlgebraEndo(P, cimgs, gimgs, inverse=inverse)
+        images = cal.twist[name]
+        inv_images = cal.itwist[name] if name in cal.itwist else auto_inverse(P, images)
+        if inv_images is None:
+            raise ConfigError(
+                f"twist for d({name}) is not mechanically invertible; add an itwist line"
+            )
+        twist = AlgebraEndo(P, images, inverse=AlgebraEndo(P, inv_images, check=False))
         dgens.append(DGen(name, cal.potentials[name], twist))
     return CalculusSpec(dgens=dgens, wedge_signs=dict(cal.wedge), mode="flat")
 
@@ -133,7 +128,7 @@ def _stage_gk(run: _Run) -> CheckOutcome:
         "note": diag.note,
     }
     ok = run.gk is not None
-    return CheckOutcome(ok, [] if ok else ["growth detectors disagree"], data)
+    return CheckOutcome(ok, [] if ok else ["finite differences of the growth table never settle"], data)
 
 
 # (name, stage function, hard failure): the stages in dependency order.  A

@@ -14,16 +14,16 @@ from spbw.extended import AlgebraEndo, auto_inverse
 from conftest import random_skew
 
 
-def make_twist(P, coeff_images, gen_images):
-    inv = auto_inverse(P, coeff_images, gen_images)
+def make_twist(P, images):
+    inv = auto_inverse(P, images)
     assert inv is not None, "test twist should invert mechanically"
-    return AlgebraEndo(P, coeff_images, gen_images, inverse=AlgebraEndo(P, *inv, check=False))
+    return AlgebraEndo(P, images, inverse=AlgebraEndo(P, inv, check=False))
 
 
 def jordan_flat_spec(P):
     t_sk = P.from_coeff(P.ring.var(0))
     two_t = t_sk.scale(P.ring.scalar(2))
-    nu_t = make_twist(P, (t_sk,), (P.gen(0) + two_t,))
+    nu_t = make_twist(P, (t_sk, P.gen(0) + two_t))
     nu_x = AlgebraEndo.identity(P)
     return CalculusSpec(
         dgens=[DGen("t", t_sk, nu_t), DGen("x", P.gen(0), nu_x)],
@@ -33,8 +33,8 @@ def jordan_flat_spec(P):
 
 def qplane_flat_spec(P):
     q = P.ring.param("q")
-    nu1 = make_twist(P, (), (P.gen(0), P.gen(1).scale(q)))
-    nu2 = make_twist(P, (), (P.gen(0).scale(q.inverse()), P.gen(1)))
+    nu1 = make_twist(P, (P.gen(0), P.gen(1).scale(q)))
+    nu2 = make_twist(P, (P.gen(0).scale(q.inverse()), P.gen(1)))
     return CalculusSpec(
         dgens=[DGen("x1", P.gen(0), nu1), DGen("x2", P.gen(1), nu2)],
         wedge_signs={(0, 1): q},
@@ -95,10 +95,34 @@ def test_theorem_mode_requires_trivial_relations(qplane):
 
 
 def test_missing_inverse_rejected(poly2):
-    naked = AlgebraEndo(poly2, (), (poly2.gen(0), poly2.gen(1)))
+    naked = AlgebraEndo(poly2, (poly2.gen(0), poly2.gen(1)))
     spec = CalculusSpec(dgens=[DGen("x1", poly2.gen(0), naked), DGen("x2", poly2.gen(1), naked)])
     with pytest.raises(ConfigError):
         build_calculus(poly2, spec)
+
+
+def _potentials_spec(P, potentials):
+    return CalculusSpec(dgens=[DGen(f"u{k}", f, AlgebraEndo.identity(P)) for k, f in enumerate(potentials)])
+
+
+@pytest.mark.parametrize("shape", ["constant", "quadratic"])
+def test_potential_must_be_frame_linear(poly2, shape):
+    x1, x2 = poly2.gen(0), poly2.gen(1)
+    bad = x1 + poly2.one() if shape == "constant" else poly2.multiply(x1, x1)
+    with pytest.raises(ConfigError, match=r"potential of d\(u0\) must be frame-linear"):
+        build_calculus(poly2, _potentials_spec(poly2, [bad, x2]))
+
+
+def test_potentials_must_span_as_many_symbols(poly2):
+    x1 = poly2.gen(0)
+    with pytest.raises(ConfigError, match=r"span as many symbols .* \(got 1 symbols for 2 generators\)"):
+        build_calculus(poly2, _potentials_spec(poly2, [x1, x1.scale(poly2.ring.scalar(2))]))
+
+
+def test_potentials_must_be_independent(poly2):
+    s = poly2.gen(0) + poly2.gen(1)
+    with pytest.raises(ConfigError, match="linearly dependent"):
+        build_calculus(poly2, _potentials_spec(poly2, [s, s.scale(poly2.ring.scalar(2))]))
 
 
 # -- push_left ------------------------------------------------------------------
@@ -267,8 +291,8 @@ def test_volume_pi_extraction(weyl_calc, weyl, rng):
 def test_volume_qplane_twist_images(qplane_calc, qplane):
     q = qplane.ring.param("q")
     vol = qplane_calc.volume()
-    assert vol.nu.gen_images[0] == qplane.gen(0).scale(q.inverse())
-    assert vol.nu.gen_images[1] == qplane.gen(1).scale(q)
+    assert vol.nu.images[0] == qplane.gen(0).scale(q.inverse())
+    assert vol.nu.images[1] == qplane.gen(1).scale(q)
 
 
 def test_volume_commutes_symbols(jordan_calc, jordan):

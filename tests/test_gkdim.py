@@ -4,6 +4,7 @@ import pytest
 
 from spbw.coefficients import CoeffRing, CoeffSigmaDerivation
 from spbw.core import Presentation
+from spbw.dsl import parse_presentation
 from spbw.errors import UnsupportedPresentationError
 from spbw.gkdim import (
     CERTIFIED,
@@ -15,6 +16,7 @@ from spbw.gkdim import (
     gk_estimate,
     smoothness_verdict,
 )
+from spbw.pipeline import run_gkdim
 
 
 def test_filtration_dims_weyl(weyl):
@@ -61,6 +63,23 @@ def test_gk_estimate_three_symbols():
     est, diag = gk_estimate(table)
     assert est == 3
     assert diag.difference_degree == 3 and diag.slope_estimate == 3
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_gk_estimate_closed_form_tables(k):
+    # the slope reads low from k = 4 on; the difference degree decides
+    est, diag = gk_estimate(FiltrationTable([comb(m + k, k) for m in range(13)]))
+    assert est == k and diag.difference_degree == k and not diag.ambiguous
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_run_gkdim_wide_polynomial_rings(n):
+    gens = [f"x{i}" for i in range(1, n + 1)]
+    rels = [f"rel {b} {a} = {a} {b}" for i, a in enumerate(gens) for b in gens[i + 1:]]
+    doc = parse_presentation("\n".join([f"name poly{n}", "gens " + " ".join(gens)] + rels) + "\n")
+    table, (est, diag) = run_gkdim(doc)
+    assert table.dims == [comb(m + n, n) for m in range(13)]
+    assert est == n and not diag.ambiguous
 
 
 def test_gk_estimate_constant_table():

@@ -5,11 +5,13 @@ algebraic laws the engine relies on, with seeded sampling and exact equality.
 from __future__ import annotations
 
 import random
+from itertools import accumulate
 
 import pytest
 
 from spbw.calculus import build_calculus
 from spbw.coefficients import apply_endo, apply_sder
+from spbw.core import exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation
 from spbw.extended import extend_delta, extend_sigma, hypothesis_check
@@ -93,14 +95,6 @@ def test_strategy_independence_per_corpus(presentations):
             assert left == right, f"{name}: {P.render_word(word)}"
 
 
-def test_power_commute_generic_unconditional(presentations):
-    for name, P in presentations.items():
-        for i in range(P.n):
-            for m in range(7):
-                r = P.ring.var(0) ** 2 if P.ring.nvars else P.ring.one()
-                assert P.power_commute_generic(i, m, r) == P.normalize([(1, [i] * m + [r])]), name
-
-
 def test_multiply_associative_per_corpus(presentations):
     # associativity presumes the ordered monomials form a basis, so the
     # deliberately inconsistent entry is out
@@ -146,7 +140,7 @@ def test_lifted_sigmas_commute_under_t2(presentations):
         lifts = [extend_sigma(P, i) for i in range(P.n)]
         for i in range(P.n):
             for j in range(i + 1, P.n):
-                assert lifts[i].compose(lifts[j]).images_equal(lifts[j].compose(lifts[i])), name
+                assert lifts[i].compose(lifts[j]).images == lifts[j].compose(lifts[i]).images, name
 
 
 def test_wedge_associativity_per_corpus(calculi):
@@ -195,11 +189,12 @@ def test_partial_formula_matches_exponents_to_degree_six(calculi):
 
 
 def test_filtration_matches_closed_form_per_corpus(presentations):
-    from math import comb
-
+    # the oracle counts the normal monomials of each degree by enumeration
     for name, P in presentations.items():
-        M = P.ring.nvars + P.n
-        assert filtration_dims(P, 9).dims == [comb(m + M, M) for m in range(10)], name
+        counts = [0] * 10
+        for e in exponents_upto(P.ring.nvars + P.n, 9):
+            counts[sum(e)] += 1
+        assert filtration_dims(P, 9).dims == list(accumulate(counts)), name
 
 
 def test_volume_and_pi_identities_per_corpus(calculi):
