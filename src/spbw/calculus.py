@@ -23,7 +23,7 @@ from itertools import combinations
 from .core import Presentation, SkewPoly, exponents_upto
 from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
 from .extended import AlgebraEndo, extend_sigma, hypothesis_check
-from .lincomb import LinComb, add_terms, sum_terms
+from .lincomb import LinComb, add_term, add_terms, sum_terms
 from .linalg import inverse, kernel_basis
 from .sampling import random_skew
 from .scalars import Scalar
@@ -119,10 +119,12 @@ class Calculus:
 
     The checks return new values and leave the presentation's data alone,
     but the calculus records what it learns: ``volume()`` caches its result
-    in ``_volume``, ``integrability_check`` sets ``integrability_passed``
-    (which the divergence checks require), and construction sets
-    ``compatibility``.  Memo tables of the presentation and the twists fill
-    as it runs, so one calculus belongs to one thread at a time."""
+    in ``_volume``, ``_d_word`` memoizes every word suffix it differentiates
+    in ``_d_memo`` (with the suffix's normal form), ``integrability_check``
+    sets ``integrability_passed`` (which the divergence checks require), and
+    construction sets ``compatibility``.  These and the memo tables of the
+    presentation (``_mono_cache``) and the twists fill as it runs, so one
+    calculus belongs to one thread at a time."""
 
     def __init__(self, P: Presentation, spec: CalculusSpec):
         self.P = P
@@ -130,6 +132,7 @@ class Calculus:
         self.N = len(spec.dgens)
         self.nsyms = P.ring.nvars + P.n
         self._dcoords = None  # per symbol: tuple of N Scalars, or None row
+        self._d_memo = {(): (P.one(), {})}  # suffix word -> (normal form, d terms)
         self._volume = None
         self.integrability_passed = None
         self.compatibility = None
@@ -163,14 +166,11 @@ class Calculus:
 
     # -- twists ------------------------------------------------------------------
 
-    def twist_apply(self, i: int, f: SkewPoly) -> SkewPoly:
-        return self.spec.dgens[i].twist.apply(f)
-
     def twist_apply_set(self, S, f: SkewPoly) -> SkewPoly:
         """nu_S(f): push f through du_S, applying the twists in stored
         (ascending) order."""
         for i in S:
-            f = self.twist_apply(i, f)
+            f = self.spec.dgens[i].twist.apply(f)
         return f
 
     def twist_inv_apply_set(self, S, f: SkewPoly) -> SkewPoly:
@@ -253,25 +253,36 @@ class Calculus:
         return DiffForm(acc, self.N)
 
     def _d_word(self, word, weight: Scalar) -> DiffForm:
-        P = self.P
-        acc: dict = {}
-        for p, sym in enumerate(word):
-            row = self._dcoords[sym]
-            if row is None:
-                continue
-            pre = self._word_poly(word[:p])
-            post = self._word_poly(word[p + 1:])
-            for i, coeff in enumerate(row):
-                if coeff.is_zero():
-                    continue
-                moved = P.multiply(self.twist_apply(i, pre), post).scale(coeff * weight)
-                add_terms(acc, self.form((i,), moved).terms)
-        return DiffForm(acc, self.N)
+        """``weight * d(word)`` for a word of frame symbols, in any order.
 
-    def _word_poly(self, word) -> SkewPoly:
+        Suffixes are differentiated right to left by the twisted product rule
+        ``d(s w) = sum_i du_i (B[s][i] w + nu_i(s) d_i(w))``, with ``B[s]`` the
+        dcoords row of symbol s and ``d_i`` the du_i component.  Every suffix
+        met is memoized with its normal form, so each symbol left of the
+        longest memoized suffix costs at most N + 1 products, and a word met
+        again costs none."""
         P = self.P
-        atoms = [s - P.ring.nvars if s >= P.ring.nvars else P.ring.var(s) for s in word]
-        return P.normalize([(1, atoms)])
+        memo = self._d_memo
+        word = tuple(word)
+        start = next(p for p in range(len(word) + 1) if word[p:] in memo)
+        form, dw = memo[word[start:]]
+        for p in range(start - 1, -1, -1):
+            s = word[p]
+            acc: dict = {}
+            row = self._dcoords[s]
+            if row is not None and not form.is_zero():
+                for i, b in enumerate(row):
+                    if not b.is_zero():
+                        acc[(i,)] = form.scale(b)
+            for (i,), g in dw.items():
+                moved = P.multiply(self.spec.dgens[i].twist.images[s], g)
+                if not moved.is_zero():
+                    add_term(acc, (i,), moved)
+            form, dw = P.multiply(P.symbol(s), form), acc
+            memo[word[p:]] = (form, dw)
+        if weight.is_one():
+            return DiffForm(dw, self.N)
+        return DiffForm({S: g.scale(weight) for S, g in dw.items()}, self.N)
 
     def differential(self, a: DiffForm) -> DiffForm:
         """Degree-one map: ``d(du_S f) = (-1)^{|S|} du_S ^ d(f)``."""

@@ -64,11 +64,12 @@ def check_filtration_compatible(P: Presentation):
 
 
 def filtration_dims(P: Presentation, m_max: int) -> FiltrationTable:
-    """Number of normal monomials of total degree <= m, for m up to
-    ``m_max``: C(s+m, m) in the s symbols of the frame."""
+    """Number of normal monomials of total degree <= m: C(s+m, m) in the s
+    symbols of the frame, for m up to ``m_max`` or s + 1, whichever is
+    larger, so that s finite differences leave at least two entries."""
     check_filtration_compatible(P)
     nsyms = P.ring.nvars + P.n
-    return FiltrationTable([comb(nsyms + m, m) for m in range(m_max + 1)])
+    return FiltrationTable([comb(nsyms + m, m) for m in range(max(m_max, nsyms + 1) + 1)])
 
 
 @dataclass

@@ -8,8 +8,10 @@ from spbw.calculus import (
     build_calculus,
     theorem_spec,
 )
+from spbw.corpus import corpus_doc
 from spbw.errors import CompatibilityError, ConfigError
 from spbw.extended import AlgebraEndo, auto_inverse
+from spbw.pipeline import run_calculus_check
 
 from conftest import random_skew
 
@@ -233,6 +235,26 @@ def test_graded_leibniz_random(weyl_calc, jordan_calc, qplane_calc, rng):
 
 
 # -- d squared ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["poly3", "aq", "jordan"])
+def test_d0_work_is_linear_in_word_length(name):
+    calc = run_calculus_check(corpus_doc(name))
+    P = calc.P
+    calls = {"multiply": 0, "normalize": 0}
+    for attr in calls:
+        def counted(*args, _method=getattr(P, attr), _attr=attr):
+            calls[_attr] += 1
+            return _method(*args)
+        setattr(P, attr, counted)
+    # degree 4 in every symbol: a word of length 4 * nsyms
+    f = P.monomial((4,) * P.n, P.ring.monomial((4,) * P.ring.nvars))
+    df = calc.d0(f)
+    assert calls["multiply"] <= (calc.N + 1) * 4 * calc.nsyms
+    assert calls["normalize"] == 0
+    calls["multiply"] = 0
+    assert calc.d0(f) == df
+    assert calls["multiply"] == 0
 
 
 def test_d_squared_weyl(weyl_calc):

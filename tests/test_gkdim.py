@@ -4,7 +4,7 @@ import pytest
 
 from spbw.coefficients import CoeffRing, CoeffSigmaDerivation
 from spbw.core import Presentation
-from spbw.dsl import parse_presentation
+from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import UnsupportedPresentationError
 from spbw.gkdim import (
     CERTIFIED,
@@ -72,14 +72,30 @@ def test_gk_estimate_closed_form_tables(k):
     assert est == k and diag.difference_degree == k and not diag.ambiguous
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_run_gkdim_wide_polynomial_rings(n):
+def _poly_doc(n, options=""):
     gens = [f"x{i}" for i in range(1, n + 1)]
     rels = [f"rel {b} {a} = {a} {b}" for i, a in enumerate(gens) for b in gens[i + 1:]]
-    doc = parse_presentation("\n".join([f"name poly{n}", "gens " + " ".join(gens)] + rels) + "\n")
-    table, (est, diag) = run_gkdim(doc)
+    lines = [f"name poly{n}", "gens " + " ".join(gens)] + rels + ([options] if options else [])
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_run_gkdim_wide_polynomial_rings(n):
+    table, (est, diag) = run_gkdim(_poly_doc(n))
     assert table.dims == [comb(m + n, n) for m in range(13)]
     assert est == n and not diag.ambiguous
+
+
+def test_run_gkdim_as_many_symbols_as_gk_degree():
+    # a table of gk_degree + 1 entries would run out after 8 differences
+    table, (est, diag) = run_gkdim(_poly_doc(8, "options gk_degree=8"))
+    assert len(table.dims) == 10
+    assert est == 8 and diag.difference_degree == 8 and not diag.ambiguous
+
+
+def test_gk_estimate_more_symbols_than_gk_degree():
+    est, diag = gk_estimate(filtration_dims(build_presentation(_poly_doc(13)), 12))
+    assert est == 13 and not diag.ambiguous
 
 
 def test_gk_estimate_constant_table():

@@ -5,17 +5,19 @@ algebraic laws the engine relies on, with seeded sampling and exact equality.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import accumulate
 
 import pytest
 
-from spbw.calculus import build_calculus
+from spbw.calculus import DiffForm, build_calculus
 from spbw.coefficients import apply_endo, apply_sder
 from spbw.core import exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation
 from spbw.extended import extend_delta, extend_sigma, hypothesis_check
 from spbw.gkdim import filtration_dims
+from spbw.lincomb import add_terms
 from spbw.pipeline import calculus_spec_from_doc
 from spbw.sampling import random_expo, random_skew
 
@@ -208,3 +210,62 @@ def test_volume_and_pi_identities_per_corpus(calculi):
             lhs = calc.left_multiply(a, calc.omega())
             rhs = calc.right_multiply(calc.omega(), vol.nu.apply(a))
             assert lhs == rhs, name
+
+
+def d_word_by_positions(calc, word, weight):
+    """``weight * d(word)`` by the product rule position by position: the
+    prefix and suffix of each symbol are normalized from their atoms, and
+    the prefix is pushed through the twist of each du_i it meets."""
+    P = calc.P
+    m = P.ring.nvars
+
+    def word_poly(w):
+        return P.normalize([(1, [s - m if s >= m else P.ring.var(s) for s in w])])
+
+    acc: dict = {}
+    for p, sym in enumerate(word):
+        row = calc._dcoords[sym]
+        if row is None:
+            continue
+        pre, post = word_poly(word[:p]), word_poly(word[p + 1:])
+        for i, coeff in enumerate(row):
+            if not coeff.is_zero():
+                moved = P.multiply(calc.spec.dgens[i].twist.apply(pre), post).scale(coeff * weight)
+                add_terms(acc, calc.form((i,), moved).terms)
+    return DiffForm(acc, calc.N)
+
+
+def _weights(P):
+    out = [P.ring.sone(), P.ring.scalar(Fraction(-3, 2))]
+    for name in P.ring.params:
+        q = P.ring.param(name)
+        out.append(q * (q + P.ring.sone()).inverse())
+    return out
+
+
+def test_d_word_matches_position_expansion_per_corpus(calculi):
+    for name, calc in calculi.items():
+        P = calc.P
+        rng = random.Random(50)
+        weights = _weights(P)
+        for _ in range(40):
+            word = [rng.randrange(calc.nsyms) for _ in range(rng.randint(0, 5))]
+            for w in (word, sorted(word)):  # as drawn, and in normal order
+                weight = rng.choice(weights)
+                assert calc._d_word(w, weight) == d_word_by_positions(calc, w, weight), (name, w)
+
+
+def test_d0_matches_position_expansion_per_corpus(calculi):
+    for name, calc in calculi.items():
+        P = calc.P
+        rng = random.Random(51)
+        m = P.ring.nvars
+        for _ in range(20):
+            f = random_skew(P, rng, 4)
+            acc: dict = {}
+            for e, c in f.terms.items():
+                for tvec, s in c.terms.items():
+                    word = [j for j, k in enumerate(tvec) for _ in range(k)]
+                    word += [m + i for i, k in enumerate(e) for _ in range(k)]
+                    add_terms(acc, d_word_by_positions(calc, word, s).terms)
+            assert calc.d0(f) == DiffForm(acc, calc.N), (name, P.render(f))
