@@ -363,25 +363,16 @@ class Calculus:
         """Exact kernel of d on the span of normal monomials up to the bound;
         connected means dimension one (the constants)."""
         basis = list(self._monomials_upto(degree_bound))
-        index = {}
-        rows = []
-        nparams = self.P.ring.nparams
-        zero = Scalar.const(nparams, 0)
-        columns = []
-        for mono in basis:
-            f = self.P.monomial(mono[1], self.P.ring.monomial(mono[0]))
-            columns.append(self.d0(f))
-        for col, df in enumerate(columns):
+        # one sparse row per coordinate (du_i, t^tvec x^e) of d, in the order
+        # the coordinates are first met; a coordinate occurs once per column
+        rows = {}
+        for col, mono in enumerate(basis):
+            df = self.d0(self.P.monomial(mono[1], self.P.ring.monomial(mono[0])))
             for S, f in df.terms.items():
-                i = S[0]
                 for e, c in f.terms.items():
                     for tvec, s in c.terms.items():
-                        key = (i, tvec, e)
-                        if key not in index:
-                            index[key] = len(rows)
-                            rows.append([zero] * len(basis))
-                        rows[index[key]][col] = rows[index[key]][col] + s
-        kernel = kernel_basis(rows, len(basis), nparams)
+                        rows.setdefault((S[0], tvec, e), {})[col] = s
+        kernel = kernel_basis(list(rows.values()), len(basis), self.P.ring.nparams)
         dim = len(kernel)
         witnesses = []
         for vec in kernel[:4]:

@@ -1,39 +1,68 @@
-"""Exact linear algebra over the scalar field, used for kernel computation
-and for inverting frame-affine maps.
+"""Exact sparse linear algebra over the scalar field, used for kernel
+computation and for inverting frame-affine maps.
 
-Matrices are lists of rows of :class:`~spbw.scalars.Scalar`.  Everything is
-plain fraction-field Gaussian elimination; no floating point.
+A row is a dict from column index to a nonzero
+:class:`~spbw.scalars.Scalar`; a missing column is zero.  One Gauss-Jordan
+elimination serves :func:`kernel_basis`, :func:`solve` and :func:`inverse`.
+Its pivot rule: for each column in order, the first unused row (in the
+given row order) with an entry there.  An update touches only the entries
+of the pivot row, and an entry that cancels to zero is removed from its
+row, so a zero is never a pivot.  No floating point.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .scalars import Scalar
 
 
-def _row_echelon(rows, ncols):
-    """Gauss-Jordan elimination on the first ``ncols`` columns; row updates
-    span the full row width (so augmented columns are carried along).
-    Returns the list of (pivot_col, row)."""
-    pivots = []
-    rows = [list(r) for r in rows]
+def _sparse(row) -> dict:
+    """A fresh sparse copy of a row given as a dict or a dense sequence,
+    without its zero entries."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: x for c, x in items if not x.is_zero()}
+
+
+def _gauss_jordan(rows, ncols):
+    """Gauss-Jordan elimination, in place, on the columns below ``ncols`` of
+    the sparse ``rows``; entries in later columns (augmented columns) are
+    carried along.  Returns the list of (pivot_col, row), in column order.
+
+    Afterwards each pivot row is zero in every other pivot column and in
+    every column before its own."""
+    holders = defaultdict(set)  # column -> indices of the rows with an entry there
+    for i, row in enumerate(rows):
+        for c in row:
+            holders[c].add(i)
     used = set()
+    pivots = []
     for col in range(ncols):
-        pivot_row = None
-        for r in rows:
-            if not r[col].is_zero() and id(r) not in used:
-                pivot_row = r
-                break
-        if pivot_row is None:
+        here = holders[col]
+        p = min((i for i in here if i not in used), default=None)
+        if p is None:
             continue
-        used.add(id(pivot_row))
+        used.add(p)
+        pivot_row = rows[p]
         inv = pivot_row[col].inverse()
-        width = len(pivot_row)
-        for r in rows:
-            if r is pivot_row or r[col].is_zero():
+        for i in here:
+            if i == p:
                 continue
-            factor = r[col] * inv
-            for c in range(col, width):
-                r[c] = r[c] - factor * pivot_row[c]
+            r = rows[i]
+            factor = r.pop(col) * inv
+            for c, x in pivot_row.items():
+                if c == col:
+                    continue
+                old = r.get(c)
+                new = -(factor * x) if old is None else old - factor * x
+                if new.is_zero():
+                    del r[c]
+                    holders[c].discard(i)
+                else:
+                    if old is None:
+                        holders[c].add(i)
+                    r[c] = new
+        holders[col] = {p}
         pivots.append((col, pivot_row))
     return pivots
 
@@ -41,47 +70,50 @@ def _row_echelon(rows, ncols):
 def kernel_basis(rows, ncols, nparams):
     """Basis of the right kernel of the matrix (column-vector solutions).
 
-    Returns a list of vectors (lists of Scalars) spanning
-    ``{v : rows . v = 0}``.
+    ``rows`` is a list of rows, each a dict from column to Scalar or a dense
+    sequence of Scalars; the input is not modified.  Returns one dense
+    vector (a list of Scalars) per free column, in increasing order of that
+    column, spanning ``{v : rows . v = 0}``.
     """
     zero = Scalar.const(nparams, 0)
     one = Scalar.const(nparams, 1)
-    pivots = _row_echelon(rows, ncols)
+    pivots = _gauss_jordan([_sparse(r) for r in rows], ncols)
     pivot_cols = {col for col, _ in pivots}
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for free in free_cols:
-        v = [zero] * ncols
-        v[free] = one
-        # back-substitute pivot coordinates
-        for col, row in reversed(pivots):
-            acc = zero
-            for c in range(col + 1, ncols):
-                if not row[c].is_zero() and not v[c].is_zero():
-                    acc = acc + row[c] * v[c]
-            v[col] = -(acc * row[col].inverse())
-        basis.append(v)
-    return basis
+    vectors = {}
+    for free in range(ncols):
+        if free not in pivot_cols:
+            v = [zero] * ncols
+            v[free] = one
+            vectors[free] = v
+    # after Gauss-Jordan every other entry of a pivot row lies in a free column
+    for col, row in pivots:
+        pivot = row[col]
+        for free, x in row.items():
+            if free != col:
+                vectors[free][col] = -x / pivot
+    return list(vectors.values())
 
 
 def solve(matrix, rhs_columns, nparams):
     """Solve ``matrix . X = rhs`` for each right-hand-side column.
 
-    ``matrix`` is square (list of rows); returns the list of solution
-    columns, or None when the matrix is singular.
+    ``matrix`` is square (a list of dense rows); returns the list of dense
+    solution columns, or None when the matrix is singular.
     """
     n = len(matrix)
     zero = Scalar.const(nparams, 0)
     k = len(rhs_columns)
-    aug = [list(matrix[i]) + [col[i] for col in rhs_columns] for i in range(n)]
-    pivots = _row_echelon(aug, n)
+    aug = [_sparse(list(matrix[i]) + [col[i] for col in rhs_columns]) for i in range(n)]
+    pivots = _gauss_jordan(aug, n)
     if len(pivots) < n:
         return None
     solutions = [[zero] * n for _ in range(k)]
     for col, row in pivots:
         inv = row[col].inverse()
         for j in range(k):
-            solutions[j][col] = row[n + j] * inv
+            x = row.get(n + j)
+            if x is not None:
+                solutions[j][col] = x * inv
     return solutions
 
 

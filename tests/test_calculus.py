@@ -9,6 +9,7 @@ from spbw.calculus import (
     theorem_spec,
 )
 from spbw.corpus import corpus_doc
+from spbw.dsl import parse_presentation
 from spbw.errors import CompatibilityError, ConfigError
 from spbw.extended import AlgebraEndo, auto_inverse
 from spbw.pipeline import run_calculus_check
@@ -294,6 +295,30 @@ def test_connectedness_misuse_reports_honestly(jordan):
     out = calc.connectedness_check(4)
     assert not out.ok
     assert out.data["kernel_dimension"] == 5
+    # the first four kernel vectors, one per free column in increasing order
+    assert out.witnesses == ["[1]", "[t]", "[t^2]", "[t^3]"]
+
+
+POLY4_DOC = """name poly4
+gens x1 x2 x3 x4
+rel x2 x1 = x1 x2
+rel x3 x1 = x1 x3
+rel x4 x1 = x1 x4
+rel x3 x2 = x2 x3
+rel x4 x2 = x2 x4
+rel x4 x3 = x3 x4
+
+calculus mode=theorem
+"""
+
+
+def test_connectedness_at_stress_size():
+    # 210 monomials of degree at most 6 in 4 variables: a 504 x 210 matrix
+    calc = run_calculus_check(parse_presentation(POLY4_DOC))
+    out = calc.connectedness_check(6)
+    assert out.ok
+    assert out.data["kernel_dimension"] == 1
+    assert out.witnesses == ["[1]"]
 
 
 # -- volume ---------------------------------------------------------------------------
