@@ -9,10 +9,17 @@ relations, an optional calculus block and pipeline options:
     calculus mode=theorem
     options seed=1729
 
+Declarations (``name``, ``params``, ``coeffs``, ``gens``, ``calculus``,
+``dgens``, ``options``) may appear anywhere and are read first.  The ring
+lines (``sigma``, ``delta``, ``isigma``, ``rel``) are then evaluated in the
+finished coefficient ring, and the calculus lines (``dgen``, ``twist``,
+``itwist``, ``wedge``) last, in the presentation those define.
+
 Expressions know ``*`` (also juxtaposition), ``+``, ``-``, ``^`` with
-integer (possibly negative) exponents, and parentheses; nothing else.
-Parsing either succeeds completely or raises :class:`ParseError` with a
-line, a column and a stable diagnostic code.
+integer (possibly negative) exponents, and parentheses; nothing else.  Each
+is multiplied out in normal form as it is read.  Parsing either succeeds
+completely or raises :class:`ParseError` with a line, a column and a stable
+diagnostic code; input left over on any line is an error.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from fractions import Fraction
 from .coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation
 from .core import Presentation, Relation, SkewPoly
 from .errors import MapError, SpbwError
-from .lincomb import add_terms, is_spaced_sum, render_sum
+from .lincomb import add_term, is_spaced_sum, render_sum
 from .scalars import Scalar
 
 DEFAULT_OPTIONS = {
@@ -153,148 +160,234 @@ class _TokenStream:
     def done(self):
         return self.i >= len(self.tokens)
 
+    def finish(self):
+        """Raise on input left over after a whole line or expression."""
+        if not self.done():
+            raise ParseError(self.line, self.peek()[2], "trailing-input", "unexpected trailing input")
+
 
 # -- expressions -----------------------------------------------------------------
 #
-# Parsed into a "free element": a list of (Scalar, word) terms, where the word
-# is a tuple of non-parameter symbol names in multiplication order.  Parameter
-# and integer factors fold into the scalar, which is central.
+# One recursive-descent evaluator folds each expression into the algebra it
+# belongs to as it reads it, so every partial result is already in normal
+# form.  Values are LinComb sums, added and negated with ``+`` and ``-``; the
+# algebra supplies the rest:
+#
+#   one, scalar(s)   the unit and the central Scalar s;
+#   symbol(name)     a coefficient variable or generator, None when the name
+#                    is not in scope (parameters are scalars everywhere);
+#   mul(a, b)        the product;
+#   scalar_of(a)     the Scalar a is, or None; it decides negative powers.
 
 
-class _ExprContext:
-    def __init__(self, ring: CoeffRing, symbols, line):
-        self.ring = ring
-        self.symbols = symbols  # names of coeff vars and gens in scope
-        self.line = line
+def _at_op(ts: _TokenStream, ops: str) -> bool:
+    tok = ts.peek()
+    return tok is not None and tok[0] == "op" and tok[1] in ops
 
 
-def _parse_expr(ts: _TokenStream, ctx: _ExprContext):
-    terms = _parse_term(ts, ctx)
-    while True:
-        tok = ts.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            ts.next()
-            rhs = _parse_term(ts, ctx)
-            if tok[1] == "-":
-                rhs = [(-s, w) for s, w in rhs]
-            terms = terms + rhs
-        else:
-            return terms
+def _parse_expr(ts: _TokenStream, alg):
+    value = _parse_term(ts, alg)
+    while _at_op(ts, "+-"):
+        _, op, _ = ts.next()
+        rhs = _parse_term(ts, alg)
+        value = value + rhs if op == "+" else value - rhs
+    return value
 
 
-def _parse_term(ts: _TokenStream, ctx):
-    factors = _parse_unary(ts, ctx)
+def _parse_term(ts: _TokenStream, alg):
+    value = _parse_unary(ts, alg)
     while True:
         tok = ts.peek()
         if tok is None:
-            return factors
-        kind, value, _ = tok
-        if kind == "op" and value == "*":
+            return value
+        kind, op, _ = tok
+        if kind == "op" and op == "*":
             ts.next()
-            factors = _mul_free(factors, _parse_unary(ts, ctx))
-        elif kind in ("ident", "int") or (kind == "op" and value == "("):
-            factors = _mul_free(factors, _parse_unary(ts, ctx))
-        else:
-            return factors
+        elif kind not in ("ident", "int") and not (kind == "op" and op == "("):
+            return value
+        value = alg.mul(value, _parse_unary(ts, alg))
 
 
-def _parse_unary(ts: _TokenStream, ctx):
-    tok = ts.peek()
-    if tok and tok[0] == "op" and tok[1] == "-":
+def _parse_unary(ts: _TokenStream, alg):
+    if _at_op(ts, "-"):
         ts.next()
-        inner = _parse_unary(ts, ctx)
-        return [(-s, w) for s, w in inner]
-    return _parse_power(ts, ctx)
+        return -_parse_unary(ts, alg)
+    return _parse_power(ts, alg)
 
 
-def _parse_power(ts: _TokenStream, ctx):
-    base = _parse_atom(ts, ctx)
-    tok = ts.peek()
-    if tok and tok[0] == "op" and tok[1] == "^":
+def _parse_power(ts: _TokenStream, alg):
+    base = _parse_atom(ts, alg)
+    if not _at_op(ts, "^"):
+        return base
+    ts.next()
+    negative = _at_op(ts, "-")
+    if negative:
         ts.next()
-        sign = 1
-        tok = ts.peek()
-        if tok and tok[0] == "op" and tok[1] == "-":
-            ts.next()
-            sign = -1
-        _, digits, col = ts.expect("int", what="an integer exponent")
-        k = int(digits)
-        if sign < 0:
-            return _invert_free(base, k, ctx, col)
-        out = [(ctx.ring.sone(), ())]
-        for _ in range(k):
-            out = _mul_free(out, base)
-        return out
-    return base
+    _, digits, col = ts.expect("int", what="an integer exponent")
+    if negative:
+        s = alg.scalar_of(base)
+        if s is None:
+            raise ParseError(ts.line, col, "bad-inverse",
+                             "negative powers apply only to nonzero parameter/number expressions")
+        if s.is_zero():
+            raise ParseError(ts.line, col, "division-by-zero", "negative power of zero")
+        base = alg.scalar(s.inverse())
+    # A plain loop: each step multiplies by the short base, where repeated
+    # squaring would multiply two long partial results.
+    out = alg.one
+    for _ in range(int(digits)):
+        out = alg.mul(out, base)
+    return out
 
 
-def _parse_atom(ts: _TokenStream, ctx):
+def _parse_atom(ts: _TokenStream, alg):
     kind, value, col = ts.next()
+    ring = alg.ring
     if kind == "int":
-        return [(ctx.ring.scalar(int(value)), ())]
+        return alg.scalar(ring.scalar(int(value)))
     if kind == "ident":
-        if value in ctx.ring.params:
-            return [(ctx.ring.param(value), ())]
-        if value in ctx.symbols:
-            return [(ctx.ring.sone(), (value,))]
-        raise ParseError(ctx.line, col, "undeclared-symbol", f"undeclared symbol {value!r}")
+        if value in ring.params:
+            return alg.scalar(ring.param(value))
+        element = alg.symbol(value)
+        if element is None:
+            raise ParseError(ts.line, col, "undeclared-symbol", f"undeclared symbol {value!r}")
+        return element
     if kind == "op" and value == "(":
-        inner = _parse_expr(ts, ctx)
+        inner = _parse_expr(ts, alg)
         ts.expect("op", ")", "a closing parenthesis")
         return inner
-    raise ParseError(ctx.line, col, "bad-expression", f"unexpected token {value!r}")
+    raise ParseError(ts.line, col, "bad-expression", f"unexpected token {value!r}")
 
 
-def _mul_free(a, b):
-    out = []
-    for s1, w1 in a:
-        for s2, w2 in b:
-            out.append((s1 * s2, w1 + w2))
-    return out
+class _CoeffAlgebra:
+    """CoeffPoly values: sigma, delta and isigma images, and, over a ring
+    with no variables, wedge constants.  Naming one of ``gens``, which have
+    no place in a coefficient, raises on line ``line``."""
+
+    def __init__(self, ring: CoeffRing, gens=(), line=0):
+        self.ring = ring
+        self.gens = gens
+        self.line = line
+        self.one = ring.one()
+
+    def scalar(self, s: Scalar) -> CoeffPoly:
+        return self.ring.const(s)
+
+    def symbol(self, name):
+        if name in self.ring.coeff_vars:
+            return self.ring.var(self.ring.coeff_vars.index(name))
+        if name in self.gens:
+            raise ParseError(self.line, 0, "generator-in-coefficient", f"generator {name!r} not allowed here")
+        return None
+
+    @staticmethod
+    def mul(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
+        return a * b
+
+    @staticmethod
+    def scalar_of(p: CoeffPoly):
+        return p.constant_value() if p.is_constant() else None
 
 
-def _invert_free(base, k, ctx, col):
-    if any(w for _, w in base):
-        raise ParseError(
-            ctx.line, col, "bad-inverse",
-            "negative powers apply only to nonzero parameter/number expressions",
-        )
-    s = ctx.ring.szero()
-    for t, _ in base:
-        s = s + t
-    if s.is_zero():
-        raise ParseError(ctx.line, col, "division-by-zero", "negative power of zero")
-    out = [(ctx.ring.sone(), ())]
-    inv = s.inverse()
-    for _ in range(k):
-        out = [(t * inv, w) for t, w in out]
-    return out
+class _SkewTerms:
+    """Values that are SkewPoly sums over ``n`` generators."""
+
+    def __init__(self, ring: CoeffRing, n: int):
+        self.ring = ring
+        self.n = n
+        self.one = self.scalar(ring.sone())
+
+    def scalar(self, s: Scalar) -> SkewPoly:
+        return SkewPoly({} if s.is_zero() else {(0,) * self.n: self.ring.const(s)}, self.n)
+
+    def scalar_of(self, f: SkewPoly):
+        zero = (0,) * self.n
+        return _CoeffAlgebra.scalar_of(f.terms.get(zero, self.ring.zero())) if f.terms.keys() <= {zero} else None
 
 
-def _free_to_coeff(free, ring: CoeffRing, line):
-    """Collapse a free element into a commutative coefficient polynomial;
-    generator symbols are rejected."""
-    acc: dict = {}
-    for s, word in free:
-        e = [0] * ring.nvars
-        for name in word:
-            if name in ring.coeff_vars:
-                e[ring.coeff_vars.index(name)] += 1
-            else:
-                raise ParseError(line, 0, "generator-in-coefficient",
-                                 f"generator {name!r} not allowed here")
-        add_terms(acc, ring.monomial(e, s).terms)
-    return CoeffPoly(acc, ring.nvars, ring.nparams)
+class _SkewAlgebra(_SkewTerms):
+    """Elements of P in normal form: potentials, twist images and
+    ``parse_expression``."""
+
+    def __init__(self, P: Presentation):
+        super().__init__(P.ring, P.n)
+        self.P = P
+        self.names = P.ring.coeff_vars + P.names
+
+    def symbol(self, name):
+        return self.P.symbol(self.names.index(name)) if name in self.names else None
+
+    def mul(self, a: SkewPoly, b: SkewPoly) -> SkewPoly:
+        return self.P.multiply(a, b)
+
+
+class _TailAlgebra(_SkewTerms):
+    """Right-hand side of ``rel x_j x_i = ...``, kept as SkewPoly terms keyed
+    by generator exponents: ``d x_i x_j + sum_k r_k x_k + r_0``, each
+    coefficient written left of its generators.  A product that forms any
+    other word raises at once."""
+
+    def __init__(self, ring: CoeffRing, gens, i: int, j: int, line: int):
+        super().__init__(ring, len(gens))
+        self.gens = gens
+        self.line = line
+        self.units = [tuple(int(k == m) for m in range(self.n)) for k in range(self.n)]
+        self.pair = (self.units[i], self.units[j])
+
+    def symbol(self, name):
+        if name in self.ring.coeff_vars:
+            return SkewPoly({(0,) * self.n: self.ring.var(self.ring.coeff_vars.index(name))}, self.n)
+        if name in self.gens:
+            return SkewPoly({self.units[self.gens.index(name)]: self.ring.one()}, self.n)
+        return None
+
+    def mul(self, a: SkewPoly, b: SkewPoly) -> SkewPoly:
+        acc: dict = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                if any(e1) and not c2.is_constant():
+                    raise ParseError(self.line, 0, "coefficient-right-of-generator",
+                                     "coefficients must be written left of generators")
+                if any(e1) and any(e2) and (e1, e2) != self.pair:
+                    raise ParseError(self.line, 0, "tail-shape",
+                                     "relation tails are at most linear" if sum(e1) + sum(e2) > 2
+                                     else "the quadratic term must be the ordered pair of the left side")
+                add_term(acc, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+        return SkewPoly(acc, self.n)
+
+    def relation(self, rhs: SkewPoly) -> Relation:
+        zero = self.ring.zero()
+        d = rhs.terms.get(tuple(x + y for x, y in zip(*self.pair)), zero)
+        if d.is_zero():
+            raise ParseError(self.line, 0, "zero-d", "the ordered pair needs a nonzero coefficient")
+        return Relation(d, rhs.terms.get((0,) * self.n, zero), tuple(rhs.terms.get(u, zero) for u in self.units))
+
+
+def _images(entries, names, default, what) -> tuple:
+    """``default`` with each ``(name, image, line, col)`` entry's image put at
+    its name's place among ``names``."""
+    images = list(default)
+    seen = set()
+    for var, image, line, col in entries:
+        if var not in names:
+            raise ParseError(line, col, "undeclared-symbol", f"{var!r} is not {what}")
+        k = names.index(var)
+        if k in seen:
+            raise ParseError(line, col, "duplicate-image", f"two images for {var!r}")
+        seen.add(k)
+        images[k] = image
+    return tuple(images)
 
 
 # -- document parser ----------------------------------------------------------------
+#
+# Declarations are read first, in document order.  The ring lines are then
+# evaluated in the finished coefficient ring, and the calculus lines last,
+# once the presentation exists.
 
-
-_KEYWORDS = {
-    "name", "params", "coeffs", "gens", "sigma", "delta", "isigma",
-    "rel", "calculus", "dgens", "dgen", "twist", "itwist", "wedge",
-    "options", "invertible",
-}
+_DECLARATIONS = {"name", "params", "coeffs", "gens", "invertible", "calculus", "dgens", "options"}
+_RING_LINES = {"sigma", "delta", "isigma", "rel"}
+_KEYWORDS = _DECLARATIONS | _RING_LINES | {"dgen", "twist", "itwist", "wedge"}
 
 
 class _Parser:
@@ -304,20 +397,22 @@ class _Parser:
         self.params = []
         self.coeff_vars = []
         self.gens = []
-        self.sigma_lines = {}  # gen -> list of (var, free, line)
+        self.sigma_lines = {}  # gen -> list of (var, CoeffPoly, line, col)
         self.delta_lines = {}
         self.isigma_lines = {}
-        self.rel_lines = []    # (j_name, i_name, rhs_free, line)
+        self.relations = {}    # (i, j) -> Relation
         self.calculus_mode = None
         self.dgen_names = []
-        self.dgen_exprs = {}
-        self.twist_lines = {}
+        self.dgen_exprs = {}   # dgen -> SkewPoly
+        self.twist_lines = {}  # dgen -> list of (symbol, SkewPoly, line, col)
         self.itwist_lines = {}
-        self.wedge_lines = []  # (a, b, free, line)
+        self.wedge = {}        # (i, j) -> Scalar
         self.options = dict(DEFAULT_OPTIONS)
-        self._ring = None
+        self.ring = None       # CoeffRing, once every declaration is read
+        self.skew = None       # _SkewAlgebra over the presentation, in flat mode
 
     def parse(self) -> PresentationDoc:
+        later = []
         for line_no, raw in enumerate(self.source.splitlines(), start=1):
             text = raw.split("#", 1)[0].rstrip()
             if not text.strip():
@@ -326,8 +421,23 @@ class _Parser:
             kind, keyword, col = ts.next()
             if kind != "ident" or keyword not in _KEYWORDS:
                 raise ParseError(line_no, col, "unknown-keyword", f"unknown directive {keyword!r}")
-            getattr(self, "_line_" + keyword)(ts, line_no)
-        return self._build()
+            if keyword in _DECLARATIONS:
+                self._run(keyword, ts, line_no)
+            else:
+                later.append((keyword, ts, line_no))
+        if self.name is None:
+            raise ParseError(0, 0, "missing-name", "document has no name line")
+        if not self.gens:
+            raise ParseError(0, 0, "missing-gens", "document declares no generators")
+        self.ring = CoeffRing(tuple(self.params), tuple(self.coeff_vars))
+        for keyword, ts, line_no in later:
+            if keyword in _RING_LINES:
+                self._run(keyword, ts, line_no)
+        return self._build([line for line in later if line[0] not in _RING_LINES])
+
+    def _run(self, keyword, ts, line_no):
+        getattr(self, "_line_" + keyword)(ts, line_no)
+        ts.finish()
 
     # -- declaration lines ------------------------------------------------------
 
@@ -377,63 +487,6 @@ class _Parser:
         raise ParseError(line_no, 1, "laurent-unsupported",
                          "invertible generators are reserved and not supported")
 
-    # -- map lines -----------------------------------------------------------------
-
-    def _map_line(self, ts, line_no, target_names, store, what):
-        _, owner, col = ts.expect("ident", what=f"a {what} owner")
-        if owner not in target_names:
-            raise ParseError(line_no, col, "undeclared-symbol", f"{owner!r} is not declared")
-        ts.expect("op", ":", "a colon")
-        entries = store.setdefault(owner, [])
-        ring = self._ring_so_far()
-        while True:
-            _, var, col = ts.expect("ident", what="a symbol")
-            ts.expect("arrow", what="->")
-            ctx = _ExprContext(ring, set(self.coeff_vars) | set(self.gens), line_no)
-            free = _parse_expr(ts, ctx)
-            entries.append((var, free, line_no, col))
-            if ts.done():
-                return
-            ts.expect("op", ",", "a comma")
-
-    def _ring_so_far(self):
-        return CoeffRing(tuple(self.params), tuple(self.coeff_vars))
-
-    def _line_sigma(self, ts, line_no):
-        self._map_line(ts, line_no, self.gens, self.sigma_lines, "sigma")
-
-    def _line_delta(self, ts, line_no):
-        self._map_line(ts, line_no, self.gens, self.delta_lines, "delta")
-
-    def _line_isigma(self, ts, line_no):
-        self._map_line(ts, line_no, self.gens, self.isigma_lines, "isigma")
-
-    def _line_twist(self, ts, line_no):
-        self._map_line(ts, line_no, self.dgen_names, self.twist_lines, "twist")
-
-    def _line_itwist(self, ts, line_no):
-        self._map_line(ts, line_no, self.dgen_names, self.itwist_lines, "itwist")
-
-    # -- relations ---------------------------------------------------------------------
-
-    def _line_rel(self, ts, line_no):
-        _, a, col_a = ts.expect("ident", what="a generator")
-        _, b, col_b = ts.expect("ident", what="a generator")
-        for name, col in ((a, col_a), (b, col_b)):
-            if name not in self.gens:
-                raise ParseError(line_no, col, "undeclared-symbol", f"{name!r} is not a generator")
-        ts.expect("op", "=", "an equals sign")
-        ctx = _ExprContext(self._ring_so_far(), set(self.coeff_vars) | set(self.gens), line_no)
-        rhs = _parse_expr(ts, ctx)
-        if not ts.done():
-            raise ParseError(line_no, ts.peek()[2], "trailing-input", "unexpected trailing input")
-        if self.gens.index(a) <= self.gens.index(b):
-            raise ParseError(line_no, col_a, "relation-order",
-                             "relation must have higher generator first")
-        self.rel_lines.append((a, b, rhs, line_no))
-
-    # -- calculus block ------------------------------------------------------------------
-
     def _line_calculus(self, ts, line_no):
         if self.calculus_mode is not None:
             raise ParseError(line_no, 0, "duplicate-block", "calculus block declared twice")
@@ -453,13 +506,76 @@ class _Parser:
                 raise ParseError(line_no, 0, "duplicate-symbol", f"dgen {n!r} repeated")
         self.dgen_names.extend(names)
 
+    def _line_options(self, ts, line_no):
+        while not ts.done():
+            _, key, col = ts.expect("ident", what="an option name")
+            ts.expect("op", "=", "an equals sign")
+            sign = 1
+            if _at_op(ts, "-"):
+                ts.next()
+                sign = -1
+            _, digits, _ = ts.expect("int", what="an integer")
+            set_option(self.options, key, sign * int(digits), line_no, col)
+
+    # -- ring lines ------------------------------------------------------------------
+
+    def _map_line(self, ts, line_no, owners, store, what, alg=None):
+        """An ``owner: symbol -> image, ...`` line; images are coefficients
+        unless ``alg`` says otherwise."""
+        alg = alg or _CoeffAlgebra(self.ring, self.gens, line_no)
+        _, owner, col = ts.expect("ident", what=f"a {what} owner")
+        if owner not in owners:
+            raise ParseError(line_no, col, "undeclared-symbol", f"{owner!r} is not declared")
+        ts.expect("op", ":", "a colon")
+        entries = store.setdefault(owner, [])
+        while True:
+            _, var, col = ts.expect("ident", what="a symbol")
+            ts.expect("arrow", what="->")
+            entries.append((var, _parse_expr(ts, alg), line_no, col))
+            if ts.done():
+                return
+            ts.expect("op", ",", "a comma")
+
+    def _line_sigma(self, ts, line_no):
+        self._map_line(ts, line_no, self.gens, self.sigma_lines, "sigma")
+
+    def _line_delta(self, ts, line_no):
+        self._map_line(ts, line_no, self.gens, self.delta_lines, "delta")
+
+    def _line_isigma(self, ts, line_no):
+        self._map_line(ts, line_no, self.gens, self.isigma_lines, "isigma")
+
+    def _line_rel(self, ts, line_no):
+        _, a, col_a = ts.expect("ident", what="a generator")
+        _, b, col_b = ts.expect("ident", what="a generator")
+        for name, col in ((a, col_a), (b, col_b)):
+            if name not in self.gens:
+                raise ParseError(line_no, col, "undeclared-symbol", f"{name!r} is not a generator")
+        ts.expect("op", "=", "an equals sign")
+        j, i = self.gens.index(a), self.gens.index(b)
+        if j <= i:
+            raise ParseError(line_no, col_a, "relation-order", "relation must have higher generator first")
+        if (i, j) in self.relations:
+            raise ParseError(line_no, 0, "duplicate-relation", f"relation for ({a},{b}) repeated")
+        tail = _TailAlgebra(self.ring, self.gens, i, j, line_no)
+        self.relations[(i, j)] = tail.relation(_parse_expr(ts, tail))
+
+    # -- calculus lines ----------------------------------------------------------------
+
     def _line_dgen(self, ts, line_no):
         _, name, col = ts.expect("ident", what="a dgen name")
         if name not in self.dgen_names:
             raise ParseError(line_no, col, "undeclared-symbol", f"dgen {name!r} not listed in dgens")
+        if name in self.skew.names:
+            raise ParseError(line_no, 0, "duplicate-image", f"dgen {name!r} is a symbol; no dgen line allowed")
         ts.expect("op", "=", "an equals sign")
-        ctx = _ExprContext(self._ring_so_far(), set(self.coeff_vars) | set(self.gens), line_no)
-        self.dgen_exprs[name] = (_parse_expr(ts, ctx), line_no)
+        self.dgen_exprs[name] = _parse_expr(ts, self.skew)
+
+    def _line_twist(self, ts, line_no):
+        self._map_line(ts, line_no, self.dgen_names, self.twist_lines, "twist", self.skew)
+
+    def _line_itwist(self, ts, line_no):
+        self._map_line(ts, line_no, self.dgen_names, self.itwist_lines, "itwist", self.skew)
 
     def _line_wedge(self, ts, line_no):
         _, a, col_a = ts.expect("ident", what="a dgen name")
@@ -468,69 +584,39 @@ class _Parser:
             if name not in self.dgen_names:
                 raise ParseError(line_no, col, "undeclared-symbol", f"dgen {name!r} not listed in dgens")
         ts.expect("op", "=", "an equals sign")
-        ctx = _ExprContext(self._ring_so_far(), set(), line_no)
-        self.wedge_lines.append((a, b, _parse_expr(ts, ctx), line_no))
-
-    # -- options ------------------------------------------------------------------------------
-
-    def _line_options(self, ts, line_no):
-        while not ts.done():
-            _, key, col = ts.expect("ident", what="an option name")
-            ts.expect("op", "=", "an equals sign")
-            sign = 1
-            tok = ts.peek()
-            if tok and tok[0] == "op" and tok[1] == "-":
-                ts.next()
-                sign = -1
-            _, digits, _ = ts.expect("int", what="an integer")
-            set_option(self.options, key, sign * int(digits), line_no, col)
+        ia, ib = self.dgen_names.index(a), self.dgen_names.index(b)
+        if ia >= ib:
+            raise ParseError(line_no, 0, "wedge-order", "wedge constants are keyed earlier, later")
+        s = _parse_expr(ts, _CoeffAlgebra(CoeffRing(self.params))).constant_value()
+        if s.is_zero():
+            raise ParseError(line_no, 0, "bad-wedge", "wedge constants are nonzero")
+        self.wedge[(ia, ib)] = s
 
     # -- assembly --------------------------------------------------------------------------------
 
-    def _build(self) -> PresentationDoc:
-        if self.name is None:
-            raise ParseError(0, 0, "missing-name", "document has no name line")
-        if not self.gens:
-            raise ParseError(0, 0, "missing-gens", "document declares no generators")
-        ring = self._ring_so_far()
-        nvars = ring.nvars
+    def _build(self, calculus_lines) -> PresentationDoc:
+        ring = self.ring
+        id_images = tuple(ring.var(j) for j in range(ring.nvars))
+        zero_images = tuple(ring.zero() for _ in range(ring.nvars))
 
-        def image_table(lines, default):
-            table = {}
-            for g, entries in lines.items():
-                gi = self.gens.index(g)
-                images = list(default)
-                seen = set()
-                for var, free, line, col in entries:
-                    if var not in self.coeff_vars:
-                        raise ParseError(line, col, "undeclared-symbol",
-                                         f"{var!r} is not a coefficient variable")
-                    vi = self.coeff_vars.index(var)
-                    if vi in seen:
-                        raise ParseError(line, col, "duplicate-image", f"two images for {var!r}")
-                    seen.add(vi)
-                    images[vi] = _free_to_coeff(free, ring, line)
-                table[gi] = tuple(images)
-            return table
+        def coeff_images(entries, default):
+            return _images(entries, self.coeff_vars, default, "a coefficient variable")
 
-        id_images = tuple(ring.var(j) for j in range(nvars))
-        zero_images = tuple(ring.zero() for _ in range(nvars))
-        sigma_images = {i: id_images for i in range(len(self.gens))}
-        sigma_images.update(image_table(self.sigma_lines, id_images))
-        delta_images = {i: zero_images for i in range(len(self.gens))}
-        delta_images.update(image_table(self.delta_lines, zero_images))
-        explicit_inverses = image_table(self.isigma_lines, id_images)
-
-        sigma_inverses = {}
-        for i in range(len(self.gens)):
-            if i in explicit_inverses:
-                sigma_inverses[i] = explicit_inverses[i]
+        sigma_images, delta_images, sigma_inverses = {}, {}, {}
+        for i, g in enumerate(self.gens):
+            sigma_images[i] = coeff_images(self.sigma_lines.get(g, ()), id_images)
+            delta_images[i] = coeff_images(self.delta_lines.get(g, ()), zero_images)
+            if g in self.isigma_lines:
+                sigma_inverses[i] = coeff_images(self.isigma_lines[g], id_images)
             else:
                 sigma_inverses[i] = _diagonal_affine_inverse(ring, sigma_images[i])
-
-        relations = self._build_relations(ring)
-        calculus = self._build_calculus_doc(ring, sigma_images, delta_images, sigma_inverses, relations)
-
+        n = len(self.gens)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (i, j) not in self.relations:
+                    raise ParseError(0, 0, "missing-relation",
+                                     f"no relation declared for pair ({self.gens[j]},{self.gens[i]})")
+        calculus = self._build_calculus_doc(calculus_lines, sigma_images, delta_images, sigma_inverses)
         return PresentationDoc(
             name=self.name,
             params=tuple(self.params),
@@ -539,138 +625,48 @@ class _Parser:
             sigma_images=sigma_images,
             sigma_inverses=sigma_inverses,
             delta_images=delta_images,
-            relations=relations,
+            relations=self.relations,
             calculus=calculus,
             options=self.options,
         )
 
-    def _build_relations(self, ring) -> dict:
-        n = len(self.gens)
-        relations = {}
-        for a, b, rhs, line in self.rel_lines:
-            j, i = self.gens.index(a), self.gens.index(b)
-            key = (i, j)
-            if key in relations:
-                raise ParseError(line, 0, "duplicate-relation", f"relation for ({a},{b}) repeated")
-            relations[key] = self._relation_shape(ring, i, j, rhs, line)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if (i, j) not in relations:
-                    raise ParseError(0, 0, "missing-relation",
-                                     f"no relation declared for pair ({self.gens[j]},{self.gens[i]})")
-        return relations
-
-    def _relation_shape(self, ring, i, j, rhs, line) -> Relation:
-        n = len(self.gens)
-        d = ring.zero()
-        r0 = ring.zero()
-        rk = [ring.zero() for _ in range(n)]
-        for s, word in rhs:
-            coeff_part = []
-            gen_part = []
-            for name in word:
-                if name in self.coeff_vars:
-                    if gen_part:
-                        raise ParseError(line, 0, "coefficient-right-of-generator",
-                                         "coefficients must be written left of generators")
-                    coeff_part.append(name)
-                else:
-                    gen_part.append(name)
-            e = [0] * ring.nvars
-            for name in coeff_part:
-                e[self.coeff_vars.index(name)] += 1
-            coeff = ring.monomial(e, s)
-            if not gen_part:
-                r0 = r0 + coeff
-            elif len(gen_part) == 1:
-                rk[self.gens.index(gen_part[0])] = rk[self.gens.index(gen_part[0])] + coeff
-            elif len(gen_part) == 2:
-                gi, gj = (self.gens.index(gen_part[0]), self.gens.index(gen_part[1]))
-                if (gi, gj) != (i, j):
-                    raise ParseError(line, 0, "tail-shape",
-                                     "the quadratic term must be the ordered pair of the left side")
-                d = d + coeff
-            else:
-                raise ParseError(line, 0, "tail-shape", "relation tails are at most linear")
-        if d.is_zero():
-            raise ParseError(line, 0, "zero-d", "the ordered pair needs a nonzero coefficient")
-        return Relation(d, r0, tuple(rk))
-
-    def _build_calculus_doc(self, ring, sigma_images, delta_images, sigma_inverses, relations):
+    def _build_calculus_doc(self, calculus_lines, sigma_images, delta_images, sigma_inverses):
         if self.calculus_mode is None:
-            if self.dgen_names or self.twist_lines or self.wedge_lines:
+            if self.dgen_names or calculus_lines:
                 raise ParseError(0, 0, "missing-block", "calculus lines without a calculus block")
             return None
         doc = CalculusDoc(mode=self.calculus_mode)
         if self.calculus_mode == "theorem":
-            if self.dgen_names or self.twist_lines or self.itwist_lines or self.wedge_lines:
+            if self.dgen_names or calculus_lines:
                 raise ParseError(0, 0, "theorem-mode-fixed",
                                  "theorem mode derives its generators and twists; remove the extra lines")
             return doc
         if not self.dgen_names:
             raise ParseError(0, 0, "missing-dgens", "flat mode needs a dgens line")
-        # build a presentation for normalizing twist images and potentials
         try:
-            P = _presentation_from_parts(ring, tuple(self.gens), sigma_images, sigma_inverses,
-                                         delta_images, relations)
+            P = _presentation_from_parts(self.ring, tuple(self.gens), sigma_images, sigma_inverses,
+                                         delta_images, self.relations)
         except MapError as exc:
             raise ParseError(0, 0, "bad-inverse", str(exc)) from exc
+        self.skew = _SkewAlgebra(P)
+        for keyword, ts, line_no in calculus_lines:
+            self._run(keyword, ts, line_no)
         doc.dgen_names = tuple(self.dgen_names)
-        symbols = list(self.coeff_vars) + list(self.gens)
+        symbols = self.skew.names
         for name in self.dgen_names:
             if name in symbols:
-                if name in self.dgen_exprs:
-                    raise ParseError(self.dgen_exprs[name][1], 0, "duplicate-image",
-                                     f"dgen {name!r} is a symbol; no dgen line allowed")
                 doc.potentials[name] = P.symbol(symbols.index(name))
+            elif name in self.dgen_exprs:
+                doc.potentials[name] = self.dgen_exprs[name]
             else:
-                if name not in self.dgen_exprs:
-                    raise ParseError(0, 0, "missing-dgen",
-                                     f"dgen {name!r} is not a symbol and has no dgen line")
-                free, line = self.dgen_exprs[name]
-                doc.potentials[name] = _free_to_skew(P, free, line)
+                raise ParseError(0, 0, "missing-dgen", f"dgen {name!r} is not a symbol and has no dgen line")
+        frame = P.frame()
         for name in self.dgen_names:
-            doc.twist[name] = self._twist_images(P, symbols, self.twist_lines.get(name, []))
+            doc.twist[name] = _images(self.twist_lines.get(name, ()), symbols, frame, "a symbol")
             if name in self.itwist_lines:
-                doc.itwist[name] = self._twist_images(P, symbols, self.itwist_lines[name])
-        for a, b, free, line in self.wedge_lines:
-            ia, ib = self.dgen_names.index(a), self.dgen_names.index(b)
-            if ia >= ib:
-                raise ParseError(line, 0, "wedge-order", "wedge constants are keyed earlier, later")
-            value = _free_to_coeff(free, ring, line)
-            if not value.is_constant():
-                raise ParseError(line, 0, "bad-wedge", "wedge constants are scalars")
-            s = value.constant_value()
-            if s.is_zero():
-                raise ParseError(line, 0, "bad-wedge", "wedge constants are nonzero")
-            doc.wedge[(ia, ib)] = s
+                doc.itwist[name] = _images(self.itwist_lines[name], symbols, frame, "a symbol")
+        doc.wedge = self.wedge
         return doc
-
-    def _twist_images(self, P, symbols, entries):
-        images = list(P.frame())
-        seen = set()
-        for var, free, line, col in entries:
-            if var not in symbols:
-                raise ParseError(line, col, "undeclared-symbol", f"{var!r} is not a symbol")
-            k = symbols.index(var)
-            if k in seen:
-                raise ParseError(line, col, "duplicate-image", f"two images for {var!r}")
-            seen.add(k)
-            images[k] = _free_to_skew(P, free, line)
-        return tuple(images)
-
-
-def _free_to_skew(P: Presentation, free, line) -> SkewPoly:
-    terms = []
-    for s, word in free:
-        atoms = []
-        for name in word:
-            if name in P.ring.coeff_vars:
-                atoms.append(P.ring.var(P.ring.coeff_vars.index(name)))
-            else:
-                atoms.append(P.names.index(name))
-        terms.append((P.ring.const(s), atoms))
-    return P.normalize(terms)
 
 
 def _diagonal_affine_inverse(ring: CoeffRing, images):
@@ -719,15 +715,13 @@ def build_presentation(doc: PresentationDoc) -> Presentation:
 
 
 def parse_expression(doc: PresentationDoc, source: str, P: Presentation | None = None) -> SkewPoly:
-    """One expression over the document's symbols, reduced to normal form."""
+    """One expression over the document's symbols, in normal form."""
     if P is None:
         P = build_presentation(doc)
     ts = _TokenStream(_tokenize(source, 1), 1)
-    ctx = _ExprContext(doc.ring(), set(doc.coeff_vars) | set(doc.gens), 1)
-    free = _parse_expr(ts, ctx)
-    if not ts.done():
-        raise ParseError(1, ts.peek()[2], "trailing-input", "unexpected trailing input")
-    return _free_to_skew(P, free, 1)
+    value = _parse_expr(ts, _SkewAlgebra(P))
+    ts.finish()
+    return value
 
 
 # -- rendering (reparse-safe) ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ from spbw.dsl import (
     parse_presentation,
     render_presentation,
 )
+from spbw.pipeline import run_smooth
 
 
 def test_weyl_golden_parse():
@@ -154,3 +155,122 @@ def test_option_below_minimum_rejected():
         parse_presentation(src)
     assert info.value.code == "option-range"
     assert info.value.line == len(src.splitlines())
+
+
+# -- every diagnostic, pinned ----------------------------------------------------
+#
+# One single-fault document per ParseError code (and per distinct way of
+# raising it), with the code, line and column the parser reports.
+
+_POLY = "name d\nparams q\ncoeffs t\ngens x1 x2\nrel x2 x1 = x1 x2\n"  # 5 lines
+_ORE = "name d\ncoeffs t\ngens x\n"  # 3 lines
+_FLAT = "name d\nparams q\ngens x1 x2\nrel x2 x1 = q * x1 x2\ncalculus mode=flat\ndgens x1 x2\n"  # 6 lines
+
+DIAGNOSTICS = [
+    pytest.param(_ORE + "sigma x: t -> t $\n", ("bad-token", 4, 17), id="bad-token"),
+    pytest.param(_ORE + "sigmas x: t -> t\n", ("unknown-keyword", 4, 1), id="unknown-keyword"),
+    pytest.param(_ORE + "sigma x: t ->\n", ("unexpected-eol", 4, 0), id="unexpected-eol"),
+    pytest.param("name\ngens x\n", ("expected-ident", 1, 0), id="expected-ident"),
+    pytest.param(_ORE + "sigma x: t -> t^ t\n", ("expected-int", 4, 18), id="expected-int"),
+    pytest.param(_ORE + "sigma x: t t\n", ("expected-arrow", 4, 12), id="expected-arrow"),
+    pytest.param(_ORE + "sigma x: t -> (t + 1\n", ("expected-)", 4, 0), id="expected-paren"),
+    pytest.param(_ORE + "sigma x: t -> t = 1\n", ("expected-,", 4, 17), id="expected-comma"),
+    pytest.param(_ORE + "sigma x t -> t\n", ("expected-:", 4, 9), id="expected-colon"),
+    pytest.param("name d\ngens x1 x2\nrel x2 x1 x1 x2\n", ("expected-=", 3, 11), id="expected-equals"),
+    pytest.param(_POLY + "calculus kind=flat\n", ("expected-mode", 6, 10), id="expected-mode"),
+    pytest.param("name d\ngens x 3\n", ("expected-name", 2, 8), id="expected-name"),
+    pytest.param("name d\ngens\n", ("expected-name", 2, 0), id="expected-name-empty"),
+    pytest.param(_ORE + "sigma x: t -> t + )\n", ("bad-expression", 4, 19), id="bad-expression"),
+    pytest.param(_ORE + "sigma x: t -> t^-1\n", ("bad-inverse", 4, 18), id="bad-inverse"),
+    pytest.param(
+        _ORE + "sigma x: t -> 2*t\nisigma x: t -> t\ncalculus mode=flat\ndgens t x\n",
+        ("bad-inverse", 0, 0), id="bad-inverse-isigma",
+    ),
+    pytest.param(_POLY + "calculus mode=smooth\n", ("bad-mode", 6, 15), id="bad-mode"),
+    pytest.param(_FLAT + "wedge x1 x2 = q - q\n", ("bad-wedge", 7, 0), id="bad-wedge"),
+    pytest.param(
+        "name d\ncoeffs t\ngens x1 x2\nrel x2 x1 = x1 t x2\n",
+        ("coefficient-right-of-generator", 4, 0), id="coefficient-right-of-generator",
+    ),
+    pytest.param(_ORE + "sigma x: t -> (1 - 1)^-1 t\n", ("division-by-zero", 4, 24), id="division-by-zero"),
+    pytest.param(_ORE + "sigma x: t -> (t - t)^-1\n", ("division-by-zero", 4, 24), id="zero-inverse"),
+    pytest.param(_POLY + "name e\n", ("duplicate-block", 6, 0), id="duplicate-block-name"),
+    pytest.param(_FLAT + "calculus mode=flat\n", ("duplicate-block", 7, 0), id="duplicate-block-calculus"),
+    pytest.param(_ORE + "sigma x: t -> t, t -> 2*t\n", ("duplicate-image", 4, 18), id="duplicate-image"),
+    pytest.param(_FLAT + "dgen x1 = x1\n", ("duplicate-image", 7, 0), id="duplicate-image-dgen"),
+    pytest.param(
+        _FLAT + "twist x1: x2 -> q*x2\ntwist x1: x2 -> x2\n",
+        ("duplicate-image", 8, 11), id="duplicate-image-twist",
+    ),
+    pytest.param(_POLY + "rel x2 x1 = x1 x2\n", ("duplicate-relation", 6, 0), id="duplicate-relation"),
+    pytest.param(_POLY + "coeffs q\n", ("duplicate-symbol", 6, 0), id="duplicate-symbol"),
+    pytest.param(_FLAT + "dgens x1\n", ("duplicate-symbol", 7, 0), id="duplicate-symbol-dgens"),
+    pytest.param(_ORE + "sigma x: t -> x\n", ("generator-in-coefficient", 4, 0), id="generator-in-coefficient"),
+    pytest.param(_POLY + "invertible x1\n", ("laurent-unsupported", 6, 1), id="laurent-unsupported"),
+    pytest.param("name d\ngens x invertible\n", ("laurent-unsupported", 2, 8), id="laurent-unsupported-name"),
+    pytest.param(_POLY + "dgens x1 x2\n", ("missing-block", 0, 0), id="missing-block"),
+    pytest.param(_FLAT[:-len("x1 x2\n")] + "u x2\n", ("missing-dgen", 0, 0), id="missing-dgen"),
+    pytest.param(_POLY + "calculus mode=flat\n", ("missing-dgens", 0, 0), id="missing-dgens"),
+    pytest.param("name d\n", ("missing-gens", 0, 0), id="missing-gens"),
+    pytest.param("gens x\n", ("missing-name", 0, 0), id="missing-name"),
+    pytest.param("name d\ngens x1 x2 x3\nrel x2 x1 = x1 x2\nrel x3 x1 = x1 x3\n",
+                 ("missing-relation", 0, 0), id="missing-relation"),
+    pytest.param(_POLY + "options samples=0\n", ("option-range", 6, 9), id="option-range"),
+    pytest.param("name d\ngens x1 x2\nrel x1 x2 = x1 x2\n", ("relation-order", 3, 5), id="relation-order"),
+    pytest.param("name d\ngens x1 x2\nrel x2 x1 = x2 x1\n", ("tail-shape", 3, 0), id="tail-shape-pair"),
+    pytest.param("name d\ngens x1 x2\nrel x2 x1 = x1 x2 + x1^3\n", ("tail-shape", 3, 0), id="tail-shape-degree"),
+    pytest.param(_POLY + "calculus mode=theorem\ndgens x1 x2\n", ("theorem-mode-fixed", 0, 0),
+                 id="theorem-mode-fixed"),
+    pytest.param(_ORE + "sigma x: t -> t )\n", ("expected-,", 4, 17), id="trailing-map"),
+    pytest.param("name d\ngens x1 x2\nrel x2 x1 = x1 x2 )\n", ("trailing-input", 3, 19), id="trailing-input"),
+    pytest.param("name d\ngens x1 x2\nrel x2 x1 = q x1 x2\n", ("undeclared-symbol", 3, 13),
+                 id="undeclared-symbol"),
+    pytest.param("name d\ngens x1 x2\nrel x3 x1 = x1 x2\n", ("undeclared-symbol", 3, 5), id="undeclared-rel-gen"),
+    pytest.param(_ORE + "sigma y: t -> t\n", ("undeclared-symbol", 4, 7), id="undeclared-owner"),
+    pytest.param(_ORE + "sigma x: s -> t\n", ("undeclared-symbol", 4, 10), id="undeclared-image-var"),
+    pytest.param(_FLAT + "dgen u = x1\n", ("undeclared-symbol", 7, 6), id="undeclared-dgen"),
+    pytest.param(_FLAT + "wedge x1 x2 = x1\n", ("undeclared-symbol", 7, 15), id="undeclared-in-wedge"),
+    pytest.param(_FLAT + "twist x1: y -> x2\n", ("undeclared-symbol", 7, 11), id="undeclared-twist-var"),
+    pytest.param(_POLY + "options bogus=1\n", ("unknown-option", 6, 9), id="unknown-option"),
+    pytest.param(_FLAT + "wedge x2 x1 = q\n", ("wedge-order", 7, 0), id="wedge-order"),
+    pytest.param("name d\ngens x1 x2\nrel x2 x1 = 0 * x1 x2 + 1\n", ("zero-d", 3, 0), id="zero-d"),
+]
+
+
+@pytest.mark.parametrize("source, want", DIAGNOSTICS)
+def test_every_diagnostic_pinned(source, want):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(source)
+    assert (err.value.code, err.value.line, err.value.col) == want
+
+
+_AQ_TRAILING = corpus_source("aq").replace("wedge u z = s\n", "wedge u z = s ) ) x\n")
+
+
+@pytest.mark.parametrize("source, want", [
+    pytest.param("name d extra\ngens x\n", ("trailing-input", 1, 8), id="name"),
+    pytest.param(_POLY + "calculus mode=theorem extra\n", ("trailing-input", 6, 23), id="calculus"),
+    pytest.param(_FLAT[:-len("x1 x2\n")] + "u x2\ndgen u = x1 )\n", ("trailing-input", 7, 13), id="dgen"),
+    pytest.param(_AQ_TRAILING, ("trailing-input", 21, 15), id="wedge"),
+])
+def test_trailing_input_rejected_on_every_directive(source, want):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(source)
+    assert (err.value.code, err.value.line, err.value.col) == want
+
+
+def test_declarations_may_follow_their_use():
+    # Relation scalars once took the parameter count of the lines above
+    # them, which turned this document's verdict into a false not-certified.
+    early = "name late\nparams q\ngens x1 x2\nrel x2 x1 = x1 x2\ncalculus mode=theorem\n"
+    late = "name late\ngens x1 x2\nrel x2 x1 = x1 x2\nparams q\ncalculus mode=theorem\n"
+    docs = [parse_presentation(early), parse_presentation(late)]
+    assert docs[0] == docs[1]
+    assert [run_smooth(doc).verdict for doc in docs] == ["certified-smooth"] * 2
+
+
+def test_symbol_used_before_its_declaration():
+    doc = parse_presentation("name d\nsigma x: t -> q*t\nrel x2 x = q x x2\ngens x x2\ncoeffs t\nparams q\n")
+    ring = doc.ring()
+    assert doc.sigma_images[0] == (ring.var(0).scale(ring.param("q")),)
+    assert doc.relations[(0, 1)].d == ring.const(ring.param("q"))
