@@ -32,7 +32,7 @@ from .coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation
 from .core import Presentation, Relation, SkewPoly
 from .errors import MapError, SpbwError
 from .lincomb import add_term, is_spaced_sum, render_sum
-from .scalars import Scalar
+from .scalars import Scalar, poly_one
 
 DEFAULT_OPTIONS = {
     "seed": 1729,
@@ -569,6 +569,8 @@ class _Parser:
         if name in self.skew.names:
             raise ParseError(line_no, 0, "duplicate-image", f"dgen {name!r} is a symbol; no dgen line allowed")
         ts.expect("op", "=", "an equals sign")
+        if name in self.dgen_exprs:
+            raise ParseError(line_no, 0, "duplicate-dgen", f"dgen {name!r} defined twice")
         self.dgen_exprs[name] = _parse_expr(ts, self.skew)
 
     def _line_twist(self, ts, line_no):
@@ -587,6 +589,8 @@ class _Parser:
         ia, ib = self.dgen_names.index(a), self.dgen_names.index(b)
         if ia >= ib:
             raise ParseError(line_no, 0, "wedge-order", "wedge constants are keyed earlier, later")
+        if (ia, ib) in self.wedge:
+            raise ParseError(line_no, 0, "duplicate-wedge", f"wedge constant for ({a},{b}) repeated")
         s = _parse_expr(ts, _CoeffAlgebra(CoeffRing(self.params))).constant_value()
         if s.is_zero():
             raise ParseError(line_no, 0, "bad-wedge", "wedge constants are nonzero")
@@ -735,7 +739,7 @@ def _render_fraction(f: Fraction) -> str:
 
 def _render_scalar_dsl(s: Scalar, params) -> str:
     num = render_sum(s.num, params, _render_fraction)
-    if s.den == {(0,) * s.nparams: Fraction(1)}:
+    if s.den == poly_one(s.nparams):
         return num
     if len(s.den) == 1:
         ((e, c),) = s.den.items()

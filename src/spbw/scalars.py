@@ -6,6 +6,23 @@ parameter) to nonzero ``Fraction`` values; the zero polynomial is the empty
 dict.  A :class:`Scalar` is an unreduced fraction ``num/den`` of two such
 polynomials.  Equality is decided by cross-multiplication, so no multivariate
 gcd is ever needed; a cheap content strip keeps term sizes in check.
+
+Fast paths.  Most products the layers above ask for are trivial, so:
+
+* there is one shared unit polynomial per ``nparams`` (:func:`poly_one`);
+  ``poly_const(n, 1)``, every zero scalar's denominator and every folded
+  constant denominator are that object, which must never be mutated;
+* :func:`poly_mul` multiplies one term by one term with a single
+  ``Fraction`` product, and returns the other factor itself when one factor
+  is the unit polynomial;
+* ``Scalar.__mul__`` returns the other operand when one operand is the
+  literal unit (numerator and denominator both the unit polynomial), and
+  ``Scalar.__add__`` returns the other operand when one addend is zero.
+
+Every fast path returns exactly the ``num``/``den`` the generic code would:
+the same keys and the same ``Fraction`` values.  Rendered witnesses show
+the unreduced form, so a value of one that is not the literal unit, such as
+``q/q``, is multiplied out like any other.
 """
 
 from __future__ import annotations
@@ -22,14 +39,32 @@ Expo = tuple  # exponent tuple, one non-negative int per parameter
 _STRIP_THRESHOLD = 10
 
 
+class _Units(dict):
+    """nparams -> the shared unit polynomial, made on first use."""
+
+    def __missing__(self, nparams: int) -> dict:
+        unit = self[nparams] = {(0,) * nparams: Fraction(1)}
+        return unit
+
+
+_UNIT = _Units()
+
+
 def poly_zero() -> dict:
     return {}
+
+
+def poly_one(nparams: int) -> dict:
+    """The shared unit polynomial; never mutate it."""
+    return _UNIT[nparams]
 
 
 def poly_const(nparams: int, value) -> dict:
     c = Fraction(value)
     if c == 0:
         return {}
+    if c == 1:
+        return _UNIT[nparams]
     return {(0,) * nparams: c}
 
 
@@ -57,6 +92,14 @@ def poly_neg(a: dict) -> dict:
 def poly_mul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
+    if len(a) == 1 and len(b) == 1:
+        ((ea, ca),) = a.items()
+        ((eb, cb),) = b.items()
+        if ca == 1 and not any(ea):
+            return b
+        if cb == 1 and not any(eb):
+            return a
+        return {tuple(x + y for x, y in zip(ea, eb)): ca * cb}
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
@@ -109,16 +152,18 @@ class Scalar:
     def __init__(self, num: dict, den: dict, nparams: int):
         if not den:
             raise ZeroDivisionError("scalar denominator is zero")
+        unit = _UNIT[nparams]
         if not num:
-            den = poly_const(nparams, 1)
+            den = unit
         elif len(num) + len(den) > _STRIP_THRESHOLD:
             num, den = _strip(num, den)
-        # a constant denominator is always folded away
-        if len(den) == 1:
-            e, c = next(iter(den.items()))
-            if not any(e) and c != 1:
-                num = poly_scale(num, 1 / c)
-                den = poly_const(nparams, 1)
+        # a constant denominator is always folded away, into the shared unit
+        if len(den) == 1 and den is not unit:
+            ((e, c),) = den.items()
+            if not any(e):
+                if c != 1:
+                    num = poly_scale(num, 1 / c)
+                den = unit
         self.num = num
         self.den = den
         self.nparams = nparams
@@ -127,11 +172,11 @@ class Scalar:
 
     @staticmethod
     def const(nparams: int, value) -> "Scalar":
-        return Scalar(poly_const(nparams, value), poly_const(nparams, 1), nparams)
+        return Scalar(poly_const(nparams, value), _UNIT[nparams], nparams)
 
     @staticmethod
     def param(nparams: int, j: int) -> "Scalar":
-        return Scalar(poly_var(nparams, j), poly_const(nparams, 1), nparams)
+        return Scalar(poly_var(nparams, j), _UNIT[nparams], nparams)
 
     # -- predicates -------------------------------------------------------
 
@@ -155,6 +200,10 @@ class Scalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             return Scalar(poly_add(self.num, other.num), self.den, self.nparams)
         return Scalar(
@@ -170,6 +219,11 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
+        unit = _UNIT[self.nparams]
+        if other.num == unit and other.den == unit:
+            return self
+        if self.num == unit and self.den == unit:
+            return other
         return Scalar(
             poly_mul(self.num, other.num), poly_mul(self.den, other.den), self.nparams
         )
@@ -214,6 +268,6 @@ def render_scalar(s: Scalar, names) -> str:
     """Human-readable form, highest parameter terms first; a non-constant
     denominator shows as ``(num)/(den)``."""
     num = render_sum(s.num, names, str)
-    if s.den == poly_const(s.nparams, 1):
+    if s.den == _UNIT[s.nparams]:
         return num
     return f"({num})/({render_sum(s.den, names, str)})"

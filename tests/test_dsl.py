@@ -203,6 +203,11 @@ DIAGNOSTICS = [
         ("duplicate-image", 8, 11), id="duplicate-image-twist",
     ),
     pytest.param(_POLY + "rel x2 x1 = x1 x2\n", ("duplicate-relation", 6, 0), id="duplicate-relation"),
+    pytest.param(
+        _FLAT[:-len("x1 x2\n")] + "u x2\ndgen u = x1\ndgen u = y\n",
+        ("duplicate-dgen", 8, 0), id="duplicate-dgen",
+    ),
+    pytest.param(_FLAT + "wedge x1 x2 = q\nwedge x1 x2 = y\n", ("duplicate-wedge", 8, 0), id="duplicate-wedge"),
     pytest.param(_POLY + "coeffs q\n", ("duplicate-symbol", 6, 0), id="duplicate-symbol"),
     pytest.param(_FLAT + "dgens x1\n", ("duplicate-symbol", 7, 0), id="duplicate-symbol-dgens"),
     pytest.param(_ORE + "sigma x: t -> x\n", ("generator-in-coefficient", 4, 0), id="generator-in-coefficient"),

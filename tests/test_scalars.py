@@ -1,8 +1,23 @@
+import operator
+import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.rings import ring
 
-from spbw.scalars import Scalar, render_scalar
+from spbw.scalars import (
+    _STRIP_THRESHOLD,
+    Scalar,
+    _strip,
+    poly_add,
+    poly_const,
+    poly_mul,
+    poly_neg,
+    poly_one,
+    poly_scale,
+    render_scalar,
+)
 
 
 def s(value, nparams=1):
@@ -68,3 +83,182 @@ def test_render():
     assert render_scalar(Q * Q - s(1), ("q",)) == "q^2 - 1"
     assert render_scalar((Q - s(1)).inverse(), ("q",)) == "(1)/(q - 1)"
     assert render_scalar(s(0), ("q",)) == "0"
+
+
+# -- fast paths keep the representation --------------------------------------
+#
+# A test-only copy of the generic arithmetic (no fast paths), on (num, den)
+# pairs: every Scalar operation must give exactly its num and den, dict for
+# dict.  Values are checked against sympy's rational-function field, whose
+# elements are reduced by `cancel` as they are made.
+
+
+def _generic_poly_mul(a, b):
+    if not a or not b:
+        return {}
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out.get(e, 0) + ca * cb
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return out
+
+
+def _generic_make(num, den, n):
+    if not den:
+        raise ZeroDivisionError
+    if not num:
+        den = {(0,) * n: Fraction(1)}
+    elif len(num) + len(den) > _STRIP_THRESHOLD:
+        num, den = _strip(num, den)
+    if len(den) == 1:
+        e, c = next(iter(den.items()))
+        if not any(e) and c != 1:
+            num = poly_scale(num, 1 / c)
+            den = {(0,) * n: Fraction(1)}
+    return num, den
+
+
+def _generic_mul(x, y, n):
+    return _generic_make(_generic_poly_mul(x[0], y[0]), _generic_poly_mul(x[1], y[1]), n)
+
+
+def _generic_add(x, y, n):
+    if x[1] == y[1]:
+        return _generic_make(poly_add(x[0], y[0]), x[1], n)
+    return _generic_make(
+        poly_add(_generic_poly_mul(x[0], y[1]), _generic_poly_mul(y[0], x[1])),
+        _generic_poly_mul(x[1], y[1]),
+        n,
+    )
+
+
+def _generic_neg(x, n):
+    return _generic_make(poly_neg(x[0]), x[1], n)
+
+
+def _generic_inverse(x, n):
+    return _generic_make(x[1], x[0], n)
+
+
+# op -> (Scalar operation, generic copy, sympy field operation)
+_OPS = {
+    "mul": (operator.mul, _generic_mul, operator.mul),
+    "add": (operator.add, _generic_add, operator.add),
+    "sub": (operator.sub, lambda x, y, n: _generic_add(x, _generic_neg(y, n), n), operator.sub),
+    "div": (operator.truediv, lambda x, y, n: _generic_mul(x, _generic_inverse(y, n), n), operator.truediv),
+}
+
+
+def _same_representation(s, pair):
+    num, den = pair
+    assert s.num == num and s.den == den
+    assert all(type(c) is Fraction for c in (*s.num.values(), *s.den.values()))
+
+
+def _atoms(n):
+    """Literal units, zero, one-term values, values of one that are not the
+    literal unit, and a sum above the strip threshold."""
+    one = Scalar.const(n, 1)
+    atoms = [one, Scalar.const(n, 0), Scalar.const(n, 3), Scalar.const(n, Fraction(-2, 5)),
+             Scalar.const(n, 2) * Scalar.const(n, Fraction(1, 2))]
+    for j in range(n):
+        q = Scalar.param(n, j)
+        atoms += [q, q / q, Scalar.const(n, 3) * q * q, q + one, one / (q - one)]
+    if n:
+        q = Scalar.param(n, n - 1)
+        big = Scalar.const(n, 0)
+        for k in range(6):
+            big = big + (q + Scalar.const(n, k)) / (q + one)
+        atoms.append(big)
+    return atoms
+
+
+def _field(n):
+    """sympy's Q(q0, ..., q_{n-1}) and the map of a Scalar into it."""
+    R = ring(",".join(f"q{j}" for j in range(n)), QQ)[0]
+    K = R.to_field()
+
+    def poly(p):
+        return R.from_dict({e: QQ(c.numerator, c.denominator) for e, c in p.items()})
+
+    return K, lambda s: K.new(poly(s.num), poly(s.den))
+
+
+@pytest.mark.parametrize("nparams", [0, 1, 2])
+def test_fast_paths_keep_generic_representation(nparams):
+    rng = random.Random(8000 + nparams)
+    K, value = _field(nparams)
+    atoms = [(a, (a.num, a.den), value(a)) for a in _atoms(nparams)]
+    pool = list(atoms)
+    crossed = False
+    for _ in range(400):
+        name = rng.choice(sorted(_OPS))
+        scalar_op, generic_op, field_op = _OPS[name]
+        a = rng.choice(pool)
+        b = rng.choice(atoms if rng.random() < 0.5 else pool)
+        if name == "div" and b[0].is_zero():
+            continue
+        s = scalar_op(a[0], b[0])
+        pair = generic_op(a[1], b[1], nparams)
+        _same_representation(s, pair)
+        v = field_op(a[2], b[2])
+        assert value(s) == v
+        assert (a[0] == b[0]) == (a[2] == b[2])
+        if len(s.num) + len(s.den) <= 30:
+            pool.append((s, pair, v))
+        crossed |= len(s.num) + len(s.den) > _STRIP_THRESHOLD
+    assert crossed or nparams == 0
+
+
+# -- work counts ---------------------------------------------------------------
+
+
+@pytest.fixture
+def fraction_muls(monkeypatch):
+    count = [0]
+    mul = Fraction.__mul__
+
+    def counting(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", counting)
+    return count
+
+
+@pytest.mark.parametrize("nparams", [0, 1, 2])
+def test_unit_operand_makes_no_fraction_product(nparams, fraction_muls):
+    one, zero = Scalar.const(nparams, 1), Scalar.const(nparams, 0)
+    values = [Scalar.const(nparams, Fraction(3, 7))]
+    if nparams:
+        q = Scalar.param(nparams, 0)
+        values.append((q + Scalar.const(nparams, 2)) / (q - one))
+    before = fraction_muls[0]
+    for x in values:
+        for r in (x * one, one * x, x + zero, zero + x):
+            assert r.num is x.num and r.den is x.den
+    assert fraction_muls[0] == before
+
+
+def test_one_term_product_makes_one_fraction_product(fraction_muls):
+    a, b = {(1, 0): Fraction(2)}, {(0, 3): Fraction(-3, 4)}
+    before = fraction_muls[0]
+    assert poly_mul(a, b) == {(1, 3): Fraction(-3, 2)}
+    assert fraction_muls[0] == before + 1
+    assert poly_mul(poly_one(2), b) is b and poly_mul(a, poly_one(2)) is a
+    assert fraction_muls[0] == before + 1
+
+
+@pytest.mark.parametrize("nparams", [0, 1, 3])
+def test_unit_polynomial_is_shared(nparams):
+    unit = poly_const(nparams, 1)
+    assert unit is poly_const(nparams, 1) is poly_const(nparams, Fraction(1)) is poly_one(nparams)
+    assert unit == {(0,) * nparams: Fraction(1)}
+    assert Scalar.const(nparams, 0).den is unit
+    assert Scalar.const(nparams, 5).den is unit
+    assert Scalar({(0,) * nparams: Fraction(1)}, {(0,) * nparams: Fraction(4)}, nparams).den is unit
