@@ -91,6 +91,13 @@ class IntegralForm(LinComb):
     def _make(self, terms) -> "IntegralForm":
         return IntegralForm(self.degree, terms, self.n)
 
+    def scale(self, s: Scalar) -> "IntegralForm":
+        if s.is_zero():
+            return self._make({})
+        if s.is_unit():
+            return self
+        return self._make({S: v.scale(s) for S, v in self.terms.items()})
+
     def __eq__(self, other) -> bool:
         if type(other) is not IntegralForm:
             return NotImplemented
@@ -120,11 +127,15 @@ class Calculus:
     The checks return new values and leave the presentation's data alone,
     but the calculus records what it learns: ``volume()`` caches its result
     in ``_volume``, ``_d_word`` memoizes every word suffix it differentiates
-    in ``_d_memo`` (with the suffix's normal form), ``integrability_check``
-    sets ``integrability_passed`` (which the divergence checks require), and
+    in ``_d_memo`` (with the suffix's normal form), ``divergence_chain``
+    memoizes the transported divergence of every basis functional it meets
+    in ``_nabla_memo``, ``integrability_check`` sets
+    ``integrability_passed`` (which the divergence checks require), and
     construction sets ``compatibility``.  These and the memo tables of the
-    presentation (``_mono_cache``) and the twists fill as it runs, so one
-    calculus belongs to one thread at a time."""
+    presentation (``_mono_cache``) and the twists (``_power_memo`` and
+    ``_monomial_memo``) fill as it runs, so one calculus belongs to one
+    thread at a time.  A product with the literal unit element, in
+    ``Presentation.multiply``, returns the other factor itself."""
 
     def __init__(self, P: Presentation, spec: CalculusSpec):
         self.P = P
@@ -133,6 +144,7 @@ class Calculus:
         self.nsyms = P.ring.nvars + P.n
         self._dcoords = None  # per symbol: tuple of N Scalars, or None row
         self._d_memo = {(): (P.one(), {})}  # suffix word -> (normal form, d terms)
+        self._nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
         self._volume = None
         self.integrability_passed = None
         self.compatibility = None
@@ -535,12 +547,36 @@ class Calculus:
 
     def divergence_chain(self, k: int):
         """The map from functionals of degree N-k to degree N-k-1, computed
-        by transporting d; needs the integrability certificate."""
+        by transporting d; needs the integrability certificate.
+
+        Every factor of ``theta(k+1, d(theta_inv(k, .)))`` is linear over
+        the base field, so a functional's image is the scalar-weighted sum
+        of the images of its basis functionals ``xi_S * t^beta x^alpha``
+        (the value ``t^beta x^alpha`` on ``du_S``), each transported once
+        and kept in ``_nabla_memo``."""
         if not self.integrability_passed:
             raise ConfigError("divergence transport requested without an integrability certificate")
         def nabla(phi: IntegralForm) -> IntegralForm:
-            return self.theta(k + 1, self.differential(self.theta_inv(k, phi)))
+            if phi.degree != self.N - k:
+                raise ConfigError("functional degree does not match the transport")
+            acc: dict = {}
+            for S, v in phi.terms.items():
+                for e, c in v.terms.items():
+                    for tvec, s in c.terms.items():
+                        add_terms(acc, self._nabla_basis(k, S, tvec, e).scale(s).terms)
+            return IntegralForm(self.N - k - 1, acc, self.N)
         return nabla
+
+    def _nabla_basis(self, k: int, S, tvec, e) -> IntegralForm:
+        """The transported divergence of ``xi_S * t^tvec x^e``, memoized."""
+        key = (k, S, tvec, e)
+        image = self._nabla_memo.get(key)
+        if image is None:
+            P = self.P
+            basis = IntegralForm(len(S), {S: P.monomial(e, P.ring.monomial(tvec))}, self.N)
+            image = self.theta(k + 1, self.differential(self.theta_inv(k, basis)))
+            self._nabla_memo[key] = image
+        return image
 
     def base_divergence(self):
         """The bottom map from degree-one functionals to the algebra."""
@@ -565,7 +601,9 @@ class Calculus:
             lhs = nabla(self.dual_action(phi, self.embed(a)))
             rhs = self.P.multiply(nabla(phi), a) + self.evaluate(phi, self.d0(a))
             if lhs != rhs:
-                witnesses.append(f"product rule fails at a = {self.P.render(a)}")
+                witnesses.append(
+                    f"product rule fails at a = {self.P.render(a)} with {self.render_functional(phi)}"
+                )
                 break
         return CheckOutcome(not witnesses, witnesses)
 
@@ -585,14 +623,24 @@ class Calculus:
 
     # -- rendering --------------------------------------------------------------------------
 
+    def _render_basis(self, S) -> str:
+        return "".join(f"d({self.spec.dgens[i].name})" for i in S) or "1"
+
     def render_form(self, form: DiffForm) -> str:
         if form.is_zero():
             return "0"
         parts = []
         for S in sorted(form.terms, key=lambda s: (len(s), s)):
-            basis = "".join(f"d({self.spec.dgens[i].name})" for i in S) or "1"
-            parts.append(f"{basis}*({self.P.render(form.terms[S])})")
+            parts.append(f"{self._render_basis(S)}*({self.P.render(form.terms[S])})")
         return " + ".join(parts)
+
+    def render_functional(self, phi: IntegralForm) -> str:
+        """phi's value on every wedge basis form of its degree, zeros
+        included, so that a sampled functional can be rebuilt from it."""
+        return ", ".join(
+            f"phi({self._render_basis(S)}) = {self.P.render(phi.terms.get(S, self.P.zero()))}"
+            for S in combinations(range(self.N), phi.degree)
+        )
 
 
 def build_calculus(P: Presentation, spec: CalculusSpec) -> Calculus:

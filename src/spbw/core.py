@@ -63,9 +63,23 @@ class SkewPoly(LinComb):
         return self._make(out)
 
     def scale(self, s: Scalar) -> "SkewPoly":
+        """``s`` times the element; the literal unit returns it unchanged."""
         if s.is_zero():
             return self._make({})
+        if s.is_unit():
+            return self
         return self._make({e: c.scale(s) for e, c in self.terms.items()})
+
+    def is_unit(self) -> bool:
+        """Whether this is the literal unit element: one term, at the zero
+        exponent, whose coefficient is the literal unit scalar."""
+        if len(self.terms) != 1:
+            return False
+        ((e, c),) = self.terms.items()
+        if any(e) or len(c.terms) != 1:
+            return False
+        ((t, s),) = c.terms.items()
+        return not any(t) and s.is_unit()
 
     def __repr__(self):
         body = ", ".join(
@@ -274,7 +288,14 @@ class Presentation:
         return product
 
     def multiply(self, f: SkewPoly, g: SkewPoly) -> SkewPoly:
-        """PBW normal form of the product; associative and unital."""
+        """PBW normal form of the product; associative and unital.  When one
+        factor is the literal unit element the other factor itself is
+        returned, which is exactly the representation the general loop
+        builds."""
+        if f.is_unit():
+            return g
+        if g.is_unit():
+            return f
         acc: dict = {}
         for e1, c1 in f.terms.items():
             for e2, c2 in g.terms.items():

@@ -37,6 +37,7 @@ class AlgebraEndo:
         self.images = tuple(images)
         self.inverse = inverse
         self._power_memo: dict = {}
+        self._monomial_memo: dict = {}  # (tvec, e) -> image of t^tvec x^e
         if check:
             self._check_relations()
             if inverse is not None:
@@ -80,27 +81,28 @@ class AlgebraEndo:
     # -- action ------------------------------------------------------------
 
     def apply(self, f: SkewPoly) -> SkewPoly:
-        P = self.P
-        m = P.ring.nvars
+        """The image of f, as the scalar-weighted sum of the memoized images
+        of its unit-coefficient monomials ``t^beta x^alpha``; the map is
+        linear over the base field and fixes scalars."""
         acc: dict = {}
         for e, c in f.terms.items():
-            term = self._subst_coeff(c)
-            for i, k in enumerate(e):
-                if k:
-                    term = P.multiply(term, self._power(m + i, k))
-            add_terms(acc, term.terms)
-        return SkewPoly(acc, P.n)
+            for tvec, s in c.terms.items():
+                add_terms(acc, self._monomial(tvec, e).scale(s).terms)
+        return SkewPoly(acc, self.P.n)
 
-    def _subst_coeff(self, c) -> SkewPoly:
-        P = self.P
-        acc: dict = {}
-        for e, s in c.terms.items():
-            term = P.const(s)
-            for j, k in enumerate(e):
+    def _monomial(self, tvec, e) -> SkewPoly:
+        """The image of ``t^tvec x^e``, memoized: the product of the images
+        of the symbol powers in frame order."""
+        key = (tvec, e)
+        image = self._monomial_memo.get(key)
+        if image is None:
+            P = self.P
+            image = P.one()
+            for s, k in enumerate(tvec + e):
                 if k:
-                    term = P.multiply(term, self._power(j, k))
-            add_terms(acc, term.terms)
-        return SkewPoly(acc, P.n)
+                    image = P.multiply(image, self._power(s, k))
+            self._monomial_memo[key] = image
+        return image
 
     def _power(self, s, k):
         """The image of the k-th power of frame symbol s, memoized."""

@@ -186,6 +186,12 @@ class Scalar:
     def is_one(self) -> bool:
         return self.num == self.den
 
+    def is_unit(self) -> bool:
+        """Whether this is the literal unit: numerator and denominator both
+        the unit polynomial.  A value of one such as ``q/q`` is not."""
+        unit = _UNIT[self.nparams]
+        return self.num == unit and self.den == unit
+
     def is_rational(self) -> bool:
         return all(not any(e) for e in self.num) and all(not any(e) for e in self.den)
 

@@ -1,18 +1,22 @@
 import random
+from dataclasses import replace
 
 import pytest
 
+import spbw.pipeline
 from spbw.calculus import (
+    Calculus,
     CalculusSpec,
     DGen,
+    DiffForm,
     build_calculus,
     theorem_spec,
 )
-from spbw.corpus import corpus_doc
+from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import parse_presentation
 from spbw.errors import CompatibilityError, ConfigError
 from spbw.extended import AlgebraEndo, auto_inverse
-from spbw.pipeline import run_calculus_check
+from spbw.pipeline import run_calculus_check, run_smooth
 
 from conftest import random_skew
 
@@ -42,6 +46,16 @@ def qplane_flat_spec(P):
         dgens=[DGen("x1", P.gen(0), nu1), DGen("x2", P.gen(1), nu2)],
         wedge_signs={(0, 1): q},
     )
+
+
+def _counting(obj, calls):
+    """Shadow the methods of one object named by the keys of ``calls`` with
+    wrappers that count their calls there."""
+    for attr in calls:
+        def counted(*args, _method=getattr(obj, attr), _attr=attr):
+            calls[_attr] += 1
+            return _method(*args)
+        setattr(obj, attr, counted)
 
 
 @pytest.fixture
@@ -243,11 +257,7 @@ def test_d0_work_is_linear_in_word_length(name):
     calc = run_calculus_check(corpus_doc(name))
     P = calc.P
     calls = {"multiply": 0, "normalize": 0}
-    for attr in calls:
-        def counted(*args, _method=getattr(P, attr), _attr=attr):
-            calls[_attr] += 1
-            return _method(*args)
-        setattr(P, attr, counted)
+    _counting(P, calls)
     # degree 4 in every symbol: a word of length 4 * nsyms
     f = P.monomial((4,) * P.n, P.ring.monomial((4,) * P.ring.nvars))
     df = calc.d0(f)
@@ -438,3 +448,144 @@ def test_divergence_unit_case(weyl_calc, weyl):
     phi = weyl_calc._dual_basis((0,))
     lhs = nabla(weyl_calc.dual_action(phi, weyl_calc.embed(weyl.one())))
     assert lhs == nabla(phi)
+
+
+# -- work counts of the memoized divergence and twists ---------------------------------------
+
+
+def _basis_key(k, phi):
+    """``(k, S, tvec, e)`` when phi is a basis functional ``xi_S *
+    t^tvec x^e``, else None."""
+    if len(phi.terms) != 1:
+        return None
+    ((S, v),) = phi.terms.items()
+    if len(v.terms) != 1:
+        return None
+    ((e, c),) = v.terms.items()
+    if len(c.terms) != 1:
+        return None
+    ((tvec, s),) = c.terms.items()
+    return (k, S, tvec, e) if s.is_unit() else None
+
+
+@pytest.mark.parametrize("name", ["poly3", "aq", "jordan"])
+def test_divergence_transports_each_basis_functional_once(name, monkeypatch):
+    calc = run_calculus_check(corpus_doc(name))
+    rng = random.Random(1729)
+    assert calc.integrability_check(2, 2, rng).ok
+    keys = []
+    original = Calculus.theta_inv
+
+    def recorded(self, k, phi):
+        keys.append(_basis_key(k, phi))
+        return original(self, k, phi)
+
+    monkeypatch.setattr(Calculus, "theta_inv", recorded)
+    assert calc.divergence_leibniz_check(20, 3, rng).ok
+    assert keys and None not in keys
+    assert len(keys) == len(set(keys))
+
+
+def test_repeated_divergence_is_not_transported_again(jordan_calc):
+    rng = random.Random(7)
+    jordan_calc.integrability_check(2, 2, rng)
+    nabla = jordan_calc.divergence_chain(0)
+    phi = jordan_calc.theta(0, jordan_calc.form((), random_skew(jordan_calc.P, rng, 3)))
+    first = nabla(phi)
+    calls = {"theta_inv": 0, "differential": 0}
+    _counting(jordan_calc, calls)
+    assert nabla(phi) == first
+    assert calls == {"theta_inv": 0, "differential": 0}
+
+
+def test_repeated_twist_makes_no_product(jordan_calc):
+    P = jordan_calc.P
+    f = random_skew(P, random.Random(8), 4)
+    twist = jordan_calc.spec.dgens[0].twist
+    first = twist.apply(f)
+    calls = {"multiply": 0}
+    _counting(P, calls)
+    assert twist.apply(f) == first
+    assert calls["multiply"] == 0
+
+
+def test_unit_product_makes_no_reduction(jordan):
+    f = random_skew(jordan, random.Random(9), 4)
+    calls = {"push_coeff_left": 0, "_mul_monomials": 0}
+    _counting(jordan, calls)
+    assert jordan.multiply(jordan.one(), f) is f
+    assert jordan.multiply(f, jordan.one()) is f
+    assert calls == {"push_coeff_left": 0, "_mul_monomials": 0}
+
+
+# -- negative controls: a wrong calculus fails the stage meant to catch it ---------------------
+
+
+CERTIFIED = tuple(n for n in CORPUS_NAMES if n != "broken")
+
+
+def _status(report, stage):
+    return report.check(stage).status
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_negated_transport_component_fails_divergence_leibniz(name, monkeypatch):
+    """A ``theta_inv`` that negates the ``du_(0..k-1)`` component of its
+    output must fail ``divergence-leibniz`` at the golden seed, with a
+    witness naming both the element a and the sampled functional phi.  Run
+    once on seeds 1-20 as well, it was caught on every seed for every
+    certified entry; only the golden seed is asserted here.
+
+    Dropping the alternating sign from ``theta`` alone is an equivalent
+    mutant, not a blind spot: it multiplies the k-th divergence by
+    ``(-1)^((N-1)(k+1))``, which is 1 for the bottom divergence (k + 1 = N,
+    and N(N-1) is even), and flatness only tests that the composite of the
+    two bottom divergences vanishes, which no sign changes."""
+    original = Calculus.theta_inv
+
+    def negated(self, k, phi):
+        out = original(self, k, phi)
+        S = tuple(range(k))
+        return DiffForm({T: -f if T == S else f for T, f in out.terms.items()}, out.n)
+
+    monkeypatch.setattr(Calculus, "theta_inv", negated)
+    report = run_smooth(corpus_doc(name))
+    rec = report.check("divergence-leibniz")
+    assert rec.status == "fail"
+    (witness,) = rec.witnesses
+    assert witness.startswith("product rule fails at a = ")
+    dgens = run_calculus_check(corpus_doc(name)).spec.dgens
+    assert all(f"phi(d({dg.name})) = " in witness for dg in dgens)
+    assert report.verdict != "certified-smooth"
+
+
+def _mutated_spec(monkeypatch, mutate):
+    original = spbw.pipeline.calculus_spec_from_doc
+    monkeypatch.setattr(
+        spbw.pipeline, "calculus_spec_from_doc", lambda doc, P: mutate(P, original(doc, P))
+    )
+
+
+@pytest.mark.parametrize("name", ["aq", "qaffine3", "poly3", "jordan"])
+def test_wrong_wedge_constant_fails_d_squared(name, monkeypatch):
+    def wedge_seven(P, spec):
+        return replace(spec, wedge_signs={**spec.wedge_signs, (0, 1): P.ring.scalar(7)})
+
+    _mutated_spec(monkeypatch, wedge_seven)
+    report = run_smooth(corpus_doc(name))
+    assert [_status(report, s) for s in ("compatibility", "d-squared")] == ["pass", "fail"]
+    assert report.check("d-squared").witnesses[0].startswith("d^2 of ")
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_wrong_twist_inverse_is_a_volume_error(name, monkeypatch):
+    def doubled_inverse(P, spec):
+        dg = spec.dgens[0]
+        bad = AlgebraEndo(P, [img.scale(P.ring.scalar(2)) for img in dg.twist.inverse.images], check=False)
+        twist = AlgebraEndo(P, dg.twist.images, inverse=bad, check=False)
+        return replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:])
+
+    _mutated_spec(monkeypatch, doubled_inverse)
+    report = run_smooth(corpus_doc(name))
+    assert [_status(report, s) for s in ("d-squared", "connectedness", "volume")] == ["pass", "pass", "error"]
+    assert "inverse does not undo" in report.check("volume").witnesses[0]

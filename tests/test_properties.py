@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 
 import pytest
 
-from spbw.calculus import DiffForm, build_calculus
+from spbw.calculus import DiffForm, IntegralForm, build_calculus
 from spbw.coefficients import apply_endo, apply_sder
-from spbw.core import exponents_upto
+from spbw.core import SkewPoly, _expand, _pack, exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation
 from spbw.extended import extend_delta, extend_sigma, hypothesis_check
@@ -269,3 +269,96 @@ def test_d0_matches_position_expansion_per_corpus(calculi):
                     word += [m + i for i, k in enumerate(e) for _ in range(k)]
                     add_terms(acc, d_word_by_positions(calc, word, s).terms)
             assert calc.d0(f) == DiffForm(acc, calc.N), (name, P.render(f))
+
+
+# -- the calculus by linearity against per-call oracles ------------------------------------
+
+
+def representation(f):
+    """Every stored ``num``/``den`` of an element, as plain nested dicts."""
+    return {e: {t: (s.num, s.den) for t, s in c.terms.items()} for e, c in f.terms.items()}
+
+
+def weighted_skew(P, rng, degree):
+    """A random element with one term scaled by a rational or parametric
+    weight, or left alone."""
+    f = random_skew(P, rng, degree, max_terms=2)
+    return f + random_skew(P, rng, degree, max_terms=1).scale(rng.choice(_weights(P)))
+
+
+def nabla_by_transport(calc, k, phi):
+    """The transported divergence computed per call, on the whole functional."""
+    return calc.theta(k + 1, calc.differential(calc.theta_inv(k, phi)))
+
+
+def test_memoized_divergence_matches_transport_per_corpus(calculi):
+    for name, calc in calculi.items():
+        rng = random.Random(52)
+        assert calc.integrability_check(2, 2, rng).ok, name
+        for k in range(calc.N):
+            nabla = calc.divergence_chain(k)
+            for _ in range(8):
+                values = {}
+                for S in combinations(range(calc.N), calc.N - k):
+                    f = weighted_skew(calc.P, rng, 3)
+                    if not f.is_zero():
+                        values[S] = f
+                phi = IntegralForm(calc.N - k, values, calc.N)
+                assert nabla(phi) == nabla_by_transport(calc, k, phi), (name, k)
+
+
+def apply_by_substitution(endo, f):
+    """An endomorphism applied term by term: each coefficient monomial is
+    substituted from its scalar up, then multiplied by the generator powers."""
+    P = endo.P
+    m = P.ring.nvars
+    acc: dict = {}
+    for e, c in f.terms.items():
+        coeff: dict = {}
+        for tvec, s in c.terms.items():
+            term = P.const(s)
+            for j, k in enumerate(tvec):
+                if k:
+                    term = P.multiply(term, endo._power(j, k))
+            add_terms(coeff, term.terms)
+        term = SkewPoly(coeff, P.n)
+        for i, k in enumerate(e):
+            if k:
+                term = P.multiply(term, endo._power(m + i, k))
+        add_terms(acc, term.terms)
+    return SkewPoly(acc, P.n)
+
+
+def test_memoized_twists_match_substitution_per_corpus(calculi):
+    for name, calc in calculi.items():
+        rng = random.Random(53)
+        for dg in calc.spec.dgens:
+            for endo in (dg.twist, dg.twist.inverse):
+                for _ in range(10):
+                    f = weighted_skew(calc.P, rng, 4)
+                    expected = representation(apply_by_substitution(endo, f))
+                    assert representation(endo.apply(f)) == expected, (name, dg.name)
+
+
+def multiply_generic(P, f, g):
+    """The general product loop, without the unit fast path."""
+    acc: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            for h, w in P.push_coeff_left(_expand(e1), c2):
+                add_terms(acc, P._mul_monomials(_pack(w, P.n), e2).scale_left(c1 * h).terms)
+    return SkewPoly(acc, P.n)
+
+
+def test_unit_products_match_generic_path_per_corpus(presentations):
+    for name, P in presentations.items():
+        rng = random.Random(54)
+        # the literal unit, and constants that are not: a value of one such
+        # as q/q is multiplied out like any other
+        units = [P.one()] + [P.const(w) for w in _weights(P)[1:]]
+        units += [P.const(q * q.inverse()) for q in map(P.ring.param, P.ring.params)]
+        for _ in range(20):
+            f = weighted_skew(P, rng, 4)
+            for u in units:
+                assert representation(P.multiply(u, f)) == representation(multiply_generic(P, u, f)), name
+                assert representation(P.multiply(f, u)) == representation(multiply_generic(P, f, u)), name
