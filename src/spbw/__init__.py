@@ -32,7 +32,7 @@ from .extended import (
     hypothesis_check,
     verify_twisted_leibniz,
 )
-from .gkdim import FiltrationTable, SmoothnessReport, filtration_dims, gk_estimate, smoothness_verdict
+from .gkdim import FiltrationTable, filtration_dims, gk_estimate, smoothness_verdict
 from .ore import OreCaseData, ore_case_classify, ore_delta_from_p, ore_nu_maps
 from .pipeline import run_smooth
 from .report import Report

@@ -192,9 +192,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"cannot read input: {exc}\n")
         return EXIT_CONFIG
-    except KeyError as exc:
-        sys.stderr.write(f"unknown corpus entry: {exc}\n")
-        return EXIT_CONFIG
     except SpbwError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

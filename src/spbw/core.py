@@ -15,6 +15,16 @@ live here:
   raw word of generator/coefficient atoms one redex at a time under a
   selectable strategy.  The diamond check compares the two maximal
   strategies of the oracle.
+
+The presentation states its defining relations once.  The right side of
+each pair relation is stored as its tails (``Presentation.tails``), the
+``(coefficient, word)`` pairs ``(d, (i, j))``, ``(r0, ())`` and
+``(rk, (k,))`` with the zero ones left out; both reduction engines and
+:meth:`Presentation.relation_rhs` read them.  Every defining relation of the
+algebra, including ``x_i t_j = sigma_i(t_j) x_i + delta_i(t_j)`` and the
+commuting coefficient variables, is listed by
+:meth:`Presentation.defining_relations`, which the twist and differential
+compatibility checks walk.
 """
 
 from __future__ import annotations
@@ -25,10 +35,8 @@ from math import comb
 from typing import NamedTuple
 
 from .coefficients import (
-    CoeffEndo,
     CoeffPoly,
     CoeffRing,
-    CoeffSigmaDerivation,
     apply_endo,
     apply_sder,
     commutation_audit,
@@ -115,7 +123,8 @@ class PbwAudit:
 class Presentation:
     """Full data of a skew PBW extension: coefficient ring, one
     (endomorphism, twisted derivation) pair per generator, and the pair
-    relations.
+    relations.  ``tails`` maps each pair ``(i, j)`` to the right side of its
+    relation as ``(coefficient, word)`` pairs.
 
     The defining data is not changed after construction and no operation
     changes a value it is given or has returned, but products of monomials
@@ -130,11 +139,14 @@ class Presentation:
         self.sigma = tuple(sigma)
         self.delta = tuple(delta)
         self.relations = dict(relations)
+        self.tails = {}
         for (i, j), rel in self.relations.items():
             if not (0 <= i < j < self.n):
                 raise ValueError(f"relation indices out of order: {(i, j)}")
             if rel.d.is_zero():
                 raise ValueError(f"relation ({self.names[j]}, {self.names[i]}) has zero leading coefficient")
+            pairs = [(rel.d, (i, j)), (rel.r0, ())] + [(rk, (k,)) for k, rk in enumerate(rel.rk)]
+            self.tails[(i, j)] = tuple((c, w) for c, w in pairs if not c.is_zero())
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if (i, j) not in self.relations:
@@ -201,17 +213,26 @@ class Presentation:
         return SkewPoly({tuple(expo): c}, self.n)
 
     def relation_rhs(self, i: int, j: int) -> SkewPoly:
-        """Normal form of x_j x_i, straight from the stored relation."""
-        rel = self.relations[(i, j)]
-        e = [0] * self.n
-        e[i] += 1
-        e[j] += 1
-        parts = [self.monomial(e, rel.d), self.from_coeff(rel.r0)]
-        for k, rk in enumerate(rel.rk):
-            ek = [0] * self.n
-            ek[k] = 1
-            parts.append(self.monomial(ek, rk))
-        return SkewPoly(sum_terms(parts), self.n)
+        """Normal form of x_j x_i, straight from the stored tails."""
+        terms = sum_terms(self.monomial(_pack(w, self.n), c) for c, w in self.tails[(i, j)])
+        return SkewPoly(terms, self.n)
+
+    def defining_relations(self) -> list:
+        """``(label, word, normal form)`` for every defining relation.  The
+        word is the out-of-order pair of frame symbols as written, and the
+        label renders it.  Generator pairs come first, then each generator
+        followed by each coefficient variable, then the coefficient-variable
+        pairs, which commute."""
+        m = self.ring.nvars
+        rels = [((m + j, m + i), self.relation_rhs(i, j)) for i, j in self.tails]
+        for i in range(self.n):
+            for j in range(m):
+                # x_i t_j = sigma_i(t_j) x_i + delta_i(t_j)
+                rels.append(((m + i, j), self.multiply(self.gen(i), self.symbol(j))))
+        for a in range(m):
+            for b in range(a + 1, m):
+                rels.append(((b, a), self.from_coeff(self.ring.var(a) * self.ring.var(b))))
+        return [(f"{self.symbol_name(w[0])}*{self.symbol_name(w[1])}", w, f) for w, f in rels]
 
     # -- structured reduction path -----------------------------------------
 
@@ -273,16 +294,9 @@ class Presentation:
                 acc[_pack(w, self.n)] = coeff
                 continue
             pre, j, i, post = w[:pos], w[pos], w[pos + 1], w[pos + 2:]
-            rel = self.relations[(i, j)]
-            for c, pre2 in self.push_coeff_left(pre, rel.d):
-                add(coeff * c, pre2 + (i, j) + post)
-            if not rel.r0.is_zero():
-                for c, pre2 in self.push_coeff_left(pre, rel.r0):
-                    add(coeff * c, pre2 + post)
-            for k, rk in enumerate(rel.rk):
-                if not rk.is_zero():
-                    for c, pre2 in self.push_coeff_left(pre, rk):
-                        add(coeff * c, pre2 + (k,) + post)
+            for r, tail in self.tails[(i, j)]:
+                for c, pre2 in self.push_coeff_left(pre, r):
+                    add(coeff * c, pre2 + tail + post)
         product = SkewPoly(acc, self.n)
         self._mono_cache[key] = product
         return product
@@ -359,14 +373,8 @@ class Presentation:
                 if not dele.is_zero():
                     work.append(pre + (dele,) + post)
             else:  # out-of-order generator pair
-                j, i = a, b
-                rel = self.relations[(i, j)]
-                work.append(pre + (rel.d, i, j) + post)
-                if not rel.r0.is_zero():
-                    work.append(pre + (rel.r0,) + post)
-                for k, rk in enumerate(rel.rk):
-                    if not rk.is_zero():
-                        work.append(pre + (rk, k) + post)
+                for r, tail in self.tails[(b, a)]:
+                    work.append(pre + (r,) + tail + post)
         return SkewPoly(acc, self.n)
 
     @staticmethod

@@ -5,6 +5,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .dsl import PresentationDoc, parse_presentation
+from .errors import ConfigError
 
 CORPUS_NAMES = (
     "poly2",
@@ -20,8 +21,10 @@ CORPUS_NAMES = (
 
 
 def corpus_source(name: str) -> str:
+    """The text of the built-in entry ``name``; a name outside
+    ``CORPUS_NAMES`` is a :class:`ConfigError`."""
     if name not in CORPUS_NAMES:
-        raise KeyError(f"unknown corpus entry {name!r}")
+        raise ConfigError(f"unknown corpus entry {name!r}")
     return resources.files("spbw").joinpath(f"corpus/{name}.spbw").read_text(encoding="utf-8")
 
 

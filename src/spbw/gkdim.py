@@ -131,30 +131,15 @@ class CheckRecord:
         return self.status == "pass"
 
 
-@dataclass
-class SmoothnessReport:
-    """Structured result of the whole pipeline with the combined verdict."""
-
-    checks: list
-    calculus_dimension: int | None
-    gk_estimate: int | None
-    verdict: str
-    failed_check: str | None = None
-    failing: list = field(default_factory=list)
-
-    def check(self, name: str) -> CheckRecord | None:
-        for rec in self.checks:
-            if rec.name == name:
-                return rec
-        return None
-
-
 HARD_CHECKS = ("pbw-consistency", "compatibility")
 
 
-def smoothness_verdict(checks, calculus_dimension, gk) -> SmoothnessReport:
-    """Combine the per-stage records: certified only when every check passed
-    and the calculus dimension equals the growth estimate."""
+def smoothness_verdict(checks, calculus_dimension, gk) -> tuple:
+    """Combine the per-stage records into ``(verdict, failed_check,
+    failing)``: certified only when every check passed and the calculus
+    dimension equals the growth estimate; ``failed_check`` is the hard check
+    that failed, or None, and ``failing`` names every check that did not
+    pass."""
     failing = [rec.name for rec in checks if rec.status == "fail" or rec.status == "error"]
     hard = next((name for name in HARD_CHECKS if name in failing), None)
     dimension_match = (
@@ -168,11 +153,4 @@ def smoothness_verdict(checks, calculus_dimension, gk) -> SmoothnessReport:
         verdict = CERTIFIED
     else:
         verdict = NOT_CERTIFIED
-    return SmoothnessReport(
-        checks=list(checks),
-        calculus_dimension=calculus_dimension,
-        gk_estimate=gk,
-        verdict=verdict,
-        failed_check=hard,
-        failing=failing,
-    )
+    return verdict, hard, failing

@@ -173,9 +173,18 @@ def run_smooth(doc: PresentationDoc) -> Report:
         checks.append(rec)
         skipping = hard and not rec.passed
     N = run.calculus.N if run.calculus is not None else None
-    rep = smoothness_verdict(checks, N, run.gk)
-    mode = doc.calculus.mode if doc.calculus else None
-    return Report.from_smoothness(doc.name, mode, doc.options, rep)
+    verdict, failed_check, failing = smoothness_verdict(checks, N, run.gk)
+    return Report(
+        algebra=doc.name,
+        mode=doc.calculus.mode if doc.calculus else None,
+        config=dict(doc.options),
+        calculus_dimension=N,
+        gk_estimate=run.gk,
+        checks=checks,
+        verdict=verdict,
+        failed_check=failed_check,
+        failing=failing,
+    )
 
 
 # -- single commands --------------------------------------------------------------

@@ -8,9 +8,9 @@ and byte-compares against golden files once the timing fields are zeroed.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
-from .gkdim import CheckRecord, SmoothnessReport
+from .gkdim import CheckRecord
 
 SCHEMA_ID = "spbw-report/1"
 
@@ -27,20 +27,6 @@ class Report:
     failed_check: str | None
     failing: list
     schema: str = SCHEMA_ID
-
-    @staticmethod
-    def from_smoothness(name, mode, config, rep: SmoothnessReport) -> "Report":
-        return Report(
-            algebra=name,
-            mode=mode,
-            config=dict(config),
-            calculus_dimension=rep.calculus_dimension,
-            gk_estimate=rep.gk_estimate,
-            checks=list(rep.checks),
-            verdict=rep.verdict,
-            failed_check=rep.failed_check,
-            failing=list(rep.failing),
-        )
 
     def check(self, name: str) -> CheckRecord | None:
         for rec in self.checks:

@@ -50,10 +50,6 @@ class _Units(dict):
 _UNIT = _Units()
 
 
-def poly_zero() -> dict:
-    return {}
-
-
 def poly_one(nparams: int) -> dict:
     """The shared unit polynomial; never mutate it."""
     return _UNIT[nparams]

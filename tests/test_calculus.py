@@ -13,7 +13,7 @@ from spbw.calculus import (
     theorem_spec,
 )
 from spbw.corpus import CORPUS_NAMES, corpus_doc
-from spbw.dsl import parse_presentation
+from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import CompatibilityError, ConfigError
 from spbw.extended import AlgebraEndo, auto_inverse
 from spbw.pipeline import run_calculus_check, run_smooth
@@ -104,6 +104,28 @@ def test_wrong_twist_reported_with_relation(qplane):
     with pytest.raises(CompatibilityError) as err:
         build_calculus(qplane, spec)
     assert "x2*x1" in str(err.value)
+
+
+@pytest.mark.parametrize("dgen, symbol, relation, residual", [
+    (2, 3, "x2*x1", "d(x1)*(x2)"),
+    (2, 0, "x1*t1", "d(x1)*(-t1)"),
+    (0, 1, "t2*t1", "d(t1)*(t2)"),
+], ids=["generator-pair", "generator-variable", "variable-pair"])
+def test_differential_breaking_one_relation_names_it(dgen, symbol, relation, residual):
+    """Identity twists give the de Rham calculus of F[t1, t2][x1, x2]; the
+    twist of d(a) that doubles the symbol b breaks exactly the relation
+    between a and b, with residual d(word) - d(normal form)."""
+    P = build_presentation(parse_presentation("name p\ncoeffs t1 t2\ngens x1 x2\nrel x2 x1 = x1 x2\n"))
+    dgens = []
+    for k, potential in enumerate(P.frame()):
+        images = list(P.frame())
+        if k == dgen:
+            images[symbol] = images[symbol] + images[symbol]
+        dgens.append(DGen(P.symbol_name(k), potential, make_twist(P, images)))
+    with pytest.raises(CompatibilityError) as err:
+        build_calculus(P, CalculusSpec(dgens=dgens))
+    assert str(err.value) == f"differential is incompatible with relation {relation}; residual {residual}"
+    assert (err.value.relation, err.value.residual) == (relation, residual)
 
 
 def test_theorem_mode_requires_trivial_relations(qplane):

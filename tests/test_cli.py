@@ -98,6 +98,11 @@ def test_corpus_listing(capsys):
     assert "weyl" in out and "broken" in out
 
 
+def test_unknown_corpus_entry_exits_two(capsys):
+    assert main(["smooth", "corpus:nosuch"]) == 2
+    assert capsys.readouterr().err == "error: unknown corpus entry 'nosuch'\n"
+
+
 def test_corpus_write(tmp_path, capsys):
     assert main(["corpus", "--write", str(tmp_path / "c")]) == 0
     assert (tmp_path / "c" / "aq.spbw").exists()

@@ -5,7 +5,7 @@ import pytest
 
 from spbw.coefficients import CoeffRing
 from spbw.core import Presentation, Relation
-from spbw.corpus import corpus_doc
+from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation
 from spbw.errors import HypothesisError
 from spbw.scalars import Scalar
@@ -327,6 +327,26 @@ def test_strategy_independence_on_random_words(weyl, qplane, rng):
             left = P.normalize_atoms(word, "leftmost")
             right = P.normalize_atoms(word, "rightmost")
             assert left == right
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_defining_relations_oracle(name):
+    """Every pair of distinct frame symbols has one relation, written as the
+    descending word; its normal form is what the small-step oracle makes of
+    that word.  Generator pairs come first, then generator-variable pairs,
+    then variable pairs."""
+    P = build_presentation(corpus_doc(name))
+    n, m = P.n, P.ring.nvars
+    rels = P.defining_relations()
+    assert len(rels) == comb(n, 2) + n * m + comb(m, 2)
+    words = [word for _, word, _ in rels]
+    assert sorted(words) == sorted((b, a) for b in range(m + n) for a in range(b))
+    kinds = [sum(s < m for s in word) for word in words]
+    assert kinds == sorted(kinds)
+    for label, word, normal in rels:
+        assert label == f"{P.symbol_name(word[0])}*{P.symbol_name(word[1])}"
+        atoms = [P.ring.var(s) if s < m else s - m for s in word]
+        assert normal == P.normalize_atoms(atoms)
 
 
 # -- degree ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ import pytest
 
 from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation
 from spbw.core import Presentation, Relation
-from spbw.errors import HypothesisError
+from spbw.dsl import build_presentation, parse_presentation
+from spbw.errors import HypothesisError, MapError
 from spbw.extended import (
     AlgebraEndo,
     ExtendedDerivation,
@@ -125,6 +126,26 @@ def test_algebra_endo_rejects_relation_breaker(weyl):
     # swapping the two generators does not respect x2 x1 = x1 x2 - 1
     with pytest.raises(ValueError):
         AlgebraEndo(weyl, (weyl.gen(1), weyl.gen(0)))
+
+
+# The second Weyl algebra over F[t1, t2]: x_i t_i = t_i x_i + 1 and every
+# other pair commutes.  Each row changes one frame image so that exactly one
+# defining relation, of each kind in turn, is no longer respected.
+WEYL_A2 = "name a2\ncoeffs t1 t2\ngens x1 x2\ndelta x1: t1 -> 1\ndelta x2: t2 -> 1\nrel x2 x1 = x1 x2\n"
+
+
+@pytest.mark.parametrize("symbol, image, message", [
+    (2, lambda t1, t2, x1, x2: x1 + t2, "relation x2*x1 not respected"),
+    (3, lambda t1, t2, x1, x2: x2 + x2, "relation x2*t2 not respected"),
+    (0, lambda t1, t2, x1, x2: t1 + x2, "relation t2*t1 not respected"),
+], ids=["generator-pair", "generator-variable", "variable-pair"])
+def test_twist_breaking_one_relation_names_it(symbol, image, message):
+    P = build_presentation(parse_presentation(WEYL_A2))
+    images = list(P.frame())
+    images[symbol] = image(*images)
+    with pytest.raises(MapError) as err:
+        AlgebraEndo(P, images)
+    assert str(err.value) == message
 
 
 def test_algebra_endo_compose_images(qplane):

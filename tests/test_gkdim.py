@@ -114,29 +114,29 @@ def _records(**statuses):
 
 def test_verdict_certified():
     checks = _records(**{"pbw-consistency": "pass", "compatibility": "pass", "connectedness": "pass"})
-    rep = smoothness_verdict(checks, 2, 2)
-    assert rep.verdict == CERTIFIED and not rep.failing
+    verdict, _, failing = smoothness_verdict(checks, 2, 2)
+    assert verdict == CERTIFIED and not failing
 
 
 def test_verdict_dimension_mismatch():
     checks = _records(**{"pbw-consistency": "pass", "compatibility": "pass", "connectedness": "fail"})
-    rep = smoothness_verdict(checks, 1, 2)
-    assert rep.verdict == NOT_CERTIFIED
-    assert "gk-dimension-match" in rep.failing and "connectedness" in rep.failing
+    verdict, _, failing = smoothness_verdict(checks, 1, 2)
+    assert verdict == NOT_CERTIFIED
+    assert "gk-dimension-match" in failing and "connectedness" in failing
 
 
 def test_verdict_hard_failure():
     checks = _records(**{"pbw-consistency": "fail", "compatibility": "skipped"})
-    rep = smoothness_verdict(checks, None, None)
-    assert rep.verdict == FAILED and rep.failed_check == "pbw-consistency"
+    verdict, failed_check, _ = smoothness_verdict(checks, None, None)
+    assert verdict == FAILED and failed_check == "pbw-consistency"
 
 
 def test_verdict_monotone():
     base = {"pbw-consistency": "pass", "compatibility": "pass", "d-squared": "pass",
             "connectedness": "pass", "integrability": "pass"}
-    assert smoothness_verdict(_records(**base), 2, 2).verdict == CERTIFIED
+    assert smoothness_verdict(_records(**base), 2, 2)[0] == CERTIFIED
     for name in base:
         flipped = dict(base)
         flipped[name] = "fail"
-        rep = smoothness_verdict(_records(**flipped), 2, 2)
-        assert rep.verdict != CERTIFIED
+        verdict, _, _ = smoothness_verdict(_records(**flipped), 2, 2)
+        assert verdict != CERTIFIED
