@@ -21,19 +21,11 @@ from .errors import (
     HypothesisError,
     NotAVolumeFormError,
     SpbwError,
-    UnsupportedCaseError,
     UnsupportedPresentationError,
 )
-from .extended import (
-    AlgebraEndo,
-    ExtendedDerivation,
-    extend_delta,
-    extend_sigma,
-    hypothesis_check,
-    verify_twisted_leibniz,
-)
+from .extended import AlgebraEndo, extend_sigma, hypothesis_check
 from .gkdim import FiltrationTable, filtration_dims, gk_estimate, smoothness_verdict
-from .ore import OreCaseData, ore_case_classify, ore_delta_from_p, ore_nu_maps
+from .ore import ore_case_classify, ore_document
 from .pipeline import run_smooth
 from .report import Report
 from .scalars import Scalar

@@ -12,7 +12,7 @@
 FILE is a path to a ``.spbw`` document or ``corpus:NAME`` for a built-in
 entry.  Exit codes: 0 when a verdict or result was produced (including
 not-certified), 1 when a check hard-failed, 2 on parse or configuration
-errors.
+errors, a path that cannot be read or written among them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .corpus import CORPUS_NAMES, corpus_doc, corpus_source
 from .dsl import ParseError, build_presentation, parse_expression, parse_presentation, set_option
-from .errors import SpbwError
+from .errors import ConfigError, SpbwError
 from .gkdim import FAILED
 from .pipeline import run_calculus_check, run_check_hypotheses, run_check_pbw, run_gkdim, run_smooth
 
@@ -39,7 +39,11 @@ def _load_doc(args, max_degree_option="gk_degree"):
     if spec.startswith("corpus:"):
         doc = corpus_doc(spec.split(":", 1)[1])
     else:
-        doc = parse_presentation(Path(spec).read_text(encoding="utf-8"))
+        try:
+            source = Path(spec).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read input: {exc}") from exc
+        doc = parse_presentation(source)
     overrides = (
         ("seed", getattr(args, "seed", None)),
         ("samples", getattr(args, "samples", None)),
@@ -54,7 +58,10 @@ def _load_doc(args, max_degree_option="gk_degree"):
 def _cmd_smooth(args) -> int:
     report = run_smooth(_load_doc(args))
     if args.json:
-        Path(args.json).write_text(report.to_json(), encoding="utf-8")
+        try:
+            Path(args.json).write_text(report.to_json(), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
     sys.stdout.write(report.human_text())
     return EXIT_CHECK_FAILED if report.verdict == FAILED else EXIT_OK
 
@@ -124,9 +131,12 @@ def _cmd_gkdim(args) -> int:
 def _cmd_corpus(args) -> int:
     if args.write:
         target = Path(args.write)
-        target.mkdir(parents=True, exist_ok=True)
-        for name in CORPUS_NAMES:
-            (target / f"{name}.spbw").write_text(corpus_source(name), encoding="utf-8")
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+            for name in CORPUS_NAMES:
+                (target / f"{name}.spbw").write_text(corpus_source(name), encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         print(f"wrote {len(CORPUS_NAMES)} files to {target}")
         return EXIT_OK
     for name in CORPUS_NAMES:
@@ -188,9 +198,6 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")
-        return EXIT_CONFIG
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"cannot read input: {exc}\n")
         return EXIT_CONFIG
     except SpbwError as exc:
         sys.stderr.write(f"error: {exc}\n")

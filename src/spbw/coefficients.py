@@ -153,25 +153,6 @@ def derivative(p: CoeffPoly, j: int = 0) -> CoeffPoly:
     return CoeffPoly(out, p.nvars, p.nparams)
 
 
-def divmod_univariate(f: CoeffPoly, g: CoeffPoly) -> tuple:
-    """Exact long division of univariate polynomials; returns (quot, rem)."""
-    if f.nvars != 1 or g.nvars != 1:
-        raise ValueError("divmod_univariate needs univariate operands")
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    quot = CoeffPoly({}, 1, f.nparams)
-    rem = f
-    dg = g.total_degree()
-    lead_g = g.terms[(dg,)]
-    while not rem.is_zero() and rem.total_degree() >= dg:
-        dr = rem.total_degree()
-        c = rem.terms[(dr,)] / lead_g
-        mono = CoeffPoly({(dr - dg,): c}, 1, f.nparams)
-        quot = quot + mono
-        rem = rem - mono * g
-    return quot, rem
-
-
 class CoeffEndo:
     """Algebra endomorphism of the coefficient ring, given by variable images.
 

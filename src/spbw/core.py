@@ -103,12 +103,21 @@ class DegreeInfo(NamedTuple):
 
 @dataclass
 class Relation:
-    """Stored shape of a generator pair relation, for j > i:
-    ``x_j x_i = d * x_i x_j + r0 + sum_k rk[k] * x_k``."""
+    """A generator pair relation as given to :class:`Presentation`, for
+    j > i: ``x_j x_i = d * x_i x_j + r0 + sum_k rk[k] * x_k``.  Only the
+    constructor reads it; everything else reads ``Presentation.tails``."""
 
     d: CoeffPoly
     r0: CoeffPoly
     rk: tuple  # one CoeffPoly per generator
+
+
+def tail_name(word: tuple) -> str:
+    """The name of a relation tail by its word: ``d`` for the ordered pair,
+    ``r0`` for the constant and ``rk`` for the linear tail on x_k."""
+    if len(word) == 2:
+        return "d"
+    return f"r{word[0] + 1}" if word else "r0"
 
 
 @dataclass
@@ -138,9 +147,8 @@ class Presentation:
         self.n = len(self.names)
         self.sigma = tuple(sigma)
         self.delta = tuple(delta)
-        self.relations = dict(relations)
         self.tails = {}
-        for (i, j), rel in self.relations.items():
+        for (i, j), rel in relations.items():
             if not (0 <= i < j < self.n):
                 raise ValueError(f"relation indices out of order: {(i, j)}")
             if rel.d.is_zero():
@@ -149,7 +157,7 @@ class Presentation:
             self.tails[(i, j)] = tuple((c, w) for c, w in pairs if not c.is_zero())
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                if (i, j) not in self.relations:
+                if (i, j) not in self.tails:
                     raise ValueError(f"missing relation for pair ({self.names[j]}, {self.names[i]})")
         self._mono_cache: dict = {}
 

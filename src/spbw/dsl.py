@@ -788,25 +788,22 @@ def render_presentation(doc: PresentationDoc) -> str:
         if inv is not None and _diagonal_affine_inverse(ring, doc.sigma_images[gi]) is None:
             map_line("isigma", gi, inv, id_images)
 
-    for (i, j), rel in sorted(doc.relations.items()):
+    # The tails come from a presentation built without the claimed sigma
+    # inverses: rendering does not check them, so every parsed document renders.
+    P = _presentation_from_parts(ring, doc.gens, doc.sigma_images, {}, doc.delta_images, doc.relations)
+    for (i, j), tails in sorted(P.tails.items()):
         rhs = []
-        d_str = _render_coeff_dsl(rel.d, doc.params, doc.coeff_vars)
-        pair = f"{doc.gens[i]} {doc.gens[j]}"
-        if d_str == "1":
-            rhs.append(pair)
-        else:
-            if is_spaced_sum(d_str):
-                d_str = f"({d_str})"
-            rhs.append(f"{d_str} * {pair}")
-        for k, rk in enumerate(rel.rk):
-            if not rk.is_zero():
-                ck = _render_coeff_dsl(rk, doc.params, doc.coeff_vars)
-                if is_spaced_sum(ck):
-                    ck = f"({ck})"
-                rhs.append(f"{ck} * {doc.gens[k]}" if ck != "1" else doc.gens[k])
-        if not rel.r0.is_zero():
-            c0 = _render_coeff_dsl(rel.r0, doc.params, doc.coeff_vars)
-            rhs.append(f"({c0})" if is_spaced_sum(c0) or c0.startswith("-") else c0)
+        # the ordered pair first, then the linear tails in generator order,
+        # then the constant
+        for c, w in sorted(tails, key=lambda cw: (-len(cw[1]), cw[1])):
+            cs = _render_coeff_dsl(c, doc.params, doc.coeff_vars)
+            if not w:
+                rhs.append(f"({cs})" if is_spaced_sum(cs) or cs.startswith("-") else cs)
+                continue
+            term = " ".join(doc.gens[k] for k in w)
+            if cs != "1":
+                term = f"({cs}) * {term}" if is_spaced_sum(cs) else f"{cs} * {term}"
+            rhs.append(term)
         lines.append(f"rel {doc.gens[j]} {doc.gens[i]} = " + " + ".join(rhs))
 
     if doc.calculus is not None:
@@ -815,7 +812,6 @@ def render_presentation(doc: PresentationDoc) -> str:
         if cal.mode == "flat":
             lines.append("dgens " + " ".join(cal.dgen_names))
             symbols = list(doc.coeff_vars) + list(doc.gens)
-            P = build_presentation(doc)
             for name in cal.dgen_names:
                 if name not in symbols:
                     lines.append(f"dgen {name} = {_render_skew_dsl(cal.potentials[name], doc)}")

@@ -28,10 +28,6 @@ class UnsupportedPresentationError(SpbwError):
     (e.g. a relation that is not filtration compatible)."""
 
 
-class UnsupportedCaseError(SpbwError):
-    """Skew polynomial data outside the three extendable parameter cases."""
-
-
 class ConfigError(SpbwError):
     """A command was run against a document missing required blocks, or a
     pipeline stage was requested without its prerequisite certificate."""

@@ -5,16 +5,15 @@ An :class:`AlgebraEndo` is given by the images of the symbol frame, in frame
 order: the coefficient variables first, then the generators.  Construction
 verifies that every defining relation of the presentation is respected, so
 the same type serves coefficientwise lifts, volume twists and user-supplied
-calculus twists uniformly.  An :class:`ExtendedDerivation` acts
-coefficientwise on normal forms and kills generator monomials.
+calculus twists uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coefficients import CoeffSigmaDerivation, apply_endo, apply_sder, commutation_audit
-from .core import Presentation, SkewPoly
+from .coefficients import apply_endo, apply_sder, commutation_audit
+from .core import Presentation, SkewPoly, tail_name
 from .errors import HypothesisError, MapError
 from .lincomb import add_terms, sum_terms
 from .linalg import inverse
@@ -211,30 +210,27 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
     failures = [f"{label} pair {key}" for label, key in audit.failures()]
 
     h4 = True
-    for (i, j), rel in P.relations.items():
+    for (i, j), tails in P.tails.items():
         for k in range(P.n):
-            pieces = [("d", rel.d), ("r0", rel.r0)] + [
-                (f"r{l + 1}", rel.rk[l]) for l in range(P.n)
-            ]
-            for label, c in pieces:
+            for c, w in tails:
                 if not apply_sder(P.delta[k], c).is_zero():
                     h4 = False
                     failures.append(
-                        f"delta_{P.names[k]} does not kill {label} of relation "
+                        f"delta_{P.names[k]} does not kill {tail_name(w)} of relation "
                         f"({P.names[j]},{P.names[i]})"
                     )
 
     t1 = True
     one = P.ring.one()
-    for (i, j), rel in P.relations.items():
-        if rel.d != one:
-            t1 = False
-            failures.append(f"d of relation ({P.names[j]},{P.names[i]}) is not 1")
-        for l, rk in enumerate(rel.rk):
-            if not rk.is_zero():
+    for (i, j), tails in P.tails.items():
+        for c, w in tails:
+            if len(w) == 2 and c != one:
+                t1 = False
+                failures.append(f"d of relation ({P.names[j]},{P.names[i]}) is not 1")
+            elif len(w) == 1:
                 t1 = False
                 failures.append(
-                    f"linear tail r{l + 1} of relation ({P.names[j]},{P.names[i]}) is nonzero"
+                    f"linear tail {tail_name(w)} of relation ({P.names[j]},{P.names[i]}) is nonzero"
                 )
 
     return HypothesisReport(
@@ -248,75 +244,20 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
     )
 
 
-def _require_h_block(P: Presentation):
-    report = hypothesis_check(P)
-    if not report.proposition_ok:
-        raise HypothesisError(
-            "coefficient maps do not satisfy the lifting hypotheses: "
-            + "; ".join(report.failures)
-        )
-
-
 # -- lifts ---------------------------------------------------------------------
 
 
 def extend_sigma(P: Presentation, i: int) -> AlgebraEndo:
     """Lift sigma_i to the extension: coefficientwise on normal forms,
     fixing every generator.  Carries an inverse when sigma_i does."""
-    _require_h_block(P)
+    report = hypothesis_check(P)
+    if not report.proposition_ok:
+        raise HypothesisError(
+            "coefficient maps do not satisfy the lifting hypotheses: " + "; ".join(report.failures)
+        )
     gens = P.frame()[P.ring.nvars:]
     images = tuple(P.from_coeff(apply_endo(P.sigma[i], P.ring.var(j))) for j in range(P.ring.nvars))
     inv = None
     if P.sigma[i].inverse_images is not None:
         inv = AlgebraEndo(P, tuple(P.from_coeff(img) for img in P.sigma[i].inverse_images) + gens, check=False)
     return AlgebraEndo(P, images + gens, inverse=inv)
-
-
-class ExtendedDerivation:
-    """Coefficientwise lift of a twisted derivation: acts on the left
-    coefficients of a normal form and kills generator monomials, so
-    ``apply(sum r_a x^a) = sum delta(r_a) x^a``."""
-
-    def __init__(self, P: Presentation, base: CoeffSigmaDerivation, twist: AlgebraEndo):
-        self.P = P
-        self.base = base
-        self.twist = twist
-
-    def apply(self, f: SkewPoly) -> SkewPoly:
-        images = ((e, apply_sder(self.base, c)) for e, c in f.terms.items())
-        return SkewPoly({e: img for e, img in images if not img.is_zero()}, self.P.n)
-
-
-def extend_delta(P: Presentation, i: int) -> ExtendedDerivation:
-    """Lift delta_i to the extension, twisted against the lifted sigma_i."""
-    _require_h_block(P)
-    return ExtendedDerivation(P, P.delta[i], extend_sigma(P, i))
-
-
-# -- sampled verification --------------------------------------------------------
-
-
-@dataclass
-class LeibnizAudit:
-    ok: bool
-    checked: int
-    witness: tuple | None = None  # (p, s) rendered strings
-
-    def __bool__(self):
-        return self.ok
-
-
-def verify_twisted_leibniz(sig: AlgebraEndo, der: ExtendedDerivation, samples: int, degree: int, rng) -> LeibnizAudit:
-    """Check ``delta~(p s) = sigma~(p) delta~(s) + delta~(p) s`` exactly on
-    random pairs; reports the first counterexample."""
-    from .sampling import random_skew
-
-    P = sig.P
-    for count in range(samples):
-        p = random_skew(P, rng, degree)
-        s = random_skew(P, rng, degree)
-        lhs = der.apply(P.multiply(p, s))
-        rhs = P.multiply(sig.apply(p), der.apply(s)) + P.multiply(der.apply(p), s)
-        if lhs != rhs:
-            return LeibnizAudit(False, count + 1, (P.render(p), P.render(s)))
-    return LeibnizAudit(True, samples)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from math import comb, log
 
 from .coefficients import apply_endo, apply_sder
-from .core import Presentation
+from .core import Presentation, tail_name
 from .errors import UnsupportedPresentationError
 
 CERTIFIED = "certified-smooth"
@@ -48,19 +48,18 @@ def check_filtration_compatible(P: Presentation):
                     f"delta of {P.names[i]} overshoots the degree of the pair "
                     f"{P.names[i]}*{ring.coeff_vars[j]}"
                 )
-    for (i, j), rel in P.relations.items():
+    for (i, j), tails in P.tails.items():
         label = f"({P.names[j]},{P.names[i]})"
-        if rel.d.total_degree() > 0:
-            raise UnsupportedPresentationError(
-                f"leading coefficient of relation {label} has positive degree"
-            )
-        if rel.r0.total_degree() > 2:
-            raise UnsupportedPresentationError(f"constant tail of relation {label} too large")
-        for k, rk in enumerate(rel.rk):
-            if rk.total_degree() > 1:
-                raise UnsupportedPresentationError(
-                    f"linear tail r{k + 1} of relation {label} too large"
-                )
+        for c, w in tails:
+            if c.total_degree() + len(w) <= 2:
+                continue
+            if len(w) == 2:
+                message = f"leading coefficient of relation {label} has positive degree"
+            elif w:
+                message = f"linear tail {tail_name(w)} of relation {label} too large"
+            else:
+                message = f"constant tail of relation {label} too large"
+            raise UnsupportedPresentationError(message)
 
 
 def filtration_dims(P: Presentation, m_max: int) -> FiltrationTable:

@@ -1,4 +1,6 @@
-"""Shared fixtures: hand-built presentations used across the test suite."""
+"""Shared fixtures: hand-built presentations used across the test suite,
+and two oracles: exact univariate division, and the sampled twisted product
+rule for the lifted derivations."""
 
 from __future__ import annotations
 
@@ -6,8 +8,9 @@ import random
 
 import pytest
 
-from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation
-from spbw.core import Presentation, Relation
+from spbw.coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation, apply_sder
+from spbw.core import Presentation, Relation, SkewPoly
+from spbw.sampling import random_skew  # re-exported for tests
 
 
 def commuting_relation(ring, n, i, j):
@@ -77,4 +80,41 @@ def rng():
     return random.Random(1729)
 
 
-from spbw.sampling import random_skew  # noqa: E402  (re-exported for tests)
+def divmod_univariate(f: CoeffPoly, g: CoeffPoly) -> tuple:
+    """Exact long division of univariate polynomials; returns (quot, rem)."""
+    assert f.nvars == 1 and g.nvars == 1 and not g.is_zero()
+    quot = CoeffPoly({}, 1, f.nparams)
+    rem = f
+    dg = g.total_degree()
+    lead_g = g.terms[(dg,)]
+    while not rem.is_zero() and rem.total_degree() >= dg:
+        dr = rem.total_degree()
+        mono = CoeffPoly({(dr - dg,): rem.terms[(dr,)] / lead_g}, 1, f.nparams)
+        quot = quot + mono
+        rem = rem - mono * g
+    return quot, rem
+
+
+def lift_delta(P, i):
+    """The coefficientwise lift of delta_i to the extension, as a function:
+    ``sum r_a x^a -> sum delta_i(r_a) x^a``, so it kills generator
+    monomials."""
+
+    def apply(f):
+        images = ((e, apply_sder(P.delta[i], c)) for e, c in f.terms.items())
+        return SkewPoly({e: img for e, img in images if not img.is_zero()}, P.n)
+
+    return apply
+
+
+def twisted_leibniz_witness(P, sigma, delta, samples, degree, rng):
+    """The first of ``samples`` random pairs (p, s), rendered, with
+    ``delta(p s) != sigma(p) delta(s) + delta(p) s``, or None when every
+    pair satisfies the twisted product rule.  ``sigma`` and ``delta`` are
+    functions on elements of P."""
+    for _ in range(samples):
+        p = random_skew(P, rng, degree)
+        s = random_skew(P, rng, degree)
+        if delta(P.multiply(p, s)) != P.multiply(sigma(p), delta(s)) + P.multiply(delta(p), s):
+            return P.render(p), P.render(s)
+    return None

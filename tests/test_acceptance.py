@@ -17,18 +17,20 @@ from spbw.calculus import build_calculus
 from spbw.coefficients import CoeffRing
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
-from spbw.extended import extend_delta, extend_sigma, hypothesis_check, verify_twisted_leibniz
+from spbw.extended import extend_sigma, hypothesis_check
 from spbw.ore import (
     CASE_CONSTANT_P,
     CASE_FREE_P,
     CASE_LINEAR_P,
     CASE_NONE,
     ore_case_classify,
-    ore_nu_maps,
+    ore_document,
 )
 from spbw.pipeline import calculus_spec_from_doc, run_check_pbw, run_smooth
 from spbw.report import Report
 from spbw.sampling import random_skew
+
+from conftest import lift_delta, twisted_leibniz_witness
 
 SMOOTH_NAMES = tuple(n for n in CORPUS_NAMES if n != "broken")
 GOLDEN = Path(__file__).parent / "golden"
@@ -125,8 +127,8 @@ def test_03_extended_maps_leibniz(presentations):
             continue
         for i in range(P.n):
             rng = random.Random(1729 + i)
-            audit = verify_twisted_leibniz(extend_sigma(P, i), extend_delta(P, i), 100, 4, rng)
-            assert audit.ok, f"{name} generator {i}: witness {audit.witness}"
+            witness = twisted_leibniz_witness(P, extend_sigma(P, i).apply, lift_delta(P, i), 100, 4, rng)
+            assert witness is None, f"{name} generator {i}: witness {witness}"
     elapsed = time.perf_counter() - start
     _line(3, elapsed < 30.0, f"twisted product rule holds on 100 samples per lift ({elapsed:.2f}s)")
 
@@ -145,13 +147,18 @@ def test_04_ore_case_table():
     ]
     for qv, rv, p, expected in table:
         assert ore_case_classify(ring, qv, rv, p) == expected
-        if expected != CASE_NONE:
-            # constructor verifies relation respect and commutation on generators
-            data = ore_nu_maps(ring, qv, rv, p)
-            nt, nx = data.nu_t, data.nu_x
-            assert nx.apply(nt.images[1]) == nt.apply(nx.images[1])
-            assert nx.apply(nt.images[0]) == nt.apply(nx.images[0])
-    _line(4, True, "case table reproduced on 6 instantiations; twist pairs commute")
+        doc = parse_presentation(ore_document(ring, qv, rv, p))
+        report = run_smooth(doc)
+        if expected == CASE_NONE:
+            assert report.verdict == "failed" and report.failed_check == "compatibility"
+            continue
+        assert report.verdict == "certified-smooth"
+        # the constructor verifies relation respect; the pair also commutes
+        P = build_presentation(doc)
+        nt, nx = (dgen.twist for dgen in calculus_spec_from_doc(doc, P).dgens)
+        assert nx.apply(nt.images[1]) == nt.apply(nx.images[1])
+        assert nx.apply(nt.images[0]) == nt.apply(nx.images[0])
+    _line(4, True, "case table reproduced on 6 instantiations; verdicts follow it; twist pairs commute")
 
 
 def test_05_calculus_soundness(calculi):

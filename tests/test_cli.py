@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import spbw
 from spbw.cli import main
 from spbw.corpus import corpus_source
 
@@ -155,3 +160,37 @@ def test_wrong_claimed_inverse_exits_two(tmp_path, capsys):
     )
     assert main(["smooth", str(path)]) == 2
     assert "claimed inverse does not undo" in capsys.readouterr().err
+
+
+def _not_utf8(tmp):
+    path = tmp / "latin1.spbw"
+    path.write_bytes(b"name caf\xe9\n")
+    return path
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda tmp: tmp, id="directory"),
+    pytest.param(lambda tmp: tmp / "no" / "such.spbw", id="missing"),
+    pytest.param(_not_utf8, id="not-utf8"),
+])
+def test_unreadable_input_exits_two(make, tmp_path, capsys):
+    assert main(["smooth", str(make(tmp_path))]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read input: ")
+
+
+def test_directory_input_prints_no_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(spbw.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-m", "spbw", "smooth", str(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr and "cannot read input" in run.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(lambda tmp: ["smooth", "corpus:weyl", "--json", str(tmp)], id="report-to-directory"),
+    pytest.param(lambda tmp: ["smooth", "corpus:weyl", "--json", str(tmp / "no" / "r.json")], id="report-missing-dir"),
+    pytest.param(lambda tmp: ["corpus", "--write", str(_not_utf8(tmp))], id="corpus-to-file"),
+])
+def test_unwritable_output_exits_two(argv, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write output: ")

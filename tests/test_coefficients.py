@@ -8,8 +8,9 @@ from spbw.coefficients import (
     apply_sder,
     commutation_audit,
     derivative,
-    divmod_univariate,
 )
+
+from conftest import divmod_univariate
 
 
 @pytest.fixture

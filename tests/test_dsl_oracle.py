@@ -185,7 +185,7 @@ def test_weyl_power_of_sum_closed_form():
     pytest.param("name d\ncoeffs t\ngens x\nsigma x: t -> (t + 1)^30\n",
                  lambda doc: doc.sigma_images[0][0], id="sigma"),
     pytest.param("name d\ncoeffs t\ngens x1 x2\nrel x2 x1 = x1 x2 + (t + 1)^30\n",
-                 lambda doc: doc.relations[(0, 1)].r0, id="rel"),
+                 lambda doc: build_presentation(doc).relation_rhs(0, 1).terms[(0, 0)], id="rel"),
 ])
 def test_binomial_power_in_coefficient_lines(source, read):
     doc = parse_presentation(source)

@@ -5,19 +5,11 @@ import pytest
 from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation
 from spbw.core import Presentation, Relation
 from spbw.dsl import build_presentation, parse_presentation
-from spbw.errors import HypothesisError, MapError
-from spbw.extended import (
-    AlgebraEndo,
-    ExtendedDerivation,
-    auto_inverse,
-    extend_delta,
-    extend_sigma,
-    frame_affine_inverse,
-    hypothesis_check,
-    verify_twisted_leibniz,
-)
+from spbw.gkdim import check_filtration_compatible
+from spbw.errors import HypothesisError, MapError, UnsupportedPresentationError
+from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, frame_affine_inverse, hypothesis_check
 
-from conftest import random_skew
+from conftest import lift_delta, twisted_leibniz_witness
 
 
 def test_hypothesis_weyl_all_pass(weyl):
@@ -59,67 +51,55 @@ def test_extend_sigma_coefficientwise(qplane_ore):
 
 
 def test_extend_delta_kills_generators(jordan):
-    lift = extend_delta(jordan, 0)
-    assert lift.apply(jordan.monomial((3,))).is_zero()
-    assert lift.apply(jordan.const(5)).is_zero()
+    lift = lift_delta(jordan, 0)
+    assert lift(jordan.monomial((3,))).is_zero()
+    assert lift(jordan.const(5)).is_zero()
 
 
 def test_extend_delta_coefficientwise(jordan):
     t = jordan.ring.var(0)
-    lift = extend_delta(jordan, 0)
-    assert lift.apply(jordan.monomial((1,), t)) == jordan.monomial((1,), t * t)
+    lift = lift_delta(jordan, 0)
+    assert lift(jordan.monomial((1,), t)) == jordan.monomial((1,), t * t)
 
 
 def test_extended_maps_restrict_to_base(jordan, qplane_ore):
     for P in (jordan, qplane_ore):
         from spbw.coefficients import apply_endo, apply_sder
 
-        sig, dele = extend_sigma(P, 0), extend_delta(P, 0)
+        sig, dele = extend_sigma(P, 0), lift_delta(P, 0)
         for j in range(P.ring.nvars):
             v = P.ring.var(j)
             assert sig.apply(P.from_coeff(v)) == P.from_coeff(apply_endo(P.sigma[0], v))
-            assert dele.apply(P.from_coeff(v)) == P.from_coeff(apply_sder(P.delta[0], v))
+            assert dele(P.from_coeff(v)) == P.from_coeff(apply_sder(P.delta[0], v))
 
 
 def test_verify_twisted_leibniz_zero_delta(qplane_ore):
     rng = random.Random(7)
-    audit = verify_twisted_leibniz(extend_sigma(qplane_ore, 0), extend_delta(qplane_ore, 0), 20, 3, rng)
-    assert audit.ok
+    sig = extend_sigma(qplane_ore, 0)
+    assert twisted_leibniz_witness(qplane_ore, sig.apply, lift_delta(qplane_ore, 0), 20, 3, rng) is None
 
 
 def test_verify_twisted_leibniz_jordan(jordan):
     rng = random.Random(7)
-    audit = verify_twisted_leibniz(extend_sigma(jordan, 0), extend_delta(jordan, 0), 100, 4, rng)
-    assert audit.ok and audit.checked == 100
-
-
-class _CorruptedDerivation(ExtendedDerivation):
-    """A buggy lift: a nonzero generator image spliced in without the
-    product-rule corrections."""
-
-    def __init__(self, P, base, twist, spliced):
-        super().__init__(P, base, twist)
-        self.spliced = tuple(spliced)
-
-    def apply(self, f):
-        out = super().apply(f)
-        P = self.P
-        for e, c in f.terms.items():
-            for i, g in enumerate(self.spliced):
-                if e[i] and not g.is_zero():
-                    shifted = list(e)
-                    shifted[i] -= 1
-                    out = out + P.multiply(P.monomial(shifted, c), g)
-        return out
+    sig = extend_sigma(jordan, 0)
+    assert twisted_leibniz_witness(jordan, sig.apply, lift_delta(jordan, 0), 100, 4, rng) is None
 
 
 def test_verify_twisted_leibniz_detects_corruption(weyl_ore):
+    # a buggy lift: the generator image 1 spliced in without the
+    # product-rule corrections
+    P = weyl_ore
+    lift = lift_delta(P, 0)
+
+    def corrupt(f):
+        out = lift(f)
+        for e, c in f.terms.items():
+            if e[0]:
+                out = out + P.monomial((e[0] - 1,), c)
+        return out
+
     rng = random.Random(7)
-    sig = extend_sigma(weyl_ore, 0)
-    corrupt = _CorruptedDerivation(weyl_ore, weyl_ore.delta[0], sig, (weyl_ore.one(),))
-    audit = verify_twisted_leibniz(sig, corrupt, 100, 4, rng)
-    assert not audit.ok
-    assert audit.witness is not None
+    assert twisted_leibniz_witness(P, extend_sigma(P, 0).apply, corrupt, 100, 4, rng) is not None
 
 
 def test_algebra_endo_rejects_relation_breaker(weyl):
@@ -213,3 +193,63 @@ def test_extend_sigma_requires_h_block():
     P = Presentation(ring, ("x",), (sigma,), (delta,), {})
     with pytest.raises(HypothesisError):
         extend_sigma(P, 0)
+
+
+# Each row: a document, the hypothesis failures in the order reported, and
+# the filtration refusal (None when the relations are filtration compatible).
+# Every relation piece the checks name is pinned: d, r0 and a linear tail rk.
+_SHAPE = "name h\ncoeffs t\n"
+SHAPE_ROWS = [
+    pytest.param(
+        _SHAPE + "gens x1 x2\ndelta x1: t -> 1\nrel x2 x1 = t*x1 x2\n",
+        ["delta_x1 does not kill d of relation (x2,x1)", "d of relation (x2,x1) is not 1"],
+        "leading coefficient of relation (x2,x1) has positive degree",
+        id="d"),
+    pytest.param(
+        _SHAPE + "gens x1 x2\ndelta x1: t -> 1\nrel x2 x1 = x1 x2 + t^3\n",
+        ["delta_x1 does not kill r0 of relation (x2,x1)"],
+        "constant tail of relation (x2,x1) too large",
+        id="r0"),
+    pytest.param(
+        _SHAPE + "gens x1 x2\ndelta x2: t -> 1\nrel x2 x1 = x1 x2 + t^2*x1\n",
+        ["delta_x2 does not kill r1 of relation (x2,x1)", "linear tail r1 of relation (x2,x1) is nonzero"],
+        "linear tail r1 of relation (x2,x1) too large",
+        id="rk"),
+    pytest.param(
+        _SHAPE + "gens x1 x2 x3\ndelta x3: t -> 1\nrel x2 x1 = 2*x1 x2 + t*x3 + t\n"
+        "rel x3 x1 = x1 x3 + x2\nrel x3 x2 = (t + 1)*x2 x3 + t^2*x1 + x3\n",
+        ["delta_x3 does not kill r0 of relation (x2,x1)",
+         "delta_x3 does not kill r3 of relation (x2,x1)",
+         "delta_x3 does not kill d of relation (x3,x2)",
+         "delta_x3 does not kill r1 of relation (x3,x2)",
+         "d of relation (x2,x1) is not 1",
+         "linear tail r3 of relation (x2,x1) is nonzero",
+         "linear tail r2 of relation (x3,x1) is nonzero",
+         "d of relation (x3,x2) is not 1",
+         "linear tail r1 of relation (x3,x2) is nonzero",
+         "linear tail r3 of relation (x3,x2) is nonzero"],
+        "leading coefficient of relation (x3,x2) has positive degree",
+        id="three-generators"),
+    pytest.param(
+        _SHAPE + "gens x1 x2\nrel x2 x1 = 3*x1 x2 + t^2 + t*x2\n",
+        ["d of relation (x2,x1) is not 1", "linear tail r2 of relation (x2,x1) is nonzero"],
+        None,
+        id="compatible"),
+    pytest.param(
+        _SHAPE + "gens x1\nsigma x1: t -> t^2\n", [], "sigma of x1 raises the degree of t", id="sigma"),
+    pytest.param(
+        _SHAPE + "gens x1\ndelta x1: t -> t^3\n", [],
+        "delta of x1 overshoots the degree of the pair x1*t", id="delta"),
+]
+
+
+@pytest.mark.parametrize("source, failures, filtration", SHAPE_ROWS)
+def test_relation_shape_failure_texts(source, failures, filtration):
+    P = build_presentation(parse_presentation(source))
+    assert hypothesis_check(P).failures == failures
+    if filtration is None:
+        check_filtration_compatible(P)
+    else:
+        with pytest.raises(UnsupportedPresentationError) as err:
+            check_filtration_compatible(P)
+        assert str(err.value) == filtration

@@ -15,11 +15,13 @@ from spbw.coefficients import apply_endo, apply_sder
 from spbw.core import SkewPoly, _expand, _pack, exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation
-from spbw.extended import extend_delta, extend_sigma, hypothesis_check
+from spbw.extended import extend_sigma, hypothesis_check
 from spbw.gkdim import filtration_dims
 from spbw.lincomb import add_terms
 from spbw.pipeline import calculus_spec_from_doc
 from spbw.sampling import random_expo, random_skew
+
+from conftest import lift_delta
 
 SMOOTH_NAMES = tuple(n for n in CORPUS_NAMES if n != "broken")
 
@@ -127,11 +129,11 @@ def test_extended_maps_restrict_to_base(presentations):
         if not hypothesis_check(P).proposition_ok:
             continue
         for i in range(P.n):
-            sig, dele = extend_sigma(P, i), extend_delta(P, i)
+            sig, dele = extend_sigma(P, i), lift_delta(P, i)
             for j in range(P.ring.nvars):
                 v = P.ring.var(j)
                 assert sig.apply(P.from_coeff(v)) == P.from_coeff(apply_endo(P.sigma[i], v)), name
-                assert dele.apply(P.from_coeff(v)) == P.from_coeff(apply_sder(P.delta[i], v)), name
+                assert dele(P.from_coeff(v)) == P.from_coeff(apply_sder(P.delta[i], v)), name
 
 
 def test_lifted_sigmas_commute_under_t2(presentations):
