@@ -129,9 +129,11 @@ class Calculus:
     in ``_volume``, ``_d_word`` memoizes every word suffix it differentiates
     in ``_d_memo`` (with the suffix's normal form), ``divergence_chain``
     memoizes the transported divergence of every basis functional it meets
-    in ``_nabla_memo``, ``integrability_check`` sets
-    ``integrability_passed`` (which the divergence checks require), and
-    construction sets ``compatibility``.  These and the memo tables of the
+    in ``_nabla_memo``, ``_basis_product`` memoizes the merged set and
+    crossing factor of every pair of wedge basis sets in ``_basis_memo``,
+    ``integrability_check`` sets ``integrability_passed`` (which the
+    divergence checks require), and construction sets ``compatibility``.
+    These and the memo tables of the
     presentation (``_mono_cache``) and the twists (``_power_memo`` and
     ``_monomial_memo``) fill as it runs, so one calculus belongs to one
     thread at a time.  A product with the literal unit element, in
@@ -145,6 +147,8 @@ class Calculus:
         self._dcoords = None  # per symbol: tuple of N Scalars, or None row
         self._d_memo = {(): (P.one(), {})}  # suffix word -> (normal form, d terms)
         self._nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
+        self._basis_memo: dict = {}  # (S, T) -> du_S ^ du_T as (merged set, factor), or None
+        self._one = P.ring.sone()
         self._volume = None
         self.integrability_passed = None
         self.compatibility = None
@@ -191,7 +195,7 @@ class Calculus:
         return f
 
     def lam(self, i: int, j: int) -> Scalar:
-        return self.spec.wedge_signs.get((i, j), Scalar.const(self.P.ring.nparams, 1))
+        return self.spec.wedge_signs.get((i, j), self._one)
 
     # -- form constructors ----------------------------------------------------------
 
@@ -225,15 +229,19 @@ class Calculus:
 
     def _basis_product(self, S, T):
         """Merge two sorted index sets: None on repeats, else the merged set
-        and the scalar factor from the crossings."""
-        if set(S) & set(T):
-            return None
-        factor = Scalar.const(self.P.ring.nparams, 1)
-        for s in S:
-            for t in T:
-                if s > t:
-                    factor = factor * (-self.lam(t, s))
-        return tuple(sorted(S + T)), factor
+        and the scalar factor from the crossings; memoized by ``(S, T)``."""
+        memo = self._basis_memo
+        if (S, T) not in memo:
+            if set(S) & set(T):
+                memo[S, T] = None
+            else:
+                factor = self._one
+                for s in S:
+                    for t in T:
+                        if s > t:
+                            factor = factor * (-self.lam(t, s))
+                memo[S, T] = tuple(sorted(S + T)), factor
+        return memo[S, T]
 
     def wedge(self, a: DiffForm, b: DiffForm) -> DiffForm:
         """Graded product: repeated generators annihilate, crossings pick up
@@ -324,6 +332,72 @@ class Calculus:
     # -- checks --------------------------------------------------------------------------
 
     def d_squared_check(self, degree_bound: int) -> CheckOutcome:
+        """d^2 = 0 on all of Omega, decided from the frame generators;
+        searched to ``degree_bound`` for witnesses when that fails.
+
+        Omega is generated by the algebra A and the ``du_i``, subject to the
+        relations of A, ``f du_i = du_i nu_i(f)``, ``du_i du_i = 0`` and
+        ``du_j du_i = -lambda_ij du_i du_j`` for i < j.  The certificate is:
+
+        (a) the twists commute on the frame, ``nu_i(nu_j(s)) ==
+            nu_j(nu_i(s))`` for every pair i < j and every frame symbol s;
+        (b) ``d0(s) ^ du_i + du_i ^ d0(nu_i(s)) == 0`` for every frame
+            symbol s and every i.
+
+        Why it suffices.  Compatibility has passed (it is set at
+        construction and is a hard stage that runs earlier), so ``d0`` is a
+        well-defined twisted derivation of A; every twist is an algebra
+        endomorphism, which ``AlgebraEndo`` verifies on every defining
+        relation, and is Q(params)-linear.  Both composites in (a) are then
+        algebra maps, so they agree on all of A.  Pushing f through ``du_j
+        du_i`` in either order gives ``nu_i nu_j(f)`` and ``nu_j nu_i(f)``
+        times the same scalar, so (a) makes the forms ``du_S f`` a basis on
+        which ``wedge`` is the associative product of Omega.  (b) is d
+        applied to both sides of ``s du_i = du_i nu_i(s)``; since d0 and
+        nu_i obey the product rule and the wedge is associative, it extends
+        from the frame symbols to every f, so d respects the relation ``f
+        du_i = du_i nu_i(f)``.  It respects the relations among the ``du``
+        because ``d(du_i) = 0`` and the wedge constants are central.  That is
+        also why the constants need no check of their own: they are nonzero
+        (the parser refuses 0), they are scalars of Q(params), and the twists
+        are Q(params)-linear, so each constant commutes with every form.  So
+        d, which ``differential`` computes on the basis as ``d(du_S f) =
+        (-1)^|S| du_S ^ d0(f)``, is a graded derivation of Omega.  Then d^2 =
+        (1/2)[d, d] is a derivation too, and it vanishes on the generators of
+        Omega: on each ``du_i``, and on each frame symbol s, because
+        ``d0(s)`` has scalar coefficients (its dcoords row, or none).  Hence
+        d^2 = 0 in every degree, which includes every monomial up to the
+        bound.
+
+        (a) and (b) are sufficient, not necessary: when either fails,
+        :meth:`_d_squared_upto` decides and supplies the witnesses."""
+        if self.compatibility and self._twists_commute() and self._d_respects_twisting():
+            return CheckOutcome(True)
+        return self._d_squared_upto(degree_bound)
+
+    def _twists_commute(self) -> bool:
+        """Condition (a) of :meth:`d_squared_check`."""
+        twists = [dg.twist for dg in self.spec.dgens]
+        return all(
+            ti.apply(tj.images[s]) == tj.apply(ti.images[s])
+            for ti, tj in combinations(twists, 2)
+            for s in range(self.nsyms)
+        )
+
+    def _d_respects_twisting(self) -> bool:
+        """Condition (b) of :meth:`d_squared_check`: two wedges per frame
+        symbol and twist, and no call of ``differential``."""
+        P = self.P
+        twists = [dg.twist for dg in self.spec.dgens]
+        for s, sym in enumerate(P.frame()):
+            ds = self.d0(sym)
+            for i, twist in enumerate(twists):
+                du = self.form((i,), P.one())
+                if not (self.wedge(ds, du) + self.wedge(du, self.d0(twist.images[s]))).is_zero():
+                    return False
+        return True
+
+    def _d_squared_upto(self, degree_bound: int) -> CheckOutcome:
         """d(d(m)) = 0 for every normal monomial up to the bound and for the
         basis one-forms carrying those monomials."""
         witnesses = []

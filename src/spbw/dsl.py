@@ -774,7 +774,7 @@ def render_presentation(doc: PresentationDoc) -> str:
     def map_line(keyword, gi, images, skip):
         entries = []
         for j, img in enumerate(images):
-            if img == skip[j]:
+            if skip is not None and img == skip[j]:
                 continue
             entries.append(f"{doc.coeff_vars[j]} -> {_render_coeff_dsl(img, doc.params, doc.coeff_vars)}")
         if entries:
@@ -784,9 +784,12 @@ def render_presentation(doc: PresentationDoc) -> str:
     for gi in range(len(doc.gens)):
         map_line("sigma", gi, doc.sigma_images[gi], id_images)
         map_line("delta", gi, doc.delta_images[gi], zero_images)
+        # without an isigma line the parser derives the mechanical inverse,
+        # so the line is written, in full, whenever the claimed inverse
+        # differs from it; an identity claim would otherwise leave no entry
         inv = doc.sigma_inverses.get(gi)
-        if inv is not None and _diagonal_affine_inverse(ring, doc.sigma_images[gi]) is None:
-            map_line("isigma", gi, inv, id_images)
+        if inv is not None and inv != _diagonal_affine_inverse(ring, doc.sigma_images[gi]):
+            map_line("isigma", gi, inv, None)
 
     # The tails come from a presentation built without the claimed sigma
     # inverses: rendering does not check them, so every parsed document renders.

@@ -1,6 +1,6 @@
 """Shared fixtures: hand-built presentations used across the test suite,
-and two oracles: exact univariate division, and the sampled twisted product
-rule for the lifted derivations."""
+two oracles (exact univariate division, and the sampled twisted product
+rule for the lifted derivations), and the grid of affine Ore members."""
 
 from __future__ import annotations
 
@@ -118,3 +118,32 @@ def twisted_leibniz_witness(P, sigma, delta, samples, degree, rng):
         if delta(P.multiply(p, s)) != P.multiply(sigma(p), delta(s)) + P.multiply(delta(p), s):
             return P.render(p), P.render(s)
     return None
+
+
+# -- the affine Ore grid ----------------------------------------------------------
+
+GRID_Q = ("1", "2", "-1", "q")
+GRID_R = (0, 1, 3)
+GRID_P = ("0", "1", "5", "t", "t+1", "2t-3", "t^2", "t^2+t")
+
+
+def grid_member(ring, qs, r, ps):
+    """``(q, r, p)`` of the grid member labelled ``(qs, r, ps)`` over the
+    ring with parameter q and coefficient variable t."""
+    t, one = ring.var(0), ring.one()
+    q = ring.param("q") if qs == "q" else ring.scalar(int(qs))
+    p = {
+        "0": ring.zero(), "1": one, "5": ring.const(5), "t": t, "t+1": t + one,
+        "2t-3": t.scale(ring.scalar(2)) - ring.const(3), "t^2": t * t, "t^2+t": t * t + t,
+    }[ps]
+    return q, ring.scalar(r), p
+
+
+def grid():
+    """The 96 labels of the affine Ore grid x t = (q t + r) x + delta_p(t)."""
+    return [(qs, r, ps) for qs in GRID_Q for r in GRID_R for ps in GRID_P]
+
+
+def without_wedge(source):
+    """A document text with its wedge lines removed."""
+    return "".join(line for line in source.splitlines(keepends=True) if not line.startswith("wedge"))

@@ -12,13 +12,17 @@ from spbw.calculus import (
     build_calculus,
     theorem_spec,
 )
+from spbw.coefficients import CoeffRing
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
-from spbw.errors import CompatibilityError, ConfigError
+from spbw.errors import CompatibilityError, ConfigError, MapError
 from spbw.extended import AlgebraEndo, auto_inverse
-from spbw.pipeline import run_calculus_check, run_smooth
+from spbw.ore import ore_document
+from spbw.pipeline import calculus_spec_from_doc, run_calculus_check, run_smooth
 
-from conftest import random_skew
+from conftest import grid, grid_member, random_skew, without_wedge
+
+CERTIFIED = tuple(n for n in CORPUS_NAMES if n != "broken")
 
 
 def make_twist(P, images):
@@ -308,6 +312,81 @@ def test_d_squared_qplane_needs_wedge_constant(qplane):
     assert not outcome.ok
 
 
+# The generator certificate of d_squared_check against the degree-6 loop,
+# which stays the oracle: the certificate is only sufficient, but on every
+# document here the two agree.
+
+
+def _generator_certificate(calc):
+    return calc._twists_commute() and calc._d_respects_twisting()
+
+
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_generator_certificate_agrees_with_degree_six_on_corpus(name):
+    doc = corpus_doc(name)
+    P = build_presentation(doc)
+    spec = calculus_spec_from_doc(doc, P)
+    variants = {
+        "as shipped": spec,
+        "wedge (0,1) = 7": replace(spec, wedge_signs={**spec.wedge_signs, (0, 1): P.ring.scalar(7)}),
+        "no wedge constants": replace(spec, wedge_signs={}),
+    }
+    outcomes = {}
+    for label, variant in variants.items():
+        calc = build_calculus(P, variant)
+        outcomes[label] = calc._d_squared_upto(6).ok
+        assert _generator_certificate(calc) == outcomes[label], label
+    assert outcomes["as shipped"] and not outcomes["wedge (0,1) = 7"]
+    assert outcomes["no wedge constants"] == (not spec.wedge_signs)
+
+
+def test_generator_certificate_agrees_with_degree_six_on_ore_grid():
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    outcomes = {True: 0, False: 0}
+    for qs, r, ps in grid():
+        source = ore_document(ring, *grid_member(ring, qs, r, ps))
+        for text in (source, without_wedge(source)):
+            try:
+                calc = run_calculus_check(parse_presentation(text))
+            except (MapError, CompatibilityError):
+                continue  # case none: no calculus to decide d^2 on
+            ok = calc._d_squared_upto(6).ok
+            assert _generator_certificate(calc) == ok, f"q={qs} r={r} p={ps}\n{text}"
+            outcomes[ok] += 1
+    # 28 members with a calculus, each with and without its wedge line; the
+    # 14 case-c members with q != 1 need the line
+    assert outcomes == {True: 42, False: 14}
+
+
+NON_COMMUTING_TWISTS = """name probe
+gens x1 x2
+rel x2 x1 = x1 x2
+calculus mode=flat
+dgens x1 x2
+twist x1: x1 -> 2*x1 + x2
+twist x2: x2 -> x2 + x1
+"""
+
+
+def test_non_commuting_twists_fail_the_certificate_and_d_squared():
+    calc = run_calculus_check(parse_presentation(NON_COMMUTING_TWISTS))
+    assert not calc._twists_commute()
+    report = run_smooth(parse_presentation(NON_COMMUTING_TWISTS))
+    assert report.verdict == "not-certified"
+    assert report.failing[0] == "d-squared"
+    assert report.check("d-squared").witnesses[0] == "d^2 of x2^2 = d(x1)d(x2)*(1)"
+
+
+@pytest.mark.parametrize("name", ["qaffine3", "poly3"])
+def test_passing_d_squared_differentiates_no_form(name):
+    calc = run_calculus_check(corpus_doc(name))
+    calls = {"differential": 0, "wedge": 0}
+    _counting(calc, calls)
+    assert calc.d_squared_check(6).ok
+    assert calls["differential"] == 0
+    assert calls["wedge"] <= 2 * calc.N * calc.nsyms
+
+
 # -- connectedness ------------------------------------------------------------------
 
 
@@ -541,9 +620,6 @@ def test_unit_product_makes_no_reduction(jordan):
 
 
 # -- negative controls: a wrong calculus fails the stage meant to catch it ---------------------
-
-
-CERTIFIED = tuple(n for n in CORPUS_NAMES if n != "broken")
 
 
 def _status(report, stage):

@@ -78,6 +78,14 @@ def test_multi_term_scalar_inverse_round_trip():
     assert parse_presentation(render_presentation(doc)) == doc
 
 
+@pytest.mark.parametrize("isigma", ["t -> t", "t -> 3*t"])
+def test_claimed_inverse_of_diagonal_sigma_round_trip(isigma):
+    # a claimed inverse that differs from the mechanical one (t -> 2^-1*t)
+    # must survive rendering, or the reparsed document builds where this fails
+    doc = parse_presentation(f"name bad\ncoeffs t\ngens x\nsigma x: t -> 2*t\nisigma x: {isigma}\n")
+    assert parse_presentation(render_presentation(doc)) == doc
+
+
 def test_unknown_option_diagnostic():
     src = "name bad\ngens x1 x2\nrel x2 x1 = x1 x2\noptions bogus=3\n"
     with pytest.raises(ParseError) as err:

@@ -18,7 +18,7 @@ from spbw.ore import (
 )
 from spbw.pipeline import run_smooth
 
-from conftest import divmod_univariate
+from conftest import divmod_univariate, grid, grid_member, without_wedge
 
 
 @pytest.fixture
@@ -181,28 +181,6 @@ def test_nu_maps_unsupported(ring):
 
 
 # -- the grid of members ----------------------------------------------------------
-
-GRID_Q = ("1", "2", "-1", "q")
-GRID_R = (0, 1, 3)
-GRID_P = ("0", "1", "5", "t", "t+1", "2t-3", "t^2", "t^2+t")
-
-
-def grid_member(ring, qs, r, ps):
-    t, one = t_poly(ring), ring.one()
-    q = ring.param("q") if qs == "q" else ring.scalar(int(qs))
-    p = {
-        "0": ring.zero(), "1": one, "5": ring.const(5), "t": t, "t+1": t + one,
-        "2t-3": t.scale(ring.scalar(2)) - ring.const(3), "t^2": t * t, "t^2+t": t * t + t,
-    }[ps]
-    return q, ring.scalar(r), p
-
-
-def grid():
-    return [(qs, r, ps) for qs in GRID_Q for r in GRID_R for ps in GRID_P]
-
-
-def without_wedge(source):
-    return "".join(line for line in source.splitlines(keepends=True) if not line.startswith("wedge"))
 
 
 def test_grid_verdict_follows_the_case_table(ring):
