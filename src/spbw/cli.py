@@ -1,18 +1,20 @@
 """Command-line front end.
 
     spbw smooth FILE [--samples K] [--seed S] [--max-degree M] [--json PATH]
-    spbw check pbw FILE
-    spbw check hypotheses FILE
+    spbw check pbw FILE [--max-degree M]
+    spbw check hypotheses FILE [--max-degree M]
     spbw calculus check FILE
     spbw normalize FILE EXPR
     spbw gkdim FILE [--max-degree M]
-    spbw report FILE --json PATH
+    spbw report FILE --json PATH [--samples K] [--seed S] [--max-degree M]
     spbw corpus [--write DIR]
 
 FILE is a path to a ``.spbw`` document or ``corpus:NAME`` for a built-in
-entry.  Exit codes: 0 when a verdict or result was produced (including
-not-certified), 1 when a check hard-failed, 2 on parse or configuration
-errors, a path that cannot be read or written among them.
+entry.  ``--max-degree`` sets ``gk_degree``, or ``pbw_degree`` for
+``check``; an option a command does not read is a usage error.  Exit codes:
+0 when a verdict or result was produced (including not-certified), 1 when a
+check hard-failed, 2 on usage, parse or configuration errors, a path that
+cannot be read or written among them.
 """
 
 from __future__ import annotations
@@ -68,8 +70,7 @@ def _cmd_smooth(args) -> int:
 
 def _cmd_report(args) -> int:
     if not args.json:
-        sys.stderr.write("report needs --json PATH\n")
-        return EXIT_CONFIG
+        raise ConfigError("report needs --json PATH")
     return _cmd_smooth(args)
 
 
@@ -149,39 +150,46 @@ def _build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_file=True):
-        if with_file:
-            p.add_argument("file", help="path to a .spbw document, or corpus:NAME")
+    def file_arg(p):
+        p.add_argument("file", help="path to a .spbw document, or corpus:NAME")
+
+    def max_degree(p):
         p.add_argument("--max-degree", type=int, default=None)
+
+    def pipeline_options(p):
+        file_arg(p)
+        max_degree(p)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the machine report here")
 
     p = sub.add_parser("smooth", help="run the full pipeline and print the verdict")
-    common(p)
+    pipeline_options(p)
     p.set_defaults(fn=_cmd_smooth)
 
     p = sub.add_parser("report", help="run the pipeline and write the machine report")
-    common(p)
+    pipeline_options(p)
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("check", help="run one validation block")
     p.add_argument("what", choices=["pbw", "hypotheses"])
-    common(p)
+    file_arg(p)
+    max_degree(p)
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("calculus", help="construct the calculus and verify compatibility")
     p.add_argument("what", choices=["check"])
-    common(p)
+    file_arg(p)
     p.set_defaults(fn=_cmd_calculus)
 
     p = sub.add_parser("normalize", help="reduce one expression to normal form")
-    p.add_argument("file", help="path to a .spbw document, or corpus:NAME")
+    file_arg(p)
     p.add_argument("expr")
     p.set_defaults(fn=_cmd_normalize)
 
     p = sub.add_parser("gkdim", help="growth table and dimension estimate")
-    common(p)
+    file_arg(p)
+    max_degree(p)
     p.set_defaults(fn=_cmd_gkdim)
 
     p = sub.add_parser("corpus", help="list or materialize the built-in corpus")

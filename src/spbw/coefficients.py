@@ -12,7 +12,6 @@ derivation is extended by the twisted product rule
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import MapError
 from .lincomb import LinComb, add_terms, is_spaced_sum, render_sum, sum_terms
@@ -72,13 +71,6 @@ class CoeffRing:
         if s.is_zero():
             return self.zero()
         return CoeffPoly({tuple(expo): s}, self.nvars, self.nparams)
-
-    def identity_endo(self) -> "CoeffEndo":
-        images = tuple(self.var(j) for j in range(self.nvars))
-        return CoeffEndo(images, images)
-
-    def zero_derivation(self, twist: "CoeffEndo") -> "CoeffSigmaDerivation":
-        return CoeffSigmaDerivation(tuple(self.zero() for _ in range(self.nvars)), twist)
 
     def render(self, p: "CoeffPoly") -> str:
         return render_coeff(p, self.params, self.coeff_vars)
@@ -292,7 +284,6 @@ def commutation_audit(sigmas, deltas) -> CommutationAudit:
     """
     audit = CommutationAudit()
     n = len(sigmas)
-    nvars = len(sigmas[0].images) if sigmas else 0
     variables = [_variable(img, j) for j, img in enumerate(sigmas[0].images)] if sigmas else []
 
     for i in range(n):
@@ -300,23 +291,23 @@ def commutation_audit(sigmas, deltas) -> CommutationAudit:
             audit.sigma_sigma[(i, j)] = all(
                 apply_endo(sigmas[i], apply_endo(sigmas[j], v)) == apply_endo(sigmas[j], apply_endo(sigmas[i], v))
                 for v in variables
-            ) if nvars else True
+            )
             audit.delta_delta[(i, j)] = all(
                 apply_sder(deltas[i], apply_sder(deltas[j], v)) == apply_sder(deltas[j], apply_sder(deltas[i], v))
                 for v in variables
-            ) if nvars else True
+            )
     for i in range(n):
         for j in range(n):
             if i != j:
                 audit.delta_sigma[(i, j)] = all(
                     apply_sder(deltas[i], apply_endo(sigmas[j], v)) == apply_endo(sigmas[j], apply_sder(deltas[i], v))
                     for v in variables
-                ) if nvars else True
+                )
     for i in range(n):
         audit.sigma_delta_diag[i] = all(
             apply_endo(sigmas[i], apply_sder(deltas[i], v)) == apply_sder(deltas[i], apply_endo(sigmas[i], v))
             for v in variables
-        ) if nvars else True
+        )
     return audit
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import comb
-from typing import NamedTuple
 
 from .coefficients import (
     CoeffPoly,
@@ -94,11 +93,6 @@ class SkewPoly(LinComb):
             f"{e}: ..." for e in sorted(self.terms)
         )
         return f"SkewPoly({{{body}}})"
-
-
-class DegreeInfo(NamedTuple):
-    degree: object  # int, or None for the zero element (plays minus infinity)
-    exponents: frozenset
 
 
 @dataclass
@@ -464,17 +458,6 @@ class Presentation:
                     rendered=self.render_word(word),
                 )
         return PbwAudit(ok=True)
-
-    # -- degree -------------------------------------------------------------
-
-    @staticmethod
-    def degree_exp(f: SkewPoly) -> DegreeInfo:
-        """Total generator degree and the exponents attaining it; the zero
-        element reports degree None (minus infinity)."""
-        if f.is_zero():
-            return DegreeInfo(None, frozenset())
-        deg = max(sum(e) for e in f.terms)
-        return DegreeInfo(deg, frozenset(e for e in f.terms if sum(e) == deg))
 
     # -- rendering ------------------------------------------------------------
 

@@ -100,7 +100,7 @@ class PresentationDoc:
     coeff_vars: tuple
     gens: tuple
     sigma_images: dict          # gen index -> tuple[CoeffPoly]
-    sigma_inverses: dict        # gen index -> tuple[CoeffPoly] | None
+    sigma_inverses: dict        # gen index -> tuple[CoeffPoly], claimed by an isigma line
     delta_images: dict          # gen index -> tuple[CoeffPoly]
     relations: dict             # (i, j) -> Relation
     calculus: CalculusDoc | None
@@ -612,8 +612,6 @@ class _Parser:
             delta_images[i] = coeff_images(self.delta_lines.get(g, ()), zero_images)
             if g in self.isigma_lines:
                 sigma_inverses[i] = coeff_images(self.isigma_lines[g], id_images)
-            else:
-                sigma_inverses[i] = _diagonal_affine_inverse(ring, sigma_images[i])
         n = len(self.gens)
         for i in range(n):
             for j in range(i + 1, n):
@@ -695,10 +693,13 @@ def _diagonal_affine_inverse(ring: CoeffRing, images):
 
 
 def _presentation_from_parts(ring, gens, sigma_images, sigma_inverses, delta_images, relations):
+    """The presentation; a sigma without a claimed inverse gets the
+    mechanical one when it is diagonal-affine, else none."""
     sigmas = []
     deltas = []
     for i in range(len(gens)):
-        sigma = CoeffEndo(sigma_images[i], sigma_inverses.get(i))
+        inv = sigma_inverses[i] if i in sigma_inverses else _diagonal_affine_inverse(ring, sigma_images[i])
+        sigma = CoeffEndo(sigma_images[i], inv)
         sigmas.append(sigma)
         deltas.append(CoeffSigmaDerivation(delta_images[i], sigma))
     return Presentation(ring, gens, sigmas, deltas, relations)
@@ -784,12 +785,8 @@ def render_presentation(doc: PresentationDoc) -> str:
     for gi in range(len(doc.gens)):
         map_line("sigma", gi, doc.sigma_images[gi], id_images)
         map_line("delta", gi, doc.delta_images[gi], zero_images)
-        # without an isigma line the parser derives the mechanical inverse,
-        # so the line is written, in full, whenever the claimed inverse
-        # differs from it; an identity claim would otherwise leave no entry
-        inv = doc.sigma_inverses.get(gi)
-        if inv is not None and inv != _diagonal_affine_inverse(ring, doc.sigma_images[gi]):
-            map_line("isigma", gi, inv, None)
+        if gi in doc.sigma_inverses:
+            map_line("isigma", gi, doc.sigma_inverses[gi], None)
 
     # The tails come from a presentation built without the claimed sigma
     # inverses: rendering does not check them, so every parsed document renders.

@@ -10,7 +10,7 @@ from .core import Presentation, SkewPoly
 from .lincomb import add_terms
 
 
-def random_skew(P: Presentation, rng, degree: int = 4, max_terms: int = 3, param_pow: int = 1) -> SkewPoly:
+def random_skew(P: Presentation, rng, degree: int = 4, max_terms: int = 3) -> SkewPoly:
     """Random normal-form element: a few terms of bounded total degree with
     small integer scalars, sprinkled with parameter factors when available."""
     acc: dict = {}
@@ -21,9 +21,9 @@ def random_skew(P: Presentation, rng, degree: int = 4, max_terms: int = 3, param
         beta = random_expo(rng, P.ring.nvars, tdeg)
         alpha = random_expo(rng, P.n, xdeg)
         s = P.ring.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
-        if P.ring.nparams and param_pow:
+        if P.ring.nparams:
             j = rng.randrange(P.ring.nparams)
-            for _ in range(rng.randint(0, param_pow)):
+            if rng.randint(0, 1):
                 s = s * P.ring.param(P.ring.params[j])
         add_terms(acc, P.monomial(alpha, P.ring.monomial(beta, s)).terms)
     return SkewPoly(acc, P.n)

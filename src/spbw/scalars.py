@@ -191,14 +191,6 @@ class Scalar:
     def is_rational(self) -> bool:
         return all(not any(e) for e in self.num) and all(not any(e) for e in self.den)
 
-    def as_fraction(self) -> Fraction:
-        """Value of a parameter-free scalar; raises if parameters occur."""
-        if not self.is_rational():
-            raise ValueError("scalar involves parameters")
-        if not self.num:
-            return Fraction(0)
-        return next(iter(self.num.values())) / next(iter(self.den.values()))
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "Scalar") -> "Scalar":

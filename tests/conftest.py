@@ -17,9 +17,20 @@ def commuting_relation(ring, n, i, j):
     return Relation(ring.one(), ring.zero(), tuple(ring.zero() for _ in range(n)))
 
 
+def identity_endo(ring):
+    images = tuple(ring.var(j) for j in range(ring.nvars))
+    return CoeffEndo(images, images)
+
+
 def trivial_maps(ring, n):
-    sig = ring.identity_endo()
-    return tuple(sig for _ in range(n)), tuple(ring.zero_derivation(sig) for _ in range(n))
+    sig = identity_endo(ring)
+    zero = CoeffSigmaDerivation(tuple(ring.zero() for _ in range(ring.nvars)), sig)
+    return tuple(sig for _ in range(n)), tuple(zero for _ in range(n))
+
+
+def right_multiply(calc, form, a):
+    """``form * a``: every right coefficient of the form times a."""
+    return calc._sum(calc.form(S, calc.P.multiply(f, a)) for S, f in form.terms.items())
 
 
 @pytest.fixture
@@ -51,7 +62,7 @@ def qplane():
 def jordan():
     """Jordan plane as a one-generator extension of F[t]: x t = t x + t^2."""
     ring = CoeffRing(coeff_vars=("t",))
-    sigma = ring.identity_endo()
+    sigma = identity_endo(ring)
     delta = CoeffSigmaDerivation((ring.var(0) * ring.var(0),), sigma)
     return Presentation(ring, ("x",), (sigma,), (delta,), {})
 
@@ -60,7 +71,7 @@ def jordan():
 def weyl_ore():
     """Weyl algebra as a one-generator extension of F[t]: x t = t x + 1."""
     ring = CoeffRing(coeff_vars=("t",))
-    sigma = ring.identity_endo()
+    sigma = identity_endo(ring)
     delta = CoeffSigmaDerivation((ring.one(),), sigma)
     return Presentation(ring, ("x",), (sigma,), (delta,), {})
 

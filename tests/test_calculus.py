@@ -20,7 +20,7 @@ from spbw.extended import AlgebraEndo, auto_inverse
 from spbw.ore import ore_document
 from spbw.pipeline import calculus_spec_from_doc, run_calculus_check, run_smooth
 
-from conftest import grid, grid_member, random_skew, without_wedge
+from conftest import grid, grid_member, random_skew, right_multiply, without_wedge
 
 CERTIFIED = tuple(n for n in CORPUS_NAMES if n != "broken")
 
@@ -171,19 +171,24 @@ def test_potentials_must_be_independent(poly2):
 # -- push_left ------------------------------------------------------------------
 
 
+def _push_left(calc, f, S):
+    """``f * du_S`` with the coefficient on the right."""
+    return calc.form(S, calc.twist_apply_set(S, f))
+
+
 def test_push_left_theorem_fixes_generators(weyl_calc, weyl):
-    got = weyl_calc.push_left(weyl.gen(1), (0,))
+    got = _push_left(weyl_calc, weyl.gen(1), (0,))
     assert got == weyl_calc.form((0,), weyl.gen(1))
 
 
 def test_push_left_qplane_twist(qplane_calc, qplane):
     q = qplane.ring.param("q")
-    got = qplane_calc.push_left(qplane.gen(1), (0,))
+    got = _push_left(qplane_calc, qplane.gen(1), (0,))
     assert got == qplane_calc.form((0,), qplane.gen(1).scale(q))
 
 
 def test_push_left_unit(weyl_calc, weyl):
-    got = weyl_calc.push_left(weyl.one(), (0, 1))
+    got = _push_left(weyl_calc, weyl.one(), (0, 1))
     assert got == weyl_calc.form((0, 1), weyl.one())
 
 
@@ -375,6 +380,13 @@ def test_non_commuting_twists_fail_the_certificate_and_d_squared():
     assert report.verdict == "not-certified"
     assert report.failing[0] == "d-squared"
     assert report.check("d-squared").witnesses[0] == "d^2 of x2^2 = d(x1)d(x2)*(1)"
+    # a negative control for integrability: the sampled coefficient identity
+    # fails, and the divergence stages have no certificate to run on
+    integrability = report.check("integrability")
+    assert integrability.status == "fail"
+    assert integrability.witnesses == ["coefficient expansion fails for du[1] * (3*x2^4)"]
+    assert report.check("divergence-leibniz").status == "error"
+    assert report.check("flatness").status == "error"
 
 
 @pytest.mark.parametrize("name", ["qaffine3", "poly3"])
@@ -442,7 +454,7 @@ def test_volume_theorem_matches_sigma_composition(weyl_calc):
 
 def test_volume_pi_extraction(weyl_calc, weyl, rng):
     f = random_skew(weyl, rng)
-    form = weyl_calc.right_multiply(weyl_calc.omega(), f)
+    form = right_multiply(weyl_calc, weyl_calc.omega(), f)
     assert weyl_calc.pi_omega(form) == f
 
 
@@ -457,7 +469,7 @@ def test_volume_commutes_symbols(jordan_calc, jordan):
     vol = jordan_calc.volume()
     t_sk = jordan.from_coeff(jordan.ring.var(0))
     lhs = jordan_calc.left_multiply(t_sk, jordan_calc.omega())
-    rhs = jordan_calc.right_multiply(jordan_calc.omega(), vol.nu.apply(t_sk))
+    rhs = right_multiply(jordan_calc, jordan_calc.omega(), vol.nu.apply(t_sk))
     assert lhs == rhs
 
 

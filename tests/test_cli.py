@@ -84,6 +84,39 @@ def test_json_report_written(weyl_file, tmp_path, capsys):
 
 def test_report_requires_json(capsys):
     assert main(["report", "corpus:weyl"]) == 2
+    assert capsys.readouterr().err == "error: report needs --json PATH\n"
+
+
+COMMANDS = {
+    "smooth": ["smooth", "corpus:poly2"],
+    "report": ["report", "corpus:poly2"],
+    "check": ["check", "pbw", "corpus:poly2"],
+    "calculus": ["calculus", "check", "corpus:poly2"],
+    "gkdim": ["gkdim", "corpus:poly2"],
+}
+FLAGS = ("--max-degree", "--samples", "--seed", "--json")
+READS = {
+    "smooth": FLAGS,
+    "report": FLAGS,
+    "check": ("--max-degree",),
+    "calculus": (),
+    "gkdim": ("--max-degree",),
+}
+
+
+@pytest.mark.parametrize("command,flag", [(c, f) for c in COMMANDS for f in FLAGS])
+def test_each_command_takes_only_the_options_it_reads(command, flag, tmp_path, capsys):
+    report = str(tmp_path / "r.json")
+    argv = COMMANDS[command] + [flag, report if flag == "--json" else "8"]
+    if command == "report" and flag != "--json":
+        argv += ["--json", report]
+    if flag in READS[command]:
+        assert main(argv) == 0
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_parse_error_exit_code(tmp_path, capsys):

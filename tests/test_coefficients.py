@@ -10,7 +10,7 @@ from spbw.coefficients import (
     derivative,
 )
 
-from conftest import divmod_univariate
+from conftest import divmod_univariate, identity_endo
 
 
 @pytest.fixture
@@ -59,7 +59,7 @@ def test_apply_endo_shift(ring_qt):
 
 def test_apply_sder_jordan(ring_qt):
     t = ring_qt.var(0)
-    sigma = ring_qt.identity_endo()
+    sigma = identity_endo(ring_qt)
     delta = CoeffSigmaDerivation((t * t,), sigma)
     assert apply_sder(delta, t * t) == (t * t * t).scale(ring_qt.scalar(2))
     assert apply_sder(delta, ring_qt.const(7)).is_zero()
@@ -67,7 +67,7 @@ def test_apply_sder_jordan(ring_qt):
 
 def test_apply_sder_weyl_powers(ring_qt):
     t = ring_qt.var(0)
-    delta = CoeffSigmaDerivation((ring_qt.one(),), ring_qt.identity_endo())
+    delta = CoeffSigmaDerivation((ring_qt.one(),), identity_endo(ring_qt))
     assert apply_sder(delta, t * t * t) == (t * t).scale(ring_qt.scalar(3))
 
 
@@ -118,7 +118,7 @@ def test_commutation_audit_scaling_vs_scaled_delta(ring_qt):
 
 
 def test_commutation_audit_identity_always_commutes(ring_qt):
-    sigma = ring_qt.identity_endo()
+    sigma = identity_endo(ring_qt)
     delta = CoeffSigmaDerivation((ring_qt.var(0) * ring_qt.var(0),), sigma)
     audit = commutation_audit([sigma, sigma], [delta, delta])
     assert all(audit.sigma_sigma.values()) and all(audit.delta_sigma.values())

@@ -154,7 +154,15 @@ def _rational_terms(f) -> dict:
     """Exponent -> Fraction, for an element whose coefficients are all
     parameter-free constants."""
     assert all(c.is_constant() for c in f.terms.values())
-    return {e: c.constant_value().as_fraction() for e, c in f.terms.items()}
+    return {e: _fraction(c.constant_value()) for e, c in f.terms.items()}
+
+
+def _fraction(s: Scalar) -> Fraction:
+    """The value of a nonzero parameter-free scalar."""
+    assert s.is_rational()
+    (num,) = s.num.values()
+    (den,) = s.den.values()
+    return num / den
 
 
 def test_weyl_high_power_closed_form(weyl):
@@ -347,19 +355,6 @@ def test_defining_relations_oracle(name):
         assert label == f"{P.symbol_name(word[0])}*{P.symbol_name(word[1])}"
         atoms = [P.ring.var(s) if s < m else s - m for s in word]
         assert normal == P.normalize_atoms(atoms)
-
-
-# -- degree ----------------------------------------------------------------------
-
-
-def test_degree_exp(weyl):
-    f = weyl.monomial((2, 1))
-    deg = weyl.degree_exp(f)
-    assert deg.degree == 3 and deg.exponents == frozenset({(2, 1)})
-    assert weyl.degree_exp(weyl.const(5)).degree == 0
-    assert weyl.degree_exp(weyl.zero()).degree is None
-    swapped = weyl.normalize([(1, [1, 0])])
-    assert weyl.degree_exp(swapped).degree == 2
 
 
 def test_render(weyl, jordan):

@@ -78,10 +78,11 @@ def test_multi_term_scalar_inverse_round_trip():
     assert parse_presentation(render_presentation(doc)) == doc
 
 
-@pytest.mark.parametrize("isigma", ["t -> t", "t -> 3*t"])
+@pytest.mark.parametrize("isigma", ["t -> t", "t -> 3*t", "t -> 2^-1*t"])
 def test_claimed_inverse_of_diagonal_sigma_round_trip(isigma):
-    # a claimed inverse that differs from the mechanical one (t -> 2^-1*t)
-    # must survive rendering, or the reparsed document builds where this fails
+    # a claimed inverse survives rendering, whether or not it equals the
+    # mechanical one (t -> 2^-1*t); a wrong one must not reparse to a
+    # document that builds
     doc = parse_presentation(f"name bad\ncoeffs t\ngens x\nsigma x: t -> 2*t\nisigma x: {isigma}\n")
     assert parse_presentation(render_presentation(doc)) == doc
 

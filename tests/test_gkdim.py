@@ -18,6 +18,8 @@ from spbw.gkdim import (
 )
 from spbw.pipeline import run_gkdim
 
+from conftest import identity_endo
+
 
 def test_filtration_dims_weyl(weyl):
     table = filtration_dims(weyl, 8)
@@ -46,7 +48,7 @@ def test_filtration_incompatible_rejected():
     # delta(t) = t^3 overshoots the degree of x*t
     ring = CoeffRing(coeff_vars=("t",))
     t = ring.var(0)
-    sigma = ring.identity_endo()
+    sigma = identity_endo(ring)
     delta = CoeffSigmaDerivation((t * t * t,), sigma)
     P = Presentation(ring, ("x",), (sigma,), (delta,), {})
     with pytest.raises(UnsupportedPresentationError):
