@@ -135,8 +135,9 @@ class Calculus:
     divergence checks require), and construction sets ``compatibility``.
     These and the memo tables of the
     presentation (``_mono_cache``) and the twists (``_power_memo`` and
-    ``_monomial_memo``) fill as it runs, so one calculus belongs to one
-    thread at a time.  A product with the literal unit element, in
+    ``_monomial_memo``; a twist that rescales each symbol fills only the
+    latter, with scaled monomials) fill as it runs, so one calculus belongs
+    to one thread at a time.  A product with the literal unit element, in
     ``Presentation.multiply``, returns the other factor itself."""
 
     def __init__(self, P: Presentation, spec: CalculusSpec):

@@ -2,7 +2,7 @@
 
     spbw smooth FILE [--samples K] [--seed S] [--max-degree M] [--json PATH]
     spbw check pbw FILE [--max-degree M]
-    spbw check hypotheses FILE [--max-degree M]
+    spbw check hypotheses FILE
     spbw calculus check FILE
     spbw normalize FILE EXPR
     spbw gkdim FILE [--max-degree M]
@@ -11,7 +11,7 @@
 
 FILE is a path to a ``.spbw`` document or ``corpus:NAME`` for a built-in
 entry.  ``--max-degree`` sets ``gk_degree``, or ``pbw_degree`` for
-``check``; an option a command does not read is a usage error.  Exit codes:
+``check pbw``; an option a command does not read is a usage error.  Exit codes:
 0 when a verdict or result was produced (including not-certified), 1 when a
 check hard-failed, 2 on usage, parse or configuration errors, a path that
 cannot be read or written among them.
@@ -74,19 +74,20 @@ def _cmd_report(args) -> int:
     return _cmd_smooth(args)
 
 
-def _cmd_check(args) -> int:
-    doc = _load_doc(args, "pbw_degree")
-    if args.what == "pbw":
-        P, audit = run_check_pbw(doc)
-        if audit.ok:
-            print("pbw consistency: pass")
-            return EXIT_OK
-        print("pbw consistency: FAIL")
-        print(f"  witness word: {audit.rendered}")
-        print(f"  leftmost reduction:  {P.render(audit.left)}")
-        print(f"  rightmost reduction: {P.render(audit.right)}")
-        return EXIT_CHECK_FAILED
-    _, rep = run_check_hypotheses(doc)
+def _cmd_check_pbw(args) -> int:
+    P, audit = run_check_pbw(_load_doc(args, "pbw_degree"))
+    if audit.ok:
+        print("pbw consistency: pass")
+        return EXIT_OK
+    print("pbw consistency: FAIL")
+    print(f"  witness word: {audit.rendered}")
+    print(f"  leftmost reduction:  {P.render(audit.left)}")
+    print(f"  rightmost reduction: {P.render(audit.right)}")
+    return EXIT_CHECK_FAILED
+
+
+def _cmd_check_hypotheses(args) -> int:
+    _, rep = run_check_hypotheses(_load_doc(args))
     rows = [
         ("sigma/delta commute per generator", rep.h1_sigma_delta_diag),
         ("deltas commute pairwise", rep.h2_delta_delta),
@@ -172,10 +173,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_report)
 
     p = sub.add_parser("check", help="run one validation block")
-    p.add_argument("what", choices=["pbw", "hypotheses"])
-    file_arg(p)
-    max_degree(p)
-    p.set_defaults(fn=_cmd_check)
+    blocks = p.add_subparsers(dest="what", required=True)
+    q = blocks.add_parser("pbw", help="compare the two maximal reduction strategies")
+    file_arg(q)
+    max_degree(q)
+    q.set_defaults(fn=_cmd_check_pbw)
+    q = blocks.add_parser("hypotheses", help="evaluate the lifting and plain-twist hypotheses")
+    file_arg(q)
+    q.set_defaults(fn=_cmd_check_hypotheses)
 
     p = sub.add_parser("calculus", help="construct the calculus and verify compatibility")
     p.add_argument("what", choices=["check"])

@@ -7,6 +7,12 @@ variable) to nonzero :class:`~spbw.scalars.Scalar` values.  Endomorphisms and
 twisted derivations are determined by their images on the variables; a
 derivation is extended by the twisted product rule
 ``delta(f*g) = sigma(f)*delta(g) + delta(f)*g``.
+
+Scalars are fixed by every endomorphism and killed by every twisted
+derivation, and most coefficients the reduction pushes past a generator are
+scalars.  So :func:`apply_endo` returns a constant polynomial, zero
+included, as it is, and :func:`apply_sder` returns zero for it, without
+walking its terms.
 """
 
 from __future__ import annotations
@@ -94,7 +100,8 @@ class CoeffPoly(LinComb):
         return CoeffPoly(terms, self.nvars, self.nparams)
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # the exponents are distinct, so a constant has at most one term
+        return len(self.terms) < 2 and not any(next(iter(self.terms), ()))
 
     def constant_value(self) -> Scalar:
         """The degree-zero coefficient (the whole value if constant)."""
@@ -165,9 +172,6 @@ class CoeffEndo:
                 if apply_endo(back, img) != _variable(img, j):
                     raise MapError(f"claimed inverse does not undo image of variable {j}")
 
-    def is_identity(self) -> bool:
-        return all(img == _variable(img, j) for j, img in enumerate(self.images))
-
     def inverse(self) -> "CoeffEndo":
         if self.inverse_images is None:
             raise ValueError("endomorphism has no recorded inverse")
@@ -182,7 +186,10 @@ def _variable(ref: CoeffPoly, j: int) -> CoeffPoly:
 
 
 def apply_endo(sigma: CoeffEndo, p: CoeffPoly) -> CoeffPoly:
-    """Substitution homomorphism: each variable replaced by its image."""
+    """Substitution homomorphism: each variable replaced by its image.  A
+    constant, zero included, is returned as it is: scalars are fixed."""
+    if p.is_constant():
+        return p
     const = (0,) * p.nvars
     acc: dict = {}
     for e, c in p.terms.items():
@@ -222,7 +229,9 @@ class CoeffSigmaDerivation:
 
 def apply_sder(delta: CoeffSigmaDerivation, p: CoeffPoly) -> CoeffPoly:
     """Extend ``delta`` from variable images to all of R by the twisted
-    product rule; scalars map to zero."""
+    product rule; scalars map to zero, so a constant gives zero at once."""
+    if p.is_constant():
+        return p._make({})
     return p._make(sum_terms(_sder_monomial(delta, e, p).scale(c) for e, c in p.terms.items()))
 
 

@@ -6,6 +6,12 @@ order: the coefficient variables first, then the generators.  Construction
 verifies that every defining relation of the presentation is respected, so
 the same type serves coefficientwise lifts, volume twists and user-supplied
 calculus twists uniformly.
+
+Most twists only rescale: every symbol s goes to a nonzero scalar ``c_s``
+times s.  Such a map is recognized at construction, and it sends a monomial
+to the same monomial times ``prod c_s^k``, with no product in the
+extension.  The scalar is multiplied out in the order of the product chain
+that every other map uses, so both give the same representation.
 """
 
 from __future__ import annotations
@@ -29,6 +35,9 @@ class AlgebraEndo:
     verifies that the images respect every defining relation listed by
     :meth:`Presentation.defining_relations`; when an inverse is supplied the
     round trip on every symbol is verified as well.
+
+    ``_scales`` holds ``c_s`` for every frame symbol when each image is
+    ``c_s`` times its own symbol, and is None otherwise.
     """
 
     def __init__(self, P: Presentation, images, inverse=None, check=True):
@@ -37,6 +46,7 @@ class AlgebraEndo:
         self.inverse = inverse
         self._power_memo: dict = {}
         self._monomial_memo: dict = {}  # (tvec, e) -> image of t^tvec x^e
+        self._scales = _rescaling(P, self.images)
         if check:
             self._check_relations()
             if inverse is not None:
@@ -70,17 +80,38 @@ class AlgebraEndo:
 
     def _monomial(self, tvec, e) -> SkewPoly:
         """The image of ``t^tvec x^e``, memoized: the product of the images
-        of the symbol powers in frame order."""
+        of the symbol powers in frame order, or the monomial itself scaled
+        by ``prod c_s^k`` when the map rescales."""
         key = (tvec, e)
         image = self._monomial_memo.get(key)
         if image is None:
-            P = self.P
-            image = P.one()
-            for s, k in enumerate(tvec + e):
-                if k:
-                    image = P.multiply(image, self._power(s, k))
+            image = self._chain(tvec, e) if self._scales is None else self._rescaled(tvec, e)
             self._monomial_memo[key] = image
         return image
+
+    def _chain(self, tvec, e) -> SkewPoly:
+        P = self.P
+        image = P.one()
+        for s, k in enumerate(tvec + e):
+            if k:
+                image = P.multiply(image, self._power(s, k))
+        return image
+
+    def _rescaled(self, tvec, e) -> SkewPoly:
+        """``t^tvec x^e`` times ``prod c_s^k``.  Each power is multiplied
+        out from the left and the powers are folded in frame order, as the
+        product chain does, and the unit monomial is ``P.one()``."""
+        factor = None
+        for c, k in zip(self._scales, tvec + e):
+            if k:
+                power = c
+                for _ in range(k - 1):
+                    power = power * c
+                factor = power if factor is None else factor * power
+        P = self.P
+        if factor is None:
+            return P.one()
+        return P.monomial(e, P.ring.monomial(tvec, factor))
 
     def _power(self, s, k):
         """The image of the k-th power of frame symbol s, memoized."""
@@ -110,6 +141,23 @@ class AlgebraEndo:
 
     def is_identity(self) -> bool:
         return self.images == self.P.frame()
+
+
+def _rescaling(P: Presentation, images):
+    """``c_s`` for every frame symbol s when each image is a nonzero scalar
+    ``c_s`` times s, read with :meth:`Presentation.frame_coordinates`; None
+    for any other map."""
+    scales = []
+    for s, img in enumerate(images):
+        coords = P.frame_coordinates(img)
+        if coords is None:
+            return None
+        constant, row = coords
+        c = row[s]
+        if not constant.is_zero() or c.is_zero() or any(not b.is_zero() for b in row[:s] + row[s + 1:]):
+            return None
+        scales.append(c)
+    return tuple(scales)
 
 
 def frame_affine_inverse(P: Presentation, images):

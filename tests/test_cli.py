@@ -91,6 +91,7 @@ COMMANDS = {
     "smooth": ["smooth", "corpus:poly2"],
     "report": ["report", "corpus:poly2"],
     "check": ["check", "pbw", "corpus:poly2"],
+    "hypotheses": ["check", "hypotheses", "corpus:poly2"],
     "calculus": ["calculus", "check", "corpus:poly2"],
     "gkdim": ["gkdim", "corpus:poly2"],
 }
@@ -99,6 +100,7 @@ READS = {
     "smooth": FLAGS,
     "report": FLAGS,
     "check": ("--max-degree",),
+    "hypotheses": (),
     "calculus": (),
     "gkdim": ("--max-degree",),
 }

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spbw.coefficients import (
     CoeffEndo,
@@ -9,6 +11,7 @@ from spbw.coefficients import (
     commutation_audit,
     derivative,
 )
+from spbw.scalars import Scalar
 
 from conftest import divmod_univariate, identity_endo
 
@@ -131,3 +134,83 @@ def test_derivative_and_divmod(ring_qt):
     q, r = divmod_univariate(t * t - ring_qt.one(), t - ring_qt.one())
     assert r.is_zero()
     assert q == t + ring_qt.one()
+
+
+# -- constants, against the term-by-term definitions -----------------------------------
+
+
+def _endo_by_terms(sigma, p):
+    """sigma(p) by its definition: each term ``c * t^e`` goes to
+    ``c * prod sigma(t_j)^e_j``."""
+    out = p._make({})
+    for e, c in p.terms.items():
+        term = p._make({(0,) * p.nvars: c})
+        for j, k in enumerate(e):
+            term = term * sigma.images[j] ** k
+        out = out + term
+    return out
+
+
+def _sder_by_terms(delta, p):
+    """delta(p) by the twisted product rule on each term:
+    ``delta(t_j * m) = sigma(t_j) * delta(m) + delta(t_j) * m``, and
+    ``delta(1) = 0``."""
+
+    def on_monomial(e):
+        j = next((i for i, k in enumerate(e) if k), None)
+        if j is None:
+            return p._make({})
+        rest = tuple(k - (i == j) for i, k in enumerate(e))
+        return delta.twist.images[j] * on_monomial(rest) + delta.images[j] * p._make({rest: one})
+
+    one = Scalar.const(p.nparams, 1)
+    out = p._make({})
+    for e, c in p.terms.items():
+        out = out + on_monomial(e).scale(c)
+    return out
+
+
+@st.composite
+def _maps_and_polys(draw):
+    """A ring with 1-2 parameters and 1-2 variables, a random endomorphism
+    and twisted derivation of it, a constant (zero included) and a
+    polynomial of low degree, all with quotients of parameter polynomials
+    as scalars."""
+    nparams, nvars = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    ring = CoeffRing([f"q{i}" for i in range(nparams)], [f"t{j}" for j in range(nvars)])
+
+    def param_poly(min_terms):
+        out = ring.szero()
+        for _ in range(draw(st.integers(min_terms, 2))):
+            term = ring.scalar(draw(st.integers(-3, 3)))
+            for i in range(nparams):
+                for _ in range(draw(st.integers(0, 2))):
+                    term = term * ring.param(f"q{i}")
+            out = out + term
+        return out
+
+    def scalar():
+        den = param_poly(1)
+        return param_poly(0) * (ring.sone() if den.is_zero() else den.inverse())
+
+    def poly():
+        out = ring.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            out = out + ring.monomial([draw(st.integers(0, 2)) for _ in range(nvars)], scalar())
+        return out
+
+    sigma = CoeffEndo([poly() for _ in range(nvars)])
+    delta = CoeffSigmaDerivation([poly() for _ in range(nvars)], sigma)
+    return ring, sigma, delta, ring.const(scalar()), poly()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps_and_polys())
+def test_constants_against_the_term_by_term_definitions(case):
+    ring, sigma, delta, constant, p = case
+    assert apply_endo(sigma, constant) == _endo_by_terms(sigma, constant)
+    assert ring.render(apply_endo(sigma, constant)) == ring.render(constant)  # fixed as it is
+    assert apply_sder(delta, constant) == _sder_by_terms(delta, constant)
+    assert apply_sder(delta, constant).is_zero()
+    assert apply_endo(sigma, p) == _endo_by_terms(sigma, p)
+    assert apply_sder(delta, p) == _sder_by_terms(delta, p)

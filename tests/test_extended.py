@@ -3,13 +3,16 @@ import random
 import pytest
 
 from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation
-from spbw.core import Presentation, Relation
+from spbw.core import Presentation, Relation, exponents_upto
+from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.gkdim import check_filtration_compatible
 from spbw.errors import HypothesisError, MapError, UnsupportedPresentationError
 from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, frame_affine_inverse, hypothesis_check
+from spbw.ore import ore_document
+from spbw.pipeline import run_calculus_check
 
-from conftest import lift_delta, twisted_leibniz_witness
+from conftest import grid_member, lift_delta, twisted_leibniz_witness
 
 
 def test_hypothesis_weyl_all_pass(weyl):
@@ -253,3 +256,134 @@ def test_relation_shape_failure_texts(source, failures, filtration):
         with pytest.raises(UnsupportedPresentationError) as err:
             check_filtration_compatible(P)
         assert str(err.value) == filtration
+
+
+# -- rescaling twists -----------------------------------------------------------------
+
+
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def _gens(n):
+    return "gens " + " ".join(f"x{i}" for i in range(1, n + 1)) + "\n"
+
+
+def _poly_doc(n):
+    rels = "".join(f"rel x{j} x{i} = x{i} x{j}\n" for i, j in _pairs(n))
+    return f"name poly{n}\n{_gens(n)}{rels}calculus mode=theorem\n"
+
+
+def _weyl2_doc():
+    """Two commuting Weyl pairs (x1, x2) and (x3, x4)."""
+    rels = "".join(
+        f"rel x{j} x{i} = x{i} x{j}{' - 1' if (i, j) in ((1, 2), (3, 4)) else ''}\n" for i, j in _pairs(4)
+    )
+    return f"name weyl2\n{_gens(4)}{rels}calculus mode=theorem\n"
+
+
+def _qaffine_doc(n):
+    """Quantum affine n-space with the weighted twists and wedge constants of
+    ``qaffine3``, one parameter per pair."""
+    pairs = _pairs(n)
+    lines = [f"name qaffine{n}", "params " + " ".join(f"q{i}{j}" for i, j in pairs), _gens(n).strip()]
+    lines += [f"rel x{j} x{i} = q{i}{j} * x{i} x{j}" for i, j in pairs]
+    lines += ["calculus mode=flat", "dgens " + " ".join(f"x{i}" for i in range(1, n + 1))]
+    for k in range(1, n + 1):
+        images = [f"x{m} -> q{k}{m}*x{m}" if k < m else f"x{m} -> q{m}{k}^-1*x{m}"
+                  for m in range(1, n + 1) if m != k]
+        lines.append(f"twist x{k}: " + ", ".join(images))
+    lines += [f"wedge x{i} x{j} = q{i}{j}" for i, j in pairs]
+    return "\n".join(lines) + "\n"
+
+
+WIDE_DOCS = {"poly4": _poly_doc(4), "weyl2": _weyl2_doc(), "qaffine4": _qaffine_doc(4), "poly5": _poly_doc(5)}
+# the members x t = q t x + p with a constant p whose twists respect the relations
+DIAGONAL_ORE = [("1", "0"), ("1", "1"), ("1", "5"), ("2", "0"), ("-1", "0"), ("q", "0")]
+ALL_RESCALE = ("poly2", "poly3", "weyl", "qplane", "qaffine3")
+RESCALING_CASES = (
+    [("corpus", name) for name in CORPUS_NAMES if name != "broken"]
+    + [("wide", name) for name in WIDE_DOCS]
+    + [pytest.param("ore", (q, p), id=f"ore-q={q}-p={p}") for q, p in DIAGONAL_ORE]
+)
+
+
+def _case_doc(kind, key):
+    if kind == "corpus":
+        return corpus_doc(key)
+    if kind == "wide":
+        return parse_presentation(WIDE_DOCS[key])
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    return parse_presentation(ore_document(ring, *grid_member(ring, key[0], 0, key[1])))
+
+
+def _calculus_maps(doc):
+    """The presentation and every twist, twist inverse, volume twist and
+    volume twist inverse of the calculus of ``doc``."""
+    calc = run_calculus_check(doc)
+    nu = calc.volume().nu
+    maps = [m for dg in calc.spec.dgens for m in (dg.twist, dg.twist.inverse)]
+    return calc.P, maps + [nu, nu.inverse]
+
+
+def _product_chain(P, endo, tvec, e):
+    """The image of ``t^tvec x^e`` as the product of the symbol images."""
+    image = P.one()
+    for s, k in enumerate(tvec + e):
+        for _ in range(k):
+            image = P.multiply(image, endo.images[s])
+    return image
+
+
+@pytest.mark.parametrize("kind, key", RESCALING_CASES)
+def test_rescaling_fast_path_matches_the_product_chain(kind, key):
+    P, maps = _calculus_maps(_case_doc(kind, key))
+    rescaling = [m for m in maps if m._scales is not None]
+    assert rescaling
+    if kind != "corpus" or key in ALL_RESCALE:
+        assert len(rescaling) == len(maps)
+    m = P.ring.nvars
+    for endo in rescaling:
+        for expo in exponents_upto(m + P.n, 4):
+            tvec, e = expo[:m], expo[m:]
+            image = endo.apply(P.monomial(e, P.ring.monomial(tvec)))
+            assert image == _product_chain(P, endo, tvec, e), (expo, [P.render(f) for f in endo.images])
+
+
+@pytest.mark.parametrize("name, dgen", [("un2", "x1"), ("jordan", "t"), ("aq", "z")])
+def test_twists_that_do_more_than_rescale_keep_the_product_chain(name, dgen):
+    calc = run_calculus_check(corpus_doc(name))
+    twist = next(dg.twist for dg in calc.spec.dgens if dg.name == dgen)
+    assert twist._scales is None
+
+
+def _count_multiplies(monkeypatch, P):
+    calls = []
+    multiply = P.multiply
+
+    def counted(f, g):
+        calls.append(1)
+        return multiply(f, g)
+
+    monkeypatch.setattr(P, "multiply", counted)
+    return calls
+
+
+def test_rescaling_twist_applies_without_products(monkeypatch):
+    calc = run_calculus_check(corpus_doc("qaffine3"))
+    P = calc.P
+    twist = AlgebraEndo(P, calc.spec.dgens[0].twist.images, check=False)  # empty memo tables
+    calls = _count_multiplies(monkeypatch, P)
+    image = twist.apply(P.monomial((2, 3, 1)))
+    assert not calls
+    q12, q13 = P.ring.param("q12"), P.ring.param("q13")
+    assert image == P.monomial((2, 3, 1), P.ring.const(q12 * q12 * q12 * q13))
+
+
+def test_shear_twist_still_multiplies(monkeypatch):
+    calc = run_calculus_check(corpus_doc("jordan"))
+    P = calc.P
+    twist = AlgebraEndo(P, calc.spec.dgens[0].twist.images, check=False)
+    calls = _count_multiplies(monkeypatch, P)
+    twist.apply(P.monomial((3,), P.ring.var(0)))
+    assert calls
