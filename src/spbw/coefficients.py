@@ -13,6 +13,13 @@ derivation, and most coefficients the reduction pushes past a generator are
 scalars.  So :func:`apply_endo` returns a constant polynomial, zero
 included, as it is, and :func:`apply_sder` returns zero for it, without
 walking its terms.
+
+Constant path.  Most coefficients the layers above multiply are constants,
+so ``CoeffPoly.__mul__`` multiplies one term by one term with a single
+``Scalar`` product, and each ring has one shared unit polynomial
+(:meth:`CoeffRing.one`), whose scalar is the shared unit of
+:mod:`spbw.scalars`; like that scalar, it must never be mutated.  Both
+return exactly the keys and ``Fraction`` values the generic code would.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ class CoeffRing:
     """Construction context: parameter names and coefficient-variable names.
 
     Values do not hold a reference to the ring; it is only needed to build
-    and render them.
+    and render them.  :meth:`one` returns the same unit polynomial on every
+    call; never mutate it.
     """
 
     def __init__(self, params=(), coeff_vars=()):
@@ -36,6 +44,7 @@ class CoeffRing:
         self.coeff_vars = tuple(coeff_vars)
         self.nparams = len(self.params)
         self.nvars = len(self.coeff_vars)
+        self._one = CoeffPoly({(0,) * self.nvars: self.sone()}, self.nvars, self.nparams)
 
     # -- scalar constructors ----------------------------------------------
 
@@ -59,7 +68,8 @@ class CoeffRing:
         return CoeffPoly({}, self.nvars, self.nparams)
 
     def one(self) -> "CoeffPoly":
-        return self.const(1)
+        """The ring's shared unit polynomial."""
+        return self._one
 
     def const(self, value) -> "CoeffPoly":
         s = self.scalar(value)
@@ -114,7 +124,21 @@ class CoeffPoly(LinComb):
         """Total degree; -1 for the zero polynomial."""
         return max((sum(e) for e in self.terms), default=-1)
 
+    def is_unit(self) -> bool:
+        """Whether this is the literal unit: one term, at the zero exponent,
+        whose coefficient is the literal unit scalar."""
+        if len(self.terms) != 1:
+            return False
+        ((e, c),) = self.terms.items()
+        return not any(e) and c.is_unit()
+
     def __mul__(self, other: "CoeffPoly") -> "CoeffPoly":
+        a, b = self.terms, other.terms
+        if len(a) == 1 and len(b) == 1:
+            # a product of nonzero scalars is nonzero, so nothing cancels
+            ((ea, ca),) = a.items()
+            ((eb, cb),) = b.items()
+            return self._make({tuple(x + y for x, y in zip(ea, eb)): ca * cb})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():

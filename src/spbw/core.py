@@ -16,6 +16,15 @@ live here:
   selectable strategy.  The diamond check compares the two maximal
   strategies of the oracle.
 
+Constant path.  Most coefficients that reach :meth:`Presentation.multiply`
+are scalars, which every sigma fixes and every delta kills.  So a term of
+the right factor with a constant coefficient goes straight to the memoized
+monomial product, scaled by the product of the two coefficients, without
+walking the left word; a zero factor gives zero before any loop, and
+scaling by the literal unit returns the product unchanged.  Each of these
+returns the terms the general loop would.  The walk inside
+:meth:`Presentation._mul_monomials` is unchanged.
+
 The presentation states its defining relations once.  The right side of
 each pair relation is stored as its tails (``Presentation.tails``), the
 ``(coefficient, word)`` pairs ``(d, (i, j))``, ``(r0, ())`` and
@@ -59,9 +68,12 @@ class SkewPoly(LinComb):
         return SkewPoly(terms, self.ngens)
 
     def scale_left(self, c: CoeffPoly) -> "SkewPoly":
-        """Left multiplication by a coefficient (coefficients commute in R)."""
+        """Left multiplication by a coefficient (coefficients commute in R);
+        the literal unit returns the element unchanged."""
         if c.is_zero():
             return self._make({})
+        if c.is_unit():
+            return self
         out = {}
         for e, r in self.terms.items():
             p = c * r
@@ -83,10 +95,7 @@ class SkewPoly(LinComb):
         if len(self.terms) != 1:
             return False
         ((e, c),) = self.terms.items()
-        if any(e) or len(c.terms) != 1:
-            return False
-        ((t, s),) = c.terms.items()
-        return not any(t) and s.is_unit()
+        return not any(e) and c.is_unit()
 
     def __repr__(self):
         body = ", ".join(
@@ -306,15 +315,26 @@ class Presentation:
     def multiply(self, f: SkewPoly, g: SkewPoly) -> SkewPoly:
         """PBW normal form of the product; associative and unital.  When one
         factor is the literal unit element the other factor itself is
-        returned, which is exactly the representation the general loop
-        builds."""
+        returned, and when one factor is zero the result is zero at once,
+        which is exactly the representation the general loop builds.
+
+        A term of g whose coefficient c2 is a constant skips
+        :meth:`push_coeff_left`: sigma fixes scalars and delta kills them,
+        so the walk past ``x^e1`` would return ``[(c2, expand(e1))]``
+        anyway.  Products of monomials still walk their coefficients inside
+        :meth:`_mul_monomials`."""
         if f.is_unit():
             return g
         if g.is_unit():
             return f
+        if not f.terms or not g.terms:
+            return self.zero()
         acc: dict = {}
         for e1, c1 in f.terms.items():
             for e2, c2 in g.terms.items():
+                if c2.is_constant():
+                    add_terms(acc, self._mul_monomials(e1, e2).scale_left(c1 * c2).terms)
+                    continue
                 for h, w in self.push_coeff_left(_expand(e1), c2):
                     add_terms(acc, self._mul_monomials(_pack(w, self.n), e2).scale_left(c1 * h).terms)
         return SkewPoly(acc, self.n)

@@ -139,9 +139,6 @@ class AlgebraEndo:
         frame = P.frame()
         return AlgebraEndo(P, frame, inverse=AlgebraEndo(P, frame, check=False), check=False)
 
-    def is_identity(self) -> bool:
-        return self.images == self.P.frame()
-
 
 def _rescaling(P: Presentation, images):
     """``c_s`` for every frame symbol s when each image is a nonzero scalar

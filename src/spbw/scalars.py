@@ -16,8 +16,11 @@ Fast paths.  Most products the layers above ask for are trivial, so:
   ``Fraction`` product, and returns the other factor itself when one factor
   is the unit polynomial;
 * ``Scalar.__mul__`` returns the other operand when one operand is the
-  literal unit (numerator and denominator both the unit polynomial), and
-  ``Scalar.__add__`` returns the other operand when one addend is zero.
+  shared unit (numerator and denominator both the shared unit polynomial,
+  tested by identity), and ``Scalar.__add__`` returns the other operand
+  when one addend is zero.  A scalar whose value is one but whose
+  numerator is a separate ``{(0, ...): 1}`` dict, such as ``2 * 1/2``,
+  takes the generic product, which gives the same ``num``/``den``.
 
 Every fast path returns exactly the ``num``/``den`` the generic code would:
 the same keys and the same ``Fraction`` values.  Rendered witnesses show
@@ -214,9 +217,9 @@ class Scalar:
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         unit = _UNIT[self.nparams]
-        if other.num == unit and other.den == unit:
+        if other.num is unit and other.den is unit:
             return self
-        if self.num == unit and self.den == unit:
+        if self.num is unit and self.den is unit:
             return other
         return Scalar(
             poly_mul(self.num, other.num), poly_mul(self.den, other.den), self.nparams

@@ -1,6 +1,7 @@
 """Shared fixtures: hand-built presentations used across the test suite,
 two oracles (exact univariate division, and the sampled twisted product
-rule for the lifted derivations), and the grid of affine Ore members."""
+rule for the lifted derivations), the wide documents, and the grid of
+affine Ore members."""
 
 from __future__ import annotations
 
@@ -26,6 +27,11 @@ def trivial_maps(ring, n):
     sig = identity_endo(ring)
     zero = CoeffSigmaDerivation(tuple(ring.zero() for _ in range(ring.nvars)), sig)
     return tuple(sig for _ in range(n)), tuple(zero for _ in range(n))
+
+
+def is_identity(endo):
+    """Whether an algebra endomorphism sends every frame symbol to itself."""
+    return endo.images == endo.P.frame()
 
 
 def right_multiply(calc, form, a):
@@ -129,6 +135,49 @@ def twisted_leibniz_witness(P, sigma, delta, samples, degree, rng):
         if delta(P.multiply(p, s)) != P.multiply(sigma(p), delta(s)) + P.multiply(delta(p), s):
             return P.render(p), P.render(s)
     return None
+
+
+# -- the wide documents ------------------------------------------------------------
+
+
+def _pairs(n):
+    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+
+
+def _gens(n):
+    return "gens " + " ".join(f"x{i}" for i in range(1, n + 1)) + "\n"
+
+
+def _poly_doc(n):
+    rels = "".join(f"rel x{j} x{i} = x{i} x{j}\n" for i, j in _pairs(n))
+    return f"name poly{n}\n{_gens(n)}{rels}calculus mode=theorem\n"
+
+
+def _weyl2_doc():
+    """Two commuting Weyl pairs (x1, x2) and (x3, x4)."""
+    rels = "".join(
+        f"rel x{j} x{i} = x{i} x{j}{' - 1' if (i, j) in ((1, 2), (3, 4)) else ''}\n" for i, j in _pairs(4)
+    )
+    return f"name weyl2\n{_gens(4)}{rels}calculus mode=theorem\n"
+
+
+def _qaffine_doc(n):
+    """Quantum affine n-space with the weighted twists and wedge constants of
+    ``qaffine3``, one parameter per pair."""
+    pairs = _pairs(n)
+    lines = [f"name qaffine{n}", "params " + " ".join(f"q{i}{j}" for i, j in pairs), _gens(n).strip()]
+    lines += [f"rel x{j} x{i} = q{i}{j} * x{i} x{j}" for i, j in pairs]
+    lines += ["calculus mode=flat", "dgens " + " ".join(f"x{i}" for i in range(1, n + 1))]
+    for k in range(1, n + 1):
+        images = [f"x{m} -> q{k}{m}*x{m}" if k < m else f"x{m} -> q{m}{k}^-1*x{m}"
+                  for m in range(1, n + 1) if m != k]
+        lines.append(f"twist x{k}: " + ", ".join(images))
+    lines += [f"wedge x{i} x{j} = q{i}{j}" for i, j in pairs]
+    return "\n".join(lines) + "\n"
+
+
+# the 4- and 5-symbol documents of the benchmark's `wide` workload, written inline
+WIDE_DOCS = {"poly4": _poly_doc(4), "weyl2": _weyl2_doc(), "qaffine4": _qaffine_doc(4), "poly5": _poly_doc(5)}
 
 
 # -- the affine Ore grid ----------------------------------------------------------

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spbw.pipeline
 from spbw.coefficients import (
     CoeffEndo,
     CoeffRing,
@@ -11,7 +14,9 @@ from spbw.coefficients import (
     commutation_audit,
     derivative,
 )
-from spbw.scalars import Scalar
+from spbw.corpus import CORPUS_NAMES, corpus_doc
+from spbw.pipeline import run_smooth
+from spbw.scalars import Scalar, poly_one
 
 from conftest import divmod_univariate, identity_endo
 
@@ -170,6 +175,23 @@ def _sder_by_terms(delta, p):
     return out
 
 
+def _draw_scalar(draw, ring):
+    """A quotient of random parameter polynomials, zero included."""
+
+    def param_poly(min_terms):
+        out = ring.szero()
+        for _ in range(draw(st.integers(min_terms, 2))):
+            term = ring.scalar(draw(st.integers(-3, 3)))
+            for i in range(ring.nparams):
+                for _ in range(draw(st.integers(0, 2))):
+                    term = term * ring.param(f"q{i}")
+            out = out + term
+        return out
+
+    den = param_poly(1)
+    return param_poly(0) * (ring.sone() if den.is_zero() else den.inverse())
+
+
 @st.composite
 def _maps_and_polys(draw):
     """A ring with 1-2 parameters and 1-2 variables, a random endomorphism
@@ -179,19 +201,8 @@ def _maps_and_polys(draw):
     nparams, nvars = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     ring = CoeffRing([f"q{i}" for i in range(nparams)], [f"t{j}" for j in range(nvars)])
 
-    def param_poly(min_terms):
-        out = ring.szero()
-        for _ in range(draw(st.integers(min_terms, 2))):
-            term = ring.scalar(draw(st.integers(-3, 3)))
-            for i in range(nparams):
-                for _ in range(draw(st.integers(0, 2))):
-                    term = term * ring.param(f"q{i}")
-            out = out + term
-        return out
-
     def scalar():
-        den = param_poly(1)
-        return param_poly(0) * (ring.sone() if den.is_zero() else den.inverse())
+        return _draw_scalar(draw, ring)
 
     def poly():
         out = ring.zero()
@@ -214,3 +225,73 @@ def test_constants_against_the_term_by_term_definitions(case):
     assert apply_sder(delta, constant).is_zero()
     assert apply_endo(sigma, p) == _endo_by_terms(sigma, p)
     assert apply_sder(delta, p) == _sder_by_terms(delta, p)
+
+
+# -- the constant path ------------------------------------------------------------
+
+
+def _representation(p):
+    return {e: (c.num, c.den) for e, c in p.terms.items()}
+
+
+def _product_by_terms(a, b):
+    """``a * b`` by its definition: the sum over every pair of terms of
+    ``ca * cb * t^(ea + eb)``."""
+    out = a._make({})
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            out = out + a._make({tuple(x + y for x, y in zip(ea, eb)): ca * cb})
+    return out
+
+
+@st.composite
+def _one_term_pairs(draw):
+    """Two one-term polynomials over a ring with 1-2 parameters and 0-2
+    variables.  Each coefficient is the shared unit, a one that is not the
+    shared unit scalar, or a random nonzero quotient of parameter
+    polynomials."""
+    nparams, nvars = draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    ring = CoeffRing([f"q{i}" for i in range(nparams)], [f"t{j}" for j in range(nvars)])
+
+    def one_term():
+        kind = draw(st.sampled_from(["unit", "other one", "random"]))
+        if kind == "unit":
+            s = ring.sone()
+        elif kind == "other one":
+            s = ring.scalar(2) * ring.scalar(Fraction(1, 2))
+        else:
+            s = _draw_scalar(draw, ring)
+            s = ring.sone() if s.is_zero() else s
+        return ring.monomial([draw(st.integers(0, 2)) for _ in range(nvars)], s)
+
+    return ring, one_term(), one_term()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_term_pairs())
+def test_one_term_products_against_the_definition(case):
+    ring, a, b = case
+    for x, y in ((a, b), (b, a)):
+        got, want = x * y, _product_by_terms(x, y)
+        assert _representation(got) == _representation(want)
+        assert ring.render(got) == ring.render(want)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_the_ring_unit_is_shared_and_left_intact(monkeypatch, name):
+    built = []
+    build = spbw.pipeline.build_presentation
+
+    def capture(doc):
+        built.append(build(doc))
+        return built[-1]
+
+    monkeypatch.setattr(spbw.pipeline, "build_presentation", capture)
+    run_smooth(corpus_doc(name))
+    (P,) = built
+    ring = P.ring
+    assert ring.one() is ring.one()
+    unit = poly_one(ring.nparams)
+    assert unit == {(0,) * ring.nparams: 1}
+    ((e, s),) = ring.one().terms.items()
+    assert e == (0,) * ring.nvars and s.num is unit and s.den is unit

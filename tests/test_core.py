@@ -1,16 +1,21 @@
+import sys
 from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spbw.core
 from spbw.coefficients import CoeffRing
-from spbw.core import Presentation, Relation
+from spbw.core import Presentation, Relation, SkewPoly, _expand, _pack
 from spbw.corpus import CORPUS_NAMES, corpus_doc
-from spbw.dsl import build_presentation
+from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import HypothesisError
+from spbw.lincomb import add_term
 from spbw.scalars import Scalar
 
-from conftest import commuting_relation, random_skew, trivial_maps
+from conftest import WIDE_DOCS, commuting_relation, random_skew, trivial_maps
 
 
 @pytest.fixture
@@ -363,3 +368,125 @@ def test_render(weyl, jordan):
     t = jordan.ring.var(0)
     g = jordan.monomial((1,), t * t) + jordan.from_coeff(t)
     assert jordan.render(g) == "t^2*x + t"
+
+
+# -- the constant path of multiply ---------------------------------------------
+
+
+def _walked_product(P, f, g):
+    """``f * g`` with every coefficient of g walked past the word of f by
+    ``push_coeff_left``, and every product scaled term by term: the loop
+    that every term took before constants had a short path."""
+    acc: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            for h, w in P.push_coeff_left(_expand(e1), c2):
+                c = c1 * h
+                for e, r in P._mul_monomials(_pack(w, P.n), e2).terms.items():
+                    add_term(acc, e, c * r)
+    return SkewPoly(acc, P.n)
+
+
+def _representation(f):
+    """Every key and ``Fraction`` value of an element, down to the scalars."""
+    return {e: {t: (s.num, s.den) for t, s in c.terms.items()} for e, c in f.terms.items()}
+
+
+PRODUCT_PRESENTATIONS = {
+    **{name: build_presentation(corpus_doc(name)) for name in CORPUS_NAMES},
+    **{name: build_presentation(parse_presentation(text)) for name, text in WIDE_DOCS.items()},
+}
+
+
+def _coefficient(draw, ring):
+    """The unit, a rational, a one that is not the shared unit scalar, a
+    parameter or its inverse, or a polynomial in a coefficient variable."""
+    kind = draw(st.sampled_from(["unit", "rational", "other one", "param", "variable"]))
+    if kind == "unit":
+        return ring.one()
+    if kind == "other one":
+        return ring.const(ring.scalar(2) * ring.scalar(Fraction(1, 2)))
+    if kind == "param" and ring.nparams:
+        s = ring.param(draw(st.sampled_from(ring.params)))
+        return ring.const(s.inverse() if draw(st.booleans()) else s)
+    if kind == "variable" and ring.nvars:
+        t = ring.var(draw(st.integers(0, ring.nvars - 1)))
+        return t * t + ring.const(draw(st.integers(-2, 2)))
+    return ring.const(draw(st.sampled_from([-3, -1, 2, Fraction(1, 2), Fraction(-2, 3)])))
+
+
+@st.composite
+def _element(draw, P):
+    """Zero, the unit element, or up to three terms of degree at most 3."""
+    kind = draw(st.sampled_from(["zero", "unit", "sum"]))
+    if kind == "zero":
+        return P.zero()
+    if kind == "unit":
+        return P.one()
+    f = P.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        word = draw(st.lists(st.integers(0, P.n - 1), max_size=3))
+        f = f + P.monomial(_pack(tuple(word), P.n), _coefficient(draw, P.ring))
+    return f
+
+
+@st.composite
+def _products(draw):
+    P = PRODUCT_PRESENTATIONS[draw(st.sampled_from(sorted(PRODUCT_PRESENTATIONS)))]
+    return P, draw(_element(P)), draw(_element(P))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_products())
+def test_multiply_matches_the_walked_product(case):
+    P, f, g = case
+    got, walked = P.multiply(f, g), _walked_product(P, f, g)
+    assert _representation(got) == _representation(walked)
+    assert P.render(got) == P.render(walked)
+
+
+def _count_walks(monkeypatch, P):
+    """The name of the caller of every ``push_coeff_left`` call on P."""
+    callers = []
+    walk = P.push_coeff_left
+
+    def counted(word, r):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return walk(word, r)
+
+    monkeypatch.setattr(P, "push_coeff_left", counted)
+    return callers
+
+
+def test_scalar_coefficients_skip_the_walk_in_multiply(monkeypatch):
+    P = build_presentation(corpus_doc("qaffine3"))
+    q12, q23 = P.ring.param("q12"), P.ring.param("q23")
+    f = P.monomial((0, 2, 1), P.ring.const(q12)) + P.monomial((1, 0, 0))
+    g = P.monomial((2, 1, 0), P.ring.const(q23.inverse())) + P.const(3)
+    callers = _count_walks(monkeypatch, P)
+    product = P.multiply(f, g)
+    assert "multiply" not in callers
+    assert "_mul_monomials" in callers  # the monomial products still walk their tails
+    assert P.render(product) == P.render(_walked_product(P, f, g))
+
+
+def test_variable_coefficients_still_walk(monkeypatch):
+    P = build_presentation(corpus_doc("jordan"))
+    t = P.ring.var(0)
+    callers = _count_walks(monkeypatch, P)
+    P.multiply(P.monomial((2,)), P.monomial((1,), t))
+    assert "multiply" in callers
+
+
+def test_weyl_monomial_product_still_calls_apply_endo(monkeypatch):
+    P = build_presentation(corpus_doc("weyl"))
+    calls = []
+    apply_endo = spbw.core.apply_endo
+
+    def counted(sigma, p):
+        calls.append(1)
+        return apply_endo(sigma, p)
+
+    monkeypatch.setattr(spbw.core, "apply_endo", counted)
+    P.multiply(P.monomial((0, 3)), P.monomial((3, 0)))
+    assert calls

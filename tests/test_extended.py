@@ -12,7 +12,7 @@ from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, frame_affine_
 from spbw.ore import ore_document
 from spbw.pipeline import run_calculus_check
 
-from conftest import grid_member, lift_delta, twisted_leibniz_witness
+from conftest import WIDE_DOCS, grid_member, is_identity, lift_delta, twisted_leibniz_witness
 
 
 def test_hypothesis_weyl_all_pass(weyl):
@@ -42,7 +42,7 @@ def test_extend_sigma_fixes_scalars_and_generators(qplane_ore):
 
 def test_extend_sigma_identity_on_jordan(jordan):
     lift = extend_sigma(jordan, 0)
-    assert lift.is_identity()
+    assert is_identity(lift)
 
 
 def test_extend_sigma_coefficientwise(qplane_ore):
@@ -261,43 +261,6 @@ def test_relation_shape_failure_texts(source, failures, filtration):
 # -- rescaling twists -----------------------------------------------------------------
 
 
-def _pairs(n):
-    return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-def _gens(n):
-    return "gens " + " ".join(f"x{i}" for i in range(1, n + 1)) + "\n"
-
-
-def _poly_doc(n):
-    rels = "".join(f"rel x{j} x{i} = x{i} x{j}\n" for i, j in _pairs(n))
-    return f"name poly{n}\n{_gens(n)}{rels}calculus mode=theorem\n"
-
-
-def _weyl2_doc():
-    """Two commuting Weyl pairs (x1, x2) and (x3, x4)."""
-    rels = "".join(
-        f"rel x{j} x{i} = x{i} x{j}{' - 1' if (i, j) in ((1, 2), (3, 4)) else ''}\n" for i, j in _pairs(4)
-    )
-    return f"name weyl2\n{_gens(4)}{rels}calculus mode=theorem\n"
-
-
-def _qaffine_doc(n):
-    """Quantum affine n-space with the weighted twists and wedge constants of
-    ``qaffine3``, one parameter per pair."""
-    pairs = _pairs(n)
-    lines = [f"name qaffine{n}", "params " + " ".join(f"q{i}{j}" for i, j in pairs), _gens(n).strip()]
-    lines += [f"rel x{j} x{i} = q{i}{j} * x{i} x{j}" for i, j in pairs]
-    lines += ["calculus mode=flat", "dgens " + " ".join(f"x{i}" for i in range(1, n + 1))]
-    for k in range(1, n + 1):
-        images = [f"x{m} -> q{k}{m}*x{m}" if k < m else f"x{m} -> q{m}{k}^-1*x{m}"
-                  for m in range(1, n + 1) if m != k]
-        lines.append(f"twist x{k}: " + ", ".join(images))
-    lines += [f"wedge x{i} x{j} = q{i}{j}" for i, j in pairs]
-    return "\n".join(lines) + "\n"
-
-
-WIDE_DOCS = {"poly4": _poly_doc(4), "weyl2": _weyl2_doc(), "qaffine4": _qaffine_doc(4), "poly5": _poly_doc(5)}
 # the members x t = q t x + p with a constant p whose twists respect the relations
 DIAGONAL_ORE = [("1", "0"), ("1", "1"), ("1", "5"), ("2", "0"), ("-1", "0"), ("q", "0")]
 ALL_RESCALE = ("poly2", "poly3", "weyl", "qplane", "qaffine3")

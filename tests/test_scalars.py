@@ -262,3 +262,16 @@ def test_unit_polynomial_is_shared(nparams):
     assert Scalar.const(nparams, 0).den is unit
     assert Scalar.const(nparams, 5).den is unit
     assert Scalar({(0,) * nparams: Fraction(1)}, {(0,) * nparams: Fraction(4)}, nparams).den is unit
+
+
+@pytest.mark.parametrize("nparams", [0, 1, 2])
+def test_a_one_that_is_not_the_shared_unit_multiplies_to_the_same_form(nparams):
+    other_one = Scalar.const(nparams, 2) * Scalar.const(nparams, Fraction(1, 2))
+    assert other_one.num is not poly_one(nparams) and other_one.num == poly_one(nparams)
+    values = [Scalar.const(nparams, Fraction(3, 7)), Scalar.const(nparams, 1), other_one]
+    if nparams:
+        q = Scalar.param(nparams, 0)
+        values += [(q + Scalar.const(nparams, 2)) / (q - Scalar.const(nparams, 1)), q / q]
+    for x in values:
+        for r in (x * other_one, other_one * x):
+            assert r.num == x.num and r.den == x.den
