@@ -18,6 +18,7 @@ what makes diagonalizable mixing twists reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 
 from .core import Presentation, SkewPoly, exponents_upto
@@ -131,8 +132,11 @@ class Calculus:
     memoizes the transported divergence of every basis functional it meets
     in ``_nabla_memo``, ``_basis_product`` memoizes the merged set and
     crossing factor of every pair of wedge basis sets in ``_basis_memo``,
-    ``integrability_check`` sets ``integrability_passed`` (which the
-    divergence checks require), and construction sets ``compatibility``.
+    ``_generator_certificate`` and ``_transport_certificate`` record their
+    verdicts in ``_generators_certified`` and ``_transport_certified``,
+    ``integrability_check`` sets ``integrability_passed`` (which the sampled
+    divergence checks require: they are the fallback when the transport
+    certificate fails), and construction sets ``compatibility``.
     These and the memo tables of the
     presentation (``_mono_cache``) and the twists (``_power_memo`` and
     ``_monomial_memo``; a twist that rescales each symbol fills only the
@@ -151,6 +155,8 @@ class Calculus:
         self._basis_memo: dict = {}  # (S, T) -> du_S ^ du_T as (merged set, factor), or None
         self._one = P.ring.sone()
         self._volume = None
+        self._generators_certified = None
+        self._transport_certified = None
         self.integrability_passed = None
         self.compatibility = None
 
@@ -365,9 +371,19 @@ class Calculus:
 
         (a) and (b) are sufficient, not necessary: when either fails,
         :meth:`_d_squared_upto` decides and supplies the witnesses."""
-        if self.compatibility and self._twists_commute() and self._d_respects_twisting():
+        if self._generator_certificate():
             return CheckOutcome(True)
         return self._d_squared_upto(degree_bound)
+
+    def _generator_certificate(self) -> bool:
+        """Compatibility, (a) and (b) of :meth:`d_squared_check`, decided
+        once and kept in ``_generators_certified``; the transport
+        certificate builds on the same verdict."""
+        if self._generators_certified is None:
+            self._generators_certified = bool(
+                self.compatibility and self._twists_commute() and self._d_respects_twisting()
+            )
+        return self._generators_certified
 
     def _twists_commute(self) -> bool:
         """Condition (a) of :meth:`d_squared_check`."""
@@ -472,17 +488,184 @@ class Calculus:
         self._volume = VolumeData(self.omega(), nu, matches)
         return self._volume
 
+    # -- the transport certificate -----------------------------------------------------------
+
+    def _transport_certificate(self) -> bool:
+        """Integrability, the product rule of the bottom divergence and
+        flatness, decided exactly from the frame generators; memoized in
+        ``_transport_certified``.  When it fails, each of the three checks
+        runs its sampled fallback, which supplies the witnesses.
+
+        Notation.  ``nu_S`` is the twist of ``du_S`` (``a du_S = du_S
+        nu_S(a)``, :meth:`twist_apply_set`) and ``nu_S^-1`` the stored
+        inverses applied in the opposite order (:meth:`twist_inv_apply_set`);
+        ``du_S ^ du_T = w(S, T) du_(S+T)``; for a set S of size k, C is its
+        complement and ``e_k = (-1)^((N-1)k)`` the sign of the transport;
+        ``xi_C g`` is the functional with value g on ``du_C``, and ``phi . a``
+        the right action ``(phi . a)(w') = phi(a ^ w')`` of
+        :meth:`dual_action`.  The code computes
+
+            theta(k)(du_S f) = xi_C e_k w(S, C) nu_C(f),
+            theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g).
+
+        It requires the d^2 certificate (compatibility, (a) and (b) of
+        :meth:`d_squared_check`, from :meth:`_generator_certificate`), and
+        then checks:
+
+        (c) every stored twist inverse respects every defining relation;
+        (d) ``theta_inv(k)(theta(k)(du_S f)) == du_S f`` and
+            ``theta(k)(theta_inv(k)(xi_C f)) == xi_C f`` for every k from 0
+            to N, every basis set, and f the unit and each frame symbol;
+        (e) ``theta_inv(k)(xi_C . s) == theta_inv(k)(xi_C) s`` for every k,
+            C and frame symbol s;
+        (f) the expansion identity of :meth:`_integrability_sampled` on
+            ``du_S s`` for every S with 0 < |S| < N and every frame symbol s;
+        (g) ``nabla(xi_i . s) == nabla(xi_i) s + xi_i(d s)`` for every i and
+            every frame symbol s, with nabla the bottom divergence.
+
+        Why it suffices.  The twists are algebra maps (``AlgebraEndo``
+        verifies them on every relation) and by (c) so are the stored
+        inverses; ``AlgebraEndo.apply`` multiplies the images in frame
+        order, which is what any algebra map does to a normal monomial.  The
+        scalars ``e_k`` and ``w`` are central and fixed by every map, so the
+        two round trips of (d) are ``du_S nu_C^-1(nu_C(f))`` and ``xi_C
+        nu_C(nu_C^-1(f))``: algebra maps in f, which (d) makes the identity
+        on the frame and hence on all of A.  So ``theta(k)`` and
+        ``theta_inv(k)`` are mutually inverse for every k, whatever the
+        coefficients.
+
+        theta is right A-linear, ``theta(k)(w a) = theta(k)(w) . a``: both
+        sides send w' to ``e_k pi(w a ^ w') = e_k pi(w ^ a w')``, because the
+        wedge is associative, which (a) gives (on the basis, ``(du_S f a) ^
+        du_T g`` and ``(du_S f) ^ du_T nu_T(a) g`` are both ``w(S, T)
+        du_(S+T) nu_T(f) nu_T(a) g``, since nu_T is multiplicative).  Then
+        so is theta_inv: ``theta_inv(phi . a) = theta_inv(theta(theta_inv
+        phi) . a) = theta_inv(phi) a``.  So (e) follows from (a), (c) and
+        (d); it
+        is checked because it runs the identity through
+        :meth:`dual_action` on functionals other than ``pi``, which is how
+        the product rule forms ``phi . a``.
+
+        Integrability.  For the target ``du_S f`` only Q = C contributes to
+        the expansion sum (every other Q repeats an index of S), and the sum
+        is ``du_S T(f)`` with ``T = nu_S o nu^-1 o nu_C``, nu the volume
+        twist: the factors ``w(S, C)`` and its inverse from the complement
+        form cancel.  The stored ``nu^-1`` has the images of ``nu_full^-1``,
+        an algebra map by (c), so T is an algebra map fixing scalars, and
+        (f) makes it the identity.  The identity then holds for every f.
+        (Since the twists commute, T = id follows from (a), (c) and (d) as
+        well; (f) runs it through :meth:`left_multiply` and the volume
+        twist, as the sampled check does.)
+
+        The product rule.  Let phi have degree one, ``w = theta_inv(N-1)
+        (phi)`` and a in A.  Then ``theta_inv(phi . a) = w a``.  The d^2
+        certificate makes d a graded derivation of Omega, so ``d(w a) = dw a
+        + (-1)^(N-1) w ^ da``.  By right linearity ``theta(N)(dw a) =
+        nabla(phi) a``.  On N-forms ``theta(N) = e_N pi``, and ``phi(da) =
+        theta(N-1)(w)(da) = e_(N-1) pi(w ^ da)``, so ``nabla(phi . a) =
+        nabla(phi) a + (-1)^(N-1) e_N e_(N-1) phi(da)``.  The factor is
+        ``(-1)^((N-1)(1 + N + N-1)) = 1``.  (g) pins that sign in the code:
+        the potentials are independent, so ``xi_i(ds) != 0`` for some s,
+        where the opposite sign would give ``-xi_i(ds)``.
+
+        Flatness.  ``nabla_(N-1) o nabla_(N-2) = theta(N) d theta_inv(N-1)
+        theta(N-1) d theta_inv(N-2) = theta(N) d^2 theta_inv(N-2) = 0``.
+
+        Each divergence is linear over the base field, and
+        :meth:`divergence_chain` extends its memoized basis images linearly,
+        so it computes these composites.  The certificate draws nothing
+        from the run's random generator."""
+        if self._transport_certified is None:
+            self._transport_certified = self._generator_certificate() and all(
+                check() for check in (
+                    self._inverses_are_algebra_maps,
+                    self._transport_round_trips,
+                    self._transport_inverse_right_linear,
+                    self._expansion_on_generators,
+                    self._product_rule_on_generators,
+                )
+            )
+        return self._transport_certified
+
+    def _inverses_are_algebra_maps(self) -> bool:
+        """(c) of :meth:`_transport_certificate`."""
+        P = self.P
+        return all(
+            P.multiply(inv.images[a], inv.images[b]) == inv.apply(normal)
+            for inv in (dg.twist.inverse for dg in self.spec.dgens)
+            for _, (a, b), normal in P.defining_relations()
+        )
+
+    def _transport_round_trips(self) -> bool:
+        """(d) of :meth:`_transport_certificate`."""
+        N = self.N
+        coeffs = (self.P.one(),) + self.P.frame()
+        for k in range(N + 1):
+            for S in combinations(range(N), k):
+                for f in coeffs:
+                    form = self.form(S, f)
+                    if self.theta_inv(k, self.theta(k, form)) != form:
+                        return False
+            for C in combinations(range(N), N - k):
+                for f in coeffs:
+                    phi = IntegralForm(N - k, {C: f}, N)
+                    if self.theta(k, self.theta_inv(k, phi)) != phi:
+                        return False
+        return True
+
+    def _transport_inverse_right_linear(self) -> bool:
+        """(e) of :meth:`_transport_certificate`."""
+        N, P = self.N, self.P
+        for k in range(N + 1):
+            for C in combinations(range(N), N - k):
+                xi = self._dual_basis(C)
+                base = self.theta_inv(k, xi)
+                for s in P.frame():
+                    acted = self.theta_inv(k, self.dual_action(xi, self.embed(s)))
+                    if acted != self._sum(self.form(S, P.multiply(f, s)) for S, f in base.terms.items()):
+                        return False
+        return True
+
+    def _expansion_on_generators(self) -> bool:
+        """(f) of :meth:`_transport_certificate`."""
+        return all(
+            self._expands(S, s)
+            for k in range(1, self.N)
+            for S in combinations(range(self.N), k)
+            for s in self.P.frame()
+        )
+
+    def _product_rule_on_generators(self) -> bool:
+        """(g) of :meth:`_transport_certificate`."""
+        return all(
+            self._product_rule_holds(self._bottom_divergence, self._dual_basis((i,)), s)
+            for i in range(self.N)
+            for s in self.P.frame()
+        )
+
     # -- integrability ---------------------------------------------------------------------
 
-    def _complement_form(self, S) -> DiffForm:
-        """The signed complement with ``complement(S) ^ du_S = omega``."""
-        comp = tuple(i for i in range(self.N) if i not in S)
-        _, factor = self._basis_product(comp, tuple(S))
-        return self.form(comp, self.P.const(factor.inverse()))
+    def _expands(self, S0, f: SkewPoly) -> bool:
+        """The expansion identity over the wedge generators for ``du_S0 *
+        f``, through the inverse volume twist: summing ``complement(Q) *
+        nu^-1(pi_omega(du_S0 f ^ du_Q))`` over the sets Q of size N - |S0|
+        gives ``du_S0 f`` back.  Only the complement Q of S0 contributes,
+        since every other Q of that size meets S0 and the wedge repeats an
+        index; its complement form is ``du_S0`` times the inverse of the
+        crossing factor of ``du_S0 ^ du_Q``."""
+        Q = tuple(i for i in range(self.N) if i not in S0)
+        _, factor = self._basis_product(S0, Q)
+        target = self.form(S0, f)
+        top = self.pi_omega(self.wedge(target, self.form(Q, self.P.one())))
+        total = self.left_multiply(
+            self.volume().nu.inverse.apply(top), self.form(S0, self.P.const(factor.inverse()))
+        )
+        return total == target
 
     def integrability_check(self, sample_count: int, degree_bound: int, rng) -> CheckOutcome:
-        """The expansion identity over the wedge generators on sampled
-        coefficient-carrying forms, through the inverse volume twist.
+        """The expansion identity of :meth:`_expands` on every
+        coefficient-carrying form, decided by the transport certificate, or
+        on sampled forms when that fails.
 
         Its basis counterpart, ``sum_S du_S * pi_omega(complement(S) ^ du_S0)
         = du_S0``, holds by construction and is not checked: the coefficient
@@ -490,31 +673,29 @@ class Calculus:
         ``complement(S) ^ du_S``, so the term for S = S0 is ``du_S0``; for
         S != S0 an index of S0 lies in the complement of S and the wedge is
         zero; and the twists fix scalars."""
-        vol = self.volume()
+        if self._transport_certificate():
+            outcome = CheckOutcome(True)
+        else:
+            outcome = self._integrability_sampled(sample_count, degree_bound, rng)
+        self.integrability_passed = outcome.ok
+        return outcome
+
+    def _integrability_sampled(self, sample_count: int, degree_bound: int, rng) -> CheckOutcome:
+        """The expansion identity on ``sample_count`` sampled forms per
+        degree, stopping at the first failure in each degree."""
+        self.volume()  # a rejected volume twist errors before any draw
         witnesses = []
         for k in range(1, self.N):
             gen_sets = list(combinations(range(self.N), k))
-            big_sets = list(combinations(range(self.N), self.N - k))
-            comp_of_big = {Q: self._complement_form(Q) for Q in big_sets}
             for _ in range(sample_count):
                 S0 = gen_sets[rng.randrange(len(gen_sets))]
                 f = random_skew(self.P, rng, degree_bound)
-                target = self.form(S0, f)
-                total = self._sum(
-                    self.left_multiply(
-                        vol.nu.inverse.apply(self.pi_omega(self.wedge(target, self.form(Q, self.P.one())))),
-                        comp_of_big[Q],
-                    )
-                    for Q in big_sets
-                )
-                if total != target:
+                if not self._expands(S0, f):
                     witnesses.append(
                         f"coefficient expansion fails for du{list(S0)} * ({self.P.render(f)})"
                     )
                     break
-        outcome = CheckOutcome(not witnesses, witnesses[:5])
-        self.integrability_passed = outcome.ok
-        return outcome
+        return CheckOutcome(not witnesses, witnesses[:5])
 
     # -- integral forms and divergences ---------------------------------------------------------
 
@@ -535,14 +716,24 @@ class Calculus:
         return SkewPoly(acc, self.P.n)
 
     def dual_action(self, phi: IntegralForm, w: DiffForm) -> IntegralForm:
-        """Right action of forms on functionals: ``(phi . w)(w') = phi(w ^ w')``."""
+        """Right action of forms on functionals: ``(phi . w)(w') = phi(w ^ w')``.
+
+        ``phi(w ^ du_T)`` is nonzero only when ``T = U \\ S`` for a set U of
+        phi's support and a set S of w's support inside U, so only those T
+        are visited, in increasing order."""
         if w.is_zero():
             return IntegralForm(phi.degree, {}, self.N)
         m = w.homogeneous_degree()
         if m is None or phi.degree < m:
             raise ConfigError("dual action needs deg(phi) >= deg(w)")
+        visits = sorted({
+            tuple(i for i in U if i not in S)
+            for U in phi.terms
+            for S in w.terms
+            if set(S) <= set(U)
+        })
         values = {}
-        for T in combinations(range(self.N), phi.degree - m):
+        for T in visits:
             val = self.evaluate(phi, self.wedge(w, self.form(T, self.P.one())))
             if not val.is_zero():
                 values[T] = val
@@ -565,19 +756,18 @@ class Calculus:
             raise ConfigError("functional degree does not match the transport")
         sign = -1 if ((self.N - 1) * k) % 2 else 1
         acc: dict = {}
-        for S in combinations(range(self.N), k):
-            comp = tuple(i for i in range(self.N) if i not in S)
-            v = phi.terms.get(comp)
-            if v is None:
-                continue
-            _, w = self._basis_product(tuple(S), comp)
-            coeff = self.twist_inv_apply_set(comp, v.scale(w.inverse() * self.P.ring.scalar(sign)))
+        # each set S of size k whose complement phi has a value on, in
+        # increasing order
+        for S, comp in sorted((tuple(i for i in range(self.N) if i not in C), C) for C in phi.terms):
+            _, w = self._basis_product(S, comp)
+            scale = w.inverse() * self.P.ring.scalar(sign)
+            coeff = self.twist_inv_apply_set(comp, phi.terms[comp].scale(scale))
             add_terms(acc, self.form(S, coeff).terms)
         return DiffForm(acc, self.N)
 
     def divergence_chain(self, k: int):
         """The map from functionals of degree N-k to degree N-k-1, computed
-        by transporting d; needs the integrability certificate.
+        by transporting d; needs a passed integrability check.
 
         Every factor of ``theta(k+1, d(theta_inv(k, .)))`` is linear over
         the base field, so a functional's image is the scalar-weighted sum
@@ -586,16 +776,17 @@ class Calculus:
         and kept in ``_nabla_memo``."""
         if not self.integrability_passed:
             raise ConfigError("divergence transport requested without an integrability certificate")
-        def nabla(phi: IntegralForm) -> IntegralForm:
-            if phi.degree != self.N - k:
-                raise ConfigError("functional degree does not match the transport")
-            acc: dict = {}
-            for S, v in phi.terms.items():
-                for e, c in v.terms.items():
-                    for tvec, s in c.terms.items():
-                        add_terms(acc, self._nabla_basis(k, S, tvec, e).scale(s).terms)
-            return IntegralForm(self.N - k - 1, acc, self.N)
-        return nabla
+        return partial(self._nabla, k)
+
+    def _nabla(self, k: int, phi: IntegralForm) -> IntegralForm:
+        if phi.degree != self.N - k:
+            raise ConfigError("functional degree does not match the transport")
+        acc: dict = {}
+        for S, v in phi.terms.items():
+            for e, c in v.terms.items():
+                for tvec, s in c.terms.items():
+                    add_terms(acc, self._nabla_basis(k, S, tvec, e).scale(s).terms)
+        return IntegralForm(self.N - k - 1, acc, self.N)
 
     def _nabla_basis(self, k: int, S, tvec, e) -> IntegralForm:
         """The transported divergence of ``xi_S * t^tvec x^e``, memoized."""
@@ -609,15 +800,29 @@ class Calculus:
         return image
 
     def base_divergence(self):
-        """The bottom map from degree-one functionals to the algebra."""
-        nab = self.divergence_chain(self.N - 1)
-        def to_algebra(phi: IntegralForm) -> SkewPoly:
-            out = nab(phi)
-            return out.terms.get((), self.P.zero())
-        return to_algebra
+        """The bottom map from degree-one functionals to the algebra; needs
+        a passed integrability check."""
+        self.divergence_chain(self.N - 1)  # raises without one
+        return self._bottom_divergence
+
+    def _bottom_divergence(self, phi: IntegralForm) -> SkewPoly:
+        return self._nabla(self.N - 1, phi).terms.get((), self.P.zero())
+
+    def _product_rule_holds(self, nabla, phi: IntegralForm, a: SkewPoly) -> bool:
+        """``nabla(phi . a) == nabla(phi) a + phi(d a)``."""
+        lhs = nabla(self.dual_action(phi, self.embed(a)))
+        return lhs == self.P.multiply(nabla(phi), a) + self.evaluate(phi, self.d0(a))
 
     def divergence_leibniz_check(self, samples: int, degree: int, rng) -> CheckOutcome:
-        """The product rule of the bottom divergence on sampled pairs."""
+        """The product rule of the bottom divergence, decided by the
+        transport certificate, or on sampled pairs when that fails."""
+        if self._transport_certificate():
+            return CheckOutcome(True)
+        return self._divergence_leibniz_sampled(samples, degree, rng)
+
+    def _divergence_leibniz_sampled(self, samples: int, degree: int, rng) -> CheckOutcome:
+        """The product rule on ``samples`` sampled pairs, stopping at the
+        first failure; needs a passed integrability check."""
         nabla = self.base_divergence()
         witnesses = []
         for _ in range(samples):
@@ -628,9 +833,7 @@ class Calculus:
                     values[(i,)] = f
             phi = IntegralForm(1, values, self.N)
             a = random_skew(self.P, rng, degree, max_terms=2)
-            lhs = nabla(self.dual_action(phi, self.embed(a)))
-            rhs = self.P.multiply(nabla(phi), a) + self.evaluate(phi, self.d0(a))
-            if lhs != rhs:
+            if not self._product_rule_holds(nabla, phi, a):
                 witnesses.append(
                     f"product rule fails at a = {self.P.render(a)} with {self.render_functional(phi)}"
                 )
@@ -638,10 +841,19 @@ class Calculus:
         return CheckOutcome(not witnesses, witnesses)
 
     def flatness_check(self) -> CheckOutcome:
-        """Curvature on the dual basis of the two-forms; vacuous below
-        dimension two."""
+        """Curvature of the two bottom divergences, decided by the transport
+        certificate; when that fails, walked on the dual basis of the
+        two-forms.  Vacuous below dimension two."""
         if self.N < 2:
             return CheckOutcome(True, [], {"vacuous": True})
+        if self._transport_certificate():
+            return CheckOutcome(True)
+        return self._flatness_on_basis()
+
+    def _flatness_on_basis(self) -> CheckOutcome:
+        """The curvature on the unit dual basis of the two-forms; needs a
+        passed integrability check.  It cannot fail: ``theta_inv`` gives
+        each unit functional a scalar coefficient, which d kills."""
         nabla1 = self.divergence_chain(self.N - 2)
         nabla0 = self.base_divergence()
         witnesses = []

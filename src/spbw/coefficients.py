@@ -44,14 +44,20 @@ class CoeffRing:
         self.coeff_vars = tuple(coeff_vars)
         self.nparams = len(self.params)
         self.nvars = len(self.coeff_vars)
+        self._scalars: dict = {}  # value -> its constant Scalar
         self._one = CoeffPoly({(0,) * self.nvars: self.sone()}, self.nvars, self.nparams)
 
     # -- scalar constructors ----------------------------------------------
 
     def scalar(self, value) -> Scalar:
+        """The constant ``value`` as a Scalar, made once per value and ring
+        and shared after that (scalars are never mutated)."""
         if isinstance(value, Scalar):
             return value
-        return Scalar.const(self.nparams, value)
+        s = self._scalars.get(value)
+        if s is None:
+            s = self._scalars[value] = Scalar.const(self.nparams, value)
+        return s
 
     def param(self, name: str) -> Scalar:
         return Scalar.param(self.nparams, self.params.index(name))

@@ -45,8 +45,11 @@ DEFAULT_OPTIONS = {
 }
 
 # Smallest value each bounded option accepts.  The growth estimate needs the
-# table up to degree 8, the overlap check needs words of length 3, and a
-# sampled check on zero samples would certify nothing.
+# table up to degree 8, and the overlap check needs words of length 3.
+# `dsq_degree` and `samples`/`sample_degree` are the witness budgets of the
+# searched d^2 check and of the sampled integrability and product-rule checks,
+# which run only when their certificate fails; a fallback with no budget
+# would pass without looking.
 OPTION_MINIMUMS = {
     "samples": 1,
     "sample_degree": 1,

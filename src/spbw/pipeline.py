@@ -3,8 +3,16 @@
 The smoothness pipeline runs the checks in dependency order and
 short-circuits on the two hard failures (an inconsistent presentation, an
 incompatible differential); everything downstream is then reported as
-skipped.  All sampling is seeded from the document options so runs are
-reproducible.
+skipped.
+
+``d-squared``, ``integrability``, ``divergence-leibniz`` and ``flatness`` are
+decided by certificates on the frame generators (the calculus's d^2 and
+transport certificates), which draw nothing from the run's generator.  When
+a certificate fails, the stage runs its searched or sampled check, which
+supplies the witnesses: ``dsq_degree`` bounds the d^2 search, and
+``samples``/``sample_degree`` set the sampled checks' budget.  Those draws
+come from one generator seeded from the document options, in stage order,
+so runs are reproducible.  The report records the options in every case.
 """
 
 from __future__ import annotations

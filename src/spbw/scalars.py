@@ -14,13 +14,14 @@ Fast paths.  Most products the layers above ask for are trivial, so:
   constant denominator are that object, which must never be mutated;
 * :func:`poly_mul` multiplies one term by one term with a single
   ``Fraction`` product, and returns the other factor itself when one factor
-  is the unit polynomial;
+  is the shared unit polynomial, tested by identity;
 * ``Scalar.__mul__`` returns the other operand when one operand is the
   shared unit (numerator and denominator both the shared unit polynomial,
-  tested by identity), and ``Scalar.__add__`` returns the other operand
-  when one addend is zero.  A scalar whose value is one but whose
-  numerator is a separate ``{(0, ...): 1}`` dict, such as ``2 * 1/2``,
-  takes the generic product, which gives the same ``num``/``den``.
+  tested by identity, as ``Scalar.is_unit`` tests it), and
+  ``Scalar.__add__`` returns the other operand when one addend is zero.  A
+  polynomial or scalar whose value is one but whose numerator is a separate
+  ``{(0, ...): 1}`` dict, such as ``2 * 1/2``, takes the generic product,
+  which gives the same keys and values.
 
 Every fast path returns exactly the ``num``/``den`` the generic code would:
 the same keys and the same ``Fraction`` values.  Rendered witnesses show
@@ -93,11 +94,12 @@ def poly_mul(a: dict, b: dict) -> dict:
         return {}
     if len(a) == 1 and len(b) == 1:
         ((ea, ca),) = a.items()
-        ((eb, cb),) = b.items()
-        if ca == 1 and not any(ea):
+        unit = _UNIT[len(ea)]
+        if a is unit:
             return b
-        if cb == 1 and not any(eb):
+        if b is unit:
             return a
+        ((eb, cb),) = b.items()
         return {tuple(x + y for x, y in zip(ea, eb)): ca * cb}
     out: dict = {}
     for ea, ca in a.items():
@@ -187,9 +189,10 @@ class Scalar:
 
     def is_unit(self) -> bool:
         """Whether this is the literal unit: numerator and denominator both
-        the unit polynomial.  A value of one such as ``q/q`` is not."""
+        the shared unit polynomial, tested by identity.  A value of one such
+        as ``q/q``, or ``2 * 1/2`` with a numerator of its own, is not."""
         unit = _UNIT[self.nparams]
-        return self.num == unit and self.den == unit
+        return self.num is unit and self.den is unit
 
     def is_rational(self) -> bool:
         return all(not any(e) for e in self.num) and all(not any(e) for e in self.den)

@@ -1,26 +1,29 @@
 import random
 from dataclasses import replace
+from itertools import combinations
 
 import pytest
 
+import spbw.calculus
 import spbw.pipeline
 from spbw.calculus import (
     Calculus,
     CalculusSpec,
     DGen,
     DiffForm,
+    IntegralForm,
     build_calculus,
     theorem_spec,
 )
 from spbw.coefficients import CoeffRing
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
-from spbw.errors import CompatibilityError, ConfigError, MapError
+from spbw.errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
 from spbw.extended import AlgebraEndo, auto_inverse
 from spbw.ore import ore_document
 from spbw.pipeline import calculus_spec_from_doc, run_calculus_check, run_smooth
 
-from conftest import grid, grid_member, random_skew, right_multiply, without_wedge
+from conftest import WIDE_DOCS, grid, grid_member, random_skew, right_multiply, without_wedge
 
 CERTIFIED = tuple(n for n in CORPUS_NAMES if n != "broken")
 
@@ -333,7 +336,7 @@ def test_generator_certificate_agrees_with_degree_six_on_corpus(name):
     spec = calculus_spec_from_doc(doc, P)
     variants = {
         "as shipped": spec,
-        "wedge (0,1) = 7": replace(spec, wedge_signs={**spec.wedge_signs, (0, 1): P.ring.scalar(7)}),
+        "wedge (0,1) = 7": _wedge_seven(P, spec),
         "no wedge constants": replace(spec, wedge_signs={}),
     }
     outcomes = {}
@@ -583,6 +586,8 @@ def _basis_key(k, phi):
 
 @pytest.mark.parametrize("name", ["poly3", "aq", "jordan"])
 def test_divergence_transports_each_basis_functional_once(name, monkeypatch):
+    # a passing transport certificate samples nothing, so the sampled
+    # fallback is called directly
     calc = run_calculus_check(corpus_doc(name))
     rng = random.Random(1729)
     assert calc.integrability_check(2, 2, rng).ok
@@ -594,7 +599,7 @@ def test_divergence_transports_each_basis_functional_once(name, monkeypatch):
         return original(self, k, phi)
 
     monkeypatch.setattr(Calculus, "theta_inv", recorded)
-    assert calc.divergence_leibniz_check(20, 3, rng).ok
+    assert calc._divergence_leibniz_sampled(20, 3, rng).ok
     assert keys and None not in keys
     assert len(keys) == len(set(keys))
 
@@ -638,6 +643,29 @@ def _status(report, stage):
     return report.check(stage).status
 
 
+def _negated_component(theta_inv):
+    """``theta_inv`` with the ``du_(0..k-1)`` component of its output negated."""
+
+    def negated(self, k, phi):
+        out = theta_inv(self, k, phi)
+        S = tuple(range(k))
+        return DiffForm({T: -f if T == S else f for T, f in out.terms.items()}, out.n)
+
+    return negated
+
+
+def _wedge_seven(P, spec):
+    return replace(spec, wedge_signs={**spec.wedge_signs, (0, 1): P.ring.scalar(7)})
+
+
+def _doubled_inverse(P, spec):
+    """The first twist with its stored inverse's images doubled."""
+    dg = spec.dgens[0]
+    bad = AlgebraEndo(P, [img.scale(P.ring.scalar(2)) for img in dg.twist.inverse.images], check=False)
+    twist = AlgebraEndo(P, dg.twist.images, inverse=bad, check=False)
+    return replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:])
+
+
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_negated_transport_component_fails_divergence_leibniz(name, monkeypatch):
     """A ``theta_inv`` that negates the ``du_(0..k-1)`` component of its
@@ -651,14 +679,7 @@ def test_negated_transport_component_fails_divergence_leibniz(name, monkeypatch)
     ``(-1)^((N-1)(k+1))``, which is 1 for the bottom divergence (k + 1 = N,
     and N(N-1) is even), and flatness only tests that the composite of the
     two bottom divergences vanishes, which no sign changes."""
-    original = Calculus.theta_inv
-
-    def negated(self, k, phi):
-        out = original(self, k, phi)
-        S = tuple(range(k))
-        return DiffForm({T: -f if T == S else f for T, f in out.terms.items()}, out.n)
-
-    monkeypatch.setattr(Calculus, "theta_inv", negated)
+    monkeypatch.setattr(Calculus, "theta_inv", _negated_component(Calculus.theta_inv))
     report = run_smooth(corpus_doc(name))
     rec = report.check("divergence-leibniz")
     assert rec.status == "fail"
@@ -678,10 +699,7 @@ def _mutated_spec(monkeypatch, mutate):
 
 @pytest.mark.parametrize("name", ["aq", "qaffine3", "poly3", "jordan"])
 def test_wrong_wedge_constant_fails_d_squared(name, monkeypatch):
-    def wedge_seven(P, spec):
-        return replace(spec, wedge_signs={**spec.wedge_signs, (0, 1): P.ring.scalar(7)})
-
-    _mutated_spec(monkeypatch, wedge_seven)
+    _mutated_spec(monkeypatch, _wedge_seven)
     report = run_smooth(corpus_doc(name))
     assert [_status(report, s) for s in ("compatibility", "d-squared")] == ["pass", "fail"]
     assert report.check("d-squared").witnesses[0].startswith("d^2 of ")
@@ -689,13 +707,166 @@ def test_wrong_wedge_constant_fails_d_squared(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_wrong_twist_inverse_is_a_volume_error(name, monkeypatch):
-    def doubled_inverse(P, spec):
-        dg = spec.dgens[0]
-        bad = AlgebraEndo(P, [img.scale(P.ring.scalar(2)) for img in dg.twist.inverse.images], check=False)
-        twist = AlgebraEndo(P, dg.twist.images, inverse=bad, check=False)
-        return replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:])
-
-    _mutated_spec(monkeypatch, doubled_inverse)
+    _mutated_spec(monkeypatch, _doubled_inverse)
     report = run_smooth(corpus_doc(name))
     assert [_status(report, s) for s in ("d-squared", "connectedness", "volume")] == ["pass", "pass", "error"]
     assert "inverse does not undo" in report.check("volume").witnesses[0]
+
+
+# -- the transport certificate against the sampled checks ---------------------------------------
+#
+# The sampled integrability and product-rule checks and the unit-basis walk
+# of flatness stay the oracle, as the degree-6 loop does for d^2.  On every
+# calculus here the certificate holds exactly when d^2 is certified from the
+# generators and the three sampled stages pass.
+
+
+def _sampled_stages_pass(calc):
+    """The three stages without the certificate, at the pipeline's default
+    budget and golden seed."""
+    rng = random.Random(1729)
+    try:
+        ok = calc._integrability_sampled(50, 4, rng).ok
+    except NotAVolumeFormError:
+        return False
+    calc.integrability_passed = ok
+    if not (ok and calc._divergence_leibniz_sampled(50, 4, rng).ok):
+        return False
+    return calc.N < 2 or calc._flatness_on_basis().ok
+
+
+def _certificate_agrees(calc):
+    sampled = _sampled_stages_pass(calc)
+    certified = calc._transport_certificate()
+    assert certified == (calc._generator_certificate() and sampled)
+    return certified
+
+
+def _doc(name):
+    return parse_presentation(WIDE_DOCS[name]) if name in WIDE_DOCS else corpus_doc(name)
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
+def test_transport_certificate_agrees_with_the_sampled_stages(name, monkeypatch):
+    doc = _doc(name)
+    P = build_presentation(doc)
+    spec = calculus_spec_from_doc(doc, P)
+    assert _certificate_agrees(build_calculus(P, spec))
+    for mutate in (_wedge_seven, _doubled_inverse):
+        assert not _certificate_agrees(build_calculus(P, mutate(P, spec)))
+    monkeypatch.setattr(Calculus, "theta_inv", _negated_component(Calculus.theta_inv))
+    assert not _certificate_agrees(build_calculus(P, spec))
+
+
+def test_transport_certificate_agrees_with_the_sampled_stages_on_ore_grid():
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    outcomes = {True: 0, False: 0}
+    for qs, r, ps in grid():
+        source = ore_document(ring, *grid_member(ring, qs, r, ps))
+        for text in (source, without_wedge(source)):
+            try:
+                calc = run_calculus_check(parse_presentation(text))
+            except (MapError, CompatibilityError):
+                continue
+            outcomes[_certificate_agrees(calc)] += 1
+    # the 14 members whose d^2 needs the wedge line fail without it
+    assert outcomes == {True: 42, False: 14}
+    probe = run_calculus_check(parse_presentation(NON_COMMUTING_TWISTS))
+    assert not _certificate_agrees(probe)
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
+def test_passing_transport_certificate_draws_nothing(name, monkeypatch):
+    draws = []
+    sample = spbw.calculus.random_skew
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    states = {}
+    run_stage = spbw.pipeline._run_stage
+
+    def recorded(stage, fn, run):
+        states[stage] = run.rng.getstate()
+        return run_stage(stage, fn, run)
+
+    monkeypatch.setattr(spbw.calculus, "random_skew", counted)
+    monkeypatch.setattr(spbw.pipeline, "_run_stage", recorded)
+    doc = _doc(name)
+    report = run_smooth(doc)
+    assert report.verdict == "certified-smooth"
+    assert draws == []
+    # the generator state is the fresh seed's before integrability and
+    # still is once flatness has run
+    fresh = random.Random(doc.options["seed"]).getstate()
+    assert states["integrability"] == states["gk-estimate"] == fresh
+
+
+def test_certificate_fails_where_the_curvature_is_not_zero():
+    """Without its wedge constant the quantum plane has d^2 != 0, so the
+    certificate fails.  The curvature is then nonzero on a functional that
+    carries a coefficient, ``nabla0(nabla1(xi_01 x1 x2)) = d^2(x1 x2)``, but
+    the flatness stage walks only the unit dual basis and passes; d-squared
+    is the stage that fails.  No calculus can fail the flatness stage: a
+    passing certificate proves flatness, and the fallback walk cannot
+    fail."""
+    doc = corpus_doc("qplane")
+    P = build_presentation(doc)
+    calc = build_calculus(P, replace(calculus_spec_from_doc(doc, P), wedge_signs={}))
+    assert not calc._transport_certificate()
+    assert calc.integrability_check(50, 4, random.Random(1729)).ok
+    assert calc.flatness_check().ok
+    x1x2 = P.multiply(P.gen(0), P.gen(1))
+    curvature = calc.base_divergence()(calc.divergence_chain(0)(IntegralForm(2, {(0, 1): x1x2}, 2)))
+    assert P.render(curvature) == "(-q + 1)/(q)"
+    assert calc.render_form(calc.differential(calc.d0(x1x2))) == "d(x1)d(x2)*((-q + 1)/(q))"
+    assert not calc.d_squared_check(4).ok
+
+
+def test_a_stored_inverse_that_breaks_a_relation_fails_the_certificate(qplane):
+    """(c) of the certificate on its own: the stored inverse of the x1 twist
+    sends x2 to x2 + 1, which does not respect x2 x1 = q x1 x2."""
+    spec = qplane_flat_spec(qplane)
+    dg = spec.dgens[0]
+    images = (qplane.gen(0), dg.twist.inverse.images[1] + qplane.one())
+    inverse = AlgebraEndo(qplane, images, check=False)
+    twist = AlgebraEndo(qplane, dg.twist.images, inverse=inverse, check=False)
+    calc = build_calculus(qplane, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
+    assert calc._generator_certificate()
+    assert not calc._inverses_are_algebra_maps()
+    assert not calc._transport_certificate()
+    assert build_calculus(qplane, qplane_flat_spec(qplane))._inverses_are_algebra_maps()
+
+
+def _dual_action_full_sweep(calc, phi, w):
+    """``(phi . w)(du_T)`` on every set T of the right size."""
+    m = w.homogeneous_degree()
+    values = {}
+    for T in combinations(range(calc.N), phi.degree - m):
+        val = calc.evaluate(phi, calc.wedge(w, calc.form(T, calc.P.one())))
+        if not val.is_zero():
+            values[T] = val
+    return IntegralForm(phi.degree - m, values, calc.N)
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
+def test_dual_action_visits_only_the_sets_that_meet_the_support(name):
+    calc = run_calculus_check(_doc(name))
+    P, N = calc.P, calc.N
+    rng = random.Random(4242)
+
+    def random_support(degree, coeff):
+        sets = list(combinations(range(N), degree))
+        chosen = rng.sample(sets, rng.randint(1, len(sets)))
+        return {S: coeff() for S in sorted(chosen)}
+
+    for _ in range(30):
+        p = rng.randint(0, N)
+        m = rng.randint(0, p)
+        phi = IntegralForm(p, random_support(p, lambda: random_skew(P, rng, 2, max_terms=2)), N)
+        w = DiffForm(random_support(m, lambda: random_skew(P, rng, 1, max_terms=2)), N)
+        got, want = calc.dual_action(phi, w), _dual_action_full_sweep(calc, phi, w)
+        assert got == want
+        assert list(got.terms) == list(want.terms)
+        assert calc.render_functional(got) == calc.render_functional(want)

@@ -37,6 +37,19 @@ def random_coeff(ring, rng, degree=3):
     return out
 
 
+def test_ring_scalars_are_made_once_per_value_and_ring(ring_qt):
+    three = ring_qt.scalar(3)
+    assert ring_qt.scalar(3) is three and ring_qt.scalar(Fraction(3)) is three
+    assert three.num == {(0,): Fraction(3)} and three.den is poly_one(1)
+    half = ring_qt.scalar(Fraction(1, 2))
+    assert ring_qt.scalar(Fraction(1, 2)) is half and half == Scalar.const(1, Fraction(1, 2))
+    assert ring_qt.scalar(1).is_unit() and ring_qt.scalar(0).is_zero()
+    q = ring_qt.param("q")
+    assert ring_qt.scalar(q) is q
+    other = CoeffRing(params=("a", "b"))
+    assert other.scalar(3) is not three and other.scalar(3).num == {(0, 0): Fraction(3)}
+
+
 def test_ring_arithmetic_basics(ring_qt):
     t = ring_qt.var(0)
     assert t * (t + ring_qt.one()) == t * t + t

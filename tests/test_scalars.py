@@ -275,3 +275,35 @@ def test_a_one_that_is_not_the_shared_unit_multiplies_to_the_same_form(nparams):
     for x in values:
         for r in (x * other_one, other_one * x):
             assert r.num == x.num and r.den == x.den
+
+
+@pytest.fixture
+def fraction_eqs(monkeypatch):
+    count = [0]
+    eq = Fraction.__eq__
+
+    def counting(a, b):
+        count[0] += 1
+        return eq(a, b)
+
+    monkeypatch.setattr(Fraction, "__eq__", counting)
+    return count
+
+
+@pytest.mark.parametrize("nparams", [0, 1, 2])
+def test_the_shared_unit_is_recognized_by_identity(nparams, fraction_eqs):
+    unit = poly_one(nparams)
+    expo = tuple(1 if j == 0 else 0 for j in range(nparams))
+    b = {expo: Fraction(-3, 4)}
+    one, two = Scalar.const(nparams, 1), Scalar.const(nparams, 2)
+    before = fraction_eqs[0]
+    assert poly_mul(unit, b) is b and poly_mul(b, unit) is b
+    assert one.is_unit() and not two.is_unit()
+    assert fraction_eqs[0] == before
+    # a one with a numerator of its own is multiplied out, to the same keys
+    # and values, and is not the literal unit
+    other = {(0,) * nparams: Fraction(1)}
+    for r in (poly_mul(other, b), poly_mul(b, other)):
+        assert r == b and r is not b
+    other_one = Scalar(other, unit, nparams)
+    assert other_one.is_one() and not other_one.is_unit()
