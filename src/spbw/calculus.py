@@ -503,23 +503,23 @@ class Calculus:
         complement and ``e_k = (-1)^((N-1)k)`` the sign of the transport;
         ``xi_C g`` is the functional with value g on ``du_C``, and ``phi . a``
         the right action ``(phi . a)(w') = phi(a ^ w')`` of
-        :meth:`dual_action`.  The code computes
+        :meth:`dual_action`.  The code computes, for every k,
 
             theta(k)(du_S f) = xi_C e_k w(S, C) nu_C(f),
-            theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g).
+            theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g);
 
-        It requires the d^2 certificate (compatibility, (a) and (b) of
-        :meth:`d_squared_check`, from :meth:`_generator_certificate`), and
-        then checks:
+        these formulas belong to the code, not to the input, and the tests
+        pin them at every k.  The certificate requires the d^2 certificate
+        (compatibility, (a) and (b) of :meth:`d_squared_check`, from
+        :meth:`_generator_certificate`), and then checks:
 
         (c) every stored twist inverse respects every defining relation;
-        (d) ``theta_inv(k)(theta(k)(du_S f)) == du_S f`` and
-            ``theta(k)(theta_inv(k)(xi_C f)) == xi_C f`` for every k from 0
-            to N, every basis set, and f the unit and each frame symbol;
-        (e) ``theta_inv(k)(xi_C . s) == theta_inv(k)(xi_C) s`` for every k,
-            C and frame symbol s;
+        (d) ``theta_inv(N-1)(theta(N-1)(du_S f)) == du_S f`` and
+            ``theta(N-1)(theta_inv(N-1)(xi_j f)) == xi_j f`` for every S of
+            size N-1, every j, and f the unit and each frame symbol;
         (f) the expansion identity of :meth:`_integrability_sampled` on
-            ``du_S s`` for every S with 0 < |S| < N and every frame symbol s;
+            ``du_S s`` for every S of size N-1 (none when N = 1) and every
+            frame symbol s;
         (g) ``nabla(xi_i . s) == nabla(xi_i) s + xi_i(d s)`` for every i and
             every frame symbol s, with nabla the bottom divergence.
 
@@ -527,12 +527,14 @@ class Calculus:
         verifies them on every relation) and by (c) so are the stored
         inverses; ``AlgebraEndo.apply`` multiplies the images in frame
         order, which is what any algebra map does to a normal monomial.  The
-        scalars ``e_k`` and ``w`` are central and fixed by every map, so the
-        two round trips of (d) are ``du_S nu_C^-1(nu_C(f))`` and ``xi_C
-        nu_C(nu_C^-1(f))``: algebra maps in f, which (d) makes the identity
-        on the frame and hence on all of A.  So ``theta(k)`` and
-        ``theta_inv(k)`` are mutually inverse for every k, whatever the
-        coefficients.
+        scalars ``e_k`` and ``w`` are central and fixed by every map.  At k =
+        N-1 each complement is one index j, so the round trips of (d) are
+        ``du_S nu_j^-1(nu_j(f))`` and ``xi_j nu_j(nu_j^-1(f))``: algebra maps
+        in f, which (d) makes the identity on the frame and hence on all of
+        A.  So every stored ``nu_j^-1`` is a two-sided inverse of nu_j, and
+        ``nu_C^-1``, applied in the opposite order, inverts ``nu_C`` for every
+        C.  By the formulas above ``theta(k)`` and ``theta_inv(k)`` are then
+        mutually inverse for every k, whatever the coefficients.
 
         theta is right A-linear, ``theta(k)(w a) = theta(k)(w) . a``: both
         sides send w' to ``e_k pi(w a ^ w') = e_k pi(w ^ a w')``, because the
@@ -540,22 +542,17 @@ class Calculus:
         du_T g`` and ``(du_S f) ^ du_T nu_T(a) g`` are both ``w(S, T)
         du_(S+T) nu_T(f) nu_T(a) g``, since nu_T is multiplicative).  Then
         so is theta_inv: ``theta_inv(phi . a) = theta_inv(theta(theta_inv
-        phi) . a) = theta_inv(phi) a``.  So (e) follows from (a), (c) and
-        (d); it
-        is checked because it runs the identity through
-        :meth:`dual_action` on functionals other than ``pi``, which is how
-        the product rule forms ``phi . a``.
+        phi) . a) = theta_inv(phi) a``.
 
         Integrability.  For the target ``du_S f`` only Q = C contributes to
         the expansion sum (every other Q repeats an index of S), and the sum
         is ``du_S T(f)`` with ``T = nu_S o nu^-1 o nu_C``, nu the volume
         twist: the factors ``w(S, C)`` and its inverse from the complement
         form cancel.  The stored ``nu^-1`` has the images of ``nu_full^-1``,
-        an algebra map by (c), so T is an algebra map fixing scalars, and
-        (f) makes it the identity.  The identity then holds for every f.
-        (Since the twists commute, T = id follows from (a), (c) and (d) as
-        well; (f) runs it through :meth:`left_multiply` and the volume
-        twist, as the sampled check does.)
+        an algebra map by (c), so it is ``nu_full^-1``; the twists commute by
+        (a), so T is the identity for every S and every f.  (f) runs this
+        through :meth:`left_multiply` and the volume twist, as the sampled
+        check does, on the sets whose complement is one index.
 
         The product rule.  Let phi have degree one, ``w = theta_inv(N-1)
         (phi)`` and a in A.  Then ``theta_inv(phi . a) = w a``.  The d^2
@@ -580,7 +577,6 @@ class Calculus:
                 check() for check in (
                     self._inverses_are_algebra_maps,
                     self._transport_round_trips,
-                    self._transport_inverse_right_linear,
                     self._expansion_on_generators,
                     self._product_rule_on_generators,
                 )
@@ -600,39 +596,22 @@ class Calculus:
         """(d) of :meth:`_transport_certificate`."""
         N = self.N
         coeffs = (self.P.one(),) + self.P.frame()
-        for k in range(N + 1):
-            for S in combinations(range(N), k):
-                for f in coeffs:
-                    form = self.form(S, f)
-                    if self.theta_inv(k, self.theta(k, form)) != form:
-                        return False
-            for C in combinations(range(N), N - k):
-                for f in coeffs:
-                    phi = IntegralForm(N - k, {C: f}, N)
-                    if self.theta(k, self.theta_inv(k, phi)) != phi:
-                        return False
-        return True
-
-    def _transport_inverse_right_linear(self) -> bool:
-        """(e) of :meth:`_transport_certificate`."""
-        N, P = self.N, self.P
-        for k in range(N + 1):
-            for C in combinations(range(N), N - k):
-                xi = self._dual_basis(C)
-                base = self.theta_inv(k, xi)
-                for s in P.frame():
-                    acted = self.theta_inv(k, self.dual_action(xi, self.embed(s)))
-                    if acted != self._sum(self.form(S, P.multiply(f, s)) for S, f in base.terms.items()):
-                        return False
+        for S in combinations(range(N), N - 1):
+            for f in coeffs:
+                form = self.form(S, f)
+                if self.theta_inv(N - 1, self.theta(N - 1, form)) != form:
+                    return False
+        for j in range(N):
+            for f in coeffs:
+                phi = IntegralForm(1, {(j,): f}, N)
+                if self.theta(N - 1, self.theta_inv(N - 1, phi)) != phi:
+                    return False
         return True
 
     def _expansion_on_generators(self) -> bool:
         """(f) of :meth:`_transport_certificate`."""
-        return all(
-            self._expands(S, s)
-            for k in range(1, self.N)
-            for S in combinations(range(self.N), k)
-            for s in self.P.frame()
+        return self.N < 2 or all(
+            self._expands(S, s) for S in combinations(range(self.N), self.N - 1) for s in self.P.frame()
         )
 
     def _product_rule_on_generators(self) -> bool:

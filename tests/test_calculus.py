@@ -758,9 +758,10 @@ def test_transport_certificate_agrees_with_the_sampled_stages(name, monkeypatch)
     assert not _certificate_agrees(build_calculus(P, spec))
 
 
-def test_transport_certificate_agrees_with_the_sampled_stages_on_ore_grid():
+def _grid_calculi():
+    """The compatible calculi of the Ore grid, each member with and without
+    its wedge line."""
     ring = CoeffRing(params=("q",), coeff_vars=("t",))
-    outcomes = {True: 0, False: 0}
     for qs, r, ps in grid():
         source = ore_document(ring, *grid_member(ring, qs, r, ps))
         for text in (source, without_wedge(source)):
@@ -768,7 +769,13 @@ def test_transport_certificate_agrees_with_the_sampled_stages_on_ore_grid():
                 calc = run_calculus_check(parse_presentation(text))
             except (MapError, CompatibilityError):
                 continue
-            outcomes[_certificate_agrees(calc)] += 1
+            yield calc
+
+
+def test_transport_certificate_agrees_with_the_sampled_stages_on_ore_grid():
+    outcomes = {True: 0, False: 0}
+    for calc in _grid_calculi():
+        outcomes[_certificate_agrees(calc)] += 1
     # the 14 members whose d^2 needs the wedge line fail without it
     assert outcomes == {True: 42, False: 14}
     probe = run_calculus_check(parse_presentation(NON_COMMUTING_TWISTS))
@@ -837,6 +844,73 @@ def test_a_stored_inverse_that_breaks_a_relation_fails_the_certificate(qplane):
     assert not calc._inverses_are_algebra_maps()
     assert not calc._transport_certificate()
     assert build_calculus(qplane, qplane_flat_spec(qplane))._inverses_are_algebra_maps()
+
+
+# -- what the certificate derives instead of checking ----------------------------------------------
+#
+# The certificate runs its round trips in degree N-1 only, and the expansion
+# identity only on (N-1)-forms.  The rest follows from the per-degree signs
+# and crossing factors of ``theta`` and ``theta_inv``, which belong to the
+# code; these tests pin them in every degree on every calculus that passes.
+
+
+def _transport_holds_in_every_degree(calc):
+    """In every degree k: the two round trips on ``du_S f``, ``xi_C f`` and
+    ``xi_C . f`` for f the unit and each frame symbol; ``theta_inv(k)`` right
+    linear on ``xi_C . s``; and the expansion identity on ``du_S s`` for
+    0 < k < N."""
+    P, N = calc.P, calc.N
+    coeffs = (P.one(),) + P.frame()
+    for k in range(N + 1):
+        for S in combinations(range(N), k):
+            for f in coeffs:
+                form = calc.form(S, f)
+                assert calc.theta_inv(k, calc.theta(k, form)) == form
+            if 0 < k < N:
+                assert all(calc._expands(S, s) for s in P.frame())
+        for C in combinations(range(N), N - k):
+            xi = calc._dual_basis(C)
+            base = calc.theta_inv(k, xi)
+            for f in coeffs:
+                acted = calc.dual_action(xi, calc.embed(f))
+                for phi in (IntegralForm(N - k, {C: f}, N), acted):
+                    assert calc.theta(k, calc.theta_inv(k, phi)) == phi
+                assert calc.theta_inv(k, acted) == right_multiply(calc, base, f)
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
+def test_transport_inverts_in_every_degree(name):
+    calc = run_calculus_check(_doc(name))
+    assert calc._transport_certificate()
+    _transport_holds_in_every_degree(calc)
+
+
+def test_transport_inverts_in_every_degree_on_ore_grid():
+    certified = [calc for calc in _grid_calculi() if calc._transport_certificate()]
+    assert len(certified) == 42
+    for calc in certified:
+        _transport_holds_in_every_degree(calc)
+
+
+@pytest.mark.parametrize("name", ["poly5", "qaffine4"])
+def test_certificate_round_trips_and_expands_in_degree_n_minus_one_only(name):
+    """A passing certificate transports in degree N-1 (and in degree N
+    inside the bottom divergence of (g)), expands only (N-1)-forms, and
+    still multiplies forms on the left."""
+    calc = run_calculus_check(_doc(name))
+    N = calc.N
+    calls = {"left_multiply": 0}
+    _counting(calc, calls)
+    seen = {"theta": set(), "theta_inv": set(), "_expands": set()}
+    for attr, degrees in seen.items():
+        def recorded(first, second, _method=getattr(calc, attr), _degrees=degrees):
+            _degrees.add(first if isinstance(first, int) else len(first))
+            return _method(first, second)
+        setattr(calc, attr, recorded)
+    assert calc._transport_certificate()
+    assert N - 1 in seen["theta"] and seen["theta"] <= {N - 1, N}
+    assert seen["theta_inv"] == seen["_expands"] == {N - 1}
+    assert calls["left_multiply"] > 0
 
 
 def _dual_action_full_sweep(calc, phi, w):
