@@ -18,7 +18,6 @@ what makes diagonalizable mixing twists reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import combinations
 
 from .core import Presentation, SkewPoly, exponents_upto
@@ -57,40 +56,27 @@ class DiffForm(LinComb):
     """Element of the graded algebra: map from sorted index subsets to right
     coefficients, meaning ``sum du_S * f_S``."""
 
-    __slots__ = ("n",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict, n: int):
+    def __init__(self, terms: dict):
         self.terms = terms
-        self.n = n
 
     def _make(self, terms) -> "DiffForm":
-        return DiffForm(terms, self.n)
-
-    def degrees(self):
-        return sorted({len(s) for s in self.terms})
-
-    def homogeneous_degree(self):
-        degs = self.degrees()
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("form is not homogeneous")
-        return degs[0]
+        return DiffForm(terms)
 
 
 class IntegralForm(LinComb):
     """Right-linear functional on forms of one degree, stored by its values
     on the wedge basis: ``phi(du_S * f) = terms[S] * f``."""
 
-    __slots__ = ("degree", "n")
+    __slots__ = ("degree",)
 
-    def __init__(self, degree: int, terms: dict, n: int):
+    def __init__(self, degree: int, terms: dict):
         self.degree = degree
         self.terms = terms
-        self.n = n
 
     def _make(self, terms) -> "IntegralForm":
-        return IntegralForm(self.degree, terms, self.n)
+        return IntegralForm(self.degree, terms)
 
     def scale(self, s: Scalar) -> "IntegralForm":
         if s.is_zero():
@@ -122,22 +108,29 @@ class CheckOutcome:
         return self.ok
 
 
+def _require_integrable(integrable: bool):
+    """The sampled divergence checks transport d, and the transported
+    divergences are defined only on an integrable calculus: they need a
+    passed integrability check."""
+    if not integrable:
+        raise ConfigError("divergence transport requested without an integrability certificate")
+
+
 class Calculus:
-    """Built and compatibility-checked context.
+    """Built and compatibility-checked context: :func:`build_calculus`
+    returns one only when d respects every defining relation.
 
     The checks return new values and leave the presentation's data alone,
     but the calculus records what it learns: ``volume()`` caches its result
     in ``_volume``, ``_d_word`` memoizes every word suffix it differentiates
-    in ``_d_memo`` (with the suffix's normal form), ``divergence_chain``
-    memoizes the transported divergence of every basis functional it meets
-    in ``_nabla_memo``, ``_basis_product`` memoizes the merged set and
-    crossing factor of every pair of wedge basis sets in ``_basis_memo``,
+    in ``_d_memo`` (with the suffix's normal form), ``_nabla`` memoizes the
+    transported divergence of every basis functional it meets in
+    ``_nabla_memo``, ``_basis_product`` memoizes the merged set and crossing
+    factor of every pair of wedge basis sets in ``_basis_memo``, and
     ``_generator_certificate`` and ``_transport_certificate`` record their
-    verdicts in ``_generators_certified`` and ``_transport_certified``,
-    ``integrability_check`` sets ``integrability_passed`` (which the sampled
-    divergence checks require: they are the fallback when the transport
-    certificate fails), and construction sets ``compatibility``.
-    These and the memo tables of the
+    verdicts in ``_generators_certified`` and ``_transport_certified``.  A
+    passed integrability check is not recorded: the divergence checks take
+    it as their ``integrable`` argument.  These and the memo tables of the
     presentation (``_mono_cache``) and the twists (``_power_memo`` and
     ``_monomial_memo``; a twist that rescales each symbol fills only the
     latter, with scaled monomials) fill as it runs, so one calculus belongs
@@ -157,8 +150,6 @@ class Calculus:
         self._volume = None
         self._generators_certified = None
         self._transport_certified = None
-        self.integrability_passed = None
-        self.compatibility = None
 
     # -- setup ----------------------------------------------------------------
 
@@ -207,12 +198,12 @@ class Calculus:
     # -- form constructors ----------------------------------------------------------
 
     def zero_form(self) -> DiffForm:
-        return DiffForm({}, self.N)
+        return DiffForm({})
 
     def form(self, S, f: SkewPoly) -> DiffForm:
         if f.is_zero():
             return self.zero_form()
-        return DiffForm({tuple(S): f}, self.N)
+        return DiffForm({tuple(S): f})
 
     def embed(self, f: SkewPoly) -> DiffForm:
         return self.form((), f)
@@ -225,7 +216,7 @@ class Calculus:
         )
 
     def _sum(self, forms) -> DiffForm:
-        return DiffForm(sum_terms(forms), self.N)
+        return DiffForm(sum_terms(forms))
 
     def _basis_product(self, S, T):
         """Merge two sorted index sets: None on repeats, else the merged set
@@ -256,7 +247,7 @@ class Calculus:
                 U, factor = merged
                 coeff = P.multiply(self.twist_apply_set(T, f), g).scale(factor)
                 add_terms(acc, self.form(U, coeff).terms)
-        return DiffForm(acc, self.N)
+        return DiffForm(acc)
 
     def d0(self, f: SkewPoly) -> DiffForm:
         """Differential of a degree-zero element via the product-rule word
@@ -270,7 +261,7 @@ class Calculus:
                 for i, k in enumerate(e):
                     word.extend([self.P.ring.nvars + i] * k)
                 add_terms(acc, self._d_word(word, s).terms)
-        return DiffForm(acc, self.N)
+        return DiffForm(acc)
 
     def _d_word(self, word, weight: Scalar) -> DiffForm:
         """``weight * d(word)`` for a word of frame symbols, in any order.
@@ -301,8 +292,8 @@ class Calculus:
             form, dw = P.multiply(P.symbol(s), form), acc
             memo[word[p:]] = (form, dw)
         if weight.is_one():
-            return DiffForm(dw, self.N)
-        return DiffForm({S: g.scale(weight) for S, g in dw.items()}, self.N)
+            return DiffForm(dw)
+        return DiffForm({S: g.scale(weight) for S, g in dw.items()})
 
     def differential(self, a: DiffForm) -> DiffForm:
         """Degree-one map: ``d(du_S f) = (-1)^{|S|} du_S ^ d(f)``."""
@@ -310,7 +301,7 @@ class Calculus:
         for S, f in a.terms.items():
             part = self.wedge(self.form(S, self.P.one()), self.d0(f))
             add_terms(acc, (-part if len(S) % 2 else part).terms)
-        return DiffForm(acc, self.N)
+        return DiffForm(acc)
 
     # -- compatibility -----------------------------------------------------------------
 
@@ -327,7 +318,6 @@ class Calculus:
                     relation=label,
                     residual=text,
                 )
-        self.compatibility = CheckOutcome(True)
 
     # -- checks --------------------------------------------------------------------------
 
@@ -344,8 +334,8 @@ class Calculus:
         (b) ``d0(s) ^ du_i + du_i ^ d0(nu_i(s)) == 0`` for every frame
             symbol s and every i.
 
-        Why it suffices.  Compatibility has passed (it is set at
-        construction and is a hard stage that runs earlier), so ``d0`` is a
+        Why it suffices.  Compatibility has passed (:func:`build_calculus`
+        checks it, and it is a hard stage that runs earlier), so ``d0`` is a
         well-defined twisted derivation of A; every twist is an algebra
         endomorphism, which ``AlgebraEndo`` verifies on every defining
         relation, and is Q(params)-linear.  Both composites in (a) are then
@@ -376,13 +366,11 @@ class Calculus:
         return self._d_squared_upto(degree_bound)
 
     def _generator_certificate(self) -> bool:
-        """Compatibility, (a) and (b) of :meth:`d_squared_check`, decided
-        once and kept in ``_generators_certified``; the transport
-        certificate builds on the same verdict."""
+        """(a) and (b) of :meth:`d_squared_check`, decided once and kept in
+        ``_generators_certified``; the transport certificate builds on the
+        same verdict."""
         if self._generators_certified is None:
-            self._generators_certified = bool(
-                self.compatibility and self._twists_commute() and self._d_respects_twisting()
-            )
+            self._generators_certified = self._twists_commute() and self._d_respects_twisting()
         return self._generators_certified
 
     def _twists_commute(self) -> bool:
@@ -501,16 +489,21 @@ class Calculus:
         inverses applied in the opposite order (:meth:`twist_inv_apply_set`);
         ``du_S ^ du_T = w(S, T) du_(S+T)``; for a set S of size k, C is its
         complement and ``e_k = (-1)^((N-1)k)`` the sign of the transport;
-        ``xi_C g`` is the functional with value g on ``du_C``, and ``phi . a``
-        the right action ``(phi . a)(w') = phi(a ^ w')`` of
-        :meth:`dual_action`.  The code computes, for every k,
+        ``xi_C g`` is the functional with value g on ``du_C``.  The code
+        computes, for every k and every a in A,
 
             theta(k)(du_S f) = xi_C e_k w(S, C) nu_C(f),
-            theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g);
+            theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g),
+            (phi . a)_T = phi_T nu_T(a)
 
-        these formulas belong to the code, not to the input, and the tests
-        pin them at every k.  The certificate requires the d^2 certificate
-        (compatibility, (a) and (b) of :meth:`d_squared_check`, from
+        (:meth:`theta`, :meth:`theta_inv`, :meth:`right_action`); these
+        formulas belong to the code, not to the input, and the tests pin
+        them at every k against their definitions ``theta(k)(w)(w') = e_k
+        pi(w ^ w')`` and ``(phi . a)(w') = phi(a w')``.  On ``du_T g`` both
+        sides of each vanish unless T is the set the formula names, and
+        then agree: ``du_S f ^ du_C g = w(S, C) du_full nu_C(f) g`` and
+        ``a du_T g = du_T nu_T(a) g``.  The certificate requires the d^2
+        certificate ((a) and (b) of :meth:`d_squared_check`, from
         :meth:`_generator_certificate`), and then checks:
 
         (c) every stored twist inverse respects every defining relation;
@@ -536,13 +529,11 @@ class Calculus:
         C.  By the formulas above ``theta(k)`` and ``theta_inv(k)`` are then
         mutually inverse for every k, whatever the coefficients.
 
-        theta is right A-linear, ``theta(k)(w a) = theta(k)(w) . a``: both
-        sides send w' to ``e_k pi(w a ^ w') = e_k pi(w ^ a w')``, because the
-        wedge is associative, which (a) gives (on the basis, ``(du_S f a) ^
-        du_T g`` and ``(du_S f) ^ du_T nu_T(a) g`` are both ``w(S, T)
-        du_(S+T) nu_T(f) nu_T(a) g``, since nu_T is multiplicative).  Then
-        so is theta_inv: ``theta_inv(phi . a) = theta_inv(theta(theta_inv
-        phi) . a) = theta_inv(phi) a``.
+        theta is right A-linear, ``theta(k)(w a) = theta(k)(w) . a``,
+        because nu_C is multiplicative: ``theta(k)(du_S f a) = xi_C e_k w(S,
+        C) nu_C(f) nu_C(a)``, which is ``theta(k)(du_S f) . a``.  Then so is
+        theta_inv: ``theta_inv(phi . a) = theta_inv(theta(theta_inv phi) .
+        a) = theta_inv(phi) a``.
 
         Integrability.  For the target ``du_S f`` only Q = C contributes to
         the expansion sum (every other Q repeats an index of S), and the sum
@@ -568,10 +559,10 @@ class Calculus:
         Flatness.  ``nabla_(N-1) o nabla_(N-2) = theta(N) d theta_inv(N-1)
         theta(N-1) d theta_inv(N-2) = theta(N) d^2 theta_inv(N-2) = 0``.
 
-        Each divergence is linear over the base field, and
-        :meth:`divergence_chain` extends its memoized basis images linearly,
-        so it computes these composites.  The certificate draws nothing
-        from the run's random generator."""
+        Each divergence is linear over the base field, and :meth:`_nabla`
+        extends its memoized basis images linearly, so it computes these
+        composites.  The certificate draws nothing from the run's random
+        generator."""
         if self._transport_certified is None:
             self._transport_certified = self._generator_certificate() and all(
                 check() for check in (
@@ -603,7 +594,7 @@ class Calculus:
                     return False
         for j in range(N):
             for f in coeffs:
-                phi = IntegralForm(1, {(j,): f}, N)
+                phi = IntegralForm(1, {(j,): f})
                 if self.theta(N - 1, self.theta_inv(N - 1, phi)) != phi:
                     return False
         return True
@@ -617,7 +608,7 @@ class Calculus:
     def _product_rule_on_generators(self) -> bool:
         """(g) of :meth:`_transport_certificate`."""
         return all(
-            self._product_rule_holds(self._bottom_divergence, self._dual_basis((i,)), s)
+            self._product_rule_holds(self._dual_basis((i,)), s)
             for i in range(self.N)
             for s in self.P.frame()
         )
@@ -632,7 +623,7 @@ class Calculus:
         since every other Q of that size meets S0 and the wedge repeats an
         index; its complement form is ``du_S0`` times the inverse of the
         crossing factor of ``du_S0 ^ du_Q``."""
-        Q = tuple(i for i in range(self.N) if i not in S0)
+        Q = self._complement(S0)
         _, factor = self._basis_product(S0, Q)
         target = self.form(S0, f)
         top = self.pi_omega(self.wedge(target, self.form(Q, self.P.one())))
@@ -653,11 +644,8 @@ class Calculus:
         S != S0 an index of S0 lies in the complement of S and the wedge is
         zero; and the twists fix scalars."""
         if self._transport_certificate():
-            outcome = CheckOutcome(True)
-        else:
-            outcome = self._integrability_sampled(sample_count, degree_bound, rng)
-        self.integrability_passed = outcome.ok
-        return outcome
+            return CheckOutcome(True)
+        return self._integrability_sampled(sample_count, degree_bound, rng)
 
     def _integrability_sampled(self, sample_count: int, degree_bound: int, rng) -> CheckOutcome:
         """The expansion identity on ``sample_count`` sampled forms per
@@ -682,7 +670,7 @@ class Calculus:
         return [self._dual_basis(S) for S in combinations(range(self.N), degree)]
 
     def _dual_basis(self, S) -> IntegralForm:
-        return IntegralForm(len(S), {tuple(S): self.P.one()}, self.N)
+        return IntegralForm(len(S), {tuple(S): self.P.one()})
 
     def evaluate(self, phi: IntegralForm, form: DiffForm) -> SkewPoly:
         acc: dict = {}
@@ -694,70 +682,61 @@ class Calculus:
                 add_terms(acc, self.P.multiply(v, f).terms)
         return SkewPoly(acc, self.P.n)
 
-    def dual_action(self, phi: IntegralForm, w: DiffForm) -> IntegralForm:
-        """Right action of forms on functionals: ``(phi . w)(w') = phi(w ^ w')``.
-
-        ``phi(w ^ du_T)`` is nonzero only when ``T = U \\ S`` for a set U of
-        phi's support and a set S of w's support inside U, so only those T
-        are visited, in increasing order."""
-        if w.is_zero():
-            return IntegralForm(phi.degree, {}, self.N)
-        m = w.homogeneous_degree()
-        if m is None or phi.degree < m:
-            raise ConfigError("dual action needs deg(phi) >= deg(w)")
-        visits = sorted({
-            tuple(i for i in U if i not in S)
-            for U in phi.terms
-            for S in w.terms
-            if set(S) <= set(U)
-        })
+    def right_action(self, phi: IntegralForm, a: SkewPoly) -> IntegralForm:
+        """``phi . a`` for a in A, ``(phi . a)(w) = phi(a w)``: since ``a du_T
+        = du_T nu_T(a)``, ``(phi . a)_T = phi_T nu_T(a)``, keys in increasing
+        order."""
         values = {}
-        for T in visits:
-            val = self.evaluate(phi, self.wedge(w, self.form(T, self.P.one())))
-            if not val.is_zero():
-                values[T] = val
-        return IntegralForm(phi.degree - m, values, self.N)
+        for T in sorted(phi.terms):
+            value = self.P.multiply(phi.terms[T], self.twist_apply_set(T, a))
+            if not value.is_zero():
+                values[T] = value
+        return IntegralForm(phi.degree, values)
+
+    def _complement(self, S) -> tuple:
+        return tuple(i for i in range(self.N) if i not in S)
 
     def theta(self, k: int, form: DiffForm) -> IntegralForm:
-        """Transport a k-form to a functional of degree N-k; the alternating
-        sign keeps the transported divergence an honest Leibniz map."""
-        if form.is_zero():
-            return IntegralForm(self.N - k, {}, self.N)
-        phi = self.dual_action(self._pi_functional(), form)
-        return -phi if ((self.N - 1) * k) % 2 else phi
-
-    def _pi_functional(self) -> IntegralForm:
-        return IntegralForm(self.N, {tuple(range(self.N)): self.P.one()}, self.N)
+        """Transport a k-form to a functional of degree N-k by the formula
+        ``theta(k)(du_S f) = xi_C e_k w(S, C) nu_C(f)`` of
+        :meth:`_transport_certificate`, keys in increasing order; the
+        alternating sign keeps the transported divergence an honest Leibniz
+        map."""
+        if any(len(S) != k for S in form.terms):
+            raise ConfigError("form degree does not match the transport")
+        sign = self.P.ring.scalar(-1 if ((self.N - 1) * k) % 2 else 1)
+        values = {}
+        for C, S in sorted((self._complement(S), S) for S in form.terms):
+            _, w = self._basis_product(S, C)
+            value = self.twist_apply_set(C, form.terms[S]).scale(w * sign)
+            if not value.is_zero():
+                values[C] = value
+        return IntegralForm(self.N - k, values)
 
     def theta_inv(self, k: int, phi: IntegralForm) -> DiffForm:
-        """Explicit inverse of the transport on the wedge basis."""
+        """Explicit inverse of the transport on the wedge basis:
+        ``theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g)``."""
         if phi.degree != self.N - k:
             raise ConfigError("functional degree does not match the transport")
         sign = -1 if ((self.N - 1) * k) % 2 else 1
         acc: dict = {}
         # each set S of size k whose complement phi has a value on, in
         # increasing order
-        for S, comp in sorted((tuple(i for i in range(self.N) if i not in C), C) for C in phi.terms):
+        for S, comp in sorted((self._complement(C), C) for C in phi.terms):
             _, w = self._basis_product(S, comp)
             scale = w.inverse() * self.P.ring.scalar(sign)
             coeff = self.twist_inv_apply_set(comp, phi.terms[comp].scale(scale))
             add_terms(acc, self.form(S, coeff).terms)
-        return DiffForm(acc, self.N)
-
-    def divergence_chain(self, k: int):
-        """The map from functionals of degree N-k to degree N-k-1, computed
-        by transporting d; needs a passed integrability check.
-
-        Every factor of ``theta(k+1, d(theta_inv(k, .)))`` is linear over
-        the base field, so a functional's image is the scalar-weighted sum
-        of the images of its basis functionals ``xi_S * t^beta x^alpha``
-        (the value ``t^beta x^alpha`` on ``du_S``), each transported once
-        and kept in ``_nabla_memo``."""
-        if not self.integrability_passed:
-            raise ConfigError("divergence transport requested without an integrability certificate")
-        return partial(self._nabla, k)
+        return DiffForm(acc)
 
     def _nabla(self, k: int, phi: IntegralForm) -> IntegralForm:
+        """The divergence from functionals of degree N-k to degree N-k-1,
+        ``theta(k+1, d(theta_inv(k, .)))``.
+
+        Every factor is linear over the base field, so a functional's image
+        is the scalar-weighted sum of the images of its basis functionals
+        ``xi_S * t^beta x^alpha`` (the value ``t^beta x^alpha`` on
+        ``du_S``), each transported once and kept in ``_nabla_memo``."""
         if phi.degree != self.N - k:
             raise ConfigError("functional degree does not match the transport")
         acc: dict = {}
@@ -765,7 +744,7 @@ class Calculus:
             for e, c in v.terms.items():
                 for tvec, s in c.terms.items():
                     add_terms(acc, self._nabla_basis(k, S, tvec, e).scale(s).terms)
-        return IntegralForm(self.N - k - 1, acc, self.N)
+        return IntegralForm(self.N - k - 1, acc)
 
     def _nabla_basis(self, k: int, S, tvec, e) -> IntegralForm:
         """The transported divergence of ``xi_S * t^tvec x^e``, memoized."""
@@ -773,36 +752,34 @@ class Calculus:
         image = self._nabla_memo.get(key)
         if image is None:
             P = self.P
-            basis = IntegralForm(len(S), {S: P.monomial(e, P.ring.monomial(tvec))}, self.N)
+            basis = IntegralForm(len(S), {S: P.monomial(e, P.ring.monomial(tvec))})
             image = self.theta(k + 1, self.differential(self.theta_inv(k, basis)))
             self._nabla_memo[key] = image
         return image
 
-    def base_divergence(self):
-        """The bottom map from degree-one functionals to the algebra; needs
-        a passed integrability check."""
-        self.divergence_chain(self.N - 1)  # raises without one
-        return self._bottom_divergence
-
     def _bottom_divergence(self, phi: IntegralForm) -> SkewPoly:
+        """The bottom divergence, from degree-one functionals to A."""
         return self._nabla(self.N - 1, phi).terms.get((), self.P.zero())
 
-    def _product_rule_holds(self, nabla, phi: IntegralForm, a: SkewPoly) -> bool:
-        """``nabla(phi . a) == nabla(phi) a + phi(d a)``."""
-        lhs = nabla(self.dual_action(phi, self.embed(a)))
+    def _product_rule_holds(self, phi: IntegralForm, a: SkewPoly) -> bool:
+        """``nabla(phi . a) == nabla(phi) a + phi(d a)``, nabla the bottom
+        divergence."""
+        nabla = self._bottom_divergence
+        lhs = nabla(self.right_action(phi, a))
         return lhs == self.P.multiply(nabla(phi), a) + self.evaluate(phi, self.d0(a))
 
-    def divergence_leibniz_check(self, samples: int, degree: int, rng) -> CheckOutcome:
+    def divergence_leibniz_check(self, integrable: bool, samples: int, degree: int, rng) -> CheckOutcome:
         """The product rule of the bottom divergence, decided by the
-        transport certificate, or on sampled pairs when that fails."""
+        transport certificate, or on sampled pairs when that fails; the
+        sampled pairs need ``integrable``, a passed integrability check."""
         if self._transport_certificate():
             return CheckOutcome(True)
+        _require_integrable(integrable)
         return self._divergence_leibniz_sampled(samples, degree, rng)
 
     def _divergence_leibniz_sampled(self, samples: int, degree: int, rng) -> CheckOutcome:
         """The product rule on ``samples`` sampled pairs, stopping at the
-        first failure; needs a passed integrability check."""
-        nabla = self.base_divergence()
+        first failure."""
         witnesses = []
         for _ in range(samples):
             values = {}
@@ -810,34 +787,34 @@ class Calculus:
                 f = random_skew(self.P, rng, degree, max_terms=2)
                 if not f.is_zero():
                     values[(i,)] = f
-            phi = IntegralForm(1, values, self.N)
+            phi = IntegralForm(1, values)
             a = random_skew(self.P, rng, degree, max_terms=2)
-            if not self._product_rule_holds(nabla, phi, a):
+            if not self._product_rule_holds(phi, a):
                 witnesses.append(
                     f"product rule fails at a = {self.P.render(a)} with {self.render_functional(phi)}"
                 )
                 break
         return CheckOutcome(not witnesses, witnesses)
 
-    def flatness_check(self) -> CheckOutcome:
+    def flatness_check(self, integrable: bool) -> CheckOutcome:
         """Curvature of the two bottom divergences, decided by the transport
         certificate; when that fails, walked on the dual basis of the
-        two-forms.  Vacuous below dimension two."""
+        two-forms, which needs ``integrable``, a passed integrability check.
+        Vacuous below dimension two."""
         if self.N < 2:
             return CheckOutcome(True, [], {"vacuous": True})
         if self._transport_certificate():
             return CheckOutcome(True)
+        _require_integrable(integrable)
         return self._flatness_on_basis()
 
     def _flatness_on_basis(self) -> CheckOutcome:
-        """The curvature on the unit dual basis of the two-forms; needs a
-        passed integrability check.  It cannot fail: ``theta_inv`` gives
-        each unit functional a scalar coefficient, which d kills."""
-        nabla1 = self.divergence_chain(self.N - 2)
-        nabla0 = self.base_divergence()
+        """The curvature on the unit dual basis of the two-forms.  It cannot
+        fail: ``theta_inv`` gives each unit functional a scalar coefficient,
+        which d kills."""
         witnesses = []
         for phi in self.integral_basis(2):
-            out = nabla0(nabla1(phi))
+            out = self._bottom_divergence(self._nabla(self.N - 2, phi))
             if not out.is_zero():
                 witnesses.append(f"curvature nonzero on du{list(next(iter(phi.terms)))}")
         return CheckOutcome(not witnesses, witnesses)

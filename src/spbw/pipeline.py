@@ -13,6 +13,11 @@ supplies the witnesses: ``dsq_degree`` bounds the d^2 search, and
 ``samples``/``sample_degree`` set the sampled checks' budget.  Those draws
 come from one generator seeded from the document options, in stage order,
 so runs are reproducible.  The report records the options in every case.
+
+The sampled divergence checks need a passed integrability stage: the run
+carries that stage's verdict as ``integrable`` into ``divergence-leibniz``
+and ``flatness``, and a fallback that runs without it is an ``error``
+record.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ class _Run:
     P: Presentation
     rng: random.Random
     calculus: Calculus | None = None
+    integrable: bool = False  # the integrability verdict; stays False when that stage errors
     gk: int | None = None
 
     @property
@@ -114,17 +120,18 @@ def _stage_volume(run: _Run) -> CheckOutcome:
 def _stage_integrability(run: _Run) -> CheckOutcome:
     samples, degree = run.opts["samples"], run.opts["sample_degree"]
     out = run.calculus.integrability_check(samples, degree, run.rng)
+    run.integrable = out.ok
     return replace(out, data={"samples": samples, "degree": degree})
 
 
 def _stage_divergence(run: _Run) -> CheckOutcome:
     samples = run.opts["samples"]
-    out = run.calculus.divergence_leibniz_check(samples, run.opts["sample_degree"], run.rng)
+    out = run.calculus.divergence_leibniz_check(run.integrable, samples, run.opts["sample_degree"], run.rng)
     return replace(out, data={"samples": samples})
 
 
 def _stage_flatness(run: _Run) -> CheckOutcome:
-    return run.calculus.flatness_check()
+    return run.calculus.flatness_check(run.integrable)
 
 
 def _stage_gk(run: _Run) -> CheckOutcome:

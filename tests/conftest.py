@@ -1,7 +1,7 @@
 """Shared fixtures: hand-built presentations used across the test suite,
-two oracles (exact univariate division, and the sampled twisted product
-rule for the lifted derivations), the wide documents, and the grid of
-affine Ore members."""
+three oracles (exact univariate division, the sampled twisted product rule
+for the lifted derivations, and d on both sides of every defining
+relation), the wide documents, and the grid of affine Ore members."""
 
 from __future__ import annotations
 
@@ -32,6 +32,12 @@ def trivial_maps(ring, n):
 def is_identity(endo):
     """Whether an algebra endomorphism sends every frame symbol to itself."""
     return endo.images == endo.P.frame()
+
+
+def d_respects_relations(calc):
+    """Whether d of the two sides of every defining relation agrees."""
+    P = calc.P
+    return all(calc._d_word(word, P.ring.sone()) == calc.d0(normal) for _, word, normal in P.defining_relations())
 
 
 def right_multiply(calc, form, a):

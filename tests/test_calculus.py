@@ -23,7 +23,15 @@ from spbw.extended import AlgebraEndo, auto_inverse
 from spbw.ore import ore_document
 from spbw.pipeline import calculus_spec_from_doc, run_calculus_check, run_smooth
 
-from conftest import WIDE_DOCS, grid, grid_member, random_skew, right_multiply, without_wedge
+from conftest import (
+    WIDE_DOCS,
+    d_respects_relations,
+    grid,
+    grid_member,
+    random_skew,
+    right_multiply,
+    without_wedge,
+)
 
 CERTIFIED = tuple(n for n in CORPUS_NAMES if n != "broken")
 
@@ -89,15 +97,15 @@ def qplane_calc(qplane):
 
 
 def test_weyl_theorem_mode_compatible(weyl_calc):
-    assert weyl_calc.compatibility.ok
+    assert d_respects_relations(weyl_calc)
 
 
 def test_jordan_flat_mode_compatible(jordan_calc):
-    assert jordan_calc.compatibility.ok
+    assert d_respects_relations(jordan_calc)
 
 
 def test_qplane_flat_mode_compatible(qplane_calc):
-    assert qplane_calc.compatibility.ok
+    assert d_respects_relations(qplane_calc)
 
 
 def test_wrong_twist_reported_with_relation(qplane):
@@ -388,8 +396,16 @@ def test_non_commuting_twists_fail_the_certificate_and_d_squared():
     integrability = report.check("integrability")
     assert integrability.status == "fail"
     assert integrability.witnesses == ["coefficient expansion fails for du[1] * (3*x2^4)"]
-    assert report.check("divergence-leibniz").status == "error"
-    assert report.check("flatness").status == "error"
+    _assert_divergence_stages_need_integrability(report)
+
+
+NO_INTEGRABILITY = "divergence transport requested without an integrability certificate"
+
+
+def _assert_divergence_stages_need_integrability(report):
+    for stage in ("divergence-leibniz", "flatness"):
+        rec = report.check(stage)
+        assert (rec.status, rec.witnesses) == ("error", [NO_INTEGRABILITY]), stage
 
 
 @pytest.mark.parametrize("name", ["qaffine3", "poly3"])
@@ -499,20 +515,7 @@ def test_integrability_qplane(qplane_calc):
     assert qplane_calc.integrability_check(30, 3, rng).ok
 
 
-# -- dual action and divergences ------------------------------------------------------------
-
-
-def test_dual_action_unit(weyl_calc, weyl, rng):
-    phi = weyl_calc._dual_basis((0,))
-    acted = weyl_calc.dual_action(phi, weyl_calc.embed(weyl.one()))
-    assert acted == phi
-
-
-def test_dual_action_top_extraction(weyl_calc, weyl):
-    pi = weyl_calc._pi_functional()
-    acted = weyl_calc.dual_action(pi, weyl_calc.form((0,), weyl.one()))
-    val = acted.terms[(1,)]
-    assert val == weyl.one()
+# -- transport and divergences ------------------------------------------------------------
 
 
 def test_theta_round_trip(weyl_calc, weyl, rng):
@@ -525,44 +528,59 @@ def test_theta_round_trip(weyl_calc, weyl, rng):
             assert weyl_calc.theta_inv(k, phi) == form
 
 
-def test_divergence_requires_certificate(weyl_calc):
-    with pytest.raises(ConfigError):
-        weyl_calc.divergence_chain(0)
+def test_theta_rejects_a_form_of_another_degree(weyl_calc, weyl):
+    with pytest.raises(ConfigError, match="form degree does not match the transport"):
+        weyl_calc.theta(1, weyl_calc.form((0, 1), weyl.one()))
+
+
+def test_divergence_requires_certificate():
+    """Without a transport certificate, the sampled divergence checks refuse
+    to run on a calculus that has not passed integrability, before any
+    draw; with one, the argument is not read."""
+    calc = run_calculus_check(parse_presentation(NON_COMMUTING_TWISTS))
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(ConfigError, match=NO_INTEGRABILITY):
+        calc.divergence_leibniz_check(False, 5, 2, rng)
+    with pytest.raises(ConfigError, match=NO_INTEGRABILITY):
+        calc.flatness_check(False)
+    assert rng.getstate() == state
+    weyl = run_calculus_check(corpus_doc("weyl"))
+    assert weyl.divergence_leibniz_check(False, 5, 2, rng).ok
+    assert weyl.flatness_check(False).ok
 
 
 def test_divergence_leibniz_weyl(weyl_calc):
     rng = random.Random(11)
-    weyl_calc.integrability_check(5, 2, rng)
-    assert weyl_calc.divergence_leibniz_check(50, 3, rng).ok
+    integrable = weyl_calc.integrability_check(5, 2, rng).ok
+    assert weyl_calc.divergence_leibniz_check(integrable, 50, 3, rng).ok
 
 
 def test_divergence_leibniz_jordan(jordan_calc):
     rng = random.Random(11)
-    jordan_calc.integrability_check(5, 2, rng)
-    assert jordan_calc.divergence_leibniz_check(30, 3, rng).ok
+    integrable = jordan_calc.integrability_check(5, 2, rng).ok
+    assert jordan_calc.divergence_leibniz_check(integrable, 30, 3, rng).ok
 
 
 def test_flatness_weyl_and_poly(weyl_calc, poly2_calc):
     rng = random.Random(3)
     for calc in (weyl_calc, poly2_calc):
-        calc.integrability_check(5, 2, rng)
-        assert calc.flatness_check().ok
+        integrable = calc.integrability_check(5, 2, rng).ok
+        assert calc.flatness_check(integrable).ok
 
 
 def test_flatness_vacuous_in_dimension_one(weyl_ore):
+    """Below dimension two flatness is vacuous, even without a passed
+    integrability check."""
     calc = build_calculus(weyl_ore, theorem_spec(weyl_ore))
-    rng = random.Random(3)
-    calc.integrability_check(5, 2, rng)
-    out = calc.flatness_check()
+    out = calc.flatness_check(False)
     assert out.ok and out.data.get("vacuous")
 
 
 def test_divergence_unit_case(weyl_calc, weyl):
-    rng = random.Random(13)
-    weyl_calc.integrability_check(5, 2, rng)
-    nabla = weyl_calc.base_divergence()
+    nabla = weyl_calc._bottom_divergence
     phi = weyl_calc._dual_basis((0,))
-    lhs = nabla(weyl_calc.dual_action(phi, weyl_calc.embed(weyl.one())))
+    lhs = nabla(weyl_calc.right_action(phi, weyl.one()))
     assert lhs == nabla(phi)
 
 
@@ -590,7 +608,6 @@ def test_divergence_transports_each_basis_functional_once(name, monkeypatch):
     # fallback is called directly
     calc = run_calculus_check(corpus_doc(name))
     rng = random.Random(1729)
-    assert calc.integrability_check(2, 2, rng).ok
     keys = []
     original = Calculus.theta_inv
 
@@ -606,13 +623,11 @@ def test_divergence_transports_each_basis_functional_once(name, monkeypatch):
 
 def test_repeated_divergence_is_not_transported_again(jordan_calc):
     rng = random.Random(7)
-    jordan_calc.integrability_check(2, 2, rng)
-    nabla = jordan_calc.divergence_chain(0)
     phi = jordan_calc.theta(0, jordan_calc.form((), random_skew(jordan_calc.P, rng, 3)))
-    first = nabla(phi)
+    first = jordan_calc._nabla(0, phi)
     calls = {"theta_inv": 0, "differential": 0}
     _counting(jordan_calc, calls)
-    assert nabla(phi) == first
+    assert jordan_calc._nabla(0, phi) == first
     assert calls == {"theta_inv": 0, "differential": 0}
 
 
@@ -649,7 +664,7 @@ def _negated_component(theta_inv):
     def negated(self, k, phi):
         out = theta_inv(self, k, phi)
         S = tuple(range(k))
-        return DiffForm({T: -f if T == S else f for T, f in out.terms.items()}, out.n)
+        return DiffForm({T: -f if T == S else f for T, f in out.terms.items()})
 
     return negated
 
@@ -707,10 +722,15 @@ def test_wrong_wedge_constant_fails_d_squared(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_wrong_twist_inverse_is_a_volume_error(name, monkeypatch):
+    """The doubled inverse fails the transport certificate, and the volume
+    twist it builds is rejected, so integrability errors as volume does and
+    the divergence stages run without a passed integrability check."""
     _mutated_spec(monkeypatch, _doubled_inverse)
     report = run_smooth(corpus_doc(name))
     assert [_status(report, s) for s in ("d-squared", "connectedness", "volume")] == ["pass", "pass", "error"]
     assert "inverse does not undo" in report.check("volume").witnesses[0]
+    assert report.check("integrability").witnesses == report.check("volume").witnesses
+    _assert_divergence_stages_need_integrability(report)
 
 
 # -- the transport certificate against the sampled checks ---------------------------------------
@@ -729,7 +749,6 @@ def _sampled_stages_pass(calc):
         ok = calc._integrability_sampled(50, 4, rng).ok
     except NotAVolumeFormError:
         return False
-    calc.integrability_passed = ok
     if not (ok and calc._divergence_leibniz_sampled(50, 4, rng).ok):
         return False
     return calc.N < 2 or calc._flatness_on_basis().ok
@@ -822,10 +841,11 @@ def test_certificate_fails_where_the_curvature_is_not_zero():
     P = build_presentation(doc)
     calc = build_calculus(P, replace(calculus_spec_from_doc(doc, P), wedge_signs={}))
     assert not calc._transport_certificate()
-    assert calc.integrability_check(50, 4, random.Random(1729)).ok
-    assert calc.flatness_check().ok
+    integrable = calc.integrability_check(50, 4, random.Random(1729)).ok
+    assert integrable
+    assert calc.flatness_check(integrable).ok
     x1x2 = P.multiply(P.gen(0), P.gen(1))
-    curvature = calc.base_divergence()(calc.divergence_chain(0)(IntegralForm(2, {(0, 1): x1x2}, 2)))
+    curvature = calc._bottom_divergence(calc._nabla(0, IntegralForm(2, {(0, 1): x1x2})))
     assert P.render(curvature) == "(-q + 1)/(q)"
     assert calc.render_form(calc.differential(calc.d0(x1x2))) == "d(x1)d(x2)*((-q + 1)/(q))"
     assert not calc.d_squared_check(4).ok
@@ -872,8 +892,8 @@ def _transport_holds_in_every_degree(calc):
             xi = calc._dual_basis(C)
             base = calc.theta_inv(k, xi)
             for f in coeffs:
-                acted = calc.dual_action(xi, calc.embed(f))
-                for phi in (IntegralForm(N - k, {C: f}, N), acted):
+                acted = calc.right_action(xi, f)
+                for phi in (IntegralForm(N - k, {C: f}), acted):
                     assert calc.theta(k, calc.theta_inv(k, phi)) == phi
                 assert calc.theta_inv(k, acted) == right_multiply(calc, base, f)
 
@@ -913,34 +933,75 @@ def test_certificate_round_trips_and_expands_in_degree_n_minus_one_only(name):
     assert calls["left_multiply"] > 0
 
 
-def _dual_action_full_sweep(calc, phi, w):
-    """``(phi . w)(du_T)`` on every set T of the right size."""
-    m = w.homogeneous_degree()
+def _theta_by_definition(calc, k, w):
+    """``theta(k)(w)(du_T) = e_k pi(w ^ du_T)`` on every set T of size N-k,
+    in increasing order."""
     values = {}
-    for T in combinations(range(calc.N), phi.degree - m):
-        val = calc.evaluate(phi, calc.wedge(w, calc.form(T, calc.P.one())))
+    for T in combinations(range(calc.N), calc.N - k):
+        val = calc.pi_omega(calc.wedge(w, calc.form(T, calc.P.one())))
+        if ((calc.N - 1) * k) % 2:
+            val = -val
         if not val.is_zero():
             values[T] = val
-    return IntegralForm(phi.degree - m, values, calc.N)
+    return IntegralForm(calc.N - k, values)
 
 
-@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
-def test_dual_action_visits_only_the_sets_that_meet_the_support(name):
-    calc = run_calculus_check(_doc(name))
+def _action_by_definition(calc, phi, a):
+    """``(phi . a)(du_T) = phi(a du_T)`` on every set T of phi's degree, in
+    increasing order."""
+    values = {}
+    for T in combinations(range(calc.N), phi.degree):
+        val = calc.evaluate(phi, calc.wedge(calc.form((), a), calc.form(T, calc.P.one())))
+        if not val.is_zero():
+            values[T] = val
+    return IntegralForm(phi.degree, values)
+
+
+def _same_functional(calc, got, want):
+    assert got == want
+    assert list(got.terms) == list(want.terms)
+    assert calc.render_functional(got) == calc.render_functional(want)
+
+
+def _formulas_match_their_definitions(calc, rng):
+    """``theta(k)`` on every ``du_S f`` and on forms of random support, and
+    ``phi . a`` on every ``xi_C`` and on functionals of random support, in
+    every degree, for f and a the unit, each frame symbol and random
+    elements."""
     P, N = calc.P, calc.N
-    rng = random.Random(4242)
+    coeffs = (P.one(),) + P.frame() + tuple(random_skew(P, rng, 2, max_terms=2) for _ in range(2))
 
     def random_support(degree, coeff):
         sets = list(combinations(range(N), degree))
         chosen = rng.sample(sets, rng.randint(1, len(sets)))
         return {S: coeff() for S in sorted(chosen)}
 
-    for _ in range(30):
-        p = rng.randint(0, N)
-        m = rng.randint(0, p)
-        phi = IntegralForm(p, random_support(p, lambda: random_skew(P, rng, 2, max_terms=2)), N)
-        w = DiffForm(random_support(m, lambda: random_skew(P, rng, 1, max_terms=2)), N)
-        got, want = calc.dual_action(phi, w), _dual_action_full_sweep(calc, phi, w)
-        assert got == want
-        assert list(got.terms) == list(want.terms)
-        assert calc.render_functional(got) == calc.render_functional(want)
+    for k in range(N + 1):
+        forms = [calc.form(S, f) for S in combinations(range(N), k) for f in coeffs]
+        forms += [DiffForm(random_support(k, lambda: random_skew(P, rng, 1, max_terms=2))) for _ in range(3)]
+        for w in forms:
+            _same_functional(calc, calc.theta(k, w), _theta_by_definition(calc, k, w))
+        functionals = calc.integral_basis(k)
+        functionals += [
+            IntegralForm(k, random_support(k, lambda: random_skew(P, rng, 2, max_terms=2))) for _ in range(3)
+        ]
+        for phi in functionals:
+            for a in coeffs:
+                _same_functional(calc, calc.right_action(phi, a), _action_by_definition(calc, phi, a))
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
+def test_dual_action_visits_only_the_sets_that_meet_the_support(name):
+    """``theta(k)(w)`` is the dual action ``(phi . w)(w') = phi(w ^ w')`` of
+    w on the top functional pi, up to the sign e_k, and ``phi . a`` that of
+    a 0-form.  The code computes both by formula on the sets the support
+    names; here they match the definitions swept over every basis set."""
+    _formulas_match_their_definitions(run_calculus_check(_doc(name)), random.Random(4242))
+
+
+def test_dual_action_visits_only_the_sets_that_meet_the_support_on_ore_grid():
+    certified = [calc for calc in _grid_calculi() if calc._transport_certificate()]
+    assert len(certified) == 42
+    rng = random.Random(4242)
+    for calc in certified:
+        _formulas_match_their_definitions(calc, rng)
