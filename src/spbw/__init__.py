@@ -13,7 +13,7 @@ from .coefficients import (
 )
 from .calculus import CalculusSpec, DGen, DiffForm, IntegralForm, build_calculus, theorem_spec
 from .core import Presentation, Relation, SkewPoly
-from .corpus import CORPUS_NAMES, corpus, corpus_doc, corpus_source
+from .corpus import CORPUS_NAMES, corpus_doc, corpus_source
 from .dsl import ParseError, PresentationDoc, build_presentation, parse_presentation, render_presentation
 from .errors import (
     CompatibilityError,

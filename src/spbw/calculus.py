@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .core import Presentation, SkewPoly, exponents_upto
 from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
-from .extended import AlgebraEndo, extend_sigma, hypothesis_check
+from .extended import AlgebraEndo, _lift_sigma, _require_lift_block, hypothesis_check
 from .lincomb import LinComb, add_term, add_terms, sum_terms
 from .linalg import inverse, kernel_basis
 from .sampling import random_skew
@@ -92,13 +92,6 @@ class IntegralForm(LinComb):
 
 
 @dataclass
-class VolumeData:
-    omega: DiffForm
-    nu: AlgebraEndo
-    matches_sigma_composition: bool | None  # theorem mode only
-
-
-@dataclass
 class CheckOutcome:
     ok: bool
     witnesses: list = field(default_factory=list)
@@ -121,12 +114,14 @@ class Calculus:
     returns one only when d respects every defining relation.
 
     The checks return new values and leave the presentation's data alone,
-    but the calculus records what it learns: ``volume()`` caches its result
-    in ``_volume``, ``_d_word`` memoizes every word suffix it differentiates
-    in ``_d_memo`` (with the suffix's normal form), ``_nabla`` memoizes the
-    transported divergence of every basis functional it meets in
-    ``_nabla_memo``, ``_basis_product`` memoizes the merged set and crossing
-    factor of every pair of wedge basis sets in ``_basis_memo``, and
+    but the calculus records what it learns: ``volume()`` keeps the volume
+    twist nu in ``_volume`` (in any mode; the pipeline's volume stage
+    compares it with the composite of the sigma maps in theorem mode),
+    ``_d_word`` memoizes every word suffix it differentiates in ``_d_memo``
+    (with the suffix's normal form), ``_nabla`` memoizes the transported
+    divergence of every basis functional it meets in ``_nabla_memo``,
+    ``_basis_product`` memoizes the merged set and crossing factor of every
+    pair of wedge basis sets in ``_basis_memo``, and
     ``_generator_certificate`` and ``_transport_certificate`` record their
     verdicts in ``_generators_certified`` and ``_transport_certified``.  A
     passed integrability check is not recorded: the divergence checks take
@@ -204,9 +199,6 @@ class Calculus:
         if f.is_zero():
             return self.zero_form()
         return DiffForm({tuple(S): f})
-
-    def embed(self, f: SkewPoly) -> DiffForm:
-        return self.form((), f)
 
     # -- operations ------------------------------------------------------------------
 
@@ -452,28 +444,20 @@ class Calculus:
     def pi_omega(self, form: DiffForm) -> SkewPoly:
         return form.terms.get(tuple(range(self.N)), self.P.zero())
 
-    def volume(self) -> VolumeData:
-        """Compute the volume twist by pushing each symbol through the top
-        form, so ``a * omega = omega * nu(a)`` holds by construction; verify
-        that nu respects every defining relation and that its inverse undoes
-        it."""
-        if self._volume is not None:
-            return self._volume
-        P = self.P
-        full = tuple(range(self.N))
-        images = [self.twist_apply_set(full, a) for a in P.frame()]
-        inv_images = [self.twist_inv_apply_set(full, a) for a in P.frame()]
-        try:
-            nu = AlgebraEndo(P, images, inverse=AlgebraEndo(P, inv_images, check=False))
-        except MapError as exc:
-            raise NotAVolumeFormError(f"volume twist rejected: {exc}") from exc
-        matches = None
-        if self.spec.mode == THEOREM_MODE:
-            comp = extend_sigma(P, 0)
-            for i in range(1, P.n):
-                comp = comp.compose(extend_sigma(P, i))
-            matches = all(nu.apply(a) == comp.apply(a) for a in P.frame())
-        self._volume = VolumeData(self.omega(), nu, matches)
+    def volume(self) -> AlgebraEndo:
+        """The volume twist nu, computed by pushing each symbol through the
+        top form, so ``a * omega = omega * nu(a)`` holds by construction;
+        verified to respect every defining relation and to be undone by its
+        inverse, and memoized in ``_volume``."""
+        if self._volume is None:
+            P = self.P
+            full = tuple(range(self.N))
+            images = [self.twist_apply_set(full, a) for a in P.frame()]
+            inv_images = [self.twist_inv_apply_set(full, a) for a in P.frame()]
+            try:
+                self._volume = AlgebraEndo(P, images, inverse=AlgebraEndo(P, inv_images, check=False))
+            except MapError as exc:
+                raise NotAVolumeFormError(f"volume twist rejected: {exc}") from exc
         return self._volume
 
     # -- the transport certificate -----------------------------------------------------------
@@ -628,7 +612,7 @@ class Calculus:
         target = self.form(S0, f)
         top = self.pi_omega(self.wedge(target, self.form(Q, self.P.one())))
         total = self.left_multiply(
-            self.volume().nu.inverse.apply(top), self.form(S0, self.P.const(factor.inverse()))
+            self.volume().inverse.apply(top), self.form(S0, self.P.const(factor.inverse()))
         )
         return total == target
 
@@ -870,8 +854,10 @@ def build_calculus(P: Presentation, spec: CalculusSpec) -> Calculus:
 
 def theorem_spec(P: Presentation) -> CalculusSpec:
     """The plain-twist calculus: one differential per generator, twists the
-    coefficientwise lifts, all wedge constants one."""
-    dgens = [DGen(P.names[i], P.gen(i), extend_sigma(P, i)) for i in range(P.n)]
+    coefficientwise lifts of :func:`extend_sigma` (the lifting hypotheses
+    checked once for all of them), all wedge constants one."""
+    _require_lift_block(P)
+    dgens = [DGen(P.names[i], P.gen(i), _lift_sigma(P, i)) for i in range(P.n)]
     for dg in dgens:
         if dg.twist.inverse is None:
             raise ConfigError(

@@ -26,8 +26,9 @@ from pathlib import Path
 from .corpus import CORPUS_NAMES, corpus_doc, corpus_source
 from .dsl import ParseError, build_presentation, parse_expression, parse_presentation, set_option
 from .errors import ConfigError, SpbwError
-from .gkdim import FAILED
-from .pipeline import run_calculus_check, run_check_hypotheses, run_check_pbw, run_gkdim, run_smooth
+from .extended import hypothesis_check
+from .gkdim import FAILED, filtration_dims, gk_estimate
+from .pipeline import run_calculus_check, run_smooth
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -75,7 +76,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check_pbw(args) -> int:
-    P, audit = run_check_pbw(_load_doc(args, "pbw_degree"))
+    doc = _load_doc(args, "pbw_degree")
+    P = build_presentation(doc)
+    audit = P.pbw_consistency_check(doc.options["pbw_degree"])
     if audit.ok:
         print("pbw consistency: pass")
         return EXIT_OK
@@ -87,7 +90,7 @@ def _cmd_check_pbw(args) -> int:
 
 
 def _cmd_check_hypotheses(args) -> int:
-    _, rep = run_check_hypotheses(_load_doc(args))
+    rep = hypothesis_check(build_presentation(_load_doc(args)))
     rows = [
         ("sigma/delta commute per generator", rep.h1_sigma_delta_diag),
         ("deltas commute pairwise", rep.h2_delta_delta),
@@ -120,7 +123,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_gkdim(args) -> int:
-    table, (est, diag) = run_gkdim(_load_doc(args))
+    doc = _load_doc(args)
+    table = filtration_dims(build_presentation(doc), doc.options["gk_degree"])
+    est, diag = gk_estimate(table)
     print(f"dimensions: {table.dims}")
     if est is None:
         print(f"estimate: ambiguous (differences say {diag.difference_degree}, "

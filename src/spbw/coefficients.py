@@ -202,11 +202,6 @@ class CoeffEndo:
                 if apply_endo(back, img) != _variable(img, j):
                     raise MapError(f"claimed inverse does not undo image of variable {j}")
 
-    def inverse(self) -> "CoeffEndo":
-        if self.inverse_images is None:
-            raise ValueError("endomorphism has no recorded inverse")
-        return CoeffEndo(self.inverse_images, self.images)
-
 
 def _variable(ref: CoeffPoly, j: int) -> CoeffPoly:
     """The j-th coefficient variable, over the same ring as ``ref``."""

@@ -126,7 +126,6 @@ def tail_name(word: tuple) -> str:
 @dataclass
 class PbwAudit:
     ok: bool
-    witness_word: tuple | None = None
     left: "SkewPoly | None" = None
     right: "SkewPoly | None" = None
     rendered: str = ""
@@ -339,12 +338,6 @@ class Presentation:
                     add_terms(acc, self._mul_monomials(_pack(w, self.n), e2).scale_left(c1 * h).terms)
         return SkewPoly(acc, self.n)
 
-    def power(self, f: SkewPoly, k: int) -> SkewPoly:
-        out = self.one()
-        for _ in range(k):
-            out = self.multiply(out, f)
-        return out
-
     def normalize(self, terms) -> SkewPoly:
         """Normal form of a sum of words.
 
@@ -472,7 +465,6 @@ class Presentation:
             if left != right:
                 return PbwAudit(
                     ok=False,
-                    witness_word=tuple(word),
                     left=left,
                     right=right,
                     rendered=self.render_word(word),

@@ -30,8 +30,3 @@ def corpus_source(name: str) -> str:
 
 def corpus_doc(name: str) -> PresentationDoc:
     return parse_presentation(corpus_source(name))
-
-
-def corpus() -> list:
-    """All built-in documents, parse-validated, in catalog order."""
-    return [corpus_doc(name) for name in CORPUS_NAMES]

@@ -124,21 +124,6 @@ class AlgebraEndo:
                 self._power_memo[key] = self.P.multiply(self._power(s, k - 1), base)
         return self._power_memo[key]
 
-    # -- composition --------------------------------------------------------
-
-    def compose(self, other: "AlgebraEndo") -> "AlgebraEndo":
-        """self after other; composes inverses in the opposite order when
-        both are present."""
-        inv = None
-        if self.inverse is not None and other.inverse is not None:
-            inv = AlgebraEndo(self.P, [other.inverse.apply(img) for img in self.inverse.images], check=False)
-        return AlgebraEndo(self.P, [self.apply(img) for img in other.images], inverse=inv, check=False)
-
-    @staticmethod
-    def identity(P: Presentation) -> "AlgebraEndo":
-        frame = P.frame()
-        return AlgebraEndo(P, frame, inverse=AlgebraEndo(P, frame, check=False), check=False)
-
 
 def _rescaling(P: Presentation, images):
     """``c_s`` for every frame symbol s when each image is a nonzero scalar
@@ -295,11 +280,22 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
 def extend_sigma(P: Presentation, i: int) -> AlgebraEndo:
     """Lift sigma_i to the extension: coefficientwise on normal forms,
     fixing every generator.  Carries an inverse when sigma_i does."""
+    _require_lift_block(P)
+    return _lift_sigma(P, i)
+
+
+def _require_lift_block(P: Presentation):
+    """Raise unless the coefficient maps satisfy the lifting hypotheses."""
     report = hypothesis_check(P)
     if not report.proposition_ok:
         raise HypothesisError(
             "coefficient maps do not satisfy the lifting hypotheses: " + "; ".join(report.failures)
         )
+
+
+def _lift_sigma(P: Presentation, i: int) -> AlgebraEndo:
+    """The lift of :func:`extend_sigma`, for a caller that has already
+    checked the lifting hypotheses."""
     gens = P.frame()[P.ring.nvars:]
     images = tuple(P.from_coeff(apply_endo(P.sigma[i], P.ring.var(j))) for j in range(P.ring.nvars))
     inv = None

@@ -75,7 +75,6 @@ def filtration_dims(P: Presentation, m_max: int) -> FiltrationTable:
 class GkDiagnostics:
     difference_degree: int | None
     slope_estimate: int | None
-    slope_raw: float
     ambiguous: bool
     note: str = "desk-scale estimate"
 
@@ -106,12 +105,11 @@ def gk_estimate(table: FiltrationTable) -> tuple:
 
     m = len(dims) - 1
     if dims[m] == dims[m - 1]:
-        slope_raw = 0.0
+        slope = 0
     else:
-        slope_raw = (log(dims[m]) - log(dims[m - 1])) / (log(m) - log(m - 1))
-    slope = round(slope_raw)
+        slope = round((log(dims[m]) - log(dims[m - 1])) / (log(m) - log(m - 1)))
 
-    return diff_degree, GkDiagnostics(diff_degree, slope, slope_raw, diff_degree is None)
+    return diff_degree, GkDiagnostics(diff_degree, slope, diff_degree is None)
 
 
 # -- verdict ----------------------------------------------------------------------

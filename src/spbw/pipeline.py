@@ -26,7 +26,8 @@ import random
 import time
 from dataclasses import dataclass, replace
 
-from .calculus import Calculus, CalculusSpec, CheckOutcome, DGen, build_calculus, theorem_spec
+from .calculus import THEOREM_MODE, Calculus, CalculusSpec, CheckOutcome, DGen, build_calculus, theorem_spec
+from .coefficients import apply_endo
 from .core import Presentation
 from .dsl import PresentationDoc, build_presentation
 from .errors import ConfigError, SpbwError
@@ -111,10 +112,27 @@ def _stage_connectedness(run: _Run) -> CheckOutcome:
 
 
 def _stage_volume(run: _Run) -> CheckOutcome:
-    matches = run.calculus.volume().matches_sigma_composition
-    if matches is None:
+    """The volume twist must be an invertible algebra map; in theorem mode
+    it must also be the paper's composite of the sigma maps."""
+    nu = run.calculus.volume()
+    if run.calculus.spec.mode != THEOREM_MODE:
         return CheckOutcome(True)
+    matches = _is_sigma_composite(run.P, nu)
     return CheckOutcome(matches, data={"matches_sigma_composition": matches})
+
+
+def _is_sigma_composite(P: Presentation, nu: AlgebraEndo) -> bool:
+    """Whether nu is sigma_0 o sigma_1 o ... o sigma_(n-1) on every
+    coefficient variable, sigma_(n-1) applied first, and fixes every
+    generator."""
+    m = P.ring.nvars
+    for j in range(m):
+        image = P.ring.var(j)
+        for sigma in reversed(P.sigma):
+            image = apply_endo(sigma, image)
+        if nu.images[j] != P.from_coeff(image):
+            return False
+    return all(nu.images[m + i] == P.gen(i) for i in range(P.n))
 
 
 def _stage_integrability(run: _Run) -> CheckOutcome:
@@ -205,23 +223,7 @@ def run_smooth(doc: PresentationDoc) -> Report:
 # -- single commands --------------------------------------------------------------
 
 
-def run_check_pbw(doc: PresentationDoc):
-    P = build_presentation(doc)
-    return P, P.pbw_consistency_check(doc.options["pbw_degree"])
-
-
-def run_check_hypotheses(doc: PresentationDoc):
-    P = build_presentation(doc)
-    return P, hypothesis_check(P)
-
-
 def run_calculus_check(doc: PresentationDoc):
     P = build_presentation(doc)
     spec = calculus_spec_from_doc(doc, P)
     return build_calculus(P, spec)
-
-
-def run_gkdim(doc: PresentationDoc):
-    P = build_presentation(doc)
-    table = filtration_dims(P, doc.options["gk_degree"])
-    return table, gk_estimate(table)

@@ -35,18 +35,7 @@ class Report:
         return None
 
     def to_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "algebra": self.algebra,
-            "mode": self.mode,
-            "config": dict(self.config),
-            "calculus_dimension": self.calculus_dimension,
-            "gk_estimate": self.gk_estimate,
-            "checks": [asdict(c) for c in self.checks],
-            "verdict": self.verdict,
-            "failed_check": self.failed_check,
-            "failing": list(self.failing),
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: dict) -> "Report":

@@ -1,7 +1,8 @@
 """Shared fixtures: hand-built presentations used across the test suite,
 three oracles (exact univariate division, the sampled twisted product rule
 for the lifted derivations, and d on both sides of every defining
-relation), the wide documents, and the grid of affine Ore members."""
+relation), composition and the identity of extension endomorphisms, the
+wide documents, and the grid of affine Ore members."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 
 from spbw.coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation, apply_sder
 from spbw.core import Presentation, Relation, SkewPoly
+from spbw.extended import AlgebraEndo
 from spbw.sampling import random_skew  # re-exported for tests
 
 
@@ -32,6 +34,21 @@ def trivial_maps(ring, n):
 def is_identity(endo):
     """Whether an algebra endomorphism sends every frame symbol to itself."""
     return endo.images == endo.P.frame()
+
+
+def compose(outer, inner):
+    """``outer`` after ``inner``, unchecked; carries the inverses composed
+    in the opposite order when both maps have one."""
+    inv = None
+    if outer.inverse is not None and inner.inverse is not None:
+        inv = AlgebraEndo(outer.P, [inner.inverse.apply(img) for img in outer.inverse.images], check=False)
+    return AlgebraEndo(outer.P, [outer.apply(img) for img in inner.images], inverse=inv, check=False)
+
+
+def algebra_identity(P):
+    """The identity of the extension, with itself as its inverse."""
+    frame = P.frame()
+    return AlgebraEndo(P, frame, inverse=AlgebraEndo(P, frame, check=False), check=False)
 
 
 def d_respects_relations(calc):

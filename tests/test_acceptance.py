@@ -26,7 +26,7 @@ from spbw.ore import (
     ore_case_classify,
     ore_document,
 )
-from spbw.pipeline import calculus_spec_from_doc, run_check_pbw, run_smooth
+from spbw.pipeline import calculus_spec_from_doc, run_smooth
 from spbw.report import Report
 from spbw.sampling import random_skew
 
@@ -84,13 +84,16 @@ def smooth_runs(docs):
 def test_01_pbw_consistency(docs):
     start = time.perf_counter()
     for name in SMOOTH_NAMES:
-        _, audit = run_check_pbw(docs[name])
-        assert audit.ok, f"{name} should be consistent"
-    _, audit = run_check_pbw(docs["broken"])
+        doc = docs[name]
+        assert build_presentation(doc).pbw_consistency_check(doc.options["pbw_degree"]).ok, (
+            f"{name} should be consistent"
+        )
+    doc = docs["broken"]
+    P = build_presentation(doc)
+    audit = P.pbw_consistency_check(doc.options["pbw_degree"])
     assert not audit.ok
-    assert audit.witness_word == (2, 1, 0), "stored witness triple is x3 x2 x1"
+    assert audit.rendered == "x3*x2*x1", "stored witness triple is x3 x2 x1"
     diff = audit.left - audit.right
-    P = build_presentation(docs["broken"])
     assert diff == P.gen(2) or diff == -P.gen(2)
     elapsed = time.perf_counter() - start
     _line(1, elapsed < 5.0, f"pbw passes on 8 entries, broken fails with x3*x2*x1 ({elapsed:.2f}s)")

@@ -1,4 +1,5 @@
 import random
+import sys
 from dataclasses import replace
 from itertools import combinations
 
@@ -19,12 +20,14 @@ from spbw.coefficients import CoeffRing
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
-from spbw.extended import AlgebraEndo, auto_inverse
+from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, hypothesis_check
 from spbw.ore import ore_document
 from spbw.pipeline import calculus_spec_from_doc, run_calculus_check, run_smooth
 
 from conftest import (
     WIDE_DOCS,
+    algebra_identity,
+    compose,
     d_respects_relations,
     grid,
     grid_member,
@@ -46,7 +49,7 @@ def jordan_flat_spec(P):
     t_sk = P.from_coeff(P.ring.var(0))
     two_t = t_sk.scale(P.ring.scalar(2))
     nu_t = make_twist(P, (t_sk, P.gen(0) + two_t))
-    nu_x = AlgebraEndo.identity(P)
+    nu_x = algebra_identity(P)
     return CalculusSpec(
         dgens=[DGen("t", t_sk, nu_t), DGen("x", P.gen(0), nu_x)],
         wedge_signs={},
@@ -112,8 +115,8 @@ def test_wrong_twist_reported_with_relation(qplane):
     # identity twists cannot absorb the q in x2 x1 = q x1 x2
     spec = CalculusSpec(
         dgens=[
-            DGen("x1", qplane.gen(0), AlgebraEndo.identity(qplane)),
-            DGen("x2", qplane.gen(1), AlgebraEndo.identity(qplane)),
+            DGen("x1", qplane.gen(0), algebra_identity(qplane)),
+            DGen("x2", qplane.gen(1), algebra_identity(qplane)),
         ]
     )
     with pytest.raises(CompatibilityError) as err:
@@ -156,7 +159,7 @@ def test_missing_inverse_rejected(poly2):
 
 
 def _potentials_spec(P, potentials):
-    return CalculusSpec(dgens=[DGen(f"u{k}", f, AlgebraEndo.identity(P)) for k, f in enumerate(potentials)])
+    return CalculusSpec(dgens=[DGen(f"u{k}", f, algebra_identity(P)) for k, f in enumerate(potentials)])
 
 
 @pytest.mark.parametrize("shape", ["constant", "quadratic"])
@@ -466,9 +469,11 @@ def test_connectedness_at_stress_size():
 # -- volume ---------------------------------------------------------------------------
 
 
-def test_volume_theorem_matches_sigma_composition(weyl_calc):
-    vol = weyl_calc.volume()
-    assert vol.matches_sigma_composition is True
+def test_volume_theorem_matches_sigma_composition(weyl_calc, weyl):
+    nu = weyl_calc.volume()
+    composite = compose(extend_sigma(weyl, 0), extend_sigma(weyl, 1))
+    assert all(nu.apply(a) == composite.apply(a) for a in weyl.frame())
+    assert spbw.pipeline._is_sigma_composite(weyl, nu)
 
 
 def test_volume_pi_extraction(weyl_calc, weyl, rng):
@@ -479,16 +484,16 @@ def test_volume_pi_extraction(weyl_calc, weyl, rng):
 
 def test_volume_qplane_twist_images(qplane_calc, qplane):
     q = qplane.ring.param("q")
-    vol = qplane_calc.volume()
-    assert vol.nu.images[0] == qplane.gen(0).scale(q.inverse())
-    assert vol.nu.images[1] == qplane.gen(1).scale(q)
+    nu = qplane_calc.volume()
+    assert nu.images[0] == qplane.gen(0).scale(q.inverse())
+    assert nu.images[1] == qplane.gen(1).scale(q)
 
 
 def test_volume_commutes_symbols(jordan_calc, jordan):
-    vol = jordan_calc.volume()
+    nu = jordan_calc.volume()
     t_sk = jordan.from_coeff(jordan.ring.var(0))
     lhs = jordan_calc.left_multiply(t_sk, jordan_calc.omega())
-    rhs = right_multiply(jordan_calc, jordan_calc.omega(), vol.nu.apply(t_sk))
+    rhs = right_multiply(jordan_calc, jordan_calc.omega(), nu.apply(t_sk))
     assert lhs == rhs
 
 
@@ -731,6 +736,69 @@ def test_wrong_twist_inverse_is_a_volume_error(name, monkeypatch):
     assert "inverse does not undo" in report.check("volume").witnesses[0]
     assert report.check("integrability").witnesses == report.check("volume").witnesses
     _assert_divergence_stages_need_integrability(report)
+
+
+def _doubled_first_image(P, spec):
+    """The first twist with its image of the first generator doubled and
+    its stored inverse's image of it halved, unchecked."""
+    dg = spec.dgens[0]
+    k = P.ring.nvars
+    two = P.ring.scalar(2)
+
+    def scaled(images, c):
+        images = list(images)
+        images[k] = images[k].scale(c)
+        return images
+
+    inv = AlgebraEndo(P, scaled(dg.twist.inverse.images, two.inverse()), check=False)
+    twist = AlgebraEndo(P, scaled(dg.twist.images, two), inverse=inv, check=False)
+    return replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:])
+
+
+def test_volume_twist_off_the_sigma_composite_fails_volume(monkeypatch):
+    """A twist that scales x1 gives a volume twist that is an invertible
+    algebra map but not the composite of the (identity) sigma maps."""
+    _mutated_spec(monkeypatch, _doubled_first_image)
+    rec = run_smooth(corpus_doc("poly2")).check("volume")
+    assert (rec.status, rec.data) == ("fail", {"matches_sigma_composition": False})
+
+
+def _count_calls(monkeypatch, fn):
+    """Rebind ``fn`` at every spbw module that binds it, as the benchmark's
+    tracer does, to a wrapper that counts its calls."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "spbw" or name.startswith("spbw."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["weyl", "poly3", "weyl2", "poly5"])
+def test_plain_twist_calculus_is_built_once(name, monkeypatch):
+    """A theorem-mode run checks the hypotheses in the hypotheses stage, in
+    ``theorem_spec`` and in ``build_calculus``, and builds each lift, its
+    inverse, the volume twist and its inverse once: 2n + 2 maps."""
+    doc = parse_presentation(WIDE_DOCS[name]) if name in WIDE_DOCS else corpus_doc(name)
+    checks = _count_calls(monkeypatch, hypothesis_check)
+    maps = []
+    init = AlgebraEndo.__init__
+
+    def counted_init(self, *args, **kwargs):
+        maps.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraEndo, "__init__", counted_init)
+    report = run_smooth(doc)
+    assert report.verdict == "certified-smooth"
+    n = len(doc.gens)
+    assert (len(checks), len(maps)) == (3, 2 * n + 2)
 
 
 # -- the transport certificate against the sampled checks ---------------------------------------

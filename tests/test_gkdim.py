@@ -16,7 +16,6 @@ from spbw.gkdim import (
     gk_estimate,
     smoothness_verdict,
 )
-from spbw.pipeline import run_gkdim
 
 from conftest import identity_endo
 
@@ -81,16 +80,23 @@ def _poly_doc(n, options=""):
     return parse_presentation("\n".join(lines) + "\n")
 
 
+def _gkdim(doc):
+    table = filtration_dims(build_presentation(doc), doc.options["gk_degree"])
+    return table, gk_estimate(table)
+
+
 @pytest.mark.parametrize("n", [4, 5])
 def test_run_gkdim_wide_polynomial_rings(n):
-    table, (est, diag) = run_gkdim(_poly_doc(n))
+    """The table and estimate of ``spbw gkdim`` at the document's
+    ``gk_degree``."""
+    table, (est, diag) = _gkdim(_poly_doc(n))
     assert table.dims == [comb(m + n, n) for m in range(13)]
     assert est == n and not diag.ambiguous
 
 
 def test_run_gkdim_as_many_symbols_as_gk_degree():
     # a table of gk_degree + 1 entries would run out after 8 differences
-    table, (est, diag) = run_gkdim(_poly_doc(8, "options gk_degree=8"))
+    table, (est, diag) = _gkdim(_poly_doc(8, "options gk_degree=8"))
     assert len(table.dims) == 10
     assert est == 8 and diag.difference_degree == 8 and not diag.ambiguous
 

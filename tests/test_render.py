@@ -162,7 +162,7 @@ def test_render_form():
         "d(u)*(((s^2)/(2*s^3 - 2*s^2))*z) + d(v)*(((s)/(2*s^2 - 2*s))*z)"
         " + d(z)*((1)/(s - 1)*x)"
     )
-    mixed = calc.form((0, 2), f3) + calc.form((1,), f2) - calc.embed(f1)
+    mixed = calc.form((0, 2), f3) + calc.form((1,), f2) - calc.form((), f1)
     assert calc.render_form(mixed) == (
         "1*((-1/2*x + y)*z) + d(v)*(((1)/(s - 1)*y)*z) + d(u)d(z)*(-z^2 + (1)/(s)*y)"
     )
