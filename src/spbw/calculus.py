@@ -118,7 +118,9 @@ class Calculus:
     twist nu in ``_volume`` (in any mode; the pipeline's volume stage
     compares it with the composite of the sigma maps in theorem mode),
     ``_d_word`` memoizes every word suffix it differentiates in ``_d_memo``
-    (with the suffix's normal form), ``_nabla`` memoizes the transported
+    (with the suffix's normal form; connectedness fills it only when some
+    twist does not rescale, since a rescaling calculus builds that matrix by
+    a scalar recurrence), ``_nabla`` memoizes the transported
     divergence of every basis functional it meets in ``_nabla_memo``,
     ``_basis_product`` memoizes the merged set and crossing factor of every
     pair of wedge basis sets in ``_basis_memo``, and
@@ -413,17 +415,22 @@ class Calculus:
 
     def connectedness_check(self, degree_bound: int) -> CheckOutcome:
         """Exact kernel of d on the span of normal monomials up to the bound;
-        connected means dimension one (the constants)."""
+        connected means dimension one (the constants).
+
+        Column m of the matrix holds the coordinates of d(m) for each basis
+        monomial m.  When every twist rescales, ``nu_i(s) = c_(i,s) s``,
+        they come from a scalar recurrence over the basis.  Write m = s m'
+        with s the first frame symbol of m; then ``d(s m') = sum_i du_i
+        (B[s][i] m' + c_(i,s) s d_i(m'))``, as in :meth:`_d_word`.  Every
+        monomial of ``d_i(m')`` is m' with one symbol removed, so s sits at
+        or below each of its symbols and ``s`` times it is already a normal
+        monomial: the product is an exponent shift, exactly.  m' comes
+        before m in the basis order, so its coordinates are already known.
+        When the B term and a shifted term land on the same coordinate they
+        are added, and a zero sum is dropped.  A calculus with any other
+        twist differentiates each monomial with :meth:`d0`."""
         basis = list(self._monomials_upto(degree_bound))
-        # one sparse row per coordinate (du_i, t^tvec x^e) of d, in the order
-        # the coordinates are first met; a coordinate occurs once per column
-        rows = {}
-        for col, mono in enumerate(basis):
-            df = self.d0(self.P.monomial(mono[1], self.P.ring.monomial(mono[0])))
-            for S, f in df.terms.items():
-                for e, c in f.terms.items():
-                    for tvec, s in c.terms.items():
-                        rows.setdefault((S[0], tvec, e), {})[col] = s
+        rows = self._connectedness_rows(basis)
         kernel = kernel_basis(list(rows.values()), len(basis), self.P.ring.nparams)
         dim = len(kernel)
         witnesses = []
@@ -436,10 +443,51 @@ class Calculus:
             witnesses.append(" + ".join(f"[{t}]" for t, _ in terms))
         return CheckOutcome(dim == 1, witnesses, {"kernel_dimension": dim, "bound": degree_bound})
 
-    # -- volume -------------------------------------------------------------------------
+    def _connectedness_rows(self, basis) -> dict:
+        """One sparse row per coordinate ``(i, expo)`` of d, the coefficient
+        of ``du_i`` times the monomial with exponent ``expo`` (coefficient
+        variables first), mapping each basis column to a nonzero Scalar."""
+        if all(dg.twist._scales is not None for dg in self.spec.dgens):
+            columns = self._rescaled_differentials(basis)
+        else:
+            columns = (self._d0_coordinates(tvec, e) for tvec, e in basis)
+        rows = {}
+        for col, coords in enumerate(columns):
+            for key, s in coords.items():
+                rows.setdefault(key, {})[col] = s
+        return rows
 
-    def omega(self) -> DiffForm:
-        return self.form(tuple(range(self.N)), self.P.one())
+    def _d0_coordinates(self, tvec, e) -> dict:
+        """The coordinates of ``d0(t^tvec x^e)``."""
+        df = self.d0(self.P.monomial(e, self.P.ring.monomial(tvec)))
+        return {
+            (S[0], tv + ev): s
+            for S, f in df.terms.items()
+            for ev, c in f.terms.items()
+            for tv, s in c.terms.items()
+        }
+
+    def _rescaled_differentials(self, basis) -> list:
+        """The coordinates of d of every basis monomial, by the recurrence of
+        :meth:`connectedness_check`; the basis must list each monomial after
+        the one it has without its first symbol."""
+        scales = [dg.twist._scales for dg in self.spec.dgens]
+        memo = {}  # exponent of a basis monomial -> its coordinates, in basis order
+        for tvec, e in basis:
+            expo = tvec + e
+            coords = {}
+            s = next((k for k, a in enumerate(expo) if a), None)
+            if s is not None:
+                rest = expo[:s] + (expo[s] - 1,) + expo[s + 1:]
+                for i, b in enumerate(self._dcoords[s] or ()):
+                    if not b.is_zero():
+                        coords[(i, rest)] = b
+                for (i, ex), v in memo[rest].items():
+                    add_term(coords, (i, ex[:s] + (ex[s] + 1,) + ex[s + 1:]), scales[i][s] * v)
+            memo[expo] = coords
+        return list(memo.values())
+
+    # -- volume -------------------------------------------------------------------------
 
     def pi_omega(self, form: DiffForm) -> SkewPoly:
         return form.terms.get(tuple(range(self.N)), self.P.zero())

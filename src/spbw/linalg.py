@@ -7,7 +7,10 @@ elimination serves :func:`kernel_basis`, :func:`solve` and :func:`inverse`.
 Its pivot rule: for each column in order, the first unused row (in the
 given row order) with an entry there.  An update touches only the entries
 of the pivot row, and an entry that cancels to zero is removed from its
-row, so a zero is never a pivot.  No floating point.
+row, so a zero is never a pivot.  A pivot row with no other entry only
+removes its column from the other rows, with no inverse and no elimination
+factor.  Most connectedness matrices have one entry per row, so there
+every pivot is of this kind.  No floating point.
 """
 
 from __future__ import annotations
@@ -44,27 +47,41 @@ def _gauss_jordan(rows, ncols):
             continue
         used.add(p)
         pivot_row = rows[p]
-        inv = pivot_row[col].inverse()
-        for i in here:
-            if i == p:
-                continue
-            r = rows[i]
-            factor = r.pop(col) * inv
-            for c, x in pivot_row.items():
-                if c == col:
-                    continue
-                old = r.get(c)
-                new = -(factor * x) if old is None else old - factor * x
-                if new.is_zero():
-                    del r[c]
-                    holders[c].discard(i)
-                else:
-                    if old is None:
-                        holders[c].add(i)
-                    r[c] = new
+        if len(pivot_row) == 1:
+            # the pivot is its row's only entry: eliminating it only drops
+            # the column from the other rows
+            for i in here:
+                if i != p:
+                    del rows[i][col]
+        else:
+            _eliminate(rows, holders, p, col)
         holders[col] = {p}
         pivots.append((col, pivot_row))
     return pivots
+
+
+def _eliminate(rows, holders, p, col):
+    """Clear ``col`` from every row but the pivot row ``p`` by subtracting
+    multiples of it, keeping ``holders`` in step."""
+    pivot_row = rows[p]
+    inv = pivot_row[col].inverse()
+    for i in holders[col]:
+        if i == p:
+            continue
+        r = rows[i]
+        factor = r.pop(col) * inv
+        for c, x in pivot_row.items():
+            if c == col:
+                continue
+            old = r.get(c)
+            new = -(factor * x) if old is None else old - factor * x
+            if new.is_zero():
+                del r[c]
+                holders[c].discard(i)
+            else:
+                if old is None:
+                    holders[c].add(i)
+                r[c] = new
 
 
 def kernel_basis(rows, ncols, nparams):

@@ -466,6 +466,97 @@ def test_connectedness_at_stress_size():
     assert out.witnesses == ["[1]"]
 
 
+# The connectedness matrix of a calculus whose twists all rescale comes from
+# a scalar recurrence over the basis; d0 of each monomial stays its oracle.
+
+
+def _rescales(calc):
+    return all(dg.twist._scales is not None for dg in calc.spec.dgens)
+
+
+def _rows_through_d0(calc, basis):
+    """The connectedness rows built by differentiating each basis monomial
+    with d0."""
+    P = calc.P
+    rows = {}
+    for col, (tvec, e) in enumerate(basis):
+        df = calc.d0(P.monomial(e, P.ring.monomial(tvec)))
+        for S, f in df.terms.items():
+            for ev, c in f.terms.items():
+                for tv, s in c.terms.items():
+                    rows.setdefault((S[0], tv + ev), {})[col] = s
+    return rows
+
+
+def _assert_rows_match_d0(make_calc, bound=6):
+    calc = make_calc()
+    assert _rescales(calc)
+    basis = list(calc._monomials_upto(bound))
+    assert calc._connectedness_rows(basis) == _rows_through_d0(make_calc(), basis)
+
+
+RESCALING = ("poly2", "poly3", "weyl", "qplane", "qaffine3") + tuple(WIDE_DOCS)
+
+
+@pytest.mark.parametrize("name", RESCALING)
+def test_rescaled_connectedness_rows_match_d0(name):
+    _assert_rows_match_d0(lambda: run_calculus_check(_doc(name)))
+
+
+def test_rescaled_connectedness_rows_match_d0_with_a_larger_kernel(jordan):
+    # plain-twist mode over F[t]: t has no differential, so d kills every t^k
+    _assert_rows_match_d0(lambda: build_calculus(jordan, theorem_spec(jordan)))
+    assert build_calculus(jordan, theorem_spec(jordan)).connectedness_check(6).data["kernel_dimension"] == 7
+
+
+def test_rescaled_connectedness_rows_match_d0_on_ore_grid():
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    matched = 0
+    for qs, r, ps in grid():
+        source = ore_document(ring, *grid_member(ring, qs, r, ps))
+        for text in (source, without_wedge(source)):
+            try:
+                calc = run_calculus_check(parse_presentation(text))
+            except (MapError, CompatibilityError):
+                continue
+            if _rescales(calc):
+                _assert_rows_match_d0(lambda: run_calculus_check(parse_presentation(text)))
+                matched += 1
+    # of the 56 compatible calculi (28 members, with and without the wedge
+    # line), those whose twists all rescale
+    assert matched == 12
+
+
+@pytest.mark.parametrize("name", ["poly5", "qaffine4", "un2", "jordan", "aq"])
+def test_connectedness_differentiates_only_without_rescaling(name):
+    calc = run_calculus_check(_doc(name))
+    calls = {"d0": 0}
+    _counting(calc, calls)
+    products = {"multiply": 0}
+    _counting(calc.P, products)
+    assert calc.connectedness_check(6).ok
+    if _rescales(calc):
+        assert calls == {"d0": 0} and products == {"multiply": 0}
+    else:
+        assert calls["d0"] == len(list(calc._monomials_upto(6)))
+
+
+SIGN_TWIST = """name sign
+gens x
+calculus mode=flat
+dgens x
+twist x: x -> -1*x
+"""
+
+
+def test_rescaled_connectedness_drops_terms_that_cancel():
+    # d(x^k) = du (1 - 1 + 1 ...) x^(k-1): the two terms of d(x * x^(k-1))
+    # meet on x^(k-1) and cancel for every even k
+    rec = run_smooth(parse_presentation(SIGN_TWIST)).check("connectedness")
+    assert (rec.status, rec.data) == ("fail", {"kernel_dimension": 4, "bound": 6})
+    assert rec.witnesses == ["[1]", "[x^2]", "[x^4]", "[x^6]"]
+
+
 # -- volume ---------------------------------------------------------------------------
 
 
@@ -478,7 +569,8 @@ def test_volume_theorem_matches_sigma_composition(weyl_calc, weyl):
 
 def test_volume_pi_extraction(weyl_calc, weyl, rng):
     f = random_skew(weyl, rng)
-    form = right_multiply(weyl_calc, weyl_calc.omega(), f)
+    omega = weyl_calc.form(tuple(range(weyl_calc.N)), weyl_calc.P.one())
+    form = right_multiply(weyl_calc, omega, f)
     assert weyl_calc.pi_omega(form) == f
 
 
@@ -492,8 +584,9 @@ def test_volume_qplane_twist_images(qplane_calc, qplane):
 def test_volume_commutes_symbols(jordan_calc, jordan):
     nu = jordan_calc.volume()
     t_sk = jordan.from_coeff(jordan.ring.var(0))
-    lhs = jordan_calc.left_multiply(t_sk, jordan_calc.omega())
-    rhs = right_multiply(jordan_calc, jordan_calc.omega(), nu.apply(t_sk))
+    omega = jordan_calc.form(tuple(range(jordan_calc.N)), jordan_calc.P.one())
+    lhs = jordan_calc.left_multiply(t_sk, omega)
+    rhs = right_multiply(jordan_calc, omega, nu.apply(t_sk))
     assert lhs == rhs
 
 

@@ -17,6 +17,7 @@ import pytest
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+import spbw.linalg
 from spbw.linalg import inverse, kernel_basis, solve
 from spbw.scalars import Scalar
 
@@ -258,3 +259,37 @@ def test_kernel_work_linear_on_one_entry_per_row(monkeypatch):
     hit = {c for row in rows for c, x in enumerate(row) if not x.is_zero()}
     assert len(kernel) == n - len(hit)
     assert muls <= 10 * n
+
+
+def test_single_entry_pivots_make_no_elimination_work(monkeypatch):
+    # a pivot row with no other entry only drops its column from the other
+    # rows: no inverse and no elimination factor inside _gauss_jordan
+    n = 60
+    rng = random.Random("single-entry")
+    rows = [{rng.randrange(n): random_entry(rng, 1)} for _ in range(2 * n)]
+    calls = {"inverse": 0, "__mul__": 0}
+    active = [False]
+    for attr in calls:
+        def counted(*args, _method=getattr(Scalar, attr), _attr=attr):
+            if active[0]:
+                calls[_attr] += 1
+            return _method(*args)
+        monkeypatch.setattr(Scalar, attr, counted)
+    gauss_jordan = spbw.linalg._gauss_jordan
+
+    def traced(*args):
+        active[0] = True
+        try:
+            return gauss_jordan(*args)
+        finally:
+            active[0] = False
+
+    monkeypatch.setattr(spbw.linalg, "_gauss_jordan", traced)
+    kernel = kernel_basis(rows, n, 1)
+    assert calls == {"inverse": 0, "__mul__": 0}
+    hit = sorted({c for row in rows for c in row})
+    free = [c for c in range(n) if c not in hit]
+    assert len(hit) < n - 5
+    # one unit vector per free column
+    assert [[c for c, x in enumerate(v) if not x.is_zero()] for v in kernel] == [[c] for c in free]
+    assert all(v[c].is_one() for v, c in zip(kernel, free))
