@@ -22,7 +22,7 @@ from itertools import combinations
 
 from .core import Presentation, SkewPoly, exponents_upto
 from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
-from .extended import AlgebraEndo, _lift_sigma, _require_lift_block, hypothesis_check
+from .extended import AlgebraEndo, HypothesisReport, _lift_sigma, _require_lift_block, hypothesis_check
 from .lincomb import LinComb, add_term, add_terms, sum_terms
 from .linalg import inverse, kernel_basis
 from .sampling import random_skew
@@ -873,11 +873,12 @@ class Calculus:
         )
 
 
-def build_calculus(P: Presentation, spec: CalculusSpec) -> Calculus:
+def build_calculus(P: Presentation, spec: CalculusSpec, hypotheses: HypothesisReport | None = None) -> Calculus:
     """Validate the spec, solve the frame coordinates, and verify that the
-    differential is compatible with every defining relation."""
+    differential is compatible with every defining relation.  A caller that
+    holds :func:`hypothesis_check` of P passes it as ``hypotheses``."""
     if spec.mode == THEOREM_MODE:
-        rep = hypothesis_check(P)
+        rep = hypothesis_check(P) if hypotheses is None else hypotheses
         if not rep.theorem_ok:
             raise ConfigError(
                 "plain-twist mode requires trivial pair relations and a fully "
@@ -900,11 +901,12 @@ def build_calculus(P: Presentation, spec: CalculusSpec) -> Calculus:
     return calc
 
 
-def theorem_spec(P: Presentation) -> CalculusSpec:
+def theorem_spec(P: Presentation, hypotheses: HypothesisReport | None = None) -> CalculusSpec:
     """The plain-twist calculus: one differential per generator, twists the
     coefficientwise lifts of :func:`extend_sigma` (the lifting hypotheses
-    checked once for all of them), all wedge constants one."""
-    _require_lift_block(P)
+    checked once for all of them, from ``hypotheses`` when given), all
+    wedge constants one."""
+    _require_lift_block(P, hypotheses)
     dgens = [DGen(P.names[i], P.gen(i), _lift_sigma(P, i)) for i in range(P.n)]
     for dg in dgens:
         if dg.twist.inverse is None:

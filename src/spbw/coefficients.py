@@ -162,9 +162,15 @@ class CoeffPoly(LinComb):
         return self._make({e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "CoeffPoly":
+        """The k-th power, k >= 0, by repeated squaring."""
         out = CoeffPoly({(0,) * self.nvars: Scalar.const(self.nparams, 1)}, self.nvars, self.nparams)
-        for _ in range(k):
-            out = out * self
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __repr__(self):

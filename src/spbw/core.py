@@ -10,7 +10,10 @@ live here:
   time, with pending coefficients merged per subword.  Out-of-order
   generator pairs are resolved with the pending words taken in decreasing
   (length, inversions) order, which every rewrite lowers, so each word is
-  rewritten once, with its coefficient complete; and
+  rewritten once, with its coefficient complete.  A pair that only
+  skew-commutes by a constant (``x_j x_i = d x_i x_j``, as in the quantum
+  plane and quantum affine spaces) moves a whole block ``x_j^a x_i^b`` in
+  one rewrite, with the factor ``d^(ab)``; and
 * a small-step oracle (:meth:`Presentation.normalize_atoms`) that rewrites a
   raw word of generator/coefficient atoms one redex at a time under a
   selectable strategy.  The diamond check compares the two maximal
@@ -22,8 +25,9 @@ the right factor with a constant coefficient goes straight to the memoized
 monomial product, scaled by the product of the two coefficients, without
 walking the left word; a zero factor gives zero before any loop, and
 scaling by the literal unit returns the product unchanged.  Each of these
-returns the terms the general loop would.  The walk inside
-:meth:`Presentation._mul_monomials` is unchanged.
+returns the terms the general loop would.  Inside
+:meth:`Presentation._mul_monomials` each rewrite still walks its
+coefficients past the left word, once per block.
 
 The presentation states its defining relations once.  The right side of
 each pair relation is stored as its tails (``Presentation.tails``), the
@@ -51,7 +55,7 @@ from .coefficients import (
 )
 from .errors import HypothesisError
 from .lincomb import LinComb, add_term, add_terms, render_sum, sum_terms
-from .scalars import Scalar
+from .scalars import Scalar, poly_one
 
 
 class SkewPoly(LinComb):
@@ -161,7 +165,23 @@ class Presentation:
             for j in range(i + 1, self.n):
                 if (i, j) not in self.tails:
                     raise ValueError(f"missing relation for pair ({self.names[j]}, {self.names[i]})")
+        # The constant d of each pure pair x_j x_i = d x_i x_j, whose blocks
+        # x_j^a x_i^b _mul_monomials moves in one step.  A block step sums a
+        # word's contributions in another order; every unreduced fraction
+        # stays as single steps leave it only when no word gets two (every
+        # pair is pure) or when no scalar has a parameter in its denominator.
+        # Otherwise single steps stay.
+        skew = {pair: t[0][0] for pair, t in self.tails.items() if len(t) == 1 and t[0][0].is_constant()}
+        self._skew = skew if len(skew) == len(self.tails) or self._polynomial_scalars() else {}
         self._mono_cache: dict = {}
+
+    def _polynomial_scalars(self) -> bool:
+        """Whether every scalar of the tails, of the sigma images and of the
+        delta images (and their twists) has a constant denominator."""
+        polys = [c for tails in self.tails.values() for c, _ in tails]
+        for m in self.sigma + self.delta + tuple(delta.twist for delta in self.delta):
+            polys.extend(m.images)
+        return all(s.den is poly_one(s.nparams) for p in polys for s in p.terms.values())
 
     # -- embeddings -------------------------------------------------------
 
@@ -275,11 +295,17 @@ class Presentation:
 
         Pending words map to their summed left coefficients, so equal words
         reached along different rewrite paths merge.  Each rewrite resolves
-        the leftmost inversion ``x_j x_i`` (j > i) by the stored relation;
-        every word it produces either has one inversion less at the same
-        length or is shorter.  Words are therefore taken in decreasing
-        (length, inversions) order from a heap, and a word is rewritten only
-        after every contribution to it has arrived."""
+        the leftmost inversion ``x_j x_i`` (j > i).  When its pair is a pure
+        skew-commutation ``x_j x_i = d x_i x_j`` with d a constant, the whole
+        block ``x_j^a x_i^b`` around it (the run of x_j ending at the
+        inversion, then the run of x_i starting there) becomes ``d^(ab)
+        x_i^b x_j^a`` in one step; this is exact because scalars are
+        central: sigma fixes them and delta kills them.  Any other pair
+        rewrites the one inversion by its stored tails.  Every word a
+        rewrite produces either has fewer inversions at the same length (ab
+        fewer for a block) or is shorter.  Words are therefore taken in
+        decreasing (length, inversions) order from a heap, and a word is
+        rewritten only after every contribution to it has arrived."""
         key = (e1, e2)
         cached = self._mono_cache.get(key)
         if cached is not None:
@@ -303,8 +329,21 @@ class Presentation:
             if pos is None:
                 acc[_pack(w, self.n)] = coeff
                 continue
-            pre, j, i, post = w[:pos], w[pos], w[pos + 1], w[pos + 2:]
-            for r, tail in self.tails[(i, j)]:
+            j, i = w[pos], w[pos + 1]
+            start, end = pos, pos + 2
+            d = self._skew.get((i, j))
+            if d is None:
+                tails = self.tails[(i, j)]
+            else:
+                # w[:pos + 1] is ordered, so its x_j all sit right before pos
+                while start and w[start - 1] == j:
+                    start -= 1
+                while end < len(w) and w[end] == i:
+                    end += 1
+                a, b = pos + 1 - start, end - pos - 1
+                tails = ((d ** (a * b), (i,) * b + (j,) * a),)
+            pre, post = w[:start], w[end:]
+            for r, tail in tails:
                 for c, pre2 in self.push_coeff_left(pre, r):
                     add(coeff * c, pre2 + tail + post)
         product = SkewPoly(acc, self.n)

@@ -284,9 +284,12 @@ def extend_sigma(P: Presentation, i: int) -> AlgebraEndo:
     return _lift_sigma(P, i)
 
 
-def _require_lift_block(P: Presentation):
-    """Raise unless the coefficient maps satisfy the lifting hypotheses."""
-    report = hypothesis_check(P)
+def _require_lift_block(P: Presentation, report: HypothesisReport | None = None):
+    """Raise unless the coefficient maps satisfy the lifting hypotheses, as
+    ``report`` (:func:`hypothesis_check` of P, made here when not given)
+    records them."""
+    if report is None:
+        report = hypothesis_check(P)
     if not report.proposition_ok:
         raise HypothesisError(
             "coefficient maps do not satisfy the lifting hypotheses: " + "; ".join(report.failures)

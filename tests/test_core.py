@@ -1,3 +1,4 @@
+import copy
 import sys
 from fractions import Fraction
 from math import comb, factorial
@@ -490,3 +491,107 @@ def test_weyl_monomial_product_still_calls_apply_endo(monkeypatch):
     monkeypatch.setattr(spbw.core, "apply_endo", counted)
     P.multiply(P.monomial((0, 3)), P.monomial((3, 0)))
     assert calls
+
+
+# -- block rewrites of skew-commuting pairs -------------------------------------------
+
+
+@st.composite
+def _skew_presentations(draw):
+    """A presentation on 2 to 4 generators whose pairs skew-commute by a
+    constant, except for some disjoint adjacent pairs (i, i+1) that carry a
+    constant tail, ``x_(i+1) x_i = d x_i x_(i+1) + r0``, as in weyl2.
+
+    Each tailed pair is a block with signs +1, -1 on its two members; every
+    other generator is a block of its own with sign +1.  A pair across two
+    blocks gets ``c ** (sign * sign)`` for one constant c per pair of
+    blocks, so that ``d(k, i) * d(k, i + 1) = 1`` for every generator k
+    outside a tailed pair (i, i + 1): that is what makes the overlaps
+    x_(i+1) x_i x_k resolve, and the presentation a PBW extension."""
+    n = draw(st.integers(2, 4))
+    ring = CoeffRing(params=("q", "q12", "q13"))
+    q = ring.param("q")
+    values = (ring.scalar(1), ring.scalar(-1), ring.scalar(Fraction(2, 3)), q, q.inverse(),
+              ring.param("q12") * ring.param("q13"))
+    block, sign, tailed = [], [], set()
+    i = 0
+    while i < n:
+        if i + 1 < n and draw(st.booleans()):
+            tailed.add((i, i + 1))
+            block += [len(tailed) + n, len(tailed) + n]
+            sign += [1, -1]
+            i += 2
+        else:
+            block.append(i)
+            sign.append(1)
+            i += 1
+    zero = tuple(ring.zero() for _ in range(n))
+    across = {}
+    rels = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (i, j) in tailed:
+                d, r0 = draw(st.sampled_from(values)), draw(st.sampled_from((-1, 1, Fraction(2, 3))))
+                rels[(i, j)] = Relation(ring.const(d), ring.const(r0), zero)
+                continue
+            c = across.setdefault((block[i], block[j]), draw(st.sampled_from(values)))
+            rels[(i, j)] = Relation(ring.const(c if sign[i] * sign[j] == 1 else c.inverse()), ring.zero(), zero)
+    sigma, delta = trivial_maps(ring, n)
+    P = Presentation(ring, tuple(f"x{k + 1}" for k in range(n)), sigma, delta, rels)
+    return P, {k for pair in tailed for k in pair}
+
+
+@st.composite
+def _skew_products(draw):
+    """A presentation and two ordered monomials.  The exponents are distinct
+    and above one, so a block x_j^a x_i^b has a != b and a wrong power of d
+    (such as a + b or max(a, b) in place of ab) shows; a member of a tailed
+    pair has exponent at most 2, because the oracle does not merge the
+    branches its tail opens, and the word has length at most 50."""
+    P, tailed = draw(_skew_presentations())
+    exps = draw(st.lists(st.integers(2, 25), min_size=2, max_size=4, unique=True).filter(lambda xs: sum(xs) <= 50))
+    slots = draw(st.permutations([(k, side) for k in range(P.n) for side in (0, 1)]))
+    e = [[0] * P.n, [0] * P.n]
+    for x, (k, side) in zip(exps, slots):
+        e[side][k] = min(x, 2) if k in tailed else x
+    return P, tuple(e[0]), tuple(e[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_skew_products())
+def test_block_rewrites_match_the_small_step_oracle(case):
+    P, e1, e2 = case
+    assert P.pbw_consistency_check(P.n).ok
+    got = P.multiply(P.monomial(e1), P.monomial(e2))
+    oracle = P.normalize_atoms(_expand(e1) + _expand(e2))
+    assert got == oracle
+    if len(P._skew) == len(P.tails):  # every product of monomials is one term
+        assert P.render(got) == P.render(oracle)
+    # the same stored fractions as one inversion at a time
+    single = copy.copy(P)
+    single._skew, single._mono_cache = {}, {}
+    assert _representation(got) == _representation(single._mul_monomials(e1, e2))
+
+
+def test_skew_commuting_block_is_one_rewrite(monkeypatch):
+    P = build_presentation(corpus_doc("qplane"))
+    callers = _count_walks(monkeypatch, P)
+    product = P.multiply(P.monomial((0, 20)), P.monomial((20, 0)))
+    assert callers == ["_mul_monomials"]
+    assert P.render(product) == "q^400*x1^20*x2^20"
+
+
+def test_pure_pairs_of_a_tailed_presentation_move_in_blocks(monkeypatch):
+    P = build_presentation(parse_presentation(WIDE_DOCS["weyl2"]))
+    callers = _count_walks(monkeypatch, P)
+    product = P.multiply(P.monomial((0, 0, 5, 0)), P.monomial((0, 4, 0, 0)))
+    assert callers == ["_mul_monomials"]
+    assert P.render(product) == "x2^4*x3^5"
+
+
+def test_skew_commuting_blocks_one_rewrite_per_pair(monkeypatch):
+    P = build_presentation(corpus_doc("qaffine3"))
+    callers = _count_walks(monkeypatch, P)
+    product = P.multiply(P.monomial((0, 0, 5)), P.multiply(P.monomial((0, 4, 0)), P.monomial((3, 0, 0))))
+    assert callers == ["_mul_monomials"] * 3  # x2^4 x1^3, then x3^5 x1^3, then x3^5 x2^4
+    assert P.render(product) == "q12^12*q13^15*q23^20*x1^3*x2^4*x3^5"
