@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 
 from .core import Presentation, SkewPoly, exponents_upto
 from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
@@ -118,9 +119,9 @@ class Calculus:
     twist nu in ``_volume`` (in any mode; the pipeline's volume stage
     compares it with the composite of the sigma maps in theorem mode),
     ``_d_word`` memoizes every word suffix it differentiates in ``_d_memo``
-    (with the suffix's normal form; connectedness fills it only when some
-    twist does not rescale, since a rescaling calculus builds that matrix by
-    a scalar recurrence), ``_nabla`` memoizes the transported
+    (with the suffix's normal form; connectedness never fills it, since it
+    builds its matrix by its own recurrence over the basis, with a table of
+    its own that lives for one call), ``_nabla`` memoizes the transported
     divergence of every basis functional it meets in ``_nabla_memo``,
     ``_basis_product`` memoizes the merged set and crossing factor of every
     pair of wedge basis sets in ``_basis_memo``, and
@@ -418,17 +419,27 @@ class Calculus:
         connected means dimension one (the constants).
 
         Column m of the matrix holds the coordinates of d(m) for each basis
-        monomial m.  When every twist rescales, ``nu_i(s) = c_(i,s) s``,
-        they come from a scalar recurrence over the basis.  Write m = s m'
-        with s the first frame symbol of m; then ``d(s m') = sum_i du_i
-        (B[s][i] m' + c_(i,s) s d_i(m'))``, as in :meth:`_d_word`.  Every
-        monomial of ``d_i(m')`` is m' with one symbol removed, so s sits at
-        or below each of its symbols and ``s`` times it is already a normal
-        monomial: the product is an exponent shift, exactly.  m' comes
-        before m in the basis order, so its coordinates are already known.
-        When the B term and a shifted term land on the same coordinate they
-        are added, and a zero sum is dropped.  A calculus with any other
-        twist differentiates each monomial with :meth:`d0`."""
+        monomial m, built by a recurrence over the basis with no call of
+        :meth:`d0`.  Write m = s m' with s the first frame symbol of m; then
+        ``d(s m') = sum_i du_i (B[s][i] m' + nu_i(s) d_i(m'))``, the twisted
+        product rule of :meth:`_d_word`.  m' comes before m in the basis
+        order, so its coordinates are already known, and s m' is m itself.
+
+        Each term ``c t^a`` of ``nu_i(s)`` times a monomial mu of ``d_i(m')``
+        is c times the word ``t^a mu``.  That word is already a normal
+        monomial, so the product is an exponent shift, exactly, in two
+        cases: the term has no generator (coefficient variables commute with
+        each other and stand left of every generator in a normal monomial),
+        or mu has no coefficient variable and no generator below the term's
+        generators (the word is then ordered).  A constant term leaves mu as
+        it is.  When twist i rescales, ``nu_i(s) = c_(i,s) s`` and every
+        monomial of ``d_i(m')`` is m' with one symbol removed, so s sits at or
+        below its symbols and every product is a shift by one.  Any other
+        product, such as ``x t`` under a shear ``x -> x + 2t`` on a
+        coordinate that holds t, is reduced by ``Presentation.multiply``.
+        When two terms land on the same coordinate they are added, and a
+        zero sum is dropped; the rows equal those built from :meth:`d0` of
+        each monomial entry for entry, as values."""
         basis = list(self._monomials_upto(degree_bound))
         rows = self._connectedness_rows(basis)
         kernel = kernel_basis(list(rows.values()), len(basis), self.P.ring.nparams)
@@ -447,31 +458,19 @@ class Calculus:
         """One sparse row per coordinate ``(i, expo)`` of d, the coefficient
         of ``du_i`` times the monomial with exponent ``expo`` (coefficient
         variables first), mapping each basis column to a nonzero Scalar."""
-        if all(dg.twist._scales is not None for dg in self.spec.dgens):
-            columns = self._rescaled_differentials(basis)
-        else:
-            columns = (self._d0_coordinates(tvec, e) for tvec, e in basis)
         rows = {}
-        for col, coords in enumerate(columns):
+        for col, coords in enumerate(self._basis_differentials(basis)):
             for key, s in coords.items():
                 rows.setdefault(key, {})[col] = s
         return rows
 
-    def _d0_coordinates(self, tvec, e) -> dict:
-        """The coordinates of ``d0(t^tvec x^e)``."""
-        df = self.d0(self.P.monomial(e, self.P.ring.monomial(tvec)))
-        return {
-            (S[0], tv + ev): s
-            for S, f in df.terms.items()
-            for ev, c in f.terms.items()
-            for tv, s in c.terms.items()
-        }
-
-    def _rescaled_differentials(self, basis) -> list:
+    def _basis_differentials(self, basis) -> list:
         """The coordinates of d of every basis monomial, by the recurrence of
         :meth:`connectedness_check`; the basis must list each monomial after
         the one it has without its first symbol."""
-        scales = [dg.twist._scales for dg in self.spec.dgens]
+        P = self.P
+        m = P.ring.nvars
+        images = [[self._image_terms(dg.twist, s) for s in range(self.nsyms)] for dg in self.spec.dgens]
         memo = {}  # exponent of a basis monomial -> its coordinates, in basis order
         for tvec, e in basis:
             expo = tvec + e
@@ -483,9 +482,39 @@ class Calculus:
                     if not b.is_zero():
                         coords[(i, rest)] = b
                 for (i, ex), v in memo[rest].items():
-                    add_term(coords, (i, ex[:s] + (ex[s] + 1,) + ex[s + 1:]), scales[i][s] * v)
+                    for c, a, top, k in images[i][s]:
+                        if top and any(ex[:top]):
+                            mu = P.monomial(ex[m:], P.ring.monomial(ex[:m]))
+                            product = P.multiply(P.monomial(a[m:], P.ring.monomial(a[:m])), mu)
+                            for ev, coeff in product.terms.items():
+                                for tv, w in coeff.terms.items():
+                                    add_term(coords, (i, tv + ev), c * w * v)
+                        elif k is not None:
+                            add_term(coords, (i, ex[:k] + (ex[k] + 1,) + ex[k + 1:]), c * v)
+                        else:
+                            add_term(coords, (i, ex if a is None else tuple(map(add, a, ex))), c * v)
             memo[expo] = coords
         return list(memo.values())
+
+    def _image_terms(self, twist: AlgebraEndo, s: int) -> list:
+        """``(c, a, top, k)`` for each term ``c t^a`` of ``twist.images[s]``
+        (a over the whole frame), read by :meth:`_basis_differentials`.  The
+        product of the term with a monomial that has no symbol below ``top``
+        is a shift: ``top`` is the highest symbol of a term with a generator
+        and 0 for any other term.  It is 0 for every term of a rescaling
+        twist too, whose own coordinate ``d_i(m')`` holds only m' with one
+        symbol removed, all at or above s.  ``k`` is the symbol of a term
+        that is one symbol to the first power, and None otherwise; a is None
+        for the constant term, which leaves the monomial as it is."""
+        out = []
+        for e, coeff in twist.images[s].terms.items():
+            for tvec, c in coeff.terms.items():
+                a = tvec + e
+                support = [j for j, x in enumerate(a) if x]
+                top = support[-1] if twist._scales is None and any(e) else 0
+                k = support[0] if len(support) == 1 and a[support[0]] == 1 else None
+                out.append((c, a if support else None, top, k))
+        return out
 
     # -- volume -------------------------------------------------------------------------
 

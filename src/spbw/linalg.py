@@ -2,7 +2,10 @@
 computation and for inverting frame-affine maps.
 
 A row is a dict from column index to a nonzero
-:class:`~spbw.scalars.Scalar`; a missing column is zero.  One Gauss-Jordan
+:class:`~spbw.scalars.Scalar`; a missing column is zero.  The entry points
+also take a dense sequence of Scalars, zeros included, and drop its zeros
+on the way in; a dict row is copied without that filter, because it holds
+no zero already.  The caller's rows are never modified.  One Gauss-Jordan
 elimination serves :func:`kernel_basis`, :func:`solve` and :func:`inverse`.
 Its pivot rule: for each column in order, the first unused row (in the
 given row order) with an entry there.  An update touches only the entries
@@ -21,10 +24,12 @@ from .scalars import Scalar
 
 
 def _sparse(row) -> dict:
-    """A fresh sparse copy of a row given as a dict or a dense sequence,
-    without its zero entries."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: x for c, x in items if not x.is_zero()}
+    """A fresh sparse copy of a row given as a dict or a dense sequence.  A
+    dict row holds no zero entry, so it is copied as it is; a dense row
+    loses its zeros."""
+    if isinstance(row, dict):
+        return dict(row)
+    return {c: x for c, x in enumerate(row) if not x.is_zero()}
 
 
 def _gauss_jordan(rows, ncols):
@@ -87,8 +92,8 @@ def _eliminate(rows, holders, p, col):
 def kernel_basis(rows, ncols, nparams):
     """Basis of the right kernel of the matrix (column-vector solutions).
 
-    ``rows`` is a list of rows, each a dict from column to Scalar or a dense
-    sequence of Scalars; the input is not modified.  Returns one dense
+    ``rows`` is a list of rows, each a dict from column to nonzero Scalar or
+    a dense sequence of Scalars; the input is not modified.  Returns one dense
     vector (a list of Scalars) per free column, in increasing order of that
     column, spanning ``{v : rows . v = 0}``.
     """

@@ -203,6 +203,24 @@ def _qaffine_doc(n):
 WIDE_DOCS = {"poly4": _poly_doc(4), "weyl2": _weyl2_doc(), "qaffine4": _qaffine_doc(4), "poly5": _poly_doc(5)}
 
 
+def _un2_product_doc(k):
+    """k commuting copies of ``un2``: copy c has ``x{2c} x{2c-1} = x{2c-1}
+    x{2c} + x{2c-1}`` and the shifted twist ``x{2c-1}: x{2c} -> x{2c} + 1``,
+    and every other pair commutes."""
+    n = 2 * k
+    tailed = [(c, c + 1) for c in range(1, n, 2)]
+    rels = "".join(
+        f"rel x{j} x{i} = x{i} x{j}{f' + x{i}' if (i, j) in tailed else ''}\n" for i, j in _pairs(n)
+    )
+    twists = "".join(f"twist x{i}: x{j} -> x{j} + 1\n" for i, j in tailed)
+    dgens = " ".join(f"x{i}" for i in range(1, n + 1))
+    return f"name un2x{k}\n{_gens(n)}{rels}calculus mode=flat\ndgens {dgens}\n{twists}"
+
+
+# products of 2 and 3 copies of un2: 4 and 6 symbols whose twists shift
+UN2_PRODUCT_DOCS = {"un2x2": _un2_product_doc(2), "un2x3": _un2_product_doc(3)}
+
+
 # -- the affine Ore grid ----------------------------------------------------------
 
 GRID_Q = ("1", "2", "-1", "q")

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 from dataclasses import replace
 from itertools import combinations
 
@@ -25,6 +26,7 @@ from spbw.ore import ore_document
 from spbw.pipeline import calculus_spec_from_doc, run_calculus_check, run_smooth
 
 from conftest import (
+    UN2_PRODUCT_DOCS,
     WIDE_DOCS,
     algebra_identity,
     compose,
@@ -466,8 +468,8 @@ def test_connectedness_at_stress_size():
     assert out.witnesses == ["[1]"]
 
 
-# The connectedness matrix of a calculus whose twists all rescale comes from
-# a scalar recurrence over the basis; d0 of each monomial stays its oracle.
+# The connectedness matrix comes from the twisted product rule run over the
+# basis, with no d0 call; d0 of each monomial stays its oracle.
 
 
 def _rescales(calc):
@@ -490,7 +492,6 @@ def _rows_through_d0(calc, basis):
 
 def _assert_rows_match_d0(make_calc, bound=6):
     calc = make_calc()
-    assert _rescales(calc)
     basis = list(calc._monomials_upto(bound))
     assert calc._connectedness_rows(basis) == _rows_through_d0(make_calc(), basis)
 
@@ -500,6 +501,17 @@ RESCALING = ("poly2", "poly3", "weyl", "qplane", "qaffine3") + tuple(WIDE_DOCS)
 
 @pytest.mark.parametrize("name", RESCALING)
 def test_rescaled_connectedness_rows_match_d0(name):
+    assert _rescales(run_calculus_check(_doc(name)))
+    _assert_rows_match_d0(lambda: run_calculus_check(_doc(name)))
+
+
+@pytest.mark.parametrize("name", ("un2", "jordan", "aq") + tuple(UN2_PRODUCT_DOCS))
+def test_twisted_connectedness_rows_match_d0(name):
+    # un2 and its products shift (x2 -> x2 + 1), jordan shears (x -> x + 2t)
+    # and aq swaps its coefficient variables.  Here the shifted and sheared
+    # images only meet zero coordinates: SHEARS, AFFINE_TWIST and the Ore
+    # grid reach a generator term times t and a constant term.
+    assert not _rescales(run_calculus_check(_doc(name)))
     _assert_rows_match_d0(lambda: run_calculus_check(_doc(name)))
 
 
@@ -509,36 +521,72 @@ def test_rescaled_connectedness_rows_match_d0_with_a_larger_kernel(jordan):
     assert build_calculus(jordan, theorem_spec(jordan)).connectedness_check(6).data["kernel_dimension"] == 7
 
 
-def test_rescaled_connectedness_rows_match_d0_on_ore_grid():
+def _ore_grid_calculi():
+    """A maker for each of the 56 compatible calculi of the Ore grid (28
+    members, with and without the wedge line)."""
     ring = CoeffRing(params=("q",), coeff_vars=("t",))
-    matched = 0
+    makers = []
     for qs, r, ps in grid():
         source = ore_document(ring, *grid_member(ring, qs, r, ps))
         for text in (source, without_wedge(source)):
             try:
-                calc = run_calculus_check(parse_presentation(text))
+                run_calculus_check(parse_presentation(text))
             except (MapError, CompatibilityError):
                 continue
-            if _rescales(calc):
-                _assert_rows_match_d0(lambda: run_calculus_check(parse_presentation(text)))
-                matched += 1
-    # of the 56 compatible calculi (28 members, with and without the wedge
-    # line), those whose twists all rescale
-    assert matched == 12
+            makers.append(lambda text=text: run_calculus_check(parse_presentation(text)))
+    return makers
+
+
+def test_rescaled_connectedness_rows_match_d0_on_ore_grid():
+    rescaling = [make for make in _ore_grid_calculi() if _rescales(make())]
+    for make in rescaling:
+        _assert_rows_match_d0(make)
+    assert len(rescaling) == 12
+
+
+def test_twisted_connectedness_rows_match_d0_on_ore_grid():
+    # the other 44 of the 56, where some twist does not rescale
+    twisted = [make for make in _ore_grid_calculi() if not _rescales(make())]
+    for make in twisted:
+        _assert_rows_match_d0(make)
+    assert len(twisted) == 44
 
 
 @pytest.mark.parametrize("name", ["poly5", "qaffine4", "un2", "jordan", "aq"])
-def test_connectedness_differentiates_only_without_rescaling(name):
+def test_connectedness_makes_no_d0_call(name):
     calc = run_calculus_check(_doc(name))
     calls = {"d0": 0}
     _counting(calc, calls)
     products = {"multiply": 0}
     _counting(calc.P, products)
     assert calc.connectedness_check(6).ok
-    if _rescales(calc):
-        assert calls == {"d0": 0} and products == {"multiply": 0}
-    else:
-        assert calls["d0"] == len(list(calc._monomials_upto(6)))
+    # every product with a twist term is a shift here, SHEARS below is not
+    assert calls == {"d0": 0} and products == {"multiply": 0}
+
+
+SHEARS = """name shears
+coeffs t
+gens x
+delta x: t -> t^2
+calculus mode=flat
+dgens t x
+twist t: x -> x + 2*t
+twist x: x -> x + 2*t
+"""
+
+
+def test_sheared_connectedness_rows_match_d0():
+    # The Jordan plane with the shear on du_x as well.  d_x of a power of x
+    # then holds t, and nu_x(x) = x + 2t meets it: x * t needs the relation.
+    # The calculus is compatible but fails d-squared, which connectedness
+    # does not need.
+    _assert_rows_match_d0(lambda: run_calculus_check(parse_presentation(SHEARS)))
+    calc = run_calculus_check(parse_presentation(SHEARS))
+    products = {"multiply": 0}
+    _counting(calc.P, products)
+    assert calc.connectedness_check(6).data["kernel_dimension"] == 1
+    # one reduction for each product that is not a shift
+    assert products == {"multiply": 10}
 
 
 SIGN_TWIST = """name sign
@@ -555,6 +603,41 @@ def test_rescaled_connectedness_drops_terms_that_cancel():
     rec = run_smooth(parse_presentation(SIGN_TWIST)).check("connectedness")
     assert (rec.status, rec.data) == ("fail", {"kernel_dimension": 4, "bound": 6})
     assert rec.witnesses == ["[1]", "[x^2]", "[x^4]", "[x^6]"]
+
+
+@pytest.mark.parametrize("bound", (2, 6, 10, 20))
+def test_sign_twist_kernel_grows_with_the_bound(bound):
+    # ker d is spanned by the even powers of x, so the bounded kernel holds
+    # the bound // 2 + 1 of them up to the bound
+    doc = parse_presentation(SIGN_TWIST + f"options conn_degree={bound}\n")
+    rec = run_smooth(doc).check("connectedness")
+    assert rec.data == {"kernel_dimension": bound // 2 + 1, "bound": bound}
+
+
+AFFINE_TWIST = """name affine
+gens x
+calculus mode=flat
+dgens x
+twist x: x -> -1*x + 1
+"""
+
+
+def test_affine_twist_connectedness_record():
+    # nu(x) = 1 - x does not rescale: its constant term copies d(x^(k-1))
+    # unshifted, so the kernel vectors mix degrees
+    rec = run_smooth(parse_presentation(AFFINE_TWIST)).check("connectedness")
+    assert (rec.status, rec.data) == ("fail", {"kernel_dimension": 4, "bound": 6})
+    assert rec.witnesses == ["[1]", "[x] + [x^2]", "[x] + [x^3] + [x^4]", "[x] + [x^3] + [x^5] + [x^6]"]
+
+
+@pytest.mark.parametrize("name", tuple(UN2_PRODUCT_DOCS))
+def test_un2_products_certify_within_budget(name):
+    start = time.perf_counter()
+    report = run_smooth(parse_presentation(UN2_PRODUCT_DOCS[name]))
+    elapsed = time.perf_counter() - start
+    assert report.verdict == "certified-smooth", report.failing
+    # about 0.01 s (4 symbols) and 0.03 s (6 symbols) on 2 CPUs with CPython 3.11
+    assert elapsed < 3.0
 
 
 # -- volume ---------------------------------------------------------------------------
@@ -924,7 +1007,10 @@ def _certificate_agrees(calc):
 
 
 def _doc(name):
-    return parse_presentation(WIDE_DOCS[name]) if name in WIDE_DOCS else corpus_doc(name)
+    for docs in (WIDE_DOCS, UN2_PRODUCT_DOCS):
+        if name in docs:
+            return parse_presentation(docs[name])
+    return corpus_doc(name)
 
 
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
