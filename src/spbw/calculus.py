@@ -129,11 +129,13 @@ class Calculus:
     verdicts in ``_generators_certified`` and ``_transport_certified``.  A
     passed integrability check is not recorded: the divergence checks take
     it as their ``integrable`` argument.  These and the memo tables of the
-    presentation (``_mono_cache``) and the twists (``_power_memo`` and
-    ``_monomial_memo``; a twist that rescales each symbol fills only the
-    latter, with scaled monomials) fill as it runs, so one calculus belongs
-    to one thread at a time.  A product with the literal unit element, in
-    ``Presentation.multiply``, returns the other factor itself."""
+    presentation (``_mono_cache``) and the twists and their stored inverses
+    (``_power_memo`` and ``_monomial_memo``; a map that rescales each symbol
+    fills only the latter, with scaled monomials; the transport certificate
+    applies each inverse to its twist's images and back) fill as it runs,
+    so one calculus belongs to one thread at a time.  A product with the
+    literal unit element, in ``Presentation.multiply``, returns the other
+    factor itself."""
 
     def __init__(self, P: Presentation, spec: CalculusSpec):
         self.P = P
@@ -568,9 +570,9 @@ class Calculus:
         :meth:`_generator_certificate`), and then checks:
 
         (c) every stored twist inverse respects every defining relation;
-        (d) ``theta_inv(N-1)(theta(N-1)(du_S f)) == du_S f`` and
-            ``theta(N-1)(theta_inv(N-1)(xi_j f)) == xi_j f`` for every S of
-            size N-1, every j, and f the unit and each frame symbol;
+        (d) ``nu_j^-1(nu_j(s)) == s`` and ``nu_j(nu_j^-1(s)) == s`` for every
+            j and every frame symbol s, applying the stored maps to the
+            twist images;
         (f) the expansion identity of :meth:`_integrability_sampled` on
             ``du_S s`` for every S of size N-1 (none when N = 1) and every
             frame symbol s;
@@ -581,14 +583,13 @@ class Calculus:
         verifies them on every relation) and by (c) so are the stored
         inverses; ``AlgebraEndo.apply`` multiplies the images in frame
         order, which is what any algebra map does to a normal monomial.  The
-        scalars ``e_k`` and ``w`` are central and fixed by every map.  At k =
-        N-1 each complement is one index j, so the round trips of (d) are
-        ``du_S nu_j^-1(nu_j(f))`` and ``xi_j nu_j(nu_j^-1(f))``: algebra maps
-        in f, which (d) makes the identity on the frame and hence on all of
-        A.  So every stored ``nu_j^-1`` is a two-sided inverse of nu_j, and
-        ``nu_C^-1``, applied in the opposite order, inverts ``nu_C`` for every
-        C.  By the formulas above ``theta(k)`` and ``theta_inv(k)`` are then
-        mutually inverse for every k, whatever the coefficients.
+        two composites of (d) are then algebra maps, which (d) makes the
+        identity on the frame and hence on all of A: every stored
+        ``nu_j^-1`` is a two-sided inverse of nu_j, and ``nu_C^-1``, applied
+        in the opposite order, inverts ``nu_C`` for every C.  The scalars
+        ``e_k`` and ``w`` are nonzero, central and fixed by every map, so by
+        the formulas above ``theta(k)`` and ``theta_inv(k)`` are mutually
+        inverse for every k, whatever the coefficients.
 
         theta is right A-linear, ``theta(k)(w a) = theta(k)(w) . a``,
         because nu_C is multiplicative: ``theta(k)(du_S f a) = xi_C e_k w(S,
@@ -645,20 +646,14 @@ class Calculus:
         )
 
     def _transport_round_trips(self) -> bool:
-        """(d) of :meth:`_transport_certificate`."""
-        N = self.N
-        coeffs = (self.P.one(),) + self.P.frame()
-        for S in combinations(range(N), N - 1):
-            for f in coeffs:
-                form = self.form(S, f)
-                if self.theta_inv(N - 1, self.theta(N - 1, form)) != form:
-                    return False
-        for j in range(N):
-            for f in coeffs:
-                phi = IntegralForm(1, {(j,): f})
-                if self.theta(N - 1, self.theta_inv(N - 1, phi)) != phi:
-                    return False
-        return True
+        """(d) of :meth:`_transport_certificate`: each stored inverse undoes
+        its twist on every frame symbol, from both sides."""
+        frame = self.P.frame()
+        return all(
+            twist.inverse.apply(twist.images[s]) == sym and twist.apply(twist.inverse.images[s]) == sym
+            for twist in (dg.twist for dg in self.spec.dgens)
+            for s, sym in enumerate(frame)
+        )
 
     def _expansion_on_generators(self) -> bool:
         """(f) of :meth:`_transport_certificate`."""

@@ -129,7 +129,9 @@ def _stage_volume(run: _Run) -> CheckOutcome:
 def _is_sigma_composite(P: Presentation, nu: AlgebraEndo) -> bool:
     """Whether nu is sigma_0 o sigma_1 o ... o sigma_(n-1) on every
     coefficient variable, sigma_(n-1) applied first, and fixes every
-    generator."""
+    generator.  Compatibility asks ``nu_i(sigma_i(c)) = c`` of the lift
+    nu_i, so a sigma that moves a coefficient variable reaches here when it
+    is an involution."""
     m = P.ring.nvars
     for j in range(m):
         image = P.ring.var(j)

@@ -2,7 +2,7 @@ import random
 import sys
 import time
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -630,6 +630,82 @@ def test_affine_twist_connectedness_record():
     assert rec.witnesses == ["[1]", "[x] + [x^2]", "[x] + [x^3] + [x^4]", "[x] + [x^3] + [x^5] + [x^6]"]
 
 
+MIXED_SCALES = """name mixed
+gens x1 x2
+rel x2 x1 = x1 x2
+calculus mode=flat
+dgens x1 x2
+twist x1: x1 -> -1*x1
+twist x2: x2 -> 2*x2
+"""
+
+
+def _closed_form_kernel(calc, bound):
+    """The dimension of ker d up to the bound that the closed form predicts
+    for a calculus whose twists all rescale and whose potentials are each a
+    scalar times one frame symbol.
+
+    Then ``d(x^a) = sum_i du_i k_i(a) x^(a - e_i)``, where ``k_i(a)`` is a
+    product of scales times the q-integer ``[a_s]_c = 1 + c + ... +
+    c^(a_s - 1)``, s the potential's symbol and c the scale of twist i on
+    s.  Different exponents a meet different coordinates, so the kernel is
+    spanned by the monomials whose q-integers all vanish.  Over Q(params)
+    ``[a]_c = 0`` only when c = -1 and a is even; a symbol with no
+    potential lies in the kernel outright.  So the count is that of the
+    exponents up to the bound supported on the symbols with no potential
+    or with own scale -1, with every exponent of the latter even."""
+    free, even = [], []
+    for s, row in enumerate(calc._dcoords):
+        if row is None:
+            free.append(s)
+            continue
+        (i,) = [i for i, b in enumerate(row) if not b.is_zero()]
+        scales = calc.spec.dgens[i].twist._scales
+        assert scales is not None
+        if scales[s] == calc.P.ring.scalar(-1):
+            even.append(s)
+    steps = [range(bound + 1)] * len(free) + [range(0, bound + 1, 2)] * len(even)
+    return sum(1 for a in product(*steps) if sum(a) <= bound)
+
+
+def _assert_closed_form_kernel(calc):
+    for bound in (6, 10, 14):
+        assert calc.connectedness_check(bound).data["kernel_dimension"] == _closed_form_kernel(calc, bound)
+
+
+@pytest.mark.parametrize("name", RESCALING)
+def test_closed_form_kernel_on_rescaling_calculi(name):
+    _assert_closed_form_kernel(run_calculus_check(_doc(name)))
+
+
+@pytest.mark.parametrize("text", (SIGN_TWIST, MIXED_SCALES), ids=("sign", "mixed"))
+def test_closed_form_kernel_with_a_scale_of_minus_one(text):
+    calc = run_calculus_check(parse_presentation(text))
+    assert [_closed_form_kernel(calc, bound) for bound in (6, 10, 14)] == [4, 6, 8]
+    _assert_closed_form_kernel(calc)
+
+
+def test_closed_form_kernel_without_a_potential(jordan):
+    # plain-twist mode over F[t]: t has no differential
+    calc = build_calculus(jordan, theorem_spec(jordan))
+    assert [_closed_form_kernel(calc, bound) for bound in (6, 10, 14)] == [7, 11, 15]
+    _assert_closed_form_kernel(calc)
+
+
+def test_closed_form_kernel_on_ore_grid():
+    rescaling = [calc for calc in (make() for make in _ore_grid_calculi()) if _rescales(calc)]
+    assert len(rescaling) == 12
+    for calc in rescaling:
+        _assert_closed_form_kernel(calc)
+
+
+def test_mixed_scales_connectedness_record():
+    # only x1's own scale is -1, so the kernel holds the even powers of x1
+    rec = run_smooth(parse_presentation(MIXED_SCALES)).check("connectedness")
+    assert (rec.status, rec.data) == ("fail", {"kernel_dimension": 4, "bound": 6})
+    assert rec.witnesses == ["[1]", "[x1^2]", "[x1^4]", "[x1^6]"]
+
+
 @pytest.mark.parametrize("name", tuple(UN2_PRODUCT_DOCS))
 def test_un2_products_certify_within_budget(name):
     start = time.perf_counter()
@@ -939,6 +1015,51 @@ def test_volume_twist_off_the_sigma_composite_fails_volume(monkeypatch):
     assert (rec.status, rec.data) == ("fail", {"matches_sigma_composition": False})
 
 
+SIGN_SIGMA = """name signsigma
+coeffs t
+gens x1
+sigma x1: t -> -1*t
+calculus mode=theorem
+"""
+
+
+def test_volume_follows_a_sigma_that_moves_a_coefficient_variable():
+    """Compatibility asks ``nu_1(sigma_1(t)) = t`` of the plain twist, the
+    lift of sigma_1, so a sigma that moves t reaches the volume stage when
+    it is an involution.  nu then sends t to -t, as the composite does."""
+    doc = parse_presentation(SIGN_SIGMA)
+    rec = run_smooth(doc).check("volume")
+    assert (rec.status, rec.data) == ("pass", {"matches_sigma_composition": True})
+    calc = run_calculus_check(doc)
+    t = calc.P.from_coeff(calc.P.ring.var(0))
+    assert calc.volume().images[0] == -t
+
+
+def _inverse_sigma_on_t(P, spec):
+    """The first twist with t sent to sigma_1^-1(t) = t/2 and its stored
+    inverse with t sent to 2t, unchecked: compatibility then holds for
+    ``sigma x1: t -> 2*t``, which the lift of sigma_1 fails."""
+    dg = spec.dgens[0]
+    t = P.from_coeff(P.ring.var(0))
+
+    def at_t(images, c):
+        return [t.scale(c)] + list(images[1:])
+
+    two = P.ring.scalar(2)
+    inv = AlgebraEndo(P, at_t(dg.twist.inverse.images, two), check=False)
+    twist = AlgebraEndo(P, at_t(dg.twist.images, two.inverse()), inverse=inv, check=False)
+    return replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:])
+
+
+def test_volume_twist_off_the_sigma_composite_on_t_fails_volume(monkeypatch):
+    _mutated_spec(monkeypatch, _inverse_sigma_on_t)
+    doc = parse_presentation(SIGN_SIGMA.replace("-1*t", "2*t"))
+    report = run_smooth(doc)
+    assert _status(report, "compatibility") == "pass"
+    rec = report.check("volume")
+    assert (rec.status, rec.data) == ("fail", {"matches_sigma_composition": False})
+
+
 def _count_calls(monkeypatch, fn):
     """Rebind ``fn`` at every spbw module that binds it, as the benchmark's
     tracer does, to a wrapper that counts its calls."""
@@ -1114,12 +1235,30 @@ def test_a_stored_inverse_that_breaks_a_relation_fails_the_certificate(qplane):
     assert build_calculus(qplane, qplane_flat_spec(qplane))._inverses_are_algebra_maps()
 
 
+def test_a_stored_inverse_that_does_not_undo_its_twist_fails_the_certificate(qplane):
+    """(d) of the certificate on its own: the stored inverse of the x1 twist
+    is the identity, an algebra map that leaves ``nu_1(x2) = q x2`` as it
+    is."""
+    spec = qplane_flat_spec(qplane)
+    dg = spec.dgens[0]
+    identity = AlgebraEndo(qplane, qplane.frame(), check=False)
+    twist = AlgebraEndo(qplane, dg.twist.images, inverse=identity, check=False)
+    calc = build_calculus(qplane, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
+    assert calc._generator_certificate()
+    assert calc._inverses_are_algebra_maps()
+    assert not calc._transport_round_trips()
+    assert not calc._transport_certificate()
+    assert build_calculus(qplane, qplane_flat_spec(qplane))._transport_round_trips()
+
+
 # -- what the certificate derives instead of checking ----------------------------------------------
 #
-# The certificate runs its round trips in degree N-1 only, and the expansion
-# identity only on (N-1)-forms.  The rest follows from the per-degree signs
-# and crossing factors of ``theta`` and ``theta_inv``, which belong to the
-# code; these tests pin them in every degree on every calculus that passes.
+# The certificate runs no transport round trip: (d) inverts the twists on
+# the frame, and the expansion identity runs only on (N-1)-forms.  That the
+# transports undo each other in every degree follows from the per-degree
+# signs and crossing factors of ``theta`` and ``theta_inv``, which belong to
+# the code; these tests pin them in every degree on every calculus that
+# passes.
 
 
 def _transport_holds_in_every_degree(calc):
@@ -1161,13 +1300,14 @@ def test_transport_inverts_in_every_degree_on_ore_grid():
 
 
 @pytest.mark.parametrize("name", ["poly5", "qaffine4"])
-def test_certificate_round_trips_and_expands_in_degree_n_minus_one_only(name):
-    """A passing certificate transports in degree N-1 (and in degree N
-    inside the bottom divergence of (g)), expands only (N-1)-forms, and
-    still multiplies forms on the left."""
+def test_certificate_transports_only_inside_the_bottom_divergence(name):
+    """A passing certificate transports only inside the bottom divergence
+    of (g): ``theta`` in degree N and ``theta_inv`` in degree N-1.  It
+    expands only (N-1)-forms, multiplies forms on the left in (f) and
+    differentiates forms in (g)."""
     calc = run_calculus_check(_doc(name))
     N = calc.N
-    calls = {"left_multiply": 0}
+    calls = {"left_multiply": 0, "differential": 0}
     _counting(calc, calls)
     seen = {"theta": set(), "theta_inv": set(), "_expands": set()}
     for attr, degrees in seen.items():
@@ -1176,9 +1316,8 @@ def test_certificate_round_trips_and_expands_in_degree_n_minus_one_only(name):
             return _method(first, second)
         setattr(calc, attr, recorded)
     assert calc._transport_certificate()
-    assert N - 1 in seen["theta"] and seen["theta"] <= {N - 1, N}
-    assert seen["theta_inv"] == seen["_expands"] == {N - 1}
-    assert calls["left_multiply"] > 0
+    assert seen == {"theta": {N}, "theta_inv": {N - 1}, "_expands": {N - 1}}
+    assert calls["left_multiply"] > 0 and calls["differential"] > 0
 
 
 def _theta_by_definition(calc, k, w):
