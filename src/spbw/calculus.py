@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from operator import add
 
+from .coefficients import CoeffPoly
 from .core import Presentation, SkewPoly, exponents_upto
 from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
 from .extended import AlgebraEndo, HypothesisReport, _lift_sigma, _require_lift_block, hypothesis_check
@@ -110,6 +111,24 @@ def _require_integrable(integrable: bool):
         raise ConfigError("divergence transport requested without an integrability certificate")
 
 
+def _image_terms(twist: AlgebraEndo, s: int) -> list:
+    """``(c, a, top, k)`` for each term ``c t^a`` of ``twist.images[s]`` (a
+    over the whole frame, None for the constant term), read by
+    :meth:`Calculus._d_step`: its product with a monomial that has no symbol
+    below ``top`` is a shift.  ``top`` is the highest symbol of a term with a
+    generator under a twist that does not rescale, and 0 otherwise; ``k`` is
+    the symbol of a term that is one symbol to the first power, else None."""
+    out = []
+    for e, coeff in twist.images[s].terms.items():
+        for tvec, c in coeff.terms.items():
+            a = tvec + e
+            support = [j for j, x in enumerate(a) if x]
+            top = support[-1] if twist._scales is None and any(e) else 0
+            k = support[0] if len(support) == 1 and a[support[0]] == 1 else None
+            out.append((c, a if support else None, top, k))
+    return out
+
+
 class Calculus:
     """Built and compatibility-checked context: :func:`build_calculus`
     returns one only when d respects every defining relation.
@@ -118,10 +137,11 @@ class Calculus:
     but the calculus records what it learns: ``volume()`` keeps the volume
     twist nu in ``_volume`` (in any mode; the pipeline's volume stage
     compares it with the composite of the sigma maps in theorem mode),
-    ``_d_word`` memoizes every word suffix it differentiates in ``_d_memo``
-    (with the suffix's normal form; connectedness never fills it, since it
-    builds its matrix by its own recurrence over the basis, with a table of
-    its own that lives for one call), ``_nabla`` memoizes the transported
+    ``_d_monomial`` memoizes the coordinates of d of every normal monomial
+    it meets in ``_d_memo``, keyed by its frame exponent (``d0``,
+    compatibility and the connectedness matrix all read d from there, and
+    the terms of the twist images it steps with are read once, into
+    ``_twist_terms``), ``_nabla`` memoizes the transported
     divergence of every basis functional it meets in ``_nabla_memo``,
     ``_basis_product`` memoizes the merged set and crossing factor of every
     pair of wedge basis sets in ``_basis_memo``, and
@@ -143,7 +163,8 @@ class Calculus:
         self.N = len(spec.dgens)
         self.nsyms = P.ring.nvars + P.n
         self._dcoords = None  # per symbol: tuple of N Scalars, or None row
-        self._d_memo = {(): (P.one(), {})}  # suffix word -> (normal form, d terms)
+        self._d_memo = {(0,) * self.nsyms: {}}  # frame exponent -> coordinates of d
+        self._twist_terms = [[_image_terms(dg.twist, s) for s in range(self.nsyms)] for dg in spec.dgens]
         self._nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
         self._basis_memo: dict = {}  # (S, T) -> du_S ^ du_T as (merged set, factor), or None
         self._one = P.ring.sone()
@@ -247,50 +268,86 @@ class Calculus:
         return DiffForm(acc)
 
     def d0(self, f: SkewPoly) -> DiffForm:
-        """Differential of a degree-zero element via the product-rule word
-        expansion, normalized to right-coefficient form."""
+        """Differential of a degree-zero element: the scalar-weighted sum of
+        the memoized differentials of its normal monomials.  A weight of
+        value one, literal or not (such as ``q/q``), is not multiplied in."""
         acc: dict = {}
         for e, c in f.terms.items():
             for tvec, s in c.terms.items():
-                word = []
-                for j, k in enumerate(tvec):
-                    word.extend([j] * k)
-                for i, k in enumerate(e):
-                    word.extend([self.P.ring.nvars + i] * k)
-                add_terms(acc, self._d_word(word, s).terms)
-        return DiffForm(acc)
+                coords = self._d_monomial(tvec + e)
+                if s.is_one():
+                    add_terms(acc, coords)
+                else:
+                    for key, v in coords.items():
+                        add_term(acc, key, v * s)
+        return self._form(acc)
 
-    def _d_word(self, word, weight: Scalar) -> DiffForm:
-        """``weight * d(word)`` for a word of frame symbols, in any order.
-
-        Suffixes are differentiated right to left by the twisted product rule
-        ``d(s w) = sum_i du_i (B[s][i] w + nu_i(s) d_i(w))``, with ``B[s]`` the
-        dcoords row of symbol s and ``d_i`` the du_i component.  Every suffix
-        met is memoized with its normal form, so each symbol left of the
-        longest memoized suffix costs at most N + 1 products, and a word met
-        again costs none."""
+    def _form(self, coords: dict) -> DiffForm:
+        """The one-form with coordinates ``coords``: ``(i, expo)`` maps to
+        the coefficient of ``du_i`` times the normal monomial with frame
+        exponent ``expo`` (coefficient variables first)."""
         P = self.P
+        m = P.ring.nvars
+        terms: dict = {}
+        for (i, expo), v in coords.items():
+            terms.setdefault(i, {}).setdefault(expo[m:], {})[expo[:m]] = v
+        return DiffForm({
+            (i,): SkewPoly({e: CoeffPoly(c, m, P.ring.nparams) for e, c in poly.items()}, P.n)
+            for i, poly in terms.items()
+        })
+
+    def _d_monomial(self, expo) -> dict:
+        """The coordinates of d of the normal monomial with frame exponent
+        ``expo``, memoized in ``_d_memo``: peeled one first symbol at a time
+        down to the longest memoized suffix, then built back up by
+        :meth:`_d_step`, with no recursion."""
         memo = self._d_memo
-        word = tuple(word)
-        start = next(p for p in range(len(word) + 1) if word[p:] in memo)
-        form, dw = memo[word[start:]]
-        for p in range(start - 1, -1, -1):
-            s = word[p]
-            acc: dict = {}
-            row = self._dcoords[s]
-            if row is not None and not form.is_zero():
-                for i, b in enumerate(row):
-                    if not b.is_zero():
-                        acc[(i,)] = form.scale(b)
-            for (i,), g in dw.items():
-                moved = P.multiply(self.spec.dgens[i].twist.images[s], g)
-                if not moved.is_zero():
-                    add_term(acc, (i,), moved)
-            form, dw = P.multiply(P.symbol(s), form), acc
-            memo[word[p:]] = (form, dw)
-        if weight.is_one():
-            return DiffForm(dw)
-        return DiffForm({S: g.scale(weight) for S, g in dw.items()})
+        pending = []
+        target = expo
+        while expo not in memo:
+            s = next(k for k, a in enumerate(expo) if a)
+            rest = expo[:s] + (expo[s] - 1,) + expo[s + 1:]
+            pending.append((expo, s, rest))
+            expo = rest
+        for e, s, rest in reversed(pending):
+            memo[e] = self._d_step(s, rest, memo[rest])
+        return memo[target]
+
+    def _d_step(self, s: int, rest, coords: dict) -> dict:
+        """The coordinates of ``d(s m')``, m' the normal monomial with
+        exponent ``rest`` and coordinates ``coords``, by the twisted product
+        rule ``d(s m') = sum_i du_i (B[s][i] m' + nu_i(s) d_i(m'))``, with
+        ``B[s]`` the dcoords row of s and ``d_i`` the du_i component.
+
+        A term ``c t^a`` of ``nu_i(s)`` times a monomial mu of ``d_i(m')`` is
+        c times the word ``t^a mu``, an exponent shift exactly when that word
+        is normal: when the term has no generator (coefficient variables
+        commute and stand left of every generator), or mu has no coefficient
+        variable and no generator below the term's.  When twist i rescales,
+        ``nu_i(s) = c_(i,s) s``, and if s is the first symbol of s m', every
+        monomial of ``d_i(m')`` is m' with one symbol removed, at or above s,
+        so every product is a shift.  Any other product, such as ``x t``
+        under a shear ``x -> x + 2t``, is reduced by ``Presentation.multiply``.
+        Terms that land on one coordinate are added, and a zero sum dropped."""
+        P = self.P
+        m = P.ring.nvars
+        out = {}
+        for i, b in enumerate(self._dcoords[s] or ()):
+            if not b.is_zero():
+                out[(i, rest)] = b
+        for (i, ex), v in coords.items():
+            for c, a, top, k in self._twist_terms[i][s]:
+                if top and any(ex[:top]):
+                    mu = P.monomial(ex[m:], P.ring.monomial(ex[:m]))
+                    product = P.multiply(P.monomial(a[m:], P.ring.monomial(a[:m])), mu)
+                    for ev, coeff in product.terms.items():
+                        for tv, w in coeff.terms.items():
+                            add_term(out, (i, tv + ev), c * w * v)
+                elif k is not None:
+                    add_term(out, (i, ex[:k] + (ex[k] + 1,) + ex[k + 1:]), c * v)
+                else:
+                    add_term(out, (i, ex if a is None else tuple(map(add, a, ex))), c * v)
+        return out
 
     def differential(self, a: DiffForm) -> DiffForm:
         """Degree-one map: ``d(du_S f) = (-1)^{|S|} du_S ^ d(f)``."""
@@ -304,10 +361,16 @@ class Calculus:
 
     def _check_compatibility(self):
         """d applied along both sides of every defining relation must agree;
-        otherwise no product-rule extension of d exists."""
+        otherwise no product-rule extension of d exists.
+
+        The word side of relation ``a*b`` is one :meth:`_d_step` with s = a
+        and m' the symbol b, exact although ``a b`` is out of order because
+        each ``d_i(b)`` is a constant: ``nu_i(a) d_i(b)`` is a scalar times
+        ``nu_i(a)``."""
         P = self.P
-        for label, word, normal in P.defining_relations():
-            residual = self._d_word(word, P.ring.sone()) - self.d0(normal)
+        for label, (a, b), normal in P.defining_relations():
+            rest = tuple(int(k == b) for k in range(self.nsyms))
+            residual = self._form(self._d_step(a, rest, self._d_monomial(rest))) - self.d0(normal)
             if not residual.is_zero():
                 text = self.render_form(residual)
                 raise CompatibilityError(
@@ -421,27 +484,9 @@ class Calculus:
         connected means dimension one (the constants).
 
         Column m of the matrix holds the coordinates of d(m) for each basis
-        monomial m, built by a recurrence over the basis with no call of
-        :meth:`d0`.  Write m = s m' with s the first frame symbol of m; then
-        ``d(s m') = sum_i du_i (B[s][i] m' + nu_i(s) d_i(m'))``, the twisted
-        product rule of :meth:`_d_word`.  m' comes before m in the basis
-        order, so its coordinates are already known, and s m' is m itself.
-
-        Each term ``c t^a`` of ``nu_i(s)`` times a monomial mu of ``d_i(m')``
-        is c times the word ``t^a mu``.  That word is already a normal
-        monomial, so the product is an exponent shift, exactly, in two
-        cases: the term has no generator (coefficient variables commute with
-        each other and stand left of every generator in a normal monomial),
-        or mu has no coefficient variable and no generator below the term's
-        generators (the word is then ordered).  A constant term leaves mu as
-        it is.  When twist i rescales, ``nu_i(s) = c_(i,s) s`` and every
-        monomial of ``d_i(m')`` is m' with one symbol removed, so s sits at or
-        below its symbols and every product is a shift by one.  Any other
-        product, such as ``x t`` under a shear ``x -> x + 2t`` on a
-        coordinate that holds t, is reduced by ``Presentation.multiply``.
-        When two terms land on the same coordinate they are added, and a
-        zero sum is dropped; the rows equal those built from :meth:`d0` of
-        each monomial entry for entry, as values."""
+        monomial m, read from the memo of :meth:`_d_monomial` with no call
+        of :meth:`d0`; the basis lists m' before m = s m', so each monomial
+        not met yet costs one :meth:`_d_step`."""
         basis = list(self._monomials_upto(degree_bound))
         rows = self._connectedness_rows(basis)
         kernel = kernel_basis(list(rows.values()), len(basis), self.P.ring.nparams)
@@ -461,62 +506,11 @@ class Calculus:
         of ``du_i`` times the monomial with exponent ``expo`` (coefficient
         variables first), mapping each basis column to a nonzero Scalar."""
         rows = {}
-        for col, coords in enumerate(self._basis_differentials(basis)):
-            for key, s in coords.items():
+        for col, (tvec, e) in enumerate(basis):
+            for key, s in self._d_monomial(tvec + e).items():
                 rows.setdefault(key, {})[col] = s
         return rows
 
-    def _basis_differentials(self, basis) -> list:
-        """The coordinates of d of every basis monomial, by the recurrence of
-        :meth:`connectedness_check`; the basis must list each monomial after
-        the one it has without its first symbol."""
-        P = self.P
-        m = P.ring.nvars
-        images = [[self._image_terms(dg.twist, s) for s in range(self.nsyms)] for dg in self.spec.dgens]
-        memo = {}  # exponent of a basis monomial -> its coordinates, in basis order
-        for tvec, e in basis:
-            expo = tvec + e
-            coords = {}
-            s = next((k for k, a in enumerate(expo) if a), None)
-            if s is not None:
-                rest = expo[:s] + (expo[s] - 1,) + expo[s + 1:]
-                for i, b in enumerate(self._dcoords[s] or ()):
-                    if not b.is_zero():
-                        coords[(i, rest)] = b
-                for (i, ex), v in memo[rest].items():
-                    for c, a, top, k in images[i][s]:
-                        if top and any(ex[:top]):
-                            mu = P.monomial(ex[m:], P.ring.monomial(ex[:m]))
-                            product = P.multiply(P.monomial(a[m:], P.ring.monomial(a[:m])), mu)
-                            for ev, coeff in product.terms.items():
-                                for tv, w in coeff.terms.items():
-                                    add_term(coords, (i, tv + ev), c * w * v)
-                        elif k is not None:
-                            add_term(coords, (i, ex[:k] + (ex[k] + 1,) + ex[k + 1:]), c * v)
-                        else:
-                            add_term(coords, (i, ex if a is None else tuple(map(add, a, ex))), c * v)
-            memo[expo] = coords
-        return list(memo.values())
-
-    def _image_terms(self, twist: AlgebraEndo, s: int) -> list:
-        """``(c, a, top, k)`` for each term ``c t^a`` of ``twist.images[s]``
-        (a over the whole frame), read by :meth:`_basis_differentials`.  The
-        product of the term with a monomial that has no symbol below ``top``
-        is a shift: ``top`` is the highest symbol of a term with a generator
-        and 0 for any other term.  It is 0 for every term of a rescaling
-        twist too, whose own coordinate ``d_i(m')`` holds only m' with one
-        symbol removed, all at or above s.  ``k`` is the symbol of a term
-        that is one symbol to the first power, and None otherwise; a is None
-        for the constant term, which leaves the monomial as it is."""
-        out = []
-        for e, coeff in twist.images[s].terms.items():
-            for tvec, c in coeff.terms.items():
-                a = tvec + e
-                support = [j for j, x in enumerate(a) if x]
-                top = support[-1] if twist._scales is None and any(e) else 0
-                k = support[0] if len(support) == 1 and a[support[0]] == 1 else None
-                out.append((c, a if support else None, top, k))
-        return out
 
     # -- volume -------------------------------------------------------------------------
 

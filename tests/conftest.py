@@ -1,8 +1,9 @@
 """Shared fixtures: hand-built presentations used across the test suite,
-three oracles (exact univariate division, the sampled twisted product rule
-for the lifted derivations, and d on both sides of every defining
-relation), composition and the identity of extension endomorphisms, the
-wide documents, and the grid of affine Ore members."""
+four oracles (exact univariate division, the sampled twisted product rule
+for the lifted derivations, d of a word position by position, and d on
+both sides of every defining relation), composition and the identity of
+extension endomorphisms, the wide documents, and the grid of affine Ore
+members."""
 
 from __future__ import annotations
 
@@ -10,9 +11,11 @@ import random
 
 import pytest
 
+from spbw.calculus import DiffForm
 from spbw.coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation, apply_sder
 from spbw.core import Presentation, Relation, SkewPoly
 from spbw.extended import AlgebraEndo
+from spbw.lincomb import add_terms
 from spbw.sampling import random_skew  # re-exported for tests
 
 
@@ -51,10 +54,38 @@ def algebra_identity(P):
     return AlgebraEndo(P, frame, inverse=AlgebraEndo(P, frame, check=False), check=False)
 
 
-def d_respects_relations(calc):
-    """Whether d of the two sides of every defining relation agrees."""
+def word_element(P, word):
+    """The element of a word of frame symbols, normalized from its atoms."""
+    m = P.ring.nvars
+    return P.normalize([(1, [s - m if s >= m else P.ring.var(s) for s in word])])
+
+
+def d_word_by_positions(calc, word, weight):
+    """``weight * d(word)`` by the product rule position by position: the
+    prefix and suffix of each symbol are normalized from their atoms, and
+    the prefix is pushed through the twist of each du_i it meets.  It
+    shares no code with the calculus's own differential."""
     P = calc.P
-    return all(calc._d_word(word, P.ring.sone()) == calc.d0(normal) for _, word, normal in P.defining_relations())
+    acc: dict = {}
+    for p, sym in enumerate(word):
+        row = calc._dcoords[sym]
+        if row is None:
+            continue
+        pre, post = word_element(P, word[:p]), word_element(P, word[p + 1:])
+        for i, coeff in enumerate(row):
+            if not coeff.is_zero():
+                moved = P.multiply(calc.spec.dgens[i].twist.apply(pre), post).scale(coeff * weight)
+                add_terms(acc, calc.form((i,), moved).terms)
+    return DiffForm(acc)
+
+
+def d_respects_relations(calc):
+    """Whether d of the two sides of every defining relation agrees: the
+    word side by positions, the normal form by ``d0``."""
+    P = calc.P
+    return all(
+        d_word_by_positions(calc, word, P.ring.sone()) == calc.d0(normal) for _, word, normal in P.defining_relations()
+    )
 
 
 def right_multiply(calc, form, a):

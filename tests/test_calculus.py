@@ -31,6 +31,7 @@ from conftest import (
     algebra_identity,
     compose,
     d_respects_relations,
+    d_word_by_positions,
     grid,
     grid_member,
     random_skew,
@@ -146,6 +147,27 @@ def test_differential_breaking_one_relation_names_it(dgen, symbol, relation, res
         build_calculus(P, CalculusSpec(dgens=dgens))
     assert str(err.value) == f"differential is incompatible with relation {relation}; residual {residual}"
     assert (err.value.relation, err.value.residual) == (relation, residual)
+
+
+QPLANE_PROBE = """name qprobe
+params q
+gens x1 x2
+rel x2 x1 = q * x1 x2
+calculus mode=flat
+dgens x1 x2
+twist x1: x2 -> q^-1*x2
+"""
+
+
+def test_parametric_residual_keeps_its_unreduced_fraction():
+    # The x2 twist is left the identity, so d(x2 x1) = d(x2) x1 + d(x1) x2/q
+    # misses d(q x1 x2) on both coordinates.  The word side is one step of
+    # the product rule from d(x1), and the residual renders its fractions as
+    # they were summed, unreduced.
+    with pytest.raises(CompatibilityError) as err:
+        run_calculus_check(parse_presentation(QPLANE_PROBE))
+    residual = "d(x1)*(((-q^2 + 1)/(q))*x2) + d(x2)*((-q + 1)*x1)"
+    assert (err.value.relation, err.value.residual) == ("x2*x1", residual)
 
 
 def test_theorem_mode_requires_trivial_relations(qplane):
@@ -468,21 +490,24 @@ def test_connectedness_at_stress_size():
     assert out.witnesses == ["[1]"]
 
 
-# The connectedness matrix comes from the twisted product rule run over the
-# basis, with no d0 call; d0 of each monomial stays its oracle.
+# The connectedness matrix and d0 read d of each monomial from one memo,
+# filled by the twisted product rule; the rows are checked against d of each
+# basis monomial by the position expansion of ``d_word_by_positions``, which
+# shares no code with it.  The tests keep their names from when d0 was the
+# oracle.
 
 
 def _rescales(calc):
     return all(dg.twist._scales is not None for dg in calc.spec.dgens)
 
 
-def _rows_through_d0(calc, basis):
+def _rows_by_positions(calc, basis):
     """The connectedness rows built by differentiating each basis monomial
-    with d0."""
-    P = calc.P
+    position by position."""
     rows = {}
     for col, (tvec, e) in enumerate(basis):
-        df = calc.d0(P.monomial(e, P.ring.monomial(tvec)))
+        word = [j for j, k in enumerate(tvec + e) for _ in range(k)]
+        df = d_word_by_positions(calc, word, calc.P.ring.sone())
         for S, f in df.terms.items():
             for ev, c in f.terms.items():
                 for tv, s in c.terms.items():
@@ -490,10 +515,10 @@ def _rows_through_d0(calc, basis):
     return rows
 
 
-def _assert_rows_match_d0(make_calc, bound=6):
+def _assert_rows_match_oracle(make_calc, bound=6):
     calc = make_calc()
     basis = list(calc._monomials_upto(bound))
-    assert calc._connectedness_rows(basis) == _rows_through_d0(make_calc(), basis)
+    assert calc._connectedness_rows(basis) == _rows_by_positions(make_calc(), basis)
 
 
 RESCALING = ("poly2", "poly3", "weyl", "qplane", "qaffine3") + tuple(WIDE_DOCS)
@@ -502,7 +527,7 @@ RESCALING = ("poly2", "poly3", "weyl", "qplane", "qaffine3") + tuple(WIDE_DOCS)
 @pytest.mark.parametrize("name", RESCALING)
 def test_rescaled_connectedness_rows_match_d0(name):
     assert _rescales(run_calculus_check(_doc(name)))
-    _assert_rows_match_d0(lambda: run_calculus_check(_doc(name)))
+    _assert_rows_match_oracle(lambda: run_calculus_check(_doc(name)))
 
 
 @pytest.mark.parametrize("name", ("un2", "jordan", "aq") + tuple(UN2_PRODUCT_DOCS))
@@ -512,12 +537,12 @@ def test_twisted_connectedness_rows_match_d0(name):
     # images only meet zero coordinates: SHEARS, AFFINE_TWIST and the Ore
     # grid reach a generator term times t and a constant term.
     assert not _rescales(run_calculus_check(_doc(name)))
-    _assert_rows_match_d0(lambda: run_calculus_check(_doc(name)))
+    _assert_rows_match_oracle(lambda: run_calculus_check(_doc(name)))
 
 
 def test_rescaled_connectedness_rows_match_d0_with_a_larger_kernel(jordan):
     # plain-twist mode over F[t]: t has no differential, so d kills every t^k
-    _assert_rows_match_d0(lambda: build_calculus(jordan, theorem_spec(jordan)))
+    _assert_rows_match_oracle(lambda: build_calculus(jordan, theorem_spec(jordan)))
     assert build_calculus(jordan, theorem_spec(jordan)).connectedness_check(6).data["kernel_dimension"] == 7
 
 
@@ -540,7 +565,7 @@ def _ore_grid_calculi():
 def test_rescaled_connectedness_rows_match_d0_on_ore_grid():
     rescaling = [make for make in _ore_grid_calculi() if _rescales(make())]
     for make in rescaling:
-        _assert_rows_match_d0(make)
+        _assert_rows_match_oracle(make)
     assert len(rescaling) == 12
 
 
@@ -548,7 +573,7 @@ def test_twisted_connectedness_rows_match_d0_on_ore_grid():
     # the other 44 of the 56, where some twist does not rescale
     twisted = [make for make in _ore_grid_calculi() if not _rescales(make())]
     for make in twisted:
-        _assert_rows_match_d0(make)
+        _assert_rows_match_oracle(make)
     assert len(twisted) == 44
 
 
@@ -580,7 +605,7 @@ def test_sheared_connectedness_rows_match_d0():
     # then holds t, and nu_x(x) = x + 2t meets it: x * t needs the relation.
     # The calculus is compatible but fails d-squared, which connectedness
     # does not need.
-    _assert_rows_match_d0(lambda: run_calculus_check(parse_presentation(SHEARS)))
+    _assert_rows_match_oracle(lambda: run_calculus_check(parse_presentation(SHEARS)))
     calc = run_calculus_check(parse_presentation(SHEARS))
     products = {"multiply": 0}
     _counting(calc.P, products)
@@ -603,6 +628,15 @@ def test_rescaled_connectedness_drops_terms_that_cancel():
     rec = run_smooth(parse_presentation(SIGN_TWIST)).check("connectedness")
     assert (rec.status, rec.data) == ("fail", {"kernel_dimension": 4, "bound": 6})
     assert rec.witnesses == ["[1]", "[x^2]", "[x^4]", "[x^6]"]
+
+
+def test_d0_of_a_power_past_the_recursion_limit():
+    # the memo is filled one first symbol at a time, with no recursion:
+    # d(x^k) = du x^(k-1) for odd k and 0 for even k under x -> -x
+    calc = run_calculus_check(parse_presentation(SIGN_TWIST))
+    k = 2 * sys.getrecursionlimit() + 1
+    assert calc.d0(calc.P.monomial((k,))) == calc.form((0,), calc.P.monomial((k - 1,)))
+    assert calc.d0(calc.P.monomial((k - 1,))).is_zero()
 
 
 @pytest.mark.parametrize("bound", (2, 6, 10, 20))
@@ -697,6 +731,41 @@ def test_closed_form_kernel_on_ore_grid():
     assert len(rescaling) == 12
     for calc in rescaling:
         _assert_closed_form_kernel(calc)
+
+
+DOUBLING = """name doubling
+gens x
+calculus mode=flat
+dgens x
+twist x: x -> 2*x
+"""
+
+DOUBLING_SHIFT = DOUBLING.replace("2*x\n", "2*x + 1\n")
+
+MIXED_AFFINE = MIXED_SCALES.replace("-1*x1\n", "-1*x1 + 1\n").replace("2*x2\n", "2*x2 + 3\n")
+
+# a diagonal-affine document, its linear part, and its kernel dimension at
+# the bounds 6, 10 and 14
+DIAGONAL_AFFINE = {
+    "affine": (AFFINE_TWIST, SIGN_TWIST, [4, 6, 8]),
+    "doubling": (DOUBLING_SHIFT, DOUBLING, [1, 1, 1]),
+    "mixed": (MIXED_AFFINE, MIXED_SCALES, [4, 6, 8]),
+}
+
+
+@pytest.mark.parametrize("affine, linear, dims", DIAGONAL_AFFINE.values(), ids=DIAGONAL_AFFINE)
+def test_closed_form_kernel_of_the_linear_part_on_diagonal_affine_calculi(affine, linear, dims):
+    # With nu_i(s) = c s + r the constant r adds only terms of lower degree
+    # to d(x^a), so the leading part of d is the d of the linear part, whose
+    # kernel the closed form counts.  A map that lowers a filtration has no
+    # larger kernel than its leading part, so the count is an upper bound;
+    # on these documents it is the kernel dimension.
+    assert "+" in affine and "+" not in linear
+    calc = run_calculus_check(parse_presentation(affine))
+    assert all(dg.twist._scales is None for dg in calc.spec.dgens)
+    lin = run_calculus_check(parse_presentation(linear))
+    assert [_closed_form_kernel(lin, bound) for bound in (6, 10, 14)] == dims
+    assert [calc.connectedness_check(bound).data["kernel_dimension"] for bound in (6, 10, 14)] == dims
 
 
 def test_mixed_scales_connectedness_record():

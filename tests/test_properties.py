@@ -21,7 +21,7 @@ from spbw.lincomb import add_terms
 from spbw.pipeline import calculus_spec_from_doc
 from spbw.sampling import random_expo, random_skew
 
-from conftest import compose, lift_delta, right_multiply
+from conftest import compose, d_word_by_positions, lift_delta, right_multiply, word_element
 
 SMOOTH_NAMES = tuple(n for n in CORPUS_NAMES if n != "broken")
 
@@ -215,29 +215,6 @@ def test_volume_and_pi_identities_per_corpus(calculi):
             assert lhs == rhs, name
 
 
-def d_word_by_positions(calc, word, weight):
-    """``weight * d(word)`` by the product rule position by position: the
-    prefix and suffix of each symbol are normalized from their atoms, and
-    the prefix is pushed through the twist of each du_i it meets."""
-    P = calc.P
-    m = P.ring.nvars
-
-    def word_poly(w):
-        return P.normalize([(1, [s - m if s >= m else P.ring.var(s) for s in w])])
-
-    acc: dict = {}
-    for p, sym in enumerate(word):
-        row = calc._dcoords[sym]
-        if row is None:
-            continue
-        pre, post = word_poly(word[:p]), word_poly(word[p + 1:])
-        for i, coeff in enumerate(row):
-            if not coeff.is_zero():
-                moved = P.multiply(calc.spec.dgens[i].twist.apply(pre), post).scale(coeff * weight)
-                add_terms(acc, calc.form((i,), moved).terms)
-    return DiffForm(acc)
-
-
 def _weights(P):
     out = [P.ring.sone(), P.ring.scalar(Fraction(-3, 2))]
     for name in P.ring.params:
@@ -246,7 +223,7 @@ def _weights(P):
     return out
 
 
-def test_d_word_matches_position_expansion_per_corpus(calculi):
+def test_d0_of_each_word_matches_position_expansion_per_corpus(calculi):
     for name, calc in calculi.items():
         P = calc.P
         rng = random.Random(50)
@@ -255,7 +232,8 @@ def test_d_word_matches_position_expansion_per_corpus(calculi):
             word = [rng.randrange(calc.nsyms) for _ in range(rng.randint(0, 5))]
             for w in (word, sorted(word)):  # as drawn, and in normal order
                 weight = rng.choice(weights)
-                assert calc._d_word(w, weight) == d_word_by_positions(calc, w, weight), (name, w)
+                f = word_element(P, w).scale(weight)
+                assert calc.d0(f) == d_word_by_positions(calc, w, weight), (name, w)
 
 
 def test_d0_matches_position_expansion_per_corpus(calculi):
