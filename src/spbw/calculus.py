@@ -150,9 +150,12 @@ class Calculus:
     passed integrability check is not recorded: the divergence checks take
     it as their ``integrable`` argument.  These and the memo tables of the
     presentation (``_mono_cache``) and the twists and their stored inverses
-    (``_power_memo`` and ``_monomial_memo``; a map that rescales each symbol
-    fills only the latter, with scaled monomials; the transport certificate
-    applies each inverse to its twist's images and back) fill as it runs,
+    (``_power_memo`` and ``_monomial_memo`` for a map that does not rescale;
+    a map that rescales each symbol fills only ``_weights``, one scalar per
+    frame exponent, and one whose scales are all the literal unit is the
+    identity and fills nothing; the transport certificate applies each
+    twist to its inverse's images, and each inverse to its twist's images
+    unless the twist's construction verified that inverse) fill as it runs,
     so one calculus belongs to one thread at a time.  A product with the
     literal unit element, in ``Presentation.multiply``, returns the other
     factor itself."""
@@ -641,10 +644,14 @@ class Calculus:
 
     def _transport_round_trips(self) -> bool:
         """(d) of :meth:`_transport_certificate`: each stored inverse undoes
-        its twist on every frame symbol, from both sides."""
+        its twist on every frame symbol, from both sides.  The side
+        ``nu^-1(nu(s)) = s`` is what a checked :class:`AlgebraEndo` verifies
+        at construction, so it is skipped while the stored inverse is the
+        one that check verified."""
         frame = self.P.frame()
         return all(
-            twist.inverse.apply(twist.images[s]) == sym and twist.apply(twist.inverse.images[s]) == sym
+            (twist._verified_inverse is twist.inverse or twist.inverse.apply(twist.images[s]) == sym)
+            and twist.apply(twist.inverse.images[s]) == sym
             for twist in (dg.twist for dg in self.spec.dgens)
             for s, sym in enumerate(frame)
         )

@@ -12,7 +12,10 @@ Scalars are fixed by every endomorphism and killed by every twisted
 derivation, and most coefficients the reduction pushes past a generator are
 scalars.  So :func:`apply_endo` returns a constant polynomial, zero
 included, as it is, and :func:`apply_sder` returns zero for it, without
-walking its terms.
+walking its terms.  Most endomorphisms are the identity (every sigma of a
+polynomial ring, a Weyl algebra, an enveloping algebra or the Jordan plane);
+:class:`CoeffEndo` recognizes one at construction, by the structure of its
+images, and :func:`apply_endo` returns its argument under it.
 
 Constant path.  Most coefficients the layers above multiply are constants,
 so ``CoeffPoly.__mul__`` multiplies one term by one term with a single
@@ -194,19 +197,35 @@ class CoeffEndo:
     Applying it substitutes each variable by its image; scalars are fixed.
     ``inverse_images`` is optional and, when present, is verified to undo the
     substitution on every variable.
+
+    ``is_identity`` records, at construction, whether every image is its own
+    variable: one term at that variable's exponent whose coefficient is the
+    literal unit scalar (:meth:`Scalar.is_unit`).  It reads the structure,
+    not the value, so an image such as ``(q/q)*t`` is not the identity and
+    keeps its unreduced fraction under substitution.
     """
 
-    __slots__ = ("images", "inverse_images", "_memo")
+    __slots__ = ("images", "inverse_images", "is_identity", "_memo")
 
     def __init__(self, images, inverse_images=None):
         self.images = tuple(images)
         self.inverse_images = tuple(inverse_images) if inverse_images is not None else None
+        self.is_identity = all(_is_own_variable(img, j) for j, img in enumerate(self.images))
         self._memo = {}
         if self.inverse_images is not None:
             back = CoeffEndo(self.inverse_images)
             for j, img in enumerate(self.images):
                 if apply_endo(back, img) != _variable(img, j):
                     raise MapError(f"claimed inverse does not undo image of variable {j}")
+
+
+def _is_own_variable(p: CoeffPoly, j: int) -> bool:
+    """Whether p is the literal j-th variable: one term, at e_j, whose
+    coefficient is the literal unit scalar."""
+    if len(p.terms) != 1:
+        return False
+    ((e, c),) = p.terms.items()
+    return e[j] == 1 and sum(e) == 1 and c.is_unit()
 
 
 def _variable(ref: CoeffPoly, j: int) -> CoeffPoly:
@@ -218,8 +237,9 @@ def _variable(ref: CoeffPoly, j: int) -> CoeffPoly:
 
 def apply_endo(sigma: CoeffEndo, p: CoeffPoly) -> CoeffPoly:
     """Substitution homomorphism: each variable replaced by its image.  A
-    constant, zero included, is returned as it is: scalars are fixed."""
-    if p.is_constant():
+    constant, zero included, is returned as it is, since scalars are fixed,
+    and so is every p under the identity (``sigma.is_identity``)."""
+    if sigma.is_identity or p.is_constant():
         return p
     const = (0,) * p.nvars
     acc: dict = {}

@@ -8,10 +8,15 @@ the same type serves coefficientwise lifts, volume twists and user-supplied
 calculus twists uniformly.
 
 Most twists only rescale: every symbol s goes to a nonzero scalar ``c_s``
-times s.  Such a map is recognized at construction, and it sends a monomial
-to the same monomial times ``prod c_s^k``, with no product in the
-extension.  The scalar is multiplied out in the order of the product chain
-that every other map uses, so both give the same representation.
+times s.  Such a map is recognized at construction, and it sends each term
+``s t^beta x^alpha`` of an element to the same monomial with the
+coefficient ``w(beta, alpha) * s``, where the weight ``w = prod c_s^k`` is
+memoized per exponent; no product in the extension is formed.  The weight
+is multiplied out in the order of the product chain that every other map
+uses, and a weight or coefficient that is the literal unit is not
+multiplied in, so both give the same representation.  When every ``c_s`` is
+the literal unit, as for the coefficientwise lift of a sigma that fixes the
+coefficient variables, the map is the identity and returns its argument.
 """
 
 from __future__ import annotations
@@ -37,20 +42,27 @@ class AlgebraEndo:
     round trip on every symbol is verified as well.
 
     ``_scales`` holds ``c_s`` for every frame symbol when each image is
-    ``c_s`` times its own symbol, and is None otherwise.
+    ``c_s`` times its own symbol, and is None otherwise; ``_identity`` says
+    that every ``c_s`` is the literal unit scalar, read by structure, so a
+    scale such as ``q/q`` keeps the rescaling path.  ``_verified_inverse``
+    is the inverse whose round trip the constructor verified, or None.
     """
 
     def __init__(self, P: Presentation, images, inverse=None, check=True):
         self.P = P
         self.images = tuple(images)
         self.inverse = inverse
+        self._verified_inverse = None
         self._power_memo: dict = {}
-        self._monomial_memo: dict = {}  # (tvec, e) -> image of t^tvec x^e
+        self._monomial_memo: dict = {}  # (tvec, e) -> image of t^tvec x^e, product-chain maps only
+        self._weights: dict = {}  # frame exponent -> prod c_s^k, rescaling maps only
         self._scales = _rescaling(P, self.images)
+        self._identity = self._scales is not None and all(c.is_unit() for c in self._scales)
         if check:
             self._check_relations()
             if inverse is not None:
                 self._check_inverse()
+                self._verified_inverse = inverse
 
     # -- construction checks -------------------------------------------------
 
@@ -69,23 +81,62 @@ class AlgebraEndo:
     # -- action ------------------------------------------------------------
 
     def apply(self, f: SkewPoly) -> SkewPoly:
-        """The image of f, as the scalar-weighted sum of the memoized images
-        of its unit-coefficient monomials ``t^beta x^alpha``; the map is
-        linear over the base field and fixes scalars."""
+        """The image of f.  The map is linear over the base field and fixes
+        scalars, so the image is the scalar-weighted sum of the memoized
+        images of the unit-coefficient monomials ``t^beta x^alpha`` of f.  A
+        rescaling map instead weights each term where it stands, and the
+        identity returns f itself."""
+        if self._identity:
+            return f
+        if self._scales is not None:
+            return self._rescale(f)
         acc: dict = {}
         for e, c in f.terms.items():
             for tvec, s in c.terms.items():
                 add_terms(acc, self._monomial(tvec, e).scale(s).terms)
         return SkewPoly(acc, self.P.n)
 
+    def _rescale(self, f: SkewPoly) -> SkewPoly:
+        """f with the coefficient s of each ``t^tvec x^e`` replaced by
+        ``w * s``, w the weight of ``tvec + e``.  The monomials are distinct
+        and w is nonzero, so no terms merge or vanish.  A literal unit
+        factor is not multiplied in, as ``SkewPoly.scale`` and
+        ``Scalar.__mul__`` leave it out."""
+        terms = {}
+        for e, c in f.terms.items():
+            coeff = {}
+            for tvec, s in c.terms.items():
+                w = self._weight(tvec + e)
+                coeff[tvec] = s if w.is_unit() else w if s.is_unit() else w * s
+            terms[e] = c._make(coeff)
+        return SkewPoly(terms, self.P.n)
+
+    def _weight(self, a):
+        """``prod c_s^(a_s)`` over the frame exponent a, memoized.  Each power
+        is multiplied out from the left and the powers are folded in frame
+        order, as the product chain does; a unit ``c_s`` is skipped, since
+        a product with the literal unit is the other factor."""
+        w = self._weights.get(a)
+        if w is None:
+            for c, k in zip(self._scales, a):
+                if k and not c.is_unit():
+                    power = c
+                    for _ in range(k - 1):
+                        power = power * c
+                    w = power if w is None else w * power
+            if w is None:
+                w = self.P.ring.sone()
+            self._weights[a] = w
+        return w
+
     def _monomial(self, tvec, e) -> SkewPoly:
-        """The image of ``t^tvec x^e``, memoized: the product of the images
-        of the symbol powers in frame order, or the monomial itself scaled
-        by ``prod c_s^k`` when the map rescales."""
+        """The image of ``t^tvec x^e`` under a map that does not rescale,
+        memoized: the product of the images of the symbol powers in frame
+        order."""
         key = (tvec, e)
         image = self._monomial_memo.get(key)
         if image is None:
-            image = self._chain(tvec, e) if self._scales is None else self._rescaled(tvec, e)
+            image = self._chain(tvec, e)
             self._monomial_memo[key] = image
         return image
 
@@ -96,22 +147,6 @@ class AlgebraEndo:
             if k:
                 image = P.multiply(image, self._power(s, k))
         return image
-
-    def _rescaled(self, tvec, e) -> SkewPoly:
-        """``t^tvec x^e`` times ``prod c_s^k``.  Each power is multiplied
-        out from the left and the powers are folded in frame order, as the
-        product chain does, and the unit monomial is ``P.one()``."""
-        factor = None
-        for c, k in zip(self._scales, tvec + e):
-            if k:
-                power = c
-                for _ in range(k - 1):
-                    power = power * c
-                factor = power if factor is None else factor * power
-        P = self.P
-        if factor is None:
-            return P.one()
-        return P.monomial(e, P.ring.monomial(tvec, factor))
 
     def _power(self, s, k):
         """The image of the k-th power of frame symbol s, memoized."""

@@ -33,6 +33,8 @@ class LinComb:
         return self + (-other)
 
     def __eq__(self, other) -> bool:
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
         if self.terms.keys() != other.terms.keys():

@@ -1320,6 +1320,25 @@ def test_a_stored_inverse_that_does_not_undo_its_twist_fails_the_certificate(qpl
     assert build_calculus(qplane, qplane_flat_spec(qplane))._transport_round_trips()
 
 
+def test_round_trips_skip_only_the_side_the_construction_verified(qplane):
+    """A checked twist verified ``nu^-1(nu(s)) = s`` for the inverse it was
+    built with, so (d) does not apply that inverse again; an inverse stored
+    afterwards, even with the same images, is applied on every symbol."""
+    spec = qplane_flat_spec(qplane)
+    assert all(dg.twist._verified_inverse is dg.twist.inverse for dg in spec.dgens)
+    calc = build_calculus(qplane, spec)
+    calls = {"apply": 0}
+    for dg in spec.dgens:
+        _counting(dg.twist.inverse, calls)
+    assert calc._transport_round_trips()
+    assert calls == {"apply": 0}
+    twist = spec.dgens[0].twist
+    twist.inverse = AlgebraEndo(qplane, twist.inverse.images, check=False)
+    _counting(twist.inverse, calls)
+    assert calc._transport_round_trips()
+    assert calls == {"apply": len(qplane.frame())}
+
+
 # -- what the certificate derives instead of checking ----------------------------------------------
 #
 # The certificate runs no transport round trip: (d) inverts the twists on

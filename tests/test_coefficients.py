@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 import spbw.pipeline
 from spbw.coefficients import (
     CoeffEndo,
+    CoeffPoly,
     CoeffRing,
     CoeffSigmaDerivation,
     apply_endo,
@@ -15,6 +16,7 @@ from spbw.coefficients import (
     derivative,
 )
 from spbw.corpus import CORPUS_NAMES, corpus_doc
+from spbw.dsl import build_presentation
 from spbw.pipeline import run_smooth
 from spbw.scalars import Scalar, poly_one
 
@@ -308,3 +310,47 @@ def test_the_ring_unit_is_shared_and_left_intact(monkeypatch, name):
     assert unit == {(0,) * ring.nparams: 1}
     ((e, s),) = ring.one().terms.items()
     assert e == (0,) * ring.nvars and s.num is unit and s.den is unit
+
+
+# -- the identity, recognized by structure ------------------------------------------
+
+
+def test_the_identity_sigma_of_jordan_substitutes_nothing(monkeypatch):
+    P = build_presentation(corpus_doc("jordan"))
+    sigma = P.sigma[0]
+    assert sigma.is_identity
+    t = P.ring.var(0)
+    p = t * t * t + t.scale(P.ring.scalar(2))
+    calls = []
+    mul = CoeffPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CoeffPoly, "__mul__", counted)
+    assert apply_endo(sigma, p) is p
+    assert not calls
+
+
+def test_a_scale_of_one_that_is_not_the_literal_unit_is_substituted(ring_qt):
+    # q/q has the value one, but its numerator and denominator are q
+    q = ring_qt.param("q")
+    sigma = CoeffEndo((ring_qt.var(0).scale(q * q.inverse()),))
+    assert not sigma.is_identity
+    t = ring_qt.var(0)
+    image = apply_endo(sigma, (t * t).scale(ring_qt.scalar(3)))
+    ((e, s),) = image.terms.items()
+    assert e == (2,) and s.num == {(2,): Fraction(3)} and s.den == {(2,): Fraction(1)}
+    assert not CoeffEndo((t + ring_qt.one(),)).is_identity
+    assert CoeffEndo((t,)).is_identity
+
+
+def test_a_value_equals_itself_without_comparing_its_terms(ring_qt, monkeypatch):
+    p = ring_qt.var(0).scale(ring_qt.param("q")) + ring_qt.one()
+
+    def refuse(a, b):
+        raise AssertionError("compared a scalar")
+
+    monkeypatch.setattr(Scalar, "__eq__", refuse)
+    assert p == p

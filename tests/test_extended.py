@@ -1,18 +1,31 @@
+import copy
 import random
+from fractions import Fraction
 
 import pytest
 
-from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation
+from spbw.calculus import build_calculus
+from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation, apply_endo
 from spbw.core import Presentation, Relation, exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.gkdim import check_filtration_compatible
-from spbw.errors import HypothesisError, MapError, UnsupportedPresentationError
+from spbw.errors import HypothesisError, MapError, SpbwError, UnsupportedPresentationError
 from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, frame_affine_inverse, hypothesis_check
 from spbw.ore import ore_document
-from spbw.pipeline import run_calculus_check
+from spbw.pipeline import calculus_spec_from_doc, run_calculus_check
 
-from conftest import WIDE_DOCS, compose, grid_member, is_identity, lift_delta, twisted_leibniz_witness
+from conftest import (
+    GRID_P,
+    WIDE_DOCS,
+    compose,
+    grid,
+    grid_member,
+    is_identity,
+    lift_delta,
+    random_skew,
+    twisted_leibniz_witness,
+)
 
 
 def test_hypothesis_weyl_all_pass(weyl):
@@ -350,3 +363,122 @@ def test_shear_twist_still_multiplies(monkeypatch):
     calls = _count_multiplies(monkeypatch, P)
     twist.apply(P.monomial((3,), P.ring.var(0)))
     assert calls
+
+
+# -- the identity and rescaling paths against the product chain -------------------
+
+
+def _representation(f):
+    """Every key of f, in order, with the stored ``num``/``den`` of its
+    scalar: equal values with different unreduced fractions differ here."""
+    return [(e, [(tvec, s.num, s.den) for tvec, s in c.terms.items()]) for e, c in f.terms.items()]
+
+
+def _chain_copy(endo):
+    """``endo`` applied by the product chain of its images, with fresh memo
+    tables, whatever its images are."""
+    chain = copy.copy(endo)
+    chain._scales, chain._identity = None, False
+    chain._power_memo, chain._monomial_memo = {}, {}
+    return chain
+
+
+def _substitution_copy(sigma):
+    """``sigma`` applied by substitution, even when it is the identity."""
+    sub = CoeffEndo(sigma.images)
+    sub.is_identity = False
+    return sub
+
+
+def _every_map(doc):
+    """The presentation of ``doc`` and every extension map it yields: each
+    twist and stored inverse of its calculus block, the volume twist and its
+    inverse when d is compatible, and each sigma lift when the lifting
+    hypotheses hold."""
+    P = build_presentation(doc)
+    maps = []
+    try:
+        spec = calculus_spec_from_doc(doc, P)
+    except SpbwError:
+        spec = None
+    if spec is not None:
+        maps += [m for dg in spec.dgens for m in (dg.twist, dg.twist.inverse)]
+        try:
+            nu = build_calculus(P, spec).volume()
+            maps += [nu, nu.inverse]
+        except SpbwError:
+            pass
+    try:
+        maps += [extend_sigma(P, i) for i in range(P.n)]
+    except HypothesisError:
+        pass
+    return P, maps
+
+
+def _assert_fast_paths_match_the_chain(doc, rng):
+    """On random elements: each rescaling map against its product chain, and
+    each identity sigma against substitution.  Returns the number of
+    rescaling maps and of identity sigmas met."""
+    P, maps = _every_map(doc)
+    elements = [random_skew(P, rng, degree=4, max_terms=4) for _ in range(6)] + list(P.frame())
+    rescaling = [endo for endo in maps if endo._scales is not None]
+    for endo in rescaling:
+        chain = _chain_copy(endo)
+        for f in elements:
+            assert _representation(endo.apply(f)) == _representation(chain.apply(f)), P.render(f)
+    coefficients = [c for f in elements for c in f.terms.values()]
+    coefficients += [a * b for a, b in zip(coefficients, coefficients[1:])]
+    identities = [sigma for sigma in P.sigma if sigma.is_identity]
+    for sigma in identities:
+        sub = _substitution_copy(sigma)
+        for c in coefficients:
+            assert _representation(P.from_coeff(apply_endo(sigma, c))) == _representation(
+                P.from_coeff(apply_endo(sub, c))
+            )
+    return len(rescaling), len(identities)
+
+
+@pytest.mark.parametrize("name", [name for name in CORPUS_NAMES if name != "broken"])
+def test_fast_paths_keep_the_representation_on_the_corpus(name):
+    rescaling, _ = _assert_fast_paths_match_the_chain(corpus_doc(name), random.Random(1729))
+    assert rescaling
+
+
+@pytest.mark.parametrize("name", WIDE_DOCS)
+def test_fast_paths_keep_the_representation_on_wide_documents(name):
+    rescaling, _ = _assert_fast_paths_match_the_chain(parse_presentation(WIDE_DOCS[name]), random.Random(3))
+    assert rescaling
+
+
+def test_fast_paths_keep_the_representation_on_the_ore_grid():
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    rng = random.Random(7)
+    rescaling = identities = 0
+    for qs, r, ps in grid():
+        counts = _assert_fast_paths_match_the_chain(
+            parse_presentation(ore_document(ring, *grid_member(ring, qs, r, ps))), rng
+        )
+        rescaling += counts[0]
+        identities += counts[1]
+    # every member with q = 1 and r = 0 has sigma the identity
+    assert rescaling and identities >= len(GRID_P)
+
+
+def test_theorem_mode_twists_of_poly5_return_their_argument():
+    calc = run_calculus_check(parse_presentation(WIDE_DOCS["poly5"]))
+    rng = random.Random(5)
+    elements = [random_skew(calc.P, rng) for _ in range(5)]
+    for endo in [dg.twist for dg in calc.spec.dgens] + [calc.volume()]:
+        assert endo._identity
+        assert all(endo.apply(f) is f for f in elements)
+
+
+def test_a_scale_of_one_that_is_not_the_literal_unit_is_multiplied_in():
+    # q/q has the value one, but its numerator and denominator are q
+    P = build_presentation(parse_presentation("name one\nparams q\ngens x\n"))
+    q = P.ring.param("q")
+    twist = AlgebraEndo(P, (P.gen(0).scale(q * q.inverse()),))
+    assert twist._scales is not None and not twist._identity
+    f = P.monomial((2,), P.ring.const(3))
+    assert _representation(twist.apply(f)) == [((2,), [((), {(2,): Fraction(3)}, {(2,): Fraction(1)})])]
+    assert twist.apply(f) == f
