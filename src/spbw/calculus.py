@@ -393,7 +393,8 @@ class Calculus:
         ``du_j du_i = -lambda_ij du_i du_j`` for i < j.  The certificate is:
 
         (a) the twists commute on the frame, ``nu_i(nu_j(s)) ==
-            nu_j(nu_i(s))`` for every pair i < j and every frame symbol s;
+            nu_j(nu_i(s))`` for every pair i < j and every frame symbol s,
+            compared only for pairs in which some twist does not rescale;
         (b) ``d0(s) ^ du_i + du_i ^ d0(nu_i(s)) == 0`` for every frame
             symbol s and every i.
 
@@ -402,10 +403,12 @@ class Calculus:
         well-defined twisted derivation of A; every twist is an algebra
         endomorphism, which ``AlgebraEndo`` verifies on every defining
         relation, and is Q(params)-linear.  Both composites in (a) are then
-        algebra maps, so they agree on all of A.  Pushing f through ``du_j
-        du_i`` in either order gives ``nu_i nu_j(f)`` and ``nu_j nu_i(f)``
-        times the same scalar, so (a) makes the forms ``du_S f`` a basis on
-        which ``wedge`` is the associative product of Omega.  (b) is d
+        algebra maps, so they agree on all of A.  Two rescaling twists need
+        no comparison: both composites send s to ``c_i c_j s``, because
+        scalars are central and fixed by every twist.  Pushing f through
+        ``du_j du_i`` in either order gives ``nu_i nu_j(f)`` and ``nu_j
+        nu_i(f)`` times the same scalar, so (a) makes the forms ``du_S f`` a
+        basis on which ``wedge`` is the associative product of Omega.  (b) is d
         applied to both sides of ``s du_i = du_i nu_i(s)``; since d0 and
         nu_i obey the product rule and the wedge is associative, it extends
         from the frame symbols to every f, so d respects the relation ``f
@@ -437,12 +440,14 @@ class Calculus:
         return self._generators_certified
 
     def _twists_commute(self) -> bool:
-        """Condition (a) of :meth:`d_squared_check`."""
+        """Condition (a) of :meth:`d_squared_check`.  Two rescaling twists
+        commute, since scalars are central, so only a pair with some other
+        map is compared on the frame."""
         twists = [dg.twist for dg in self.spec.dgens]
         return all(
-            ti.apply(tj.images[s]) == tj.apply(ti.images[s])
+            ti._scales is not None and tj._scales is not None
+            or all(ti.apply(tj.images[s]) == tj.apply(ti.images[s]) for s in range(self.nsyms))
             for ti, tj in combinations(twists, 2)
-            for s in range(self.nsyms)
         )
 
     def _d_respects_twisting(self) -> bool:
@@ -566,7 +571,9 @@ class Calculus:
         certificate ((a) and (b) of :meth:`d_squared_check`, from
         :meth:`_generator_certificate`), and then checks:
 
-        (c) every stored twist inverse respects every defining relation;
+        (c) every stored twist inverse respects every defining relation
+            (:meth:`AlgebraEndo.broken_relation`, by the weights when the
+            inverse rescales);
         (d) ``nu_j^-1(nu_j(s)) == s`` and ``nu_j(nu_j^-1(s)) == s`` for every
             j and every frame symbol s, applying the stored maps to the
             twist images;
@@ -578,12 +585,17 @@ class Calculus:
 
         Why it suffices.  The twists are algebra maps (``AlgebraEndo``
         verifies them on every relation) and by (c) so are the stored
-        inverses; ``AlgebraEndo.apply`` multiplies the images in frame
-        order, which is what any algebra map does to a normal monomial.  The
-        two composites of (d) are then algebra maps, which (d) makes the
-        identity on the frame and hence on all of A: every stored
-        ``nu_j^-1`` is a two-sided inverse of nu_j, and ``nu_C^-1``, applied
-        in the opposite order, inverts ``nu_C`` for every C.  The scalars
+        inverses.  On a rescaling inverse (c) is a comparison of weights: a
+        rescaling map respects a relation iff every term of the normal form
+        has the weight of the relation word.  When the twist rescales too,
+        the reciprocal scales meet the same equalities as the twist's, so
+        there (c) fails only where (d) fails as well.  ``AlgebraEndo.apply``
+        multiplies the images in frame order, which is what any algebra map
+        does to a normal monomial.  The two composites of (d) are then
+        algebra maps, which (d) makes the identity on the frame and hence on
+        all of A: every stored ``nu_j^-1`` is a two-sided inverse of nu_j,
+        and ``nu_C^-1``, applied in the opposite order, inverts ``nu_C`` for
+        every C.  The scalars
         ``e_k`` and ``w`` are nonzero, central and fixed by every map, so by
         the formulas above ``theta(k)`` and ``theta_inv(k)`` are mutually
         inverse for every k, whatever the coefficients.
@@ -634,13 +646,10 @@ class Calculus:
         return self._transport_certified
 
     def _inverses_are_algebra_maps(self) -> bool:
-        """(c) of :meth:`_transport_certificate`."""
-        P = self.P
-        return all(
-            P.multiply(inv.images[a], inv.images[b]) == inv.apply(normal)
-            for inv in (dg.twist.inverse for dg in self.spec.dgens)
-            for _, (a, b), normal in P.defining_relations()
-        )
+        """(c) of :meth:`_transport_certificate`, decided by
+        :meth:`AlgebraEndo.broken_relation`: by the weights when the stored
+        inverse rescales."""
+        return all(dg.twist.inverse.broken_relation() is None for dg in self.spec.dgens)
 
     def _transport_round_trips(self) -> bool:
         """(d) of :meth:`_transport_certificate`: each stored inverse undoes

@@ -36,8 +36,8 @@ each pair relation is stored as its tails (``Presentation.tails``), the
 :meth:`Presentation.relation_rhs` read them.  Every defining relation of the
 algebra, including ``x_i t_j = sigma_i(t_j) x_i + delta_i(t_j)`` and the
 commuting coefficient variables, is listed by
-:meth:`Presentation.defining_relations`, which the twist and differential
-compatibility checks walk.
+:meth:`Presentation.defining_relations`, built once per presentation, which
+the twist and differential compatibility checks walk.
 """
 
 from __future__ import annotations
@@ -174,6 +174,7 @@ class Presentation:
         skew = {pair: t[0][0] for pair, t in self.tails.items() if len(t) == 1 and t[0][0].is_constant()}
         self._skew = skew if len(skew) == len(self.tails) or self._polynomial_scalars() else {}
         self._mono_cache: dict = {}
+        self._relations = None  # defining_relations(), built on first use
 
     def _polynomial_scalars(self) -> bool:
         """Whether every scalar of the tails, of the sigma images and of the
@@ -247,12 +248,15 @@ class Presentation:
         terms = sum_terms(self.monomial(_pack(w, self.n), c) for c, w in self.tails[(i, j)])
         return SkewPoly(terms, self.n)
 
-    def defining_relations(self) -> list:
+    def defining_relations(self) -> tuple:
         """``(label, word, normal form)`` for every defining relation.  The
         word is the out-of-order pair of frame symbols as written, and the
         label renders it.  Generator pairs come first, then each generator
         followed by each coefficient variable, then the coefficient-variable
-        pairs, which commute."""
+        pairs, which commute.  Built on the first call and kept as a tuple,
+        which every later call returns."""
+        if self._relations is not None:
+            return self._relations
         m = self.ring.nvars
         rels = [((m + j, m + i), self.relation_rhs(i, j)) for i, j in self.tails]
         for i in range(self.n):
@@ -262,7 +266,8 @@ class Presentation:
         for a in range(m):
             for b in range(a + 1, m):
                 rels.append(((b, a), self.from_coeff(self.ring.var(a) * self.ring.var(b))))
-        return [(f"{self.symbol_name(w[0])}*{self.symbol_name(w[1])}", w, f) for w, f in rels]
+        self._relations = tuple((f"{self.symbol_name(w[0])}*{self.symbol_name(w[1])}", w, f) for w, f in rels)
+        return self._relations
 
     # -- structured reduction path -----------------------------------------
 

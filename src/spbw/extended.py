@@ -17,6 +17,13 @@ uses, and a weight or coefficient that is the literal unit is not
 multiplied in, so both give the same representation.  When every ``c_s`` is
 the literal unit, as for the coefficientwise lift of a sigma that fixes the
 coefficient variables, the map is the identity and returns its argument.
+
+The same scales decide the construction checks with no product in the
+extension.  The identity respects every relation.  A rescaling map respects
+the relation with word ``x_a x_b`` iff every term of its normal form has the
+weight ``c_a c_b``, and a rescaling inverse undoes its rescaling map iff
+``c_s c'_s = 1`` for every symbol s.  Any other map multiplies out the
+relation words and applies its inverse to the images.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ class AlgebraEndo:
     variables first, then the generators (the order of
     :meth:`Presentation.symbol`).  Unless ``check=False``, the constructor
     verifies that the images respect every defining relation listed by
-    :meth:`Presentation.defining_relations`; when an inverse is supplied the
-    round trip on every symbol is verified as well.
+    :meth:`Presentation.defining_relations` (:meth:`broken_relation`); when
+    an inverse is supplied the round trip on every symbol is verified as
+    well, by the scales when both maps rescale.
 
     ``_scales`` holds ``c_s`` for every frame symbol when each image is
     ``c_s`` times its own symbol, and is None otherwise; ``_identity`` says
@@ -67,16 +75,47 @@ class AlgebraEndo:
     # -- construction checks -------------------------------------------------
 
     def _check_relations(self):
-        P = self.P
-        for label, (a, b), normal in P.defining_relations():
-            if P.multiply(self.images[a], self.images[b]) != self.apply(normal):
-                raise MapError(f"relation {label} not respected")
+        label = self.broken_relation()
+        if label is not None:
+            raise MapError(f"relation {label} not respected")
 
     def _check_inverse(self):
         P = self.P
+        inverse = self.inverse
+        if self._scales is not None and inverse._scales is not None:
+            one = P.ring.sone()
+            for k, (c, c_inv) in enumerate(zip(self._scales, inverse._scales)):
+                if c * c_inv != one:
+                    raise MapError(f"inverse does not undo {P.symbol_name(k)}")
+            return
         for k, img in enumerate(self.images):
-            if self.inverse.apply(img) != P.symbol(k):
+            if inverse.apply(img) != P.symbol(k):
                 raise MapError(f"inverse does not undo {P.symbol_name(k)}")
+
+    def broken_relation(self):
+        """The label of the first defining relation, in the order of
+        :meth:`Presentation.defining_relations`, that the images do not
+        respect; None when they respect every one.
+
+        The identity respects every relation.  A rescaling map sends the
+        word ``x_a x_b`` to ``c_a c_b`` times its normal form N, since
+        scalars are central, and N to the sum of its terms ``t^beta x^alpha``
+        each times its weight; the terms of N are distinct normal monomials
+        with nonzero coefficients, so the relation holds iff every term has
+        the weight ``c_a c_b``, compared by value.  Any other map multiplies
+        the images of the word and compares with the image of N."""
+        if self._identity:
+            return None
+        P = self.P
+        scales = self._scales
+        for label, (a, b), normal in P.defining_relations():
+            if scales is not None:
+                target = scales[a] * scales[b]
+                if any(self._weight(tvec + e) != target for e, c in normal.terms.items() for tvec in c.terms):
+                    return label
+            elif P.multiply(self.images[a], self.images[b]) != self.apply(normal):
+                return label
+        return None
 
     # -- action ------------------------------------------------------------
 

@@ -1,9 +1,9 @@
 """Shared fixtures: hand-built presentations used across the test suite,
-four oracles (exact univariate division, the sampled twisted product rule
-for the lifted derivations, d of a word position by position, and d on
-both sides of every defining relation), composition and the identity of
-extension endomorphisms, the wide documents, and the grid of affine Ore
-members."""
+five oracles (exact univariate division, the sampled twisted product rule
+for the lifted derivations, d of a word position by position, d on both
+sides of every defining relation, and the relations an extension map
+breaks, found by multiplying), composition and the identity of extension
+endomorphisms, the wide documents, and the grid of affine Ore members."""
 
 from __future__ import annotations
 
@@ -52,6 +52,32 @@ def algebra_identity(P):
     """The identity of the extension, with itself as its inverse."""
     frame = P.frame()
     return AlgebraEndo(P, frame, inverse=AlgebraEndo(P, frame, check=False), check=False)
+
+
+def product_chain(P, endo, tvec, e):
+    """The image of ``t^tvec x^e`` under ``endo`` as the product of the
+    symbol images, one factor at a time in frame order."""
+    image = P.one()
+    for s, k in enumerate(tvec + e):
+        for _ in range(k):
+            image = P.multiply(image, endo.images[s])
+    return image
+
+
+def relation_broken_by_products(endo):
+    """The label of the first defining relation that ``endo`` does not
+    respect, or None: the product of the images of each relation word is
+    compared with the image of its normal form, taken term by term through
+    :func:`product_chain`.  It shares no code with the map's own check."""
+    P = endo.P
+    for label, (a, b), normal in P.defining_relations():
+        acc: dict = {}
+        for e, c in normal.terms.items():
+            for tvec, s in c.terms.items():
+                add_terms(acc, product_chain(P, endo, tvec, e).scale(s).terms)
+        if P.multiply(endo.images[a], endo.images[b]) != SkewPoly(acc, P.n):
+            return label
+    return None
 
 
 def word_element(P, word):

@@ -411,6 +411,56 @@ twist x2: x2 -> x2 + x1
 """
 
 
+RESCALE_BESIDE_SHEAR = """name shear
+gens x1 x2
+rel x2 x1 = x1 x2
+calculus mode=flat
+dgens x1 x2
+twist x1: x1 -> 2*x1
+twist x2: x2 -> x2 + x1
+"""
+
+
+def test_a_rescaling_twist_beside_a_shear_fails_a():
+    """(a) skips a pair only when both twists rescale: x1 -> 2*x1 and the
+    shear x2 -> x2 + x1 send x2 to x2 + 2*x1 and x2 + x1 in the two
+    orders."""
+    calc = run_calculus_check(parse_presentation(RESCALE_BESIDE_SHEAR))
+    rescaling, shear = (dg.twist for dg in calc.spec.dgens)
+    assert rescaling._scales is not None and shear._scales is None
+    assert not calc._twists_commute()
+    assert not calc._generator_certificate()
+
+
+def test_rescaling_twists_commute_without_being_applied(monkeypatch):
+    calc = run_calculus_check(corpus_doc("qaffine3"))
+    assert all(dg.twist._scales is not None and not dg.twist._identity for dg in calc.spec.dgens)
+    applied = []
+    monkeypatch.setattr(AlgebraEndo, "apply", lambda self, f: applied.append(f))
+    assert calc._twists_commute()
+    assert not applied
+
+
+def test_a_stored_rescaling_inverse_fails_c_by_its_weights(monkeypatch):
+    """(c) on a rescaling inverse compares weights: the stored inverse x1 ->
+    2*x1 of the Weyl twist gives the term x1 x2 of x1 x2 - 1 the weight 2,
+    which the relation word x2 x1 has, and the constant the weight 1."""
+    doc = corpus_doc("weyl")
+    P = build_presentation(doc)
+    spec = calculus_spec_from_doc(doc, P)
+    dg = spec.dgens[0]
+    inverse = AlgebraEndo(P, (P.gen(0).scale(P.ring.scalar(2)), P.gen(1)), check=False)
+    twist = AlgebraEndo(P, dg.twist.images, inverse=inverse, check=False)
+    calc = build_calculus(P, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
+    assert calc._generator_certificate()
+    assert inverse.broken_relation() == "x2*x1"
+    multiplied = []
+    monkeypatch.setattr(P, "multiply", lambda f, g: multiplied.append((f, g)))
+    assert not calc._inverses_are_algebra_maps()
+    assert not multiplied
+    assert not calc._transport_certificate()
+
+
 def test_non_commuting_twists_fail_the_certificate_and_d_squared():
     calc = run_calculus_check(parse_presentation(NON_COMMUTING_TWISTS))
     assert not calc._twists_commute()

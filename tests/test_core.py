@@ -363,6 +363,18 @@ def test_defining_relations_oracle(name):
         assert normal == P.normalize_atoms(atoms)
 
 
+def test_defining_relations_are_built_once(monkeypatch):
+    P = build_presentation(corpus_doc("jordan"))
+    rels = P.defining_relations()
+    multiplied = []
+    monkeypatch.setattr(P, "multiply", lambda f, g: multiplied.append((f, g)))
+    assert P.defining_relations() is rels
+    assert not multiplied
+    assert isinstance(rels, tuple)
+    with pytest.raises(AttributeError):
+        rels.append(rels[0])
+
+
 def test_render(weyl, jordan):
     f = weyl.monomial((1, 1)) + weyl.const(-1)
     assert weyl.render(f) == "x1*x2 - 1"

@@ -23,7 +23,9 @@ from conftest import (
     grid_member,
     is_identity,
     lift_delta,
+    product_chain,
     random_skew,
+    relation_broken_by_products,
     twisted_leibniz_witness,
 )
 
@@ -302,15 +304,6 @@ def _calculus_maps(doc):
     return calc.P, maps + [nu, nu.inverse]
 
 
-def _product_chain(P, endo, tvec, e):
-    """The image of ``t^tvec x^e`` as the product of the symbol images."""
-    image = P.one()
-    for s, k in enumerate(tvec + e):
-        for _ in range(k):
-            image = P.multiply(image, endo.images[s])
-    return image
-
-
 @pytest.mark.parametrize("kind, key", RESCALING_CASES)
 def test_rescaling_fast_path_matches_the_product_chain(kind, key):
     P, maps = _calculus_maps(_case_doc(kind, key))
@@ -323,7 +316,7 @@ def test_rescaling_fast_path_matches_the_product_chain(kind, key):
         for expo in exponents_upto(m + P.n, 4):
             tvec, e = expo[:m], expo[m:]
             image = endo.apply(P.monomial(e, P.ring.monomial(tvec)))
-            assert image == _product_chain(P, endo, tvec, e), (expo, [P.render(f) for f in endo.images])
+            assert image == product_chain(P, endo, tvec, e), (expo, [P.render(f) for f in endo.images])
 
 
 @pytest.mark.parametrize("name, dgen", [("un2", "x1"), ("jordan", "t"), ("aq", "z")])
@@ -482,3 +475,113 @@ def test_a_scale_of_one_that_is_not_the_literal_unit_is_multiplied_in():
     f = P.monomial((2,), P.ring.const(3))
     assert _representation(twist.apply(f)) == [((2,), [((), {(2,): Fraction(3)}, {(2,): Fraction(1)})])]
     assert twist.apply(f) == f
+
+
+# -- the relation predicate against the product oracle ----------------------------
+
+
+def _scale_doubled(endo, s):
+    """``endo`` with the image of frame symbol s doubled, unchecked."""
+    images = list(endo.images)
+    images[s] = images[s].scale(endo.P.ring.scalar(2))
+    return AlgebraEndo(endo.P, images, check=False)
+
+
+def _assert_predicate_matches_the_oracle(doc):
+    """The relation predicate and the product oracle name the same first
+    broken relation, or both none, on every map of ``doc`` and on each of
+    its rescaling maps with one scale doubled.  Returns the number of
+    rescaling maps compared and how many of them break a relation."""
+    P, maps = _every_map(doc)
+    mutants = [_scale_doubled(endo, s) for endo in maps if endo._scales is not None for s in range(len(endo.images))]
+    compared = broken = 0
+    for endo in maps + mutants:
+        label = endo.broken_relation()
+        assert label == relation_broken_by_products(endo), [P.render(f) for f in endo.images]
+        if endo._scales is not None:
+            compared += 1
+            broken += label is not None
+    return compared, broken
+
+
+@pytest.mark.parametrize("name", [name for name in CORPUS_NAMES if name != "broken"])
+def test_relation_predicate_matches_the_product_oracle_on_the_corpus(name):
+    compared, _ = _assert_predicate_matches_the_oracle(corpus_doc(name))
+    assert compared
+
+
+@pytest.mark.parametrize("name", WIDE_DOCS)
+def test_relation_predicate_matches_the_product_oracle_on_wide_documents(name):
+    compared, broken = _assert_predicate_matches_the_oracle(parse_presentation(WIDE_DOCS[name]))
+    assert compared
+    if name == "weyl2":
+        assert broken  # doubling x1 alone breaks x2 x1 = x1 x2 - 1
+
+
+def test_relation_predicate_matches_the_product_oracle_on_the_ore_grid():
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    compared = broken = 0
+    for qs, r, ps in grid():
+        counts = _assert_predicate_matches_the_oracle(parse_presentation(ore_document(ring, *grid_member(ring, qs, r, ps))))
+        compared += counts[0]
+        broken += counts[1]
+    assert 0 < broken < compared
+
+
+TAILED_QPLANE = "name tail\nparams q\ngens x1 x2\nrel x2 x1 = q * x1 x2 + x1\n"
+JORDAN = "name jordan\ncoeffs t\ngens x\ndelta x: t -> t^2\n"
+
+
+@pytest.mark.parametrize("source, scales, label", [
+    # x2 x1 = q x1 x2 + x1: the tail x1 has weight c_x1, so c_x2 must be 1
+    (TAILED_QPLANE, (1, 2), "x2*x1"),
+    (TAILED_QPLANE, (1, "q^-1"), "x2*x1"),
+    (TAILED_QPLANE, (2, 1), None),
+    # x t = t x + t^2: the tail t^2 has weight c_t^2, so c_t must be c_x
+    (JORDAN, (2, 2), None),
+    (JORDAN, (3, 2), "x*t"),
+    (JORDAN, (1, 2), "x*t"),
+], ids=["tail-x2", "tail-qinv", "tail-x1", "jordan-equal", "jordan-t", "jordan-t-fixed"])
+def test_rescaling_maps_that_weigh_a_tail_wrongly_break_the_relation(source, scales, label):
+    P = build_presentation(parse_presentation(source))
+    images = [
+        sym.scale(P.ring.param("q").inverse() if c == "q^-1" else P.ring.scalar(c)) for sym, c in zip(P.frame(), scales)
+    ]
+    endo = AlgebraEndo(P, images, check=False)
+    assert endo._scales is not None
+    assert endo.broken_relation() == relation_broken_by_products(endo) == label
+    if label is None:
+        AlgebraEndo(P, images)
+    else:
+        with pytest.raises(MapError) as err:
+            AlgebraEndo(P, images)
+        assert str(err.value) == f"relation {label} not respected"
+
+
+def test_rescaling_maps_check_their_relations_without_products(monkeypatch):
+    P = build_presentation(corpus_doc("qaffine3"))
+    P.defining_relations()
+    calls = _count_multiplies(monkeypatch, P)
+    q12 = P.ring.param("q12")
+    x1, x2, x3 = P.frame()
+    assert AlgebraEndo(P, (x1, x2.scale(q12), x3)).broken_relation() is None
+    assert AlgebraEndo(P, (x1, x2, x3.scale(q12)), check=False).broken_relation() is None
+    assert not calls
+
+
+def test_a_rescaling_inverse_is_checked_by_its_scales(qplane, monkeypatch):
+    """``c_s * c'_s`` is compared with one by value: ``q^-1 * q`` is the
+    fraction q/q, which is one but not the literal unit."""
+    q = qplane.ring.param("q")
+    assert not (q.inverse() * q).is_unit()
+    x1, x2 = qplane.frame()
+    inverse = AlgebraEndo(qplane, (x1, x2.scale(q)), check=False)
+    twist = AlgebraEndo(qplane, (x1, x2.scale(q.inverse())), inverse=inverse)
+    assert twist._verified_inverse is inverse
+    applied = []
+    monkeypatch.setattr(AlgebraEndo, "apply", lambda self, f: applied.append(f))
+    wrong = AlgebraEndo(qplane, (x1, x2.scale(q * q)), check=False)
+    with pytest.raises(MapError) as err:
+        AlgebraEndo(qplane, twist.images, inverse=wrong)
+    assert str(err.value) == "inverse does not undo x2"
+    assert not applied
