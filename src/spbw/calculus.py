@@ -24,7 +24,7 @@ from operator import add
 from .coefficients import CoeffPoly
 from .core import Presentation, SkewPoly, exponents_upto
 from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
-from .extended import AlgebraEndo, HypothesisReport, _lift_sigma, _require_lift_block, hypothesis_check
+from .extended import AlgebraEndo, extend_sigma, hypothesis_check
 from .lincomb import LinComb, add_term, add_terms, sum_terms
 from .linalg import inverse, kernel_basis
 from .sampling import random_skew
@@ -79,13 +79,6 @@ class IntegralForm(LinComb):
 
     def _make(self, terms) -> "IntegralForm":
         return IntegralForm(self.degree, terms)
-
-    def scale(self, s: Scalar) -> "IntegralForm":
-        if s.is_zero():
-            return self._make({})
-        if s.is_unit():
-            return self
-        return self._make({S: v.scale(s) for S, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if type(other) is not IntegralForm:
@@ -907,12 +900,12 @@ class Calculus:
         )
 
 
-def build_calculus(P: Presentation, spec: CalculusSpec, hypotheses: HypothesisReport | None = None) -> Calculus:
+def build_calculus(P: Presentation, spec: CalculusSpec) -> Calculus:
     """Validate the spec, solve the frame coordinates, and verify that the
-    differential is compatible with every defining relation.  A caller that
-    holds :func:`hypothesis_check` of P passes it as ``hypotheses``."""
+    differential is compatible with every defining relation.  Theorem mode
+    needs the plain-twist hypotheses (:func:`hypothesis_check`) to hold."""
     if spec.mode == THEOREM_MODE:
-        rep = hypothesis_check(P) if hypotheses is None else hypotheses
+        rep = hypothesis_check(P)
         if not rep.theorem_ok:
             raise ConfigError(
                 "plain-twist mode requires trivial pair relations and a fully "
@@ -935,13 +928,11 @@ def build_calculus(P: Presentation, spec: CalculusSpec, hypotheses: HypothesisRe
     return calc
 
 
-def theorem_spec(P: Presentation, hypotheses: HypothesisReport | None = None) -> CalculusSpec:
+def theorem_spec(P: Presentation) -> CalculusSpec:
     """The plain-twist calculus: one differential per generator, twists the
-    coefficientwise lifts of :func:`extend_sigma` (the lifting hypotheses
-    checked once for all of them, from ``hypotheses`` when given), all
-    wedge constants one."""
-    _require_lift_block(P, hypotheses)
-    dgens = [DGen(P.names[i], P.gen(i), _lift_sigma(P, i)) for i in range(P.n)]
+    coefficientwise lifts of :func:`extend_sigma`, which raises unless the
+    lifting hypotheses hold, all wedge constants one."""
+    dgens = [DGen(P.names[i], P.gen(i), extend_sigma(P, i)) for i in range(P.n)]
     for dg in dgens:
         if dg.twist.inverse is None:
             raise ConfigError(

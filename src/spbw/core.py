@@ -55,7 +55,7 @@ from .coefficients import (
 )
 from .errors import HypothesisError
 from .lincomb import LinComb, add_term, add_terms, render_sum, sum_terms
-from .scalars import Scalar, poly_one
+from .scalars import poly_one
 
 
 class SkewPoly(LinComb):
@@ -84,14 +84,6 @@ class SkewPoly(LinComb):
             if not p.is_zero():
                 out[e] = p
         return self._make(out)
-
-    def scale(self, s: Scalar) -> "SkewPoly":
-        """``s`` times the element; the literal unit returns it unchanged."""
-        if s.is_zero():
-            return self._make({})
-        if s.is_unit():
-            return self
-        return self._make({e: c.scale(s) for e, c in self.terms.items()})
 
     def is_unit(self) -> bool:
         """Whether this is the literal unit element: one term, at the zero
@@ -142,10 +134,11 @@ class Presentation:
     relation as ``(coefficient, word)`` pairs.
 
     The defining data is not changed after construction and no operation
-    changes a value it is given or has returned, but products of monomials
-    are memoized in ``_mono_cache`` (and the coefficient maps memoize their
-    powers), so a presentation is not safe to share between threads
-    without a lock."""
+    changes a value it is given or has returned, but monomial products
+    (``_mono_cache``), :meth:`defining_relations` (``_relations``) and
+    :func:`spbw.extended.hypothesis_check` (``_hypotheses``) are memoized,
+    as are the powers of the coefficient maps, so a presentation is not
+    safe to share between threads without a lock."""
 
     def __init__(self, ring: CoeffRing, names, sigma, delta, relations):
         self.ring = ring
@@ -175,6 +168,7 @@ class Presentation:
         self._skew = skew if len(skew) == len(self.tails) or self._polynomial_scalars() else {}
         self._mono_cache: dict = {}
         self._relations = None  # defining_relations(), built on first use
+        self._hypotheses = None  # extended.hypothesis_check(self), made on first use
 
     def _polynomial_scalars(self) -> bool:
         """Whether every scalar of the tails, of the sigma images and of the

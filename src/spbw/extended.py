@@ -306,10 +306,12 @@ class HypothesisReport:
 
 
 def hypothesis_check(P: Presentation) -> HypothesisReport:
-    """Evaluate the commutation system and relation-shape conditions.
-
-    All findings are data; nothing is raised.
-    """
+    """Evaluate the commutation system and relation-shape conditions, once
+    per presentation: the report is kept on P, returned by every later
+    call, and must not be changed.  All findings are data; nothing is
+    raised."""
+    if P._hypotheses is not None:
+        return P._hypotheses
     audit = commutation_audit(P.sigma, P.delta)
     failures = [f"{label} pair {key}" for label, key in audit.failures()]
 
@@ -337,7 +339,7 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
                     f"linear tail {tail_name(w)} of relation ({P.names[j]},{P.names[i]}) is nonzero"
                 )
 
-    return HypothesisReport(
+    P._hypotheses = HypothesisReport(
         h1_sigma_delta_diag=all(audit.sigma_delta_diag.values()),
         h2_delta_delta=all(audit.delta_delta.values()),
         h3_delta_sigma=all(audit.delta_sigma.values()),
@@ -346,6 +348,7 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
         t2_sigma_sigma=all(audit.sigma_sigma.values()),
         failures=failures,
     )
+    return P._hypotheses
 
 
 # -- lifts ---------------------------------------------------------------------
@@ -353,26 +356,14 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
 
 def extend_sigma(P: Presentation, i: int) -> AlgebraEndo:
     """Lift sigma_i to the extension: coefficientwise on normal forms,
-    fixing every generator.  Carries an inverse when sigma_i does."""
-    _require_lift_block(P)
-    return _lift_sigma(P, i)
-
-
-def _require_lift_block(P: Presentation, report: HypothesisReport | None = None):
-    """Raise unless the coefficient maps satisfy the lifting hypotheses, as
-    ``report`` (:func:`hypothesis_check` of P, made here when not given)
-    records them."""
-    if report is None:
-        report = hypothesis_check(P)
+    fixing every generator.  Carries an inverse when sigma_i does.  Raises
+    unless the coefficient maps satisfy the lifting hypotheses, as
+    :func:`hypothesis_check` of P records them."""
+    report = hypothesis_check(P)
     if not report.proposition_ok:
         raise HypothesisError(
             "coefficient maps do not satisfy the lifting hypotheses: " + "; ".join(report.failures)
         )
-
-
-def _lift_sigma(P: Presentation, i: int) -> AlgebraEndo:
-    """The lift of :func:`extend_sigma`, for a caller that has already
-    checked the lifting hypotheses."""
     gens = P.frame()[P.ring.nvars:]
     images = tuple(P.from_coeff(apply_endo(P.sigma[i], P.ring.var(j))) for j in range(P.ring.nvars))
     inv = None

@@ -2,7 +2,8 @@
 sorted sum of monomial terms.
 
 A :class:`LinComb` maps keys (exponent tuples, sorted index sets) to nonzero
-values; the values only need ``+``, unary ``-``, ``==`` and ``is_zero``.
+values; the values only need ``+``, unary ``-``, ``==`` and ``is_zero``, and
+``scale`` by a scalar for :meth:`LinComb.scale`.
 Coefficient polynomials, normal-form elements, differential forms and
 integral forms all store their data this way.
 """
@@ -31,6 +32,15 @@ class LinComb:
 
     def __sub__(self, other):
         return self + (-other)
+
+    def scale(self, s):
+        """``s`` times the sum, s a scalar, scaling each value; the literal
+        unit returns it unchanged."""
+        if s.is_zero():
+            return self._make({})
+        if s.is_unit():
+            return self
+        return self._make({k: v.scale(s) for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if other is self:

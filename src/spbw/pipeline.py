@@ -17,8 +17,8 @@ so runs are reproducible.  The report records the options in every case.
 The sampled divergence checks need a passed integrability stage: the run
 carries that stage's verdict as ``integrable`` into ``divergence-leibniz``
 and ``flatness``, and a fallback that runs without it is an ``error``
-record.  The run carries the ``hypotheses`` stage's report the same way
-into ``compatibility``, so a run evaluates the hypotheses once.
+record.  ``hypotheses`` and theorem-mode ``compatibility`` read the one
+report that :func:`hypothesis_check` keeps on the presentation.
 """
 
 from __future__ import annotations
@@ -32,21 +32,20 @@ from .coefficients import apply_endo
 from .core import Presentation
 from .dsl import PresentationDoc, build_presentation
 from .errors import ConfigError, SpbwError
-from .extended import AlgebraEndo, HypothesisReport, auto_inverse, hypothesis_check
+from .extended import AlgebraEndo, auto_inverse, hypothesis_check
 from .gkdim import HARD_CHECKS, CheckRecord, filtration_dims, gk_estimate, smoothness_verdict
 from .report import Report
 
 
-def calculus_spec_from_doc(doc: PresentationDoc, P, hypotheses: HypothesisReport | None = None) -> CalculusSpec:
+def calculus_spec_from_doc(doc: PresentationDoc, P) -> CalculusSpec:
     """Materialize the calculus block: construct every twist (verifying it
     respects the relations), fill missing inverses mechanically.  A theorem
-    mode block reads ``hypotheses`` (:func:`hypothesis_check` of P) when
-    given."""
+    mode block is :func:`theorem_spec` of P."""
     cal = doc.calculus
     if cal is None:
         raise ConfigError("document has no calculus block")
     if cal.mode == "theorem":
-        return theorem_spec(P, hypotheses)
+        return theorem_spec(P)
     dgens = []
     for name in cal.dgen_names:
         images = cal.twist[name]
@@ -68,7 +67,6 @@ class _Run:
     doc: PresentationDoc
     P: Presentation
     rng: random.Random
-    hypotheses: HypothesisReport | None = None  # checked once, read again by compatibility
     calculus: Calculus | None = None
     integrable: bool = False  # the integrability verdict; stays False when that stage errors
     gk: int | None = None
@@ -94,7 +92,7 @@ def _stage_pbw(run: _Run) -> CheckOutcome:
 
 def _stage_hypotheses(run: _Run) -> CheckOutcome:
     """Informational unless the calculus mode requires the blocks."""
-    rep = run.hypotheses = hypothesis_check(run.P)
+    rep = hypothesis_check(run.P)
     mode = run.doc.calculus.mode if run.doc.calculus else None
     ok = rep.theorem_ok if mode == "theorem" else True
     data = {"lift_block": rep.proposition_ok, "plain_twist_block": rep.theorem_ok}
@@ -102,8 +100,8 @@ def _stage_hypotheses(run: _Run) -> CheckOutcome:
 
 
 def _stage_compatibility(run: _Run) -> CheckOutcome:
-    spec = calculus_spec_from_doc(run.doc, run.P, run.hypotheses)
-    run.calculus = build_calculus(run.P, spec, run.hypotheses)
+    spec = calculus_spec_from_doc(run.doc, run.P)
+    run.calculus = build_calculus(run.P, spec)
     return CheckOutcome(True, data={"dimension": run.calculus.N})
 
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
+import sympy
 
 import spbw.calculus
 import spbw.pipeline
@@ -17,7 +18,7 @@ from spbw.calculus import (
     build_calculus,
     theorem_spec,
 )
-from spbw.coefficients import CoeffRing
+from spbw.coefficients import CoeffRing, commutation_audit
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
@@ -738,18 +739,40 @@ def _closed_form_kernel(calc, bound):
     potential lies in the kernel outright.  So the count is that of the
     exponents up to the bound supported on the symbols with no potential
     or with own scale -1, with every exponent of the latter even."""
-    free, even = [], []
-    for s, row in enumerate(calc._dcoords):
-        if row is None:
-            free.append(s)
-            continue
-        (i,) = [i for i, b in enumerate(row) if not b.is_zero()]
-        scales = calc.spec.dgens[i].twist._scales
-        assert scales is not None
-        if scales[s] == calc.P.ring.scalar(-1):
-            even.append(s)
+    scales = _own_scales(calc)
+    free = [s for s, c in scales.items() if c is None]
+    even = [s for s, c in scales.items() if c is not None and c == calc.P.ring.scalar(-1)]
     steps = [range(bound + 1)] * len(free) + [range(0, bound + 1, 2)] * len(even)
     return sum(1 for a in product(*steps) if sum(a) <= bound)
+
+
+def _own_scales(calc):
+    """symbol -> the scale of twist i on the symbol, i the generator whose
+    potential is a scalar times the symbol; None for a symbol with no
+    potential.  Every twist must rescale."""
+    scales = {}
+    for s, row in enumerate(calc._dcoords):
+        if row is None:
+            scales[s] = None
+            continue
+        (i,) = [i for i, b in enumerate(row) if not b.is_zero()]
+        twist_scales = calc.spec.dgens[i].twist._scales
+        assert twist_scales is not None
+        scales[s] = twist_scales[s]
+    return scales
+
+
+def _sympy_scalar(c, names):
+    """The scalar c as a sympy expression in the parameter symbols."""
+    params = [sympy.Symbol(name) for name in names]
+
+    def poly(p):
+        return sympy.Add(*(
+            sympy.Rational(v.numerator, v.denominator) * sympy.Mul(*(x**k for x, k in zip(params, e)))
+            for e, v in p.items()
+        ))
+
+    return poly(c.num) / poly(c.den)
 
 
 def _assert_closed_form_kernel(calc):
@@ -816,6 +839,28 @@ def test_closed_form_kernel_of_the_linear_part_on_diagonal_affine_calculi(affine
     lin = run_calculus_check(parse_presentation(linear))
     assert [_closed_form_kernel(lin, bound) for bound in (6, 10, 14)] == dims
     assert [calc.connectedness_check(bound).data["kernel_dimension"] for bound in (6, 10, 14)] == dims
+
+
+# the flat documents beside RESCALING whose own scales the closed form
+# reads: -1, then -1 and 2, then 2
+OWN_SCALE_DOCS = {"sign": SIGN_TWIST, "mixed": MIXED_SCALES, "doubling": DOUBLING}
+
+
+@pytest.mark.parametrize("name", RESCALING + tuple(OWN_SCALE_DOCS))
+def test_q_integers_vanish_only_at_minus_one_and_even_exponents(name):
+    # The closed form's assumption, checked by sympy on every own scale it
+    # reads: [a]_c = 1 + c + ... + c^(a-1) is 0 in Q(params) iff c = -1 and
+    # a is even.
+    text = OWN_SCALE_DOCS.get(name)
+    calc = run_calculus_check(parse_presentation(text) if text else _doc(name))
+    scales = [c for c in _own_scales(calc).values() if c is not None]
+    assert scales
+    for c in scales:
+        x = _sympy_scalar(c, calc.P.ring.params)
+        minus_one = sympy.cancel(x + 1) == 0
+        for a in range(1, 15):
+            vanishes = sympy.cancel(sum(x**k for k in range(a))) == 0
+            assert vanishes == (minus_one and a % 2 == 0), (name, c, a)
 
 
 def test_mixed_scales_connectedness_record():
@@ -1198,12 +1243,13 @@ def _count_calls(monkeypatch, fn):
 
 @pytest.mark.parametrize("name", ["weyl", "poly3", "weyl2", "poly5"])
 def test_plain_twist_calculus_is_built_once(name, monkeypatch):
-    """A theorem-mode run checks the hypotheses once, in the hypotheses
-    stage, whose report ``theorem_spec`` and ``build_calculus`` then read,
-    and builds each lift, its inverse, the volume twist and its inverse
-    once: 2n + 2 maps."""
+    """A theorem-mode run evaluates the hypotheses once: the hypotheses
+    stage, each ``extend_sigma`` of ``theorem_spec`` and ``build_calculus``
+    read the one report kept on the presentation, so the commutation system
+    is audited once.  The run builds each lift, its inverse, the volume
+    twist and its inverse once: 2n + 2 maps."""
     doc = parse_presentation(WIDE_DOCS[name]) if name in WIDE_DOCS else corpus_doc(name)
-    checks = _count_calls(monkeypatch, hypothesis_check)
+    checks = _count_calls(monkeypatch, commutation_audit)
     maps = []
     init = AlgebraEndo.__init__
 
@@ -1216,6 +1262,25 @@ def test_plain_twist_calculus_is_built_once(name, monkeypatch):
     assert report.verdict == "certified-smooth"
     n = len(doc.gens)
     assert (len(checks), len(maps)) == (1, 2 * n + 2)
+
+
+@pytest.mark.parametrize("name", ["weyl", "jordan", "aq"])
+def test_hypotheses_are_evaluated_once_per_presentation(name, monkeypatch):
+    """``hypothesis_check`` keeps its report on the presentation: a second
+    call returns the same report with no second audit, and a presentation
+    built afresh from the same document gets a report of its own.  A flat
+    mode run audits once as well."""
+    doc = corpus_doc(name)
+    audits = _count_calls(monkeypatch, commutation_audit)
+    P = build_presentation(doc)
+    report = hypothesis_check(P)
+    assert hypothesis_check(P) is report
+    assert len(audits) == 1
+    fresh = hypothesis_check(build_presentation(doc))
+    assert fresh is not report and fresh == report
+    assert len(audits) == 2
+    run_smooth(doc)
+    assert len(audits) == 3
 
 
 # -- the transport certificate against the sampled checks ---------------------------------------
