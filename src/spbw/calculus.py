@@ -92,9 +92,6 @@ class CheckOutcome:
     witnesses: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
 
-    def __bool__(self):
-        return self.ok
-
 
 def _require_integrable(integrable: bool):
     """The sampled divergence checks transport d, and the transported

@@ -128,10 +128,10 @@ def _cmd_gkdim(args) -> int:
     est, diag = gk_estimate(table)
     print(f"dimensions: {table.dims}")
     if est is None:
-        print(f"estimate: ambiguous (differences say {diag.difference_degree}, "
-              f"slope says {diag.slope_estimate}); raise --max-degree")
+        print(f"estimate: ambiguous (differences say {diag['difference_degree']}, "
+              f"slope says {diag['slope_estimate']}); raise --max-degree")
         return EXIT_CHECK_FAILED
-    print(f"estimate: {est} ({diag.note})")
+    print(f"estimate: {est} ({diag['note']})")
     return EXIT_OK
 
 

@@ -27,7 +27,7 @@ return exactly the keys and ``Fraction`` values the generic code would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from itertools import combinations, permutations
 
 from .errors import MapError
 from .lincomb import LinComb, add_terms, is_spaced_sum, render_sum, sum_terms
@@ -274,9 +274,6 @@ class CoeffSigmaDerivation:
         self.twist = twist
         self._memo = {}
 
-    def is_zero(self) -> bool:
-        return all(img.is_zero() for img in self.images)
-
 
 def apply_sder(delta: CoeffSigmaDerivation, p: CoeffPoly) -> CoeffPoly:
     """Extend ``delta`` from variable images to all of R by the twisted
@@ -307,68 +304,30 @@ def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> Coe
 # -- commutation audit ------------------------------------------------------
 
 
-@dataclass
-class CommutationAudit:
-    """Per-pair results of the four commutation identities, decided by
-    evaluating both compositions on every coefficient variable."""
-
-    sigma_sigma: dict = field(default_factory=dict)   # (i, j) -> bool, i < j
-    delta_delta: dict = field(default_factory=dict)   # (i, j) -> bool, i < j
-    delta_sigma: dict = field(default_factory=dict)   # (i, j) -> bool, i != j
-    sigma_delta_diag: dict = field(default_factory=dict)  # i -> bool
-
-    @property
-    def ok(self) -> bool:
-        return all(
-            all(table.values())
-            for table in (self.sigma_sigma, self.delta_delta, self.delta_sigma, self.sigma_delta_diag)
-        )
-
-    def failures(self):
-        out = []
-        for label, table in (
-            ("sigma-sigma", self.sigma_sigma),
-            ("delta-delta", self.delta_delta),
-            ("delta-sigma", self.delta_sigma),
-            ("sigma-delta", self.sigma_delta_diag),
-        ):
-            out.extend((label, key) for key, good in table.items() if not good)
-        return out
-
-
-def commutation_audit(sigmas, deltas) -> CommutationAudit:
-    """Check which pairs of coefficient-level maps commute.
+def commutation_audit(sigmas, deltas) -> list:
+    """The pairs of coefficient-level maps that do not commute, as
+    ``(label, key)`` in the order sigma-sigma (i < j), delta-delta (i < j),
+    delta-sigma (i != j), then sigma-delta (i); empty when every pair
+    commutes.
 
     Sufficient on variable images because every map is determined by them.
-    Failures are recorded, not raised.
+    Failures are returned, not raised.
     """
-    audit = CommutationAudit()
-    n = len(sigmas)
     variables = [_variable(img, j) for j, img in enumerate(sigmas[0].images)] if sigmas else []
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            audit.sigma_sigma[(i, j)] = all(
-                apply_endo(sigmas[i], apply_endo(sigmas[j], v)) == apply_endo(sigmas[j], apply_endo(sigmas[i], v))
-                for v in variables
-            )
-            audit.delta_delta[(i, j)] = all(
-                apply_sder(deltas[i], apply_sder(deltas[j], v)) == apply_sder(deltas[j], apply_sder(deltas[i], v))
-                for v in variables
-            )
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                audit.delta_sigma[(i, j)] = all(
-                    apply_sder(deltas[i], apply_endo(sigmas[j], v)) == apply_endo(sigmas[j], apply_sder(deltas[i], v))
-                    for v in variables
-                )
-    for i in range(n):
-        audit.sigma_delta_diag[i] = all(
-            apply_endo(sigmas[i], apply_sder(deltas[i], v)) == apply_sder(deltas[i], apply_endo(sigmas[i], v))
-            for v in variables
-        )
-    return audit
+    def commute(f, a, g, b) -> bool:
+        return all(f(a, g(b, v)) == g(b, f(a, v)) for v in variables)
+
+    n = len(sigmas)
+    pairs = list(combinations(range(n), 2))
+    failures = [("sigma-sigma", (i, j)) for i, j in pairs if not commute(apply_endo, sigmas[i], apply_endo, sigmas[j])]
+    failures += [("delta-delta", (i, j)) for i, j in pairs if not commute(apply_sder, deltas[i], apply_sder, deltas[j])]
+    failures += [
+        ("delta-sigma", (i, j)) for i, j in permutations(range(n), 2)
+        if not commute(apply_sder, deltas[i], apply_endo, sigmas[j])
+    ]
+    failures += [("sigma-delta", i) for i in range(n) if not commute(apply_endo, sigmas[i], apply_sder, deltas[i])]
+    return failures
 
 
 # -- rendering ----------------------------------------------------------------

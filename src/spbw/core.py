@@ -461,11 +461,8 @@ class Presentation:
     def power_commute_closed(self, i: int, m: int, r: CoeffPoly) -> SkewPoly:
         """Closed binomial form of ``x_i^m * r``; requires that sigma_i and
         delta_i commute."""
-        audit = commutation_audit([self.sigma[i]], [self.delta[i]])
-        if not audit.ok:
-            raise HypothesisError(
-                f"sigma and delta of generator {self.names[i]} do not commute"
-            )
+        if commutation_audit([self.sigma[i]], [self.delta[i]]):
+            raise HypothesisError(f"sigma and delta of generator {self.names[i]} do not commute")
         acc: dict = {}
         for k in range(m + 1):
             img = r

@@ -313,7 +313,8 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
     if P._hypotheses is not None:
         return P._hypotheses
     audit = commutation_audit(P.sigma, P.delta)
-    failures = [f"{label} pair {key}" for label, key in audit.failures()]
+    failures = [f"{label} pair {key}" for label, key in audit]
+    failed = {label for label, _ in audit}
 
     h4 = True
     for (i, j), tails in P.tails.items():
@@ -340,12 +341,12 @@ def hypothesis_check(P: Presentation) -> HypothesisReport:
                 )
 
     P._hypotheses = HypothesisReport(
-        h1_sigma_delta_diag=all(audit.sigma_delta_diag.values()),
-        h2_delta_delta=all(audit.delta_delta.values()),
-        h3_delta_sigma=all(audit.delta_sigma.values()),
+        h1_sigma_delta_diag="sigma-delta" not in failed,
+        h2_delta_delta="delta-delta" not in failed,
+        h3_delta_sigma="delta-sigma" not in failed,
         h4_delta_kills_constants=h4,
         t1_relations_trivial=t1,
-        t2_sigma_sigma=all(audit.sigma_sigma.values()),
+        t2_sigma_sigma="sigma-sigma" not in failed,
         failures=failures,
     )
     return P._hypotheses

@@ -71,16 +71,10 @@ def filtration_dims(P: Presentation, m_max: int) -> FiltrationTable:
     return FiltrationTable([comb(nsyms + m, m) for m in range(max(m_max, nsyms + 1) + 1)])
 
 
-@dataclass
-class GkDiagnostics:
-    difference_degree: int | None
-    slope_estimate: int | None
-    ambiguous: bool
-    note: str = "desk-scale estimate"
-
-
 def gk_estimate(table: FiltrationTable) -> tuple:
-    """Integer growth exponent from the dimension table.
+    """Integer growth exponent from the dimension table, with the
+    ``gk-estimate`` record's data: ``difference_degree``, ``slope_estimate``,
+    ``ambiguous`` and ``note``.
 
     The order at which finite differences of the table stabilize at a
     nonzero constant decides; the estimate is ambiguous only when no order
@@ -109,7 +103,12 @@ def gk_estimate(table: FiltrationTable) -> tuple:
     else:
         slope = round((log(dims[m]) - log(dims[m - 1])) / (log(m) - log(m - 1)))
 
-    return diff_degree, GkDiagnostics(diff_degree, slope, diff_degree is None)
+    return diff_degree, {
+        "difference_degree": diff_degree,
+        "slope_estimate": slope,
+        "ambiguous": diff_degree is None,
+        "note": "desk-scale estimate",
+    }
 
 
 # -- verdict ----------------------------------------------------------------------

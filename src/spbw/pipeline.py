@@ -158,13 +158,7 @@ def _stage_flatness(run: _Run) -> CheckOutcome:
 
 
 def _stage_gk(run: _Run) -> CheckOutcome:
-    run.gk, diag = gk_estimate(filtration_dims(run.P, run.opts["gk_degree"]))
-    data = {
-        "difference_degree": diag.difference_degree,
-        "slope_estimate": diag.slope_estimate,
-        "ambiguous": diag.ambiguous,
-        "note": diag.note,
-    }
+    run.gk, data = gk_estimate(filtration_dims(run.P, run.opts["gk_degree"]))
     ok = run.gk is not None
     return CheckOutcome(ok, [] if ok else ["finite differences of the growth table never settle"], data)
 

@@ -39,28 +39,9 @@ class Report:
 
     @staticmethod
     def from_dict(data: dict) -> "Report":
-        checks = [
-            CheckRecord(
-                name=c["name"],
-                status=c["status"],
-                witnesses=list(c.get("witnesses", [])),
-                data=dict(c.get("data", {})),
-                seconds=c.get("seconds", 0.0),
-            )
-            for c in data["checks"]
-        ]
-        return Report(
-            algebra=data["algebra"],
-            mode=data["mode"],
-            config=dict(data["config"]),
-            calculus_dimension=data["calculus_dimension"],
-            gk_estimate=data["gk_estimate"],
-            checks=checks,
-            verdict=data["verdict"],
-            failed_check=data["failed_check"],
-            failing=list(data["failing"]),
-            schema=data["schema"],
-        )
+        """Inverse of :meth:`to_dict`: the schema requires every field of
+        ``Report`` and ``CheckRecord`` and forbids any other."""
+        return Report(**{**data, "checks": [CheckRecord(**c) for c in data["checks"]]})
 
     def to_json(self, zero_timing: bool = False) -> str:
         doc = self.to_dict()

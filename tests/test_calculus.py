@@ -19,7 +19,7 @@ from spbw.calculus import (
     theorem_spec,
 )
 from spbw.coefficients import CoeffRing, commutation_audit
-from spbw.corpus import CORPUS_NAMES, corpus_doc
+from spbw.corpus import CORPUS_NAMES, corpus_doc, corpus_source
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
 from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, hypothesis_check
@@ -181,6 +181,22 @@ def test_missing_inverse_rejected(poly2):
     spec = CalculusSpec(dgens=[DGen("x1", poly2.gen(0), naked), DGen("x2", poly2.gen(1), naked)])
     with pytest.raises(ConfigError):
         build_calculus(poly2, spec)
+
+
+@pytest.mark.parametrize("source, message", [
+    pytest.param("name m\ncoeffs t\ngens x\ncalculus mode=flat\ndgens x\n",
+                 "every symbol needs a differential in flat mode", id="flat-missing-differential"),
+    pytest.param("name m\ncoeffs t\ngens x\nsigma x: t -> t^2\ncalculus mode=theorem\n",
+                 "sigma of generator x carries no inverse; plain-twist mode needs a bijective extension",
+                 id="theorem-without-inverse"),
+    pytest.param(corpus_source("jordan") + "itwist t: x -> x + 2*t\n", "inverse does not undo x",
+                 id="wrong-itwist"),
+])
+def test_calculus_construction_errors_are_error_records(source, message):
+    report = run_smooth(parse_presentation(source))
+    assert (report.verdict, report.failed_check) == ("failed", "compatibility")
+    rec = report.check("compatibility")
+    assert (rec.status, rec.witnesses) == ("error", [message])
 
 
 def _potentials_spec(P, potentials):
@@ -792,6 +808,33 @@ def test_closed_form_kernel_with_a_scale_of_minus_one(text):
     _assert_closed_form_kernel(calc)
 
 
+# an own scale in Q(params): q on x, then q on x1 beside -1 on x2
+Q_SCALE = """name qscale
+params q
+gens x
+calculus mode=flat
+dgens x
+twist x: x -> q*x
+"""
+
+MIXED_Q_SCALES = """name mixedq
+params q
+gens x1 x2
+rel x2 x1 = x1 x2
+calculus mode=flat
+dgens x1 x2
+twist x1: x1 -> q*x1
+twist x2: x2 -> -1*x2
+"""
+
+
+@pytest.mark.parametrize("text, dims", [(Q_SCALE, [1, 1, 1]), (MIXED_Q_SCALES, [4, 6, 8])], ids=("q", "mixed-q"))
+def test_closed_form_kernel_with_a_parametric_scale(text, dims):
+    calc = run_calculus_check(parse_presentation(text))
+    assert [_closed_form_kernel(calc, bound) for bound in (6, 10, 14)] == dims
+    _assert_closed_form_kernel(calc)
+
+
 def test_closed_form_kernel_without_a_potential(jordan):
     # plain-twist mode over F[t]: t has no differential
     calc = build_calculus(jordan, theorem_spec(jordan))
@@ -842,8 +885,10 @@ def test_closed_form_kernel_of_the_linear_part_on_diagonal_affine_calculi(affine
 
 
 # the flat documents beside RESCALING whose own scales the closed form
-# reads: -1, then -1 and 2, then 2
-OWN_SCALE_DOCS = {"sign": SIGN_TWIST, "mixed": MIXED_SCALES, "doubling": DOUBLING}
+# reads: -1, then -1 and 2, then 2, then q, then q and -1
+OWN_SCALE_DOCS = {
+    "sign": SIGN_TWIST, "mixed": MIXED_SCALES, "doubling": DOUBLING, "q": Q_SCALE, "mixed-q": MIXED_Q_SCALES,
+}
 
 
 @pytest.mark.parametrize("name", RESCALING + tuple(OWN_SCALE_DOCS))

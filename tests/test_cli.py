@@ -51,6 +51,18 @@ def test_check_hypotheses(capsys):
     assert "plain-twist block: pass" in out
 
 
+def test_check_hypotheses_prints_each_failure(tmp_path, capsys):
+    path = tmp_path / "ds.spbw"
+    path.write_text(
+        "name ds\ncoeffs t\ngens x1 x2\nsigma x1: t -> 2*t\ndelta x2: t -> t^2\nrel x2 x1 = x1 x2\n",
+        encoding="utf-8",
+    )
+    assert main(["check", "hypotheses", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "  deltas commute with sigmas           FAIL\n" in out
+    assert out.endswith("  detail: delta-sigma pair (1, 0)\n")
+
+
 def test_calculus_check(capsys):
     assert main(["calculus", "check", "corpus:jordan"]) == 0
     assert "dimension 2" in capsys.readouterr().out

@@ -134,17 +134,14 @@ def test_commutation_audit_scaling_vs_scaled_delta(ring_qt):
     sigma = CoeffEndo((ring_qt.var(0).scale(q),))
     good = CoeffSigmaDerivation((ring_qt.var(0),), sigma)
     bad = CoeffSigmaDerivation((ring_qt.one(),), sigma)
-    assert commutation_audit([sigma], [good]).ok
-    audit = commutation_audit([sigma], [bad])
-    assert not audit.ok
-    assert ("sigma-delta", 0) in audit.failures()
+    assert commutation_audit([sigma], [good]) == []
+    assert commutation_audit([sigma], [bad]) == [("sigma-delta", 0)]
 
 
 def test_commutation_audit_identity_always_commutes(ring_qt):
     sigma = identity_endo(ring_qt)
     delta = CoeffSigmaDerivation((ring_qt.var(0) * ring_qt.var(0),), sigma)
-    audit = commutation_audit([sigma, sigma], [delta, delta])
-    assert all(audit.sigma_sigma.values()) and all(audit.delta_sigma.values())
+    assert commutation_audit([sigma, sigma], [delta, delta]) == []
 
 
 def test_derivative_and_divmod(ring_qt):

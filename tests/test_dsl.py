@@ -112,6 +112,21 @@ def test_round_trip_all_corpus():
         assert again == doc, f"round trip failed for {name}"
 
 
+JORDAN_ITWIST = corpus_source("jordan") + "itwist t: x -> x - 2*t\n"
+
+
+def test_claimed_twist_inverse_renders_and_round_trips():
+    doc = parse_presentation(JORDAN_ITWIST)
+    text = render_presentation(doc)
+    assert "twist t: x -> x + 2*t\nitwist t: x -> x - 2*t\n" in text
+    assert parse_presentation(text) == doc
+
+
+def test_claimed_twist_inverse_gives_the_derived_report():
+    derived = run_smooth(corpus_doc("jordan")).to_json(zero_timing=True)
+    assert run_smooth(parse_presentation(JORDAN_ITWIST)).to_json(zero_timing=True) == derived
+
+
 def test_parse_expression_normalizes():
     doc = corpus_doc("weyl")
     P = build_presentation(doc)

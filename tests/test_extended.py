@@ -213,6 +213,23 @@ def test_extend_sigma_requires_h_block():
         extend_sigma(P, 0)
 
 
+def test_commutation_failures_keep_their_order_across_all_four_families():
+    source = (
+        "name order\ncoeffs t\ngens x1 x2\nsigma x1: t -> t + 1\ndelta x1: t -> 1\n"
+        "sigma x2: t -> 2*t\ndelta x2: t -> t^2\nrel x2 x1 = x1 x2\n"
+    )
+    rep = hypothesis_check(build_presentation(parse_presentation(source)))
+    assert rep.failures == [
+        "sigma-sigma pair (0, 1)",
+        "delta-delta pair (0, 1)",
+        "delta-sigma pair (0, 1)",
+        "delta-sigma pair (1, 0)",
+        "sigma-delta pair 1",
+    ]
+    assert not (rep.h1_sigma_delta_diag or rep.h2_delta_delta or rep.h3_delta_sigma or rep.t2_sigma_sigma)
+    assert rep.h4_delta_kills_constants and rep.t1_relations_trivial
+
+
 # Each row: a document, the hypothesis failures in the order reported, and
 # the filtration refusal (None when the relations are filtration compatible).
 # Every relation piece the checks name is pinned: d, r0 and a linear tail rk.

@@ -56,21 +56,21 @@ def test_filtration_incompatible_rejected():
 
 def test_gk_estimate_weyl(weyl):
     est, diag = gk_estimate(filtration_dims(weyl, 12))
-    assert est == 2 and not diag.ambiguous
+    assert est == 2 and not diag["ambiguous"]
 
 
 def test_gk_estimate_three_symbols():
     table = FiltrationTable([comb(m + 3, 3) for m in range(13)])
     est, diag = gk_estimate(table)
     assert est == 3
-    assert diag.difference_degree == 3 and diag.slope_estimate == 3
+    assert diag["difference_degree"] == 3 and diag["slope_estimate"] == 3
 
 
 @pytest.mark.parametrize("k", range(1, 9))
 def test_gk_estimate_closed_form_tables(k):
     # the slope reads low from k = 4 on; the difference degree decides
     est, diag = gk_estimate(FiltrationTable([comb(m + k, k) for m in range(13)]))
-    assert est == k and diag.difference_degree == k and not diag.ambiguous
+    assert est == k and diag["difference_degree"] == k and not diag["ambiguous"]
 
 
 def _poly_doc(n, options=""):
@@ -91,24 +91,24 @@ def test_run_gkdim_wide_polynomial_rings(n):
     ``gk_degree``."""
     table, (est, diag) = _gkdim(_poly_doc(n))
     assert table.dims == [comb(m + n, n) for m in range(13)]
-    assert est == n and not diag.ambiguous
+    assert est == n and not diag["ambiguous"]
 
 
 def test_run_gkdim_as_many_symbols_as_gk_degree():
     # a table of gk_degree + 1 entries would run out after 8 differences
     table, (est, diag) = _gkdim(_poly_doc(8, "options gk_degree=8"))
     assert len(table.dims) == 10
-    assert est == 8 and diag.difference_degree == 8 and not diag.ambiguous
+    assert est == 8 and diag["difference_degree"] == 8 and not diag["ambiguous"]
 
 
 def test_gk_estimate_more_symbols_than_gk_degree():
     est, diag = gk_estimate(filtration_dims(build_presentation(_poly_doc(13)), 12))
-    assert est == 13 and not diag.ambiguous
+    assert est == 13 and not diag["ambiguous"]
 
 
 def test_gk_estimate_constant_table():
     est, diag = gk_estimate(FiltrationTable([1] * 12))
-    assert est == 0 and not diag.ambiguous
+    assert est == 0 and not diag["ambiguous"]
 
 
 def test_gk_estimate_needs_depth(weyl):
