@@ -103,7 +103,7 @@ def _cmd_check_hypotheses(args) -> int:
         print(f"  {label:<36} {'ok' if ok else 'FAIL'}")
     print(f"lift block: {'pass' if rep.proposition_ok else 'fail'}; "
           f"plain-twist block: {'pass' if rep.theorem_ok else 'fail'}")
-    for f in rep.failures[:6]:
+    for f in rep.failures:
         print(f"  detail: {f}")
     return EXIT_OK if rep.proposition_ok else EXIT_CHECK_FAILED
 

@@ -30,12 +30,13 @@ returns the terms the general loop would.  Inside
 coefficients past the left word, once per block.
 
 The presentation states its defining relations once.  The right side of
-each pair relation is stored as its tails (``Presentation.tails``), the
-``(coefficient, word)`` pairs ``(d, (i, j))``, ``(r0, ())`` and
-``(rk, (k,))`` with the zero ones left out; both reduction engines and
-:meth:`Presentation.relation_rhs` read them.  Every defining relation of the
-algebra, including ``x_i t_j = sigma_i(t_j) x_i + delta_i(t_j)`` and the
-commuting coefficient variables, is listed by
+each pair relation is given and stored as its tails
+(``Presentation.tails``), the ``(coefficient, word)`` pairs
+``(d, (i, j))``, ``(r0, ())`` and ``(rk, (k,))`` with the zero ones left
+out; both reduction engines and :meth:`Presentation.relation_rhs` read
+them.  Every defining relation of the algebra, including
+``x_i t_j = sigma_i(t_j) x_i + delta_i(t_j)`` and the commuting
+coefficient variables, is listed by
 :meth:`Presentation.defining_relations`, built once per presentation, which
 the twist and differential compatibility checks walk.
 """
@@ -100,17 +101,6 @@ class SkewPoly(LinComb):
         return f"SkewPoly({{{body}}})"
 
 
-@dataclass
-class Relation:
-    """A generator pair relation as given to :class:`Presentation`, for
-    j > i: ``x_j x_i = d * x_i x_j + r0 + sum_k rk[k] * x_k``.  Only the
-    constructor reads it; everything else reads ``Presentation.tails``."""
-
-    d: CoeffPoly
-    r0: CoeffPoly
-    rk: tuple  # one CoeffPoly per generator
-
-
 def tail_name(word: tuple) -> str:
     """The name of a relation tail by its word: ``d`` for the ordered pair,
     ``r0`` for the constant and ``rk`` for the linear tail on x_k."""
@@ -131,7 +121,11 @@ class Presentation:
     """Full data of a skew PBW extension: coefficient ring, one
     (endomorphism, twisted derivation) pair per generator, and the pair
     relations.  ``tails`` maps each pair ``(i, j)`` to the right side of its
-    relation as ``(coefficient, word)`` pairs.
+    relation as ``(coefficient, word)`` pairs: the ordered pair ``(i, j)``
+    first, then the constant ``()``, then each linear tail ``(k,)`` in
+    generator order, with zero coefficients left out.  The constructor takes
+    them in that form and only checks them; their order fixes the order of
+    summation, and so the unreduced fractions.
 
     The defining data is not changed after construction and no operation
     changes a value it is given or has returned, but monomial products
@@ -140,20 +134,20 @@ class Presentation:
     as are the powers of the coefficient maps, so a presentation is not
     safe to share between threads without a lock."""
 
-    def __init__(self, ring: CoeffRing, names, sigma, delta, relations):
+    def __init__(self, ring: CoeffRing, names, sigma, delta, tails):
         self.ring = ring
         self.names = tuple(names)
         self.n = len(self.names)
         self.sigma = tuple(sigma)
         self.delta = tuple(delta)
-        self.tails = {}
-        for (i, j), rel in relations.items():
+        self.tails = dict(tails)
+        for (i, j), pair_tails in self.tails.items():
             if not (0 <= i < j < self.n):
                 raise ValueError(f"relation indices out of order: {(i, j)}")
-            if rel.d.is_zero():
-                raise ValueError(f"relation ({self.names[j]}, {self.names[i]}) has zero leading coefficient")
-            pairs = [(rel.d, (i, j)), (rel.r0, ())] + [(rk, (k,)) for k, rk in enumerate(rel.rk)]
-            self.tails[(i, j)] = tuple((c, w) for c, w in pairs if not c.is_zero())
+            if not pair_tails or pair_tails[0][1] != (i, j):
+                raise ValueError(f"relation ({self.names[j]}, {self.names[i]}) does not start with its ordered pair")
+            if any(c.is_zero() for c, _ in pair_tails):
+                raise ValueError(f"relation ({self.names[j]}, {self.names[i]}) has a zero coefficient")
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if (i, j) not in self.tails:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation
-from .core import Presentation, Relation, SkewPoly
+from .core import Presentation, SkewPoly
 from .errors import MapError, SpbwError
 from .lincomb import add_term, is_spaced_sum, render_sum
 from .scalars import Scalar, poly_one
@@ -105,7 +105,7 @@ class PresentationDoc:
     sigma_images: dict          # gen index -> tuple[CoeffPoly]
     sigma_inverses: dict        # gen index -> tuple[CoeffPoly], claimed by an isigma line
     delta_images: dict          # gen index -> tuple[CoeffPoly]
-    relations: dict             # (i, j) -> Relation
+    relations: dict             # (i, j) -> tails, as Presentation takes them
     calculus: CalculusDoc | None
     options: dict
 
@@ -293,12 +293,22 @@ class _CoeffAlgebra:
 
 
 class _SkewTerms:
-    """Values that are SkewPoly sums over ``n`` generators."""
+    """Values that are SkewPoly sums over the generators ``gens``; a symbol
+    is its element of the frame."""
 
-    def __init__(self, ring: CoeffRing, n: int):
+    def __init__(self, ring: CoeffRing, gens):
         self.ring = ring
-        self.n = n
+        self.gens = tuple(gens)
+        self.n = len(self.gens)
+        self.names = ring.coeff_vars + self.gens
         self.one = self.scalar(ring.sone())
+
+    def symbol(self, name):
+        if name in self.ring.coeff_vars:
+            return SkewPoly({(0,) * self.n: self.ring.var(self.ring.coeff_vars.index(name))}, self.n)
+        if name in self.gens:
+            return SkewPoly({tuple(int(g == name) for g in self.gens): self.ring.one()}, self.n)
+        return None
 
     def scalar(self, s: Scalar) -> SkewPoly:
         return SkewPoly({} if s.is_zero() else {(0,) * self.n: self.ring.const(s)}, self.n)
@@ -313,12 +323,8 @@ class _SkewAlgebra(_SkewTerms):
     ``parse_expression``."""
 
     def __init__(self, P: Presentation):
-        super().__init__(P.ring, P.n)
+        super().__init__(P.ring, P.names)
         self.P = P
-        self.names = P.ring.coeff_vars + P.names
-
-    def symbol(self, name):
-        return self.P.symbol(self.names.index(name)) if name in self.names else None
 
     def mul(self, a: SkewPoly, b: SkewPoly) -> SkewPoly:
         return self.P.multiply(a, b)
@@ -331,18 +337,11 @@ class _TailAlgebra(_SkewTerms):
     other word raises at once."""
 
     def __init__(self, ring: CoeffRing, gens, i: int, j: int, line: int):
-        super().__init__(ring, len(gens))
-        self.gens = gens
+        super().__init__(ring, gens)
         self.line = line
         self.units = [tuple(int(k == m) for m in range(self.n)) for k in range(self.n)]
         self.pair = (self.units[i], self.units[j])
-
-    def symbol(self, name):
-        if name in self.ring.coeff_vars:
-            return SkewPoly({(0,) * self.n: self.ring.var(self.ring.coeff_vars.index(name))}, self.n)
-        if name in self.gens:
-            return SkewPoly({self.units[self.gens.index(name)]: self.ring.one()}, self.n)
-        return None
+        self.word = (i, j)
 
     def mul(self, a: SkewPoly, b: SkewPoly) -> SkewPoly:
         acc: dict = {}
@@ -358,12 +357,14 @@ class _TailAlgebra(_SkewTerms):
                 add_term(acc, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
         return SkewPoly(acc, self.n)
 
-    def relation(self, rhs: SkewPoly) -> Relation:
-        zero = self.ring.zero()
-        d = rhs.terms.get(tuple(x + y for x, y in zip(*self.pair)), zero)
-        if d.is_zero():
+    def relation(self, rhs: SkewPoly) -> tuple:
+        """The tails of ``rhs`` as :class:`Presentation` takes them: the
+        ordered pair, then the constant, then each linear tail."""
+        pair = tuple(x + y for x, y in zip(*self.pair))
+        if pair not in rhs.terms:
             raise ParseError(self.line, 0, "zero-d", "the ordered pair needs a nonzero coefficient")
-        return Relation(d, rhs.terms.get((0,) * self.n, zero), tuple(rhs.terms.get(u, zero) for u in self.units))
+        words = [(pair, self.word), ((0,) * self.n, ())] + [(u, (k,)) for k, u in enumerate(self.units)]
+        return tuple((rhs.terms[e], w) for e, w in words if e in rhs.terms)
 
 
 def _images(entries, names, default, what) -> tuple:
@@ -403,7 +404,7 @@ class _Parser:
         self.sigma_lines = {}  # gen -> list of (var, CoeffPoly, line, col)
         self.delta_lines = {}
         self.isigma_lines = {}
-        self.relations = {}    # (i, j) -> Relation
+        self.relations = {}    # (i, j) -> tails
         self.calculus_mode = None
         self.dgen_names = []
         self.dgen_exprs = {}   # dgen -> SkewPoly
@@ -759,12 +760,11 @@ def _render_coeff_dsl(p: CoeffPoly, params, var_names) -> str:
     return render_sum(p.terms, var_names, lambda s: _render_scalar_dsl(s, params))
 
 
-def _render_skew_dsl(f: SkewPoly, doc: PresentationDoc) -> str:
-    return render_sum(f.terms, doc.gens, lambda c: _render_coeff_dsl(c, doc.params, doc.coeff_vars))
-
-
 def render_presentation(doc: PresentationDoc) -> str:
-    """Canonical text form; reparses to an equal document."""
+    """Canonical text form; reparses to an equal document.  The one writer
+    of ``.spbw`` text: it reads the document alone and builds no
+    presentation, and leaves out each sigma, delta, twist and itwist image
+    at its default."""
     ring = doc.ring()
     lines = [f"name {doc.name}"]
     if doc.params:
@@ -773,33 +773,33 @@ def render_presentation(doc: PresentationDoc) -> str:
         lines.append("coeffs " + " ".join(doc.coeff_vars))
     lines.append("gens " + " ".join(doc.gens))
 
-    id_images = tuple(ring.var(j) for j in range(ring.nvars))
-
-    def map_line(keyword, gi, images, skip):
-        entries = []
-        for j, img in enumerate(images):
-            if skip is not None and img == skip[j]:
-                continue
-            entries.append(f"{doc.coeff_vars[j]} -> {_render_coeff_dsl(img, doc.params, doc.coeff_vars)}")
+    def map_line(keyword, owner, symbols, images, defaults, render):
+        # an isigma line has no defaults: it claims every image
+        entries = [f"{sym} -> {render(img)}" for k, (sym, img) in enumerate(zip(symbols, images))
+                   if defaults is None or img != defaults[k]]
         if entries:
-            lines.append(f"{keyword} {doc.gens[gi]}: " + ", ".join(entries))
+            lines.append(f"{keyword} {owner}: " + ", ".join(entries))
 
+    def coeff(c: CoeffPoly) -> str:
+        return _render_coeff_dsl(c, doc.params, doc.coeff_vars)
+
+    def skew(f: SkewPoly) -> str:
+        return render_sum(f.terms, doc.gens, coeff)
+
+    id_images = tuple(ring.var(j) for j in range(ring.nvars))
     zero_images = tuple(ring.zero() for _ in range(ring.nvars))
-    for gi in range(len(doc.gens)):
-        map_line("sigma", gi, doc.sigma_images[gi], id_images)
-        map_line("delta", gi, doc.delta_images[gi], zero_images)
+    for gi, g in enumerate(doc.gens):
+        map_line("sigma", g, doc.coeff_vars, doc.sigma_images[gi], id_images, coeff)
+        map_line("delta", g, doc.coeff_vars, doc.delta_images[gi], zero_images, coeff)
         if gi in doc.sigma_inverses:
-            map_line("isigma", gi, doc.sigma_inverses[gi], None)
+            map_line("isigma", g, doc.coeff_vars, doc.sigma_inverses[gi], None, coeff)
 
-    # The tails come from a presentation built without the claimed sigma
-    # inverses: rendering does not check them, so every parsed document renders.
-    P = _presentation_from_parts(ring, doc.gens, doc.sigma_images, {}, doc.delta_images, doc.relations)
-    for (i, j), tails in sorted(P.tails.items()):
+    for (i, j), tails in sorted(doc.relations.items()):
         rhs = []
         # the ordered pair first, then the linear tails in generator order,
         # then the constant
         for c, w in sorted(tails, key=lambda cw: (-len(cw[1]), cw[1])):
-            cs = _render_coeff_dsl(c, doc.params, doc.coeff_vars)
+            cs = coeff(c)
             if not w:
                 rhs.append(f"({cs})" if is_spaced_sum(cs) or cs.startswith("-") else cs)
                 continue
@@ -814,21 +814,15 @@ def render_presentation(doc: PresentationDoc) -> str:
         lines.append(f"calculus mode={cal.mode}")
         if cal.mode == "flat":
             lines.append("dgens " + " ".join(cal.dgen_names))
-            symbols = list(doc.coeff_vars) + list(doc.gens)
+            terms = _SkewTerms(ring, doc.gens)
             for name in cal.dgen_names:
-                if name not in symbols:
-                    lines.append(f"dgen {name} = {_render_skew_dsl(cal.potentials[name], doc)}")
-
-            def twist_line(keyword, name, images):
-                entries = [f"{sym} -> {_render_skew_dsl(img, doc)}"
-                           for sym, img, a in zip(symbols, images, P.frame()) if img != a]
-                if entries:
-                    lines.append(f"{keyword} {name}: " + ", ".join(entries))
-
+                if name not in terms.names:
+                    lines.append(f"dgen {name} = {skew(cal.potentials[name])}")
+            frame = tuple(map(terms.symbol, terms.names))
             for name in cal.dgen_names:
-                twist_line("twist", name, cal.twist[name])
+                map_line("twist", name, terms.names, cal.twist[name], frame, skew)
                 if name in cal.itwist:
-                    twist_line("itwist", name, cal.itwist[name])
+                    map_line("itwist", name, terms.names, cal.itwist[name], frame, skew)
             for (ia, ib), s in sorted(cal.wedge.items()):
                 lines.append(
                     f"wedge {cal.dgen_names[ia]} {cal.dgen_names[ib]} = "

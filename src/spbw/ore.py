@@ -2,10 +2,11 @@
 ``x t = (q t + r) x + delta_p(t)`` of F[t], where delta_p is the twisted
 derivation with ``delta_p(t) = p(t)``.
 
-:func:`ore_document` writes a member as ``.spbw`` text, with the flat
-calculus on dt, dx whose twists are ``nu_t: x -> q x + p'`` and
-``nu_x: t -> (t - r)/q`` and whose wedge constant is q; the parser builds the
-algebra and the calculus, and the pipeline decides the member.
+:func:`ore_document` builds a member as a document, with the flat calculus
+on dt, dx whose twists are ``nu_t: x -> q x + p'`` and
+``nu_x: t -> (t - r)/q`` and whose wedge constant is q, and writes it as
+``.spbw`` text with :func:`spbw.dsl.render_presentation`; the parser builds
+the algebra and the calculus, and the pipeline decides the member.
 :func:`ore_case_classify` names the three parameter shapes for which that
 twist pair respects the defining relation.
 """
@@ -13,9 +14,9 @@ twist pair respects the defining relation.
 from __future__ import annotations
 
 from .coefficients import CoeffPoly, CoeffRing, derivative
-from .dsl import _render_coeff_dsl, _render_scalar_dsl
+from .core import SkewPoly
+from .dsl import DEFAULT_OPTIONS, CalculusDoc, PresentationDoc, render_presentation
 from .errors import SpbwError
-from .lincomb import render_sum
 from .scalars import Scalar
 
 CASE_FREE_P = "a"        # q = 1, r = 0: any p
@@ -48,29 +49,33 @@ def ore_case_classify(ring: CoeffRing, q: Scalar, r: Scalar, p: CoeffPoly) -> st
 
 
 def ore_document(ring: CoeffRing, q: Scalar, r: Scalar, p: CoeffPoly) -> str:
-    """The member (q, r, p) as a ``.spbw`` document over ``ring``, whose one
-    coefficient variable plays t; the generator is x."""
+    """The member (q, r, p) as canonical ``.spbw`` text over ``ring``, whose
+    one coefficient variable plays t; the generator is x.  Like every
+    rendered document, it leaves out a sigma, delta or twist line that is
+    at its default."""
     if q.is_zero():
         raise SpbwError("invalid parameter: q must be nonzero")
     (t_name,) = ring.coeff_vars
     t = ring.var(0)
-
-    def coeff(f: CoeffPoly) -> str:
-        return _render_coeff_dsl(f, ring.params, ring.coeff_vars)
-
-    nu_t = {e: c for e, c in (((1,), ring.const(q)), ((0,), derivative(p))) if not c.is_zero()}
-    lines = ["name ore"]
-    if ring.params:
-        lines.append("params " + " ".join(ring.params))
-    lines += [
-        f"coeffs {t_name}",
-        "gens x",
-        f"sigma x: {t_name} -> {coeff(t.scale(q) + ring.const(r))}",
-        f"delta x: {t_name} -> {coeff(p)}",
-        "calculus mode=flat",
-        f"dgens {t_name} x",
-        f"twist {t_name}: x -> {render_sum(nu_t, ('x',), coeff)}",
-        f"twist x: {t_name} -> {coeff((t - ring.const(r)).scale(q.inverse()))}",
-        f"wedge {t_name} x = {_render_scalar_dsl(q, ring.params)}",
-    ]
-    return "\n".join(lines) + "\n"
+    t_form, x_form = SkewPoly({(0,): t}, 1), SkewPoly({(1,): ring.one()}, 1)
+    nu_t = SkewPoly({e: c for e, c in (((1,), ring.const(q)), ((0,), derivative(p))) if not c.is_zero()}, 1)
+    nu_x = SkewPoly({(0,): (t - ring.const(r)).scale(q.inverse())}, 1)
+    calculus = CalculusDoc(
+        mode="flat",
+        dgen_names=(t_name, "x"),
+        potentials={t_name: t_form, "x": x_form},
+        twist={t_name: (t_form, nu_t), "x": (nu_x, x_form)},
+        wedge={(0, 1): q},
+    )
+    return render_presentation(PresentationDoc(
+        name="ore",
+        params=ring.params,
+        coeff_vars=ring.coeff_vars,
+        gens=("x",),
+        sigma_images={0: (t.scale(q) + ring.const(r),)},
+        sigma_inverses={},
+        delta_images={0: (p,)},
+        relations={},
+        calculus=calculus,
+        options=dict(DEFAULT_OPTIONS),
+    ))

@@ -13,14 +13,14 @@ import pytest
 
 from spbw.calculus import DiffForm
 from spbw.coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation, apply_sder
-from spbw.core import Presentation, Relation, SkewPoly
+from spbw.core import Presentation, SkewPoly
 from spbw.extended import AlgebraEndo
 from spbw.lincomb import add_terms
 from spbw.sampling import random_skew  # re-exported for tests
 
 
 def commuting_relation(ring, n, i, j):
-    return Relation(ring.one(), ring.zero(), tuple(ring.zero() for _ in range(n)))
+    return ((ring.one(), (i, j)),)
 
 
 def identity_endo(ring):
@@ -124,7 +124,7 @@ def weyl():
     """Two generators over the rationals with x2 x1 = x1 x2 - 1."""
     ring = CoeffRing()
     sigma, delta = trivial_maps(ring, 2)
-    rel = Relation(ring.one(), ring.const(-1), (ring.zero(), ring.zero()))
+    rel = ((ring.one(), (0, 1)), (ring.const(-1), ()))
     return Presentation(ring, ("x1", "x2"), sigma, delta, {(0, 1): rel})
 
 
@@ -140,7 +140,7 @@ def qplane():
     """Quantum plane: x2 x1 = q x1 x2 over the field extended by q."""
     ring = CoeffRing(params=("q",))
     sigma, delta = trivial_maps(ring, 2)
-    rel = Relation(ring.const(ring.param("q")), ring.zero(), (ring.zero(), ring.zero()))
+    rel = ((ring.const(ring.param("q")), (0, 1)),)
     return Presentation(ring, ("x1", "x2"), sigma, delta, {(0, 1): rel})
 
 

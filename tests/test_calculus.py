@@ -10,6 +10,7 @@ import sympy
 import spbw.calculus
 import spbw.pipeline
 from spbw.calculus import (
+    THEOREM_MODE,
     Calculus,
     CalculusSpec,
     DGen,
@@ -174,6 +175,17 @@ def test_parametric_residual_keeps_its_unreduced_fraction():
 def test_theorem_mode_requires_trivial_relations(qplane):
     with pytest.raises(ConfigError):
         build_calculus(qplane, theorem_spec(qplane))
+
+
+def test_theorem_mode_differentiates_exactly_the_generators():
+    # jordan passes the plain-twist hypotheses, so the guard that follows
+    # them sees dt beside dx
+    P = build_presentation(corpus_doc("jordan"))
+    identity = algebra_identity(P)
+    spec = CalculusSpec(dgens=[DGen("t", P.symbol(0), identity), DGen("x", P.symbol(1), identity)],
+                        mode=THEOREM_MODE)
+    with pytest.raises(ConfigError, match="^plain-twist mode differentiates exactly the generators$"):
+        build_calculus(P, spec)
 
 
 def test_missing_inverse_rejected(poly2):

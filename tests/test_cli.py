@@ -63,6 +63,23 @@ def test_check_hypotheses_prints_each_failure(tmp_path, capsys):
     assert out.endswith("  detail: delta-sigma pair (1, 0)\n")
 
 
+def test_check_hypotheses_prints_every_failure(tmp_path, capsys):
+    # 11 failures; the last one, a sigma that does not commute with its own
+    # delta, is the one that fails the lift block
+    path = tmp_path / "three.spbw"
+    path.write_text(
+        "name three\ncoeffs t\ngens x1 x2 x3\n"
+        "sigma x1: t -> t + 1\ndelta x1: t -> 1\nsigma x2: t -> 2*t\ndelta x2: t -> t^2\n"
+        "sigma x3: t -> 3*t\ndelta x3: t -> t\n"
+        "rel x2 x1 = x1 x2\nrel x3 x1 = x1 x3\nrel x3 x2 = x2 x3\n",
+        encoding="utf-8",
+    )
+    assert main(["check", "hypotheses", str(path)]) == 1
+    details = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  detail: ")]
+    assert len(details) == 11
+    assert details[-1] == "  detail: sigma-delta pair 1"
+
+
 def test_calculus_check(capsys):
     assert main(["calculus", "check", "corpus:jordan"]) == 0
     assert "dimension 2" in capsys.readouterr().out

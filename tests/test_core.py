@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import spbw.core
 from spbw.coefficients import CoeffRing
-from spbw.core import Presentation, Relation, SkewPoly, _expand, _pack
+from spbw.core import Presentation, SkewPoly, _expand, _pack
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import HypothesisError
@@ -23,9 +23,8 @@ from conftest import WIDE_DOCS, commuting_relation, random_skew, trivial_maps
 def qaffine3():
     ring = CoeffRing(params=("q12", "q13", "q23"))
     sigma, delta = trivial_maps(ring, 3)
-    zero3 = tuple(ring.zero() for _ in range(3))
     rels = {
-        (i, j): Relation(ring.const(ring.param(f"q{i + 1}{j + 1}")), ring.zero(), zero3)
+        (i, j): ((ring.const(ring.param(f"q{i + 1}{j + 1}")), (i, j)),)
         for i in range(3)
         for j in range(i + 1, 3)
     }
@@ -37,9 +36,8 @@ def weyl_poly3():
     """Weyl pair plus a third generator commuting with everything."""
     ring = CoeffRing()
     sigma, delta = trivial_maps(ring, 3)
-    zero3 = tuple(ring.zero() for _ in range(3))
     rels = {
-        (0, 1): Relation(ring.one(), ring.const(-1), zero3),
+        (0, 1): ((ring.one(), (0, 1)), (ring.const(-1), ())),
         (0, 2): commuting_relation(ring, 3, 0, 2),
         (1, 2): commuting_relation(ring, 3, 1, 2),
     }
@@ -52,7 +50,7 @@ def un2():
     x2 x1 = x1 x2 + x1."""
     ring = CoeffRing()
     sigma, delta = trivial_maps(ring, 2)
-    rel = Relation(ring.one(), ring.zero(), (ring.one(), ring.zero()))
+    rel = ((ring.one(), (0, 1)), (ring.one(), (0,)))
     return Presentation(ring, ("x1", "x2"), sigma, delta, {(0, 1): rel})
 
 
@@ -67,13 +65,42 @@ def broken3():
     differ by x3."""
     ring = CoeffRing()
     sigma, delta = trivial_maps(ring, 3)
-    z = ring.zero()
     rels = {
-        (0, 1): Relation(ring.one(), z, (z, z, ring.one())),   # x2 x1 = x1 x2 + x3
-        (0, 2): Relation(ring.one(), z, (ring.one(), z, z)),   # x3 x1 = x1 x3 + x1
+        (0, 1): ((ring.one(), (0, 1)), (ring.one(), (2,))),   # x2 x1 = x1 x2 + x3
+        (0, 2): ((ring.one(), (0, 2)), (ring.one(), (0,))),   # x3 x1 = x1 x3 + x1
         (1, 2): commuting_relation(ring, 3, 1, 2),             # x3 x2 = x2 x3
     }
     return Presentation(ring, ("x1", "x2", "x3"), sigma, delta, rels)
+
+
+# -- construction --------------------------------------------------------------
+
+
+def _two_generators(tails):
+    ring = CoeffRing()
+    sigma, delta = trivial_maps(ring, 2)
+    return Presentation(ring, ("x1", "x2"), sigma, delta, tails(ring))
+
+
+def test_presentation_rejects_a_pair_out_of_order():
+    with pytest.raises(ValueError, match=r"relation indices out of order: \(1, 0\)"):
+        _two_generators(lambda ring: {(1, 0): ((ring.one(), (1, 0)),)})
+
+
+@pytest.mark.parametrize("tails, message", [
+    pytest.param(lambda ring: {(0, 1): ((ring.const(-1), ()), (ring.one(), (0, 1)))},
+                 "does not start with its ordered pair", id="constant-first"),
+    pytest.param(lambda ring: {(0, 1): ((ring.one(), (0, 1)), (ring.zero(), ()))},
+                 "has a zero coefficient", id="zero-coefficient"),
+])
+def test_presentation_rejects_malformed_tails(tails, message):
+    with pytest.raises(ValueError, match=r"relation \(x2, x1\) " + message):
+        _two_generators(tails)
+
+
+def test_presentation_rejects_a_missing_pair():
+    with pytest.raises(ValueError, match=r"missing relation for pair \(x2, x1\)"):
+        _two_generators(lambda ring: {})
 
 
 # -- normalize ---------------------------------------------------------------
@@ -537,17 +564,16 @@ def _skew_presentations(draw):
             block.append(i)
             sign.append(1)
             i += 1
-    zero = tuple(ring.zero() for _ in range(n))
     across = {}
     rels = {}
     for i in range(n):
         for j in range(i + 1, n):
             if (i, j) in tailed:
                 d, r0 = draw(st.sampled_from(values)), draw(st.sampled_from((-1, 1, Fraction(2, 3))))
-                rels[(i, j)] = Relation(ring.const(d), ring.const(r0), zero)
+                rels[(i, j)] = ((ring.const(d), (i, j)), (ring.const(r0), ()))
                 continue
             c = across.setdefault((block[i], block[j]), draw(st.sampled_from(values)))
-            rels[(i, j)] = Relation(ring.const(c if sign[i] * sign[j] == 1 else c.inverse()), ring.zero(), zero)
+            rels[(i, j)] = ((ring.const(c if sign[i] * sign[j] == 1 else c.inverse()), (i, j)),)
     sigma, delta = trivial_maps(ring, n)
     P = Presentation(ring, tuple(f"x{k + 1}" for k in range(n)), sigma, delta, rels)
     return P, {k for pair in tailed for k in pair}

@@ -168,6 +168,17 @@ def test_options_parsed():
     assert doc.options["dsq_degree"] == 6  # default
 
 
+def test_negative_option_values():
+    src = "name opts\ngens x\noptions seed=-3\n"
+    doc = parse_presentation(src)
+    assert doc.options["seed"] == -3
+    assert render_presentation(doc) == src
+    assert parse_presentation(render_presentation(doc)) == doc
+    with pytest.raises(ParseError) as info:
+        parse_presentation("name opts\ngens x\noptions conn_degree=-1\n")
+    assert info.value.code == "option-range"
+
+
 def test_option_below_minimum_rejected():
     # with words of length 2 only, the overlap check could not see that
     # broken is inconsistent
@@ -286,8 +297,9 @@ def test_trailing_input_rejected_on_every_directive(source, want):
 
 
 def test_declarations_may_follow_their_use():
-    # Relation scalars once took the parameter count of the lines above
-    # them, which turned this document's verdict into a false not-certified.
+    # The scalars of a relation's tails once took the parameter count of the
+    # lines above them, which turned this document's verdict into a false
+    # not-certified.
     early = "name late\nparams q\ngens x1 x2\nrel x2 x1 = x1 x2\ncalculus mode=theorem\n"
     late = "name late\ngens x1 x2\nrel x2 x1 = x1 x2\nparams q\ncalculus mode=theorem\n"
     docs = [parse_presentation(early), parse_presentation(late)]
@@ -303,8 +315,9 @@ def test_symbol_used_before_its_declaration():
 
 
 def test_render_does_not_build_claimed_inverses():
-    # the relation lines are rendered from a presentation; a wrong claimed
-    # inverse, which only fails when the algebra is built, must not stop that
+    # the relation lines are rendered from the document's tails, with no
+    # presentation built, so a wrong claimed inverse, which only fails when
+    # the algebra is built, does not stop them
     doc = parse_presentation(
         "name bad\ncoeffs t\ngens x1 x2\nsigma x1: t -> 2*t\nisigma x1: t -> t\nrel x2 x1 = x1 x2 + t\n"
     )

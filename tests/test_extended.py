@@ -6,7 +6,7 @@ import pytest
 
 from spbw.calculus import build_calculus
 from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation, apply_endo
-from spbw.core import Presentation, Relation, exponents_upto
+from spbw.core import Presentation, exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.gkdim import check_filtration_compatible

@@ -6,7 +6,7 @@ the case classification on a grid of members."""
 import pytest
 
 from spbw.coefficients import CoeffRing, apply_endo, apply_sder, derivative
-from spbw.dsl import build_presentation, parse_presentation
+from spbw.dsl import build_presentation, parse_presentation, render_presentation
 from spbw.errors import SpbwError
 from spbw.ore import (
     CASE_CONSTANT_P,
@@ -96,6 +96,12 @@ def test_closed_form_matches_power_sum_oracle(ring):
             oracle = oracle * p
             assert apply_sder(P.delta[0], t ** k) == oracle
             assert ore_delta_closed_form(P, p, t ** k) == oracle
+
+
+@pytest.mark.parametrize("label", grid(), ids=str)
+def test_ore_document_is_canonical_text(ring, label):
+    text = ore_document(ring, *grid_member(ring, *label))
+    assert render_presentation(parse_presentation(text)) == text
 
 
 def test_zero_q_rejected(ring):
