@@ -6,14 +6,21 @@ live here:
 
 * a structured path (:meth:`Presentation.multiply`), which keeps every term
   as ``coefficient * word`` and merges equal words, so it runs in time
-  polynomial in the degree.  Coefficients migrate left one generator at a
-  time, with pending coefficients merged per subword.  Out-of-order
-  generator pairs are resolved with the pending words taken in decreasing
-  (length, inversions) order, which every rewrite lowers, so each word is
-  rewritten once, with its coefficient complete.  A pair that only
-  skew-commutes by a constant (``x_j x_i = d x_i x_j``, as in the quantum
-  plane and quantum affine spaces) moves a whole block ``x_j^a x_i^b`` in
-  one rewrite, with the factor ``d^(ab)``; and
+  polynomial in the degree.  It takes a whole run of one generator per step
+  where it can.  Coefficients migrate left one run ``x_i^m`` at a time, by
+  the binomial form of ``x_i^m c`` when sigma_i and delta_i commute, with
+  pending coefficients merged per subword.  Out-of-order generator pairs
+  are resolved with the pending words taken in decreasing (length,
+  inversions) order, which every rewrite lowers, so each word is rewritten
+  once, with its coefficient complete.  A pair that only skew-commutes by a
+  constant (``x_j x_i = d x_i x_j``, as in the quantum plane and quantum
+  affine spaces) moves a whole block ``x_j^a x_i^b`` in one rewrite, with
+  the factor ``d^(ab)``, and a pair with constant tails (``x_j x_i = c x_i
+  x_j + r0 + r1 x_i``, as in the Weyl algebra and ``un2``) moves one x_j
+  past a whole run ``x_i^b``.  A run step sums a word's contributions in
+  another order than single steps, and scalars keep their fractions
+  unreduced, so runs are taken only where no scalar has a parameter in its
+  denominator (pure blocks also where every pair is pure); and
 * a small-step oracle (:meth:`Presentation.normalize_atoms`) that rewrites a
   raw word of generator/coefficient atoms one redex at a time under a
   selectable strategy.  The diamond check compares the two maximal
@@ -129,10 +136,12 @@ class Presentation:
 
     The defining data is not changed after construction and no operation
     changes a value it is given or has returned, but monomial products
-    (``_mono_cache``), :meth:`defining_relations` (``_relations``) and
-    :func:`spbw.extended.hypothesis_check` (``_hypotheses``) are memoized,
-    as are the powers of the coefficient maps, so a presentation is not
-    safe to share between threads without a lock."""
+    (``_mono_cache``), :meth:`defining_relations` (``_relations``),
+    :meth:`commutation_failures` (``_audit``),
+    :func:`spbw.extended.hypothesis_check` (``_hypotheses``) and the run
+    tables (``_runs``, ``_passing``) are memoized, as are the powers of the
+    coefficient maps, so a presentation is not safe to share between threads
+    without a lock."""
 
     def __init__(self, ring: CoeffRing, names, sigma, delta, tails):
         self.ring = ring
@@ -148,18 +157,37 @@ class Presentation:
                 raise ValueError(f"relation ({self.names[j]}, {self.names[i]}) does not start with its ordered pair")
             if any(c.is_zero() for c, _ in pair_tails):
                 raise ValueError(f"relation ({self.names[j]}, {self.names[i]}) has a zero coefficient")
+            later = [w for _, w in pair_tails[1:]]
+            if later != [w for w in [()] + [(k,) for k in range(self.n)] if w in later]:
+                raise ValueError(
+                    f"relation ({self.names[j]}, {self.names[i]}) has a tail that is not a constant or a "
+                    f"linear word in increasing order: {later}"
+                )
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 if (i, j) not in self.tails:
                     raise ValueError(f"missing relation for pair ({self.names[j]}, {self.names[i]})")
-        # The constant d of each pure pair x_j x_i = d x_i x_j, whose blocks
-        # x_j^a x_i^b _mul_monomials moves in one step.  A block step sums a
-        # word's contributions in another order; every unreduced fraction
-        # stays as single steps leave it only when no word gets two (every
-        # pair is pure) or when no scalar has a parameter in its denominator.
-        # Otherwise single steps stay.
-        skew = {pair: t[0][0] for pair, t in self.tails.items() if len(t) == 1 and t[0][0].is_constant()}
-        self._skew = skew if len(skew) == len(self.tails) or self._polynomial_scalars() else {}
+        # Which rewrites take a whole run at once, decided once per
+        # presentation.  A run step sums a word's contributions in another
+        # order; every unreduced fraction stays as single steps leave it only
+        # when no word gets two (every pair is pure) or when no scalar has a
+        # parameter in its denominator.  Otherwise single steps stay.
+        #   _skew: the constant d of each pure pair x_j x_i = d x_i x_j, whose
+        #     blocks x_j^a x_i^b _mul_monomials moves in one step;
+        #   _passing: for each pair x_j x_i = c x_i x_j + r0 + r1 x_i with
+        #     constant c, r0 and r1 (r0 or r1 may be absent), the tails of
+        #     x_j x_i^b by b, which _passing_tails fills;
+        #   _runs: the generators whose runs push_coeff_left passes whole,
+        #     made on first use by _run_letters.
+        self._skew = {pair: t[0][0] for pair, t in self.tails.items() if len(t) == 1 and t[0][0].is_constant()}
+        self._passing = {
+            (i, j): {1: t} for (i, j), t in self.tails.items()
+            if len(t) > 1 and all(c.is_constant() and w in ((i, j), (), (i,)) for c, w in t)
+        }
+        if len(self._skew) < len(self.tails) and not self._polynomial_scalars():
+            self._skew, self._passing = {}, {}
+        self._runs = None
+        self._audit = None  # commutation_failures(), made on first use
         self._mono_cache: dict = {}
         self._relations = None  # defining_relations(), built on first use
         self._hypotheses = None  # extended.hypothesis_check(self), made on first use
@@ -170,7 +198,27 @@ class Presentation:
         polys = [c for tails in self.tails.values() for c, _ in tails]
         for m in self.sigma + self.delta + tuple(delta.twist for delta in self.delta):
             polys.extend(m.images)
-        return all(s.den is poly_one(s.nparams) for p in polys for s in p.terms.values())
+        return all(_polynomial(p) for p in polys)
+
+    def commutation_failures(self) -> list:
+        """:func:`~spbw.coefficients.commutation_audit` of the sigma and
+        delta maps, made on the first call and kept: the one audit of the
+        presentation, which the run walk, :meth:`power_commute_closed` and
+        :func:`spbw.extended.hypothesis_check` read.  Must not be changed."""
+        if self._audit is None:
+            self._audit = commutation_audit(self.sigma, self.delta)
+        return self._audit
+
+    def _run_letters(self) -> frozenset:
+        """The generators whose whole runs :meth:`push_coeff_left` passes:
+        sigma_i and delta_i commute, and no scalar of the presentation has a
+        parameter in its denominator.  Decided on the first call."""
+        if self._runs is None:
+            self._runs = frozenset()
+            if self._polynomial_scalars():
+                failing = {key for label, key in self.commutation_failures() if label == "sigma-delta"}
+                self._runs = frozenset(range(self.n)) - failing
+        return self._runs
 
     # -- embeddings -------------------------------------------------------
 
@@ -263,23 +311,50 @@ class Presentation:
         """Expand ``x_word * r`` as a list of ``(coefficient, subword)``
         pairs with distinct subwords.
 
-        The word is walked from the right, applying ``x_i c = sigma_i(c) x_i
-        + delta_i(c)`` to every pending coefficient; pending coefficients are
-        kept per suffix subword, so equal subwords merge at each step.  An
-        ordered word with exponents ``e`` yields at most ``prod(e_i + 1)``
-        pairs, not one per branch (``k + 1`` for ``x^k``, not ``2**k``)."""
+        The word is walked from the right one run ``x_i^m`` at a time, and
+        every pending coefficient c passes the whole run by the binomial form
+        ``x_i^m c = sum_k C(m, k) sigma_i^(m-k)(delta_i^k(c)) x_i^(m-k)``
+        (Lam and Leroy, J. Algebra 1988), with ``delta_i^k(c)`` taken down a
+        chain of k applications.  The form needs sigma_i and delta_i to
+        commute, and a run is one letter unless :meth:`_run_letters` lists
+        x_i and no scalar of r has a parameter in its denominator (the
+        fraction-order guard of ``_skew``).  A scalar r passes every run
+        whole, as its own value: only the ``k = 0`` term is left.  A run of
+        one letter is the step ``x_i c = sigma_i(c) x_i + delta_i(c)``.
+        Pending coefficients are kept per suffix subword, so equal subwords
+        merge at each step.  An ordered word with exponents ``e`` yields at
+        most ``prod(e_i + 1)`` pairs, not one per branch (``k + 1`` for
+        ``x^k``, not ``2**k``)."""
         if r.is_zero():
             return []
+        # a scalar passes any run as it is: sigma fixes it and delta kills it
+        constant, polynomial = r.is_constant(), _polynomial(r)
         layer = {(): r}
-        for letter in reversed(word):
+        end = len(word)
+        while end:
+            letter = word[end - 1]
+            start = end - 1
+            # only a run of two or more letters reads _run_letters
+            if start and word[start - 1] == letter and (constant or polynomial and letter in self._run_letters()):
+                while start and word[start - 1] == letter:
+                    start -= 1
+            m, end = end - start, start
+            sigma, delta = self.sigma[letter], self.delta[letter]
             nxt: dict = {}
             for sub, c in layer.items():
-                sig = apply_endo(self.sigma[letter], c)
-                if not sig.is_zero():
-                    add_term(nxt, (letter,) + sub, sig)
-                dele = apply_sder(self.delta[letter], c)
-                if not dele.is_zero():
-                    add_term(nxt, sub, dele)
+                # c runs down the chain delta^k(c); x^(m-k) gets C(m, k)
+                # sigma^(m-k)(delta^k(c)), and a scalar's chain stops at k = 0
+                for k in range(m):
+                    img = c
+                    for _ in range(m - k):
+                        img = apply_endo(sigma, img)
+                    if not img.is_zero():
+                        add_term(nxt, (letter,) * (m - k) + sub, img.scale(self.ring.scalar(comb(m, k))) if k else img)
+                    c = apply_sder(delta, c)
+                    if c.is_zero():
+                        break
+                else:
+                    add_term(nxt, sub, c)
             layer = nxt
         return [(c, sub) for sub, c in layer.items()]
 
@@ -288,17 +363,26 @@ class Presentation:
 
         Pending words map to their summed left coefficients, so equal words
         reached along different rewrite paths merge.  Each rewrite resolves
-        the leftmost inversion ``x_j x_i`` (j > i).  When its pair is a pure
-        skew-commutation ``x_j x_i = d x_i x_j`` with d a constant, the whole
-        block ``x_j^a x_i^b`` around it (the run of x_j ending at the
-        inversion, then the run of x_i starting there) becomes ``d^(ab)
-        x_i^b x_j^a`` in one step; this is exact because scalars are
-        central: sigma fixes them and delta kills them.  Any other pair
-        rewrites the one inversion by its stored tails.  Every word a
-        rewrite produces either has fewer inversions at the same length (ab
-        fewer for a block) or is shorter.  Words are therefore taken in
-        decreasing (length, inversions) order from a heap, and a word is
-        rewritten only after every contribution to it has arrived."""
+        the leftmost inversion ``x_j x_i`` (j > i), and takes a whole run
+        where the pair allows it; this is exact because scalars are central:
+        sigma fixes them and delta kills them.
+
+        * A pure skew-commutation ``x_j x_i = d x_i x_j`` with d a constant
+          (``_skew``) turns the whole block ``x_j^a x_i^b`` around the
+          inversion (the run of x_j ending there, then the run of x_i
+          starting there) into ``d^(ab) x_i^b x_j^a`` in one step.
+        * A pair ``x_j x_i = c x_i x_j + r0 + r1 x_i`` with constant c, r0
+          and r1 (``_passing``; ``weyl``, ``un2``) moves the one x_j at the
+          inversion past the whole run ``x_i^b``: ``c^b x_i^b x_j + [b]_c (r0
+          x_i^(b-1) + r1 x_i^b)`` (:meth:`_passing_tails`).  The x_j before
+          it stay in the prefix, whose walk carries the new coefficients.
+        * Any other pair rewrites the one inversion by its stored tails.
+
+        Every word a rewrite produces either has fewer inversions at the
+        same length (ab or b fewer for a block) or is shorter.  Words are
+        therefore taken in decreasing (length, inversions) order from a heap,
+        and a word is rewritten only after every contribution to it has
+        arrived."""
         key = (e1, e2)
         cached = self._mono_cache.get(key)
         if cached is not None:
@@ -325,16 +409,20 @@ class Presentation:
             j, i = w[pos], w[pos + 1]
             start, end = pos, pos + 2
             d = self._skew.get((i, j))
-            if d is None:
+            if d is None and (i, j) not in self._passing:
                 tails = self.tails[(i, j)]
             else:
-                # w[:pos + 1] is ordered, so its x_j all sit right before pos
-                while start and w[start - 1] == j:
-                    start -= 1
                 while end < len(w) and w[end] == i:
                     end += 1
-                a, b = pos + 1 - start, end - pos - 1
-                tails = ((d ** (a * b), (i,) * b + (j,) * a),)
+                b = end - pos - 1
+                if d is None:
+                    tails = self._passing_tails(i, j, b)
+                else:
+                    # w[:pos + 1] is ordered, so its x_j all sit right before pos
+                    while start and w[start - 1] == j:
+                        start -= 1
+                    a = pos + 1 - start
+                    tails = ((d ** (a * b), (i,) * b + (j,) * a),)
             pre, post = w[:start], w[end:]
             for r, tail in tails:
                 for c, pre2 in self.push_coeff_left(pre, r):
@@ -342,6 +430,25 @@ class Presentation:
         product = SkewPoly(acc, self.n)
         self._mono_cache[key] = product
         return product
+
+    def _passing_tails(self, i: int, j: int, b: int) -> tuple:
+        """The tails of ``x_j x_i^b`` for a pair in ``_passing``, ``x_j x_i
+        = c x_i x_j + r0 + r1 x_i``: ``c^b x_i^b x_j + [b]_c (r0 x_i^(b-1) +
+        r1 x_i^b)``, where ``[b]_c = 1 + c + ... + c^(b-1)``, in the order of
+        the stored tails and with the zero ones left out (``[b]_(-1)`` is 0
+        for even b).  Made once per b; b = 1 gives the stored tails."""
+        by_run = self._passing[(i, j)]
+        tails = by_run.get(b)
+        if tails is None:
+            (c, _), *rest = self.tails[(i, j)]
+            qint, power = self.ring.zero(), self.ring.one()
+            for _ in range(b):
+                qint, power = qint + power, power * c
+            tails = ((power, (i,) * b + (j,)),)
+            if not qint.is_zero():
+                tails += tuple((qint * r, (i,) * (b - 1 + len(w))) for r, w in rest)
+            by_run[b] = tails
+        return tails
 
     def multiply(self, f: SkewPoly, g: SkewPoly) -> SkewPoly:
         """PBW normal form of the product; associative and unital.  When one
@@ -455,7 +562,7 @@ class Presentation:
     def power_commute_closed(self, i: int, m: int, r: CoeffPoly) -> SkewPoly:
         """Closed binomial form of ``x_i^m * r``; requires that sigma_i and
         delta_i commute."""
-        if commutation_audit([self.sigma[i]], [self.delta[i]]):
+        if ("sigma-delta", i) in self.commutation_failures():
             raise HypothesisError(f"sigma and delta of generator {self.names[i]} do not commute")
         acc: dict = {}
         for k in range(m + 1):
@@ -513,6 +620,11 @@ class Presentation:
             else:
                 bits.append(f"({self.ring.render(atom)})")
         return "*".join(bits)
+
+
+def _polynomial(p: CoeffPoly) -> bool:
+    """Whether every scalar of p has a constant denominator."""
+    return all(s.den is poly_one(s.nparams) for s in p.terms.values())
 
 
 def _expand(e: tuple) -> tuple:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .coefficients import apply_endo, apply_sder, commutation_audit
+from .coefficients import apply_endo, apply_sder
 from .core import Presentation, SkewPoly, tail_name
 from .errors import HypothesisError, MapError
 from .lincomb import add_terms, sum_terms
@@ -308,11 +308,13 @@ class HypothesisReport:
 def hypothesis_check(P: Presentation) -> HypothesisReport:
     """Evaluate the commutation system and relation-shape conditions, once
     per presentation: the report is kept on P, returned by every later
-    call, and must not be changed.  All findings are data; nothing is
+    call, and must not be changed.  The commutation system is read from
+    P's one audit (:meth:`Presentation.commutation_failures`), which the
+    reduction may already have made.  All findings are data; nothing is
     raised."""
     if P._hypotheses is not None:
         return P._hypotheses
-    audit = commutation_audit(P.sigma, P.delta)
+    audit = P.commutation_failures()
     failures = [f"{label} pair {key}" for label, key in audit]
     failed = {label for label, _ in audit}
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spbw.core
-from spbw.coefficients import CoeffRing
+from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation
 from spbw.core import Presentation, SkewPoly, _expand, _pack
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
@@ -16,7 +16,7 @@ from spbw.errors import HypothesisError
 from spbw.lincomb import add_term
 from spbw.scalars import Scalar
 
-from conftest import WIDE_DOCS, commuting_relation, random_skew, trivial_maps
+from conftest import WIDE_DOCS, commuting_relation, identity_endo, random_skew, trivial_maps
 
 
 @pytest.fixture
@@ -96,6 +96,33 @@ def test_presentation_rejects_a_pair_out_of_order():
 def test_presentation_rejects_malformed_tails(tails, message):
     with pytest.raises(ValueError, match=r"relation \(x2, x1\) " + message):
         _two_generators(tails)
+
+
+def _three_generators(tails01):
+    """x1, x2, x3 over the rationals, with the given (x2, x1) tails and
+    commuting pairs otherwise."""
+    ring = CoeffRing()
+    sigma, delta = trivial_maps(ring, 3)
+    tails = {(0, 1): tails01(ring), (0, 2): commuting_relation(ring, 3, 0, 2), (1, 2): commuting_relation(ring, 3, 1, 2)}
+    return Presentation(ring, ("x1", "x2", "x3"), sigma, delta, tails)
+
+
+@pytest.mark.parametrize("later", [
+    pytest.param(((1, 2),), id="quadratic"),
+    pytest.param(((), ()), id="repeated-constant"),
+    pytest.param(((0,), ()), id="constant-after-linear"),
+    pytest.param(((2,), (0,)), id="decreasing"),
+    pytest.param(((1,), (1,)), id="repeated-linear"),
+    pytest.param(((3,),), id="no-such-generator"),
+])
+def test_presentation_rejects_a_later_tail_that_is_not_constant_or_linear(later):
+    with pytest.raises(ValueError, match=r"relation \(x2, x1\) has a tail that is not a constant or a linear word"):
+        _three_generators(lambda ring: ((ring.one(), (0, 1)),) + tuple((ring.one(), w) for w in later))
+
+
+def test_presentation_takes_constant_and_linear_tails_in_order():
+    P = _three_generators(lambda ring: ((ring.one(), (0, 1)), (ring.one(), ()), (ring.one(), (0,)), (ring.one(), (2,))))
+    assert P.render(P.relation_rhs(0, 1)) == "x1*x2 + x1 + x3 + 1"
 
 
 def test_presentation_rejects_a_missing_pair():
@@ -538,45 +565,55 @@ def test_weyl_monomial_product_still_calls_apply_endo(monkeypatch):
 @st.composite
 def _skew_presentations(draw):
     """A presentation on 2 to 4 generators whose pairs skew-commute by a
-    constant, except for some disjoint adjacent pairs (i, i+1) that carry a
-    constant tail, ``x_(i+1) x_i = d x_i x_(i+1) + r0``, as in weyl2.
+    constant, except for some disjoint adjacent pairs (i, i+1) that carry
+    constant tails, ``x_(i+1) x_i = d x_i x_(i+1) + r0 + r1 x_i`` with r0
+    or r1 absent, as in weyl2 and un2.
 
     Each tailed pair is a block with signs +1, -1 on its two members; every
     other generator is a block of its own with sign +1.  A pair across two
     blocks gets ``c ** (sign * sign)`` for one constant c per pair of
     blocks, so that ``d(k, i) * d(k, i + 1) = 1`` for every generator k
     outside a tailed pair (i, i + 1): that is what makes the overlaps
-    x_(i+1) x_i x_k resolve, and the presentation a PBW extension."""
+    x_(i+1) x_i x_k resolve, and the presentation a PBW extension.  An r1
+    tail also needs ``d(k, i) = 1``, so a block with one commutes with
+    every other block."""
     n = draw(st.integers(2, 4))
     ring = CoeffRing(params=("q", "q12", "q13"))
     q = ring.param("q")
     values = (ring.scalar(1), ring.scalar(-1), ring.scalar(Fraction(2, 3)), q, q.inverse(),
               ring.param("q12") * ring.param("q13"))
-    block, sign, tailed = [], [], set()
+    tail_values = (-1, 1, Fraction(2, 3))
+    block, sign, rels, linear = [], [], {}, set()
     i = 0
     while i < n:
         if i + 1 < n and draw(st.booleans()):
-            tailed.add((i, i + 1))
-            block += [len(tailed) + n, len(tailed) + n]
+            d = draw(st.sampled_from(values))
+            r0 = draw(st.sampled_from((None,) + tail_values))
+            r1 = draw(st.sampled_from(tail_values if r0 is None else (None,) + tail_values))
+            tails = ((d, (i, i + 1)), (r0, ()), (r1, (i,)))
+            rels[(i, i + 1)] = tuple((ring.const(c), w) for c, w in tails if c is not None)
+            block += [i + n, i + n]
             sign += [1, -1]
+            if r1 is not None:
+                linear.add(i + n)
             i += 2
         else:
             block.append(i)
             sign.append(1)
             i += 1
     across = {}
-    rels = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if (i, j) in tailed:
-                d, r0 = draw(st.sampled_from(values)), draw(st.sampled_from((-1, 1, Fraction(2, 3))))
-                rels[(i, j)] = ((ring.const(d), (i, j)), (ring.const(r0), ()))
+            if (i, j) in rels:
                 continue
-            c = across.setdefault((block[i], block[j]), draw(st.sampled_from(values)))
+            if block[i] in linear or block[j] in linear:
+                c = ring.scalar(1)
+            else:
+                c = across.setdefault((block[i], block[j]), draw(st.sampled_from(values)))
             rels[(i, j)] = ((ring.const(c if sign[i] * sign[j] == 1 else c.inverse()), (i, j)),)
     sigma, delta = trivial_maps(ring, n)
     P = Presentation(ring, tuple(f"x{k + 1}" for k in range(n)), sigma, delta, rels)
-    return P, {k for pair in tailed for k in pair}
+    return P, {k for pair, tails in rels.items() if len(tails) > 1 for k in pair}
 
 
 @st.composite
@@ -584,14 +621,14 @@ def _skew_products(draw):
     """A presentation and two ordered monomials.  The exponents are distinct
     and above one, so a block x_j^a x_i^b has a != b and a wrong power of d
     (such as a + b or max(a, b) in place of ab) shows; a member of a tailed
-    pair has exponent at most 2, because the oracle does not merge the
+    pair has exponent at most 3, because the oracle does not merge the
     branches its tail opens, and the word has length at most 50."""
     P, tailed = draw(_skew_presentations())
     exps = draw(st.lists(st.integers(2, 25), min_size=2, max_size=4, unique=True).filter(lambda xs: sum(xs) <= 50))
     slots = draw(st.permutations([(k, side) for k in range(P.n) for side in (0, 1)]))
     e = [[0] * P.n, [0] * P.n]
     for x, (k, side) in zip(exps, slots):
-        e[side][k] = min(x, 2) if k in tailed else x
+        e[side][k] = min(x, 3) if k in tailed else x
     return P, tuple(e[0]), tuple(e[1])
 
 
@@ -605,9 +642,16 @@ def test_block_rewrites_match_the_small_step_oracle(case):
     assert got == oracle
     if len(P._skew) == len(P.tails):  # every product of monomials is one term
         assert P.render(got) == P.render(oracle)
+    if P._polynomial_scalars():
+        # every tailed pair passes whole runs, and no fraction depends on
+        # the order of summation
+        assert set(P._passing) == {pair for pair, tails in P.tails.items() if len(tails) > 1}
+        assert _representation(got) == _representation(oracle)
+    else:
+        assert not P._passing
     # the same stored fractions as one inversion at a time
     single = copy.copy(P)
-    single._skew, single._mono_cache = {}, {}
+    single._skew, single._passing, single._runs, single._mono_cache = {}, {}, frozenset(), {}
     assert _representation(got) == _representation(single._mul_monomials(e1, e2))
 
 
@@ -633,3 +677,117 @@ def test_skew_commuting_blocks_one_rewrite_per_pair(monkeypatch):
     product = P.multiply(P.monomial((0, 0, 5)), P.multiply(P.monomial((0, 4, 0)), P.monomial((3, 0, 0))))
     assert callers == ["_mul_monomials"] * 3  # x2^4 x1^3, then x3^5 x1^3, then x3^5 x2^4
     assert P.render(product) == "q12^12*q13^15*q23^20*x1^3*x2^4*x3^5"
+
+
+def test_a_sign_pair_passes_whole_runs():
+    """``x2 x1 = -x1 x2 + 1``: the x2 passes x1^b as ``(-1)^b x1^b x2 +
+    [b]_(-1) x1^(b-1)``, and [b]_(-1) is 0 for even b, so the constant
+    tail drops out there."""
+    ring = CoeffRing()
+    sigma, delta = trivial_maps(ring, 2)
+    P = Presentation(ring, ("x1", "x2"), sigma, delta, {(0, 1): ((ring.const(-1), (0, 1)), (ring.one(), ()))})
+    assert set(P._passing) == {(0, 1)}
+    for b in range(1, 6):
+        for a in range(1, 4):
+            got = P.multiply(P.monomial((0, a)), P.monomial((b, 0)))
+            oracle = P.normalize_atoms((1,) * a + (0,) * b)
+            assert got == oracle
+            assert _representation(got) == _representation(oracle)
+        tails = P._passing_tails(0, 1, b)
+        assert [w for _, w in tails] == [(0,) * b + (1,)] + ([] if b % 2 == 0 else [(0,) * (b - 1)])
+        assert tails[0][0] == ring.const((-1) ** b)
+    assert P.render(P.multiply(P.gen(1), P.monomial((4, 0)))) == "x1^4*x2"
+    assert P.render(P.multiply(P.gen(1), P.monomial((5, 0)))) == "-x1^5*x2 + x1^4"
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("name heis\ngens x1 x2 x3\nrel x2 x1 = x1 x2 + x3\nrel x3 x1 = x1 x3\nrel x3 x2 = x2 x3\n",
+                 id="tail-on-a-third-generator"),
+    pytest.param("name lie\ngens x1 x2\nrel x2 x1 = x1 x2 + x2\n", id="tail-on-the-left-generator"),
+])
+def test_a_linear_tail_on_another_generator_keeps_single_steps(text):
+    P = build_presentation(parse_presentation(text))
+    assert (0, 1) not in P._passing
+    e1, e2 = (0, 3) + (0,) * (P.n - 2), (3,) + (0,) * (P.n - 1)
+    assert P.multiply(P.monomial(e1), P.monomial(e2)) == P.normalize_atoms(_expand(e1) + _expand(e2))
+
+
+@pytest.mark.parametrize("name", ["weyl", "un2"])
+def test_high_powers_walk_polynomially_often(name, monkeypatch):
+    """Each x2 passes each run of x1 in one rewrite, so ``x2^k * x1^k``
+    walks k(k + 1) times; one inversion at a time took 1,300 walks on weyl
+    and 1,872 on un2 at k = 12, and grows faster than any fixed power of k
+    would allow here."""
+    P = build_presentation(corpus_doc(name))
+    k = 12
+    callers = _count_walks(monkeypatch, P)
+    product = P.multiply(P.monomial((0, k)), P.monomial((k, 0)))
+    assert len(product.terms) == k + 1
+    assert len(callers) <= (k + 1) ** 2
+
+
+# -- the coefficient walk by runs ------------------------------------------------------
+
+
+@st.composite
+def _ore_walks(draw):
+    """A one-generator Ore extension of F[t] over Q(q) whose sigma and delta
+    commute (sigma the identity with any delta, or ``sigma(t) = c t`` with
+    ``delta(t) = a t``), a run length and a coefficient.  Some maps and
+    some coefficients have q in a denominator; those must keep single
+    steps."""
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    q, t = ring.param("q"), ring.var(0)
+    scalars = (ring.scalar(2), ring.scalar(-1), ring.scalar(Fraction(2, 3)), q, q.inverse())
+    if draw(st.booleans()):
+        sigma = identity_endo(ring)
+        image = draw(st.sampled_from((ring.one(), t, t * t, t * t + ring.const(3), (t * t * t).scale(q),
+                                      t.scale(q.inverse()) + ring.one())))
+    else:
+        sigma = CoeffEndo((t.scale(draw(st.sampled_from(scalars))),))
+        image = t.scale(draw(st.sampled_from(scalars)))
+    P = Presentation(ring, ("x",), (sigma,), (CoeffSigmaDerivation((image,), sigma),), {})
+    r = ring.zero()
+    for _ in range(draw(st.integers(1, 3))):
+        r = r + (t ** draw(st.integers(0, 3))).scale(draw(st.sampled_from(scalars)))
+    return P, draw(st.integers(1, 6)), r
+
+
+def _walk_representation(pairs) -> dict:
+    return {w: {e: (s.num, s.den) for e, s in c.terms.items()} for c, w in pairs}
+
+
+def _sder_calls(P, word, r) -> int:
+    calls = []
+    apply_sder = spbw.core.apply_sder
+
+    def counted(delta, p):
+        calls.append(1)
+        return apply_sder(delta, p)
+
+    spbw.core.apply_sder = counted
+    try:
+        P.push_coeff_left(word, r)
+    finally:
+        spbw.core.apply_sder = apply_sder
+    return len(calls)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ore_walks())
+def test_the_run_walk_matches_the_small_step_oracle(case):
+    P, m, r = case
+    assert P.commutation_failures() == []
+    word = (0,) * m
+    got = P.multiply(P.monomial((m,)), P.from_coeff(r))
+    assert got == P.normalize_atoms(word + (r,))
+    # the same stored fractions as one letter at a time
+    single = copy.copy(P)
+    single._runs = frozenset()
+    assert _walk_representation(P.push_coeff_left(word, r)) == _walk_representation(single.push_coeff_left(word, r))
+    if P._polynomial_scalars() and spbw.core._polynomial(r):
+        assert P._run_letters() == {0}
+        assert _sder_calls(P, word, r) <= m  # one chain of delta^k(c)
+    else:
+        assert _sder_calls(P, word, r) == _sder_calls(single, word, r)
+
