@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedPresentationError,
 )
 from .extended import AlgebraEndo, extend_sigma, hypothesis_check
-from .gkdim import FiltrationTable, filtration_dims, gk_estimate, smoothness_verdict
+from .gkdim import filtration_dims, gk_estimate, smoothness_verdict
 from .ore import ore_case_classify, ore_document
 from .pipeline import run_smooth
 from .report import Report

@@ -11,10 +11,11 @@
 
 FILE is a path to a ``.spbw`` document or ``corpus:NAME`` for a built-in
 entry.  ``--max-degree`` sets ``gk_degree``, or ``pbw_degree`` for
-``check pbw``; an option a command does not read is a usage error.  Exit codes:
-0 when a verdict or result was produced (including not-certified), 1 when a
-check hard-failed, 2 on usage, parse or configuration errors, a path that
-cannot be read or written among them.
+``check pbw``, where it is validated but has no effect: every overlap the
+check walks has length 3.  An option a command does not read is a usage
+error.  Exit codes: 0 when a verdict or result was produced (including
+not-certified), 1 when a check hard-failed, 2 on usage, parse or
+configuration errors, a path that cannot be read or written among them.
 """
 
 from __future__ import annotations
@@ -76,9 +77,8 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check_pbw(args) -> int:
-    doc = _load_doc(args, "pbw_degree")
-    P = build_presentation(doc)
-    audit = P.pbw_consistency_check(doc.options["pbw_degree"])
+    P = build_presentation(_load_doc(args, "pbw_degree"))
+    audit = P.pbw_consistency_check()
     if audit.ok:
         print("pbw consistency: pass")
         return EXIT_OK
@@ -124,13 +124,9 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_gkdim(args) -> int:
     doc = _load_doc(args)
-    table = filtration_dims(build_presentation(doc), doc.options["gk_degree"])
-    est, diag = gk_estimate(table)
-    print(f"dimensions: {table.dims}")
-    if est is None:
-        print(f"estimate: ambiguous (differences say {diag['difference_degree']}, "
-              f"slope says {diag['slope_estimate']}); raise --max-degree")
-        return EXIT_CHECK_FAILED
+    dims = filtration_dims(build_presentation(doc), doc.options["gk_degree"])
+    est, diag = gk_estimate(dims)
+    print(f"dimensions: {dims}")
     print(f"estimate: {est} ({diag['note']})")
     return EXIT_OK
 

@@ -295,8 +295,7 @@ def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> Coe
         rest[j] -= 1
         rest = tuple(rest)
         rest_poly = ref._make({rest: Scalar.const(ref.nparams, 1)})
-        tj_image = apply_endo(delta.twist, _variable(ref, j))
-        result = tj_image * _sder_monomial(delta, rest, ref) + delta.images[j] * rest_poly
+        result = delta.twist.images[j] * _sder_monomial(delta, rest, ref) + delta.images[j] * rest_poly
     delta._memo[e] = result
     return result
 

@@ -44,8 +44,10 @@ DEFAULT_OPTIONS = {
     "pbw_degree": 3,
 }
 
-# Smallest value each bounded option accepts.  The growth estimate needs the
-# table up to degree 8, and the overlap check needs words of length 3.
+# Smallest value each bounded option accepts.  The growth estimate reads only
+# the start of its closed-form table, and the overlap check walks its words at
+# length 3 whatever `pbw_degree` says; the `gk_degree` and `pbw_degree` floors
+# stay so that the documents accepted today still are, with the same reports.
 # `dsq_degree` and `samples`/`sample_degree` are the witness budgets of the
 # searched d^2 check and of the sampled integrability and product-rule checks,
 # which run only when their certificate fails; a fallback with no budget

@@ -4,8 +4,14 @@ that combines every pipeline check.
 The frame spans 1, the coefficient variables and the generators.  Once the
 relations are filtration-compatible, the normal monomials of total degree at
 most m in s symbols number C(s+m, m), so the dimension table is that closed
-form; the tests count the monomials by enumeration as the independent
-oracle.
+form, and its growth exponent is s, read from the table as dims[1] - 1.  The
+tests count the monomials by enumeration as the independent oracle, and
+check the estimate against the finite differences of the table.
+
+The estimate needs only dims[1].  The table's depth, ``gk_degree`` (at
+least 8) or s + 1, fixes what ``spbw gkdim`` prints and where the reported
+slope is read; its floor stays so that accepted documents keep their
+reports.
 """
 
 from __future__ import annotations
@@ -20,17 +26,6 @@ from .errors import UnsupportedPresentationError
 CERTIFIED = "certified-smooth"
 NOT_CERTIFIED = "not-certified"
 FAILED = "failed"
-
-
-@dataclass
-class FiltrationTable:
-    dims: list  # dims[m] = dimension of the span of monomials of degree <= m
-
-    def __post_init__(self):
-        if not self.dims or self.dims[0] != 1:
-            raise ValueError("a filtration table starts at dimension 1")
-        if any(b < a for a, b in zip(self.dims, self.dims[1:])):
-            raise ValueError("filtration dimensions must be non-decreasing")
 
 
 def check_filtration_compatible(P: Presentation):
@@ -62,51 +57,37 @@ def check_filtration_compatible(P: Presentation):
             raise UnsupportedPresentationError(message)
 
 
-def filtration_dims(P: Presentation, m_max: int) -> FiltrationTable:
+def filtration_dims(P: Presentation, m_max: int) -> list:
     """Number of normal monomials of total degree <= m: C(s+m, m) in the s
     symbols of the frame, for m up to ``m_max`` or s + 1, whichever is
-    larger, so that s finite differences leave at least two entries."""
+    larger."""
     check_filtration_compatible(P)
     nsyms = P.ring.nvars + P.n
-    return FiltrationTable([comb(nsyms + m, m) for m in range(max(m_max, nsyms + 1) + 1)])
+    return [comb(nsyms + m, m) for m in range(max(m_max, nsyms + 1) + 1)]
 
 
-def gk_estimate(table: FiltrationTable) -> tuple:
-    """Integer growth exponent from the dimension table, with the
+def gk_estimate(dims: list) -> tuple:
+    """Integer growth exponent of a :func:`filtration_dims` table, with the
     ``gk-estimate`` record's data: ``difference_degree``, ``slope_estimate``,
     ``ambiguous`` and ``note``.
 
-    The order at which finite differences of the table stabilize at a
-    nonzero constant decides; the estimate is ambiguous only when no order
-    does.  The rounded log-log slope at the tail is reported alongside for
-    information: it reads low on short tables (3 for C(m+4, 4) at m = 12).
+    The table is C(s+m, m), so the exponent is s = dims[1] - 1, the order at
+    which its finite differences settle at 1.  The rounded log-log slope at
+    the tail is reported alongside for information: it reads low on short
+    tables (3 for C(m+4, 4) at m = 12).
     """
-    dims = table.dims
     if len(dims) - 1 < 8:
         raise ValueError("gk_estimate needs the table up to degree 8 at least")
-
-    diff_degree = None
-    seq = list(dims)
-    for order in range(len(dims)):
-        tail = seq
-        if len(tail) < 2:
-            break
-        if all(v == tail[0] for v in tail):
-            if tail[0] != 0:
-                diff_degree = order
-            break
-        seq = [b - a for a, b in zip(seq, seq[1:])]
-
+    diff_degree = dims[1] - 1
     m = len(dims) - 1
     if dims[m] == dims[m - 1]:
         slope = 0
     else:
         slope = round((log(dims[m]) - log(dims[m - 1])) / (log(m) - log(m - 1)))
-
     return diff_degree, {
         "difference_degree": diff_degree,
         "slope_estimate": slope,
-        "ambiguous": diff_degree is None,
+        "ambiguous": False,
         "note": "desk-scale estimate",
     }
 

@@ -85,12 +85,12 @@ def test_01_pbw_consistency(docs):
     start = time.perf_counter()
     for name in SMOOTH_NAMES:
         doc = docs[name]
-        assert build_presentation(doc).pbw_consistency_check(doc.options["pbw_degree"]).ok, (
+        assert build_presentation(doc).pbw_consistency_check().ok, (
             f"{name} should be consistent"
         )
     doc = docs["broken"]
     P = build_presentation(doc)
-    audit = P.pbw_consistency_check(doc.options["pbw_degree"])
+    audit = P.pbw_consistency_check()
     assert not audit.ok
     assert audit.rendered == "x3*x2*x1", "stored witness triple is x3 x2 x1"
     diff = audit.left - audit.right

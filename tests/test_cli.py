@@ -45,6 +45,21 @@ def test_check_pbw(capsys):
     assert "x3*x2*x1" in out
 
 
+def test_check_pbw_fails_a_delta_that_is_no_sigma_derivation(tmp_path, capsys):
+    path = tmp_path / "badsder.spbw"
+    path.write_text("name badsder\ncoeffs t1 t2\ngens x\nsigma x: t1 -> 2*t1\ndelta x: t2 -> 1\n",
+                    encoding="utf-8")
+    assert main(["check", "pbw", str(path)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "pbw consistency: FAIL",
+        "  witness word: x*(t2)*(t1)",
+        "  leftmost reduction:  2*t1*t2*x + t1",
+        "  rightmost reduction: 2*t1*t2*x + 2*t1",
+    ]
+    assert main(["smooth", str(path)]) == 1
+    assert "verdict: failed (pbw-consistency" in capsys.readouterr().out
+
+
 def test_check_hypotheses(capsys):
     assert main(["check", "hypotheses", "corpus:weyl"]) == 0
     out = capsys.readouterr().out

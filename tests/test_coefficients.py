@@ -94,6 +94,29 @@ def test_apply_sder_weyl_powers(ring_qt):
     assert apply_sder(delta, t * t * t) == (t * t).scale(ring_qt.scalar(3))
 
 
+def _stored(p):
+    return {e: (c.num, c.den) for e, c in p.terms.items()}
+
+
+@pytest.mark.parametrize("twist", ["q*t", "q^-1*t + 1", "(q/q)*t"])
+def test_sder_powers_read_the_stored_twist_image(ring_qt, twist):
+    # delta(t^n) = sigma(t) delta(t^(n-1)) + delta(t) t^(n-1), with sigma(t)
+    # taken as the twist applied to the variable: the same fractions, term
+    # for term, as reading the twist's stored image
+    q, t = ring_qt.param("q"), ring_qt.var(0)
+    image = {
+        "q*t": t.scale(q),
+        "q^-1*t + 1": t.scale(q.inverse()) + ring_qt.one(),
+        "(q/q)*t": t.scale(q * q.inverse()),
+    }[twist]
+    sigma = CoeffEndo((image,))
+    delta = CoeffSigmaDerivation((t * t + ring_qt.const(q),), sigma)
+    expected = ring_qt.zero()
+    for n in range(1, 7):
+        expected = apply_endo(sigma, t) * expected + delta.images[0] * t ** (n - 1)
+        assert _stored(apply_sder(delta, t ** n)) == _stored(expected)
+
+
 def test_endo_multiplicative_on_random_pairs(ring_qt, rng):
     q = ring_qt.param("q")
     sigma = CoeffEndo((ring_qt.var(0).scale(q) + ring_qt.one(),))

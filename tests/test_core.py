@@ -14,6 +14,7 @@ from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import HypothesisError
 from spbw.lincomb import add_term
+from spbw.pipeline import run_smooth
 from spbw.scalars import Scalar
 
 from conftest import WIDE_DOCS, commuting_relation, identity_endo, random_skew, trivial_maps
@@ -388,6 +389,64 @@ def test_pbw_check_pair_coefficient_words(jordan, qplane_ore):
     assert qplane_ore.pbw_consistency_check().ok
 
 
+BADSDER = "name badsder\ncoeffs t1 t2\ngens x\nsigma x: t1 -> 2*t1\ndelta x: t2 -> 1\n"
+
+
+def test_pbw_check_fails_a_delta_that_is_no_sigma_derivation():
+    # (sigma(t1) - t1) delta(t2) = t1 while (sigma(t2) - t2) delta(t1) = 0,
+    # so the leftmost and rightmost reductions of x*t2*t1 differ
+    P = build_presentation(parse_presentation(BADSDER))
+    audit = P.pbw_consistency_check()
+    assert not audit.ok
+    assert audit.rendered == "x*(t2)*(t1)"
+    assert P.render(audit.left) == "2*t1*t2*x + t1"
+    assert P.render(audit.right) == "2*t1*t2*x + 2*t1"
+    rep = run_smooth(parse_presentation(BADSDER))
+    assert (rep.verdict, rep.failed_check) == ("failed", "pbw-consistency")
+    assert rep.checks[0].witnesses[0] == "word x*(t2)*(t1) reduces two ways"
+
+
+@st.composite
+def _one_generator_over_two_variables(draw):
+    """sigma and delta of one generator on F[t1, t2].  Each image is drawn
+    from a few shapes (sigma: the variable itself, a multiple, or any
+    polynomial of degree at most 2; delta: zero or any such polynomial), so
+    both sides of the condition vanish, or match, often enough to test the
+    passing side."""
+    ring = CoeffRing(coeff_vars=("t1", "t2"))
+    exps = [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+    def poly():
+        out = ring.zero()
+        for e in draw(st.lists(st.sampled_from(exps), min_size=1, max_size=3, unique=True)):
+            out = out + ring.monomial(e, draw(st.sampled_from([-2, -1, 1, 2, 3])))
+        return out
+
+    sigma_images, delta_images = [], []
+    for v in range(2):
+        shape = draw(st.sampled_from(["own", "scaled", "any"]))
+        if shape == "own":
+            sigma_images.append(ring.var(v))
+        elif shape == "scaled":
+            sigma_images.append(ring.var(v).scale(ring.scalar(draw(st.sampled_from([-1, 2, 3])))))
+        else:
+            sigma_images.append(poly())
+        delta_images.append(poly() if draw(st.booleans()) else ring.zero())
+    sigma = CoeffEndo(sigma_images)
+    P = Presentation(ring, ("x",), (sigma,), (CoeffSigmaDerivation(delta_images, sigma),), {})
+    return P, sigma_images, delta_images
+
+
+@settings(max_examples=200, deadline=None)
+@given(_one_generator_over_two_variables())
+def test_pbw_check_decides_the_sigma_derivation_condition(case):
+    # the one overlap is x*t2*t1; it resolves iff delta extends to a
+    # sigma-derivation of F[t1, t2]
+    P, (s1, s2), (d1, d2) = case
+    t1, t2 = P.ring.var(0), P.ring.var(1)
+    assert P.pbw_consistency_check().ok == ((s2 - t2) * d1 == (s1 - t1) * d2)
+
+
 def test_strategy_independence_on_random_words(weyl, qplane, rng):
     for P in (weyl, qplane):
         for _ in range(60):
@@ -636,7 +695,7 @@ def _skew_products(draw):
 @given(_skew_products())
 def test_block_rewrites_match_the_small_step_oracle(case):
     P, e1, e2 = case
-    assert P.pbw_consistency_check(P.n).ok
+    assert P.pbw_consistency_check().ok
     got = P.multiply(P.monomial(e1), P.monomial(e2))
     oracle = P.normalize_atoms(_expand(e1) + _expand(e2))
     assert got == oracle

@@ -180,8 +180,8 @@ def test_negative_option_values():
 
 
 def test_option_below_minimum_rejected():
-    # with words of length 2 only, the overlap check could not see that
-    # broken is inconsistent
+    # the overlap check walks its words at length 3 whatever pbw_degree
+    # says; the floor stays so that the documents accepted today still are
     src = corpus_source("broken") + "options pbw_degree=2\n"
     with pytest.raises(ParseError) as info:
         parse_presentation(src)

@@ -1,9 +1,10 @@
-from math import comb
+from math import comb, log
 
 import pytest
 
 from spbw.coefficients import CoeffRing, CoeffSigmaDerivation
 from spbw.core import Presentation
+from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import UnsupportedPresentationError
 from spbw.gkdim import (
@@ -11,7 +12,6 @@ from spbw.gkdim import (
     FAILED,
     NOT_CERTIFIED,
     CheckRecord,
-    FiltrationTable,
     filtration_dims,
     gk_estimate,
     smoothness_verdict,
@@ -21,26 +21,23 @@ from conftest import identity_endo
 
 
 def test_filtration_dims_weyl(weyl):
-    table = filtration_dims(weyl, 8)
-    assert table.dims[:4] == [1, 3, 6, 10]
+    assert filtration_dims(weyl, 8)[:4] == [1, 3, 6, 10]
 
 
 def test_filtration_dims_match_closed_form(weyl, jordan, qplane):
     for P in (weyl, jordan, qplane):
         M = P.ring.nvars + P.n
-        table = filtration_dims(P, 10)
-        assert table.dims == [comb(m + M, M) for m in range(11)]
+        assert filtration_dims(P, 10) == [comb(m + M, M) for m in range(11)]
 
 
 def test_filtration_dims_scalars_only():
     ring = CoeffRing()
     P = Presentation(ring, (), (), (), {})
-    table = filtration_dims(P, 9)
-    assert table.dims == [1] * 10
+    assert filtration_dims(P, 9) == [1] * 10
 
 
 def test_filtration_jordan_v3(jordan):
-    assert filtration_dims(jordan, 8).dims[3] == 10
+    assert filtration_dims(jordan, 8)[3] == 10
 
 
 def test_filtration_incompatible_rejected():
@@ -60,8 +57,7 @@ def test_gk_estimate_weyl(weyl):
 
 
 def test_gk_estimate_three_symbols():
-    table = FiltrationTable([comb(m + 3, 3) for m in range(13)])
-    est, diag = gk_estimate(table)
+    est, diag = gk_estimate([comb(m + 3, 3) for m in range(13)])
     assert est == 3
     assert diag["difference_degree"] == 3 and diag["slope_estimate"] == 3
 
@@ -69,7 +65,7 @@ def test_gk_estimate_three_symbols():
 @pytest.mark.parametrize("k", range(1, 9))
 def test_gk_estimate_closed_form_tables(k):
     # the slope reads low from k = 4 on; the difference degree decides
-    est, diag = gk_estimate(FiltrationTable([comb(m + k, k) for m in range(13)]))
+    est, diag = gk_estimate([comb(m + k, k) for m in range(13)])
     assert est == k and diag["difference_degree"] == k and not diag["ambiguous"]
 
 
@@ -81,23 +77,23 @@ def _poly_doc(n, options=""):
 
 
 def _gkdim(doc):
-    table = filtration_dims(build_presentation(doc), doc.options["gk_degree"])
-    return table, gk_estimate(table)
+    dims = filtration_dims(build_presentation(doc), doc.options["gk_degree"])
+    return dims, gk_estimate(dims)
 
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_run_gkdim_wide_polynomial_rings(n):
     """The table and estimate of ``spbw gkdim`` at the document's
     ``gk_degree``."""
-    table, (est, diag) = _gkdim(_poly_doc(n))
-    assert table.dims == [comb(m + n, n) for m in range(13)]
+    dims, (est, diag) = _gkdim(_poly_doc(n))
+    assert dims == [comb(m + n, n) for m in range(13)]
     assert est == n and not diag["ambiguous"]
 
 
 def test_run_gkdim_as_many_symbols_as_gk_degree():
     # a table of gk_degree + 1 entries would run out after 8 differences
-    table, (est, diag) = _gkdim(_poly_doc(8, "options gk_degree=8"))
-    assert len(table.dims) == 10
+    dims, (est, diag) = _gkdim(_poly_doc(8, "options gk_degree=8"))
+    assert len(dims) == 10
     assert est == 8 and diag["difference_degree"] == 8 and not diag["ambiguous"]
 
 
@@ -107,13 +103,50 @@ def test_gk_estimate_more_symbols_than_gk_degree():
 
 
 def test_gk_estimate_constant_table():
-    est, diag = gk_estimate(FiltrationTable([1] * 12))
+    est, diag = gk_estimate([1] * 12)
     assert est == 0 and not diag["ambiguous"]
 
 
 def test_gk_estimate_needs_depth(weyl):
     with pytest.raises(ValueError):
-        gk_estimate(FiltrationTable([1, 3, 6, 10]))
+        gk_estimate([1, 3, 6, 10])
+
+
+def _finite_difference_estimate(dims):
+    """Reference for gk_estimate that reads nothing from the closed form:
+    the order at which the finite differences of the table settle at a
+    nonzero constant (None when none does), and the log-log tail slope."""
+    order, seq = None, list(dims)
+    for k in range(len(dims)):
+        if len(seq) < 2 or all(v == seq[0] for v in seq):
+            order = k if len(seq) >= 2 and seq[0] != 0 else None
+            break
+        seq = [b - a for a, b in zip(seq, seq[1:])]
+    m = len(dims) - 1
+    slope = 0 if dims[m] == dims[m - 1] else round((log(dims[m]) - log(dims[m - 1])) / (log(m) - log(m - 1)))
+    return order, {"difference_degree": order, "slope_estimate": slope,
+                   "ambiguous": order is None, "note": "desk-scale estimate"}
+
+
+def _assert_matches_finite_differences(P, gk_degree):
+    dims = filtration_dims(P, gk_degree)
+    expected = _finite_difference_estimate(dims)
+    assert expected[0] is not None
+    assert gk_estimate(dims) == expected
+
+
+@pytest.mark.parametrize("gk_degree", [8, 12, 20])
+@pytest.mark.parametrize("s", range(1, 15))
+def test_gk_estimate_matches_finite_differences_on_polynomial_rings(s, gk_degree):
+    _assert_matches_finite_differences(build_presentation(_poly_doc(s)), gk_degree)
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_gk_estimate_matches_finite_differences_on_the_corpus(name):
+    doc = corpus_doc(name)
+    P = build_presentation(doc)
+    for gk_degree in (doc.options["gk_degree"], 8, 20):
+        _assert_matches_finite_differences(P, gk_degree)
 
 
 def _records(**statuses):
