@@ -21,8 +21,10 @@ Constant path.  Most coefficients the layers above multiply are constants,
 so ``CoeffPoly.__mul__`` multiplies one term by one term with a single
 ``Scalar`` product, and each ring has one shared unit polynomial
 (:meth:`CoeffRing.one`), whose scalar is the shared unit of
-:mod:`spbw.scalars`; like that scalar, it must never be mutated.  Both
-return exactly the keys and ``Fraction`` values the generic code would.
+:mod:`spbw.scalars` (:meth:`Scalar.one`); like that scalar, it must never
+be mutated.  Both return exactly the keys and values the generic code
+would, and the scalar values keep the canonical ``int``-or-``Fraction``
+form of :mod:`spbw.scalars`.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ class CoeffRing:
         return Scalar.const(self.nparams, 0)
 
     def sone(self) -> Scalar:
-        return Scalar.const(self.nparams, 1)
+        return Scalar.one(self.nparams)
 
     # -- polynomial constructors --------------------------------------------
 
@@ -166,7 +168,7 @@ class CoeffPoly(LinComb):
 
     def __pow__(self, k: int) -> "CoeffPoly":
         """The k-th power, k >= 0, by repeated squaring."""
-        out = CoeffPoly({(0,) * self.nvars: Scalar.const(self.nparams, 1)}, self.nvars, self.nparams)
+        out = CoeffPoly({(0,) * self.nvars: Scalar.one(self.nparams)}, self.nvars, self.nparams)
         base = self
         while k:
             if k & 1:
@@ -232,7 +234,7 @@ def _variable(ref: CoeffPoly, j: int) -> CoeffPoly:
     """The j-th coefficient variable, over the same ring as ``ref``."""
     e = [0] * ref.nvars
     e[j] = 1
-    return ref._make({tuple(e): Scalar.const(ref.nparams, 1)})
+    return ref._make({tuple(e): Scalar.one(ref.nparams)})
 
 
 def apply_endo(sigma: CoeffEndo, p: CoeffPoly) -> CoeffPoly:
@@ -294,7 +296,7 @@ def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> Coe
         rest = list(e)
         rest[j] -= 1
         rest = tuple(rest)
-        rest_poly = ref._make({rest: Scalar.const(ref.nparams, 1)})
+        rest_poly = ref._make({rest: Scalar.one(ref.nparams)})
         result = delta.twist.images[j] * _sder_monomial(delta, rest, ref) + delta.images[j] * rest_poly
     delta._memo[e] = result
     return result

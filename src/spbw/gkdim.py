@@ -17,7 +17,7 @@ reports.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, log
+from math import comb
 
 from .coefficients import apply_endo, apply_sder
 from .core import Presentation, tail_name
@@ -72,18 +72,21 @@ def gk_estimate(dims: list) -> tuple:
     ``ambiguous`` and ``note``.
 
     The table is C(s+m, m), so the exponent is s = dims[1] - 1, the order at
-    which its finite differences settle at 1.  The rounded log-log slope at
-    the tail is reported alongside for information: it reads low on short
-    tables (3 for C(m+4, 4) at m = 12).
+    which its finite differences settle at 1.  The log-log slope at the
+    tail, ``log(a/b) / log(m/(m-1))`` with a = dims[m] and b = dims[m-1],
+    rounded, is reported alongside for information: it reads low on short
+    tables (3 for C(m+4, 4) at m = 12).  It is computed exactly, as the
+    least k >= 0 with ``a^2 (m-1)^(2k+1) < b^2 m^(2k+1)``, which is the
+    slope being below k + 1/2.
     """
     if len(dims) - 1 < 8:
         raise ValueError("gk_estimate needs the table up to degree 8 at least")
     diff_degree = dims[1] - 1
     m = len(dims) - 1
-    if dims[m] == dims[m - 1]:
-        slope = 0
-    else:
-        slope = round((log(dims[m]) - log(dims[m - 1])) / (log(m) - log(m - 1)))
+    a2, b2 = dims[m] ** 2, dims[m - 1] ** 2
+    slope = 0
+    while a2 * (m - 1) ** (2 * slope + 1) >= b2 * m ** (2 * slope + 1):
+        slope += 1
     return diff_degree, {
         "difference_degree": diff_degree,
         "slope_estimate": slope,

@@ -2,10 +2,15 @@
 declared parameters, with rational coefficients.
 
 A parameter polynomial is a dict mapping exponent tuples (one entry per
-parameter) to nonzero ``Fraction`` values; the zero polynomial is the empty
-dict.  A :class:`Scalar` is an unreduced fraction ``num/den`` of two such
-polynomials.  Equality is decided by cross-multiplication, so no multivariate
-gcd is ever needed; a cheap content strip keeps term sizes in check.
+parameter) to nonzero rational values; the zero polynomial is the empty
+dict.  Each value is in one canonical form: an ``int`` when it is integral,
+and a ``Fraction`` with denominator > 1 otherwise; never a ``float``, a
+``bool`` or a ``Fraction`` with denominator 1 (:func:`_canonical`).  Most
+values are integers, and ``int`` arithmetic takes no gcd.  A
+:class:`Scalar` is an unreduced fraction ``num/den`` of two such
+polynomials.  Equality is decided by cross-multiplication, so no
+multivariate gcd is ever needed; a cheap content strip keeps term sizes in
+check.
 
 Fast paths.  Most products the layers above ask for are trivial, so:
 
@@ -13,7 +18,7 @@ Fast paths.  Most products the layers above ask for are trivial, so:
   ``poly_const(n, 1)``, every zero scalar's denominator and every folded
   constant denominator are that object, which must never be mutated;
 * :func:`poly_mul` multiplies one term by one term with a single
-  ``Fraction`` product, and returns the other factor itself when one factor
+  coefficient product, and returns the other factor itself when one factor
   is the shared unit polynomial, tested by identity;
 * ``Scalar.__mul__`` returns the other operand when one operand is the
   shared unit (numerator and denominator both the shared unit polynomial,
@@ -24,15 +29,16 @@ Fast paths.  Most products the layers above ask for are trivial, so:
   which gives the same keys and values.
 
 Every fast path returns exactly the ``num``/``den`` the generic code would:
-the same keys and the same ``Fraction`` values.  Rendered witnesses show
-the unreduced form, so a value of one that is not the literal unit, such as
-``q/q``, is multiplied out like any other.
+the same keys and the same values.  Rendered witnesses show the unreduced
+form, so a value of one that is not the literal unit, such as ``q/q``, is
+multiplied out like any other.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .lincomb import render_sum
 
@@ -47,11 +53,12 @@ class _Units(dict):
     """nparams -> the shared unit polynomial, made on first use."""
 
     def __missing__(self, nparams: int) -> dict:
-        unit = self[nparams] = {(0,) * nparams: Fraction(1)}
+        unit = self[nparams] = {(0,) * nparams: 1}
         return unit
 
 
 _UNIT = _Units()
+_ONE: dict = {}  # nparams -> the shared unit Scalar
 
 
 def poly_one(nparams: int) -> dict:
@@ -59,8 +66,21 @@ def poly_one(nparams: int) -> dict:
     return _UNIT[nparams]
 
 
+def _canonical(c):
+    """A rational value in canonical form: an ``int`` when it is integral,
+    else the ``Fraction`` itself.  A ``bool`` becomes an ``int``."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _reciprocal(c):
+    """The exact inverse of a nonzero ``int`` or ``Fraction``, canonical."""
+    return _canonical(Fraction(c.denominator, c.numerator))
+
+
 def poly_const(nparams: int, value) -> dict:
-    c = Fraction(value)
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"a scalar constant is an int or a Fraction, not {type(value).__name__}")
+    c = _canonical(value)
     if c == 0:
         return {}
     if c == 1:
@@ -71,17 +91,20 @@ def poly_const(nparams: int, value) -> dict:
 def poly_var(nparams: int, j: int) -> dict:
     e = [0] * nparams
     e[j] = 1
-    return {tuple(e): Fraction(1)}
+    return {tuple(e): 1}
 
 
 def poly_add(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        s = out.get(e, 0) + c
-        if s:
-            out[e] = s
+        if e in out:
+            s = out[e] + c
+            if s:
+                out[e] = s if type(s) is int or s.denominator != 1 else s.numerator
+            else:
+                del out[e]
         else:
-            out.pop(e, None)
+            out[e] = c
     return out
 
 
@@ -100,34 +123,48 @@ def poly_mul(a: dict, b: dict) -> dict:
         if b is unit:
             return a
         ((eb, cb),) = b.items()
-        return {tuple(x + y for x, y in zip(ea, eb)): ca * cb}
+        c = ca * cb
+        if type(c) is not int and c.denominator == 1:
+            c = c.numerator
+        if not any(ea):
+            return {eb: c}
+        if not any(eb):
+            return {ea: c}
+        return {tuple(map(add, ea, eb)): c}
     out: dict = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e, 0) + ca * cb
-            if s:
-                out[e] = s
+            e = tuple(map(add, ea, eb))
+            if e in out:
+                s = out[e] + ca * cb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
             else:
-                out.pop(e, None)
+                out[e] = ca * cb
+    for e, c in out.items():
+        if type(c) is not int and c.denominator == 1:
+            out[e] = c.numerator
     return out
 
 
-def poly_scale(a: dict, c: Fraction) -> dict:
+def poly_scale(a: dict, c) -> dict:
     if c == 0:
         return {}
-    return {e: v * c for e, v in a.items()}
+    return {e: _canonical(v * c) for e, v in a.items()}
 
 
-def _content(polys) -> Fraction:
-    """gcd of all coefficients: gcd of numerators over lcm of denominators."""
+def _content(polys):
+    """gcd of all coefficients: gcd of numerators over lcm of denominators,
+    canonical."""
     num_g = 0
     den_l = 1
     for p in polys:
         for c in p.values():
             num_g = gcd(num_g, abs(c.numerator))
             den_l = den_l * c.denominator // gcd(den_l, c.denominator)
-    return Fraction(num_g, den_l) if num_g else Fraction(1)
+    return _canonical(Fraction(num_g, den_l)) if num_g else 1
 
 
 def _common_monomial(polys) -> Expo | None:
@@ -163,7 +200,7 @@ class Scalar:
             ((e, c),) = den.items()
             if not any(e):
                 if c != 1:
-                    num = poly_scale(num, 1 / c)
+                    num = poly_scale(num, _reciprocal(c))
                 den = unit
         self.num = num
         self.den = den
@@ -174,6 +211,16 @@ class Scalar:
     @staticmethod
     def const(nparams: int, value) -> "Scalar":
         return Scalar(poly_const(nparams, value), _UNIT[nparams], nparams)
+
+    @staticmethod
+    def one(nparams: int) -> "Scalar":
+        """The shared unit scalar, whose numerator and denominator are both
+        the shared unit polynomial; made on first use, never mutate it."""
+        one = _ONE.get(nparams)
+        if one is None:
+            unit = _UNIT[nparams]
+            one = _ONE[nparams] = Scalar(unit, unit, nparams)
+        return one
 
     @staticmethod
     def param(nparams: int, j: int) -> "Scalar":
@@ -252,8 +299,9 @@ class Scalar:
 def _strip(num: dict, den: dict) -> tuple:
     c = _content((num, den))
     if c != 1:
-        num = poly_scale(num, 1 / c)
-        den = poly_scale(den, 1 / c)
+        r = _reciprocal(c)
+        num = poly_scale(num, r)
+        den = poly_scale(den, r)
     m = _common_monomial((num, den))
     if m is not None:
         num = {tuple(x - y for x, y in zip(e, m)): v for e, v in num.items()}

@@ -128,6 +128,16 @@ def _finite_difference_estimate(dims):
                    "ambiguous": order is None, "note": "desk-scale estimate"}
 
 
+def test_exact_slope_agrees_with_the_float_slope():
+    # every closed-form table of s = 0..29 symbols at gk_degree 8..59, with
+    # the reference's float log-log slope
+    for s in range(30):
+        for gk_degree in range(8, 60):
+            dims = [comb(s + m, m) for m in range(max(gk_degree, s + 1) + 1)]
+            got = gk_estimate(dims)[1]["slope_estimate"]
+            assert got == _finite_difference_estimate(dims)[1]["slope_estimate"], (s, gk_degree)
+
+
 def _assert_matches_finite_differences(P, gk_degree):
     dims = filtration_dims(P, gk_degree)
     expected = _finite_difference_estimate(dims)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
@@ -118,7 +120,7 @@ def _generic_make(num, den, n):
     if len(den) == 1:
         e, c = next(iter(den.items()))
         if not any(e) and c != 1:
-            num = poly_scale(num, 1 / c)
+            num = poly_scale(num, Fraction(1) / c)
             den = {(0,) * n: Fraction(1)}
     return num, den
 
@@ -154,10 +156,18 @@ _OPS = {
 }
 
 
+def _canonical_values(s):
+    """Every stored value is an ``int`` when it is integral and otherwise a
+    ``Fraction`` with denominator > 1: never a float, a bool, or a
+    ``Fraction`` with denominator 1."""
+    for c in (*s.num.values(), *s.den.values()):
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), repr(c)
+
+
 def _same_representation(s, pair):
     num, den = pair
     assert s.num == num and s.den == den
-    assert all(type(c) is Fraction for c in (*s.num.values(), *s.den.values()))
+    _canonical_values(s)
 
 
 def _atoms(n):
@@ -213,6 +223,57 @@ def test_fast_paths_keep_generic_representation(nparams):
             pool.append((s, pair, v))
         crossed |= len(s.num) + len(s.den) > _STRIP_THRESHOLD
     assert crossed or nparams == 0
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2), st.data())
+def test_values_stay_canonical_and_exact(nparams, data):
+    """Random chains of + - * /, inverse() and sums above the strip
+    threshold keep every value canonical, and agree with sympy's field."""
+    draw = data.draw
+    K, value = _field(nparams)
+
+    def atom():
+        kind = draw(st.sampled_from(("int", "fraction", "param")[: 3 if nparams else 2]))
+        if kind == "int":
+            c = draw(st.integers(-4, 4))
+            return Scalar.const(nparams, c), K(c)
+        if kind == "fraction":
+            p, q = draw(st.integers(-4, 4)), draw(st.integers(2, 5))
+            return Scalar.const(nparams, Fraction(p, q)), K(QQ(p, q))
+        j = draw(st.integers(0, nparams - 1))
+        return Scalar.param(nparams, j), K.gens[j]
+
+    x, v = atom()
+    for _ in range(draw(st.integers(1, 6))):
+        op = draw(st.sampled_from(["add", "sub", "mul", "div", "inverse", "wide"]))
+        if op == "inverse":
+            if v == 0:
+                continue
+            x, v = x.inverse(), 1 / v
+        elif op == "wide":
+            # one more term than the threshold, so a nonconstant sum is stripped
+            p, pv = atom()
+            power, pw = Scalar.const(nparams, 1), K(1)
+            for _ in range(_STRIP_THRESHOLD + 1):
+                a, av = atom()
+                x, v = x + a * power, v + av * pw
+                power, pw = power * p, pw * pv
+        else:
+            y, w = atom()
+            if op == "div" and w == 0:
+                continue
+            scalar_op, _, field_op = _OPS[op]
+            x, v = scalar_op(x, y), field_op(v, w)
+        _canonical_values(x)
+        assert value(x) == v
+
+
+def test_no_float_enters_a_scalar():
+    with pytest.raises(TypeError):
+        Scalar.const(1, 0.5)
+    assert type(next(iter(Scalar.const(0, True).num.values()))) is int
+    assert poly_const(1, Fraction(6, 3)) == {(0,): 2} and type(poly_const(1, Fraction(6, 3))[(0,)]) is int
 
 
 # -- work counts ---------------------------------------------------------------
