@@ -101,13 +101,24 @@ def _require_integrable(integrable: bool):
         raise ConfigError("divergence transport requested without an integrability certificate")
 
 
+def _peel(expo):
+    """The first symbol s of the monomial with frame exponent ``expo`` (not
+    all zero), and the exponent of the rest: ``expo`` is ``s`` times it."""
+    s = 0
+    while not expo[s]:
+        s += 1
+    return s, expo[:s] + (expo[s] - 1,) + expo[s + 1:]
+
+
 def _image_terms(twist: AlgebraEndo, s: int) -> list:
     """``(c, a, top, k)`` for each term ``c t^a`` of ``twist.images[s]`` (a
     over the whole frame, None for the constant term), read by
     :meth:`Calculus._d_step`: its product with a monomial that has no symbol
     below ``top`` is a shift.  ``top`` is the highest symbol of a term with a
     generator under a twist that does not rescale, and 0 otherwise; ``k`` is
-    the symbol of a term that is one symbol to the first power, else None."""
+    the symbol of a term that is one symbol to the first power, else None.
+    A coefficient that is the literal unit is None, so no product by it is
+    made."""
     out = []
     for e, coeff in twist.images[s].terms.items():
         for tvec, c in coeff.terms.items():
@@ -115,7 +126,7 @@ def _image_terms(twist: AlgebraEndo, s: int) -> list:
             support = [j for j, x in enumerate(a) if x]
             top = support[-1] if twist._scales is None and any(e) else 0
             k = support[0] if len(support) == 1 and a[support[0]] == 1 else None
-            out.append((c, a if support else None, top, k))
+            out.append((None if c.is_unit() else c, a if support else None, top, k))
     return out
 
 
@@ -128,10 +139,11 @@ class Calculus:
     twist nu in ``_volume`` (in any mode; the pipeline's volume stage
     compares it with the composite of the sigma maps in theorem mode),
     ``_d_monomial`` memoizes the coordinates of d of every normal monomial
-    it meets in ``_d_memo``, keyed by its frame exponent (``d0``,
-    compatibility and the connectedness matrix all read d from there, and
-    the terms of the twist images it steps with are read once, into
-    ``_twist_terms``), ``_nabla`` memoizes the transported
+    it meets in ``_d_memo``, keyed by its frame exponent (``d0`` and
+    compatibility read d from there, and the connectedness sweep reads and
+    fills it in the same order; the nonzero dcoords of each symbol and the
+    terms of the twist images each step reads are taken once, into
+    ``_dterms`` and ``_twist_terms``), ``_nabla`` memoizes the transported
     divergence of every basis functional it meets in ``_nabla_memo``,
     ``_basis_product`` memoizes the merged set and crossing factor of every
     pair of wedge basis sets in ``_basis_memo``, and
@@ -156,6 +168,7 @@ class Calculus:
         self.N = len(spec.dgens)
         self.nsyms = P.ring.nvars + P.n
         self._dcoords = None  # per symbol: tuple of N Scalars, or None row
+        self._dterms = None  # per symbol: the (i, Scalar) of its nonzero dcoords
         self._d_memo = {(0,) * self.nsyms: {}}  # frame exponent -> coordinates of d
         self._twist_terms = [[_image_terms(dg.twist, s) for s in range(self.nsyms)] for dg in spec.dgens]
         self._nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
@@ -191,6 +204,7 @@ class Calculus:
             # symbol c = sum_i B[pos][i] * u_i with B the matrix inverse
             dcoords[c] = tuple(inv[pos])
         self._dcoords = dcoords
+        self._dterms = [[(i, b) for i, b in enumerate(row or ()) if not b.is_zero()] for row in dcoords]
 
     # -- twists ------------------------------------------------------------------
 
@@ -298,8 +312,7 @@ class Calculus:
         pending = []
         target = expo
         while expo not in memo:
-            s = next(k for k, a in enumerate(expo) if a)
-            rest = expo[:s] + (expo[s] - 1,) + expo[s + 1:]
+            s, rest = _peel(expo)
             pending.append((expo, s, rest))
             expo = rest
         for e, s, rest in reversed(pending):
@@ -323,23 +336,18 @@ class Calculus:
         under a shear ``x -> x + 2t``, is reduced by ``Presentation.multiply``.
         Terms that land on one coordinate are added, and a zero sum dropped."""
         P = self.P
-        m = P.ring.nvars
-        out = {}
-        for i, b in enumerate(self._dcoords[s] or ()):
-            if not b.is_zero():
-                out[(i, rest)] = b
+        out = {(i, rest): b for i, b in self._dterms[s]}
         for (i, ex), v in coords.items():
             for c, a, top, k in self._twist_terms[i][s]:
                 if top and any(ex[:top]):
-                    mu = P.monomial(ex[m:], P.ring.monomial(ex[:m]))
-                    product = P.multiply(P.monomial(a[m:], P.ring.monomial(a[:m])), mu)
+                    product = P.multiply(self._monomial(a), self._monomial(ex))
                     for ev, coeff in product.terms.items():
                         for tv, w in coeff.terms.items():
-                            add_term(out, (i, tv + ev), c * w * v)
+                            add_term(out, (i, tv + ev), w * v if c is None else c * w * v)
                 elif k is not None:
-                    add_term(out, (i, ex[:k] + (ex[k] + 1,) + ex[k + 1:]), c * v)
+                    add_term(out, (i, ex[:k] + (ex[k] + 1,) + ex[k + 1:]), v if c is None else c * v)
                 else:
-                    add_term(out, (i, ex if a is None else tuple(map(add, a, ex))), c * v)
+                    add_term(out, (i, ex if a is None else tuple(map(add, a, ex))), v if c is None else c * v)
         return out
 
     def differential(self, a: DiffForm) -> DiffForm:
@@ -457,8 +465,8 @@ class Calculus:
         """d(d(m)) = 0 for every normal monomial up to the bound and for the
         basis one-forms carrying those monomials."""
         witnesses = []
-        for mono in self._monomials_upto(degree_bound):
-            f = self.P.monomial(mono[1], self.P.ring.monomial(mono[0]))
+        for expo in exponents_upto(self.nsyms, degree_bound):
+            f = self._monomial(expo)
             dd = self.differential(self.d0(f))
             if not dd.is_zero():
                 witnesses.append(f"d^2 of {self.P.render(f)} = {self.render_form(dd)}")
@@ -471,44 +479,57 @@ class Calculus:
                     )
         return CheckOutcome(not witnesses, witnesses[:5])
 
-    def _monomials_upto(self, bound: int):
-        P = self.P
-        for beta in exponents_upto(P.ring.nvars, bound):
-            for alpha in exponents_upto(P.n, bound - sum(beta)):
-                yield (beta, alpha)
+    def _monomial(self, expo) -> SkewPoly:
+        """The normal monomial with frame exponent ``expo``."""
+        m = self.P.ring.nvars
+        return self.P.monomial(expo[m:], self.P.ring.monomial(expo[:m]))
 
     def connectedness_check(self, degree_bound: int) -> CheckOutcome:
         """Exact kernel of d on the span of normal monomials up to the bound;
         connected means dimension one (the constants).
 
-        Column m of the matrix holds the coordinates of d(m) for each basis
-        monomial m, read from the memo of :meth:`_d_monomial` with no call
-        of :meth:`d0`; the basis lists m' before m = s m', so each monomial
-        not met yet costs one :meth:`_d_step`."""
-        basis = list(self._monomials_upto(degree_bound))
+        The basis is every frame exponent up to the bound in lexicographic
+        order (:func:`exponents_upto`), and column m of the matrix holds the
+        coordinates of d(m), built in one sweep by
+        :meth:`_connectedness_rows`.  Every row goes to :func:`kernel_basis`,
+        which peels the rows with a single entry (on a polynomial ring, all
+        of them) before any elimination."""
+        basis = exponents_upto(self.nsyms, degree_bound)
         rows = self._connectedness_rows(basis)
         kernel = kernel_basis(list(rows.values()), len(basis), self.P.ring.nparams)
         dim = len(kernel)
         witnesses = []
         for vec in kernel[:4]:
-            terms = [
-                (self.P.render(self.P.monomial(basis[c][1], self.P.ring.monomial(basis[c][0]))), v)
-                for c, v in enumerate(vec)
-                if not v.is_zero()
-            ]
-            witnesses.append(" + ".join(f"[{t}]" for t, _ in terms))
+            terms = [self.P.render(self._monomial(basis[c])) for c, v in enumerate(vec) if not v.is_zero()]
+            witnesses.append(" + ".join(f"[{t}]" for t in terms))
         return CheckOutcome(dim == 1, witnesses, {"kernel_dimension": dim, "bound": degree_bound})
 
     def _connectedness_rows(self, basis) -> dict:
         """One sparse row per coordinate ``(i, expo)`` of d, the coefficient
         of ``du_i`` times the monomial with exponent ``expo`` (coefficient
-        variables first), mapping each basis column to a nonzero Scalar."""
-        rows = {}
-        for col, (tvec, e) in enumerate(basis):
-            for key, s in self._d_monomial(tvec + e).items():
-                rows.setdefault(key, {})[col] = s
-        return rows
+        variables first), mapping each basis column to a nonzero Scalar.
 
+        One sweep over the basis, which must be in lexicographic order,
+        with no call of :meth:`d0`: each column's coordinates are read from
+        ``_d_memo``.  In that order the
+        rest m' of m = s m' (s its first symbol) comes before m, so a column
+        not memoized yet costs the one :meth:`_d_step` that
+        :meth:`_d_monomial` would make, and enters the memo in the same
+        order."""
+        memo = self._d_memo
+        rows: dict = {}
+        for col, expo in enumerate(basis):
+            coords = memo.get(expo)
+            if coords is None:
+                s, rest = _peel(expo)
+                coords = memo[expo] = self._d_step(s, rest, memo[rest])
+            for key, v in coords.items():
+                row = rows.get(key)
+                if row is None:
+                    rows[key] = {col: v}
+                else:
+                    row[col] = v
+        return rows
 
     # -- volume -------------------------------------------------------------------------
 

@@ -665,21 +665,39 @@ def _first_inversion(w: tuple):
 
 def _inversions(w: tuple, n: int) -> int:
     """Number of pairs p < q with ``w[p] > w[q]``, from per-letter counts of
-    the letters already seen, in O(len(w) * n)."""
+    the letters already seen, added once per run of one letter."""
     seen = [0] * n
     count = 0
-    for a in w:
-        count += sum(seen[a + 1:])
-        seen[a] += 1
+    a, k = -1, 0
+    for b in w + (-1,):  # the sentinel -1 closes the last run
+        if b == a:
+            k += 1
+            continue
+        if k:
+            count += k * sum(seen[a + 1:])
+            seen[a] += k
+        a, k = b, 1
     return count
 
 
-def exponents_upto(nvars: int, total: int):
+def exponents_upto(nvars: int, total: int) -> list:
     """Every exponent tuple of length ``nvars`` with entry sum at most
-    ``total``, in lexicographic order."""
-    if nvars == 0:
-        yield ()
-        return
-    for first in range(total + 1):
-        for rest in exponents_upto(nvars - 1, total - first):
-            yield (first,) + rest
+    ``total``, in lexicographic order: an odometer, with no recursion."""
+    out = []
+    e = [0] * nvars
+    room = total  # total minus the entry sum of e
+    while True:
+        out.append(tuple(e))
+        if room and nvars:
+            e[-1] += 1
+            room -= 1
+            continue
+        # carry: clear the last nonzero entry and raise the one before it
+        j = nvars - 1
+        while j > 0 and not e[j]:
+            j -= 1
+        if j <= 0:
+            return out
+        room += e[j] - 1
+        e[j] = 0
+        e[j - 1] += 1

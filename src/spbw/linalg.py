@@ -4,16 +4,22 @@ computation and for inverting frame-affine maps.
 A row is a dict from column index to a nonzero
 :class:`~spbw.scalars.Scalar`; a missing column is zero.  The entry points
 also take a dense sequence of Scalars, zeros included, and drop its zeros
-on the way in; a dict row is copied without that filter, because it holds
-no zero already.  The caller's rows are never modified.  One Gauss-Jordan
+on the way in.  The caller's rows are never modified.  One Gauss-Jordan
 elimination serves :func:`kernel_basis`, :func:`solve` and :func:`inverse`.
 Its pivot rule: for each column in order, the first unused row (in the
 given row order) with an entry there.  An update touches only the entries
 of the pivot row, and an entry that cancels to zero is removed from its
 row, so a zero is never a pivot.  A pivot row with no other entry only
 removes its column from the other rows, with no inverse and no elimination
-factor.  Most connectedness matrices have one entry per row, so there
-every pivot is of this kind.  No floating point.
+factor.
+
+:func:`kernel_basis` first peels the rows with a single entry: each forces
+its column to be a pivot column, with a unit vector as its row of the
+reduced row echelon form.  Only the other rows, without the forced
+columns, go through the elimination.  That form is unique, so the kernel
+vectors take the same values as if every row were eliminated.  Most
+connectedness matrices have one entry per row, and there nothing is
+eliminated.  No floating point.
 """
 
 from __future__ import annotations
@@ -24,11 +30,8 @@ from .scalars import Scalar
 
 
 def _sparse(row) -> dict:
-    """A fresh sparse copy of a row given as a dict or a dense sequence.  A
-    dict row holds no zero entry, so it is copied as it is; a dense row
-    loses its zeros."""
-    if isinstance(row, dict):
-        return dict(row)
+    """A fresh sparse row from a dense sequence of Scalars, without its
+    zeros."""
     return {c: x for c, x in enumerate(row) if not x.is_zero()}
 
 
@@ -45,7 +48,9 @@ def _gauss_jordan(rows, ncols):
             holders[c].add(i)
     used = set()
     pivots = []
-    for col in range(ncols):
+    # elimination only adds entries in columns of the pivot row, so only
+    # the columns that the rows hold at the start can ever hold a pivot
+    for col in sorted(c for c in holders if c < ncols):
         here = holders[col]
         p = min((i for i in here if i not in used), default=None)
         if p is None:
@@ -95,12 +100,16 @@ def kernel_basis(rows, ncols, nparams):
     ``rows`` is a list of rows, each a dict from column to nonzero Scalar or
     a dense sequence of Scalars; the input is not modified.  Returns one dense
     vector (a list of Scalars) per free column, in increasing order of that
-    column, spanning ``{v : rows . v = 0}``.
+    column, spanning ``{v : rows . v = 0}``: 1 in its free column, 0 in the
+    other free columns and in every column of a single-entry row.
     """
     zero = Scalar.const(nparams, 0)
     one = Scalar.const(nparams, 1)
-    pivots = _gauss_jordan([_sparse(r) for r in rows], ncols)
-    pivot_cols = {col for col, _ in pivots}
+    rows = [r if isinstance(r, dict) else _sparse(r) for r in rows]
+    forced = {c for r in rows if len(r) == 1 for c in r}
+    rest = [{c: x for c, x in r.items() if c not in forced} for r in rows if len(r) > 1]
+    pivots = _gauss_jordan(rest, ncols)
+    pivot_cols = forced.union(col for col, _ in pivots)
     vectors = {}
     for free in range(ncols):
         if free not in pivot_cols:

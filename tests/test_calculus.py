@@ -20,6 +20,7 @@ from spbw.calculus import (
     theorem_spec,
 )
 from spbw.coefficients import CoeffRing, commutation_audit
+from spbw.core import exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc, corpus_source
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormError
@@ -584,8 +585,8 @@ def _rows_by_positions(calc, basis):
     """The connectedness rows built by differentiating each basis monomial
     position by position."""
     rows = {}
-    for col, (tvec, e) in enumerate(basis):
-        word = [j for j, k in enumerate(tvec + e) for _ in range(k)]
+    for col, expo in enumerate(basis):
+        word = [j for j, k in enumerate(expo) for _ in range(k)]
         df = d_word_by_positions(calc, word, calc.P.ring.sone())
         for S, f in df.terms.items():
             for ev, c in f.terms.items():
@@ -596,7 +597,7 @@ def _rows_by_positions(calc, basis):
 
 def _assert_rows_match_oracle(make_calc, bound=6):
     calc = make_calc()
-    basis = list(calc._monomials_upto(bound))
+    basis = exponents_upto(calc.nsyms, bound)
     assert calc._connectedness_rows(basis) == _rows_by_positions(make_calc(), basis)
 
 
@@ -691,6 +692,67 @@ def test_sheared_connectedness_rows_match_d0():
     assert calc.connectedness_check(6).data["kernel_dimension"] == 1
     # one reduction for each product that is not a shift
     assert products == {"multiply": 10}
+
+
+# connectedness_check reads d of its basis in one sweep over the memo; it
+# must leave the memo and hand kernel_basis exactly what the per-monomial
+# path gives.
+
+
+def _sweep_calc(name):
+    return run_calculus_check(parse_presentation(SHEARS) if name == "shears" else _doc(name))
+
+
+def _memo_snapshot(calc):
+    return [
+        (expo, [(key, v.num, v.den) for key, v in coords.items()])
+        for expo, coords in calc._d_memo.items()
+    ]
+
+
+@pytest.mark.parametrize("name", RESCALING + ("un2", "jordan", "aq", "shears"))
+def test_connectedness_fills_the_memo_as_d_monomial_does(name):
+    calc = _sweep_calc(name)
+    calc.connectedness_check(6)
+    fresh = _sweep_calc(name)
+    for expo in exponents_upto(fresh.nsyms, 6):
+        fresh._d_monomial(expo)
+    assert _memo_snapshot(calc) == _memo_snapshot(fresh)
+
+
+@pytest.mark.parametrize("name", ("poly5", "qaffine4", "un2", "aq", "shears"))
+def test_connectedness_passes_every_row_to_kernel_basis(name, monkeypatch):
+    calls = []
+    kernel_basis = spbw.calculus.kernel_basis
+
+    def spy(*args):
+        calls.append(args)
+        return kernel_basis(*args)
+
+    monkeypatch.setattr(spbw.calculus, "kernel_basis", spy)
+    calc = _sweep_calc(name)
+    calc.connectedness_check(6)
+    basis = exponents_upto(calc.nsyms, 6)
+    rows = list(_sweep_calc(name)._connectedness_rows(basis).values())
+    assert calls == [(rows, len(basis), calc.P.ring.nparams)]
+    # the same entries in the same order, not only equal values
+    assert [list(row.items()) for row in calls[0][0]] == [list(row.items()) for row in rows]
+
+
+def _exponents_upto_by_recursion(nvars, total):
+    """The lexicographic enumeration by recursion on the first entry."""
+    if nvars == 0:
+        yield ()
+        return
+    for first in range(total + 1):
+        for rest in _exponents_upto_by_recursion(nvars - 1, total - first):
+            yield (first,) + rest
+
+
+def test_basis_enumeration_keeps_the_recursive_order():
+    for nvars in range(7):
+        for total in range(8):
+            assert exponents_upto(nvars, total) == list(_exponents_upto_by_recursion(nvars, total))
 
 
 SIGN_TWIST = """name sign

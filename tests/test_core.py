@@ -1,7 +1,7 @@
 import copy
 import sys
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import spbw.core
 from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation
-from spbw.core import Presentation, SkewPoly, _expand, _pack
+from spbw.core import Presentation, SkewPoly, _expand, _inversions, _pack
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import HypothesisError
@@ -902,3 +902,22 @@ def test_multiply_is_associative_exactly_where_the_pbw_check_passes(data):
         left, right = P.normalize_atoms(word, "leftmost"), P.normalize_atoms(word, "rightmost")
         assert left != right
         assert (left, right) == (audit.left, audit.right)
+
+
+def _pair_inversions(w):
+    """The inversions of a word by brute force over every pair of positions."""
+    return sum(1 for p, q in combinations(range(len(w)), 2) if w[p] > w[q])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_inversions_match_the_pair_count(data):
+    """The run-wise count on the expanded words the reduction heap starts
+    from, and on random words with runs and single letters alike."""
+    n = data.draw(st.integers(1, 5))
+    letter = st.integers(0, n - 1)
+    e1, e2 = (tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))) for _ in range(2))
+    runs = data.draw(st.lists(st.tuples(letter, st.integers(1, 4)), max_size=12))
+    for w in (_expand(e1) + _expand(e2), tuple(data.draw(st.lists(letter, max_size=30))),
+              tuple(a for a, k in runs for _ in range(k))):
+        assert _inversions(w, n) == _pair_inversions(w)

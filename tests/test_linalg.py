@@ -95,9 +95,17 @@ def low_rank(rng, nrows, ncols, rank, nparams):
                    random_sparse(rng, rank, ncols, nparams, 0.6), nparams)
 
 
+def dense(row, ncols, nparams):
+    """A row given as a dict or a dense list, as a dense list."""
+    if not isinstance(row, dict):
+        return row
+    zero = Scalar.const(nparams, 0)
+    return [row.get(c, zero) for c in range(ncols)]
+
+
 def check_kernel(rows, ncols, nparams):
     ours = kernel_basis(rows, ncols, nparams)
-    theirs = sym_matrix(rows, ncols, nparams).nullspace(divide_last=True).to_list()
+    theirs = sym_matrix([dense(r, ncols, nparams) for r in rows], ncols, nparams).nullspace(divide_last=True).to_list()
     assert len(ours) == len(theirs)
     # One vector per free column, 1 there and 0 in the other free columns;
     # its other entries lie in earlier (pivot) columns, so its last nonzero
@@ -167,6 +175,43 @@ def test_kernel_accepts_sparse_rows_and_leaves_them_alone():
     b = kernel_basis(sparse, 7, 1)
     assert len(a) == len(b) and all(x == y for v, w in zip(a, b) for x, y in zip(v, w))
     assert sparse == before
+
+
+@pytest.mark.parametrize("nparams,seed", CASES)
+def test_kernel_peels_single_entry_rows(nparams, seed):
+    # Dict rows mixing single-entry and multi-entry rows: a single-entry row
+    # after a multi-entry row that shares its column, two single-entry rows
+    # in one column, and random rows, some of them single-entry too.
+    rng = random.Random(f"peel:{nparams}:{seed}")
+    ncols = rng.randrange(5, 9)
+    rows = [{c: x for c, x in enumerate(row) if not x.is_zero()}
+            for row in random_sparse(rng, rng.randrange(2, 6), ncols, nparams, 0.3)]
+    a, b, c = rng.sample(range(ncols), 3)
+    at = rng.randrange(len(rows) + 1)
+    rows.insert(at, {a: random_entry(rng, nparams), b: random_entry(rng, nparams)})
+    rows.insert(rng.randrange(at + 1, len(rows) + 1), {a: random_entry(rng, nparams)})
+    for _ in range(2):
+        rows.insert(rng.randrange(len(rows) + 1), {c: random_entry(rng, nparams)})
+    before = [dict(row) for row in rows]
+    kernel = check_kernel(rows, ncols, nparams)
+    assert rows == before
+    assert all(v[a].is_zero() and v[c].is_zero() for v in kernel)
+
+
+def test_single_entry_rows_make_no_scalar_arithmetic(monkeypatch):
+    n = 60
+    rng = random.Random("all-single")
+    rows = [{rng.randrange(n): random_entry(rng, 2)} for _ in range(2 * n)]
+    calls = {"inverse": 0, "__mul__": 0}
+    for attr in calls:
+        def counted(*args, _method=getattr(Scalar, attr), _attr=attr):
+            calls[_attr] += 1
+            return _method(*args)
+        monkeypatch.setattr(Scalar, attr, counted)
+    kernel = kernel_basis(rows, n, 2)
+    assert calls == {"inverse": 0, "__mul__": 0}
+    free = [c for c in range(n) if all(c not in row for row in rows)]
+    assert [[c for c, x in enumerate(v) if not x.is_zero()] for v in kernel] == [[c] for c in free]
 
 
 @pytest.mark.parametrize("nparams,seed", CASES)
