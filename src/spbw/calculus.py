@@ -146,7 +146,12 @@ class Calculus:
     ``_dterms`` and ``_twist_terms``), ``_nabla`` memoizes the transported
     divergence of every basis functional it meets in ``_nabla_memo``,
     ``_basis_product`` memoizes the merged set and crossing factor of every
-    pair of wedge basis sets in ``_basis_memo``, and
+    pair of wedge basis sets in ``_basis_memo``, the objects the
+    certificate's loops reuse are built once (the complement of each set in
+    ``_complements``, the transport scale of ``theta_inv`` per pair of sets in
+    ``_transport_scales``, the unit forms ``du_S`` in ``_unit_forms``, d0 of
+    each single monomial in ``_d0_forms``, and the pieces of ``_expands``
+    per set in ``_expansion_pieces``), and
     ``_generator_certificate`` and ``_transport_certificate`` record their
     verdicts in ``_generators_certified`` and ``_transport_certified``.  A
     passed integrability check is not recorded: the divergence checks take
@@ -173,6 +178,11 @@ class Calculus:
         self._twist_terms = [[_image_terms(dg.twist, s) for s in range(self.nsyms)] for dg in spec.dgens]
         self._nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
         self._basis_memo: dict = {}  # (S, T) -> du_S ^ du_T as (merged set, factor), or None
+        self._complements: dict = {}  # S -> the indices not in S
+        self._transport_scales: dict = {}  # (S, C) -> e_k w(S, C)^-1 of theta_inv
+        self._unit_forms: dict = {}  # S -> du_S with the unit coefficient
+        self._d0_forms: dict = {}  # frame exponent -> d0 of its monomial
+        self._expansion_pieces: dict = {}  # S0 -> the pieces of _expands that depend only on S0
         self._one = P.ring.sone()
         self._volume = None
         self._generators_certified = None
@@ -233,6 +243,13 @@ class Calculus:
             return self.zero_form()
         return DiffForm({tuple(S): f})
 
+    def _unit_form(self, S) -> DiffForm:
+        """``du_S`` with the unit coefficient, memoized in ``_unit_forms``."""
+        form = self._unit_forms.get(S)
+        if form is None:
+            form = self._unit_forms[S] = self.form(S, self.P.one())
+        return form
+
     # -- operations ------------------------------------------------------------------
 
     def left_multiply(self, a: SkewPoly, form: DiffForm) -> DiffForm:
@@ -277,11 +294,19 @@ class Calculus:
     def d0(self, f: SkewPoly) -> DiffForm:
         """Differential of a degree-zero element: the scalar-weighted sum of
         the memoized differentials of its normal monomials.  A weight of
-        value one, literal or not (such as ``q/q``), is not multiplied in."""
+        value one, literal or not (such as ``q/q``), is not multiplied in,
+        and a single monomial with such a weight gets its one-form built
+        once, into ``_d0_forms``."""
         acc: dict = {}
         for e, c in f.terms.items():
             for tvec, s in c.terms.items():
-                coords = self._d_monomial(tvec + e)
+                expo = tvec + e
+                if s.is_one() and len(f.terms) == len(c.terms) == 1:
+                    form = self._d0_forms.get(expo)
+                    if form is None:
+                        form = self._d0_forms[expo] = self._form(self._d_monomial(expo))
+                    return form
+                coords = self._d_monomial(expo)
                 if s.is_one():
                     add_terms(acc, coords)
                 else:
@@ -354,7 +379,7 @@ class Calculus:
         """Degree-one map: ``d(du_S f) = (-1)^{|S|} du_S ^ d(f)``."""
         acc: dict = {}
         for S, f in a.terms.items():
-            part = self.wedge(self.form(S, self.P.one()), self.d0(f))
+            part = self.wedge(self._unit_form(S), self.d0(f))
             add_terms(acc, (-part if len(S) % 2 else part).terms)
         return DiffForm(acc)
 
@@ -451,12 +476,10 @@ class Calculus:
     def _d_respects_twisting(self) -> bool:
         """Condition (b) of :meth:`d_squared_check`: two wedges per frame
         symbol and twist, and no call of ``differential``."""
-        P = self.P
-        twists = [dg.twist for dg in self.spec.dgens]
-        for s, sym in enumerate(P.frame()):
+        units = [(dg.twist, self._unit_form((i,))) for i, dg in enumerate(self.spec.dgens)]
+        for s, sym in enumerate(self.P.frame()):
             ds = self.d0(sym)
-            for i, twist in enumerate(twists):
-                du = self.form((i,), P.one())
+            for twist, du in units:
                 if not (self.wedge(ds, du) + self.wedge(du, self.d0(twist.images[s]))).is_zero():
                     return False
         return True
@@ -683,12 +706,16 @@ class Calculus:
         )
 
     def _product_rule_on_generators(self) -> bool:
-        """(g) of :meth:`_transport_certificate`."""
-        return all(
-            self._product_rule_holds(self._dual_basis((i,)), s)
-            for i in range(self.N)
-            for s in self.P.frame()
-        )
+        """(g) of :meth:`_transport_certificate`: d0 of each frame symbol,
+        and ``xi_i`` and its bottom divergence, are taken once."""
+        frame = self.P.frame()
+        ds = [self.d0(s) for s in frame]
+        for i in range(self.N):
+            xi = self._dual_basis((i,))
+            nabla = self._bottom_divergence(xi)
+            if not all(self._product_rule_holds(xi, s, nabla, d) for s, d in zip(frame, ds)):
+                return False
+        return True
 
     # -- integrability ---------------------------------------------------------------------
 
@@ -699,15 +726,20 @@ class Calculus:
         gives ``du_S0 f`` back.  Only the complement Q of S0 contributes,
         since every other Q of that size meets S0 and the wedge repeats an
         index; its complement form is ``du_S0`` times the inverse of the
-        crossing factor of ``du_S0 ^ du_Q``."""
-        Q = self._complement(S0)
-        _, factor = self._basis_product(S0, Q)
+        crossing factor of ``du_S0 ^ du_Q``.  The volume inverse, ``du_Q``
+        and that complement form are taken once per S0, into
+        ``_expansion_pieces``."""
+        pieces = self._expansion_pieces.get(S0)
+        if pieces is None:
+            Q = self._complement(S0)
+            _, factor = self._basis_product(S0, Q)
+            pieces = self._expansion_pieces[S0] = (
+                self.volume().inverse, self._unit_form(Q), self.form(S0, self.P.const(factor.inverse()))
+            )
+        inverse, du_Q, complement = pieces
         target = self.form(S0, f)
-        top = self.pi_omega(self.wedge(target, self.form(Q, self.P.one())))
-        total = self.left_multiply(
-            self.volume().inverse.apply(top), self.form(S0, self.P.const(factor.inverse()))
-        )
-        return total == target
+        top = self.pi_omega(self.wedge(target, du_Q))
+        return self.left_multiply(inverse.apply(top), complement) == target
 
     def integrability_check(self, sample_count: int, degree_bound: int, rng) -> CheckOutcome:
         """The expansion identity of :meth:`_expands` on every
@@ -771,7 +803,11 @@ class Calculus:
         return IntegralForm(phi.degree, values)
 
     def _complement(self, S) -> tuple:
-        return tuple(i for i in range(self.N) if i not in S)
+        """The indices not in S, memoized in ``_complements``."""
+        C = self._complements.get(S)
+        if C is None:
+            C = self._complements[S] = tuple(i for i in range(self.N) if i not in S)
+        return C
 
     def theta(self, k: int, form: DiffForm) -> IntegralForm:
         """Transport a k-form to a functional of degree N-k by the formula
@@ -795,16 +831,23 @@ class Calculus:
         ``theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g)``."""
         if phi.degree != self.N - k:
             raise ConfigError("functional degree does not match the transport")
-        sign = -1 if ((self.N - 1) * k) % 2 else 1
         acc: dict = {}
         # each set S of size k whose complement phi has a value on, in
         # increasing order
         for S, comp in sorted((self._complement(C), C) for C in phi.terms):
-            _, w = self._basis_product(S, comp)
-            scale = w.inverse() * self.P.ring.scalar(sign)
-            coeff = self.twist_inv_apply_set(comp, phi.terms[comp].scale(scale))
+            coeff = self.twist_inv_apply_set(comp, phi.terms[comp].scale(self._transport_scale(S, comp)))
             add_terms(acc, self.form(S, coeff).terms)
         return DiffForm(acc)
+
+    def _transport_scale(self, S, C) -> Scalar:
+        """``e_k w(S, C)^-1`` of :meth:`theta_inv`, k the size of S,
+        memoized in ``_transport_scales``."""
+        scale = self._transport_scales.get((S, C))
+        if scale is None:
+            _, w = self._basis_product(S, C)
+            sign = self.P.ring.scalar(-1 if ((self.N - 1) * len(S)) % 2 else 1)
+            scale = self._transport_scales[S, C] = w.inverse() * sign
+        return scale
 
     def _nabla(self, k: int, phi: IntegralForm) -> IntegralForm:
         """The divergence from functionals of degree N-k to degree N-k-1,
@@ -838,12 +881,11 @@ class Calculus:
         """The bottom divergence, from degree-one functionals to A."""
         return self._nabla(self.N - 1, phi).terms.get((), self.P.zero())
 
-    def _product_rule_holds(self, phi: IntegralForm, a: SkewPoly) -> bool:
+    def _product_rule_holds(self, phi: IntegralForm, a: SkewPoly, nabla_phi: SkewPoly, da: DiffForm) -> bool:
         """``nabla(phi . a) == nabla(phi) a + phi(d a)``, nabla the bottom
-        divergence."""
-        nabla = self._bottom_divergence
-        lhs = nabla(self.right_action(phi, a))
-        return lhs == self.P.multiply(nabla(phi), a) + self.evaluate(phi, self.d0(a))
+        divergence, given ``nabla_phi = nabla(phi)`` and ``da = d0(a)``."""
+        lhs = self._bottom_divergence(self.right_action(phi, a))
+        return lhs == self.P.multiply(nabla_phi, a) + self.evaluate(phi, da)
 
     def divergence_leibniz_check(self, integrable: bool, samples: int, degree: int, rng) -> CheckOutcome:
         """The product rule of the bottom divergence, decided by the
@@ -866,7 +908,7 @@ class Calculus:
                     values[(i,)] = f
             phi = IntegralForm(1, values)
             a = random_skew(self.P, rng, degree, max_terms=2)
-            if not self._product_rule_holds(phi, a):
+            if not self._product_rule_holds(phi, a, self._bottom_divergence(phi), self.d0(a)):
                 witnesses.append(
                     f"product rule fails at a = {self.P.render(a)} with {self.render_functional(phi)}"
                 )

@@ -137,8 +137,8 @@ class Presentation:
 
     The defining data is not changed after construction and no operation
     changes a value it is given or has returned, but monomial products
-    (``_mono_cache``), :meth:`defining_relations` (``_relations``),
-    :meth:`commutation_failures` (``_audit``),
+    (``_mono_cache``), the frame (``_frame``), :meth:`defining_relations`
+    (``_relations``), :meth:`commutation_failures` (``_audit``),
     :func:`spbw.extended.hypothesis_check` (``_hypotheses``) and the run
     tables (``_runs``, ``_passing``) are memoized, as are the powers of the
     coefficient maps, so a presentation is not safe to share between threads
@@ -191,6 +191,7 @@ class Presentation:
         self._audit = None  # commutation_failures(), made on first use
         self._mono_cache: dict = {}
         self._relations = None  # defining_relations(), built on first use
+        self._frame = None  # frame(), built on first use
         self._hypotheses = None  # extended.hypothesis_check(self), made on first use
 
     def _polynomial_scalars(self) -> bool:
@@ -248,8 +249,12 @@ class Presentation:
         return self.ring.coeff_vars[k] if k < m else self.names[k - m]
 
     def frame(self) -> tuple:
-        """Every symbol of the frame, in order: the images of the identity."""
-        return tuple(self.symbol(k) for k in range(self.ring.nvars + self.n))
+        """Every symbol of the frame, in order: the images of the identity.
+        Built on the first call and kept, like :meth:`defining_relations`;
+        must not be changed."""
+        if self._frame is None:
+            self._frame = tuple(self.symbol(k) for k in range(self.ring.nvars + self.n))
+        return self._frame
 
     def frame_coordinates(self, f: SkewPoly):
         """``(constant, row)`` with ``f = constant + sum_k row[k] *
@@ -383,7 +388,10 @@ class Presentation:
         same length (ab or b fewer for a block) or is shorter.  Words are
         therefore taken in decreasing (length, inversions) order from a heap,
         and a word is rewritten only after every contribution to it has
-        arrived."""
+        arrived.  A unit exponent returns the other one with the unit
+        coefficient at once, as that pass would."""
+        if not (any(e1) and any(e2)):
+            return SkewPoly({e1 if any(e1) else e2: self.ring.one()}, self.n)
         key = (e1, e2)
         cached = self._mono_cache.get(key)
         if cached is not None:

@@ -23,7 +23,8 @@ extension.  The identity respects every relation.  A rescaling map respects
 the relation with word ``x_a x_b`` iff every term of its normal form has the
 weight ``c_a c_b``, and a rescaling inverse undoes its rescaling map iff
 ``c_s c'_s = 1`` for every symbol s.  Any other map multiplies out the
-relation words and applies its inverse to the images.
+relation words and applies its inverse to the images.  :func:`auto_inverse`
+reads a rescaling map's inverse from its scales: s goes to ``c_s^-1 s``.
 """
 
 from __future__ import annotations
@@ -267,7 +268,12 @@ def triangular_inverse(P: Presentation, images):
 
 
 def auto_inverse(P: Presentation, images):
-    """Try the two mechanical inversion schemes; None when both fail."""
+    """A rescaling map's inverse read from its scales, ``c_s^-1 s`` as
+    :func:`frame_affine_inverse` gives it for a diagonal matrix; otherwise
+    the two mechanical inversion schemes, and None when both fail."""
+    scales = _rescaling(P, images)
+    if scales is not None:
+        return tuple(sym.scale(c.inverse()) for sym, c in zip(P.frame(), scales))
     got = frame_affine_inverse(P, images)
     if got is None:
         got = triangular_inverse(P, images)

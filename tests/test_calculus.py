@@ -27,6 +27,7 @@ from spbw.errors import CompatibilityError, ConfigError, MapError, NotAVolumeFor
 from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, hypothesis_check
 from spbw.ore import ore_document
 from spbw.pipeline import calculus_spec_from_doc, run_calculus_check, run_smooth
+from spbw.scalars import Scalar
 
 from conftest import (
     UN2_PRODUCT_DOCS,
@@ -1714,3 +1715,102 @@ def test_dual_action_visits_only_the_sets_that_meet_the_support_on_ore_grid():
     rng = random.Random(4242)
     for calc in certified:
         _formulas_match_their_definitions(calc, rng)
+
+
+# -- frame-level objects are built once ------------------------------------------------------
+#
+# The certificate's loops rebuild nothing that does not change inside them;
+# each check still runs on every frame symbol and every set.
+
+ONCE = ["poly5", "qaffine4", "aq", "jordan"]
+
+
+def _recording(calc, attr, seen):
+    """Shadow one method of ``calc`` with a wrapper that records its
+    arguments in ``seen``, after the name of the calling function."""
+    method = getattr(calc, attr)
+
+    def recorded(*args):
+        seen.append((sys._getframe(1).f_code.co_name,) + args)
+        return method(*args)
+
+    setattr(calc, attr, recorded)
+
+
+@pytest.mark.parametrize("name", ONCE)
+def test_product_rule_takes_each_frame_invariant_once(name):
+    """(g) takes d0 of each frame symbol once, and the bottom divergence of
+    each unit functional ``xi_i`` once; every other d0 call is the one
+    ``differential`` makes inside a transport."""
+    calc = run_calculus_check(_doc(name))
+    d0_args, nabla_args = [], []
+    _recording(calc, "d0", d0_args)
+    _recording(calc, "_bottom_divergence", nabla_args)
+    assert calc._product_rule_on_generators()
+    assert [f for caller, f in d0_args if caller != "differential"] == list(calc.P.frame())
+    units = calc.integral_basis(1)
+    assert [phi for _, phi in nabla_args if phi in units] == units
+
+
+@pytest.mark.parametrize("name", ONCE)
+def test_d_respects_twisting_builds_each_unit_form_once(name):
+    """(b) wedges d0 of each frame symbol with the N unit forms ``du_i``;
+    its wedges of one-forms make two-forms, so those are the only one-forms
+    it builds."""
+    calc = run_calculus_check(_doc(name))
+    made = []
+    _recording(calc, "form", made)
+    assert calc._d_respects_twisting()
+    assert [S for _, S, f in made if len(S) == 1] == [(i,) for i in range(calc.N)]
+
+
+@pytest.mark.parametrize("name", ONCE)
+def test_transport_inverts_each_crossing_factor_once(name, monkeypatch):
+    """``theta_inv`` reads ``e_k w(S, C)^-1`` from ``_transport_scales``:
+    over the unit functionals of every degree, transported twice, a
+    scalar is inverted at most once per (S, C), and the transports still
+    undo each other."""
+    calc = run_calculus_check(_doc(name))
+    functionals = [phi for k in range(calc.N + 1) for phi in calc.integral_basis(calc.N - k)]
+    inverses = []
+    inverse = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda self: inverses.append(self) or inverse(self))
+    for _ in range(2):
+        for phi in functionals:
+            k = calc.N - phi.degree
+            assert calc.theta(k, calc.theta_inv(k, phi)) == phi
+    assert len(inverses) <= len(functionals)
+
+
+def _form_representation(form):
+    """Every key of a form and every stored fraction of its coefficients."""
+    return {
+        S: {e: {t: (s.num, s.den) for t, s in c.terms.items()} for e, c in f.terms.items()}
+        for S, f in form.terms.items()
+    }
+
+
+@pytest.mark.parametrize("name", ONCE)
+def test_d0_of_a_monomial_is_its_memoized_form(name):
+    """d0 of a normal monomial with a weight of value one, the literal unit
+    or ``q/q``, is the form of its memoized coordinates, built once; any
+    other weight is multiplied into every coordinate."""
+    calc = run_calculus_check(_doc(name))
+    ring = calc.P.ring
+    ones, others = [ring.sone()], [ring.scalar(3)]
+    if ring.nparams:
+        q = Scalar.param(ring.nparams, 0)
+        ones.append(q * q.inverse())
+        others.append(q + ring.sone())
+    for expo in exponents_upto(calc.nsyms, 3):
+        monomial = calc._monomial(expo)
+        want = _form_representation(calc._form(calc._d_monomial(expo)))
+        first = calc.d0(monomial)
+        for w in ones:
+            got = calc.d0(monomial.scale(w))
+            assert got is first
+            assert _form_representation(got) == want
+        for c in others:
+            scaled = {key: v * c for key, v in calc._d_monomial(expo).items()}
+            got = calc.d0(monomial.scale(c))
+            assert _form_representation(got) == _form_representation(calc._form(scaled))

@@ -852,6 +852,53 @@ def test_the_run_walk_matches_the_small_step_oracle(case):
         assert _sder_calls(P, word, r) == _sder_calls(single, word, r)
 
 
+# -- a unit exponent -------------------------------------------------------------------
+
+
+def _jordan_power_product(P, k):
+    """``x^k t^k`` in the Jordan plane by its closed form: sigma is the
+    identity and ``delta^j(t^k) = k(k+1)...(k+j-1) t^(k+j)``, so the term
+    ``t^(k+j) x^(k-j)`` has the coefficient ``C(k, j) k(k+1)...(k+j-1)``."""
+    terms = {}
+    for j in range(k + 1):
+        rising = 1
+        for i in range(j):
+            rising *= k + i
+        terms[(k - j,)] = P.ring.monomial((k + j,), comb(k, j) * rising)
+    return SkewPoly(terms, P.n)
+
+
+@pytest.mark.parametrize("k", range(17))
+def test_a_coefficient_past_a_power_matches_the_closed_form(k):
+    """Each walked term of ``x^k t^k`` meets ``_mul_monomials`` with a unit
+    exponent, which returns it with no heap pass and caches nothing; the
+    product keeps the rendering and the stored fractions of the closed
+    form."""
+    P = build_presentation(corpus_doc("jordan"))
+    got = P.multiply(P.monomial((k,)), P.from_coeff(P.ring.var(0) ** k))
+    want = _jordan_power_product(P, k)
+    assert P.render(got) == P.render(want)
+    assert _representation(got) == _representation(want)
+    assert P._mono_cache == {}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ore_walks())
+def test_a_unit_exponent_returns_the_other_monomial(case):
+    """A unit exponent gives the other monomial with the ring's unit
+    coefficient, the dict the heap pass builds for an ordered word, and the
+    products through it keep the values of the small-step oracle."""
+    P, m, r = case
+    one = P.ring.one()
+    for e1, e2, e in (((m,), (0,), (m,)), ((0,), (m,), (m,)), ((0,), (0,), (0,))):
+        got = P._mul_monomials(e1, e2)
+        assert list(got.terms) == [e] and got.terms[e] is one
+    assert P._mono_cache == {}
+    x, c = P.monomial((m,)), P.from_coeff(r)
+    assert P.multiply(x, c) == P.normalize_atoms((0,) * m + (r,))
+    assert P.multiply(c, x) == P.normalize_atoms((r,) + (0,) * m)
+
+
 # -- associativity, the oracle of the diamond lemma ------------------------------------
 
 

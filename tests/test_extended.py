@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spbw.calculus import build_calculus
 from spbw.coefficients import CoeffEndo, CoeffRing, CoeffSigmaDerivation, apply_endo
@@ -602,3 +604,83 @@ def test_a_rescaling_inverse_is_checked_by_its_scales(qplane, monkeypatch):
         AlgebraEndo(qplane, twist.images, inverse=wrong)
     assert str(err.value) == "inverse does not undo x2"
     assert not applied
+
+
+# -- inverses read from the scales -------------------------------------------------------
+
+
+def _images_representation(images):
+    """Each image's terms in order, every scalar by its stored fraction and
+    whether it is the literal unit."""
+    return [
+        [(e, [(tvec, s.num, s.den, s.is_unit()) for tvec, s in c.terms.items()]) for e, c in f.terms.items()]
+        for f in images
+    ]
+
+
+def _scale_choices(ring):
+    """Scales with the literal unit, rationals, ``q/q`` (one, but not the
+    literal unit), inverses and sums."""
+    choices = [ring.sone(), ring.scalar(-1), ring.scalar(Fraction(1, 2)), ring.scalar(3)]
+    for j in range(ring.nparams):
+        q = ring.param(f"q{j}")
+        choices += [q * q.inverse(), q.inverse(), q + ring.sone(), q.inverse() + ring.scalar(2), -q]
+    if ring.nparams == 2:
+        choices.append(ring.param("q0") * ring.param("q1").inverse())
+    return choices
+
+
+@st.composite
+def _rescaling_maps(draw):
+    """A presentation with 0-2 parameters, 0-1 coefficient variables and
+    1-2 commuting generators, and the images of a map that rescales every
+    symbol."""
+    nparams, nvars, ngens = draw(st.integers(0, 2)), draw(st.integers(0, 1)), draw(st.integers(1, 2))
+    lines = ["name rescale"]
+    if nparams:
+        lines.append("params " + " ".join(f"q{j}" for j in range(nparams)))
+    if nvars:
+        lines.append("coeffs t")
+    lines.append("gens " + " ".join(f"x{i}" for i in range(1, ngens + 1)))
+    if ngens == 2:
+        lines.append("rel x2 x1 = x1 x2")
+    P = build_presentation(parse_presentation("\n".join(lines) + "\n"))
+    choices = _scale_choices(P.ring)
+    return P, tuple(sym.scale(draw(st.sampled_from(choices))) for sym in P.frame())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rescaling_maps())
+def test_a_rescaling_inverse_is_read_from_the_scales(case):
+    """The images ``c_s^-1 s`` are the ones the matrix inverse gives for a
+    diagonal matrix, fraction by fraction, and the twist's round-trip
+    check accepts them."""
+    P, images = case
+    got = auto_inverse(P, images)
+    assert _images_representation(got) == _images_representation(frame_affine_inverse(P, images))
+    twist = AlgebraEndo(P, images, inverse=AlgebraEndo(P, got, check=False))
+    assert twist._verified_inverse is twist.inverse
+
+
+@pytest.mark.parametrize("name, dgen, inverse", [
+    ("jordan", "t", ["t", "x - 2*t"]),
+    ("aq", "z", ["y", "s^2*x", "z"]),
+    ("aq", "u", ["x", "y", "(1)/(s)*z"]),
+    ("qplane", "x1", ["x1", "(1)/(q)*x2"]),
+], ids=["jordan-shear", "aq-swap", "aq-rescale", "qplane-rescale"])
+def test_mechanical_inverses_keep_their_images(name, dgen, inverse):
+    calc = run_calculus_check(corpus_doc(name))
+    P = calc.P
+    images = next(dg.twist for dg in calc.spec.dgens if dg.name == dgen).images
+    got = auto_inverse(P, images)
+    assert [P.render(f) for f in got] == inverse
+    assert _images_representation(got) == _images_representation(frame_affine_inverse(P, images))
+
+
+@pytest.mark.parametrize("name", ["jordan", "aq", "qaffine3"])
+def test_the_frame_is_built_once(name):
+    P = build_presentation(corpus_doc(name))
+    frame = P.frame()
+    assert P.frame() is frame
+    assert isinstance(frame, tuple) and len(frame) == P.ring.nvars + P.n
+    assert all(sym == P.symbol(k) for k, sym in enumerate(frame))
