@@ -148,10 +148,11 @@ class Calculus:
     ``_basis_product`` memoizes the merged set and crossing factor of every
     pair of wedge basis sets in ``_basis_memo``, the objects the
     certificate's loops reuse are built once (the complement of each set in
-    ``_complements``, the transport scale of ``theta_inv`` per pair of sets in
-    ``_transport_scales``, the unit forms ``du_S`` in ``_unit_forms``, d0 of
-    each single monomial in ``_d0_forms``, and the pieces of ``_expands``
-    per set in ``_expansion_pieces``), and
+    ``_complements``, the transport scales of ``theta`` and ``theta_inv`` per
+    pair of sets in ``_theta_scales`` and ``_transport_scales``, the unit
+    forms ``du_S`` in ``_unit_forms``, d0 of each single monomial in
+    ``_d0_forms``, and the pieces of ``_expands`` per set in
+    ``_expansion_pieces``), and
     ``_generator_certificate`` and ``_transport_certificate`` record their
     verdicts in ``_generators_certified`` and ``_transport_certified``.  A
     passed integrability check is not recorded: the divergence checks take
@@ -179,6 +180,7 @@ class Calculus:
         self._nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
         self._basis_memo: dict = {}  # (S, T) -> du_S ^ du_T as (merged set, factor), or None
         self._complements: dict = {}  # S -> the indices not in S
+        self._theta_scales: dict = {}  # (S, C) -> e_k w(S, C) of theta
         self._transport_scales: dict = {}  # (S, C) -> e_k w(S, C)^-1 of theta_inv
         self._unit_forms: dict = {}  # S -> du_S with the unit coefficient
         self._d0_forms: dict = {}  # frame exponent -> d0 of its monomial
@@ -817,11 +819,9 @@ class Calculus:
         map."""
         if any(len(S) != k for S in form.terms):
             raise ConfigError("form degree does not match the transport")
-        sign = self.P.ring.scalar(-1 if ((self.N - 1) * k) % 2 else 1)
         values = {}
         for C, S in sorted((self._complement(S), S) for S in form.terms):
-            _, w = self._basis_product(S, C)
-            value = self.twist_apply_set(C, form.terms[S]).scale(w * sign)
+            value = self.twist_apply_set(C, form.terms[S]).scale(self._theta_scale(S, C))
             if not value.is_zero():
                 values[C] = value
         return IntegralForm(self.N - k, values)
@@ -838,6 +838,16 @@ class Calculus:
             coeff = self.twist_inv_apply_set(comp, phi.terms[comp].scale(self._transport_scale(S, comp)))
             add_terms(acc, self.form(S, coeff).terms)
         return DiffForm(acc)
+
+    def _theta_scale(self, S, C) -> Scalar:
+        """``e_k w(S, C)`` of :meth:`theta`, k the size of S, memoized in
+        ``_theta_scales``."""
+        scale = self._theta_scales.get((S, C))
+        if scale is None:
+            _, w = self._basis_product(S, C)
+            sign = self.P.ring.scalar(-1 if ((self.N - 1) * len(S)) % 2 else 1)
+            scale = self._theta_scales[S, C] = w * sign
+        return scale
 
     def _transport_scale(self, S, C) -> Scalar:
         """``e_k w(S, C)^-1`` of :meth:`theta_inv`, k the size of S,

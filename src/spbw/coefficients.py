@@ -15,7 +15,10 @@ included, as it is, and :func:`apply_sder` returns zero for it, without
 walking its terms.  Most endomorphisms are the identity (every sigma of a
 polynomial ring, a Weyl algebra, an enveloping algebra or the Jordan plane);
 :class:`CoeffEndo` recognizes one at construction, by the structure of its
-images, and :func:`apply_endo` returns its argument under it.
+images, and :func:`apply_endo` returns its argument under it.  Under it,
+and with constant denominators, ``delta(t^e)`` is read from the Leibniz rule
+(:func:`_sder_monomial`); :func:`commutation_audit` passes a pair with it
+without applying a map.
 
 Constant path.  Most coefficients the layers above multiply are constants,
 so ``CoeffPoly.__mul__`` multiplies one term by one term with a single
@@ -30,18 +33,19 @@ form of :mod:`spbw.scalars`.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from operator import add
 
 from .errors import MapError
 from .lincomb import LinComb, add_terms, is_spaced_sum, render_sum, sum_terms
-from .scalars import Scalar, render_scalar
+from .scalars import Scalar, poly_one, render_scalar
 
 
 class CoeffRing:
     """Construction context: parameter names and coefficient-variable names.
 
     Values do not hold a reference to the ring; it is only needed to build
-    and render them.  :meth:`one` returns the same unit polynomial on every
-    call; never mutate it.
+    and render them.  :meth:`one` returns the same unit polynomial, and
+    :meth:`szero` the same zero scalar, on every call; never mutate them.
     """
 
     def __init__(self, params=(), coeff_vars=()):
@@ -68,7 +72,8 @@ class CoeffRing:
         return Scalar.param(self.nparams, self.params.index(name))
 
     def szero(self) -> Scalar:
-        return Scalar.const(self.nparams, 0)
+        """The ring's shared zero scalar."""
+        return self.scalar(0)
 
     def sone(self) -> Scalar:
         return Scalar.one(self.nparams)
@@ -221,6 +226,11 @@ class CoeffEndo:
                     raise MapError(f"claimed inverse does not undo image of variable {j}")
 
 
+def _polynomial(p: CoeffPoly) -> bool:
+    """Whether every scalar of p has a constant denominator."""
+    return all(s.den is poly_one(s.nparams) for s in p.terms.values())
+
+
 def _is_own_variable(p: CoeffPoly, j: int) -> bool:
     """Whether p is the literal j-th variable: one term, at e_j, whose
     coefficient is the literal unit scalar."""
@@ -267,13 +277,16 @@ def _endo_power(sigma: CoeffEndo, j: int, k: int) -> CoeffPoly:
 
 class CoeffSigmaDerivation:
     """Twisted derivation of the coefficient ring, determined by variable
-    images and the endomorphism it twists against."""
+    images and the endomorphism it twists against.  ``leibniz`` records, at
+    construction, whether the twist is the identity and every scalar of the
+    images has a constant denominator (:func:`_sder_monomial`)."""
 
-    __slots__ = ("images", "twist", "_memo")
+    __slots__ = ("images", "twist", "leibniz", "_memo")
 
     def __init__(self, images, twist: CoeffEndo):
         self.images = tuple(images)
         self.twist = twist
+        self.leibniz = twist.is_identity and all(_polynomial(img) for img in self.images)
         self._memo = {}
 
 
@@ -286,19 +299,40 @@ def apply_sder(delta: CoeffSigmaDerivation, p: CoeffPoly) -> CoeffPoly:
 
 
 def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> CoeffPoly:
-    if e in delta._memo:
-        return delta._memo[e]
-    j = next((i for i, k in enumerate(e) if k), None)
-    if j is None:
-        result = ref._make({})
+    """delta(t^e), memoized per monomial in ``delta._memo``.  Under
+    ``delta.leibniz`` it is ``sum_j e_j t^(e - e_j) delta(t_j)``, with no
+    lower power built.  The product rule adds the terms of each variable e_j
+    times, last variable first; here they are added once, scaled by e_j,
+    unless one meets a term already summed (that sum could pass through
+    zero), so the keys, their order and the values are the product rule's.
+    Otherwise the product rule recurses on ``t_j * rest``, j the first
+    variable, and keeps the unreduced fractions of its order of summation."""
+    memo = delta._memo
+    if e in memo:
+        return memo[e]
+    if delta.leibniz:
+        acc: dict = {}
+        for j in reversed(range(len(e))):
+            m = e[j]
+            if m:
+                rest = e[:j] + (m - 1,) + e[j + 1:]
+                part = {tuple(map(add, rest, k)): c for k, c in delta.images[j].terms.items()}
+                if m > 1 and acc.keys().isdisjoint(part):
+                    scale = Scalar.const(ref.nparams, m)
+                    part, m = {k: c * scale for k, c in part.items()}, 1
+                for _ in range(m):
+                    add_terms(acc, part)
+        result = ref._make(acc)
     else:
-        # split the monomial as t_j * rest and apply the product rule
-        rest = list(e)
-        rest[j] -= 1
-        rest = tuple(rest)
-        rest_poly = ref._make({rest: Scalar.one(ref.nparams)})
-        result = delta.twist.images[j] * _sder_monomial(delta, rest, ref) + delta.images[j] * rest_poly
-    delta._memo[e] = result
+        j = next((i for i, k in enumerate(e) if k), None)
+        if j is None:
+            result = ref._make({})
+        else:
+            # split the monomial as t_j * rest and apply the product rule
+            rest = e[:j] + (e[j] - 1,) + e[j + 1:]
+            rest_poly = ref._make({rest: Scalar.one(ref.nparams)})
+            result = delta.twist.images[j] * _sder_monomial(delta, rest, ref) + delta.images[j] * rest_poly
+    memo[e] = result
     return result
 
 
@@ -312,7 +346,8 @@ def commutation_audit(sigmas, deltas) -> list:
     commutes.
 
     Sufficient on variable images because every map is determined by them.
-    Failures are returned, not raised.
+    A pair in which one map is an identity endomorphism commutes, and is
+    passed without applying either map.  Failures are returned, not raised.
     """
     variables = [_variable(img, j) for j, img in enumerate(sigmas[0].images)] if sigmas else []
 
@@ -320,14 +355,15 @@ def commutation_audit(sigmas, deltas) -> list:
         return all(f(a, g(b, v)) == g(b, f(a, v)) for v in variables)
 
     n = len(sigmas)
+    identity = [sigma.is_identity for sigma in sigmas]
     pairs = list(combinations(range(n), 2))
-    failures = [("sigma-sigma", (i, j)) for i, j in pairs if not commute(apply_endo, sigmas[i], apply_endo, sigmas[j])]
+    failures = [("sigma-sigma", (i, j)) for i, j in pairs
+                if not (identity[i] or identity[j] or commute(apply_endo, sigmas[i], apply_endo, sigmas[j]))]
     failures += [("delta-delta", (i, j)) for i, j in pairs if not commute(apply_sder, deltas[i], apply_sder, deltas[j])]
-    failures += [
-        ("delta-sigma", (i, j)) for i, j in permutations(range(n), 2)
-        if not commute(apply_sder, deltas[i], apply_endo, sigmas[j])
-    ]
-    failures += [("sigma-delta", i) for i in range(n) if not commute(apply_endo, sigmas[i], apply_sder, deltas[i])]
+    failures += [("delta-sigma", (i, j)) for i, j in permutations(range(n), 2)
+                 if not (identity[j] or commute(apply_sder, deltas[i], apply_endo, sigmas[j]))]
+    failures += [("sigma-delta", i) for i in range(n)
+                 if not (identity[i] or commute(apply_endo, sigmas[i], apply_sder, deltas[i]))]
     return failures
 
 

@@ -58,13 +58,13 @@ from math import comb
 from .coefficients import (
     CoeffPoly,
     CoeffRing,
+    _polynomial,
     apply_endo,
     apply_sder,
     commutation_audit,
 )
 from .errors import HypothesisError
 from .lincomb import LinComb, add_term, add_terms, render_sum, sum_terms
-from .scalars import poly_one
 
 
 class SkewPoly(LinComb):
@@ -334,16 +334,20 @@ class Presentation:
         if r.is_zero():
             return []
         # a scalar passes any run as it is: sigma fixes it and delta kills it
-        constant, polynomial = r.is_constant(), _polynomial(r)
+        constant, polynomial = r.is_constant(), None
         layer = {(): r}
         end = len(word)
         while end:
             letter = word[end - 1]
             start = end - 1
-            # only a run of two or more letters reads _run_letters
-            if start and word[start - 1] == letter and (constant or polynomial and letter in self._run_letters()):
-                while start and word[start - 1] == letter:
-                    start -= 1
+            # only a run of two or more letters reads _run_letters, and the
+            # guard on a non-constant r is read at the first such run
+            if start and word[start - 1] == letter:
+                if not constant and polynomial is None:
+                    polynomial = _polynomial(r)
+                if constant or polynomial and letter in self._run_letters():
+                    while start and word[start - 1] == letter:
+                        start -= 1
             m, end = end - start, start
             sigma, delta = self.sigma[letter], self.delta[letter]
             nxt: dict = {}
@@ -468,8 +472,10 @@ class Presentation:
         A term of g whose coefficient c2 is a constant skips
         :meth:`push_coeff_left`: sigma fixes scalars and delta kills them,
         so the walk past ``x^e1`` would return ``[(c2, expand(e1))]``
-        anyway.  Products of monomials still walk their coefficients inside
-        :meth:`_mul_monomials`."""
+        anyway.  A term of g with the zero exponent and a non-constant
+        coefficient adds ``c1 * h`` at each walked word ``w``, which is what
+        the product ``x^w * x^0``, scaled, would give.  Products of monomials
+        still walk their coefficients inside :meth:`_mul_monomials`."""
         if f.is_unit():
             return g
         if g.is_unit():
@@ -483,7 +489,10 @@ class Presentation:
                     add_terms(acc, self._mul_monomials(e1, e2).scale_left(c1 * c2).terms)
                     continue
                 for h, w in self.push_coeff_left(_expand(e1), c2):
-                    add_terms(acc, self._mul_monomials(_pack(w, self.n), e2).scale_left(c1 * h).terms)
+                    if any(e2):
+                        add_terms(acc, self._mul_monomials(_pack(w, self.n), e2).scale_left(c1 * h).terms)
+                    else:  # x^w times the unit exponent is x^w itself
+                        add_term(acc, _pack(w, self.n), c1 * h)
         return SkewPoly(acc, self.n)
 
     def normalize(self, terms) -> SkewPoly:
@@ -643,11 +652,6 @@ class Presentation:
             else:
                 bits.append(f"({self.ring.render(atom)})")
         return "*".join(bits)
-
-
-def _polynomial(p: CoeffPoly) -> bool:
-    """Whether every scalar of p has a constant denominator."""
-    return all(s.den is poly_one(s.nparams) for s in p.terms.values())
 
 
 def _expand(e: tuple) -> tuple:

@@ -9,9 +9,9 @@ elimination serves :func:`kernel_basis`, :func:`solve` and :func:`inverse`.
 Its pivot rule: for each column in order, the first unused row (in the
 given row order) with an entry there.  An update touches only the entries
 of the pivot row, and an entry that cancels to zero is removed from its
-row, so a zero is never a pivot.  A pivot row with no other entry only
-removes its column from the other rows, with no inverse and no elimination
-factor.
+row, so a zero is never a pivot.  A pivot alone in its column is left as
+it is, and a pivot row with no other entry only removes its column from the
+other rows; neither takes an inverse or an elimination factor.
 
 :func:`kernel_basis` first peels the rows with a single entry: each forces
 its column to be a pivot column, with a unit vector as its row of the
@@ -63,7 +63,7 @@ def _gauss_jordan(rows, ncols):
             for i in here:
                 if i != p:
                     del rows[i][col]
-        else:
+        elif len(here) > 1:  # a pivot alone in its column has nothing to eliminate
             _eliminate(rows, holders, p, col)
         holders[col] = {p}
         pivots.append((col, pivot_row))

@@ -1782,6 +1782,25 @@ def test_transport_inverts_each_crossing_factor_once(name, monkeypatch):
     assert len(inverses) <= len(functionals)
 
 
+@pytest.mark.parametrize("name", ONCE)
+def test_theta_reads_each_transport_scale_once(name, monkeypatch):
+    """``theta`` reads ``e_k w(S, C)`` from ``_theta_scales``: a second
+    transport of the unit forms of every degree builds no sign and looks
+    up no crossing factor, and gives the same functionals."""
+    calc = run_calculus_check(_doc(name))
+    forms = [calc.form(S, calc.P.one()) for k in range(calc.N + 1) for S in combinations(range(calc.N), k)]
+    first = [calc.theta(len(next(iter(w.terms))), w) for w in forms]
+    for (S, C), scale in calc._theta_scales.items():
+        _, w = calc._basis_product(S, C)
+        want = w * calc.P.ring.scalar(-1 if ((calc.N - 1) * len(S)) % 2 else 1)
+        assert (scale.num, scale.den) == (want.num, want.den)
+    calls = []
+    monkeypatch.setattr(calc.P.ring, "scalar", lambda *args: calls.append(args))
+    monkeypatch.setattr(calc, "_basis_product", lambda *args: calls.append(args))
+    second = [calc.theta(len(next(iter(w.terms))), w) for w in forms]
+    assert calls == [] and second == first
+
+
 def _form_representation(form):
     """Every key of a form and every stored fraction of its coefficients."""
     return {

@@ -1,15 +1,18 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spbw.coefficients
 import spbw.pipeline
 from spbw.coefficients import (
     CoeffEndo,
     CoeffPoly,
     CoeffRing,
     CoeffSigmaDerivation,
+    _variable,
     apply_endo,
     apply_sder,
     commutation_audit,
@@ -374,3 +377,209 @@ def test_a_value_equals_itself_without_comparing_its_terms(ring_qt, monkeypatch)
 
     monkeypatch.setattr(Scalar, "__eq__", refuse)
     assert p == p
+
+
+# -- delta(t^e) under an identity sigma ----------------------------------------------
+
+
+def _sder_by_product_rule(delta, p):
+    """delta(p) by the memoized twisted product rule, one variable of a
+    monomial at a time from its first variable, as for a twist that is not
+    the identity: ``delta(t_j * rest) = sigma(t_j) * delta(rest) +
+    delta(t_j) * rest``."""
+    memo = {}
+
+    def on_monomial(e):
+        if e not in memo:
+            j = next((i for i, k in enumerate(e) if k), None)
+            if j is None:
+                memo[e] = p._make({})
+            else:
+                rest = tuple(k - (i == j) for i, k in enumerate(e))
+                rest_poly = p._make({rest: Scalar.one(p.nparams)})
+                memo[e] = delta.twist.images[j] * on_monomial(rest) + delta.images[j] * rest_poly
+        return memo[e]
+
+    acc = p._make({})
+    for e, c in p.terms.items():
+        acc = acc + on_monomial(e).scale(c)
+    return acc
+
+
+@st.composite
+def _derivation_type_maps(draw):
+    """A ring with 1-3 variables and 0-1 parameters, a twisted derivation
+    with polynomial scalars (integers, halves, the parameter) and a
+    polynomial of degree at most 4.  The twist is the identity, or one of
+    a scaling, a swap of the first two variables and a shift, none of
+    which is."""
+    nparams, nvars = draw(st.integers(0, 1)), draw(st.integers(1, 3))
+    ring = CoeffRing([f"q{i}" for i in range(nparams)], [f"t{j}" for j in range(nvars)])
+    scalars = [ring.scalar(c) for c in (1, -1, 2, 3, Fraction(1, 2))]
+    if nparams:
+        q = ring.param("q0")
+        scalars += [q, q * q + ring.scalar(1)]
+
+    def poly(degree, max_terms):
+        out = ring.zero()
+        for _ in range(draw(st.integers(0, max_terms))):
+            e = [draw(st.integers(0, degree)) for _ in range(nvars)]
+            out = out + ring.monomial(e, draw(st.sampled_from(scalars)))
+        return out
+
+    variables = [ring.var(j) for j in range(nvars)]
+    kind = draw(st.sampled_from(["identity"] * 3 + ["scaling", "swap", "shift"]))
+    if kind == "scaling":
+        variables[0] = variables[0].scale(ring.scalar(2))
+    elif kind == "swap" and nvars > 1:
+        variables[0], variables[1] = variables[1], variables[0]
+    elif kind != "identity":
+        variables[0] = variables[0] + ring.one()
+    sigma = CoeffEndo(variables)
+    delta = CoeffSigmaDerivation([poly(2, 2) for _ in range(nvars)], sigma)
+    return ring, delta, poly(4, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_derivation_type_maps())
+def test_the_closed_form_under_an_identity_sigma_matches_the_product_rule(case):
+    """Under an identity sigma with polynomial scalars, ``delta(t^e) =
+    sum_j e_j t^(e - e_j) delta(t_j)``, read without building a lower
+    power, stores the fractions and renders as the product rule does; any
+    other sigma keeps the product rule."""
+    ring, delta, p = case
+    assert delta.leibniz == delta.twist.is_identity
+    got = apply_sder(delta, p)
+    for want in (_sder_by_product_rule(delta, p), _sder_by_terms(delta, p)):
+        assert _stored(got) == _stored(want)
+        assert list(got.terms) == list(want.terms)  # the order later sums read
+        assert ring.render(got) == ring.render(want)
+    if delta.leibniz and not p.is_constant():
+        # one memo entry per monomial of p: no lower power was built
+        assert set(delta._memo) == set(p.terms)
+
+
+def test_a_parameter_in_a_denominator_keeps_the_product_rule(ring_qt):
+    """With ``delta(t1) = t1/q`` and ``delta(t2) = t2/(q + 1)`` the closed
+    form would sum ``1/(q + 1) + 2/q``; the product rule sums ``(1/(q + 1) +
+    1/q) + 1/q`` and keeps that unreduced fraction."""
+    ring = CoeffRing(params=("q",), coeff_vars=("t1", "t2"))
+    q, t1, t2 = ring.param("q"), ring.var(0), ring.var(1)
+    delta = CoeffSigmaDerivation((t1.scale(q.inverse()), t2.scale((q + ring.sone()).inverse())), CoeffEndo((t1, t2)))
+    assert delta.twist.is_identity and not delta.leibniz
+    got = apply_sder(delta, t1 * t1 * t2)
+    assert ring.render(got) == "(3*q^2 + 2*q)/(q^3 + q^2)*t1^2*t2"
+    assert _stored(got) == {(2, 1): ({(2,): 3, (1,): 2}, {(3,): 1, (2,): 1})}
+    assert _stored(got) == _stored(_sder_by_product_rule(delta, t1 * t1 * t2))
+
+
+def test_a_sum_through_zero_keeps_the_order_of_the_product_rule():
+    """``delta(t1) = t1*t2`` and ``delta(t2) = -t2^2`` give ``delta(t1^2 t2)
+    = -t1^2 t2^2 + 2 t1^2 t2^2``: the product rule's sum at ``t1^2 t2^2``
+    passes through zero and comes back after ``t1 t2^2``, and the closed
+    form keeps that order."""
+    ring = CoeffRing(coeff_vars=("t1", "t2"))
+    t1, t2 = ring.var(0), ring.var(1)
+    delta = CoeffSigmaDerivation((t1 * t2 + t2, -(t2 * t2)), CoeffEndo((t1, t2)))
+    assert delta.leibniz
+    p = t1 * t1 * t2
+    got, want = apply_sder(delta, p), _sder_by_product_rule(delta, p)
+    assert _stored(got) == _stored(want) and list(got.terms) == list(want.terms)
+
+
+def test_the_jordan_delta_reads_each_power_alone(monkeypatch):
+    """``delta(t^n) = n t^(n-1) delta(t)`` in the Jordan plane: no product of
+    polynomials, and no memo entry for any power not asked for."""
+    P = build_presentation(corpus_doc("jordan"))
+    delta, t = P.delta[0], P.ring.var(0)
+    assert delta.leibniz
+    calls = []
+    mul = CoeffPoly.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(CoeffPoly, "__mul__", counted)
+    power = t ** 12
+    calls.clear()
+    got = apply_sder(delta, power)
+    assert not calls and list(delta._memo) == [(12,)]
+    assert _stored(got) == _stored(P.ring.monomial((13,), 12))
+
+
+def _audit_oracle(sigmas, deltas, endo=apply_endo, sder=apply_sder, skip_identity=False):
+    """commutation_audit applying both maps of every pair to every
+    variable, or, with ``skip_identity``, of every pair without an identity
+    sigma."""
+    variables = [_variable(img, j) for j, img in enumerate(sigmas[0].images)]
+
+    def commute(f, a, g, b):
+        if skip_identity and any(getattr(m, "is_identity", False) for m in (a, b)):
+            return True
+        return all(f(a, g(b, v)) == g(b, f(a, v)) for v in variables)
+
+    n = len(sigmas)
+    out = [("sigma-sigma", (i, j)) for i, j in combinations(range(n), 2)
+           if not commute(endo, sigmas[i], endo, sigmas[j])]
+    out += [("delta-delta", (i, j)) for i, j in combinations(range(n), 2)
+            if not commute(sder, deltas[i], sder, deltas[j])]
+    out += [("delta-sigma", (i, j)) for i, j in permutations(range(n), 2)
+            if not commute(sder, deltas[i], endo, sigmas[j])]
+    out += [("sigma-delta", i) for i in range(n) if not commute(endo, sigmas[i], sder, deltas[i])]
+    return out
+
+
+@st.composite
+def _map_systems(draw):
+    """1-3 (sigma, delta) pairs over the ring of :func:`_maps_and_polys`,
+    each sigma the identity or random."""
+    ring, _, _, _, _ = draw(_maps_and_polys())
+    n = draw(st.integers(1, 3))
+
+    def poly():
+        out = ring.zero()
+        for _ in range(draw(st.integers(0, 2))):
+            out = out + ring.monomial([draw(st.integers(0, 2)) for _ in range(ring.nvars)],
+                                      _draw_scalar(draw, ring))
+        return out
+
+    sigmas = [identity_endo(ring) if draw(st.booleans()) else CoeffEndo([poly() for _ in range(ring.nvars)])
+              for _ in range(n)]
+    deltas = [CoeffSigmaDerivation([poly() for _ in range(ring.nvars)], sigma) for sigma in sigmas]
+    return sigmas, deltas
+
+
+def _counting(counts, name, fn):
+    """fn, counting its calls in ``counts[name]``; an identity map fails."""
+
+    def counted(m, p):
+        assert not getattr(m, "is_identity", False)
+        counts[name] = counts.get(name, 0) + 1
+        return fn(m, p)
+
+    return counted
+
+
+@settings(max_examples=100, deadline=None)
+@given(_map_systems())
+def test_commutation_audit_passes_an_identity_without_applying_it(case):
+    """The audit lists what the oracle lists, and applies the maps of
+    exactly the pairs without an identity sigma."""
+    sigmas, deltas = case
+    assert commutation_audit(sigmas, deltas) == _audit_oracle(sigmas, deltas)
+    expected, counts = {}, {}
+    _audit_oracle(sigmas, deltas, _counting(expected, "endo", apply_endo), _counting(expected, "sder", apply_sder),
+                  skip_identity=True)
+    spbw.coefficients.apply_endo = _counting(counts, "endo", apply_endo)
+    spbw.coefficients.apply_sder = _counting(counts, "sder", apply_sder)
+    try:
+        commutation_audit(sigmas, deltas)
+    finally:
+        spbw.coefficients.apply_endo, spbw.coefficients.apply_sder = apply_endo, apply_sder
+    assert counts == expected
+
+
+def test_the_ring_zero_scalar_is_shared(ring_qt):
+    zero = ring_qt.szero()
+    assert ring_qt.szero() is zero and zero.is_zero() and zero == Scalar.const(1, 0)

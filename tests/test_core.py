@@ -14,7 +14,7 @@ from spbw.core import Presentation, SkewPoly, _expand, _inversions, _pack
 from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.errors import HypothesisError
-from spbw.lincomb import add_term
+from spbw.lincomb import add_term, add_terms
 from spbw.pipeline import run_smooth
 from spbw.scalars import Scalar
 
@@ -897,6 +897,40 @@ def test_a_unit_exponent_returns_the_other_monomial(case):
     x, c = P.monomial((m,)), P.from_coeff(r)
     assert P.multiply(x, c) == P.normalize_atoms((0,) * m + (r,))
     assert P.multiply(c, x) == P.normalize_atoms((r,) + (0,) * m)
+
+
+# -- a right factor with the unit exponent ---------------------------------------------
+
+
+def _multiply_through_the_unit_exponent(P, f, g):
+    """``f * g`` with each walked term of a non-constant coefficient of g sent
+    through ``_mul_monomials`` and ``scale_left``, as for any exponent."""
+    acc = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            if c2.is_constant():
+                add_terms(acc, P._mul_monomials(e1, e2).scale_left(c1 * c2).terms)
+                continue
+            for h, w in P.push_coeff_left(_expand(e1), c2):
+                add_terms(acc, P._mul_monomials(_pack(w, P.n), e2).scale_left(c1 * h).terms)
+    return SkewPoly(acc, P.n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ore_walks(), st.integers(0, 3))
+def test_a_coefficient_right_factor_is_added_at_its_walked_word(case, shift):
+    """A term of g with the zero exponent and a non-constant coefficient adds
+    ``c1 * h`` at each walked word: the values of the small-step oracle, and
+    the stored fractions of the path through ``_mul_monomials``."""
+    P, m, r = case
+    c1 = P.ring.monomial((shift,), P.ring.param("q") if shift % 2 else 3)
+    f = P.monomial((m,), c1) + P.monomial((shift,))
+    g = P.from_coeff(r)
+    got = P.multiply(f, g)
+    want = P.normalize_atoms((c1,) + (0,) * m + (r,)) + P.normalize_atoms((0,) * shift + (r,))
+    assert got == want
+    old = _multiply_through_the_unit_exponent(P, f, g)
+    assert _representation(got) == _representation(old) and P.render(got) == P.render(old)
 
 
 # -- associativity, the oracle of the diamond lemma ------------------------------------

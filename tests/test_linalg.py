@@ -338,3 +338,27 @@ def test_single_entry_pivots_make_no_elimination_work(monkeypatch):
     # one unit vector per free column
     assert [[c for c, x in enumerate(v) if not x.is_zero()] for v in kernel] == [[c] for c in free]
     assert all(v[c].is_one() for v, c in zip(kernel, free))
+
+
+@pytest.mark.parametrize("nparams", (0, 1))
+def test_a_pivot_alone_in_its_column_is_not_inverted_twice(nparams, monkeypatch):
+    # each column of a matrix that is diagonal up to a row order is held by
+    # one row, so elimination takes no inverse and solve inverts each pivot
+    # once; the solutions still match sympy
+    rng = random.Random(f"alone:{nparams}")
+    n = 6
+    zero = Scalar.const(nparams, 0)
+    order = list(range(n))
+    rng.shuffle(order)
+    m = [[random_entry(rng, nparams) if c == order[r] else zero for c in range(n)] for r in range(n)]
+    rhs = random_sparse(rng, 2, n, nparams, 0.8)
+    inverses = []
+    inverse_method = Scalar.inverse
+    monkeypatch.setattr(Scalar, "inverse", lambda self: inverses.append(self) or inverse_method(self))
+    columns = solve(m, rhs, nparams)
+    assert len(inverses) == n
+    sm = sym_matrix(m, n, nparams)
+    for col, b in zip(columns, rhs):
+        theirs = sm.lu_solve(sym_matrix([[x] for x in b], 1, nparams)).to_list()
+        for x, (y,) in zip(col, theirs):
+            assert_same(x, y, nparams)
