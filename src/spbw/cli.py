@@ -1,7 +1,7 @@
 """Command-line front end.
 
     spbw smooth FILE [--samples K] [--seed S] [--max-degree M] [--json PATH]
-    spbw check pbw FILE [--max-degree M]
+    spbw check pbw FILE
     spbw check hypotheses FILE
     spbw calculus check FILE
     spbw normalize FILE EXPR
@@ -10,12 +10,11 @@
     spbw corpus [--write DIR]
 
 FILE is a path to a ``.spbw`` document or ``corpus:NAME`` for a built-in
-entry.  ``--max-degree`` sets ``gk_degree``, or ``pbw_degree`` for
-``check pbw``, where it is validated but has no effect: every overlap the
-check walks has length 3.  An option a command does not read is a usage
-error.  Exit codes: 0 when a verdict or result was produced (including
-not-certified), 1 when a check hard-failed, 2 on usage, parse or
-configuration errors, a path that cannot be read or written among them.
+entry.  ``--max-degree`` sets ``gk_degree``.  An option a command does
+not read is a usage error.  Exit codes: 0 when a verdict or result was
+produced (including not-certified), 1 when a check hard-failed, 2 on usage,
+parse or configuration errors, a path that cannot be read or written among
+them.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
 
-def _load_doc(args, max_degree_option="gk_degree"):
+def _load_doc(args):
     """The document named by ``args.file`` with the command-line overrides
-    applied; ``--max-degree`` sets ``max_degree_option``."""
+    applied; ``--max-degree`` sets ``gk_degree``."""
     spec = args.file
     if spec.startswith("corpus:"):
         doc = corpus_doc(spec.split(":", 1)[1])
@@ -51,7 +50,7 @@ def _load_doc(args, max_degree_option="gk_degree"):
     overrides = (
         ("seed", getattr(args, "seed", None)),
         ("samples", getattr(args, "samples", None)),
-        (max_degree_option, getattr(args, "max_degree", None)),
+        ("gk_degree", getattr(args, "max_degree", None)),
     )
     for key, value in overrides:
         if value is not None:
@@ -77,7 +76,7 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_check_pbw(args) -> int:
-    P = build_presentation(_load_doc(args, "pbw_degree"))
+    P = build_presentation(_load_doc(args))
     audit = P.pbw_consistency_check()
     if audit.ok:
         print("pbw consistency: pass")
@@ -177,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     blocks = p.add_subparsers(dest="what", required=True)
     q = blocks.add_parser("pbw", help="compare the two maximal reduction strategies")
     file_arg(q)
-    max_degree(q)
     q.set_defaults(fn=_cmd_check_pbw)
     q = blocks.add_parser("hypotheses", help="evaluate the lifting and plain-twist hypotheses")
     file_arg(q)

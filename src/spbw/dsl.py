@@ -181,6 +181,7 @@ class _TokenStream:
 #   one, scalar(s)   the unit and the central Scalar s;
 #   symbol(name)     a coefficient variable or generator, None when the name
 #                    is not in scope (parameters are scalars everywhere);
+#   unknown(name)    the message for a name that is not in scope;
 #   mul(a, b)        the product;
 #   scalar_of(a)     the Scalar a is, or None; it decides negative powers.
 
@@ -255,7 +256,7 @@ def _parse_atom(ts: _TokenStream, alg):
             return alg.scalar(ring.param(value))
         element = alg.symbol(value)
         if element is None:
-            raise ParseError(ts.line, col, "undeclared-symbol", f"undeclared symbol {value!r}")
+            raise ParseError(ts.line, col, "undeclared-symbol", alg.unknown(value))
         return element
     if kind == "op" and value == "(":
         inner = _parse_expr(ts, alg)
@@ -265,9 +266,9 @@ def _parse_atom(ts: _TokenStream, alg):
 
 
 class _CoeffAlgebra:
-    """CoeffPoly values: sigma, delta and isigma images, and, over a ring
-    with no variables, wedge constants.  Naming one of ``gens``, which have
-    no place in a coefficient, raises on line ``line``."""
+    """CoeffPoly values: sigma, delta and isigma images.  Naming one of
+    ``gens``, which have no place in a coefficient, raises on line
+    ``line``."""
 
     def __init__(self, ring: CoeffRing, gens=(), line=0):
         self.ring = ring
@@ -286,12 +287,30 @@ class _CoeffAlgebra:
         return None
 
     @staticmethod
+    def unknown(name) -> str:
+        return f"undeclared symbol {name!r}"
+
+    @staticmethod
     def mul(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
         return a * b
 
     @staticmethod
     def scalar_of(p: CoeffPoly):
         return p.constant_value() if p.is_constant() else None
+
+
+class _WedgeConstant(_CoeffAlgebra):
+    """Wedge constants: scalars in the parameters.  ``kinds`` maps every
+    other declared name to its kind, which the message for it names."""
+
+    def __init__(self, params, kinds: dict):
+        super().__init__(CoeffRing(params))
+        self.kinds = kinds
+
+    def unknown(self, name) -> str:
+        if name not in self.kinds:
+            return super().unknown(name)
+        return f"a wedge constant is a scalar in the parameters, and {name!r} is a {self.kinds[name]}"
 
 
 class _SkewTerms:
@@ -311,6 +330,8 @@ class _SkewTerms:
         if name in self.gens:
             return SkewPoly({tuple(int(g == name) for g in self.gens): self.ring.one()}, self.n)
         return None
+
+    unknown = staticmethod(_CoeffAlgebra.unknown)
 
     def scalar(self, s: Scalar) -> SkewPoly:
         return SkewPoly({} if s.is_zero() else {(0,) * self.n: self.ring.const(s)}, self.n)
@@ -597,7 +618,12 @@ class _Parser:
             raise ParseError(line_no, 0, "wedge-order", "wedge constants are keyed earlier, later")
         if (ia, ib) in self.wedge:
             raise ParseError(line_no, 0, "duplicate-wedge", f"wedge constant for ({a},{b}) repeated")
-        s = _parse_expr(ts, _CoeffAlgebra(CoeffRing(self.params))).constant_value()
+        kinds = {
+            **dict.fromkeys(self.dgen_names, "dgen"),
+            **dict.fromkeys(self.coeff_vars, "coefficient variable"),
+            **dict.fromkeys(self.gens, "generator"),
+        }
+        s = _parse_expr(ts, _WedgeConstant(self.params, kinds)).constant_value()
         if s.is_zero():
             raise ParseError(line_no, 0, "bad-wedge", "wedge constants are nonzero")
         self.wedge[(ia, ib)] = s

@@ -7,7 +7,10 @@ skipped.
 
 ``d-squared``, ``integrability``, ``divergence-leibniz`` and ``flatness`` are
 decided by certificates on the frame generators (the calculus's d^2 and
-transport certificates), which draw nothing from the run's generator.  When
+transport certificates), which draw nothing from the run's generator.  The
+d^2 certificate differentiates the one-forms ``s du_i``; the transport
+certificate checks the stored twist inverses and derives the three
+transport stages from them, with no transport computed.  When
 a certificate fails, the stage runs its searched or sampled check, which
 supplies the witnesses: ``dsq_degree`` bounds the d^2 search, and
 ``samples``/``sample_degree`` set the sampled checks' budget.  Those draws

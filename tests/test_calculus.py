@@ -517,13 +517,47 @@ def _assert_divergence_stages_need_integrability(report):
 
 
 @pytest.mark.parametrize("name", ["qaffine3", "poly3"])
-def test_passing_d_squared_differentiates_no_form(name):
+def test_passing_d_squared_differentiates_only_one_forms(name):
+    """(b) is d applied to both sides of ``s du_i = du_i nu_i(s)``: per frame
+    symbol and twist one ``left_multiply`` and one ``differential`` of a
+    one-form, and two wedges.  No form of degree two or more is
+    differentiated."""
     calc = run_calculus_check(corpus_doc(name))
-    calls = {"differential": 0, "wedge": 0}
-    _counting(calc, calls)
+    calls = {"differential": [], "left_multiply": [], "wedge": []}
+    for attr, seen in calls.items():
+        _recording(calc, attr, seen)
     assert calc.d_squared_check(6).ok
-    assert calls["differential"] == 0
-    assert calls["wedge"] <= 2 * calc.N * calc.nsyms
+    n = calc.N * calc.nsyms
+    assert len(calls["differential"]) == len(calls["left_multiply"]) == n
+    forms = [args[-1] for args in calls["differential"] + calls["left_multiply"]]
+    assert all({len(S) for S in form.terms} == {1} for form in forms)
+    assert len(calls["wedge"]) <= 2 * n
+
+
+def _b_against_minus_differential(calc):
+    """(b) with its right side negated: ``d0(s) ^ du_i == -d(du_i
+    nu_i(s))``."""
+    units = [calc._unit_form((i,)) for i in range(calc.N)]
+    return all(
+        calc.wedge(calc.d0(sym), du) == -calc.differential(calc.left_multiply(sym, du))
+        for sym in calc.P.frame()
+        for du in units
+    )
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
+def test_a_sign_flipped_b_fails_the_d_squared_certificate(name, monkeypatch):
+    """A (b) that compares ``d0(s) ^ du_i`` with ``-d(du_i nu_i(s))``
+    rejects every corpus and wide calculus, so ``d_squared_check`` is left
+    to its search and the transport certificate fails with it."""
+    assert run_calculus_check(_doc(name))._d_respects_twisting()
+    monkeypatch.setattr(Calculus, "_d_respects_twisting", _b_against_minus_differential)
+    mutant = run_calculus_check(_doc(name))
+    searched = []
+    _recording(mutant, "_d_squared_upto", searched)
+    assert mutant.d_squared_check(2).ok
+    assert [bound for _, bound in searched] == [2]
+    assert not mutant._transport_certificate()
 
 
 # -- connectedness ------------------------------------------------------------------
@@ -1222,28 +1256,60 @@ def _doubled_inverse(P, spec):
     return replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:])
 
 
-@pytest.mark.parametrize("name", CERTIFIED)
+def _product_rule_on_generators(calc):
+    """The product rule of the bottom divergence on ``xi_i . s`` for every
+    i and every frame symbol s."""
+    return all(
+        calc._product_rule_holds(xi, s, calc._bottom_divergence(xi), calc.d0(s))
+        for xi in calc.integral_basis(1)
+        for s in calc.P.frame()
+    )
+
+
+@pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
 def test_negated_transport_component_fails_divergence_leibniz(name, monkeypatch):
-    """A ``theta_inv`` that negates the ``du_(0..k-1)`` component of its
-    output must fail ``divergence-leibniz`` at the golden seed, with a
-    witness naming both the element a and the sampled functional phi.  Run
-    once on seeds 1-20 as well, it was caught on every seed for every
-    certified entry; only the golden seed is asserted here.
+    """What the transport certificate derives and does not evaluate, on the
+    frame generators of every certified calculus: the expansion identity of
+    ``_expands`` on ``du_S s`` for every S of size N-1 (none when N = 1) and
+    every frame symbol s, and the product rule of the bottom divergence on
+    ``xi_i . s``.  These run the code's theta, theta_inv, ``left_multiply``
+    and the volume twist, so a ``theta_inv`` that negates the
+    ``du_(0..k-1)`` component of its output fails the product rule here.
 
     Dropping the alternating sign from ``theta`` alone is an equivalent
     mutant, not a blind spot: it multiplies the k-th divergence by
     ``(-1)^((N-1)(k+1))``, which is 1 for the bottom divergence (k + 1 = N,
     and N(N-1) is even), and flatness only tests that the composite of the
     two bottom divergences vanishes, which no sign changes."""
+    calc = run_calculus_check(_doc(name))
+    assert calc._transport_certificate()
+    N = calc.N
+    sets = combinations(range(N), N - 1) if N > 1 else ()
+    assert all(calc._expands(S, s) for S in sets for s in calc.P.frame())
+    assert _product_rule_on_generators(calc)
     monkeypatch.setattr(Calculus, "theta_inv", _negated_component(Calculus.theta_inv))
-    report = run_smooth(corpus_doc(name))
+    assert not _product_rule_on_generators(run_calculus_check(_doc(name)))
+
+
+@pytest.mark.parametrize("name", ["qplane", "qaffine3", "aq"])
+def test_negated_transport_component_fails_the_sampled_divergence_leibniz(name, monkeypatch):
+    """Without its wedge lines the document has d^2 != 0, so the transport
+    certificate fails and ``divergence-leibniz`` samples, and passes.  A
+    ``theta_inv`` that negates the ``du_(0..k-1)`` component of its output
+    fails it at the document's seed, with a witness naming both the
+    element a and the sampled functional phi."""
+    text = without_wedge(corpus_source(name))
+    report = run_smooth(parse_presentation(text))
+    assert (report.verdict, report.failing) == ("not-certified", ["d-squared"])
+    assert _status(report, "divergence-leibniz") == "pass"
+    monkeypatch.setattr(Calculus, "theta_inv", _negated_component(Calculus.theta_inv))
+    report = run_smooth(parse_presentation(text))
     rec = report.check("divergence-leibniz")
     assert rec.status == "fail"
     (witness,) = rec.witnesses
     assert witness.startswith("product rule fails at a = ")
-    dgens = run_calculus_check(corpus_doc(name)).spec.dgens
+    dgens = run_calculus_check(parse_presentation(text)).spec.dgens
     assert all(f"phi(d({dg.name})) = " in witness for dg in dgens)
-    assert report.verdict != "certified-smooth"
 
 
 def _mutated_spec(monkeypatch, mutate):
@@ -1439,15 +1505,13 @@ def _doc(name):
 
 
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
-def test_transport_certificate_agrees_with_the_sampled_stages(name, monkeypatch):
+def test_transport_certificate_agrees_with_the_sampled_stages(name):
     doc = _doc(name)
     P = build_presentation(doc)
     spec = calculus_spec_from_doc(doc, P)
     assert _certificate_agrees(build_calculus(P, spec))
     for mutate in (_wedge_seven, _doubled_inverse):
         assert not _certificate_agrees(build_calculus(P, mutate(P, spec)))
-    monkeypatch.setattr(Calculus, "theta_inv", _negated_component(Calculus.theta_inv))
-    assert not _certificate_agrees(build_calculus(P, spec))
 
 
 def _grid_calculi():
@@ -1476,6 +1540,15 @@ def test_transport_certificate_agrees_with_the_sampled_stages_on_ore_grid():
 
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
 def test_passing_transport_certificate_draws_nothing(name, monkeypatch):
+    """A certified run draws nothing from its generator, and its
+    certificate transports nothing: no ``theta``, ``theta_inv``, ``_nabla``
+    or ``_expands`` call."""
+    transports = []
+    for attr in ("theta", "theta_inv", "_nabla", "_expands"):
+        method = getattr(Calculus, attr)
+        monkeypatch.setattr(
+            Calculus, attr, lambda *args, _method=method, _attr=attr: transports.append(_attr) or _method(*args)
+        )
     draws = []
     sample = spbw.calculus.random_skew
 
@@ -1495,7 +1568,7 @@ def test_passing_transport_certificate_draws_nothing(name, monkeypatch):
     doc = _doc(name)
     report = run_smooth(doc)
     assert report.verdict == "certified-smooth"
-    assert draws == []
+    assert draws == [] and transports == []
     # the generator state is the fresh seed's before integrability and
     # still is once flatness has run
     fresh = random.Random(doc.options["seed"]).getstate()
@@ -1576,12 +1649,11 @@ def test_round_trips_skip_only_the_side_the_construction_verified(qplane):
 
 # -- what the certificate derives instead of checking ----------------------------------------------
 #
-# The certificate runs no transport round trip: (d) inverts the twists on
-# the frame, and the expansion identity runs only on (N-1)-forms.  That the
-# transports undo each other in every degree follows from the per-degree
-# signs and crossing factors of ``theta`` and ``theta_inv``, which belong to
-# the code; these tests pin them in every degree on every calculus that
-# passes.
+# The certificate computes no transport: (d) inverts the twists on the
+# frame.  That the transports undo each other in every degree follows from
+# the per-degree signs and crossing factors of ``theta`` and ``theta_inv``,
+# which belong to the code; these tests pin them in every degree on every
+# calculus that passes.
 
 
 def _transport_holds_in_every_degree(calc):
@@ -1620,27 +1692,6 @@ def test_transport_inverts_in_every_degree_on_ore_grid():
     assert len(certified) == 42
     for calc in certified:
         _transport_holds_in_every_degree(calc)
-
-
-@pytest.mark.parametrize("name", ["poly5", "qaffine4"])
-def test_certificate_transports_only_inside_the_bottom_divergence(name):
-    """A passing certificate transports only inside the bottom divergence
-    of (g): ``theta`` in degree N and ``theta_inv`` in degree N-1.  It
-    expands only (N-1)-forms, multiplies forms on the left in (f) and
-    differentiates forms in (g)."""
-    calc = run_calculus_check(_doc(name))
-    N = calc.N
-    calls = {"left_multiply": 0, "differential": 0}
-    _counting(calc, calls)
-    seen = {"theta": set(), "theta_inv": set(), "_expands": set()}
-    for attr, degrees in seen.items():
-        def recorded(first, second, _method=getattr(calc, attr), _degrees=degrees):
-            _degrees.add(first if isinstance(first, int) else len(first))
-            return _method(first, second)
-        setattr(calc, attr, recorded)
-    assert calc._transport_certificate()
-    assert seen == {"theta": {N}, "theta_inv": {N - 1}, "_expands": {N - 1}}
-    assert calls["left_multiply"] > 0 and calls["differential"] > 0
 
 
 def _theta_by_definition(calc, k, w):
@@ -1719,8 +1770,8 @@ def test_dual_action_visits_only_the_sets_that_meet_the_support_on_ore_grid():
 
 # -- frame-level objects are built once ------------------------------------------------------
 #
-# The certificate's loops rebuild nothing that does not change inside them;
-# each check still runs on every frame symbol and every set.
+# The d^2 certificate's loops rebuild nothing that does not change inside
+# them; each check still runs on every frame symbol and every twist.
 
 ONCE = ["poly5", "qaffine4", "aq", "jordan"]
 
@@ -1738,67 +1789,19 @@ def _recording(calc, attr, seen):
 
 
 @pytest.mark.parametrize("name", ONCE)
-def test_product_rule_takes_each_frame_invariant_once(name):
-    """(g) takes d0 of each frame symbol once, and the bottom divergence of
-    each unit functional ``xi_i`` once; every other d0 call is the one
-    ``differential`` makes inside a transport."""
-    calc = run_calculus_check(_doc(name))
-    d0_args, nabla_args = [], []
-    _recording(calc, "d0", d0_args)
-    _recording(calc, "_bottom_divergence", nabla_args)
-    assert calc._product_rule_on_generators()
-    assert [f for caller, f in d0_args if caller != "differential"] == list(calc.P.frame())
-    units = calc.integral_basis(1)
-    assert [phi for _, phi in nabla_args if phi in units] == units
-
-
-@pytest.mark.parametrize("name", ONCE)
 def test_d_respects_twisting_builds_each_unit_form_once(name):
-    """(b) wedges d0 of each frame symbol with the N unit forms ``du_i``;
-    its wedges of one-forms make two-forms, so those are the only one-forms
-    it builds."""
+    """(b) takes the N unit forms ``du_i`` from ``_unit_forms``, and so does
+    each of its N * nsyms ``differential`` calls: each unit form is built
+    once.  Its other one-forms are the products ``du_i nu_i(s)`` of
+    ``left_multiply``, one per frame symbol and twist, and its wedges of
+    one-forms make two-forms."""
     calc = run_calculus_check(_doc(name))
     made = []
     _recording(calc, "form", made)
     assert calc._d_respects_twisting()
-    assert [S for _, S, f in made if len(S) == 1] == [(i,) for i in range(calc.N)]
-
-
-@pytest.mark.parametrize("name", ONCE)
-def test_transport_inverts_each_crossing_factor_once(name, monkeypatch):
-    """``theta_inv`` reads ``e_k w(S, C)^-1`` from ``_transport_scales``:
-    over the unit functionals of every degree, transported twice, a
-    scalar is inverted at most once per (S, C), and the transports still
-    undo each other."""
-    calc = run_calculus_check(_doc(name))
-    functionals = [phi for k in range(calc.N + 1) for phi in calc.integral_basis(calc.N - k)]
-    inverses = []
-    inverse = Scalar.inverse
-    monkeypatch.setattr(Scalar, "inverse", lambda self: inverses.append(self) or inverse(self))
-    for _ in range(2):
-        for phi in functionals:
-            k = calc.N - phi.degree
-            assert calc.theta(k, calc.theta_inv(k, phi)) == phi
-    assert len(inverses) <= len(functionals)
-
-
-@pytest.mark.parametrize("name", ONCE)
-def test_theta_reads_each_transport_scale_once(name, monkeypatch):
-    """``theta`` reads ``e_k w(S, C)`` from ``_theta_scales``: a second
-    transport of the unit forms of every degree builds no sign and looks
-    up no crossing factor, and gives the same functionals."""
-    calc = run_calculus_check(_doc(name))
-    forms = [calc.form(S, calc.P.one()) for k in range(calc.N + 1) for S in combinations(range(calc.N), k)]
-    first = [calc.theta(len(next(iter(w.terms))), w) for w in forms]
-    for (S, C), scale in calc._theta_scales.items():
-        _, w = calc._basis_product(S, C)
-        want = w * calc.P.ring.scalar(-1 if ((calc.N - 1) * len(S)) % 2 else 1)
-        assert (scale.num, scale.den) == (want.num, want.den)
-    calls = []
-    monkeypatch.setattr(calc.P.ring, "scalar", lambda *args: calls.append(args))
-    monkeypatch.setattr(calc, "_basis_product", lambda *args: calls.append(args))
-    second = [calc.theta(len(next(iter(w.terms))), w) for w in forms]
-    assert calls == [] and second == first
+    ones = [(caller, S) for caller, S, f in made if len(S) == 1]
+    assert [S for caller, S in ones if caller == "_unit_form"] == [(i,) for i in range(calc.N)]
+    assert len(ones) == calc.N + calc.N * calc.nsyms
 
 
 def _form_representation(form):

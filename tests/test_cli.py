@@ -143,7 +143,7 @@ FLAGS = ("--max-degree", "--samples", "--seed", "--json")
 READS = {
     "smooth": FLAGS,
     "report": FLAGS,
-    "check": ("--max-degree",),
+    "check": (),
     "hypotheses": (),
     "calculus": (),
     "gkdim": ("--max-degree",),

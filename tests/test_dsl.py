@@ -281,6 +281,29 @@ def test_every_diagnostic_pinned(source, want):
     assert (err.value.code, err.value.line, err.value.col) == want
 
 
+@pytest.mark.parametrize("source, kind, where", [
+    pytest.param("name d\ncoeffs t\ngens x\ncalculus mode=flat\ndgens t x\nwedge t x = t\n",
+                 "'t' is a coefficient variable", (6, 13), id="coefficient-variable"),
+    pytest.param(_FLAT + "wedge x1 x2 = x1\n", "'x1' is a generator", (7, 15), id="generator"),
+    pytest.param(_FLAT[:-len("x1 x2\n")] + "u x2\ndgen u = x1\nwedge u x2 = u\n", "'u' is a dgen", (8, 14),
+                 id="dgen"),
+])
+def test_a_wedge_constant_naming_a_declared_symbol_names_its_kind(source, kind, where):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(source)
+    assert (err.value.code, err.value.line, err.value.col) == ("undeclared-symbol",) + where
+    assert str(err.value) == (
+        f"line {where[0]}, column {where[1]}: a wedge constant is a scalar in the parameters, and {kind}"
+        " [undeclared-symbol]"
+    )
+
+
+def test_an_undeclared_name_in_a_wedge_constant_is_undeclared():
+    with pytest.raises(ParseError) as err:
+        parse_presentation(_FLAT + "wedge x1 x2 = y\n")
+    assert str(err.value) == "line 7, column 15: undeclared symbol 'y' [undeclared-symbol]"
+
+
 _AQ_TRAILING = corpus_source("aq").replace("wedge u z = s\n", "wedge u z = s ) ) x\n")
 
 
