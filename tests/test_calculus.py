@@ -1694,6 +1694,29 @@ def test_transport_inverts_in_every_degree_on_ore_grid():
         _transport_holds_in_every_degree(calc)
 
 
+@pytest.mark.parametrize("name", ["poly5", "qaffine4"])
+def test_certificate_transports_only_inside_the_bottom_divergence(name):
+    """A passing certificate transports nothing and expands no form; it
+    multiplies forms on the left and differentiates them in (b).  The
+    product rule it derives transports only inside the bottom divergence:
+    ``theta`` in degree N and ``theta_inv`` in degree N-1."""
+    calc = run_calculus_check(_doc(name))
+    N = calc.N
+    calls = {"left_multiply": 0, "differential": 0}
+    _counting(calc, calls)
+    seen = {"theta": set(), "theta_inv": set(), "_expands": set()}
+    for attr, degrees in seen.items():
+        def recorded(first, second, _method=getattr(calc, attr), _degrees=degrees):
+            _degrees.add(first if isinstance(first, int) else len(first))
+            return _method(first, second)
+        setattr(calc, attr, recorded)
+    assert calc._transport_certificate()
+    assert seen == {"theta": set(), "theta_inv": set(), "_expands": set()}
+    assert calls["left_multiply"] > 0 and calls["differential"] > 0
+    assert _product_rule_on_generators(calc)
+    assert seen == {"theta": {N}, "theta_inv": {N - 1}, "_expands": set()}
+
+
 def _theta_by_definition(calc, k, w):
     """``theta(k)(w)(du_T) = e_k pi(w ^ du_T)`` on every set T of size N-k,
     in increasing order."""
@@ -1771,7 +1794,9 @@ def test_dual_action_visits_only_the_sets_that_meet_the_support_on_ore_grid():
 # -- frame-level objects are built once ------------------------------------------------------
 #
 # The d^2 certificate's loops rebuild nothing that does not change inside
-# them; each check still runs on every frame symbol and every twist.
+# them, and the product rule on the frame generators transports each basis
+# functional once; each check still runs on every frame symbol and every
+# twist.
 
 ONCE = ["poly5", "qaffine4", "aq", "jordan"]
 
@@ -1786,6 +1811,39 @@ def _recording(calc, attr, seen):
         return method(*args)
 
     setattr(calc, attr, recorded)
+
+
+@pytest.mark.parametrize("name", ONCE)
+def test_product_rule_takes_each_frame_invariant_once(name):
+    """The product rule on every ``xi_i . s`` gets d0 of each frame symbol
+    as the one one-form stored in ``_d0_forms``, and transports the
+    divergence of each basis functional once, into ``_nabla_memo``, the
+    unit functionals ``xi_i`` in order: a second sweep transports
+    nothing."""
+    calc = run_calculus_check(_doc(name))
+    frame = calc.P.frame()
+    d0_forms = []
+    d0 = calc.d0
+
+    def recorded_d0(f):
+        form = d0(f)
+        d0_forms.append((f, form))
+        return form
+
+    calc.d0 = recorded_d0
+    transported = []
+    _recording(calc, "theta_inv", transported)
+    assert _product_rule_on_generators(calc)
+    first = list(transported)
+    assert _product_rule_on_generators(calc)
+    assert transported == first
+    assert len(first) == len(calc._nabla_memo)
+    units = calc.integral_basis(1)
+    assert [phi for _, _, phi in first if phi in units] == units
+    for s in frame:
+        forms = [form for f, form in d0_forms if f == s]
+        assert len(forms) >= 2 * calc.N
+        assert all(form is forms[0] for form in forms)
 
 
 @pytest.mark.parametrize("name", ONCE)
