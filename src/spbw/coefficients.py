@@ -265,13 +265,16 @@ def apply_endo(sigma: CoeffEndo, p: CoeffPoly) -> CoeffPoly:
 
 
 def _endo_power(sigma: CoeffEndo, j: int, k: int) -> CoeffPoly:
+    """sigma(t_j)^k, memoized with every lower power: each power is the one
+    below times sigma(t_j), filled upward from the highest one kept."""
     memo = sigma._memo
     key = (j, k)
     if key not in memo:
-        if k == 1:
-            memo[key] = sigma.images[j]
-        else:
-            memo[key] = _endo_power(sigma, j, k - 1) * sigma.images[j]
+        m = k - 1
+        while m and (j, m) not in memo:
+            m -= 1
+        for i in range(m + 1, k + 1):
+            memo[(j, i)] = memo[(j, i - 1)] * sigma.images[j] if i > 1 else sigma.images[j]
     return memo[key]
 
 
@@ -305,8 +308,9 @@ def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> Coe
     times, last variable first; here they are added once, scaled by e_j,
     unless one meets a term already summed (that sum could pass through
     zero), so the keys, their order and the values are the product rule's.
-    Otherwise the product rule recurses on ``t_j * rest``, j the first
-    variable, and keeps the unreduced fractions of its order of summation."""
+    Otherwise the product rule splits off ``t_j * rest``, j the first
+    variable, down to a memoized or constant monomial, and fills the memo
+    back upward; it keeps the unreduced fractions of its order of summation."""
     memo = delta._memo
     if e in memo:
         return memo[e]
@@ -322,18 +326,19 @@ def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> Coe
                     part, m = {k: c * scale for k, c in part.items()}, 1
                 for _ in range(m):
                     add_terms(acc, part)
-        result = ref._make(acc)
-    else:
-        j = next((i for i, k in enumerate(e) if k), None)
+        memo[e] = ref._make(acc)
+    steps, m = [], e  # (monomial, j, rest) from e down; none when the closed form stored e
+    while m not in memo:
+        j = next((i for i, k in enumerate(m) if k), None)
         if j is None:
-            result = ref._make({})
+            memo[m] = ref._make({})
         else:
-            # split the monomial as t_j * rest and apply the product rule
-            rest = e[:j] + (e[j] - 1,) + e[j + 1:]
-            rest_poly = ref._make({rest: Scalar.one(ref.nparams)})
-            result = delta.twist.images[j] * _sder_monomial(delta, rest, ref) + delta.images[j] * rest_poly
-    memo[e] = result
-    return result
+            steps.append((m, j, m[:j] + (m[j] - 1,) + m[j + 1:]))
+            m = steps[-1][2]
+    for m, j, rest in reversed(steps):
+        rest_poly = ref._make({rest: Scalar.one(ref.nparams)})
+        memo[m] = delta.twist.images[j] * memo[rest] + delta.images[j] * rest_poly
+    return memo[e]
 
 
 # -- commutation audit ------------------------------------------------------

@@ -175,15 +175,30 @@ class _TokenStream:
 #
 # One recursive-descent evaluator folds each expression into the algebra it
 # belongs to as it reads it, so every partial result is already in normal
-# form.  Values are LinComb sums, added and negated with ``+`` and ``-``; the
-# algebra supplies the rest:
+# form.  Values are LinComb sums, added and negated with ``+`` and ``-``.  A
+# name is resolved through the document's kind table, which gives every
+# declared name its kind; a parameter is a scalar everywhere.  The algebra
+# supplies the rest:
 #
 #   one, scalar(s)   the unit and the central Scalar s;
-#   symbol(name)     a coefficient variable or generator, None when the name
-#                    is not in scope (parameters are scalars everywhere);
-#   unknown(name)    the message for a name that is not in scope;
+#   kinds            the kind table;
+#   scope            the kinds whose names are values here, and symbol(name)
+#                    the value of such a name;
+#   holds            what a value here is, said when a name of another kind
+#                    appears;
 #   mul(a, b)        the product;
 #   scalar_of(a)     the Scalar a is, or None; it decides negative powers.
+
+
+def _read_whole(ts: _TokenStream, read):
+    """``read()``, with nothing left on the line after it.  An expression
+    nested deeper than the interpreter's stack allows is a ParseError."""
+    try:
+        value = read()
+    except RecursionError:
+        raise ParseError(ts.line, 0, "too-deep", "expression nested too deeply") from None
+    ts.finish()
+    return value
 
 
 def _at_op(ts: _TokenStream, ops: str) -> bool:
@@ -248,16 +263,19 @@ def _parse_power(ts: _TokenStream, alg):
 
 def _parse_atom(ts: _TokenStream, alg):
     kind, value, col = ts.next()
-    ring = alg.ring
     if kind == "int":
-        return alg.scalar(ring.scalar(int(value)))
+        return alg.scalar(alg.ring.scalar(int(value)))
     if kind == "ident":
-        if value in ring.params:
-            return alg.scalar(ring.param(value))
-        element = alg.symbol(value)
-        if element is None:
-            raise ParseError(ts.line, col, "undeclared-symbol", alg.unknown(value))
-        return element
+        what = alg.kinds.get(value)
+        if what == "parameter":
+            return alg.scalar(alg.ring.param(value))
+        if what in alg.scope:
+            return alg.symbol(value)
+        if what == "generator" and alg.scope:
+            # the one scope with symbols but no generator: a coefficient's
+            raise ParseError(ts.line, 0, "generator-in-coefficient", f"generator {value!r} not allowed here")
+        message = f"{alg.holds}, and {value!r} is a {what}" if what else f"undeclared symbol {value!r}"
+        raise ParseError(ts.line, col, "undeclared-symbol", message)
     if kind == "op" and value == "(":
         inner = _parse_expr(ts, alg)
         ts.expect("op", ")", "a closing parenthesis")
@@ -266,29 +284,23 @@ def _parse_atom(ts: _TokenStream, alg):
 
 
 class _CoeffAlgebra:
-    """CoeffPoly values: sigma, delta and isigma images.  Naming one of
-    ``gens``, which have no place in a coefficient, raises on line
-    ``line``."""
+    """CoeffPoly values: sigma, delta and isigma images, whose symbols are
+    the coefficient variables, and wedge constants, scalars in the
+    parameters, which have none."""
 
-    def __init__(self, ring: CoeffRing, gens=(), line=0):
+    def __init__(self, ring: CoeffRing, kinds: dict, scope=("coefficient variable",),
+                 holds="a coefficient is a polynomial in the coefficient variables"):
         self.ring = ring
-        self.gens = gens
-        self.line = line
+        self.kinds = kinds
+        self.scope = scope
+        self.holds = holds
         self.one = ring.one()
 
     def scalar(self, s: Scalar) -> CoeffPoly:
         return self.ring.const(s)
 
     def symbol(self, name):
-        if name in self.ring.coeff_vars:
-            return self.ring.var(self.ring.coeff_vars.index(name))
-        if name in self.gens:
-            raise ParseError(self.line, 0, "generator-in-coefficient", f"generator {name!r} not allowed here")
-        return None
-
-    @staticmethod
-    def unknown(name) -> str:
-        return f"undeclared symbol {name!r}"
+        return self.ring.var(self.ring.coeff_vars.index(name))
 
     @staticmethod
     def mul(a: CoeffPoly, b: CoeffPoly) -> CoeffPoly:
@@ -299,27 +311,17 @@ class _CoeffAlgebra:
         return p.constant_value() if p.is_constant() else None
 
 
-class _WedgeConstant(_CoeffAlgebra):
-    """Wedge constants: scalars in the parameters.  ``kinds`` maps every
-    other declared name to its kind, which the message for it names."""
-
-    def __init__(self, params, kinds: dict):
-        super().__init__(CoeffRing(params))
-        self.kinds = kinds
-
-    def unknown(self, name) -> str:
-        if name not in self.kinds:
-            return super().unknown(name)
-        return f"a wedge constant is a scalar in the parameters, and {name!r} is a {self.kinds[name]}"
-
-
 class _SkewTerms:
-    """Values that are SkewPoly sums over the generators ``gens``; a symbol
-    is its element of the frame."""
+    """Values that are SkewPoly sums over the generators ``gens``; a
+    coefficient variable or generator is its element of the frame."""
 
-    def __init__(self, ring: CoeffRing, gens):
+    scope = ("coefficient variable", "generator")
+    holds = "an element of the algebra is written in its symbols"
+
+    def __init__(self, ring: CoeffRing, gens, kinds: dict):
         self.ring = ring
         self.gens = tuple(gens)
+        self.kinds = kinds
         self.n = len(self.gens)
         self.names = ring.coeff_vars + self.gens
         self.one = self.scalar(ring.sone())
@@ -327,11 +329,7 @@ class _SkewTerms:
     def symbol(self, name):
         if name in self.ring.coeff_vars:
             return SkewPoly({(0,) * self.n: self.ring.var(self.ring.coeff_vars.index(name))}, self.n)
-        if name in self.gens:
-            return SkewPoly({tuple(int(g == name) for g in self.gens): self.ring.one()}, self.n)
-        return None
-
-    unknown = staticmethod(_CoeffAlgebra.unknown)
+        return SkewPoly({tuple(int(g == name) for g in self.gens): self.ring.one()}, self.n)
 
     def scalar(self, s: Scalar) -> SkewPoly:
         return SkewPoly({} if s.is_zero() else {(0,) * self.n: self.ring.const(s)}, self.n)
@@ -345,8 +343,8 @@ class _SkewAlgebra(_SkewTerms):
     """Elements of P in normal form: potentials, twist images and
     ``parse_expression``."""
 
-    def __init__(self, P: Presentation):
-        super().__init__(P.ring, P.names)
+    def __init__(self, P: Presentation, kinds: dict):
+        super().__init__(P.ring, P.names, kinds)
         self.P = P
 
     def mul(self, a: SkewPoly, b: SkewPoly) -> SkewPoly:
@@ -359,8 +357,8 @@ class _TailAlgebra(_SkewTerms):
     coefficient written left of its generators.  A product that forms any
     other word raises at once."""
 
-    def __init__(self, ring: CoeffRing, gens, i: int, j: int, line: int):
-        super().__init__(ring, gens)
+    def __init__(self, ring: CoeffRing, gens, kinds: dict, i: int, j: int, line: int):
+        super().__init__(ring, gens, kinds)
         self.line = line
         self.units = [tuple(int(k == m) for m in range(self.n)) for k in range(self.n)]
         self.pair = (self.units[i], self.units[j])
@@ -390,51 +388,61 @@ class _TailAlgebra(_SkewTerms):
         return tuple((rhs.terms[e], w) for e, w in words if e in rhs.terms)
 
 
-def _images(entries, names, default, what) -> tuple:
-    """``default`` with each ``(name, image, line, col)`` entry's image put at
-    its name's place among ``names``."""
-    images = list(default)
-    seen = set()
-    for var, image, line, col in entries:
-        if var not in names:
-            raise ParseError(line, col, "undeclared-symbol", f"{var!r} is not {what}")
-        k = names.index(var)
-        if k in seen:
-            raise ParseError(line, col, "duplicate-image", f"two images for {var!r}")
-        seen.add(k)
-        images[k] = image
-    return tuple(images)
-
-
 # -- document parser ----------------------------------------------------------------
 #
 # Declarations are read first, in document order.  The ring lines are then
 # evaluated in the finished coefficient ring, and the calculus lines last,
 # once the presentation exists.
 
-_DECLARATIONS = {"name", "params", "coeffs", "gens", "invertible", "calculus", "dgens", "options"}
+# The symbol declarations and the kind each gives its names.  A name listed
+# on a ``dgens`` line and declared nowhere else has the kind "dgen".
+_KINDS = {"params": "parameter", "coeffs": "coefficient variable", "gens": "generator"}
+
+# The map lines, ``keyword owner: target -> image, ...``.  Per keyword: its
+# owners (the generators, or the names on the dgens line); what its targets
+# are (a symbol is a coefficient variable or a generator); the field of
+# PresentationDoc or CalculusDoc that keeps each owner's images; the image
+# of a target no line names: itself, zero, or itself in a "claimed" map,
+# which only an owner with a line has; and whether the writer leaves each
+# image at its default out (an isigma line claims every image).
+_MAP_LINES = {
+    "sigma": ("gens", "coefficient variable", "sigma_images", "identity", True),
+    "delta": ("gens", "coefficient variable", "delta_images", "zero", True),
+    "isigma": ("gens", "coefficient variable", "sigma_inverses", "claimed", False),
+    "twist": ("dgens", "symbol", "twist", "identity", True),
+    "itwist": ("dgens", "symbol", "itwist", "claimed", True),
+}
+
+_DECLARATIONS = {*_KINDS, "name", "invertible", "calculus", "dgens", "options"}
 _RING_LINES = {"sigma", "delta", "isigma", "rel"}
 _KEYWORDS = _DECLARATIONS | _RING_LINES | {"dgen", "twist", "itwist", "wedge"}
+
+
+def _map_keywords(owners: str) -> list:
+    """The map-line keywords whose owners are ``owners``, in table order."""
+    return [keyword for keyword, row in _MAP_LINES.items() if row[0] == owners]
+
+
+def _default_images(default: str, identity: tuple) -> tuple:
+    """A map's images of its targets where no line names them, given the
+    identity's: zero for delta."""
+    return tuple(img - img for img in identity) if default == "zero" else identity
 
 
 class _Parser:
     def __init__(self, source: str):
         self.source = source
         self.name = None
-        self.params = []
-        self.coeff_vars = []
-        self.gens = []
-        self.sigma_lines = {}  # gen -> list of (var, CoeffPoly, line, col)
-        self.delta_lines = {}
-        self.isigma_lines = {}
+        # name -> kind, filled by the declaration lines; the tuples params,
+        # coeff_vars and gens are read from it once every declaration is read
+        self.kinds = {}
+        self.maps = {keyword: {} for keyword in _MAP_LINES}  # keyword -> owner -> [(target, image, line, col)]
         self.relations = {}    # (i, j) -> tails
         self.calculus_mode = None
         self.dgen_names = []
         self.dgen_exprs = {}   # dgen -> SkewPoly
-        self.twist_lines = {}  # dgen -> list of (symbol, SkewPoly, line, col)
-        self.itwist_lines = {}
         self.wedge = {}        # (i, j) -> Scalar
-        self.options = dict(DEFAULT_OPTIONS)
+        self.options = {}      # the options the document sets
         self.ring = None       # CoeffRing, once every declaration is read
         self.skew = None       # _SkewAlgebra over the presentation, in flat mode
 
@@ -454,17 +462,25 @@ class _Parser:
                 later.append((keyword, ts, line_no))
         if self.name is None:
             raise ParseError(0, 0, "missing-name", "document has no name line")
+        self.params, self.coeff_vars, self.gens = (
+            tuple(n for n, k in self.kinds.items() if k == kind) for kind in _KINDS.values())
         if not self.gens:
             raise ParseError(0, 0, "missing-gens", "document declares no generators")
-        self.ring = CoeffRing(tuple(self.params), tuple(self.coeff_vars))
+        self.ring = CoeffRing(self.params, self.coeff_vars)
         for keyword, ts, line_no in later:
             if keyword in _RING_LINES:
                 self._run(keyword, ts, line_no)
         return self._build([line for line in later if line[0] not in _RING_LINES])
 
     def _run(self, keyword, ts, line_no):
-        getattr(self, "_line_" + keyword)(ts, line_no)
-        ts.finish()
+        def read():
+            if keyword in _KINDS:
+                self._declare(ts, line_no, keyword)
+            elif keyword in _MAP_LINES:
+                self._map_line(ts, line_no, keyword)
+            else:
+                getattr(self, "_line_" + keyword)(ts, line_no)
+        _read_whole(ts, read)
 
     # -- declaration lines ------------------------------------------------------
 
@@ -482,33 +498,20 @@ class _Parser:
             raise ParseError(line_no, 0, "expected-name", "expected at least one name")
         return names
 
-    def _check_fresh(self, names, line_no):
-        seen = set(self.params) | set(self.coeff_vars) | set(self.gens) | set(self.dgen_names)
-        for n in names:
-            if n in seen or n in _KEYWORDS:
+    def _declare(self, ts, line_no, keyword):
+        """A ``params``, ``coeffs`` or ``gens`` line.  A name listed on a
+        ``dgens`` line takes its place among these, in either order."""
+        for n in self._idents(ts, line_no, at_least=int(keyword == "gens")):
+            if self.kinds.get(n, "dgen") != "dgen" or n in _KEYWORDS:
                 raise ParseError(line_no, 0, "duplicate-symbol", f"symbol {n!r} already declared")
-            seen.add(n)
+            self.kinds.pop(n, None)
+            self.kinds[n] = _KINDS[keyword]
 
     def _line_name(self, ts, line_no):
         if self.name is not None:
             raise ParseError(line_no, 0, "duplicate-block", "name declared twice")
         _, value, _ = ts.expect("ident", what="a document name")
         self.name = value
-
-    def _line_params(self, ts, line_no):
-        names = self._idents(ts, line_no)
-        self._check_fresh(names, line_no)
-        self.params.extend(names)
-
-    def _line_coeffs(self, ts, line_no):
-        names = self._idents(ts, line_no)
-        self._check_fresh(names, line_no)
-        self.coeff_vars.extend(names)
-
-    def _line_gens(self, ts, line_no):
-        names = self._idents(ts, line_no, at_least=1)
-        self._check_fresh(names, line_no)
-        self.gens.extend(names)
 
     def _line_invertible(self, ts, line_no):
         raise ParseError(line_no, 1, "laurent-unsupported",
@@ -527,11 +530,11 @@ class _Parser:
         self.calculus_mode = mode
 
     def _line_dgens(self, ts, line_no):
-        names = self._idents(ts, line_no, at_least=1)
-        for n in names:
+        for n in self._idents(ts, line_no, at_least=1):
             if n in self.dgen_names:
                 raise ParseError(line_no, 0, "duplicate-symbol", f"dgen {n!r} repeated")
-        self.dgen_names.extend(names)
+            self.dgen_names.append(n)
+            self.kinds.setdefault(n, "dgen")
 
     def _line_options(self, ts, line_no):
         while not ts.done():
@@ -542,19 +545,21 @@ class _Parser:
                 ts.next()
                 sign = -1
             _, digits, _ = ts.expect("int", what="an integer")
+            if key in self.options:
+                raise ParseError(line_no, col, "duplicate-option", f"option {key!r} set twice")
             set_option(self.options, key, sign * int(digits), line_no, col)
 
-    # -- ring lines ------------------------------------------------------------------
+    # -- map lines and relations ------------------------------------------------------
 
-    def _map_line(self, ts, line_no, owners, store, what, alg=None):
-        """An ``owner: symbol -> image, ...`` line; images are coefficients
-        unless ``alg`` says otherwise."""
-        alg = alg or _CoeffAlgebra(self.ring, self.gens, line_no)
-        _, owner, col = ts.expect("ident", what=f"a {what} owner")
-        if owner not in owners:
+    def _map_line(self, ts, line_no, keyword):
+        """A map line, kept as written until the document is built."""
+        owners, targets = _MAP_LINES[keyword][:2]
+        _, owner, col = ts.expect("ident", what=f"a {keyword} owner")
+        if owner not in (self.gens if owners == "gens" else self.dgen_names):
             raise ParseError(line_no, col, "undeclared-symbol", f"{owner!r} is not declared")
         ts.expect("op", ":", "a colon")
-        entries = store.setdefault(owner, [])
+        alg = self.skew if targets == "symbol" else _CoeffAlgebra(self.ring, self.kinds)
+        entries = self.maps[keyword].setdefault(owner, [])
         while True:
             _, var, col = ts.expect("ident", what="a symbol")
             ts.expect("arrow", what="->")
@@ -562,15 +567,6 @@ class _Parser:
             if ts.done():
                 return
             ts.expect("op", ",", "a comma")
-
-    def _line_sigma(self, ts, line_no):
-        self._map_line(ts, line_no, self.gens, self.sigma_lines, "sigma")
-
-    def _line_delta(self, ts, line_no):
-        self._map_line(ts, line_no, self.gens, self.delta_lines, "delta")
-
-    def _line_isigma(self, ts, line_no):
-        self._map_line(ts, line_no, self.gens, self.isigma_lines, "isigma")
 
     def _line_rel(self, ts, line_no):
         _, a, col_a = ts.expect("ident", what="a generator")
@@ -584,7 +580,7 @@ class _Parser:
             raise ParseError(line_no, col_a, "relation-order", "relation must have higher generator first")
         if (i, j) in self.relations:
             raise ParseError(line_no, 0, "duplicate-relation", f"relation for ({a},{b}) repeated")
-        tail = _TailAlgebra(self.ring, self.gens, i, j, line_no)
+        tail = _TailAlgebra(self.ring, self.gens, self.kinds, i, j, line_no)
         self.relations[(i, j)] = tail.relation(_parse_expr(ts, tail))
 
     # -- calculus lines ----------------------------------------------------------------
@@ -600,12 +596,6 @@ class _Parser:
             raise ParseError(line_no, 0, "duplicate-dgen", f"dgen {name!r} defined twice")
         self.dgen_exprs[name] = _parse_expr(ts, self.skew)
 
-    def _line_twist(self, ts, line_no):
-        self._map_line(ts, line_no, self.dgen_names, self.twist_lines, "twist", self.skew)
-
-    def _line_itwist(self, ts, line_no):
-        self._map_line(ts, line_no, self.dgen_names, self.itwist_lines, "itwist", self.skew)
-
     def _line_wedge(self, ts, line_no):
         _, a, col_a = ts.expect("ident", what="a dgen name")
         _, b, col_b = ts.expect("ident", what="a dgen name")
@@ -618,89 +608,82 @@ class _Parser:
             raise ParseError(line_no, 0, "wedge-order", "wedge constants are keyed earlier, later")
         if (ia, ib) in self.wedge:
             raise ParseError(line_no, 0, "duplicate-wedge", f"wedge constant for ({a},{b}) repeated")
-        kinds = {
-            **dict.fromkeys(self.dgen_names, "dgen"),
-            **dict.fromkeys(self.coeff_vars, "coefficient variable"),
-            **dict.fromkeys(self.gens, "generator"),
-        }
-        s = _parse_expr(ts, _WedgeConstant(self.params, kinds)).constant_value()
+        alg = _CoeffAlgebra(CoeffRing(self.params), self.kinds, (), "a wedge constant is a scalar in the parameters")
+        s = _parse_expr(ts, alg).constant_value()
         if s.is_zero():
             raise ParseError(line_no, 0, "bad-wedge", "wedge constants are nonzero")
         self.wedge[(ia, ib)] = s
 
     # -- assembly --------------------------------------------------------------------------------
 
+    def _resolve(self, holder, keywords, owners, names, identity):
+        """Put the maps of each ``(key, owner)`` of ``owners`` on the lines of
+        ``keywords`` into the fields of ``holder``: the default images of the
+        targets ``names``, with each written image in its target's place."""
+        for key, owner in owners:
+            for keyword in keywords:
+                _, targets, field_name, default, _ = _MAP_LINES[keyword]
+                entries = self.maps[keyword].get(owner)
+                if entries is None and default == "claimed":
+                    continue
+                written = {}
+                for var, image, line, col in entries or ():
+                    if var not in names:
+                        raise ParseError(line, col, "undeclared-symbol", f"{var!r} is not a {targets}")
+                    if var in written:
+                        raise ParseError(line, col, "duplicate-image", f"two images for {var!r}")
+                    written[var] = image
+                images = zip(names, _default_images(default, identity))
+                getattr(holder, field_name)[key] = tuple(written.get(var, img) for var, img in images)
+
     def _build(self, calculus_lines) -> PresentationDoc:
         ring = self.ring
-        id_images = tuple(ring.var(j) for j in range(ring.nvars))
-        zero_images = tuple(ring.zero() for _ in range(ring.nvars))
-
-        def coeff_images(entries, default):
-            return _images(entries, self.coeff_vars, default, "a coefficient variable")
-
-        sigma_images, delta_images, sigma_inverses = {}, {}, {}
-        for i, g in enumerate(self.gens):
-            sigma_images[i] = coeff_images(self.sigma_lines.get(g, ()), id_images)
-            delta_images[i] = coeff_images(self.delta_lines.get(g, ()), zero_images)
-            if g in self.isigma_lines:
-                sigma_inverses[i] = coeff_images(self.isigma_lines[g], id_images)
+        doc = PresentationDoc(name=self.name, params=self.params, coeff_vars=self.coeff_vars, gens=self.gens,
+                              sigma_images={}, sigma_inverses={}, delta_images={}, relations=self.relations,
+                              calculus=None, options={**DEFAULT_OPTIONS, **self.options})
+        identity = tuple(ring.var(j) for j in range(ring.nvars))
+        self._resolve(doc, _map_keywords("gens"), enumerate(self.gens), self.coeff_vars, identity)
         n = len(self.gens)
         for i in range(n):
             for j in range(i + 1, n):
                 if (i, j) not in self.relations:
                     raise ParseError(0, 0, "missing-relation",
                                      f"no relation declared for pair ({self.gens[j]},{self.gens[i]})")
-        calculus = self._build_calculus_doc(calculus_lines, sigma_images, delta_images, sigma_inverses)
-        return PresentationDoc(
-            name=self.name,
-            params=tuple(self.params),
-            coeff_vars=tuple(self.coeff_vars),
-            gens=tuple(self.gens),
-            sigma_images=sigma_images,
-            sigma_inverses=sigma_inverses,
-            delta_images=delta_images,
-            relations=self.relations,
-            calculus=calculus,
-            options=self.options,
-        )
+        doc.calculus = self._build_calculus_doc(doc, calculus_lines)
+        return doc
 
-    def _build_calculus_doc(self, calculus_lines, sigma_images, delta_images, sigma_inverses):
+    def _build_calculus_doc(self, doc, calculus_lines):
         if self.calculus_mode is None:
             if self.dgen_names or calculus_lines:
                 raise ParseError(0, 0, "missing-block", "calculus lines without a calculus block")
             return None
-        doc = CalculusDoc(mode=self.calculus_mode)
+        cal = CalculusDoc(mode=self.calculus_mode)
         if self.calculus_mode == "theorem":
             if self.dgen_names or calculus_lines:
                 raise ParseError(0, 0, "theorem-mode-fixed",
                                  "theorem mode derives its generators and twists; remove the extra lines")
-            return doc
+            return cal
         if not self.dgen_names:
             raise ParseError(0, 0, "missing-dgens", "flat mode needs a dgens line")
         try:
-            P = _presentation_from_parts(self.ring, tuple(self.gens), sigma_images, sigma_inverses,
-                                         delta_images, self.relations)
+            P = build_presentation(doc)
         except MapError as exc:
             raise ParseError(0, 0, "bad-inverse", str(exc)) from exc
-        self.skew = _SkewAlgebra(P)
+        self.skew = _SkewAlgebra(P, self.kinds)
         for keyword, ts, line_no in calculus_lines:
             self._run(keyword, ts, line_no)
-        doc.dgen_names = tuple(self.dgen_names)
+        cal.dgen_names = tuple(self.dgen_names)
         symbols = self.skew.names
         for name in self.dgen_names:
             if name in symbols:
-                doc.potentials[name] = P.symbol(symbols.index(name))
+                cal.potentials[name] = P.symbol(symbols.index(name))
             elif name in self.dgen_exprs:
-                doc.potentials[name] = self.dgen_exprs[name]
+                cal.potentials[name] = self.dgen_exprs[name]
             else:
                 raise ParseError(0, 0, "missing-dgen", f"dgen {name!r} is not a symbol and has no dgen line")
-        frame = P.frame()
-        for name in self.dgen_names:
-            doc.twist[name] = _images(self.twist_lines.get(name, ()), symbols, frame, "a symbol")
-            if name in self.itwist_lines:
-                doc.itwist[name] = _images(self.itwist_lines[name], symbols, frame, "a symbol")
-        doc.wedge = self.wedge
-        return doc
+        self._resolve(cal, _map_keywords("dgens"), zip(self.dgen_names, self.dgen_names), symbols, P.frame())
+        cal.wedge = self.wedge
+        return cal
 
 
 def _diagonal_affine_inverse(ring: CoeffRing, images):
@@ -724,19 +707,6 @@ def _diagonal_affine_inverse(ring: CoeffRing, images):
     return tuple(inverses)
 
 
-def _presentation_from_parts(ring, gens, sigma_images, sigma_inverses, delta_images, relations):
-    """The presentation; a sigma without a claimed inverse gets the
-    mechanical one when it is diagonal-affine, else none."""
-    sigmas = []
-    deltas = []
-    for i in range(len(gens)):
-        inv = sigma_inverses[i] if i in sigma_inverses else _diagonal_affine_inverse(ring, sigma_images[i])
-        sigma = CoeffEndo(sigma_images[i], inv)
-        sigmas.append(sigma)
-        deltas.append(CoeffSigmaDerivation(delta_images[i], sigma))
-    return Presentation(ring, gens, sigmas, deltas, relations)
-
-
 # -- public API --------------------------------------------------------------------------------
 
 
@@ -746,19 +716,26 @@ def parse_presentation(source: str) -> PresentationDoc:
 
 
 def build_presentation(doc: PresentationDoc) -> Presentation:
-    return _presentation_from_parts(
-        doc.ring(), doc.gens, doc.sigma_images, doc.sigma_inverses, doc.delta_images, doc.relations
-    )
+    """The presentation; a sigma without a claimed inverse gets the
+    mechanical one when it is diagonal-affine, else none."""
+    ring = doc.ring()
+    sigmas, deltas = [], []
+    for i in range(len(doc.gens)):
+        images = doc.sigma_images[i]
+        inv = doc.sigma_inverses[i] if i in doc.sigma_inverses else _diagonal_affine_inverse(ring, images)
+        sigmas.append(CoeffEndo(images, inv))
+        deltas.append(CoeffSigmaDerivation(doc.delta_images[i], sigmas[-1]))
+    return Presentation(ring, doc.gens, sigmas, deltas, doc.relations)
 
 
 def parse_expression(doc: PresentationDoc, source: str, P: Presentation | None = None) -> SkewPoly:
     """One expression over the document's symbols, in normal form."""
-    if P is None:
-        P = build_presentation(doc)
+    kinds = dict.fromkeys(doc.calculus.dgen_names if doc.calculus else (), "dgen")
+    for kind, names in zip(_KINDS.values(), (doc.params, doc.coeff_vars, doc.gens)):
+        kinds.update(dict.fromkeys(names, kind))
+    alg = _SkewAlgebra(build_presentation(doc) if P is None else P, kinds)
     ts = _TokenStream(_tokenize(source, 1), 1)
-    value = _parse_expr(ts, _SkewAlgebra(P))
-    ts.finish()
-    return value
+    return _read_whole(ts, lambda: _parse_expr(ts, alg))
 
 
 # -- rendering (reparse-safe) ---------------------------------------------------------------------
@@ -791,8 +768,8 @@ def _render_coeff_dsl(p: CoeffPoly, params, var_names) -> str:
 def render_presentation(doc: PresentationDoc) -> str:
     """Canonical text form; reparses to an equal document.  The one writer
     of ``.spbw`` text: it reads the document alone and builds no
-    presentation, and leaves out each sigma, delta, twist and itwist image
-    at its default."""
+    presentation, and leaves out each map-line image at its default where
+    ``_MAP_LINES`` says so (every one but an isigma line's)."""
     ring = doc.ring()
     lines = [f"name {doc.name}"]
     if doc.params:
@@ -801,12 +778,17 @@ def render_presentation(doc: PresentationDoc) -> str:
         lines.append("coeffs " + " ".join(doc.coeff_vars))
     lines.append("gens " + " ".join(doc.gens))
 
-    def map_line(keyword, owner, symbols, images, defaults, render):
-        # an isigma line has no defaults: it claims every image
-        entries = [f"{sym} -> {render(img)}" for k, (sym, img) in enumerate(zip(symbols, images))
-                   if defaults is None or img != defaults[k]]
-        if entries:
-            lines.append(f"{keyword} {owner}: " + ", ".join(entries))
+    def map_lines(holder, keywords, owners, names, identity, render):
+        for key, owner in owners:
+            for keyword in keywords:
+                _, _, field_name, default, sparse = _MAP_LINES[keyword]
+                images = getattr(holder, field_name).get(key)
+                if images is None:
+                    continue
+                entries = [f"{var} -> {render(img)}" for var, img, at
+                           in zip(names, images, _default_images(default, identity)) if not sparse or img != at]
+                if entries:
+                    lines.append(f"{keyword} {owner}: " + ", ".join(entries))
 
     def coeff(c: CoeffPoly) -> str:
         return _render_coeff_dsl(c, doc.params, doc.coeff_vars)
@@ -814,13 +796,8 @@ def render_presentation(doc: PresentationDoc) -> str:
     def skew(f: SkewPoly) -> str:
         return render_sum(f.terms, doc.gens, coeff)
 
-    id_images = tuple(ring.var(j) for j in range(ring.nvars))
-    zero_images = tuple(ring.zero() for _ in range(ring.nvars))
-    for gi, g in enumerate(doc.gens):
-        map_line("sigma", g, doc.coeff_vars, doc.sigma_images[gi], id_images, coeff)
-        map_line("delta", g, doc.coeff_vars, doc.delta_images[gi], zero_images, coeff)
-        if gi in doc.sigma_inverses:
-            map_line("isigma", g, doc.coeff_vars, doc.sigma_inverses[gi], None, coeff)
+    identity = tuple(ring.var(j) for j in range(ring.nvars))
+    map_lines(doc, _map_keywords("gens"), enumerate(doc.gens), doc.coeff_vars, identity, coeff)
 
     for (i, j), tails in sorted(doc.relations.items()):
         rhs = []
@@ -842,15 +819,12 @@ def render_presentation(doc: PresentationDoc) -> str:
         lines.append(f"calculus mode={cal.mode}")
         if cal.mode == "flat":
             lines.append("dgens " + " ".join(cal.dgen_names))
-            terms = _SkewTerms(ring, doc.gens)
+            terms = _SkewTerms(ring, doc.gens, {})
             for name in cal.dgen_names:
                 if name not in terms.names:
                     lines.append(f"dgen {name} = {skew(cal.potentials[name])}")
             frame = tuple(map(terms.symbol, terms.names))
-            for name in cal.dgen_names:
-                map_line("twist", name, terms.names, cal.twist[name], frame, skew)
-                if name in cal.itwist:
-                    map_line("itwist", name, terms.names, cal.itwist[name], frame, skew)
+            map_lines(cal, _map_keywords("dgens"), zip(cal.dgen_names, cal.dgen_names), terms.names, frame, skew)
             for (ia, ib), s in sorted(cal.wedge.items()):
                 lines.append(
                     f"wedge {cal.dgen_names[ia]} {cal.dgen_names[ib]} = "

@@ -189,15 +189,18 @@ class AlgebraEndo:
         return image
 
     def _power(self, s, k):
-        """The image of the k-th power of frame symbol s, memoized."""
+        """The image of the k-th power of frame symbol s, memoized with every
+        lower power: each is the one below times the image of s, filled
+        upward from the highest one kept."""
+        memo = self._power_memo
         key = (s, k)
-        if key not in self._power_memo:
-            base = self.images[s]
-            if k == 1:
-                self._power_memo[key] = base
-            else:
-                self._power_memo[key] = self.P.multiply(self._power(s, k - 1), base)
-        return self._power_memo[key]
+        if key not in memo:
+            m = k - 1
+            while m and (s, m) not in memo:
+                m -= 1
+            for i in range(m + 1, k + 1):
+                memo[(s, i)] = self.P.multiply(memo[(s, i - 1)], self.images[s]) if i > 1 else self.images[s]
+        return memo[key]
 
 
 def _rescaling(P: Presentation, images):

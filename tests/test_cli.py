@@ -199,6 +199,16 @@ def test_seed_override_recorded(weyl_file, tmp_path, capsys):
     assert json.loads(target.read_text())["config"]["seed"] == 99
 
 
+def test_an_override_replaces_the_value_a_document_sets(tmp_path, capsys):
+    # a document sets each option at most once; the command line still
+    # replaces that value
+    path, target = tmp_path / "opts.spbw", tmp_path / "r.json"
+    path.write_text(corpus_source("weyl") + "options seed=5\n", encoding="utf-8")
+    assert main(["smooth", str(path), "--seed", "99", "--json", str(target)]) == 0
+    capsys.readouterr()
+    assert json.loads(target.read_text())["config"]["seed"] == 99
+
+
 BAD_TWIST = (
     "name weyl\ngens x1 x2\nrel x2 x1 = x1 x2 - 1\n"
     "calculus mode=flat\ndgens x1 x2\ntwist x1: x2 -> 2*x2\n"
@@ -273,3 +283,20 @@ def test_directory_input_prints_no_traceback(tmp_path):
 def test_unwritable_output_exits_two(argv, tmp_path, capsys):
     assert main(argv(tmp_path)) == 2
     assert capsys.readouterr().err.startswith("error: cannot write output: ")
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["normalize", "corpus:weyl", "(" * 3000 + "x1" + ")" * 3000], id="parentheses"),
+    pytest.param(["normalize", "corpus:weyl", "--", "-" * 5000 + "x1"], id="unary-minus"),
+])
+def test_deeply_nested_input_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "parse error: line 1, column 0: expression nested too deeply [too-deep]\n"
+
+
+def test_a_deeply_nested_twist_exits_two(tmp_path, capsys):
+    path = tmp_path / "deep.spbw"
+    twist = "twist x: x -> " + "(" * 2000 + "x" + ")" * 2000
+    path.write_text(f"name d\ngens x\ncalculus mode=flat\ndgens x\n{twist}\n", encoding="utf-8")
+    assert main(["smooth", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: line 5, column 0: expression nested too deeply [too-deep]\n"

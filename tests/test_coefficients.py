@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -19,7 +20,7 @@ from spbw.coefficients import (
     derivative,
 )
 from spbw.corpus import CORPUS_NAMES, corpus_doc
-from spbw.dsl import build_presentation
+from spbw.dsl import build_presentation, parse_expression, parse_presentation
 from spbw.pipeline import run_smooth
 from spbw.scalars import Scalar, poly_one
 
@@ -583,3 +584,62 @@ def test_commutation_audit_passes_an_identity_without_applying_it(case):
 def test_the_ring_zero_scalar_is_shared(ring_qt):
     zero = ring_qt.szero()
     assert ring_qt.szero() is zero and zero.is_zero() and zero == Scalar.const(1, 0)
+
+
+# -- powers of a coefficient map past the recursion limit --------------------------
+
+_DOUBLING = "name p\ncoeffs t\ngens x\nsigma x: t -> 2*t\n"
+
+
+@pytest.mark.parametrize("with_delta", [False, True], ids=["sigma", "sigma-and-delta"])
+def test_a_coefficient_map_power_past_the_recursion_limit(with_delta):
+    # x t^k = sigma(t)^k x + delta(t^k) with sigma(t) = 2t; with delta(t) = 1,
+    # delta(t^k) = 2t delta(t^(k-1)) + t^(k-1) = (2^k - 1) t^(k-1)
+    doc = parse_presentation(_DOUBLING + ("delta x: t -> 1\n" if with_delta else ""))
+    P = build_presentation(doc)
+    assert P.render(parse_expression(doc, "x*t^3", P)) == ("8*t^3*x + 7*t^2" if with_delta else "8*t^3*x")
+    k = 1500
+    assert k > sys.getrecursionlimit()
+    want = f"2^{k}*t^{k}*x" + (f" + (2^{k} - 1)*t^{k - 1}" if with_delta else "")
+    assert parse_expression(doc, f"x*t^{k}", P) == parse_expression(doc, want, P)
+
+
+def _endo_power_by_recursion(sigma, j, k, memo):
+    if (j, k) not in memo:
+        memo[(j, k)] = sigma.images[j] if k == 1 else _endo_power_by_recursion(sigma, j, k - 1, memo) * sigma.images[j]
+    return memo[(j, k)]
+
+
+def _sder_by_recursion(delta, e, ref, memo):
+    if e not in memo:
+        j = next((i for i, k in enumerate(e) if k), None)
+        if j is None:
+            memo[e] = ref._make({})
+        else:
+            rest = tuple(k - (i == j) for i, k in enumerate(e))
+            rest_poly = ref._make({rest: Scalar.one(ref.nparams)})
+            memo[e] = delta.twist.images[j] * _sder_by_recursion(delta, rest, ref, memo) + delta.images[j] * rest_poly
+    return memo[e]
+
+
+def test_the_power_memos_hold_what_the_recursion_held():
+    """Filled upward in a loop, the memos of sigma powers and of the product
+    rule hold the recursion's keys, in its order, with its stored fractions."""
+    ring = CoeffRing(params=("q",), coeff_vars=("t1", "t2"))
+    q, t1, t2 = ring.param("q"), ring.var(0), ring.var(1)
+    sigma = CoeffEndo((t1.scale(q), t1 + t2.scale(q.inverse())))
+    delta = CoeffSigmaDerivation((ring.one(), t1 * t1.scale(q)), sigma)
+    assert not delta.leibniz
+    endo_memo, sder_memo = {}, {}
+    for e in ((2, 3), (4, 1), (0, 5), (4, 3)):
+        p = ring.monomial(e)
+        apply_endo(sigma, p)
+        apply_sder(delta, p)
+        for j, k in enumerate(e):
+            if k:
+                _endo_power_by_recursion(sigma, j, k, endo_memo)
+        _sder_by_recursion(delta, e, p, sder_memo)
+    assert list(sigma._memo) == list(endo_memo)
+    assert list(delta._memo) == list(sder_memo)
+    assert all(_stored(sigma._memo[key]) == _stored(endo_memo[key]) for key in endo_memo)
+    assert all(_stored(delta._memo[key]) == _stored(sder_memo[key]) for key in sder_memo)

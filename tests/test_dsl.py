@@ -271,6 +271,9 @@ DIAGNOSTICS = [
     pytest.param(_POLY + "options bogus=1\n", ("unknown-option", 6, 9), id="unknown-option"),
     pytest.param(_FLAT + "wedge x2 x1 = q\n", ("wedge-order", 7, 0), id="wedge-order"),
     pytest.param("name d\ngens x1 x2\nrel x2 x1 = 0 * x1 x2 + 1\n", ("zero-d", 3, 0), id="zero-d"),
+    pytest.param(_POLY + "options seed=1 seed=2\n", ("duplicate-option", 6, 16), id="duplicate-option"),
+    pytest.param(_ORE + "sigma x: t -> " + "(" * 2000 + "t" + ")" * 2000 + "\n", ("too-deep", 4, 0),
+                 id="too-deep"),
 ]
 
 
@@ -345,3 +348,103 @@ def test_render_does_not_build_claimed_inverses():
         "name bad\ncoeffs t\ngens x1 x2\nsigma x1: t -> 2*t\nisigma x1: t -> t\nrel x2 x1 = x1 x2 + t\n"
     )
     assert "rel x2 x1 = x1 x2 + t\n" in render_presentation(doc)
+
+
+# -- the kind table ------------------------------------------------------------------
+#
+# Every declared name has one kind: parameter, coefficient variable,
+# generator, or dgen (a name listed on a ``dgens`` line and declared nowhere
+# else).  Each expression resolves its names through that table.
+
+_U = "name d\ncoeffs t\ngens x1 x2\nrel x2 x1 = x1 x2\ncalculus mode=flat\ndgens u t x2\ndgen u = x1\n"  # 7 lines
+_IN_A_COEFFICIENT = "a coefficient is a polynomial in the coefficient variables, and 'u' is a dgen"
+_IN_AN_ELEMENT = "an element of the algebra is written in its symbols, and 'u' is a dgen"
+
+
+@pytest.mark.parametrize("line, where, message", [
+    pytest.param("sigma x1: t -> 2*u", (8, 18), _IN_A_COEFFICIENT, id="sigma"),
+    pytest.param("delta x1: t -> u", (8, 16), _IN_A_COEFFICIENT, id="delta"),
+    pytest.param("isigma x1: t -> u", (8, 17), _IN_A_COEFFICIENT, id="isigma"),
+    pytest.param("twist x2: x1 -> u", (8, 17), _IN_AN_ELEMENT, id="twist"),
+    pytest.param("itwist x2: x1 -> u", (8, 18), _IN_AN_ELEMENT, id="itwist"),
+    pytest.param("rel x2 x1 = x1 x2 + u", (4, 21), _IN_AN_ELEMENT, id="rel"),
+])
+def test_a_dgen_in_an_image_is_named_as_a_dgen(line, where, message):
+    source = _U.replace("rel x2 x1 = x1 x2\n", line + "\n") if line.startswith("rel") else _U + line + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(source)
+    assert str(err.value) == f"line {where[0]}, column {where[1]}: {message} [undeclared-symbol]"
+
+
+def test_a_dgen_in_a_dgen_line_or_an_expression_is_named_as_a_dgen():
+    with pytest.raises(ParseError) as err:
+        parse_presentation(_U.replace("dgens u t x2", "dgens u v t x2") + "dgen v = x1 + u\n")
+    assert str(err.value) == f"line 8, column 15: {_IN_AN_ELEMENT} [undeclared-symbol]"
+    with pytest.raises(ParseError) as err:
+        parse_expression(parse_presentation(_U), "x1*u")
+    assert str(err.value) == f"line 1, column 4: {_IN_AN_ELEMENT} [undeclared-symbol]"
+
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_NAMES if "\ndgens " in corpus_source(n)])
+def test_a_dgens_line_may_come_before_the_symbols_it_names(name):
+    lines = corpus_source(name).splitlines(keepends=True)
+    dgens = next(line for line in lines if line.startswith("dgens "))
+    first = [dgens] + [line for line in lines if line is not dgens]
+    assert parse_presentation("".join(first)) == parse_presentation(corpus_source(name))
+
+
+@pytest.mark.parametrize("dgens", ["x1 x2", "x2 x1"])
+def test_dgens_above_gens_certifies_like_gens_above_dgens(dgens):
+    # the generators keep the order of the gens line whatever the dgens line says
+    below = f"name o\ngens x1 x2\nrel x2 x1 = x1 x2\ncalculus mode=flat\ndgens {dgens}\n"
+    above = f"name o\ndgens {dgens}\nrel x2 x1 = x1 x2\ncalculus mode=flat\ngens x1 x2\n"
+    docs = [parse_presentation(below), parse_presentation(above)]
+    assert docs[0] == docs[1]
+    assert render_presentation(docs[1]) == below
+    assert [run_smooth(doc).verdict for doc in docs] == ["certified-smooth"] * 2
+
+
+def test_a_name_repeated_on_one_dgens_line_is_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_presentation("name d\ngens x\ncalculus mode=flat\ndgens x x\n")
+    assert str(err.value) == "line 4, column 0: dgen 'x' repeated [duplicate-symbol]"
+
+
+# -- input nested past the interpreter's stack ---------------------------------------
+
+
+_WEYL = corpus_doc("weyl")
+
+
+@pytest.mark.parametrize("expr", [
+    pytest.param("(" * 3000 + "x1" + ")" * 3000, id="parentheses"),
+    pytest.param("-" * 5000 + "x1", id="unary-minus"),
+])
+def test_an_expression_nested_too_deeply_is_a_parse_error(expr):
+    with pytest.raises(ParseError) as err:
+        parse_expression(_WEYL, expr)
+    assert str(err.value) == "line 1, column 0: expression nested too deeply [too-deep]"
+
+
+def test_a_twist_nested_too_deeply_is_a_parse_error():
+    source = "name d\ngens x\ncalculus mode=flat\ndgens x\ntwist x: x -> " + "(" * 2000 + "x" + ")" * 2000 + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(source)
+    assert str(err.value) == "line 5, column 0: expression nested too deeply [too-deep]"
+
+
+def test_a_hundred_nested_parentheses_still_parse():
+    assert parse_expression(_WEYL, "(" * 100 + "x1" + ")" * 100) == parse_expression(_WEYL, "x1")
+    assert parse_expression(_WEYL, "-" * 100 + "x1") == parse_expression(_WEYL, "x1")
+
+
+# -- options ------------------------------------------------------------------------
+
+
+def test_an_option_set_twice_is_rejected_on_one_line_or_two():
+    with pytest.raises(ParseError) as err:
+        parse_presentation(_POLY + "options seed=1 samples=3 seed=2\n")
+    assert str(err.value) == "line 6, column 26: option 'seed' set twice [duplicate-option]"
+    with pytest.raises(ParseError) as err:
+        parse_presentation(_POLY + "options seed=1\noptions samples=3 seed=1\n")
+    assert str(err.value) == "line 7, column 19: option 'seed' set twice [duplicate-option]"

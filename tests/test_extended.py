@@ -684,3 +684,25 @@ def test_the_frame_is_built_once(name):
     assert P.frame() is frame
     assert isinstance(frame, tuple) and len(frame) == P.ring.nvars + P.n
     assert all(sym == P.symbol(k) for k, sym in enumerate(frame))
+
+
+def test_the_power_memo_holds_what_the_recursion_held():
+    # the shear twist's powers of x, filled upward in a loop: the keys, in
+    # the order the recursion stored them, and the same products
+    calc = run_calculus_check(corpus_doc("jordan"))
+    P = calc.P
+    twist = AlgebraEndo(P, calc.spec.dgens[0].twist.images, check=False)
+    want = {}
+
+    def power(s, k):
+        if (s, k) not in want:
+            want[(s, k)] = twist.images[s] if k == 1 else P.multiply(power(s, k - 1), twist.images[s])
+        return want[(s, k)]
+
+    for tvec, e in (((1,), (3,)), ((2,), (1,)), ((0,), (6,))):
+        twist.apply(P.monomial(e, P.ring.monomial(tvec)))
+        for s, k in enumerate(tvec + e):
+            if k:
+                power(s, k)
+    assert list(twist._power_memo) == list(want)
+    assert all(twist._power_memo[key] == want[key] for key in want)
