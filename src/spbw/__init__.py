@@ -11,7 +11,7 @@ from .coefficients import (
     apply_sder,
     commutation_audit,
 )
-from .calculus import CalculusSpec, DGen, DiffForm, IntegralForm, build_calculus, theorem_spec
+from .calculus import CalculusSpec, DGen, DiffForm, build_calculus, theorem_spec
 from .core import Presentation, SkewPoly
 from .corpus import CORPUS_NAMES, corpus_doc, corpus_source
 from .dsl import ParseError, PresentationDoc, build_presentation, parse_presentation, render_presentation

@@ -27,11 +27,11 @@ from .errors import CompatibilityError, ConfigError, MapError, NotAVolumeFormErr
 from .extended import AlgebraEndo, extend_sigma, hypothesis_check
 from .lincomb import LinComb, add_term, add_terms, sum_terms
 from .linalg import inverse, kernel_basis
-from .sampling import random_skew
 from .scalars import Scalar
 
 THEOREM_MODE = "theorem"
 FLAT_MODE = "flat"
+NO_INTEGRABILITY = "divergence transport requested without an integrability certificate"
 
 
 @dataclass
@@ -67,38 +67,11 @@ class DiffForm(LinComb):
         return DiffForm(terms)
 
 
-class IntegralForm(LinComb):
-    """Right-linear functional on forms of one degree, stored by its values
-    on the wedge basis: ``phi(du_S * f) = terms[S] * f``."""
-
-    __slots__ = ("degree",)
-
-    def __init__(self, degree: int, terms: dict):
-        self.degree = degree
-        self.terms = terms
-
-    def _make(self, terms) -> "IntegralForm":
-        return IntegralForm(self.degree, terms)
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not IntegralForm:
-            return NotImplemented
-        return self.degree == other.degree and LinComb.__eq__(self, other)
-
-
 @dataclass
 class CheckOutcome:
     ok: bool
     witnesses: list = field(default_factory=list)
     data: dict = field(default_factory=dict)
-
-
-def _require_integrable(integrable: bool):
-    """The sampled divergence checks transport d, and the transported
-    divergences are defined only on an integrable calculus: they need a
-    passed integrability check."""
-    if not integrable:
-        raise ConfigError("divergence transport requested without an integrability certificate")
 
 
 def _peel(expo):
@@ -143,16 +116,14 @@ class Calculus:
     compatibility read d from there, and the connectedness sweep reads and
     fills it in the same order; the nonzero dcoords of each symbol and the
     terms of the twist images each step reads are taken once, into
-    ``_dterms`` and ``_twist_terms``), ``_nabla`` memoizes the transported
-    divergence of every basis functional it meets in ``_nabla_memo``,
-    ``_basis_product`` memoizes the merged set and crossing factor of every
-    pair of wedge basis sets in ``_basis_memo``, ``_unit_form`` builds each
-    unit form ``du_S`` once, into ``_unit_forms``, ``d0`` builds the form of
-    each single monomial once, into ``_d0_forms``, and
-    ``_generator_certificate`` and ``_transport_certificate`` record their
-    verdicts in ``_generators_certified`` and ``_transport_certified``.  A
-    passed integrability check is not recorded: the divergence checks take
-    it as their ``integrable`` argument.  These and the memo tables of the
+    ``_dterms`` and ``_twist_terms``), ``_basis_product`` memoizes the
+    merged set and crossing factor of every pair of wedge basis sets in
+    ``_basis_memo``, ``_unit_form`` builds each unit form ``du_S`` once,
+    into ``_unit_forms``, ``d0`` builds the form of each single monomial
+    once, into ``_d0_forms``, ``_generator_certificate`` records its verdict
+    in ``_generators_certified``, and ``_integrability_failure`` its witness
+    (or that there is none) in ``_integrability_failed``; the divergence
+    checks read both.  These and the memo tables of the
     presentation (``_mono_cache``) and the twists and their stored inverses
     (``_power_memo`` and ``_monomial_memo`` for a map that does not rescale;
     a map that rescales each symbol fills only ``_weights``, one scalar per
@@ -173,14 +144,13 @@ class Calculus:
         self._dterms = None  # per symbol: the (i, Scalar) of its nonzero dcoords
         self._d_memo = {(0,) * self.nsyms: {}}  # frame exponent -> coordinates of d
         self._twist_terms = [[_image_terms(dg.twist, s) for s in range(self.nsyms)] for dg in spec.dgens]
-        self._nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
         self._basis_memo: dict = {}  # (S, T) -> du_S ^ du_T as (merged set, factor), or None
         self._unit_forms: dict = {}  # S -> du_S with the unit coefficient
         self._d0_forms: dict = {}  # frame exponent -> d0 of its monomial
         self._one = P.ring.sone()
         self._volume = None
         self._generators_certified = None
-        self._transport_certified = None
+        self._integrability_failed = None  # "" once (a), (c) and (d) hold, else the first failure's witness
 
     # -- setup ----------------------------------------------------------------
 
@@ -454,34 +424,48 @@ class Calculus:
 
     def _generator_certificate(self) -> bool:
         """(a) and (b) of :meth:`d_squared_check`, decided once and kept in
-        ``_generators_certified``; the transport certificate builds on the
-        same verdict."""
+        ``_generators_certified``; the divergence checks build on the same
+        verdict."""
         if self._generators_certified is None:
-            self._generators_certified = self._twists_commute() and self._d_respects_twisting()
+            self._generators_certified = self._noncommuting_twists() is None and self._d_respects_twisting()
         return self._generators_certified
 
-    def _twists_commute(self) -> bool:
-        """Condition (a) of :meth:`d_squared_check`.  Two rescaling twists
-        commute, since scalars are central, so only a pair with some other
-        map is compared on the frame."""
+    def _noncommuting_twists(self) -> str | None:
+        """Condition (a) of :meth:`d_squared_check`: None when it holds,
+        else the first pair of twists and frame symbol on which the two
+        composites differ, as a witness.  Two rescaling twists commute,
+        since scalars are central, so only a pair with some other map is
+        compared on the frame."""
         twists = [dg.twist for dg in self.spec.dgens]
-        return all(
-            ti._scales is not None and tj._scales is not None
-            or all(ti.apply(tj.images[s]) == tj.apply(ti.images[s]) for s in range(self.nsyms))
-            for ti, tj in combinations(twists, 2)
-        )
+        for (i, ti), (j, tj) in combinations(enumerate(twists), 2):
+            if ti._scales is not None and tj._scales is not None:
+                continue
+            for s in range(self.nsyms):
+                if ti.apply(tj.images[s]) != tj.apply(ti.images[s]):
+                    return (f"the twists of {self._render_basis((i,))} and {self._render_basis((j,))} "
+                            f"do not commute on {self.P.render(self.P.frame()[s])}")
+        return None
 
     def _d_respects_twisting(self) -> bool:
-        """Condition (b) of :meth:`d_squared_check`: per frame symbol and
-        twist, one :meth:`left_multiply` and one :meth:`differential` of a
-        one-form, and two wedges."""
+        """Condition (b) of :meth:`d_squared_check`, whose witness
+        :meth:`_twisting_failure` finds."""
+        return self._twisting_failure() is None
+
+    def _twisting_failure(self) -> str | None:
+        """(b) of :meth:`d_squared_check`: None when it holds, else the
+        first frame symbol s and index i at which it fails, with the
+        nonzero two-form ``d0(s) ^ du_i - d(du_i nu_i(s))``, as a witness.
+        Per frame symbol and twist, one :meth:`left_multiply` and one
+        :meth:`differential` of a one-form, and two wedges."""
         units = [self._unit_form((i,)) for i in range(self.N)]
         for sym in self.P.frame():
             ds = self.d0(sym)
-            for du in units:
-                if self.wedge(ds, du) != self.differential(self.left_multiply(sym, du)):
-                    return False
-        return True
+            for i, du in enumerate(units):
+                left, right = self.wedge(ds, du), self.differential(self.left_multiply(sym, du))
+                if left != right:
+                    return (f"d0(s) ^ du_i != d(du_i nu_i(s)) at s = {self.P.render(sym)}, "
+                            f"du_i = {self._render_basis((i,))}, difference {self.render_form(left - right)}")
+        return None
 
     def _d_squared_upto(self, degree_bound: int) -> CheckOutcome:
         """d(d(m)) = 0 for every normal monomial up to the bound and for the
@@ -555,9 +539,6 @@ class Calculus:
 
     # -- volume -------------------------------------------------------------------------
 
-    def pi_omega(self, form: DiffForm) -> SkewPoly:
-        return form.terms.get(tuple(range(self.N)), self.P.zero())
-
     def volume(self) -> AlgebraEndo:
         """The volume twist nu, computed by pushing each symbol through the
         top form, so ``a * omega = omega * nu(a)`` holds by construction;
@@ -578,28 +559,11 @@ class Calculus:
 
     def _transport_certificate(self) -> bool:
         """Integrability, the product rule of the bottom divergence and
-        flatness, decided exactly from the frame generators; memoized in
-        ``_transport_certified``.  When it fails, each of the three checks
-        runs its sampled fallback, which supplies the witnesses.
-
-        Notation.  ``nu_S`` is the twist of ``du_S`` (``a du_S = du_S
-        nu_S(a)``, :meth:`twist_apply_set`) and ``nu_S^-1`` the stored
-        inverses applied in the opposite order (:meth:`twist_inv_apply_set`);
-        ``du_S ^ du_T = w(S, T) du_(S+T)``; for a set S of size k, C is its
-        complement and ``e_k = (-1)^((N-1)k)`` the sign of the transport;
-        ``xi_C g`` is the functional with value g on ``du_C``.  The code
-        computes, for every k and every a in A,
-
-            theta(k)(du_S f) = xi_C e_k w(S, C) nu_C(f),
-            theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g),
-            (phi . a)_T = phi_T nu_T(a)
-
-        (:meth:`theta`, :meth:`theta_inv`, :meth:`right_action`).  On ``du_T
-        g`` both sides of each vanish unless T is the set the formula names,
-        and then agree: ``du_S f ^ du_C g = w(S, C) du_full nu_C(f) g`` and
-        ``a du_T g = du_T nu_T(a) g``.  The certificate requires the d^2
-        certificate ((a) and (b) of :meth:`d_squared_check`, from
-        :meth:`_generator_certificate`), and then checks:
+        flatness, decided exactly from the frame generators: integrability
+        by (a), (c) and (d) (:meth:`_integrability_failure`), and the two
+        divergence stages by (a) to (d), the d^2 certificate ((a) and (b) of
+        :meth:`d_squared_check`, from :meth:`_generator_certificate`) with
+        the two parts checked here:
 
         (c) every stored twist inverse respects every defining relation
             (:meth:`AlgebraEndo.broken_relation`, by the weights when the
@@ -608,19 +572,32 @@ class Calculus:
             j and every frame symbol s, applying the stored maps to the
             twist images.
 
-        The formulas above, and the expansion of :meth:`_expands`, belong to
-        the code, not to the input, so the certificate evaluates none of
-        them; the tier-1 tests pin them on every corpus calculus and every
-        wide document of ``tests/conftest.py``.
-        ``test_dual_action_visits_only_the_sets_that_meet_the_support``
-        compares theta and the action with their definitions ``theta(k)(w)
-        (w') = e_k pi(w ^ w')`` and ``(phi . a)(w') = phi(a w')`` in every
-        degree, ``test_transport_inverts_in_every_degree`` runs the round
-        trips, and
-        ``test_negated_transport_component_fails_divergence_leibniz``
-        evaluates the expansion identity on ``du_S s`` for every S of size
-        N-1 and the product rule on ``xi_i . s`` for every i and frame
-        symbol s, which a theta_inv with one component negated fails.
+        A part that fails is reported, never sampled: integrability fails
+        with the witness of the first of (a), (c) and (d) that fails, and
+        each divergence stage is an error that names its missing
+        prerequisite (:meth:`_require_transport_certificate`).
+
+        Notation.  ``nu_S`` is the twist of ``du_S`` (``a du_S = du_S
+        nu_S(a)``, :meth:`twist_apply_set`) and ``nu_S^-1`` the stored
+        inverses applied in the opposite order (:meth:`twist_inv_apply_set`);
+        ``du_S ^ du_T = w(S, T) du_(S+T)``; for a set S of size k, C is its
+        complement and ``e_k = (-1)^((N-1)k)`` the sign of the transport;
+        ``xi_C g`` is the functional with value g on ``du_C``.  The
+        transport, its inverse and the right action are, for every k and
+        every a in A,
+
+            theta(k)(du_S f) = xi_C e_k w(S, C) nu_C(f),
+            theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g),
+            (phi . a)_T = phi_T nu_T(a).
+
+        On ``du_T g`` both sides of each vanish unless T is the set the
+        formula names, and then agree: ``du_S f ^ du_C g = w(S, C) du_full
+        nu_C(f) g`` and ``a du_T g = du_T nu_T(a) g``.  No stage computes
+        them: ``Transport`` in ``tests/conftest.py`` does, as the oracle of
+        the tier-1 tests, which pin the formulas against their definitions
+        ``theta(k)(w)(w') = e_k pi(w ^ w')`` and ``(phi . a)(w') = phi(a
+        w')`` in every degree, the round trips, the expansion identity and
+        the product rule on every corpus calculus and every wide document.
 
         Why it suffices.  The twists are algebra maps (``AlgebraEndo``
         verifies them on every relation) and by (c) so are the stored
@@ -634,10 +611,10 @@ class Calculus:
         algebra maps, which (d) makes the identity on the frame and hence on
         all of A: every stored ``nu_j^-1`` is a two-sided inverse of nu_j,
         and ``nu_C^-1``, applied in the opposite order, inverts ``nu_C`` for
-        every C.  The scalars
-        ``e_k`` and ``w`` are nonzero, central and fixed by every map, so by
-        the formulas above ``theta(k)`` and ``theta_inv(k)`` are mutually
-        inverse for every k, whatever the coefficients.
+        every C.  The scalars ``e_k`` and ``w`` are nonzero, central and
+        fixed by every map, so by the formulas above ``theta(k)`` and
+        ``theta_inv(k)`` are mutually inverse for every k, whatever the
+        coefficients.
 
         theta is right A-linear, ``theta(k)(w a) = theta(k)(w) . a``,
         because nu_C is multiplicative: ``theta(k)(du_S f a) = xi_C e_k w(S,
@@ -645,13 +622,20 @@ class Calculus:
         theta_inv: ``theta_inv(phi . a) = theta_inv(theta(theta_inv phi) .
         a) = theta_inv(phi) a``.
 
-        Integrability.  For the target ``du_S f`` only Q = C contributes to
-        the expansion sum (every other Q repeats an index of S), and the sum
-        is ``du_S T(f)`` with ``T = nu_S o nu^-1 o nu_C``, nu the volume
-        twist: the factors ``w(S, C)`` and its inverse from the complement
-        form cancel.  The stored ``nu^-1`` has the images of ``nu_full^-1``,
-        an algebra map by (c), so it is ``nu_full^-1``; the twists commute by
-        (a), so T is the identity for every S and every f.
+        Integrability.  The expansion identity over the wedge generators
+        for ``du_S f`` sums ``complement(Q) * nu^-1(pi(du_S f ^ du_Q))``
+        over the sets Q of size N - |S|, nu the volume twist and
+        ``complement(Q)`` the form ``du_S`` times the inverse of the crossing
+        factor of ``du_S ^ du_Q``.  Only Q = C contributes (every other Q
+        repeats an index of S), and the sum is ``du_S T(f)`` with ``T = nu_S
+        o nu^-1 o nu_C``: the factors ``w(S, C)`` and its inverse cancel.
+        The stored ``nu^-1`` has the images of ``nu_full^-1``, an algebra
+        map by (c), so by (d) it is the inverse of nu; the twists commute by
+        (a), so T is the identity for every S and every f.  No step uses
+        (b).  The basis counterpart, ``sum_S du_S * pi(complement(S) ^
+        du_S0) = du_S0``, holds by construction: the term for S = S0 is
+        ``du_S0``, for S != S0 an index of S0 lies in the complement of S
+        and the wedge is zero, and the twists fix scalars.
 
         The product rule.  Let phi have degree one, ``w = theta_inv(N-1)
         (phi)`` and a in A.  Then ``theta_inv(phi . a) = w a``.  The d^2
@@ -667,243 +651,84 @@ class Calculus:
         Flatness.  ``nabla_(N-1) o nabla_(N-2) = theta(N) d theta_inv(N-1)
         theta(N-1) d theta_inv(N-2) = theta(N) d^2 theta_inv(N-2) = 0``.
 
-        Each divergence is linear over the base field, and :meth:`_nabla`
-        extends its memoized basis images linearly, so it computes these
-        composites.  The certificate transports nothing and draws nothing
-        from the run's random generator."""
-        if self._transport_certified is None:
-            self._transport_certified = (
-                self._generator_certificate()
-                and self._inverses_are_algebra_maps()
-                and self._transport_round_trips()
+        Both divergence arguments use d^2 = 0, which is why they need (b)."""
+        return self._generator_certificate() and self._integrability_failure() is None
+
+    def _integrability_failure(self) -> str | None:
+        """None when (a), (c) and (d) of :meth:`_transport_certificate`
+        hold, else the witness of the first of them that fails; decided
+        once, into ``_integrability_failed``.  (a) is not searched again
+        once the d^2 certificate, which contains it, has passed."""
+        if self._integrability_failed is None:
+            self._integrability_failed = (
+                (None if self._generators_certified else self._noncommuting_twists())
+                or self._inverse_breaking_a_relation()
+                or self._inverse_not_undoing_its_twist()
+                or ""
             )
-        return self._transport_certified
+        return self._integrability_failed or None
 
-    def _inverses_are_algebra_maps(self) -> bool:
+    def _inverse_breaking_a_relation(self) -> str | None:
         """(c) of :meth:`_transport_certificate`, decided by
-        :meth:`AlgebraEndo.broken_relation`: by the weights when the stored
-        inverse rescales."""
-        return all(dg.twist.inverse.broken_relation() is None for dg in self.spec.dgens)
+        :meth:`AlgebraEndo.broken_relation` (by the weights when the stored
+        inverse rescales): None when it holds, else the first stored
+        inverse and the relation it breaks, as a witness."""
+        for dg in self.spec.dgens:
+            label = dg.twist.inverse.broken_relation()
+            if label is not None:
+                return f"the stored inverse of the twist of d({dg.name}) does not respect relation {label}"
+        return None
 
-    def _transport_round_trips(self) -> bool:
-        """(d) of :meth:`_transport_certificate`: each stored inverse undoes
-        its twist on every frame symbol, from both sides.  The side
-        ``nu^-1(nu(s)) = s`` is what a checked :class:`AlgebraEndo` verifies
-        at construction, so it is skipped while the stored inverse is the
-        one that check verified."""
+    def _inverse_not_undoing_its_twist(self) -> str | None:
+        """(d) of :meth:`_transport_certificate`: None when each stored
+        inverse undoes its twist on every frame symbol, from both sides,
+        else the first twist and symbol where it does not, as a witness.
+        The side ``nu^-1(nu(s)) = s`` is what a checked :class:`AlgebraEndo`
+        verifies at construction, so it is skipped while the stored inverse
+        is the one that check verified."""
         frame = self.P.frame()
-        return all(
-            (twist._verified_inverse is twist.inverse or twist.inverse.apply(twist.images[s]) == sym)
-            and twist.apply(twist.inverse.images[s]) == sym
-            for twist in (dg.twist for dg in self.spec.dgens)
-            for s, sym in enumerate(frame)
-        )
+        for dg in self.spec.dgens:
+            twist = dg.twist
+            for s, sym in enumerate(frame):
+                if not (
+                    (twist._verified_inverse is twist.inverse or twist.inverse.apply(twist.images[s]) == sym)
+                    and twist.apply(twist.inverse.images[s]) == sym
+                ):
+                    return f"the stored inverse of the twist of d({dg.name}) does not undo it on {self.P.render(sym)}"
+        return None
 
-    # -- integrability ---------------------------------------------------------------------
+    def _require_transport_certificate(self):
+        """Raise the missing prerequisite of the divergence stages as a
+        :class:`ConfigError`, unless (a) to (d) all hold: integrability's
+        when (a), (c) or (d) fails, and otherwise the witness of (b)."""
+        if self._integrability_failure() is not None:
+            raise ConfigError(NO_INTEGRABILITY)
+        if not self._generator_certificate():
+            raise ConfigError(f"divergence transport requested without a d^2 certificate: {self._twisting_failure()}")
 
-    def _expands(self, S0, f: SkewPoly) -> bool:
-        """The expansion identity over the wedge generators for ``du_S0 *
-        f``, through the inverse volume twist: summing ``complement(Q) *
-        nu^-1(pi_omega(du_S0 f ^ du_Q))`` over the sets Q of size N - |S0|
-        gives ``du_S0 f`` back.  Only the complement Q of S0 contributes,
-        since every other Q of that size meets S0 and the wedge repeats an
-        index; its complement form is ``du_S0`` times the inverse of the
-        crossing factor of ``du_S0 ^ du_Q``."""
-        Q = self._complement(S0)
-        _, factor = self._basis_product(S0, Q)
-        target = self.form(S0, f)
-        top = self.pi_omega(self.wedge(target, self._unit_form(Q)))
-        complement = self.form(S0, self.P.const(factor.inverse()))
-        return self.left_multiply(self.volume().inverse.apply(top), complement) == target
+    # -- the three transport stages ---------------------------------------------------------
 
-    def integrability_check(self, sample_count: int, degree_bound: int, rng) -> CheckOutcome:
-        """The expansion identity of :meth:`_expands` on every
-        coefficient-carrying form, decided by the transport certificate,
-        which derives it from (a), (c) and (d) and does not evaluate it, or
-        on sampled forms when that fails.
+    def integrability_check(self) -> CheckOutcome:
+        """The expansion identity on every coefficient-carrying form,
+        decided by (a), (c) and (d) of :meth:`_transport_certificate`; a
+        failed part is the witness."""
+        failure = self._integrability_failure()
+        return CheckOutcome(failure is None, [failure] if failure else [])
 
-        Its basis counterpart, ``sum_S du_S * pi_omega(complement(S) ^ du_S0)
-        = du_S0``, holds by construction and is not checked: the coefficient
-        of ``complement(S)`` is the inverse of the crossing factor of
-        ``complement(S) ^ du_S``, so the term for S = S0 is ``du_S0``; for
-        S != S0 an index of S0 lies in the complement of S and the wedge is
-        zero; and the twists fix scalars."""
-        if self._transport_certificate():
-            return CheckOutcome(True)
-        return self._integrability_sampled(sample_count, degree_bound, rng)
-
-    def _integrability_sampled(self, sample_count: int, degree_bound: int, rng) -> CheckOutcome:
-        """The expansion identity on ``sample_count`` sampled forms per
-        degree, stopping at the first failure in each degree."""
-        self.volume()  # a rejected volume twist errors before any draw
-        witnesses = []
-        for k in range(1, self.N):
-            gen_sets = list(combinations(range(self.N), k))
-            for _ in range(sample_count):
-                S0 = gen_sets[rng.randrange(len(gen_sets))]
-                f = random_skew(self.P, rng, degree_bound)
-                if not self._expands(S0, f):
-                    witnesses.append(
-                        f"coefficient expansion fails for du{list(S0)} * ({self.P.render(f)})"
-                    )
-                    break
-        return CheckOutcome(not witnesses, witnesses[:5])
-
-    # -- integral forms and divergences ---------------------------------------------------------
-
-    def integral_basis(self, degree: int):
-        return [self._dual_basis(S) for S in combinations(range(self.N), degree)]
-
-    def _dual_basis(self, S) -> IntegralForm:
-        return IntegralForm(len(S), {tuple(S): self.P.one()})
-
-    def evaluate(self, phi: IntegralForm, form: DiffForm) -> SkewPoly:
-        acc: dict = {}
-        for S, f in form.terms.items():
-            if len(S) != phi.degree:
-                raise ConfigError("form degree does not match the functional")
-            v = phi.terms.get(S)
-            if v is not None:
-                add_terms(acc, self.P.multiply(v, f).terms)
-        return SkewPoly(acc, self.P.n)
-
-    def right_action(self, phi: IntegralForm, a: SkewPoly) -> IntegralForm:
-        """``phi . a`` for a in A, ``(phi . a)(w) = phi(a w)``: since ``a du_T
-        = du_T nu_T(a)``, ``(phi . a)_T = phi_T nu_T(a)``, keys in increasing
-        order."""
-        values = {}
-        for T in sorted(phi.terms):
-            value = self.P.multiply(phi.terms[T], self.twist_apply_set(T, a))
-            if not value.is_zero():
-                values[T] = value
-        return IntegralForm(phi.degree, values)
-
-    def _complement(self, S) -> tuple:
-        return tuple(i for i in range(self.N) if i not in S)
-
-    def theta(self, k: int, form: DiffForm) -> IntegralForm:
-        """Transport a k-form to a functional of degree N-k by the formula
-        ``theta(k)(du_S f) = xi_C e_k w(S, C) nu_C(f)`` of
-        :meth:`_transport_certificate`, keys in increasing order; the
-        alternating sign keeps the transported divergence an honest Leibniz
-        map."""
-        if any(len(S) != k for S in form.terms):
-            raise ConfigError("form degree does not match the transport")
-        values = {}
-        for C, S in sorted((self._complement(S), S) for S in form.terms):
-            value = self.twist_apply_set(C, form.terms[S]).scale(self._transport_scale(S, C))
-            if not value.is_zero():
-                values[C] = value
-        return IntegralForm(self.N - k, values)
-
-    def theta_inv(self, k: int, phi: IntegralForm) -> DiffForm:
-        """Explicit inverse of the transport on the wedge basis:
-        ``theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g)``."""
-        if phi.degree != self.N - k:
-            raise ConfigError("functional degree does not match the transport")
-        acc: dict = {}
-        # each set S of size k whose complement phi has a value on, in
-        # increasing order
-        for S, comp in sorted((self._complement(C), C) for C in phi.terms):
-            scale = self._transport_scale(S, comp).inverse()
-            coeff = self.twist_inv_apply_set(comp, phi.terms[comp].scale(scale))
-            add_terms(acc, self.form(S, coeff).terms)
-        return DiffForm(acc)
-
-    def _transport_scale(self, S, C) -> Scalar:
-        """``e_k w(S, C)``, k the size of S: the scale of :meth:`theta`,
-        which :meth:`theta_inv` inverts."""
-        _, w = self._basis_product(S, C)
-        return -w if ((self.N - 1) * len(S)) % 2 else w
-
-    def _nabla(self, k: int, phi: IntegralForm) -> IntegralForm:
-        """The divergence from functionals of degree N-k to degree N-k-1,
-        ``theta(k+1, d(theta_inv(k, .)))``.
-
-        Every factor is linear over the base field, so a functional's image
-        is the scalar-weighted sum of the images of its basis functionals
-        ``xi_S * t^beta x^alpha`` (the value ``t^beta x^alpha`` on
-        ``du_S``), each transported once and kept in ``_nabla_memo``."""
-        if phi.degree != self.N - k:
-            raise ConfigError("functional degree does not match the transport")
-        acc: dict = {}
-        for S, v in phi.terms.items():
-            for e, c in v.terms.items():
-                for tvec, s in c.terms.items():
-                    add_terms(acc, self._nabla_basis(k, S, tvec, e).scale(s).terms)
-        return IntegralForm(self.N - k - 1, acc)
-
-    def _nabla_basis(self, k: int, S, tvec, e) -> IntegralForm:
-        """The transported divergence of ``xi_S * t^tvec x^e``, memoized."""
-        key = (k, S, tvec, e)
-        image = self._nabla_memo.get(key)
-        if image is None:
-            P = self.P
-            basis = IntegralForm(len(S), {S: P.monomial(e, P.ring.monomial(tvec))})
-            image = self.theta(k + 1, self.differential(self.theta_inv(k, basis)))
-            self._nabla_memo[key] = image
-        return image
-
-    def _bottom_divergence(self, phi: IntegralForm) -> SkewPoly:
-        """The bottom divergence, from degree-one functionals to A."""
-        return self._nabla(self.N - 1, phi).terms.get((), self.P.zero())
-
-    def _product_rule_holds(self, phi: IntegralForm, a: SkewPoly, nabla_phi: SkewPoly, da: DiffForm) -> bool:
-        """``nabla(phi . a) == nabla(phi) a + phi(d a)``, nabla the bottom
-        divergence, given ``nabla_phi = nabla(phi)`` and ``da = d0(a)``."""
-        lhs = self._bottom_divergence(self.right_action(phi, a))
-        return lhs == self.P.multiply(nabla_phi, a) + self.evaluate(phi, da)
-
-    def divergence_leibniz_check(self, integrable: bool, samples: int, degree: int, rng) -> CheckOutcome:
+    def divergence_leibniz_check(self) -> CheckOutcome:
         """The product rule of the bottom divergence, decided by the
-        transport certificate, or on sampled pairs when that fails; the
-        sampled pairs need ``integrable``, a passed integrability check."""
-        if self._transport_certificate():
-            return CheckOutcome(True)
-        _require_integrable(integrable)
-        return self._divergence_leibniz_sampled(samples, degree, rng)
+        transport certificate; an error names the part that is missing."""
+        self._require_transport_certificate()
+        return CheckOutcome(True)
 
-    def _divergence_leibniz_sampled(self, samples: int, degree: int, rng) -> CheckOutcome:
-        """The product rule on ``samples`` sampled pairs, stopping at the
-        first failure."""
-        witnesses = []
-        for _ in range(samples):
-            values = {}
-            for i in range(self.N):
-                f = random_skew(self.P, rng, degree, max_terms=2)
-                if not f.is_zero():
-                    values[(i,)] = f
-            phi = IntegralForm(1, values)
-            a = random_skew(self.P, rng, degree, max_terms=2)
-            if not self._product_rule_holds(phi, a, self._bottom_divergence(phi), self.d0(a)):
-                witnesses.append(
-                    f"product rule fails at a = {self.P.render(a)} with {self.render_functional(phi)}"
-                )
-                break
-        return CheckOutcome(not witnesses, witnesses)
-
-    def flatness_check(self, integrable: bool) -> CheckOutcome:
+    def flatness_check(self) -> CheckOutcome:
         """Curvature of the two bottom divergences, decided by the transport
-        certificate; when that fails, walked on the dual basis of the
-        two-forms, which needs ``integrable``, a passed integrability check.
-        Vacuous below dimension two."""
+        certificate; an error names the part that is missing.  Vacuous below
+        dimension two."""
         if self.N < 2:
             return CheckOutcome(True, [], {"vacuous": True})
-        if self._transport_certificate():
-            return CheckOutcome(True)
-        _require_integrable(integrable)
-        return self._flatness_on_basis()
-
-    def _flatness_on_basis(self) -> CheckOutcome:
-        """The curvature on the unit dual basis of the two-forms.  It cannot
-        fail: ``theta_inv`` gives each unit functional a scalar coefficient,
-        which d kills."""
-        witnesses = []
-        for phi in self.integral_basis(2):
-            out = self._bottom_divergence(self._nabla(self.N - 2, phi))
-            if not out.is_zero():
-                witnesses.append(f"curvature nonzero on du{list(next(iter(phi.terms)))}")
-        return CheckOutcome(not witnesses, witnesses)
+        self._require_transport_certificate()
+        return CheckOutcome(True)
 
     # -- rendering --------------------------------------------------------------------------
 
@@ -917,14 +742,6 @@ class Calculus:
         for S in sorted(form.terms, key=lambda s: (len(s), s)):
             parts.append(f"{self._render_basis(S)}*({self.P.render(form.terms[S])})")
         return " + ".join(parts)
-
-    def render_functional(self, phi: IntegralForm) -> str:
-        """phi's value on every wedge basis form of its degree, zeros
-        included, so that a sampled functional can be rebuilt from it."""
-        return ", ".join(
-            f"phi({self._render_basis(S)}) = {self.P.render(phi.terms.get(S, self.P.zero()))}"
-            for S in combinations(range(self.N), phi.degree)
-        )
 
 
 def build_calculus(P: Presentation, spec: CalculusSpec) -> Calculus:

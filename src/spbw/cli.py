@@ -10,11 +10,12 @@
     spbw corpus [--write DIR]
 
 FILE is a path to a ``.spbw`` document or ``corpus:NAME`` for a built-in
-entry.  ``--max-degree`` sets ``gk_degree``.  An option a command does
-not read is a usage error.  Exit codes: 0 when a verdict or result was
-produced (including not-certified), 1 when a check hard-failed, 2 on usage,
-parse or configuration errors, a path that cannot be read or written among
-them.
+entry.  ``--max-degree`` sets ``gk_degree``; ``--samples`` and ``--seed``
+set options that the report echoes and no stage reads.  An option a
+command does not read is a usage error.  Exit codes: 0 when a verdict or
+result was produced (including not-certified), 1 when a check hard-failed,
+2 on usage, parse or configuration errors, a path that cannot be read or
+written among them.
 """
 
 from __future__ import annotations

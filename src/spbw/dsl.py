@@ -48,10 +48,11 @@ DEFAULT_OPTIONS = {
 # the start of its closed-form table, and the overlap check walks its words at
 # length 3 whatever `pbw_degree` says; the `gk_degree` and `pbw_degree` floors
 # stay so that the documents accepted today still are, with the same reports.
-# `dsq_degree` and `samples`/`sample_degree` are the witness budgets of the
-# searched d^2 check and of the sampled integrability and product-rule checks,
-# which run only when their certificate fails; a fallback with no budget
-# would pass without looking.
+# `dsq_degree` is the witness budget of the searched d^2 check, which runs
+# only when its certificate fails; a search with no budget would pass without
+# looking.  `seed`, `samples` and `sample_degree` decide nothing: no stage
+# samples, and the report echoes them because the `spbw-report/1` records
+# carry them.
 OPTION_MINIMUMS = {
     "samples": 1,
     "sample_degree": 1,
@@ -500,9 +501,10 @@ class _Parser:
 
     def _declare(self, ts, line_no, keyword):
         """A ``params``, ``coeffs`` or ``gens`` line.  A name listed on a
-        ``dgens`` line takes its place among these, in either order."""
+        ``dgens`` line takes its place among the coefficient variables or
+        generators, in either order; no parameter may share it."""
         for n in self._idents(ts, line_no, at_least=int(keyword == "gens")):
-            if self.kinds.get(n, "dgen") != "dgen" or n in _KEYWORDS:
+            if self.kinds.get(n, "dgen") != "dgen" or n in _KEYWORDS or keyword == "params" and n in self.kinds:
                 raise ParseError(line_no, 0, "duplicate-symbol", f"symbol {n!r} already declared")
             self.kinds.pop(n, None)
             self.kinds[n] = _KINDS[keyword]
@@ -533,6 +535,8 @@ class _Parser:
         for n in self._idents(ts, line_no, at_least=1):
             if n in self.dgen_names:
                 raise ParseError(line_no, 0, "duplicate-symbol", f"dgen {n!r} repeated")
+            if self.kinds.get(n) == "parameter":
+                raise ParseError(line_no, 0, "duplicate-symbol", f"symbol {n!r} already declared")
             self.dgen_names.append(n)
             self.kinds.setdefault(n, "dgen")
 
@@ -769,7 +773,9 @@ def render_presentation(doc: PresentationDoc) -> str:
     """Canonical text form; reparses to an equal document.  The one writer
     of ``.spbw`` text: it reads the document alone and builds no
     presentation, and leaves out each map-line image at its default where
-    ``_MAP_LINES`` says so (every one but an isigma line's)."""
+    ``_MAP_LINES`` says so (every one but an isigma line's), though a
+    claimed map whose every image is at its default still writes its
+    first."""
     ring = doc.ring()
     lines = [f"name {doc.name}"]
     if doc.params:
@@ -785,10 +791,12 @@ def render_presentation(doc: PresentationDoc) -> str:
                 images = getattr(holder, field_name).get(key)
                 if images is None:
                     continue
-                entries = [f"{var} -> {render(img)}" for var, img, at
-                           in zip(names, images, _default_images(default, identity)) if not sparse or img != at]
-                if entries:
-                    lines.append(f"{keyword} {owner}: " + ", ".join(entries))
+                shown = [(var, img) for var, img, at
+                         in zip(names, images, _default_images(default, identity)) if not sparse or img != at]
+                if default == "claimed" and not shown:
+                    shown = [(names[0], images[0])]  # a claimed map needs its line, even at its defaults
+                if shown:
+                    lines.append(f"{keyword} {owner}: " + ", ".join(f"{var} -> {render(img)}" for var, img in shown))
 
     def coeff(c: CoeffPoly) -> str:
         return _render_coeff_dsl(c, doc.params, doc.coeff_vars)

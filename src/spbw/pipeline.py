@@ -7,26 +7,20 @@ skipped.
 
 ``d-squared``, ``integrability``, ``divergence-leibniz`` and ``flatness`` are
 decided by certificates on the frame generators (the calculus's d^2 and
-transport certificates), which draw nothing from the run's generator.  The
-d^2 certificate differentiates the one-forms ``s du_i``; the transport
-certificate checks the stored twist inverses and derives the three
-transport stages from them, with no transport computed.  When
-a certificate fails, the stage runs its searched or sampled check, which
-supplies the witnesses: ``dsq_degree`` bounds the d^2 search, and
-``samples``/``sample_degree`` set the sampled checks' budget.  Those draws
-come from one generator seeded from the document options, in stage order,
-so runs are reproducible.  The report records the options in every case.
-
-The sampled divergence checks need a passed integrability stage: the run
-carries that stage's verdict as ``integrable`` into ``divergence-leibniz``
-and ``flatness``, and a fallback that runs without it is an ``error``
-record.  ``hypotheses`` and theorem-mode ``compatibility`` read the one
-report that :func:`hypothesis_check` keeps on the presentation.
+transport certificates).  The d^2 certificate differentiates the one-forms
+``s du_i``; when it fails, the stage searches every monomial up to
+``dsq_degree`` for its witnesses.  ``integrability`` is decided by the
+parts of the transport certificate it needs, and fails with the witness of
+the first that does not hold.  The two divergence stages need the whole
+certificate; without it they are ``error`` records that name the missing
+prerequisite.  No stage samples: ``samples``, ``sample_degree`` and ``seed``
+are echoed in the report and decide nothing.  ``hypotheses`` and
+theorem-mode ``compatibility`` read the one report that
+:func:`hypothesis_check` keeps on the presentation.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, replace
 
@@ -64,14 +58,12 @@ def calculus_spec_from_doc(doc: PresentationDoc, P) -> CalculusSpec:
 
 @dataclass
 class _Run:
-    """What the stages of one run share: the document, its presentation, the
-    one seeded generator, and the results later stages read."""
+    """What the stages of one run share: the document, its presentation,
+    and the results later stages read."""
 
     doc: PresentationDoc
     P: Presentation
-    rng: random.Random
     calculus: Calculus | None = None
-    integrable: bool = False  # the integrability verdict; stays False when that stage errors
     gk: int | None = None
 
     @property
@@ -144,20 +136,16 @@ def _is_sigma_composite(P: Presentation, nu: AlgebraEndo) -> bool:
 
 
 def _stage_integrability(run: _Run) -> CheckOutcome:
-    samples, degree = run.opts["samples"], run.opts["sample_degree"]
-    out = run.calculus.integrability_check(samples, degree, run.rng)
-    run.integrable = out.ok
-    return replace(out, data={"samples": samples, "degree": degree})
+    out = run.calculus.integrability_check()
+    return replace(out, data={"samples": run.opts["samples"], "degree": run.opts["sample_degree"]})
 
 
 def _stage_divergence(run: _Run) -> CheckOutcome:
-    samples = run.opts["samples"]
-    out = run.calculus.divergence_leibniz_check(run.integrable, samples, run.opts["sample_degree"], run.rng)
-    return replace(out, data={"samples": samples})
+    return replace(run.calculus.divergence_leibniz_check(), data={"samples": run.opts["samples"]})
 
 
 def _stage_flatness(run: _Run) -> CheckOutcome:
-    return run.calculus.flatness_check(run.integrable)
+    return run.calculus.flatness_check()
 
 
 def _stage_gk(run: _Run) -> CheckOutcome:
@@ -196,7 +184,7 @@ def _run_stage(name, fn, run: _Run) -> CheckRecord:
 
 def run_smooth(doc: PresentationDoc) -> Report:
     """The full pipeline over one document."""
-    run = _Run(doc, build_presentation(doc), random.Random(doc.options["seed"]))
+    run = _Run(doc, build_presentation(doc))
     checks = []
     skipping = False
     for name, fn, hard in _STAGE_TABLE:

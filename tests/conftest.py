@@ -1,9 +1,11 @@
 """Shared fixtures: hand-built presentations used across the test suite,
-five oracles (exact univariate division, the sampled twisted product rule
-for the lifted derivations, d of a word position by position, d on both
-sides of every defining relation, and the relations an extension map
-breaks, found by multiplying), composition and the identity of extension
-endomorphisms, the wide documents, and the grid of affine Ore members."""
+seeded random elements, six oracles (exact univariate division, the sampled
+twisted product rule for the lifted derivations, d of a word position by
+position, d on both sides of every defining relation, the relations an
+extension map breaks, found by multiplying, and the transport of forms to
+integral forms with its divergences and sampled stages), composition and
+the identity of extension endomorphisms, the wide documents, and the grid of
+affine Ore members."""
 
 from __future__ import annotations
 
@@ -11,12 +13,41 @@ import random
 
 import pytest
 
-from spbw.calculus import DiffForm
+from itertools import combinations
+
+from spbw.calculus import CheckOutcome, DiffForm
 from spbw.coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation, apply_sder
 from spbw.core import Presentation, SkewPoly
+from spbw.errors import ConfigError
 from spbw.extended import AlgebraEndo
-from spbw.lincomb import add_terms
-from spbw.sampling import random_skew  # re-exported for tests
+from spbw.lincomb import LinComb, add_terms
+
+
+def random_skew(P: Presentation, rng, degree: int = 4, max_terms: int = 3) -> SkewPoly:
+    """Random normal-form element: a few terms of bounded total degree with
+    small integer scalars, sprinkled with parameter factors when available."""
+    acc: dict = {}
+    for _ in range(rng.randint(1, max_terms)):
+        total = rng.randint(0, degree)
+        tdeg = rng.randint(0, total) if P.ring.nvars else 0
+        xdeg = total - tdeg
+        beta = random_expo(rng, P.ring.nvars, tdeg)
+        alpha = random_expo(rng, P.n, xdeg)
+        s = P.ring.scalar(rng.choice([-3, -2, -1, 1, 2, 3]))
+        if P.ring.nparams:
+            j = rng.randrange(P.ring.nparams)
+            if rng.randint(0, 1):
+                s = s * P.ring.param(P.ring.params[j])
+        add_terms(acc, P.monomial(alpha, P.ring.monomial(beta, s)).terms)
+    return SkewPoly(acc, P.n)
+
+
+def random_expo(rng, nvars: int, total: int) -> tuple:
+    e = [0] * nvars
+    if nvars:
+        for _ in range(total):
+            e[rng.randrange(nvars)] += 1
+    return tuple(e)
 
 
 def commuting_relation(ring, n, i, j):
@@ -117,6 +148,220 @@ def d_respects_relations(calc):
 def right_multiply(calc, form, a):
     """``form * a``: every right coefficient of the form times a."""
     return calc._sum(calc.form(S, calc.P.multiply(f, a)) for S, f in form.terms.items())
+
+
+# -- the transport oracle ----------------------------------------------------------
+
+
+class IntegralForm(LinComb):
+    """Right-linear functional on forms of one degree, stored by its values
+    on the wedge basis: ``phi(du_S * f) = terms[S] * f``."""
+
+    __slots__ = ("degree",)
+
+    def __init__(self, degree: int, terms: dict):
+        self.degree = degree
+        self.terms = terms
+
+    def _make(self, terms) -> "IntegralForm":
+        return IntegralForm(self.degree, terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not IntegralForm:
+            return NotImplemented
+        return self.degree == other.degree and LinComb.__eq__(self, other)
+
+
+class Transport:
+    """The transport of forms to integral forms over one calculus, by the
+    formulas of ``Calculus._transport_certificate``: theta, its inverse, the
+    right action of A, the divergences, and the sampled checks of
+    integrability, the product rule and flatness.  The certificate decides
+    those stages without computing any of this; here it is the oracle.
+    ``nabla`` keeps the divergence of every basis functional it transports
+    in ``nabla_memo``."""
+
+    def __init__(self, calc):
+        self.calc = calc
+        self.nabla_memo: dict = {}  # (k, S, tvec, e) -> divergence of xi_S * t^tvec x^e
+
+    def pi_omega(self, form: DiffForm) -> SkewPoly:
+        return form.terms.get(tuple(range(self.calc.N)), self.calc.P.zero())
+
+    def complement(self, S) -> tuple:
+        return tuple(i for i in range(self.calc.N) if i not in S)
+
+    def expands(self, S0, f: SkewPoly) -> bool:
+        """The expansion identity over the wedge generators for ``du_S0 *
+        f``, through the inverse volume twist: summing ``complement(Q) *
+        nu^-1(pi_omega(du_S0 f ^ du_Q))`` over the sets Q of size N - |S0|
+        gives ``du_S0 f`` back.  Only the complement Q of S0 contributes,
+        since every other Q of that size meets S0 and the wedge repeats an
+        index; its complement form is ``du_S0`` times the inverse of the
+        crossing factor of ``du_S0 ^ du_Q``."""
+        calc = self.calc
+        Q = self.complement(S0)
+        _, factor = calc._basis_product(S0, Q)
+        target = calc.form(S0, f)
+        top = self.pi_omega(calc.wedge(target, calc._unit_form(Q)))
+        complement = calc.form(S0, calc.P.const(factor.inverse()))
+        return calc.left_multiply(calc.volume().inverse.apply(top), complement) == target
+
+    def integral_basis(self, degree: int) -> list:
+        return [self.dual_basis(S) for S in combinations(range(self.calc.N), degree)]
+
+    def dual_basis(self, S) -> IntegralForm:
+        return IntegralForm(len(S), {tuple(S): self.calc.P.one()})
+
+    def evaluate(self, phi: IntegralForm, form: DiffForm) -> SkewPoly:
+        P = self.calc.P
+        acc: dict = {}
+        for S, f in form.terms.items():
+            if len(S) != phi.degree:
+                raise ConfigError("form degree does not match the functional")
+            v = phi.terms.get(S)
+            if v is not None:
+                add_terms(acc, P.multiply(v, f).terms)
+        return SkewPoly(acc, P.n)
+
+    def right_action(self, phi: IntegralForm, a: SkewPoly) -> IntegralForm:
+        """``phi . a`` for a in A, ``(phi . a)(w) = phi(a w)``: since ``a du_T
+        = du_T nu_T(a)``, ``(phi . a)_T = phi_T nu_T(a)``, keys in increasing
+        order."""
+        values = {}
+        for T in sorted(phi.terms):
+            value = self.calc.P.multiply(phi.terms[T], self.calc.twist_apply_set(T, a))
+            if not value.is_zero():
+                values[T] = value
+        return IntegralForm(phi.degree, values)
+
+    def theta(self, k: int, form: DiffForm) -> IntegralForm:
+        """Transport a k-form to a functional of degree N-k, ``theta(k)(du_S
+        f) = xi_C e_k w(S, C) nu_C(f)``, keys in increasing order; the
+        alternating sign keeps the transported divergence an honest Leibniz
+        map."""
+        calc = self.calc
+        if any(len(S) != k for S in form.terms):
+            raise ConfigError("form degree does not match the transport")
+        values = {}
+        for C, S in sorted((self.complement(S), S) for S in form.terms):
+            value = calc.twist_apply_set(C, form.terms[S]).scale(self.transport_scale(S, C))
+            if not value.is_zero():
+                values[C] = value
+        return IntegralForm(calc.N - k, values)
+
+    def theta_inv(self, k: int, phi: IntegralForm) -> DiffForm:
+        """Explicit inverse of the transport on the wedge basis:
+        ``theta_inv(k)(xi_C g) = du_S nu_C^-1(e_k w(S, C)^-1 g)``."""
+        calc = self.calc
+        if phi.degree != calc.N - k:
+            raise ConfigError("functional degree does not match the transport")
+        acc: dict = {}
+        # each set S of size k whose complement phi has a value on, in
+        # increasing order
+        for S, comp in sorted((self.complement(C), C) for C in phi.terms):
+            scale = self.transport_scale(S, comp).inverse()
+            coeff = calc.twist_inv_apply_set(comp, phi.terms[comp].scale(scale))
+            add_terms(acc, calc.form(S, coeff).terms)
+        return DiffForm(acc)
+
+    def transport_scale(self, S, C):
+        """``e_k w(S, C)``, k the size of S: the scale of :meth:`theta`,
+        which :meth:`theta_inv` inverts."""
+        _, w = self.calc._basis_product(S, C)
+        return -w if ((self.calc.N - 1) * len(S)) % 2 else w
+
+    def nabla(self, k: int, phi: IntegralForm) -> IntegralForm:
+        """The divergence from functionals of degree N-k to degree N-k-1,
+        ``theta(k+1, d(theta_inv(k, .)))``: every factor is linear over the
+        base field, so a functional's image is the scalar-weighted sum of
+        the images of its basis functionals ``xi_S * t^beta x^alpha``, each
+        transported once and kept in ``nabla_memo``."""
+        if phi.degree != self.calc.N - k:
+            raise ConfigError("functional degree does not match the transport")
+        acc: dict = {}
+        for S, v in phi.terms.items():
+            for e, c in v.terms.items():
+                for tvec, s in c.terms.items():
+                    add_terms(acc, self.nabla_basis(k, S, tvec, e).scale(s).terms)
+        return IntegralForm(self.calc.N - k - 1, acc)
+
+    def nabla_basis(self, k: int, S, tvec, e) -> IntegralForm:
+        """The transported divergence of ``xi_S * t^tvec x^e``, memoized."""
+        key = (k, S, tvec, e)
+        image = self.nabla_memo.get(key)
+        if image is None:
+            P = self.calc.P
+            basis = IntegralForm(len(S), {S: P.monomial(e, P.ring.monomial(tvec))})
+            image = self.theta(k + 1, self.calc.differential(self.theta_inv(k, basis)))
+            self.nabla_memo[key] = image
+        return image
+
+    def bottom_divergence(self, phi: IntegralForm) -> SkewPoly:
+        """The bottom divergence, from degree-one functionals to A."""
+        return self.nabla(self.calc.N - 1, phi).terms.get((), self.calc.P.zero())
+
+    def product_rule_holds(self, phi: IntegralForm, a: SkewPoly, nabla_phi: SkewPoly, da: DiffForm) -> bool:
+        """``nabla(phi . a) == nabla(phi) a + phi(d a)``, nabla the bottom
+        divergence, given ``nabla_phi = nabla(phi)`` and ``da = d0(a)``."""
+        lhs = self.bottom_divergence(self.right_action(phi, a))
+        return lhs == self.calc.P.multiply(nabla_phi, a) + self.evaluate(phi, da)
+
+    def render_functional(self, phi: IntegralForm) -> str:
+        """phi's value on every wedge basis form of its degree, zeros
+        included, so that a sampled functional can be rebuilt from it."""
+        calc = self.calc
+        return ", ".join(
+            f"phi({calc._render_basis(S)}) = {calc.P.render(phi.terms.get(S, calc.P.zero()))}"
+            for S in combinations(range(calc.N), phi.degree)
+        )
+
+    def integrability_sampled(self, sample_count: int, degree_bound: int, rng) -> CheckOutcome:
+        """The expansion identity on ``sample_count`` sampled forms per
+        degree, stopping at the first failure in each degree."""
+        calc = self.calc
+        calc.volume()  # a rejected volume twist errors before any draw
+        witnesses = []
+        for k in range(1, calc.N):
+            gen_sets = list(combinations(range(calc.N), k))
+            for _ in range(sample_count):
+                S0 = gen_sets[rng.randrange(len(gen_sets))]
+                f = random_skew(calc.P, rng, degree_bound)
+                if not self.expands(S0, f):
+                    witnesses.append(f"coefficient expansion fails for du{list(S0)} * ({calc.P.render(f)})")
+                    break
+        return CheckOutcome(not witnesses, witnesses[:5])
+
+    def divergence_leibniz_sampled(self, samples: int, degree: int, rng) -> CheckOutcome:
+        """The product rule on ``samples`` sampled pairs, stopping at the
+        first failure."""
+        calc = self.calc
+        witnesses = []
+        for _ in range(samples):
+            values = {}
+            for i in range(calc.N):
+                f = random_skew(calc.P, rng, degree, max_terms=2)
+                if not f.is_zero():
+                    values[(i,)] = f
+            phi = IntegralForm(1, values)
+            a = random_skew(calc.P, rng, degree, max_terms=2)
+            if not self.product_rule_holds(phi, a, self.bottom_divergence(phi), calc.d0(a)):
+                witnesses.append(
+                    f"product rule fails at a = {calc.P.render(a)} with {self.render_functional(phi)}"
+                )
+                break
+        return CheckOutcome(not witnesses, witnesses)
+
+    def flatness_on_basis(self) -> CheckOutcome:
+        """The curvature on the unit dual basis of the two-forms.  It cannot
+        fail: ``theta_inv`` gives each unit functional a scalar coefficient,
+        which d kills."""
+        witnesses = []
+        for phi in self.integral_basis(2):
+            out = self.bottom_divergence(self.nabla(self.calc.N - 2, phi))
+            if not out.is_zero():
+                witnesses.append(f"curvature nonzero on du{list(next(iter(phi.terms)))}")
+        return CheckOutcome(not witnesses, witnesses)
 
 
 @pytest.fixture

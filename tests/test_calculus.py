@@ -15,7 +15,6 @@ from spbw.calculus import (
     CalculusSpec,
     DGen,
     DiffForm,
-    IntegralForm,
     build_calculus,
     theorem_spec,
 )
@@ -32,6 +31,8 @@ from spbw.scalars import Scalar
 from conftest import (
     UN2_PRODUCT_DOCS,
     WIDE_DOCS,
+    IntegralForm,
+    Transport,
     algebra_identity,
     compose,
     d_respects_relations,
@@ -392,7 +393,7 @@ def test_d_squared_qplane_needs_wedge_constant(qplane):
 
 
 def _generator_certificate(calc):
-    return calc._twists_commute() and calc._d_respects_twisting()
+    return calc._noncommuting_twists() is None and calc._d_respects_twisting()
 
 
 @pytest.mark.parametrize("name", CERTIFIED)
@@ -459,7 +460,7 @@ def test_a_rescaling_twist_beside_a_shear_fails_a():
     calc = run_calculus_check(parse_presentation(RESCALE_BESIDE_SHEAR))
     rescaling, shear = (dg.twist for dg in calc.spec.dgens)
     assert rescaling._scales is not None and shear._scales is None
-    assert not calc._twists_commute()
+    assert calc._noncommuting_twists() == "the twists of d(x1) and d(x2) do not commute on x2"
     assert not calc._generator_certificate()
 
 
@@ -468,7 +469,7 @@ def test_rescaling_twists_commute_without_being_applied(monkeypatch):
     assert all(dg.twist._scales is not None and not dg.twist._identity for dg in calc.spec.dgens)
     applied = []
     monkeypatch.setattr(AlgebraEndo, "apply", lambda self, f: applied.append(f))
-    assert calc._twists_commute()
+    assert calc._noncommuting_twists() is None
     assert not applied
 
 
@@ -487,24 +488,29 @@ def test_a_stored_rescaling_inverse_fails_c_by_its_weights(monkeypatch):
     assert inverse.broken_relation() == "x2*x1"
     multiplied = []
     monkeypatch.setattr(P, "multiply", lambda f, g: multiplied.append((f, g)))
-    assert not calc._inverses_are_algebra_maps()
+    assert calc._inverse_breaking_a_relation() == (
+        "the stored inverse of the twist of d(x1) does not respect relation x2*x1"
+    )
     assert not multiplied
     assert not calc._transport_certificate()
 
 
 def test_non_commuting_twists_fail_the_certificate_and_d_squared():
     calc = run_calculus_check(parse_presentation(NON_COMMUTING_TWISTS))
-    assert not calc._twists_commute()
+    assert calc._noncommuting_twists() is not None
     report = run_smooth(parse_presentation(NON_COMMUTING_TWISTS))
     assert report.verdict == "not-certified"
     assert report.failing[0] == "d-squared"
     assert report.check("d-squared").witnesses[0] == "d^2 of x2^2 = d(x1)d(x2)*(1)"
-    # a negative control for integrability: the sampled coefficient identity
-    # fails, and the divergence stages have no certificate to run on
+    # a negative control for integrability: (a) fails, the stage names the
+    # pair of twists and the symbol, and the divergence stages have no
+    # certificate to run on
     integrability = report.check("integrability")
     assert integrability.status == "fail"
-    assert integrability.witnesses == ["coefficient expansion fails for du[1] * (3*x2^4)"]
+    assert integrability.witnesses == ["the twists of d(x1) and d(x2) do not commute on x1"]
     _assert_divergence_stages_need_integrability(report)
+    # the sampled oracle finds the same failure
+    assert not Transport(calc).integrability_sampled(50, 4, random.Random(1729)).ok
 
 
 NO_INTEGRABILITY = "divergence transport requested without an integrability certificate"
@@ -1048,7 +1054,7 @@ def test_volume_pi_extraction(weyl_calc, weyl, rng):
     f = random_skew(weyl, rng)
     omega = weyl_calc.form(tuple(range(weyl_calc.N)), weyl_calc.P.one())
     form = right_multiply(weyl_calc, omega, f)
-    assert weyl_calc.pi_omega(form) == f
+    assert Transport(weyl_calc).pi_omega(form) == f
 
 
 def test_volume_qplane_twist_images(qplane_calc, qplane):
@@ -1070,92 +1076,88 @@ def test_volume_commutes_symbols(jordan_calc, jordan):
 # -- integrability -----------------------------------------------------------------------
 
 
+# Each stage is decided by its certificate; the sampled check of the
+# transport oracle agrees with it.
+
+
 def test_integrability_weyl(weyl_calc):
-    rng = random.Random(5)
-    assert weyl_calc.integrability_check(20, 3, rng).ok
+    assert weyl_calc.integrability_check().ok
+    assert Transport(weyl_calc).integrability_sampled(20, 3, random.Random(5)).ok
 
 
 def test_integrability_poly2(poly2_calc):
-    rng = random.Random(5)
-    assert poly2_calc.integrability_check(20, 3, rng).ok
+    assert poly2_calc.integrability_check().ok
+    assert Transport(poly2_calc).integrability_sampled(20, 3, random.Random(5)).ok
 
 
 def test_integrability_jordan(jordan_calc):
-    rng = random.Random(5)
-    assert jordan_calc.integrability_check(50, 4, rng).ok
+    assert jordan_calc.integrability_check().ok
+    assert Transport(jordan_calc).integrability_sampled(50, 4, random.Random(5)).ok
 
 
 def test_integrability_qplane(qplane_calc):
-    rng = random.Random(5)
-    assert qplane_calc.integrability_check(30, 3, rng).ok
+    assert qplane_calc.integrability_check().ok
+    assert Transport(qplane_calc).integrability_sampled(30, 3, random.Random(5)).ok
 
 
 # -- transport and divergences ------------------------------------------------------------
 
 
 def test_theta_round_trip(weyl_calc, weyl, rng):
+    transport = Transport(weyl_calc)
     for k in range(weyl_calc.N + 1):
-        from itertools import combinations
-
         for S in combinations(range(weyl_calc.N), k):
             form = weyl_calc.form(S, random_skew(weyl, rng, 3))
-            phi = weyl_calc.theta(k, form)
-            assert weyl_calc.theta_inv(k, phi) == form
+            phi = transport.theta(k, form)
+            assert transport.theta_inv(k, phi) == form
 
 
 def test_theta_rejects_a_form_of_another_degree(weyl_calc, weyl):
     with pytest.raises(ConfigError, match="form degree does not match the transport"):
-        weyl_calc.theta(1, weyl_calc.form((0, 1), weyl.one()))
+        Transport(weyl_calc).theta(1, weyl_calc.form((0, 1), weyl.one()))
 
 
 def test_divergence_requires_certificate():
-    """Without a transport certificate, the sampled divergence checks refuse
-    to run on a calculus that has not passed integrability, before any
-    draw; with one, the argument is not read."""
+    """Without a transport certificate the divergence checks are errors
+    that name their missing prerequisite; with one, they pass."""
     calc = run_calculus_check(parse_presentation(NON_COMMUTING_TWISTS))
-    rng = random.Random(1)
-    state = rng.getstate()
-    with pytest.raises(ConfigError, match=NO_INTEGRABILITY):
-        calc.divergence_leibniz_check(False, 5, 2, rng)
-    with pytest.raises(ConfigError, match=NO_INTEGRABILITY):
-        calc.flatness_check(False)
-    assert rng.getstate() == state
+    for check in (calc.divergence_leibniz_check, calc.flatness_check):
+        with pytest.raises(ConfigError, match=NO_INTEGRABILITY):
+            check()
     weyl = run_calculus_check(corpus_doc("weyl"))
-    assert weyl.divergence_leibniz_check(False, 5, 2, rng).ok
-    assert weyl.flatness_check(False).ok
+    assert weyl.divergence_leibniz_check().ok
+    assert weyl.flatness_check().ok
 
 
 def test_divergence_leibniz_weyl(weyl_calc):
-    rng = random.Random(11)
-    integrable = weyl_calc.integrability_check(5, 2, rng).ok
-    assert weyl_calc.divergence_leibniz_check(integrable, 50, 3, rng).ok
+    assert weyl_calc.divergence_leibniz_check().ok
+    assert Transport(weyl_calc).divergence_leibniz_sampled(50, 3, random.Random(11)).ok
 
 
 def test_divergence_leibniz_jordan(jordan_calc):
-    rng = random.Random(11)
-    integrable = jordan_calc.integrability_check(5, 2, rng).ok
-    assert jordan_calc.divergence_leibniz_check(integrable, 30, 3, rng).ok
+    assert jordan_calc.divergence_leibniz_check().ok
+    assert Transport(jordan_calc).divergence_leibniz_sampled(30, 3, random.Random(11)).ok
 
 
 def test_flatness_weyl_and_poly(weyl_calc, poly2_calc):
-    rng = random.Random(3)
     for calc in (weyl_calc, poly2_calc):
-        integrable = calc.integrability_check(5, 2, rng).ok
-        assert calc.flatness_check(integrable).ok
+        assert calc.flatness_check().ok
+        assert Transport(calc).flatness_on_basis().ok
 
 
 def test_flatness_vacuous_in_dimension_one(weyl_ore):
-    """Below dimension two flatness is vacuous, even without a passed
-    integrability check."""
+    """Below dimension two flatness is vacuous: it reads no certificate."""
     calc = build_calculus(weyl_ore, theorem_spec(weyl_ore))
-    out = calc.flatness_check(False)
+    calc._require_transport_certificate = None  # calling it would raise
+    out = calc.flatness_check()
     assert out.ok and out.data.get("vacuous")
 
 
 def test_divergence_unit_case(weyl_calc, weyl):
-    nabla = weyl_calc._bottom_divergence
-    phi = weyl_calc._dual_basis((0,))
-    lhs = nabla(weyl_calc.right_action(phi, weyl.one()))
+    transport = Transport(weyl_calc)
+    nabla = transport.bottom_divergence
+    phi = transport.dual_basis((0,))
+    lhs = nabla(transport.right_action(phi, weyl.one()))
     assert lhs == nabla(phi)
 
 
@@ -1179,31 +1181,31 @@ def _basis_key(k, phi):
 
 @pytest.mark.parametrize("name", ["poly3", "aq", "jordan"])
 def test_divergence_transports_each_basis_functional_once(name, monkeypatch):
-    # a passing transport certificate samples nothing, so the sampled
-    # fallback is called directly
     calc = run_calculus_check(corpus_doc(name))
     rng = random.Random(1729)
     keys = []
-    original = Calculus.theta_inv
+    original = Transport.theta_inv
 
     def recorded(self, k, phi):
         keys.append(_basis_key(k, phi))
         return original(self, k, phi)
 
-    monkeypatch.setattr(Calculus, "theta_inv", recorded)
-    assert calc._divergence_leibniz_sampled(20, 3, rng).ok
+    monkeypatch.setattr(Transport, "theta_inv", recorded)
+    assert Transport(calc).divergence_leibniz_sampled(20, 3, rng).ok
     assert keys and None not in keys
     assert len(keys) == len(set(keys))
 
 
 def test_repeated_divergence_is_not_transported_again(jordan_calc):
     rng = random.Random(7)
-    phi = jordan_calc.theta(0, jordan_calc.form((), random_skew(jordan_calc.P, rng, 3)))
-    first = jordan_calc._nabla(0, phi)
-    calls = {"theta_inv": 0, "differential": 0}
-    _counting(jordan_calc, calls)
-    assert jordan_calc._nabla(0, phi) == first
-    assert calls == {"theta_inv": 0, "differential": 0}
+    transport = Transport(jordan_calc)
+    phi = transport.theta(0, jordan_calc.form((), random_skew(jordan_calc.P, rng, 3)))
+    first = transport.nabla(0, phi)
+    transported, differentiated = {"theta_inv": 0}, {"differential": 0}
+    _counting(transport, transported)
+    _counting(jordan_calc, differentiated)
+    assert transport.nabla(0, phi) == first
+    assert (transported, differentiated) == ({"theta_inv": 0}, {"differential": 0})
 
 
 def test_repeated_twist_makes_no_product(jordan_calc):
@@ -1256,12 +1258,13 @@ def _doubled_inverse(P, spec):
     return replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:])
 
 
-def _product_rule_on_generators(calc):
+def _product_rule_on_generators(transport):
     """The product rule of the bottom divergence on ``xi_i . s`` for every
     i and every frame symbol s."""
+    calc = transport.calc
     return all(
-        calc._product_rule_holds(xi, s, calc._bottom_divergence(xi), calc.d0(s))
-        for xi in calc.integral_basis(1)
+        transport.product_rule_holds(xi, s, transport.bottom_divergence(xi), calc.d0(s))
+        for xi in transport.integral_basis(1)
         for s in calc.P.frame()
     )
 
@@ -1270,11 +1273,12 @@ def _product_rule_on_generators(calc):
 def test_negated_transport_component_fails_divergence_leibniz(name, monkeypatch):
     """What the transport certificate derives and does not evaluate, on the
     frame generators of every certified calculus: the expansion identity of
-    ``_expands`` on ``du_S s`` for every S of size N-1 (none when N = 1) and
+    ``expands`` on ``du_S s`` for every S of size N-1 (none when N = 1) and
     every frame symbol s, and the product rule of the bottom divergence on
-    ``xi_i . s``.  These run the code's theta, theta_inv, ``left_multiply``
-    and the volume twist, so a ``theta_inv`` that negates the
-    ``du_(0..k-1)`` component of its output fails the product rule here.
+    ``xi_i . s``.  These run the transport oracle's theta and theta_inv and
+    the calculus's ``left_multiply`` and volume twist, so a ``theta_inv``
+    that negates the ``du_(0..k-1)`` component of its output fails the
+    product rule here.
 
     Dropping the alternating sign from ``theta`` alone is an equivalent
     mutant, not a blind spot: it multiplies the k-th divergence by
@@ -1283,33 +1287,53 @@ def test_negated_transport_component_fails_divergence_leibniz(name, monkeypatch)
     two bottom divergences vanishes, which no sign changes."""
     calc = run_calculus_check(_doc(name))
     assert calc._transport_certificate()
+    transport = Transport(calc)
     N = calc.N
     sets = combinations(range(N), N - 1) if N > 1 else ()
-    assert all(calc._expands(S, s) for S in sets for s in calc.P.frame())
-    assert _product_rule_on_generators(calc)
-    monkeypatch.setattr(Calculus, "theta_inv", _negated_component(Calculus.theta_inv))
-    assert not _product_rule_on_generators(run_calculus_check(_doc(name)))
+    assert all(transport.expands(S, s) for S in sets for s in calc.P.frame())
+    assert _product_rule_on_generators(transport)
+    monkeypatch.setattr(Transport, "theta_inv", _negated_component(Transport.theta_inv))
+    assert not _product_rule_on_generators(Transport(run_calculus_check(_doc(name))))
 
 
 @pytest.mark.parametrize("name", ["qplane", "qaffine3", "aq"])
-def test_negated_transport_component_fails_the_sampled_divergence_leibniz(name, monkeypatch):
-    """Without its wedge lines the document has d^2 != 0, so the transport
-    certificate fails and ``divergence-leibniz`` samples, and passes.  A
-    ``theta_inv`` that negates the ``du_(0..k-1)`` component of its output
-    fails it at the document's seed, with a witness naming both the
-    element a and the sampled functional phi."""
+def test_a_missing_d_squared_certificate_is_an_error_in_both_divergence_stages(name):
+    """Without its wedge lines the document has d^2 != 0: (b) fails, and so
+    does ``d-squared``, with the witnesses of its search.  Integrability
+    needs only (a), (c) and (d), and passes.  The two divergence stages
+    need (b) too; each is an error naming the first frame symbol s and
+    index i at which (b) fails, and the two-form by which it does.  A (b)
+    forced to hold would let both stages pass."""
     text = without_wedge(corpus_source(name))
     report = run_smooth(parse_presentation(text))
-    assert (report.verdict, report.failing) == ("not-certified", ["d-squared"])
-    assert _status(report, "divergence-leibniz") == "pass"
-    monkeypatch.setattr(Calculus, "theta_inv", _negated_component(Calculus.theta_inv))
-    report = run_smooth(parse_presentation(text))
-    rec = report.check("divergence-leibniz")
-    assert rec.status == "fail"
-    (witness,) = rec.witnesses
-    assert witness.startswith("product rule fails at a = ")
-    dgens = run_calculus_check(parse_presentation(text)).spec.dgens
-    assert all(f"phi(d({dg.name})) = " in witness for dg in dgens)
+    assert (report.verdict, report.failing) == ("not-certified", ["d-squared", "divergence-leibniz", "flatness"])
+    assert _status(report, "integrability") == "pass"
+    calc = run_calculus_check(parse_presentation(text))
+    witness = calc._twisting_failure()
+    assert witness.startswith("d0(s) ^ du_i != d(du_i nu_i(s)) at s = ")
+    for stage in ("divergence-leibniz", "flatness"):
+        rec = report.check(stage)
+        want = [f"divergence transport requested without a d^2 certificate: {witness}"]
+        assert (rec.status, rec.witnesses, rec.data) == ("error", want, {}), stage
+    # the transported curvature is nonzero on some ``xi_S * a b``, a and b
+    # frame symbols
+    transport = Transport(calc)
+    P = calc.P
+    assert any(
+        not transport.bottom_divergence(transport.nabla(calc.N - 2, IntegralForm(2, {S: P.multiply(a, b)}))).is_zero()
+        for S in combinations(range(calc.N), 2)
+        for a in P.frame()
+        for b in P.frame()
+    )
+
+
+def test_wedge_less_witnesses_name_the_pair():
+    """The (b) witness of the wedge-less quantum plane, in full."""
+    report = run_smooth(parse_presentation(without_wedge(corpus_source("qplane"))))
+    assert report.check("flatness").witnesses == [
+        "divergence transport requested without a d^2 certificate: d0(s) ^ du_i != d(du_i nu_i(s)) "
+        "at s = x1, du_i = d(x2), difference d(x1)d(x2)*((q - 1)/(q))"
+    ]
 
 
 def _mutated_spec(monkeypatch, mutate):
@@ -1329,14 +1353,19 @@ def test_wrong_wedge_constant_fails_d_squared(name, monkeypatch):
 
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_wrong_twist_inverse_is_a_volume_error(name, monkeypatch):
-    """The doubled inverse fails the transport certificate, and the volume
-    twist it builds is rejected, so integrability errors as volume does and
-    the divergence stages run without a passed integrability check."""
+    """The doubled inverse is rejected with the volume twist it builds, and
+    it fails (c) or (d) of the transport certificate, so integrability
+    fails naming the stored inverse of the first twist, and the divergence
+    stages run without a passed integrability check."""
     _mutated_spec(monkeypatch, _doubled_inverse)
     report = run_smooth(corpus_doc(name))
     assert [_status(report, s) for s in ("d-squared", "connectedness", "volume")] == ["pass", "pass", "error"]
     assert "inverse does not undo" in report.check("volume").witnesses[0]
-    assert report.check("integrability").witnesses == report.check("volume").witnesses
+    integrability = report.check("integrability")
+    assert integrability.status == "fail"
+    dg = run_calculus_check(corpus_doc(name)).spec.dgens[0]
+    (witness,) = integrability.witnesses
+    assert witness.startswith(f"the stored inverse of the twist of d({dg.name}) does not ")
     _assert_divergence_stages_need_integrability(report)
 
 
@@ -1478,16 +1507,17 @@ def test_hypotheses_are_evaluated_once_per_presentation(name, monkeypatch):
 
 
 def _sampled_stages_pass(calc):
-    """The three stages without the certificate, at the pipeline's default
-    budget and golden seed."""
+    """The three stages by the sampled checks of the transport oracle, at
+    the budget and seed the pipeline used to sample with."""
     rng = random.Random(1729)
+    transport = Transport(calc)
     try:
-        ok = calc._integrability_sampled(50, 4, rng).ok
+        ok = transport.integrability_sampled(50, 4, rng).ok
     except NotAVolumeFormError:
         return False
-    if not (ok and calc._divergence_leibniz_sampled(50, 4, rng).ok):
+    if not (ok and transport.divergence_leibniz_sampled(50, 4, rng).ok):
         return False
-    return calc.N < 2 or calc._flatness_on_basis().ok
+    return calc.N < 2 or transport.flatness_on_basis().ok
 
 
 def _certificate_agrees(calc):
@@ -1539,59 +1569,42 @@ def test_transport_certificate_agrees_with_the_sampled_stages_on_ore_grid():
 
 
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
-def test_passing_transport_certificate_draws_nothing(name, monkeypatch):
-    """A certified run draws nothing from its generator, and its
-    certificate transports nothing: no ``theta``, ``theta_inv``, ``_nabla``
-    or ``_expands`` call."""
-    transports = []
-    for attr in ("theta", "theta_inv", "_nabla", "_expands"):
-        method = getattr(Calculus, attr)
-        monkeypatch.setattr(
-            Calculus, attr, lambda *args, _method=method, _attr=attr: transports.append(_attr) or _method(*args)
-        )
-    draws = []
-    sample = spbw.calculus.random_skew
-
-    def counted(*args, **kwargs):
-        draws.append(args)
-        return sample(*args, **kwargs)
-
-    states = {}
-    run_stage = spbw.pipeline._run_stage
-
-    def recorded(stage, fn, run):
-        states[stage] = run.rng.getstate()
-        return run_stage(stage, fn, run)
-
-    monkeypatch.setattr(spbw.calculus, "random_skew", counted)
-    monkeypatch.setattr(spbw.pipeline, "_run_stage", recorded)
+def test_passing_transport_certificate_draws_nothing(name):
+    """No stage samples: no module of the package imports ``random``, and a
+    run's report is the same whatever ``seed``, ``samples`` and
+    ``sample_degree`` say, apart from the echoed values themselves."""
+    assert not [m for m in sys.modules if m.startswith("spbw") and "random" in vars(sys.modules[m])]
     doc = _doc(name)
     report = run_smooth(doc)
     assert report.verdict == "certified-smooth"
-    assert draws == [] and transports == []
-    # the generator state is the fresh seed's before integrability and
-    # still is once flatness has run
-    fresh = random.Random(doc.options["seed"]).getstate()
-    assert states["integrability"] == states["gk-estimate"] == fresh
+    other = replace(doc, options={**doc.options, "seed": 7, "samples": 1, "sample_degree": 1})
+    echoed = run_smooth(other).to_dict()
+    echoed["config"] = report.config
+    for rec, want in zip(echoed["checks"], report.to_dict()["checks"]):
+        rec["seconds"] = want["seconds"]
+        if rec["data"].keys() & {"samples", "degree"}:
+            rec["data"] = want["data"]
+    assert echoed == report.to_dict()
 
 
 def test_certificate_fails_where_the_curvature_is_not_zero():
     """Without its wedge constant the quantum plane has d^2 != 0, so the
     certificate fails.  The curvature is then nonzero on a functional that
-    carries a coefficient, ``nabla0(nabla1(xi_01 x1 x2)) = d^2(x1 x2)``, but
-    the flatness stage walks only the unit dual basis and passes; d-squared
-    is the stage that fails.  No calculus can fail the flatness stage: a
-    passing certificate proves flatness, and the fallback walk cannot
-    fail."""
+    carries a coefficient, ``nabla0(nabla1(xi_01 x1 x2)) = d^2(x1 x2)``,
+    although the unit dual basis that the old fallback walked sees none.
+    Integrability holds, since it needs no (b), and the flatness stage is an
+    error naming the (b) failure."""
     doc = corpus_doc("qplane")
     P = build_presentation(doc)
     calc = build_calculus(P, replace(calculus_spec_from_doc(doc, P), wedge_signs={}))
     assert not calc._transport_certificate()
-    integrable = calc.integrability_check(50, 4, random.Random(1729)).ok
-    assert integrable
-    assert calc.flatness_check(integrable).ok
+    assert calc.integrability_check().ok
+    with pytest.raises(ConfigError, match="without a d\\^2 certificate: d0\\(s\\) \\^ du_i"):
+        calc.flatness_check()
+    transport = Transport(calc)
+    assert transport.flatness_on_basis().ok
     x1x2 = P.multiply(P.gen(0), P.gen(1))
-    curvature = calc._bottom_divergence(calc._nabla(0, IntegralForm(2, {(0, 1): x1x2})))
+    curvature = transport.bottom_divergence(transport.nabla(0, IntegralForm(2, {(0, 1): x1x2})))
     assert P.render(curvature) == "(-q + 1)/(q)"
     assert calc.render_form(calc.differential(calc.d0(x1x2))) == "d(x1)d(x2)*((-q + 1)/(q))"
     assert not calc.d_squared_check(4).ok
@@ -1607,9 +1620,11 @@ def test_a_stored_inverse_that_breaks_a_relation_fails_the_certificate(qplane):
     twist = AlgebraEndo(qplane, dg.twist.images, inverse=inverse, check=False)
     calc = build_calculus(qplane, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
     assert calc._generator_certificate()
-    assert not calc._inverses_are_algebra_maps()
+    witness = "the stored inverse of the twist of d(x1) does not respect relation x2*x1"
+    assert calc._inverse_breaking_a_relation() == witness
     assert not calc._transport_certificate()
-    assert build_calculus(qplane, qplane_flat_spec(qplane))._inverses_are_algebra_maps()
+    assert calc.integrability_check().witnesses == [witness]
+    assert build_calculus(qplane, qplane_flat_spec(qplane))._inverse_breaking_a_relation() is None
 
 
 def test_a_stored_inverse_that_does_not_undo_its_twist_fails_the_certificate(qplane):
@@ -1622,10 +1637,12 @@ def test_a_stored_inverse_that_does_not_undo_its_twist_fails_the_certificate(qpl
     twist = AlgebraEndo(qplane, dg.twist.images, inverse=identity, check=False)
     calc = build_calculus(qplane, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
     assert calc._generator_certificate()
-    assert calc._inverses_are_algebra_maps()
-    assert not calc._transport_round_trips()
+    assert calc._inverse_breaking_a_relation() is None
+    witness = "the stored inverse of the twist of d(x1) does not undo it on x2"
+    assert calc._inverse_not_undoing_its_twist() == witness
     assert not calc._transport_certificate()
-    assert build_calculus(qplane, qplane_flat_spec(qplane))._transport_round_trips()
+    assert calc.integrability_check().witnesses == [witness]
+    assert build_calculus(qplane, qplane_flat_spec(qplane))._inverse_not_undoing_its_twist() is None
 
 
 def test_round_trips_skip_only_the_side_the_construction_verified(qplane):
@@ -1638,12 +1655,12 @@ def test_round_trips_skip_only_the_side_the_construction_verified(qplane):
     calls = {"apply": 0}
     for dg in spec.dgens:
         _counting(dg.twist.inverse, calls)
-    assert calc._transport_round_trips()
+    assert calc._inverse_not_undoing_its_twist() is None
     assert calls == {"apply": 0}
     twist = spec.dgens[0].twist
     twist.inverse = AlgebraEndo(qplane, twist.inverse.images, check=False)
     _counting(twist.inverse, calls)
-    assert calc._transport_round_trips()
+    assert calc._inverse_not_undoing_its_twist() is None
     assert calls == {"apply": len(qplane.frame())}
 
 
@@ -1652,8 +1669,8 @@ def test_round_trips_skip_only_the_side_the_construction_verified(qplane):
 # The certificate computes no transport: (d) inverts the twists on the
 # frame.  That the transports undo each other in every degree follows from
 # the per-degree signs and crossing factors of ``theta`` and ``theta_inv``,
-# which belong to the code; these tests pin them in every degree on every
-# calculus that passes.
+# the formulas of the certificate's argument; these tests pin the transport
+# oracle that computes them in every degree on every calculus that passes.
 
 
 def _transport_holds_in_every_degree(calc):
@@ -1662,22 +1679,23 @@ def _transport_holds_in_every_degree(calc):
     linear on ``xi_C . s``; and the expansion identity on ``du_S s`` for
     0 < k < N."""
     P, N = calc.P, calc.N
+    transport = Transport(calc)
     coeffs = (P.one(),) + P.frame()
     for k in range(N + 1):
         for S in combinations(range(N), k):
             for f in coeffs:
                 form = calc.form(S, f)
-                assert calc.theta_inv(k, calc.theta(k, form)) == form
+                assert transport.theta_inv(k, transport.theta(k, form)) == form
             if 0 < k < N:
-                assert all(calc._expands(S, s) for s in P.frame())
+                assert all(transport.expands(S, s) for s in P.frame())
         for C in combinations(range(N), N - k):
-            xi = calc._dual_basis(C)
-            base = calc.theta_inv(k, xi)
+            xi = transport.dual_basis(C)
+            base = transport.theta_inv(k, xi)
             for f in coeffs:
-                acted = calc.right_action(xi, f)
+                acted = transport.right_action(xi, f)
                 for phi in (IntegralForm(N - k, {C: f}), acted):
-                    assert calc.theta(k, calc.theta_inv(k, phi)) == phi
-                assert calc.theta_inv(k, acted) == right_multiply(calc, base, f)
+                    assert transport.theta(k, transport.theta_inv(k, phi)) == phi
+                assert transport.theta_inv(k, acted) == right_multiply(calc, base, f)
 
 
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
@@ -1701,28 +1719,30 @@ def test_certificate_transports_only_inside_the_bottom_divergence(name):
     product rule it derives transports only inside the bottom divergence:
     ``theta`` in degree N and ``theta_inv`` in degree N-1."""
     calc = run_calculus_check(_doc(name))
+    transport = Transport(calc)
     N = calc.N
     calls = {"left_multiply": 0, "differential": 0}
     _counting(calc, calls)
-    seen = {"theta": set(), "theta_inv": set(), "_expands": set()}
+    seen = {"theta": set(), "theta_inv": set(), "expands": set()}
     for attr, degrees in seen.items():
-        def recorded(first, second, _method=getattr(calc, attr), _degrees=degrees):
+        def recorded(first, second, _method=getattr(transport, attr), _degrees=degrees):
             _degrees.add(first if isinstance(first, int) else len(first))
             return _method(first, second)
-        setattr(calc, attr, recorded)
+        setattr(transport, attr, recorded)
     assert calc._transport_certificate()
-    assert seen == {"theta": set(), "theta_inv": set(), "_expands": set()}
+    assert seen == {"theta": set(), "theta_inv": set(), "expands": set()}
     assert calls["left_multiply"] > 0 and calls["differential"] > 0
-    assert _product_rule_on_generators(calc)
-    assert seen == {"theta": {N}, "theta_inv": {N - 1}, "_expands": set()}
+    assert _product_rule_on_generators(transport)
+    assert seen == {"theta": {N}, "theta_inv": {N - 1}, "expands": set()}
 
 
-def _theta_by_definition(calc, k, w):
+def _theta_by_definition(transport, k, w):
     """``theta(k)(w)(du_T) = e_k pi(w ^ du_T)`` on every set T of size N-k,
     in increasing order."""
+    calc = transport.calc
     values = {}
     for T in combinations(range(calc.N), calc.N - k):
-        val = calc.pi_omega(calc.wedge(w, calc.form(T, calc.P.one())))
+        val = transport.pi_omega(calc.wedge(w, calc.form(T, calc.P.one())))
         if ((calc.N - 1) * k) % 2:
             val = -val
         if not val.is_zero():
@@ -1730,21 +1750,22 @@ def _theta_by_definition(calc, k, w):
     return IntegralForm(calc.N - k, values)
 
 
-def _action_by_definition(calc, phi, a):
+def _action_by_definition(transport, phi, a):
     """``(phi . a)(du_T) = phi(a du_T)`` on every set T of phi's degree, in
     increasing order."""
+    calc = transport.calc
     values = {}
     for T in combinations(range(calc.N), phi.degree):
-        val = calc.evaluate(phi, calc.wedge(calc.form((), a), calc.form(T, calc.P.one())))
+        val = transport.evaluate(phi, calc.wedge(calc.form((), a), calc.form(T, calc.P.one())))
         if not val.is_zero():
             values[T] = val
     return IntegralForm(phi.degree, values)
 
 
-def _same_functional(calc, got, want):
+def _same_functional(transport, got, want):
     assert got == want
     assert list(got.terms) == list(want.terms)
-    assert calc.render_functional(got) == calc.render_functional(want)
+    assert transport.render_functional(got) == transport.render_functional(want)
 
 
 def _formulas_match_their_definitions(calc, rng):
@@ -1753,6 +1774,7 @@ def _formulas_match_their_definitions(calc, rng):
     every degree, for f and a the unit, each frame symbol and random
     elements."""
     P, N = calc.P, calc.N
+    transport = Transport(calc)
     coeffs = (P.one(),) + P.frame() + tuple(random_skew(P, rng, 2, max_terms=2) for _ in range(2))
 
     def random_support(degree, coeff):
@@ -1764,22 +1786,23 @@ def _formulas_match_their_definitions(calc, rng):
         forms = [calc.form(S, f) for S in combinations(range(N), k) for f in coeffs]
         forms += [DiffForm(random_support(k, lambda: random_skew(P, rng, 1, max_terms=2))) for _ in range(3)]
         for w in forms:
-            _same_functional(calc, calc.theta(k, w), _theta_by_definition(calc, k, w))
-        functionals = calc.integral_basis(k)
+            _same_functional(transport, transport.theta(k, w), _theta_by_definition(transport, k, w))
+        functionals = transport.integral_basis(k)
         functionals += [
             IntegralForm(k, random_support(k, lambda: random_skew(P, rng, 2, max_terms=2))) for _ in range(3)
         ]
         for phi in functionals:
             for a in coeffs:
-                _same_functional(calc, calc.right_action(phi, a), _action_by_definition(calc, phi, a))
+                _same_functional(transport, transport.right_action(phi, a), _action_by_definition(transport, phi, a))
 
 
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
 def test_dual_action_visits_only_the_sets_that_meet_the_support(name):
     """``theta(k)(w)`` is the dual action ``(phi . w)(w') = phi(w ^ w')`` of
     w on the top functional pi, up to the sign e_k, and ``phi . a`` that of
-    a 0-form.  The code computes both by formula on the sets the support
-    names; here they match the definitions swept over every basis set."""
+    a 0-form.  The transport oracle computes both by formula on the sets the
+    support names; here they match the definitions swept over every basis
+    set."""
     _formulas_match_their_definitions(run_calculus_check(_doc(name)), random.Random(4242))
 
 
@@ -1817,7 +1840,7 @@ def _recording(calc, attr, seen):
 def test_product_rule_takes_each_frame_invariant_once(name):
     """The product rule on every ``xi_i . s`` gets d0 of each frame symbol
     as the one one-form stored in ``_d0_forms``, and transports the
-    divergence of each basis functional once, into ``_nabla_memo``, the
+    divergence of each basis functional once, into ``nabla_memo``, the
     unit functionals ``xi_i`` in order: a second sweep transports
     nothing."""
     calc = run_calculus_check(_doc(name))
@@ -1831,14 +1854,15 @@ def test_product_rule_takes_each_frame_invariant_once(name):
         return form
 
     calc.d0 = recorded_d0
+    transport = Transport(calc)
     transported = []
-    _recording(calc, "theta_inv", transported)
-    assert _product_rule_on_generators(calc)
+    _recording(transport, "theta_inv", transported)
+    assert _product_rule_on_generators(transport)
     first = list(transported)
-    assert _product_rule_on_generators(calc)
+    assert _product_rule_on_generators(transport)
     assert transported == first
-    assert len(first) == len(calc._nabla_memo)
-    units = calc.integral_basis(1)
+    assert len(first) == len(transport.nabla_memo)
+    units = transport.integral_basis(1)
     assert [phi for _, _, phi in first if phi in units] == units
     for s in frame:
         forms = [form for f, form in d0_forms if f == s]

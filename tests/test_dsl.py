@@ -122,6 +122,16 @@ def test_claimed_twist_inverse_renders_and_round_trips():
     assert parse_presentation(text) == doc
 
 
+@pytest.mark.parametrize("images", ["x -> x", "t -> t, x -> x"])
+def test_a_claimed_twist_inverse_at_its_defaults_round_trips(images):
+    # an itwist line claims the inverse even when every image is the
+    # identity, so the writer keeps the line
+    doc = parse_presentation(f"name d\ncoeffs t\ngens x\ncalculus mode=flat\ndgens t x\nitwist x: {images}\n")
+    text = render_presentation(doc)
+    assert "itwist x: t -> t\n" in text
+    assert parse_presentation(text) == doc
+
+
 def test_claimed_twist_inverse_gives_the_derived_report():
     derived = run_smooth(corpus_doc("jordan")).to_json(zero_timing=True)
     assert run_smooth(parse_presentation(JORDAN_ITWIST)).to_json(zero_timing=True) == derived
@@ -242,6 +252,10 @@ DIAGNOSTICS = [
     pytest.param(_FLAT + "wedge x1 x2 = q\nwedge x1 x2 = y\n", ("duplicate-wedge", 8, 0), id="duplicate-wedge"),
     pytest.param(_POLY + "coeffs q\n", ("duplicate-symbol", 6, 0), id="duplicate-symbol"),
     pytest.param(_FLAT + "dgens x1\n", ("duplicate-symbol", 7, 0), id="duplicate-symbol-dgens"),
+    pytest.param(_FLAT[:-len("x1 x2\n")] + "q x2\ndgen q = x1\n", ("duplicate-symbol", 6, 0),
+                 id="duplicate-symbol-param-dgen"),
+    pytest.param("name d\ndgens u x2\ngens x1 x2\nrel x2 x1 = x1 x2\ncalculus mode=flat\nparams u\n",
+                 ("duplicate-symbol", 6, 0), id="duplicate-symbol-dgen-param"),
     pytest.param(_ORE + "sigma x: t -> x\n", ("generator-in-coefficient", 4, 0), id="generator-in-coefficient"),
     pytest.param(_POLY + "invertible x1\n", ("laurent-unsupported", 6, 1), id="laurent-unsupported"),
     pytest.param("name d\ngens x invertible\n", ("laurent-unsupported", 2, 8), id="laurent-unsupported-name"),

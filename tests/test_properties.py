@@ -10,7 +10,7 @@ from itertools import accumulate, combinations
 
 import pytest
 
-from spbw.calculus import DiffForm, IntegralForm, build_calculus
+from spbw.calculus import DiffForm, build_calculus
 from spbw.coefficients import CoeffEndo, apply_endo, apply_sder
 from spbw.core import SkewPoly, _expand, _pack, exponents_upto
 from spbw.corpus import CORPUS_NAMES, corpus_doc
@@ -19,9 +19,17 @@ from spbw.extended import extend_sigma, hypothesis_check
 from spbw.gkdim import filtration_dims
 from spbw.lincomb import add_terms
 from spbw.pipeline import calculus_spec_from_doc
-from spbw.sampling import random_expo, random_skew
-
-from conftest import compose, d_word_by_positions, lift_delta, right_multiply, word_element
+from conftest import (
+    IntegralForm,
+    Transport,
+    compose,
+    d_word_by_positions,
+    lift_delta,
+    random_expo,
+    random_skew,
+    right_multiply,
+    word_element,
+)
 
 SMOOTH_NAMES = tuple(n for n in CORPUS_NAMES if n != "broken")
 
@@ -207,7 +215,7 @@ def test_volume_and_pi_identities_per_corpus(calculi):
         rng = random.Random(49)
         f = random_skew(calc.P, rng, 3)
         omega = calc.form(tuple(range(calc.N)), calc.P.one())
-        assert calc.pi_omega(right_multiply(calc, omega, f)) == f, name
+        assert Transport(calc).pi_omega(right_multiply(calc, omega, f)) == f, name
         for s in range(calc.nsyms):
             a = calc.P.symbol(s)
             lhs = calc.left_multiply(a, omega)
@@ -267,14 +275,15 @@ def weighted_skew(P, rng, degree):
     return f + random_skew(P, rng, degree, max_terms=1).scale(rng.choice(_weights(P)))
 
 
-def nabla_by_transport(calc, k, phi):
+def nabla_by_transport(transport, k, phi):
     """The transported divergence computed per call, on the whole functional."""
-    return calc.theta(k + 1, calc.differential(calc.theta_inv(k, phi)))
+    return transport.theta(k + 1, transport.calc.differential(transport.theta_inv(k, phi)))
 
 
 def test_memoized_divergence_matches_transport_per_corpus(calculi):
     for name, calc in calculi.items():
         rng = random.Random(52)
+        transport = Transport(calc)
         for k in range(calc.N):
             for _ in range(8):
                 values = {}
@@ -283,7 +292,7 @@ def test_memoized_divergence_matches_transport_per_corpus(calculi):
                     if not f.is_zero():
                         values[S] = f
                 phi = IntegralForm(calc.N - k, values)
-                assert calc._nabla(k, phi) == nabla_by_transport(calc, k, phi), (name, k)
+                assert transport.nabla(k, phi) == nabla_by_transport(transport, k, phi), (name, k)
 
 
 def apply_by_substitution(endo, f):
