@@ -18,7 +18,7 @@ what makes diagonalizable mixing twists reachable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, islice
 from operator import add
 
 from .coefficients import CoeffPoly
@@ -32,6 +32,16 @@ from .scalars import Scalar
 THEOREM_MODE = "theorem"
 FLAT_MODE = "flat"
 NO_INTEGRABILITY = "divergence transport requested without an integrability certificate"
+
+# The parts (a) to (d) of the certificate on the frame generators
+# (:meth:`Calculus._failure`), each the name of the Calculus method that
+# returns None when the part holds and else a witness of its failure.
+_PARTS = {
+    "a": "_noncommuting_twists",
+    "b": "_twisting_failure",
+    "c": "_inverse_breaking_a_relation",
+    "d": "_inverse_not_undoing_its_twist",
+}
 
 
 @dataclass
@@ -120,20 +130,19 @@ class Calculus:
     merged set and crossing factor of every pair of wedge basis sets in
     ``_basis_memo``, ``_unit_form`` builds each unit form ``du_S`` once,
     into ``_unit_forms``, ``d0`` builds the form of each single monomial
-    once, into ``_d0_forms``, ``_generator_certificate`` records its verdict
-    in ``_generators_certified``, and ``_integrability_failure`` its witness
-    (or that there is none) in ``_integrability_failed``; the divergence
-    checks read both.  These and the memo tables of the
-    presentation (``_mono_cache``) and the twists and their stored inverses
-    (``_power_memo`` and ``_monomial_memo`` for a map that does not rescale;
-    a map that rescales each symbol fills only ``_weights``, one scalar per
-    frame exponent, and one whose scales are all the literal unit is the
-    identity and fills nothing; the transport certificate applies each
-    twist to its inverse's images, and each inverse to its twist's images
-    unless the twist's construction verified that inverse) fill as it runs,
-    so one calculus belongs to one thread at a time.  A product with the
-    literal unit element, in ``Presentation.multiply``, returns the other
-    factor itself."""
+    once, into ``_d0_forms``, and ``_failure`` decides each part of the
+    certificate once, keeping its witness (None when it holds) in
+    ``_witnesses``, which the four certified stages read.  These and the
+    memo tables of the presentation (``_mono_cache``) and the twists and
+    their stored inverses (``_power_memo`` and ``_monomial_memo`` for a map
+    that does not rescale; a map that rescales each symbol fills only
+    ``_weights``, one scalar per frame exponent, and one whose scales are
+    all the literal unit is the identity and fills nothing; (d) applies
+    each twist to its inverse's images, and each inverse to its twist's
+    images unless the twist's construction verified that inverse) fill as
+    it runs, so one calculus belongs to one thread at a time.  A product
+    with the literal unit element, in ``Presentation.multiply``, returns
+    the other factor itself."""
 
     def __init__(self, P: Presentation, spec: CalculusSpec):
         self.P = P
@@ -149,8 +158,7 @@ class Calculus:
         self._d0_forms: dict = {}  # frame exponent -> d0 of its monomial
         self._one = P.ring.sone()
         self._volume = None
-        self._generators_certified = None
-        self._integrability_failed = None  # "" once (a), (c) and (d) hold, else the first failure's witness
+        self._witnesses: dict = {}  # part of _PARTS -> its witness, or None when it holds
 
     # -- setup ----------------------------------------------------------------
 
@@ -417,18 +425,10 @@ class Calculus:
         bound.
 
         (a) and (b) are sufficient, not necessary: when either fails,
-        :meth:`_d_squared_upto` decides and supplies the witnesses."""
-        if self._generator_certificate():
+        :meth:`_d_squared_upto` decides, and stops at its fifth witness."""
+        if self._failure("ab") is None:
             return CheckOutcome(True)
         return self._d_squared_upto(degree_bound)
-
-    def _generator_certificate(self) -> bool:
-        """(a) and (b) of :meth:`d_squared_check`, decided once and kept in
-        ``_generators_certified``; the divergence checks build on the same
-        verdict."""
-        if self._generators_certified is None:
-            self._generators_certified = self._noncommuting_twists() is None and self._d_respects_twisting()
-        return self._generators_certified
 
     def _noncommuting_twists(self) -> str | None:
         """Condition (a) of :meth:`d_squared_check`: None when it holds,
@@ -445,11 +445,6 @@ class Calculus:
                     return (f"the twists of {self._render_basis((i,))} and {self._render_basis((j,))} "
                             f"do not commute on {self.P.render(self.P.frame()[s])}")
         return None
-
-    def _d_respects_twisting(self) -> bool:
-        """Condition (b) of :meth:`d_squared_check`, whose witness
-        :meth:`_twisting_failure` finds."""
-        return self._twisting_failure() is None
 
     def _twisting_failure(self) -> str | None:
         """(b) of :meth:`d_squared_check`: None when it holds, else the
@@ -469,21 +464,25 @@ class Calculus:
 
     def _d_squared_upto(self, degree_bound: int) -> CheckOutcome:
         """d(d(m)) = 0 for every normal monomial up to the bound and for the
-        basis one-forms carrying those monomials."""
-        witnesses = []
+        basis one-forms carrying those monomials; the search stops at its
+        fifth witness, so it covers the whole basis only when it finds
+        fewer."""
+        witnesses = list(islice(self._d_squared_witnesses(degree_bound), 5))
+        return CheckOutcome(not witnesses, witnesses)
+
+    def _d_squared_witnesses(self, degree_bound: int):
+        """Each nonzero d^2 up to the bound as a witness, in basis order: of
+        the monomial m, then of ``du_i m`` for each i."""
         for expo in exponents_upto(self.nsyms, degree_bound):
             f = self._monomial(expo)
             dd = self.differential(self.d0(f))
             if not dd.is_zero():
-                witnesses.append(f"d^2 of {self.P.render(f)} = {self.render_form(dd)}")
+                yield f"d^2 of {self.P.render(f)} = {self.render_form(dd)}"
             for i in range(self.N):
                 form = self.form((i,), f)
                 dd1 = self.differential(self.differential(form))
                 if not dd1.is_zero():
-                    witnesses.append(
-                        f"d^2 of {self.render_form(form)} = {self.render_form(dd1)}"
-                    )
-        return CheckOutcome(not witnesses, witnesses[:5])
+                    yield f"d^2 of {self.render_form(form)} = {self.render_form(dd1)}"
 
     def _monomial(self, expo) -> SkewPoly:
         """The normal monomial with frame exponent ``expo``."""
@@ -555,15 +554,16 @@ class Calculus:
                 raise NotAVolumeFormError(f"volume twist rejected: {exc}") from exc
         return self._volume
 
-    # -- the transport certificate -----------------------------------------------------------
+    # -- the certificate on the frame generators ----------------------------------------------
 
-    def _transport_certificate(self) -> bool:
-        """Integrability, the product rule of the bottom divergence and
-        flatness, decided exactly from the frame generators: integrability
-        by (a), (c) and (d) (:meth:`_integrability_failure`), and the two
-        divergence stages by (a) to (d), the d^2 certificate ((a) and (b) of
-        :meth:`d_squared_check`, from :meth:`_generator_certificate`) with
-        the two parts checked here:
+    def _failure(self, parts: str) -> str | None:
+        """The witness of the first part among ``parts`` that fails, or None
+        when they all hold.  The parts are letters of ``_PARTS``, each
+        decided at most once per calculus, into ``_witnesses``, and a part
+        after a failing one is not decided.
+
+        (a) and (b) are the d^2 certificate of :meth:`d_squared_check`, and
+        the transport stages add
 
         (c) every stored twist inverse respects every defining relation
             (:meth:`AlgebraEndo.broken_relation`, by the weights when the
@@ -572,10 +572,11 @@ class Calculus:
             j and every frame symbol s, applying the stored maps to the
             twist images.
 
-        A part that fails is reported, never sampled: integrability fails
-        with the witness of the first of (a), (c) and (d) that fails, and
-        each divergence stage is an error that names its missing
-        prerequisite (:meth:`_require_transport_certificate`).
+        Integrability is decided by (a), (c) and (d), and the product rule
+        of the bottom divergence and flatness by all four.  A part that
+        fails is reported, never sampled: integrability fails with its
+        witness, and each divergence stage is an error that names its
+        missing prerequisite (:meth:`_require_transport_certificate`).
 
         Notation.  ``nu_S`` is the twist of ``du_S`` (``a du_S = du_S
         nu_S(a)``, :meth:`twist_apply_set`) and ``nu_S^-1`` the stored
@@ -652,27 +653,19 @@ class Calculus:
         theta(N-1) d theta_inv(N-2) = theta(N) d^2 theta_inv(N-2) = 0``.
 
         Both divergence arguments use d^2 = 0, which is why they need (b)."""
-        return self._generator_certificate() and self._integrability_failure() is None
-
-    def _integrability_failure(self) -> str | None:
-        """None when (a), (c) and (d) of :meth:`_transport_certificate`
-        hold, else the witness of the first of them that fails; decided
-        once, into ``_integrability_failed``.  (a) is not searched again
-        once the d^2 certificate, which contains it, has passed."""
-        if self._integrability_failed is None:
-            self._integrability_failed = (
-                (None if self._generators_certified else self._noncommuting_twists())
-                or self._inverse_breaking_a_relation()
-                or self._inverse_not_undoing_its_twist()
-                or ""
-            )
-        return self._integrability_failed or None
+        witnesses = self._witnesses
+        for part in parts:
+            if part not in witnesses:
+                witnesses[part] = getattr(self, _PARTS[part])()
+            if witnesses[part] is not None:
+                return witnesses[part]
+        return None
 
     def _inverse_breaking_a_relation(self) -> str | None:
-        """(c) of :meth:`_transport_certificate`, decided by
+        """(c) of :meth:`_failure`, decided by
         :meth:`AlgebraEndo.broken_relation` (by the weights when the stored
-        inverse rescales): None when it holds, else the first stored
-        inverse and the relation it breaks, as a witness."""
+        inverse rescales): None when it holds, else the first stored inverse
+        and the relation it breaks, as a witness."""
         for dg in self.spec.dgens:
             label = dg.twist.inverse.broken_relation()
             if label is not None:
@@ -680,9 +673,9 @@ class Calculus:
         return None
 
     def _inverse_not_undoing_its_twist(self) -> str | None:
-        """(d) of :meth:`_transport_certificate`: None when each stored
-        inverse undoes its twist on every frame symbol, from both sides,
-        else the first twist and symbol where it does not, as a witness.
+        """(d) of :meth:`_failure`: None when each stored inverse undoes its
+        twist on every frame symbol, from both sides, else the first twist
+        and symbol where it does not, as a witness.
         The side ``nu^-1(nu(s)) = s`` is what a checked :class:`AlgebraEndo`
         verifies at construction, so it is skipped while the stored inverse
         is the one that check verified."""
@@ -701,30 +694,31 @@ class Calculus:
         """Raise the missing prerequisite of the divergence stages as a
         :class:`ConfigError`, unless (a) to (d) all hold: integrability's
         when (a), (c) or (d) fails, and otherwise the witness of (b)."""
-        if self._integrability_failure() is not None:
+        if self._failure("acd") is not None:
             raise ConfigError(NO_INTEGRABILITY)
-        if not self._generator_certificate():
-            raise ConfigError(f"divergence transport requested without a d^2 certificate: {self._twisting_failure()}")
+        failure = self._failure("b")
+        if failure is not None:
+            raise ConfigError(f"divergence transport requested without a d^2 certificate: {failure}")
 
     # -- the three transport stages ---------------------------------------------------------
 
     def integrability_check(self) -> CheckOutcome:
         """The expansion identity on every coefficient-carrying form,
-        decided by (a), (c) and (d) of :meth:`_transport_certificate`; a
-        failed part is the witness."""
-        failure = self._integrability_failure()
+        decided by (a), (c) and (d) of :meth:`_failure`; a failed part is
+        the witness."""
+        failure = self._failure("acd")
         return CheckOutcome(failure is None, [failure] if failure else [])
 
     def divergence_leibniz_check(self) -> CheckOutcome:
-        """The product rule of the bottom divergence, decided by the
-        transport certificate; an error names the part that is missing."""
+        """The product rule of the bottom divergence, decided by (a) to (d)
+        of :meth:`_failure`; an error names the part that is missing."""
         self._require_transport_certificate()
         return CheckOutcome(True)
 
     def flatness_check(self) -> CheckOutcome:
-        """Curvature of the two bottom divergences, decided by the transport
-        certificate; an error names the part that is missing.  Vacuous below
-        dimension two."""
+        """Curvature of the two bottom divergences, decided by (a) to (d) of
+        :meth:`_failure`; an error names the part that is missing.  Vacuous
+        below dimension two."""
         if self.N < 2:
             return CheckOutcome(True, [], {"vacuous": True})
         self._require_transport_certificate()

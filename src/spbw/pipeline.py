@@ -6,14 +6,14 @@ incompatible differential); everything downstream is then reported as
 skipped.
 
 ``d-squared``, ``integrability``, ``divergence-leibniz`` and ``flatness`` are
-decided by certificates on the frame generators (the calculus's d^2 and
-transport certificates).  The d^2 certificate differentiates the one-forms
-``s du_i``; when it fails, the stage searches every monomial up to
-``dsq_degree`` for its witnesses.  ``integrability`` is decided by the
-parts of the transport certificate it needs, and fails with the witness of
-the first that does not hold.  The two divergence stages need the whole
-certificate; without it they are ``error`` records that name the missing
-prerequisite.  No stage samples: ``samples``, ``sample_degree`` and ``seed``
+decided by the parts (a) to (d) of one certificate on the frame generators,
+each part decided at most once per calculus.  ``d-squared`` reads (a) and
+(b), which differentiates the one-forms ``s du_i``; when either fails, the
+stage searches the monomials up to ``dsq_degree`` in order and stops at its
+fifth witness.  ``integrability`` reads (a), (c) and (d), and fails with
+the witness of the first that does not hold.  The two divergence stages
+need all four; without them they are ``error`` records that name the
+missing prerequisite.  No stage samples: ``samples``, ``sample_degree`` and ``seed``
 are echoed in the report and decide nothing.  ``hypotheses`` and
 theorem-mode ``compatibility`` read the one report that
 :func:`hypothesis_check` keeps on the presentation.

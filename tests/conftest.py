@@ -174,10 +174,11 @@ class IntegralForm(LinComb):
 
 class Transport:
     """The transport of forms to integral forms over one calculus, by the
-    formulas of ``Calculus._transport_certificate``: theta, its inverse, the
-    right action of A, the divergences, and the sampled checks of
-    integrability, the product rule and flatness.  The certificate decides
-    those stages without computing any of this; here it is the oracle.
+    formulas in the docstring of ``Calculus._failure``: theta, its
+    inverse, the right action of A, the divergences, and the sampled checks
+    of integrability, the product rule and flatness.  The certificate
+    decides those stages without computing any of this; here it is the
+    oracle.
     ``nabla`` keeps the divergence of every basis functional it transports
     in ``nabla_memo``."""
 

@@ -392,10 +392,6 @@ def test_d_squared_qplane_needs_wedge_constant(qplane):
 # document here the two agree.
 
 
-def _generator_certificate(calc):
-    return calc._noncommuting_twists() is None and calc._d_respects_twisting()
-
-
 @pytest.mark.parametrize("name", CERTIFIED)
 def test_generator_certificate_agrees_with_degree_six_on_corpus(name):
     doc = corpus_doc(name)
@@ -410,7 +406,7 @@ def test_generator_certificate_agrees_with_degree_six_on_corpus(name):
     for label, variant in variants.items():
         calc = build_calculus(P, variant)
         outcomes[label] = calc._d_squared_upto(6).ok
-        assert _generator_certificate(calc) == outcomes[label], label
+        assert (calc._failure("ab") is None) == outcomes[label], label
     assert outcomes["as shipped"] and not outcomes["wedge (0,1) = 7"]
     assert outcomes["no wedge constants"] == (not spec.wedge_signs)
 
@@ -426,7 +422,7 @@ def test_generator_certificate_agrees_with_degree_six_on_ore_grid():
             except (MapError, CompatibilityError):
                 continue  # case none: no calculus to decide d^2 on
             ok = calc._d_squared_upto(6).ok
-            assert _generator_certificate(calc) == ok, f"q={qs} r={r} p={ps}\n{text}"
+            assert (calc._failure("ab") is None) == ok, f"q={qs} r={r} p={ps}\n{text}"
             outcomes[ok] += 1
     # 28 members with a calculus, each with and without its wedge line; the
     # 14 case-c members with q != 1 need the line
@@ -461,7 +457,7 @@ def test_a_rescaling_twist_beside_a_shear_fails_a():
     rescaling, shear = (dg.twist for dg in calc.spec.dgens)
     assert rescaling._scales is not None and shear._scales is None
     assert calc._noncommuting_twists() == "the twists of d(x1) and d(x2) do not commute on x2"
-    assert not calc._generator_certificate()
+    assert calc._failure("ab") is not None
 
 
 def test_rescaling_twists_commute_without_being_applied(monkeypatch):
@@ -484,7 +480,7 @@ def test_a_stored_rescaling_inverse_fails_c_by_its_weights(monkeypatch):
     inverse = AlgebraEndo(P, (P.gen(0).scale(P.ring.scalar(2)), P.gen(1)), check=False)
     twist = AlgebraEndo(P, dg.twist.images, inverse=inverse, check=False)
     calc = build_calculus(P, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
-    assert calc._generator_certificate()
+    assert calc._failure("ab") is None
     assert inverse.broken_relation() == "x2*x1"
     multiplied = []
     monkeypatch.setattr(P, "multiply", lambda f, g: multiplied.append((f, g)))
@@ -492,7 +488,7 @@ def test_a_stored_rescaling_inverse_fails_c_by_its_weights(monkeypatch):
         "the stored inverse of the twist of d(x1) does not respect relation x2*x1"
     )
     assert not multiplied
-    assert not calc._transport_certificate()
+    assert calc._failure("abcd") is not None
 
 
 def test_non_commuting_twists_fail_the_certificate_and_d_squared():
@@ -542,13 +538,13 @@ def test_passing_d_squared_differentiates_only_one_forms(name):
 
 def _b_against_minus_differential(calc):
     """(b) with its right side negated: ``d0(s) ^ du_i == -d(du_i
-    nu_i(s))``."""
+    nu_i(s))``; None when it holds, else the first failing pair."""
     units = [calc._unit_form((i,)) for i in range(calc.N)]
-    return all(
-        calc.wedge(calc.d0(sym), du) == -calc.differential(calc.left_multiply(sym, du))
-        for sym in calc.P.frame()
-        for du in units
-    )
+    for sym in calc.P.frame():
+        for i, du in enumerate(units):
+            if calc.wedge(calc.d0(sym), du) != -calc.differential(calc.left_multiply(sym, du)):
+                return f"sign-flipped (b) fails at {calc.P.render(sym)}, {i}"
+    return None
 
 
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
@@ -556,15 +552,155 @@ def test_a_sign_flipped_b_fails_the_d_squared_certificate(name, monkeypatch):
     """A (b) that compares ``d0(s) ^ du_i`` with ``-d(du_i nu_i(s))``
     rejects every corpus and wide calculus, so ``d_squared_check`` is left
     to its search and the transport certificate fails with it."""
-    assert run_calculus_check(_doc(name))._d_respects_twisting()
-    monkeypatch.setattr(Calculus, "_d_respects_twisting", _b_against_minus_differential)
+    assert run_calculus_check(_doc(name))._twisting_failure() is None
+    monkeypatch.setattr(Calculus, "_twisting_failure", _b_against_minus_differential)
     mutant = run_calculus_check(_doc(name))
     searched = []
     _recording(mutant, "_d_squared_upto", searched)
     assert mutant.d_squared_check(2).ok
     assert [bound for _, bound in searched] == [2]
-    assert not mutant._transport_certificate()
+    assert mutant._failure("abcd") is not None
 
+
+# -- each part of the certificate decided once, and the d^2 search -----------------------
+#
+# ``_failure`` decides each part at most once per calculus, whichever stages
+# read it, and the d^2 search that runs when (a) or (b) fails stops at its
+# fifth witness, the last one the record keeps.
+
+# input -> (failing stages, calls of each part in one run_smooth)
+PART_RUNS = {
+    "certified-aq": ([], {"a": 1, "b": 1, "c": 1, "d": 1}),
+    "wedge-less-aq": (["d-squared", "divergence-leibniz", "flatness"], {"a": 1, "b": 1, "c": 1, "d": 1}),
+    "non-commuting-probe": (["d-squared", "integrability", "divergence-leibniz", "flatness"],
+                            {"a": 1, "b": 0, "c": 0, "d": 0}),
+}
+
+
+def _part_run_text(name):
+    aq = corpus_source("aq")
+    return {"certified-aq": aq, "wedge-less-aq": without_wedge(aq), "non-commuting-probe": NON_COMMUTING_TWISTS}[name]
+
+
+@pytest.mark.parametrize("name", PART_RUNS)
+def test_each_part_runs_at_most_once_per_run(name, monkeypatch):
+    """d-squared reads (a) and (b), integrability (a), (c) and (d), and both
+    divergence stages all four, yet one run decides each part once.  On the
+    wedge-less aq (b) fails, and is read three times; on the probe (a)
+    fails, so (b), (c) and (d) are never decided."""
+    calls = dict.fromkeys(spbw.calculus._PARTS, 0)
+    for part, attr in spbw.calculus._PARTS.items():
+        def counted(self, _method=getattr(Calculus, attr), _part=part):
+            calls[_part] += 1
+            return _method(self)
+        monkeypatch.setattr(Calculus, attr, counted)
+    failing, want = PART_RUNS[name]
+    report = run_smooth(parse_presentation(_part_run_text(name)))
+    assert report.failing == failing
+    assert calls == want
+
+
+def _full_d_squared_search(calc, bound):
+    """``(column, witness)`` for every nonzero d^2 up to the bound, over the
+    whole basis in the order of ``_d_squared_upto``: the search that kept
+    only its first five witnesses."""
+    found = []
+    for col, expo in enumerate(exponents_upto(calc.nsyms, bound)):
+        f = calc._monomial(expo)
+        dd = calc.differential(calc.d0(f))
+        if not dd.is_zero():
+            found.append((col, f"d^2 of {calc.P.render(f)} = {calc.render_form(dd)}"))
+        for i in range(calc.N):
+            form = calc.form((i,), f)
+            dd1 = calc.differential(calc.differential(form))
+            if not dd1.is_zero():
+                found.append((col, f"d^2 of {calc.render_form(form)} = {calc.render_form(dd1)}"))
+    return found
+
+
+def _searched_columns(calc, bound):
+    """The outcome of ``_d_squared_upto(bound)`` on calc, and the basis
+    columns whose monomials the search took."""
+    taken = []
+    _recording(calc, "_monomial", taken)
+    outcome = calc._d_squared_upto(bound)
+    index = {expo: col for col, expo in enumerate(exponents_upto(calc.nsyms, bound))}
+    return outcome, [index[expo] for caller, expo in taken if caller == "_d_squared_witnesses"]
+
+
+def _wedge_less_calc(name):
+    """The calculus of ``SHEARS``, a wide document or a corpus entry, with
+    no wedge line."""
+    text = SHEARS if name == "shears" else WIDE_DOCS.get(name) or corpus_source(name)
+    return run_calculus_check(parse_presentation(without_wedge(text)))
+
+
+@pytest.mark.parametrize("name", ["aq", "qaffine3", "qplane", "qaffine4"])
+def test_d_squared_search_stops_at_its_fifth_witness(name):
+    """Without its wedge lines each calculus has d^2 != 0 far beyond five
+    times; the search takes no monomial after the one that gave its fifth
+    witness, and keeps the five the full search finds first."""
+    calc = _wedge_less_calc(name)
+    full = _full_d_squared_search(calc, 6)
+    assert len(full) > 5
+    outcome, columns = _searched_columns(_wedge_less_calc(name), 6)
+    assert not outcome.ok
+    assert outcome.witnesses == [witness for _, witness in full[:5]]
+    fifth = full[4][0]
+    assert columns == list(range(fifth + 1))
+    assert fifth + 1 < len(exponents_upto(calc.nsyms, 6))
+
+
+@pytest.mark.parametrize("name, bound, count", [("shears", 2, 1), ("shears", 3, 3), ("qplane", 2, 1), ("qplane", 3, 3)])
+def test_d_squared_search_with_fewer_than_five_witnesses_takes_the_whole_basis(name, bound, count):
+    """No calculus of the sweep has fewer than five witnesses at degree 6,
+    so the searches here are cut lower: ``SHEARS`` and the wedge-less
+    quantum plane have one witness up to degree 2 and three up to degree
+    3."""
+    calc = _wedge_less_calc(name)
+    full = _full_d_squared_search(calc, bound)
+    outcome, columns = _searched_columns(_wedge_less_calc(name), bound)
+    assert outcome.witnesses == [witness for _, witness in full]
+    assert len(outcome.witnesses) == count
+    assert columns == list(range(len(exponents_upto(calc.nsyms, bound))))
+
+
+def _sweep_calculi():
+    """The compatible calculi of the corpus, ``WIDE_DOCS``,
+    ``UN2_PRODUCT_DOCS`` and the Ore grid, each also without its wedge
+    lines where that changes the text."""
+    texts = [corpus_source(name) for name in CERTIFIED] + list(WIDE_DOCS.values()) + list(UN2_PRODUCT_DOCS.values())
+    for text in texts:
+        yield run_calculus_check(parse_presentation(text))
+        if without_wedge(text) != text:
+            yield run_calculus_check(parse_presentation(without_wedge(text)))
+    yield from _grid_calculi()
+
+
+def test_where_only_b_fails_d_squared_of_two_frame_symbols_is_not_zero():
+    """Evidence toward (a) and (b) being necessary, not a proof.  On every
+    calculus of the sweep and every pair of frame symbols s, t, ``d^2(s t)
+    = -sum_i D(s, i) d_i(t)``, with ``D(s, i) = d0(s) ^ du_i - d(du_i
+    nu_i(s))`` the two-form whose vanishing is (b) and ``d_i(t)`` the
+    scalar du_i coordinate of d0(t).  So on every calculus where (a) holds
+    and (b) fails, all 18 of them wedge-less, d^2 of some product ``s*t``
+    is nonzero (ROADMAP item 4 sketches why)."""
+    only_b = 0
+    for calc in _sweep_calculi():
+        P, units = calc.P, [calc._unit_form((i,)) for i in range(calc.N)]
+        for s, sym in enumerate(P.frame()):
+            D = [calc.wedge(calc.d0(sym), du) - calc.differential(calc.left_multiply(sym, du)) for du in units]
+            for t, tym in enumerate(P.frame()):
+                read = calc.zero_form()
+                for i, b in calc._dterms[t]:
+                    read = read - D[i].scale(b)
+                assert calc.differential(calc.d0(P.multiply(sym, tym))) == read
+        if calc._failure("a") is None and calc._failure("b") is not None:
+            only_b += 1
+            assert any(
+                not calc.differential(calc.d0(P.multiply(s, t))).is_zero() for s in P.frame() for t in P.frame()
+            )
+    assert only_b == 18
 
 # -- connectedness ------------------------------------------------------------------
 
@@ -1286,7 +1422,7 @@ def test_negated_transport_component_fails_divergence_leibniz(name, monkeypatch)
     and N(N-1) is even), and flatness only tests that the composite of the
     two bottom divergences vanishes, which no sign changes."""
     calc = run_calculus_check(_doc(name))
-    assert calc._transport_certificate()
+    assert calc._failure("abcd") is None
     transport = Transport(calc)
     N = calc.N
     sets = combinations(range(N), N - 1) if N > 1 else ()
@@ -1522,8 +1658,8 @@ def _sampled_stages_pass(calc):
 
 def _certificate_agrees(calc):
     sampled = _sampled_stages_pass(calc)
-    certified = calc._transport_certificate()
-    assert certified == (calc._generator_certificate() and sampled)
+    certified = calc._failure("abcd") is None
+    assert certified == (calc._failure("ab") is None and sampled)
     return certified
 
 
@@ -1597,7 +1733,7 @@ def test_certificate_fails_where_the_curvature_is_not_zero():
     doc = corpus_doc("qplane")
     P = build_presentation(doc)
     calc = build_calculus(P, replace(calculus_spec_from_doc(doc, P), wedge_signs={}))
-    assert not calc._transport_certificate()
+    assert calc._failure("abcd") is not None
     assert calc.integrability_check().ok
     with pytest.raises(ConfigError, match="without a d\\^2 certificate: d0\\(s\\) \\^ du_i"):
         calc.flatness_check()
@@ -1619,10 +1755,10 @@ def test_a_stored_inverse_that_breaks_a_relation_fails_the_certificate(qplane):
     inverse = AlgebraEndo(qplane, images, check=False)
     twist = AlgebraEndo(qplane, dg.twist.images, inverse=inverse, check=False)
     calc = build_calculus(qplane, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
-    assert calc._generator_certificate()
+    assert calc._failure("ab") is None
     witness = "the stored inverse of the twist of d(x1) does not respect relation x2*x1"
     assert calc._inverse_breaking_a_relation() == witness
-    assert not calc._transport_certificate()
+    assert calc._failure("abcd") is not None
     assert calc.integrability_check().witnesses == [witness]
     assert build_calculus(qplane, qplane_flat_spec(qplane))._inverse_breaking_a_relation() is None
 
@@ -1636,11 +1772,11 @@ def test_a_stored_inverse_that_does_not_undo_its_twist_fails_the_certificate(qpl
     identity = AlgebraEndo(qplane, qplane.frame(), check=False)
     twist = AlgebraEndo(qplane, dg.twist.images, inverse=identity, check=False)
     calc = build_calculus(qplane, replace(spec, dgens=[replace(dg, twist=twist)] + spec.dgens[1:]))
-    assert calc._generator_certificate()
+    assert calc._failure("ab") is None
     assert calc._inverse_breaking_a_relation() is None
     witness = "the stored inverse of the twist of d(x1) does not undo it on x2"
     assert calc._inverse_not_undoing_its_twist() == witness
-    assert not calc._transport_certificate()
+    assert calc._failure("abcd") is not None
     assert calc.integrability_check().witnesses == [witness]
     assert build_calculus(qplane, qplane_flat_spec(qplane))._inverse_not_undoing_its_twist() is None
 
@@ -1701,12 +1837,12 @@ def _transport_holds_in_every_degree(calc):
 @pytest.mark.parametrize("name", CERTIFIED + tuple(WIDE_DOCS))
 def test_transport_inverts_in_every_degree(name):
     calc = run_calculus_check(_doc(name))
-    assert calc._transport_certificate()
+    assert calc._failure("abcd") is None
     _transport_holds_in_every_degree(calc)
 
 
 def test_transport_inverts_in_every_degree_on_ore_grid():
-    certified = [calc for calc in _grid_calculi() if calc._transport_certificate()]
+    certified = [calc for calc in _grid_calculi() if calc._failure("abcd") is None]
     assert len(certified) == 42
     for calc in certified:
         _transport_holds_in_every_degree(calc)
@@ -1729,7 +1865,7 @@ def test_certificate_transports_only_inside_the_bottom_divergence(name):
             _degrees.add(first if isinstance(first, int) else len(first))
             return _method(first, second)
         setattr(transport, attr, recorded)
-    assert calc._transport_certificate()
+    assert calc._failure("abcd") is None
     assert seen == {"theta": set(), "theta_inv": set(), "expands": set()}
     assert calls["left_multiply"] > 0 and calls["differential"] > 0
     assert _product_rule_on_generators(transport)
@@ -1807,7 +1943,7 @@ def test_dual_action_visits_only_the_sets_that_meet_the_support(name):
 
 
 def test_dual_action_visits_only_the_sets_that_meet_the_support_on_ore_grid():
-    certified = [calc for calc in _grid_calculi() if calc._transport_certificate()]
+    certified = [calc for calc in _grid_calculi() if calc._failure("abcd") is None]
     assert len(certified) == 42
     rng = random.Random(4242)
     for calc in certified:
@@ -1880,7 +2016,7 @@ def test_d_respects_twisting_builds_each_unit_form_once(name):
     calc = run_calculus_check(_doc(name))
     made = []
     _recording(calc, "form", made)
-    assert calc._d_respects_twisting()
+    assert calc._twisting_failure() is None
     ones = [(caller, S) for caller, S, f in made if len(S) == 1]
     assert [S for caller, S in ones if caller == "_unit_form"] == [(i,) for i in range(calc.N)]
     assert len(ones) == calc.N + calc.N * calc.nsyms
