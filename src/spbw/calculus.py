@@ -499,7 +499,7 @@ class Calculus:
         :meth:`_connectedness_rows`.  Every row goes to :func:`kernel_basis`,
         which peels the rows with a single entry (on a polynomial ring, all
         of them) before any elimination."""
-        basis = exponents_upto(self.nsyms, degree_bound)
+        basis = list(exponents_upto(self.nsyms, degree_bound))
         rows = self._connectedness_rows(basis)
         kernel = kernel_basis(list(rows.values()), len(basis), self.P.ring.nparams)
         dim = len(kernel)

@@ -1,21 +1,21 @@
 """Command-line front end.
 
-    spbw smooth FILE [--samples K] [--seed S] [--max-degree M] [--json PATH]
+    spbw smooth FILE [--json PATH]
     spbw check pbw FILE
     spbw check hypotheses FILE
     spbw calculus check FILE
     spbw normalize FILE EXPR
     spbw gkdim FILE [--max-degree M]
-    spbw report FILE --json PATH [--samples K] [--seed S] [--max-degree M]
+    spbw report FILE --json PATH
     spbw corpus [--write DIR]
 
 FILE is a path to a ``.spbw`` document or ``corpus:NAME`` for a built-in
-entry.  ``--max-degree`` sets ``gk_degree``; ``--samples`` and ``--seed``
-set options that the report echoes and no stage reads.  An option a
-command does not read is a usage error.  Exit codes: 0 when a verdict or
-result was produced (including not-certified), 1 when a check hard-failed,
-2 on usage, parse or configuration errors, a path that cannot be read or
-written among them.
+entry.  Pipeline options are set by the document's ``options`` line only.
+``--max-degree`` (default 12, at least 1) is the depth of the growth table
+that ``gkdim`` prints.  An option a command does not read is a usage
+error.  Exit codes: 0 when a verdict or result was produced (including
+not-certified), 1 when a check hard-failed, 2 on usage, parse or
+configuration errors, a path that cannot be read or written among them.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .corpus import CORPUS_NAMES, corpus_doc, corpus_source
-from .dsl import ParseError, build_presentation, parse_expression, parse_presentation, set_option
+from .dsl import ParseError, build_presentation, parse_expression, parse_presentation
 from .errors import ConfigError, SpbwError
 from .extended import hypothesis_check
 from .gkdim import FAILED, filtration_dims, gk_estimate
@@ -37,26 +37,15 @@ EXIT_CONFIG = 2
 
 
 def _load_doc(args):
-    """The document named by ``args.file`` with the command-line overrides
-    applied; ``--max-degree`` sets ``gk_degree``."""
+    """The document named by ``args.file``."""
     spec = args.file
     if spec.startswith("corpus:"):
-        doc = corpus_doc(spec.split(":", 1)[1])
-    else:
-        try:
-            source = Path(spec).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ConfigError(f"cannot read input: {exc}") from exc
-        doc = parse_presentation(source)
-    overrides = (
-        ("seed", getattr(args, "seed", None)),
-        ("samples", getattr(args, "samples", None)),
-        ("gk_degree", getattr(args, "max_degree", None)),
-    )
-    for key, value in overrides:
-        if value is not None:
-            set_option(doc.options, key, value)
-    return doc
+        return corpus_doc(spec.split(":", 1)[1])
+    try:
+        source = Path(spec).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read input: {exc}") from exc
+    return parse_presentation(source)
 
 
 def _cmd_smooth(args) -> int:
@@ -123,11 +112,11 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_gkdim(args) -> int:
-    doc = _load_doc(args)
-    dims = filtration_dims(build_presentation(doc), doc.options["gk_degree"])
-    est, diag = gk_estimate(dims)
+    if args.max_degree < 1:
+        raise ConfigError(f"--max-degree must be at least 1, got {args.max_degree}")
+    dims = filtration_dims(build_presentation(_load_doc(args)), args.max_degree)
     print(f"dimensions: {dims}")
-    print(f"estimate: {est} ({diag['note']})")
+    print(f"estimate: {gk_estimate(dims)}")
     return EXIT_OK
 
 
@@ -155,14 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def file_arg(p):
         p.add_argument("file", help="path to a .spbw document, or corpus:NAME")
 
-    def max_degree(p):
-        p.add_argument("--max-degree", type=int, default=None)
-
     def pipeline_options(p):
         file_arg(p)
-        max_degree(p)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--json", default=None, help="also write the machine report here")
 
     p = sub.add_parser("smooth", help="run the full pipeline and print the verdict")
@@ -194,7 +177,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gkdim", help="growth table and dimension estimate")
     file_arg(p)
-    max_degree(p)
+    p.add_argument("--max-degree", type=int, default=12, help="depth of the printed table")
     p.set_defaults(fn=_cmd_gkdim)
 
     p = sub.add_parser("corpus", help="list or materialize the built-in corpus")

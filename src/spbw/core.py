@@ -692,14 +692,14 @@ def _inversions(w: tuple, n: int) -> int:
     return count
 
 
-def exponents_upto(nvars: int, total: int) -> list:
+def exponents_upto(nvars: int, total: int):
     """Every exponent tuple of length ``nvars`` with entry sum at most
-    ``total``, in lexicographic order: an odometer, with no recursion."""
-    out = []
+    ``total``, in lexicographic order: an odometer, with no recursion.  A
+    generator, so a search that stops early builds only what it read."""
     e = [0] * nvars
     room = total  # total minus the entry sum of e
     while True:
-        out.append(tuple(e))
+        yield tuple(e)
         if room and nvars:
             e[-1] += 1
             room -= 1
@@ -709,7 +709,7 @@ def exponents_upto(nvars: int, total: int) -> list:
         while j > 0 and not e[j]:
             j -= 1
         if j <= 0:
-            return out
+            return
         room += e[j] - 1
         e[j] = 0
         e[j - 1] += 1

@@ -36,37 +36,26 @@ from .scalars import Scalar, poly_one
 
 DEFAULT_OPTIONS = {
     "seed": 1729,
-    "samples": 50,
-    "sample_degree": 4,
     "dsq_degree": 6,
     "conn_degree": 6,
-    "gk_degree": 12,
-    "pbw_degree": 3,
 }
 
-# Smallest value each bounded option accepts.  The growth estimate reads only
-# the start of its closed-form table, and the overlap check walks its words at
-# length 3 whatever `pbw_degree` says; the `gk_degree` and `pbw_degree` floors
-# stay so that the documents accepted today still are, with the same reports.
-# `dsq_degree` is the witness budget of the searched d^2 check, which runs
-# only when its certificate fails; a search with no budget would pass without
-# looking.  `seed`, `samples` and `sample_degree` decide nothing: no stage
-# samples, and the report echoes them because the `spbw-report/1` records
-# carry them.
+# Smallest value each bounded option accepts.  `dsq_degree` is the witness
+# budget of the searched d^2 check, which runs only when its certificate
+# fails, and `conn_degree` the degree up to which connectedness computes the
+# kernel of d; a search or a kernel with no budget would pass without
+# looking.  `seed` decides nothing, since no stage samples; it is kept only
+# because the benchmark's documents set it.
 OPTION_MINIMUMS = {
-    "samples": 1,
-    "sample_degree": 1,
     "dsq_degree": 1,
     "conn_degree": 1,
-    "gk_degree": 8,
-    "pbw_degree": 3,
 }
 
 
 class ParseError(SpbwError):
     """Bad document text or option value.  Line 0 marks an error with no
-    place in the text (a whole-document check or a command-line override);
-    its message then carries no position."""
+    place in the text (a whole-document check); its message then carries no
+    position."""
 
     def __init__(self, line: int, col: int, code: str, message: str):
         where = f"line {line}, column {col}: " if line else ""
@@ -74,17 +63,6 @@ class ParseError(SpbwError):
         self.line = line
         self.col = col
         self.code = code
-
-
-def set_option(options: dict, key: str, value: int, line: int = 0, col: int = 0):
-    """Store one pipeline option after checking its name and range; used by
-    the ``options`` line and by command-line overrides alike."""
-    if key not in DEFAULT_OPTIONS:
-        raise ParseError(line, col, "unknown-option", f"unknown option {key!r}")
-    minimum = OPTION_MINIMUMS.get(key)
-    if minimum is not None and value < minimum:
-        raise ParseError(line, col, "option-range", f"option {key} must be at least {minimum}, got {value}")
-    options[key] = value
 
 
 @dataclass
@@ -549,9 +527,16 @@ class _Parser:
                 ts.next()
                 sign = -1
             _, digits, _ = ts.expect("int", what="an integer")
+            value = sign * int(digits)
             if key in self.options:
                 raise ParseError(line_no, col, "duplicate-option", f"option {key!r} set twice")
-            set_option(self.options, key, sign * int(digits), line_no, col)
+            if key not in DEFAULT_OPTIONS:
+                raise ParseError(line_no, col, "unknown-option", f"unknown option {key!r}")
+            minimum = OPTION_MINIMUMS.get(key)
+            if minimum is not None and value < minimum:
+                raise ParseError(line_no, col, "option-range",
+                                 f"option {key} must be at least {minimum}, got {value}")
+            self.options[key] = value
 
     # -- map lines and relations ------------------------------------------------------
 

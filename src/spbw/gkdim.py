@@ -8,10 +8,8 @@ form, and its growth exponent is s, read from the table as dims[1] - 1.  The
 tests count the monomials by enumeration as the independent oracle, and
 check the estimate against the finite differences of the table.
 
-The estimate needs only dims[1].  The table's depth, ``gk_degree`` (at
-least 8) or s + 1, fixes what ``spbw gkdim`` prints and where the reported
-slope is read; its floor stays so that accepted documents keep their
-reports.
+The estimate needs only dims[1].  The table's depth fixes only what
+``spbw gkdim`` prints (``--max-degree``); the pipeline asks for depth 1.
 """
 
 from __future__ import annotations
@@ -60,39 +58,17 @@ def check_filtration_compatible(P: Presentation):
 def filtration_dims(P: Presentation, m_max: int) -> list:
     """Number of normal monomials of total degree <= m: C(s+m, m) in the s
     symbols of the frame, for m up to ``m_max`` or s + 1, whichever is
-    larger."""
+    larger: at depth s + 1 the table shows its finite differences settle."""
     check_filtration_compatible(P)
     nsyms = P.ring.nvars + P.n
     return [comb(nsyms + m, m) for m in range(max(m_max, nsyms + 1) + 1)]
 
 
-def gk_estimate(dims: list) -> tuple:
-    """Integer growth exponent of a :func:`filtration_dims` table, with the
-    ``gk-estimate`` record's data: ``difference_degree``, ``slope_estimate``,
-    ``ambiguous`` and ``note``.
-
-    The table is C(s+m, m), so the exponent is s = dims[1] - 1, the order at
-    which its finite differences settle at 1.  The log-log slope at the
-    tail, ``log(a/b) / log(m/(m-1))`` with a = dims[m] and b = dims[m-1],
-    rounded, is reported alongside for information: it reads low on short
-    tables (3 for C(m+4, 4) at m = 12).  It is computed exactly, as the
-    least k >= 0 with ``a^2 (m-1)^(2k+1) < b^2 m^(2k+1)``, which is the
-    slope being below k + 1/2.
-    """
-    if len(dims) - 1 < 8:
-        raise ValueError("gk_estimate needs the table up to degree 8 at least")
-    diff_degree = dims[1] - 1
-    m = len(dims) - 1
-    a2, b2 = dims[m] ** 2, dims[m - 1] ** 2
-    slope = 0
-    while a2 * (m - 1) ** (2 * slope + 1) >= b2 * m ** (2 * slope + 1):
-        slope += 1
-    return diff_degree, {
-        "difference_degree": diff_degree,
-        "slope_estimate": slope,
-        "ambiguous": False,
-        "note": "desk-scale estimate",
-    }
+def gk_estimate(dims: list) -> int:
+    """Integer growth exponent of a :func:`filtration_dims` table.  The
+    table is C(s+m, m), so the exponent is s = dims[1] - 1, the order at
+    which its finite differences settle at 1."""
+    return dims[1] - 1
 
 
 # -- verdict ----------------------------------------------------------------------

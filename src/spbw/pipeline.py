@@ -13,9 +13,10 @@ stage searches the monomials up to ``dsq_degree`` in order and stops at its
 fifth witness.  ``integrability`` reads (a), (c) and (d), and fails with
 the witness of the first that does not hold.  The two divergence stages
 need all four; without them they are ``error`` records that name the
-missing prerequisite.  No stage samples: ``samples``, ``sample_degree`` and ``seed``
-are echoed in the report and decide nothing.  ``hypotheses`` and
-theorem-mode ``compatibility`` read the one report that
+missing prerequisite.  No stage samples, so the ``seed`` option decides
+nothing; the report echoes it in ``config``.  ``gk-estimate`` reads the
+growth exponent from the closed-form table (:mod:`spbw.gkdim`).
+``hypotheses`` and theorem-mode ``compatibility`` read the one report that
 :func:`hypothesis_check` keeps on the presentation.
 """
 
@@ -136,12 +137,11 @@ def _is_sigma_composite(P: Presentation, nu: AlgebraEndo) -> bool:
 
 
 def _stage_integrability(run: _Run) -> CheckOutcome:
-    out = run.calculus.integrability_check()
-    return replace(out, data={"samples": run.opts["samples"], "degree": run.opts["sample_degree"]})
+    return run.calculus.integrability_check()
 
 
 def _stage_divergence(run: _Run) -> CheckOutcome:
-    return replace(run.calculus.divergence_leibniz_check(), data={"samples": run.opts["samples"]})
+    return run.calculus.divergence_leibniz_check()
 
 
 def _stage_flatness(run: _Run) -> CheckOutcome:
@@ -149,8 +149,8 @@ def _stage_flatness(run: _Run) -> CheckOutcome:
 
 
 def _stage_gk(run: _Run) -> CheckOutcome:
-    run.gk, data = gk_estimate(filtration_dims(run.P, run.opts["gk_degree"]))
-    return CheckOutcome(True, data=data)
+    run.gk = gk_estimate(filtration_dims(run.P, 1))
+    return CheckOutcome(True)
 
 
 # (name, stage function, hard failure): the stages in dependency order.  A

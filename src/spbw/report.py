@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 from .gkdim import CheckRecord
 
-SCHEMA_ID = "spbw-report/1"
+SCHEMA_ID = "spbw-report/2"
 
 
 @dataclass

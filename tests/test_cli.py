@@ -112,9 +112,12 @@ def test_normalize_command(capsys):
 
 
 def test_gkdim_command(capsys):
-    assert main(["gkdim", "corpus:jordan", "--max-degree", "12"]) == 0
-    out = capsys.readouterr().out
-    assert "estimate: 2" in out
+    # --max-degree is the depth of the printed table, 12 by default
+    assert main(["gkdim", "corpus:jordan", "--max-degree", "5"]) == 0
+    assert capsys.readouterr().out == "dimensions: [1, 3, 6, 10, 15, 21]\nestimate: 2\n"
+    assert main(["gkdim", "corpus:jordan"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].endswith(", 91]") and out[1] == "estimate: 2"
 
 
 def test_json_report_written(weyl_file, tmp_path, capsys):
@@ -123,7 +126,7 @@ def test_json_report_written(weyl_file, tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads(target.read_text())
     assert doc["verdict"] == "certified-smooth"
-    assert doc["schema"] == "spbw-report/1"
+    assert doc["schema"] == "spbw-report/2"
 
 
 def test_report_requires_json(capsys):
@@ -141,8 +144,8 @@ COMMANDS = {
 }
 FLAGS = ("--max-degree", "--samples", "--seed", "--json")
 READS = {
-    "smooth": FLAGS,
-    "report": FLAGS,
+    "smooth": ("--json",),
+    "report": ("--json",),
     "check": (),
     "hypotheses": (),
     "calculus": (),
@@ -192,21 +195,27 @@ def test_corpus_write(tmp_path, capsys):
     assert (tmp_path / "c" / "aq.spbw").exists()
 
 
-def test_seed_override_recorded(weyl_file, tmp_path, capsys):
-    target = tmp_path / "r.json"
-    assert main(["smooth", weyl_file, "--seed", "99", "--json", str(target)]) == 0
+def test_seed_override_recorded(tmp_path, capsys):
+    # the document's options line is the one place an option is set
+    path, target = tmp_path / "opts.spbw", tmp_path / "r.json"
+    path.write_text(corpus_source("weyl") + "options seed=99\n", encoding="utf-8")
+    assert main(["smooth", str(path), "--json", str(target)]) == 0
     capsys.readouterr()
-    assert json.loads(target.read_text())["config"]["seed"] == 99
+    assert json.loads(target.read_text())["config"] == {"conn_degree": 6, "dsq_degree": 6, "seed": 99}
 
 
 def test_an_override_replaces_the_value_a_document_sets(tmp_path, capsys):
-    # a document sets each option at most once; the command line still
-    # replaces that value
+    # no flag overrides an option any more: --seed is a usage error, and
+    # the report records the value the document sets
     path, target = tmp_path / "opts.spbw", tmp_path / "r.json"
     path.write_text(corpus_source("weyl") + "options seed=5\n", encoding="utf-8")
-    assert main(["smooth", str(path), "--seed", "99", "--json", str(target)]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["smooth", str(path), "--seed", "99", "--json", str(target)])
+    assert exc.value.code == 2
+    assert not target.exists()
+    assert main(["smooth", str(path), "--json", str(target)]) == 0
     capsys.readouterr()
-    assert json.loads(target.read_text())["config"]["seed"] == 99
+    assert json.loads(target.read_text())["config"]["seed"] == 5
 
 
 BAD_TWIST = (
@@ -229,16 +238,31 @@ def test_relation_breaking_twist_is_an_error_record(tmp_path, capsys):
     assert compat["witnesses"] == ["relation x2*x1 not respected"]
 
 
-def test_nonpositive_samples_rejected(capsys):
-    assert main(["smooth", "corpus:weyl", "--samples", "-3"]) == 2
-    # an override has no place in the document, so no line or column
-    assert capsys.readouterr().err == "parse error: option samples must be at least 1, got -3 [option-range]\n"
+def test_nonpositive_samples_rejected(tmp_path, capsys):
+    # samples is no option any more, neither as a flag nor in a document
+    with pytest.raises(SystemExit) as exc:
+        main(["smooth", "corpus:weyl", "--samples", "-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --samples -3" in capsys.readouterr().err
+    path = tmp_path / "samples.spbw"
+    path.write_text(corpus_source("weyl") + "options samples=3\n", encoding="utf-8")
+    assert main(["smooth", str(path)]) == 2
+    assert capsys.readouterr().err == "parse error: line 7, column 9: unknown option 'samples' [unknown-option]\n"
 
 
 @pytest.mark.parametrize("command", ["smooth", "gkdim"])
 def test_small_max_degree_rejected(command, capsys):
-    assert main([command, "corpus:weyl", "--max-degree", "5"]) == 2
-    assert "option-range" in capsys.readouterr().err
+    # only gkdim reads --max-degree, and any depth from 1 up prints a table
+    if command == "smooth":
+        with pytest.raises(SystemExit) as exc:
+            main([command, "corpus:weyl", "--max-degree", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-degree 5" in capsys.readouterr().err
+        return
+    assert main([command, "corpus:weyl", "--max-degree", "0"]) == 2
+    assert capsys.readouterr().err == "error: --max-degree must be at least 1, got 0\n"
+    assert main([command, "corpus:weyl", "--max-degree", "1"]) == 0
+    assert capsys.readouterr().out == "dimensions: [1, 3, 6, 10]\nestimate: 2\n"
 
 
 def test_wrong_claimed_inverse_exits_two(tmp_path, capsys):

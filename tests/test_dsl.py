@@ -88,10 +88,12 @@ def test_claimed_inverse_of_diagonal_sigma_round_trip(isigma):
 
 
 def test_unknown_option_diagnostic():
-    src = "name bad\ngens x1 x2\nrel x2 x1 = x1 x2\noptions bogus=3\n"
-    with pytest.raises(ParseError) as err:
-        parse_presentation(src)
-    assert err.value.code == "unknown-option"
+    # the options that decided nothing are gone with the spbw-report/1 records
+    for key in ("bogus", "samples", "sample_degree", "gk_degree", "pbw_degree"):
+        src = f"name bad\ngens x1 x2\nrel x2 x1 = x1 x2\noptions seed=1 {key}=12\n"
+        with pytest.raises(ParseError) as err:
+            parse_presentation(src)
+        assert str(err.value) == f"line 4, column 16: unknown option {key!r} [unknown-option]"
 
 
 def test_theorem_mode_rejects_twist_lines():
@@ -169,13 +171,10 @@ def test_corpus_sources_have_unix_endings():
 def test_options_parsed():
     src = (
         "name opts\ngens x1 x2\nrel x2 x1 = x1 x2\n"
-        "options seed=7 samples=10 gk_degree=9\n"
+        "options seed=7 conn_degree=10\n"
     )
     doc = parse_presentation(src)
-    assert doc.options["seed"] == 7
-    assert doc.options["samples"] == 10
-    assert doc.options["gk_degree"] == 9
-    assert doc.options["dsq_degree"] == 6  # default
+    assert doc.options == {"seed": 7, "dsq_degree": 6, "conn_degree": 10}
 
 
 def test_negative_option_values():
@@ -190,9 +189,8 @@ def test_negative_option_values():
 
 
 def test_option_below_minimum_rejected():
-    # the overlap check walks its words at length 3 whatever pbw_degree
-    # says; the floor stays so that the documents accepted today still are
-    src = corpus_source("broken") + "options pbw_degree=2\n"
+    # a search or a kernel with no budget would pass without looking
+    src = corpus_source("broken") + "options dsq_degree=0\n"
     with pytest.raises(ParseError) as info:
         parse_presentation(src)
     assert info.value.code == "option-range"
@@ -266,7 +264,7 @@ DIAGNOSTICS = [
     pytest.param("gens x\n", ("missing-name", 0, 0), id="missing-name"),
     pytest.param("name d\ngens x1 x2 x3\nrel x2 x1 = x1 x2\nrel x3 x1 = x1 x3\n",
                  ("missing-relation", 0, 0), id="missing-relation"),
-    pytest.param(_POLY + "options samples=0\n", ("option-range", 6, 9), id="option-range"),
+    pytest.param(_POLY + "options dsq_degree=0\n", ("option-range", 6, 9), id="option-range"),
     pytest.param("name d\ngens x1 x2\nrel x1 x2 = x1 x2\n", ("relation-order", 3, 5), id="relation-order"),
     pytest.param("name d\ngens x1 x2\nrel x2 x1 = x2 x1\n", ("tail-shape", 3, 0), id="tail-shape-pair"),
     pytest.param("name d\ngens x1 x2\nrel x2 x1 = x1 x2 + x1^3\n", ("tail-shape", 3, 0), id="tail-shape-degree"),
@@ -457,8 +455,8 @@ def test_a_hundred_nested_parentheses_still_parse():
 
 def test_an_option_set_twice_is_rejected_on_one_line_or_two():
     with pytest.raises(ParseError) as err:
-        parse_presentation(_POLY + "options seed=1 samples=3 seed=2\n")
-    assert str(err.value) == "line 6, column 26: option 'seed' set twice [duplicate-option]"
+        parse_presentation(_POLY + "options seed=1 dsq_degree=3 seed=2\n")
+    assert str(err.value) == "line 6, column 29: option 'seed' set twice [duplicate-option]"
     with pytest.raises(ParseError) as err:
-        parse_presentation(_POLY + "options seed=1\noptions samples=3 seed=1\n")
-    assert str(err.value) == "line 7, column 19: option 'seed' set twice [duplicate-option]"
+        parse_presentation(_POLY + "options seed=1\noptions dsq_degree=3 seed=1\n")
+    assert str(err.value) == "line 7, column 22: option 'seed' set twice [duplicate-option]"

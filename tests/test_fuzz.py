@@ -78,19 +78,17 @@ def documents(draw):
         if len(dgens) > 1 and draw(st.booleans()):
             lines.append(f"wedge {dgens[0]} {dgens[1]} = {scalar()}")
     options = draw(st.dictionaries(
-        st.sampled_from(["seed", "samples", "sample_degree", "dsq_degree", "conn_degree", "gk_degree", "pbw_degree"]),
+        st.sampled_from(["seed", "dsq_degree", "conn_degree"]),
         st.integers(1, 4),
         max_size=3,
     ))
     if options:
-        # gk_degree and pbw_degree have minimums 8 and 3; now and then one
-        # value is 0, below every minimum.  Hypothesis leans towards the
-        # ends of a range, so the rare branches test for a value inside it.
-        shift = {"gk_degree": 7, "pbw_degree": 2}
-        values = {k: v + shift.get(k, 0) for k, v in options.items()}
+        # now and then one value is 0, below the minimum of the two degrees.
+        # Hypothesis leans towards the ends of a range, so the rare branch
+        # tests for a value inside it.
         if draw(st.integers(0, 9)) == 5:
-            values[min(values)] = 0
-        lines.append("options " + " ".join(f"{k}={v}" for k, v in sorted(values.items())))
+            options[min(options)] = 0
+        lines.append("options " + " ".join(f"{k}={v}" for k, v in sorted(options.items())))
     if draw(st.integers(0, 9)) == 5:
         del lines[draw(st.integers(0, len(lines) - 1))]
     return "\n".join(draw(st.permutations(lines)) if draw(st.booleans()) else lines) + "\n"

@@ -60,13 +60,13 @@ rel y x = (q + 1) * x y - 2^-1*t * y + (1 - t)
 calculus mode=flat
 dgens t u x y
 twist x: y -> -2^-1*y
-options samples=7
+options conn_degree=7
 """
 
 MIXED_TEXT = (
     "name mixed\nparams q\ncoeffs t u\ngens x y\nsigma x: t -> (1)*q^-1*t + 1*2^-1\n"
     "delta y: u -> (q - 1)*t - 3*u\nrel y x = (q + 1) * x y + -1*2^-1*t * y + (-t + 1)\n"
-    "calculus mode=flat\ndgens t u x y\ntwist x: y -> -1*2^-1*y\noptions samples=7\n"
+    "calculus mode=flat\ndgens t u x y\ntwist x: y -> -1*2^-1*y\noptions conn_degree=7\n"
 )
 
 
