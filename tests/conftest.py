@@ -18,9 +18,11 @@ from itertools import combinations
 from spbw.calculus import CheckOutcome, DiffForm
 from spbw.coefficients import CoeffEndo, CoeffPoly, CoeffRing, CoeffSigmaDerivation, apply_sder
 from spbw.core import Presentation, SkewPoly
+from spbw.corpus import CORPUS_NAMES, corpus_source
 from spbw.errors import ConfigError
 from spbw.extended import AlgebraEndo
 from spbw.lincomb import LinComb, add_terms
+from spbw.ore import ore_document
 
 
 def random_skew(P: Presentation, rng, degree: int = 4, max_terms: int = 3) -> SkewPoly:
@@ -109,6 +111,25 @@ def relation_broken_by_products(endo):
         if P.multiply(endo.images[a], endo.images[b]) != SkewPoly(acc, P.n):
             return label
     return None
+
+
+def rescaling_by_frame_coordinates(P, images):
+    """``c_s`` for every frame symbol s when each image is a nonzero scalar
+    ``c_s`` times s, else None: read from the full
+    :meth:`Presentation.frame_coordinates` row of every image, a constant
+    and one scalar per frame symbol, so it shares no code with the map's
+    own reading of the image terms."""
+    scales = []
+    for s, img in enumerate(images):
+        coords = P.frame_coordinates(img)
+        if coords is None:
+            return None
+        constant, row = coords
+        c = row[s]
+        if not constant.is_zero() or c.is_zero() or any(not b.is_zero() for b in row[:s] + row[s + 1:]):
+            return None
+        scales.append(c)
+    return tuple(scales)
 
 
 def word_element(P, word):
@@ -551,3 +572,22 @@ def grid():
 def without_wedge(source):
     """A document text with its wedge lines removed."""
     return "".join(line for line in source.splitlines(keepends=True) if not line.startswith("wedge"))
+
+
+def sweep_texts():
+    """``(label, text)`` for each text of the sweep, in a fixed order: every
+    corpus entry but ``broken``, every ``WIDE_DOCS`` document and every Ore
+    grid member, each followed by its text without wedge lines when that
+    differs.  208 texts."""
+    ring = CoeffRing(params=("q",), coeff_vars=("t",))
+    sources = [(f"corpus:{name}", corpus_source(name)) for name in CORPUS_NAMES if name != "broken"]
+    sources += [(f"wide:{name}", text) for name, text in WIDE_DOCS.items()]
+    sources += [
+        (f"grid:q={qs},r={r},p={ps}", ore_document(ring, *grid_member(ring, qs, r, ps))) for qs, r, ps in grid()
+    ]
+    out = []
+    for label, text in sources:
+        out.append((label, text))
+        if without_wedge(text) != text:
+            out.append((f"{label} -wedge", without_wedge(text)))
+    return out

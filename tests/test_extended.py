@@ -13,7 +13,7 @@ from spbw.corpus import CORPUS_NAMES, corpus_doc
 from spbw.dsl import build_presentation, parse_presentation
 from spbw.gkdim import check_filtration_compatible
 from spbw.errors import HypothesisError, MapError, SpbwError, UnsupportedPresentationError
-from spbw.extended import AlgebraEndo, auto_inverse, extend_sigma, frame_affine_inverse, hypothesis_check
+from spbw.extended import AlgebraEndo, _rescaling, auto_inverse, extend_sigma, frame_affine_inverse, hypothesis_check
 from spbw.ore import ore_document
 from spbw.pipeline import calculus_spec_from_doc, run_calculus_check
 
@@ -28,6 +28,8 @@ from conftest import (
     product_chain,
     random_skew,
     relation_broken_by_products,
+    rescaling_by_frame_coordinates,
+    sweep_texts,
     twisted_leibniz_witness,
 )
 
@@ -706,3 +708,50 @@ def test_the_power_memo_holds_what_the_recursion_held():
                 power(s, k)
     assert list(twist._power_memo) == list(want)
     assert all(twist._power_memo[key] == want[key] for key in want)
+
+
+# -- the scales read from the image terms -----------------------------------------
+
+
+def _assert_scales_are_the_oracles(P, images, scales):
+    """``scales`` are the oracle's, the same Scalar objects, or both None."""
+    want = rescaling_by_frame_coordinates(P, images)
+    assert (scales is None) == (want is None), [P.render(f) for f in images]
+    if want is not None:
+        assert len(scales) == len(want) and all(a is b for a, b in zip(scales, want))
+
+
+def test_scales_read_from_the_image_terms_are_the_frame_coordinates_on_the_sweep():
+    """Every twist, stored inverse, volume twist with its inverse and sigma
+    lift that the sweep builds gets the scales the full frame coordinates
+    give, compared by identity."""
+    counts = {True: 0, False: 0}
+    for _, text in sweep_texts():
+        P, maps = _every_map(parse_presentation(text))
+        for endo in maps:
+            _assert_scales_are_the_oracles(P, endo.images, endo._scales)
+            counts[endo._scales is not None] += 1
+    assert counts[True] > 100 and counts[False] > 100, counts
+
+
+def test_images_that_do_not_rescale_have_no_scales(jordan):
+    """One hand-built image of each shape that is not a scalar times its
+    own symbol, beside the rescaling frame (t, x) -> (2t, 3x)."""
+    P = jordan
+    t, x = P.frame()
+    two, three = P.ring.scalar(2), P.ring.scalar(3)
+    _assert_scales_are_the_oracles(P, (t.scale(two), x.scale(three)), _rescaling(P, (t.scale(two), x.scale(three))))
+    assert _rescaling(P, (t.scale(two), x.scale(three))) is not None
+    shapes = {
+        "a constant term": P.const(2),
+        "two terms": x + t,
+        "a term at another symbol": t,
+        "a term of degree two": P.multiply(x, x),
+        "two coefficient terms": P.multiply(t + P.one(), x),
+        "zero": P.zero(),
+    }
+    for shape, image in shapes.items():
+        images = (t, image)
+        assert _rescaling(P, images) is None, shape
+        assert AlgebraEndo(P, images, check=False)._scales is None, shape
+        _assert_scales_are_the_oracles(P, images, None)

@@ -198,6 +198,44 @@ def test_kernel_peels_single_entry_rows(nparams, seed):
     assert all(v[a].is_zero() and v[c].is_zero() for v in kernel)
 
 
+@pytest.mark.parametrize("nparams,seed", CASES)
+def test_kernel_on_a_mix_of_dense_sparse_and_empty_rows(nparams, seed):
+    """Dense and sparse rows, empty ones of both kinds, a dense row with a
+    single entry (which forces its column like a sparse one), and
+    multi-entry rows that lose all but one entry, or every entry, to the
+    forced columns.  The input rows keep their entries and their order."""
+    rng = random.Random(f"mix:{nparams}:{seed}")
+    ncols = rng.randrange(6, 10)
+    zero = Scalar.const(nparams, 0)
+    a, b, c, d = rng.sample(range(ncols), 4)
+    single_dense = [zero] * ncols
+    single_dense[a] = random_entry(rng, nparams)
+    rows = [
+        {b: random_entry(rng, nparams)},
+        single_dense,
+        {},
+        [zero] * ncols,
+        {a: random_entry(rng, nparams), b: random_entry(rng, nparams), c: random_entry(rng, nparams)},
+        {b: random_entry(rng, nparams), a: random_entry(rng, nparams)},
+        [random_entry(rng, nparams) if k in (a, d) else zero for k in range(ncols)],
+    ]
+    rows += random_sparse(rng, rng.randrange(1, 4), ncols, nparams, 0.4)
+    rows += [{k: x for k, x in enumerate(row) if not x.is_zero()}
+             for row in random_sparse(rng, rng.randrange(1, 4), ncols, nparams, 0.4)]
+    rng.shuffle(rows)
+    def entries(row):
+        return (type(row), list(row) if isinstance(row, dict) else None, list(row.values() if isinstance(row, dict) else row))
+
+    before = [entries(row) for row in rows]
+    kernel = check_kernel(rows, ncols, nparams)
+    after = [entries(row) for row in rows]
+    assert len(after) == len(before)
+    for (t0, k0, v0), (t1, k1, v1) in zip(before, after):
+        assert t0 is t1 and k0 == k1 and len(v0) == len(v1)
+        assert all(x is y for x, y in zip(v0, v1))
+    assert all(v[a].is_zero() and v[b].is_zero() for v in kernel)
+
+
 def test_single_entry_rows_make_no_scalar_arithmetic(monkeypatch):
     n = 60
     rng = random.Random("all-single")
