@@ -17,6 +17,7 @@ what makes diagonalizable mixing twists reachable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, islice
 from operator import add
@@ -117,32 +118,19 @@ class Calculus:
     """Built and compatibility-checked context: :func:`build_calculus`
     returns one only when d respects every defining relation.
 
-    The checks return new values and leave the presentation's data alone,
-    but the calculus records what it learns: ``volume()`` keeps the volume
-    twist nu in ``_volume`` (in any mode; the pipeline's volume stage
-    compares it with the composite of the sigma maps in theorem mode),
-    ``_d_monomial`` memoizes the coordinates of d of every normal monomial
-    it meets in ``_d_memo``, keyed by its frame exponent (``d0`` and
-    compatibility read d from there, and the connectedness sweep reads and
-    fills it in the same order; the nonzero dcoords of each symbol and the
-    terms of the twist images each step reads are taken once, into
-    ``_dterms`` and ``_twist_terms``), ``_basis_product`` memoizes the
-    merged set and crossing factor of every pair of wedge basis sets in
-    ``_basis_memo``, ``_unit_form`` builds each unit form ``du_S`` once,
-    into ``_unit_forms``, ``d0`` builds the form of each single monomial
-    once, into ``_d0_forms``, and ``_failure`` decides each part of the
-    certificate once, keeping its witness (None when it holds) in
-    ``_witnesses``, which the four certified stages read.  These and the
-    memo tables of the presentation (``_mono_cache``) and the twists and
-    their stored inverses (``_power_memo`` and ``_monomial_memo`` for a map
-    that does not rescale; a map that rescales each symbol fills only
-    ``_weights``, one scalar per frame exponent, and one whose scales are
-    all the literal unit is the identity and fills nothing; (d) applies
-    each twist to its inverse's images, and each inverse to its twist's
-    images unless the twist's construction verified that inverse) fill as
-    it runs, so one calculus belongs to one thread at a time.  A product
-    with the literal unit element, in ``Presentation.multiply``, returns
-    the other factor itself."""
+    The checks leave the presentation's data alone, but the calculus keeps
+    what it learns in the tables that ``__init__`` sets up.  The central
+    one, ``_d_memo``, holds the coordinates ``(i, expo) -> Scalar`` of d of
+    every normal monomial met, keyed by its frame exponent; :meth:`_d_monomial`
+    and the connectedness sweep fill it in the same order.  Compatibility
+    and the sweep decide on these coordinates with no form built, and
+    ``d0`` makes one-forms of them for the wedge path.  These tables, those
+    of the presentation (``_mono_cache``) and those of the twists and their
+    stored inverses (``_power_memo`` and ``_monomial_memo`` for a map that
+    does not rescale, ``_weights`` for one that does) fill as it runs, so
+    one calculus belongs to one thread at a time.  A product with the
+    literal unit element, in ``Presentation.multiply``, returns the other
+    factor itself."""
 
     def __init__(self, P: Presentation, spec: CalculusSpec):
         self.P = P
@@ -152,7 +140,7 @@ class Calculus:
         self._dcoords = None  # per symbol: tuple of N Scalars, or None row
         self._dterms = None  # per symbol: the (i, Scalar) of its nonzero dcoords
         self._d_memo = {(0,) * self.nsyms: {}}  # frame exponent -> coordinates of d
-        self._twist_terms = [[_image_terms(dg.twist, s) for s in range(self.nsyms)] for dg in spec.dgens]
+        self._twist_terms = [[_image_terms(dg.twist, s) for dg in spec.dgens] for s in range(self.nsyms)]
         self._basis_memo: dict = {}  # (S, T) -> du_S ^ du_T as (merged set, factor), or None
         self._unit_forms: dict = {}  # S -> du_S with the unit coefficient
         self._d0_forms: dict = {}  # frame exponent -> d0 of its monomial
@@ -264,27 +252,29 @@ class Calculus:
         return DiffForm(acc)
 
     def d0(self, f: SkewPoly) -> DiffForm:
-        """Differential of a degree-zero element: the scalar-weighted sum of
-        the memoized differentials of its normal monomials.  A weight of
-        value one, literal or not (such as ``q/q``), is not multiplied in,
-        and a single monomial with such a weight gets its one-form built
-        once, into ``_d0_forms``."""
+        """Differential of a degree-zero element: the one-form with the
+        coordinates :meth:`_d_coords`.  A single monomial whose weight has
+        value one gets its one-form built once, into ``_d0_forms``."""
+        for e, c in f.terms.items():
+            for tvec, s in c.terms.items():
+                if len(f.terms) == len(c.terms) == 1 and s.is_one():
+                    form = self._d0_forms.get(tvec + e)
+                    if form is None:
+                        form = self._d0_forms[tvec + e] = self._form(self._d_monomial(tvec + e))
+                    return form
+        return self._form(self._d_coords(f))
+
+    def _d_coords(self, f: SkewPoly) -> dict:
+        """The coordinates of d0(f) in a fresh map: the scalar-weighted sum
+        of the memoized coordinates of its normal monomials, in the order of
+        f's terms.  A weight of value one, literal or not (such as ``q/q``),
+        is not multiplied in."""
         acc: dict = {}
         for e, c in f.terms.items():
             for tvec, s in c.terms.items():
-                expo = tvec + e
-                if s.is_one() and len(f.terms) == len(c.terms) == 1:
-                    form = self._d0_forms.get(expo)
-                    if form is None:
-                        form = self._d0_forms[expo] = self._form(self._d_monomial(expo))
-                    return form
-                coords = self._d_monomial(expo)
-                if s.is_one():
-                    add_terms(acc, coords)
-                else:
-                    for key, v in coords.items():
-                        add_term(acc, key, v * s)
-        return self._form(acc)
+                coords = self._d_monomial(tvec + e)
+                add_terms(acc, coords if s.is_one() else {key: v * s for key, v in coords.items()})
+        return acc
 
     def _form(self, coords: dict) -> DiffForm:
         """The one-form with coordinates ``coords``: ``(i, expo)`` maps to
@@ -332,19 +322,30 @@ class Calculus:
         so every product is a shift.  Any other product, such as ``x t``
         under a shear ``x -> x + 2t``, is reduced by ``Presentation.multiply``.
         Terms that land on one coordinate are added, and a zero sum dropped."""
-        P = self.P
-        out = {(i, rest): b for i, b in self._dterms[s]}
+        out = {}
+        for i, b in self._dterms[s]:
+            out[i, rest] = b
+        twist_terms = self._twist_terms[s]
         for (i, ex), v in coords.items():
-            for c, a, top, k in self._twist_terms[i][s]:
+            for c, a, top, k in twist_terms[i]:
                 if top and any(ex[:top]):
-                    product = P.multiply(self._monomial(a), self._monomial(ex))
+                    product = self.P.multiply(self._monomial(a), self._monomial(ex))
                     for ev, coeff in product.terms.items():
                         for tv, w in coeff.terms.items():
                             add_term(out, (i, tv + ev), w * v if c is None else c * w * v)
-                elif k is not None:
-                    add_term(out, (i, ex[:k] + (ex[k] + 1,) + ex[k + 1:]), v if c is None else c * v)
+                    continue
+                if k is not None:
+                    key = i, ex[:k] + (ex[k] + 1,) + ex[k + 1:]
                 else:
-                    add_term(out, (i, ex if a is None else tuple(map(add, a, ex))), v if c is None else c * v)
+                    key = i, ex if a is None else tuple(map(add, a, ex))
+                value = v if c is None else c * v
+                old = out.get(key)
+                if old is not None:
+                    value = old + value
+                    if value.is_zero():
+                        del out[key]
+                        continue
+                out[key] = value
         return out
 
     def differential(self, a: DiffForm) -> DiffForm:
@@ -364,13 +365,15 @@ class Calculus:
         The word side of relation ``a*b`` is one :meth:`_d_step` with s = a
         and m' the symbol b, exact although ``a b`` is out of order because
         each ``d_i(b)`` is a constant: ``nu_i(a) d_i(b)`` is a scalar times
-        ``nu_i(a)``."""
-        P = self.P
-        for label, (a, b), normal in P.defining_relations():
+        ``nu_i(a)``.  The residual is summed on coordinates and made a form
+        only to render a failure."""
+        for label, (a, b), normal in self.P.defining_relations():
             rest = tuple(int(k == b) for k in range(self.nsyms))
-            residual = self._form(self._d_step(a, rest, self._d_monomial(rest))) - self.d0(normal)
-            if not residual.is_zero():
-                text = self.render_form(residual)
+            residual = self._d_step(a, rest, self._d_monomial(rest))
+            for key, v in self._d_coords(normal).items():
+                add_term(residual, key, -v)
+            if residual:
+                text = self.render_form(self._form(residual))
                 raise CompatibilityError(
                     f"differential is incompatible with relation {label}; residual {text}",
                     relation=label,
@@ -510,30 +513,21 @@ class Calculus:
         return CheckOutcome(dim == 1, witnesses, {"kernel_dimension": dim, "bound": degree_bound})
 
     def _connectedness_rows(self, basis) -> dict:
-        """One sparse row per coordinate ``(i, expo)`` of d, the coefficient
-        of ``du_i`` times the monomial with exponent ``expo`` (coefficient
-        variables first), mapping each basis column to a nonzero Scalar.
-
-        One sweep over the basis, which must be in lexicographic order,
-        with no call of :meth:`d0`: each column's coordinates are read from
-        ``_d_memo``.  In that order the
-        rest m' of m = s m' (s its first symbol) comes before m, so a column
-        not memoized yet costs the one :meth:`_d_step` that
-        :meth:`_d_monomial` would make, and enters the memo in the same
-        order."""
+        """One sparse row per coordinate ``(i, expo)`` of d, mapping each
+        basis column to a nonzero Scalar, in one sweep over the basis, which
+        must be in lexicographic order.  There the rest m' of m = s m' (s its
+        first symbol) comes before m, so each column's coordinates are read
+        from ``_d_memo`` or cost the one :meth:`_d_step` that
+        :meth:`_d_monomial` would make, entering the memo in the same order."""
         memo = self._d_memo
-        rows: dict = {}
+        rows = defaultdict(dict)
         for col, expo in enumerate(basis):
             coords = memo.get(expo)
             if coords is None:
                 s, rest = _peel(expo)
                 coords = memo[expo] = self._d_step(s, rest, memo[rest])
             for key, v in coords.items():
-                row = rows.get(key)
-                if row is None:
-                    rows[key] = {col: v}
-                else:
-                    row[col] = v
+                rows[key][col] = v
         return rows
 
     # -- volume -------------------------------------------------------------------------

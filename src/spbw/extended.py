@@ -8,15 +8,16 @@ the same type serves coefficientwise lifts, volume twists and user-supplied
 calculus twists uniformly.
 
 Most twists only rescale: every symbol s goes to a nonzero scalar ``c_s``
-times s.  Such a map is recognized at construction, and it sends each term
-``s t^beta x^alpha`` of an element to the same monomial with the
-coefficient ``w(beta, alpha) * s``, where the weight ``w = prod c_s^k`` is
-memoized per exponent; no product in the extension is formed.  The weight
-is multiplied out in the order of the product chain that every other map
-uses, and a weight or coefficient that is the literal unit is not
-multiplied in, so both give the same representation.  When every ``c_s`` is
-the literal unit, as for the coefficientwise lift of a sigma that fixes the
-coefficient variables, the map is the identity and returns its argument.
+times s.  Such a map is recognized at construction, from the single term
+of each image, and it sends each term ``s t^beta x^alpha`` of an element
+to the same monomial with the coefficient ``w(beta, alpha) * s``, where the
+weight ``w = prod c_s^k`` is memoized per exponent; no product in the
+extension is formed.  The weight is multiplied out in the order of the
+product chain that every other map uses, and a weight or coefficient that
+is the literal unit is not multiplied in, so both give the same
+representation.  When every ``c_s`` is the literal unit, as for the
+coefficientwise lift of a sigma that fixes the coefficient variables, the
+map is the identity and returns its argument.
 
 The same scales decide the construction checks with no product in the
 extension.  The identity respects every relation.  A rescaling map respects
@@ -205,16 +206,15 @@ class AlgebraEndo:
 
 def _rescaling(P: Presentation, images):
     """``c_s`` for every frame symbol s when each image is a nonzero scalar
-    ``c_s`` times s, read with :meth:`Presentation.frame_coordinates`; None
-    for any other map."""
+    ``c_s`` times s, read from its terms: a single term, at the frame
+    exponent of s alone; None for any other map."""
     scales = []
     for s, img in enumerate(images):
-        coords = P.frame_coordinates(img)
-        if coords is None:
+        terms = [(tvec + e, c) for e, coeff in img.terms.items() for tvec, c in coeff.terms.items()]
+        if len(terms) != 1:
             return None
-        constant, row = coords
-        c = row[s]
-        if not constant.is_zero() or c.is_zero() or any(not b.is_zero() for b in row[:s] + row[s + 1:]):
+        (a, c), = terms
+        if a[s] != 1 or sum(a) != 1 or c.is_zero():
             return None
         scales.append(c)
     return tuple(scales)

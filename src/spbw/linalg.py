@@ -13,13 +13,13 @@ row, so a zero is never a pivot.  A pivot alone in its column is left as
 it is, and a pivot row with no other entry only removes its column from the
 other rows; neither takes an inverse or an elimination factor.
 
-:func:`kernel_basis` first peels the rows with a single entry: each forces
-its column to be a pivot column, with a unit vector as its row of the
-reduced row echelon form.  Only the other rows, without the forced
-columns, go through the elimination.  That form is unique, so the kernel
-vectors take the same values as if every row were eliminated.  Most
-connectedness matrices have one entry per row, and there nothing is
-eliminated.  No floating point.
+:func:`kernel_basis` splits its rows in one pass: a row with a single
+entry forces its column to be a pivot column, with a unit vector as its
+row of the reduced row echelon form, and an empty row is dropped.  Only the
+rows with more entries, without the forced columns, go through the
+elimination.  That form is unique, so the kernel vectors take the same
+values as if every row were eliminated.  Most connectedness matrices have
+one entry per row, and there nothing is eliminated.  No floating point.
 """
 
 from __future__ import annotations
@@ -101,13 +101,19 @@ def kernel_basis(rows, ncols, nparams):
     a dense sequence of Scalars; the input is not modified.  Returns one dense
     vector (a list of Scalars) per free column, in increasing order of that
     column, spanning ``{v : rows . v = 0}``: 1 in its free column, 0 in the
-    other free columns and in every column of a single-entry row.
+    other free columns and in every column of a single-entry row.  One pass
+    splits the rows into forced columns and rows to eliminate.
     """
     zero = Scalar.const(nparams, 0)
     one = Scalar.const(nparams, 1)
-    rows = [r if isinstance(r, dict) else _sparse(r) for r in rows]
-    forced = {c for r in rows if len(r) == 1 for c in r}
-    rest = [{c: x for c, x in r.items() if c not in forced} for r in rows if len(r) > 1]
+    forced, multi = set(), []
+    for r in rows:
+        r = r if isinstance(r, dict) else _sparse(r)
+        if len(r) == 1:
+            forced.update(r)
+        elif r:
+            multi.append(r)
+    rest = [{c: x for c, x in r.items() if c not in forced} for r in multi]
     pivots = _gauss_jordan(rest, ncols)
     pivot_cols = forced.union(col for col, _ in pivots)
     vectors = {}

@@ -748,6 +748,7 @@ def test_images_that_do_not_rescale_have_no_scales(jordan):
         "a term at another symbol": t,
         "a term of degree two": P.multiply(x, x),
         "two coefficient terms": P.multiply(t + P.one(), x),
+        "a product with another symbol": P.multiply(t, x),
         "zero": P.zero(),
     }
     for shape, image in shapes.items():
