@@ -121,6 +121,32 @@ def test_qplane_flat_mode_compatible(qplane_calc):
     assert d_respects_relations(qplane_calc)
 
 
+def _residual_by_forms(P, spec):
+    """``(label, text)`` of the first relation d breaks, or None: the
+    residual ``form(step) - d0(normal)`` by DiffForm arithmetic, the word
+    side the one product-rule step of the relation word, rendered by
+    ``render_form``."""
+    calc = Calculus(P, spec)
+    calc._build_dcoords()
+    for label, (a, b), normal in P.defining_relations():
+        rest = tuple(int(k == b) for k in range(calc.nsyms))
+        residual = calc._form(calc._d_step(a, rest, calc._d_monomial(rest))) - calc.d0(normal)
+        if not residual.is_zero():
+            return label, calc.render_form(residual)
+    return None
+
+
+def _assert_residual_is_the_forms(P, spec):
+    """``build_calculus`` fails with the relation and the residual text of
+    :func:`_residual_by_forms`; returns the error."""
+    with pytest.raises(CompatibilityError) as err:
+        build_calculus(P, spec)
+    label, text = _residual_by_forms(P, spec)
+    assert (err.value.relation, err.value.residual) == (label, text)
+    assert str(err.value) == f"differential is incompatible with relation {label}; residual {text}"
+    return err.value
+
+
 def test_wrong_twist_reported_with_relation(qplane):
     # identity twists cannot absorb the q in x2 x1 = q x1 x2
     spec = CalculusSpec(
@@ -129,9 +155,7 @@ def test_wrong_twist_reported_with_relation(qplane):
             DGen("x2", qplane.gen(1), algebra_identity(qplane)),
         ]
     )
-    with pytest.raises(CompatibilityError) as err:
-        build_calculus(qplane, spec)
-    assert "x2*x1" in str(err.value)
+    assert "x2*x1" in str(_assert_residual_is_the_forms(qplane, spec))
 
 
 @pytest.mark.parametrize("dgen, symbol, relation, residual", [
@@ -150,10 +174,9 @@ def test_differential_breaking_one_relation_names_it(dgen, symbol, relation, res
         if k == dgen:
             images[symbol] = images[symbol] + images[symbol]
         dgens.append(DGen(P.symbol_name(k), potential, make_twist(P, images)))
-    with pytest.raises(CompatibilityError) as err:
-        build_calculus(P, CalculusSpec(dgens=dgens))
-    assert str(err.value) == f"differential is incompatible with relation {relation}; residual {residual}"
-    assert (err.value.relation, err.value.residual) == (relation, residual)
+    err = _assert_residual_is_the_forms(P, CalculusSpec(dgens=dgens))
+    assert str(err) == f"differential is incompatible with relation {relation}; residual {residual}"
+    assert (err.relation, err.residual) == (relation, residual)
 
 
 QPLANE_PROBE = """name qprobe
@@ -171,66 +194,17 @@ def test_parametric_residual_keeps_its_unreduced_fraction():
     # misses d(q x1 x2) on both coordinates.  The word side is one step of
     # the product rule from d(x1), and the residual renders its fractions as
     # they were summed, unreduced.
-    with pytest.raises(CompatibilityError) as err:
-        run_calculus_check(parse_presentation(QPLANE_PROBE))
-    residual = "d(x1)*(((-q^2 + 1)/(q))*x2) + d(x2)*((-q + 1)*x1)"
-    assert (err.value.relation, err.value.residual) == ("x2*x1", residual)
-
-
-def _residual_by_forms(P, spec):
-    """``(label, text)`` of the first relation d breaks, or None: the
-    residual ``form(step) - d0(normal)`` by DiffForm arithmetic, the word
-    side the one product-rule step of the relation word, rendered by
-    ``render_form``."""
-    calc = Calculus(P, spec)
-    calc._build_dcoords()
-    for label, (a, b), normal in P.defining_relations():
-        rest = tuple(int(k == b) for k in range(calc.nsyms))
-        residual = calc._form(calc._d_step(a, rest, calc._d_monomial(rest))) - calc.d0(normal)
-        if not residual.is_zero():
-            return label, calc.render_form(residual)
-    return None
-
-
-def _assert_residual_is_the_forms(P, spec):
-    with pytest.raises(CompatibilityError) as err:
-        build_calculus(P, spec)
-    label, text = _residual_by_forms(P, spec)
-    assert (err.value.relation, err.value.residual) == (label, text)
-    assert str(err.value) == f"differential is incompatible with relation {label}; residual {text}"
-
-
-def _hand_built_incompatible_specs():
-    qplane_identity = build_presentation(parse_presentation("name q\nparams q\ngens x1 x2\nrel x2 x1 = q * x1 x2\n"))
-    yield qplane_identity, CalculusSpec(
-        dgens=[DGen(f"x{k + 1}", qplane_identity.gen(k), algebra_identity(qplane_identity)) for k in range(2)]
-    )
-    P = build_presentation(parse_presentation("name p\ncoeffs t1 t2\ngens x1 x2\nrel x2 x1 = x1 x2\n"))
-    for dgen, symbol in ((2, 3), (2, 0), (0, 1)):
-        dgens = []
-        for k, potential in enumerate(P.frame()):
-            images = list(P.frame())
-            if k == dgen:
-                images[symbol] = images[symbol] + images[symbol]
-            dgens.append(DGen(P.symbol_name(k), potential, make_twist(P, images)))
-        yield P, CalculusSpec(dgens=dgens)
     doc = parse_presentation(QPLANE_PROBE)
-    probe = build_presentation(doc)
-    yield probe, calculus_spec_from_doc(doc, probe)
-
-
-def test_compatibility_residual_is_the_form_difference_on_hand_built_specs():
-    specs = list(_hand_built_incompatible_specs())
-    assert len(specs) == 5
-    for P, spec in specs:
-        _assert_residual_is_the_forms(P, spec)
+    P = build_presentation(doc)
+    err = _assert_residual_is_the_forms(P, calculus_spec_from_doc(doc, P))
+    residual = "d(x1)*(((-q^2 + 1)/(q))*x2) + d(x2)*((-q + 1)*x1)"
+    assert (err.relation, err.residual) == ("x2*x1", residual)
 
 
 def _sweep_specs():
     """``(P, spec)`` for each sweep text: its own calculus block when its
     twists respect the relations (72 texts), and always its potentials
-    with identity twists in flat mode, the de Rham candidate, which breaks
-    every relation that is not homogeneous with unit coefficients."""
+    with identity twists in flat mode, a candidate most of them fail."""
     for _, text in sweep_texts():
         doc = parse_presentation(text)
         P = build_presentation(doc)
@@ -251,7 +225,7 @@ def test_compatibility_residual_is_the_form_difference_on_the_sweep():
     residual that the form difference gives first.  No sweep text fails
     compatibility in d: the 136 that fail do so on a twist that breaks a
     relation (``MapError``), before d is tried.  The 84 compatible specs
-    are the 72 sweep calculi and 12 de Rham candidates."""
+    are the 72 sweep calculi and 12 identity-twist candidates."""
     outcomes = {"compatible": 0, "incompatible": 0}
     for P, spec in _sweep_specs():
         if _residual_by_forms(P, spec) is None:

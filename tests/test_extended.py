@@ -739,9 +739,9 @@ def test_images_that_do_not_rescale_have_no_scales(jordan):
     own symbol, beside the rescaling frame (t, x) -> (2t, 3x)."""
     P = jordan
     t, x = P.frame()
-    two, three = P.ring.scalar(2), P.ring.scalar(3)
-    _assert_scales_are_the_oracles(P, (t.scale(two), x.scale(three)), _rescaling(P, (t.scale(two), x.scale(three))))
-    assert _rescaling(P, (t.scale(two), x.scale(three))) is not None
+    rescaling = (t.scale(P.ring.scalar(2)), x.scale(P.ring.scalar(3)))
+    assert _rescaling(P, rescaling) is not None
+    _assert_scales_are_the_oracles(P, rescaling, _rescaling(P, rescaling))
     shapes = {
         "a constant term": P.const(2),
         "two terms": x + t,
