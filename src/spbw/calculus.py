@@ -258,10 +258,10 @@ class Calculus:
         for e, c in f.terms.items():
             for tvec, s in c.terms.items():
                 if len(f.terms) == len(c.terms) == 1 and s.is_one():
-                    form = self._d0_forms.get(tvec + e)
-                    if form is None:
-                        form = self._d0_forms[tvec + e] = self._form(self._d_monomial(tvec + e))
-                    return form
+                    expo = tvec + e
+                    if expo not in self._d0_forms:
+                        self._d0_forms[expo] = self._form(self._d_monomial(expo))
+                    return self._d0_forms[expo]
         return self._form(self._d_coords(f))
 
     def _d_coords(self, f: SkewPoly) -> dict:

@@ -66,7 +66,7 @@ class AlgebraEndo:
         self._power_memo: dict = {}
         self._monomial_memo: dict = {}  # (tvec, e) -> image of t^tvec x^e, product-chain maps only
         self._weights: dict = {}  # frame exponent -> prod c_s^k, rescaling maps only
-        self._scales = _rescaling(P, self.images)
+        self._scales = _rescaling(self.images)
         self._identity = self._scales is not None and all(c.is_unit() for c in self._scales)
         if check:
             self._check_relations()
@@ -204,7 +204,7 @@ class AlgebraEndo:
         return memo[key]
 
 
-def _rescaling(P: Presentation, images):
+def _rescaling(images):
     """``c_s`` for every frame symbol s when each image is a nonzero scalar
     ``c_s`` times s, read from its terms: a single term, at the frame
     exponent of s alone; None for any other map."""
@@ -274,7 +274,7 @@ def auto_inverse(P: Presentation, images):
     """A rescaling map's inverse read from its scales, ``c_s^-1 s`` as
     :func:`frame_affine_inverse` gives it for a diagonal matrix; otherwise
     the two mechanical inversion schemes, and None when both fail."""
-    scales = _rescaling(P, images)
+    scales = _rescaling(images)
     if scales is not None:
         return tuple(sym.scale(c.inverse()) for sym, c in zip(P.frame(), scales))
     got = frame_affine_inverse(P, images)

@@ -1,11 +1,12 @@
 """Shared fixtures: hand-built presentations used across the test suite,
-seeded random elements, six oracles (exact univariate division, the sampled
+seeded random elements, seven oracles (exact univariate division, the sampled
 twisted product rule for the lifted derivations, d of a word position by
 position, d on both sides of every defining relation, the relations an
-extension map breaks, found by multiplying, and the transport of forms to
-integral forms with its divergences and sampled stages), composition and
-the identity of extension endomorphisms, the wide documents, and the grid of
-affine Ore members."""
+extension map breaks, found by multiplying, the scales of a rescaling map
+read from full frame coordinates, and the transport of forms to integral
+forms with its divergences and sampled stages), composition and the
+identity of extension endomorphisms, the wide documents, the grid of affine
+Ore members, and the texts of the sweep over all three."""
 
 from __future__ import annotations
 

@@ -198,6 +198,13 @@ def test_kernel_peels_single_entry_rows(nparams, seed):
     assert all(v[a].is_zero() and v[c].is_zero() for v in kernel)
 
 
+def _entries(row):
+    """A row's type, its keys when it is a dict, and its value objects."""
+    if isinstance(row, dict):
+        return dict, list(row), list(row.values())
+    return type(row), None, list(row)
+
+
 @pytest.mark.parametrize("nparams,seed", CASES)
 def test_kernel_on_a_mix_of_dense_sparse_and_empty_rows(nparams, seed):
     """Dense and sparse rows, empty ones of both kinds, a dense row with a
@@ -223,12 +230,9 @@ def test_kernel_on_a_mix_of_dense_sparse_and_empty_rows(nparams, seed):
     rows += [{k: x for k, x in enumerate(row) if not x.is_zero()}
              for row in random_sparse(rng, rng.randrange(1, 4), ncols, nparams, 0.4)]
     rng.shuffle(rows)
-    def entries(row):
-        return (type(row), list(row) if isinstance(row, dict) else None, list(row.values() if isinstance(row, dict) else row))
-
-    before = [entries(row) for row in rows]
+    before = [_entries(row) for row in rows]
     kernel = check_kernel(rows, ncols, nparams)
-    after = [entries(row) for row in rows]
+    after = [_entries(row) for row in rows]
     assert len(after) == len(before)
     for (t0, k0, v0), (t1, k1, v1) in zip(before, after):
         assert t0 is t1 and k0 == k1 and len(v0) == len(v1)
