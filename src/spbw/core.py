@@ -15,8 +15,11 @@ live here:
   once, with its coefficient complete.  A pair that only skew-commutes by a
   constant (``x_j x_i = d x_i x_j``, as in the quantum plane and quantum
   affine spaces) moves a whole block ``x_j^a x_i^b`` in one rewrite, with
-  the factor ``d^(ab)``, and a pair with constant tails (``x_j x_i = c x_i
-  x_j + r0 + r1 x_i``, as in the Weyl algebra and ``un2``) moves one x_j
+  the factor ``d^(ab)``.  A pair with constant tails (``x_j x_i = c x_i x_j
+  + r0 + r1 x_i``, as in the Weyl algebra and ``un2``) is the Ore extension
+  ``F[x_i][x_j; sigma, delta]``; where its sigma and delta commute (``r0
+  (1 - c) = 0``) it moves a whole block ``x_j^a x_i^b`` in one rewrite by
+  the same binomial form as the coefficient runs, and otherwise one x_j
   past a whole run ``x_i^b``.  A run step sums a word's contributions in
   another order than single steps, and scalars keep their fractions
   unreduced, so runs are taken only where no scalar has a parameter in its
@@ -56,8 +59,10 @@ from itertools import combinations
 from math import comb
 
 from .coefficients import (
+    CoeffEndo,
     CoeffPoly,
     CoeffRing,
+    CoeffSigmaDerivation,
     _polynomial,
     apply_endo,
     apply_sder,
@@ -140,9 +145,9 @@ class Presentation:
     (``_mono_cache``), the frame (``_frame``), :meth:`defining_relations`
     (``_relations``), :meth:`commutation_failures` (``_audit``),
     :func:`spbw.extended.hypothesis_check` (``_hypotheses``) and the run
-    tables (``_runs``, ``_passing``) are memoized, as are the powers of the
-    coefficient maps, so a presentation is not safe to share between threads
-    without a lock."""
+    tables (``_runs``, ``_passing``, ``_ore``) are memoized, as are the
+    powers of the coefficient maps, so a presentation is not safe to share
+    between threads without a lock."""
 
     def __init__(self, ring: CoeffRing, names, sigma, delta, tails):
         self.ring = ring
@@ -177,7 +182,9 @@ class Presentation:
         #     blocks x_j^a x_i^b _mul_monomials moves in one step;
         #   _passing: for each pair x_j x_i = c x_i x_j + r0 + r1 x_i with
         #     constant c, r0 and r1 (r0 or r1 may be absent), the tails of
-        #     x_j x_i^b by b, which _passing_tails fills;
+        #     x_j x_i^b by b, which _passing_tails fills; such a pair's Ore
+        #     maps, and its blocks x_j^a x_i^b where they commute, go to
+        #     _ore, made on its first block by _ore_maps;
         #   _runs: the generators whose runs push_coeff_left passes whole,
         #     made on first use by _run_letters.
         self._skew = {pair: t[0][0] for pair, t in self.tails.items() if len(t) == 1 and t[0][0].is_constant()}
@@ -188,6 +195,7 @@ class Presentation:
         if len(self._skew) < len(self.tails) and not self._polynomial_scalars():
             self._skew, self._passing = {}, {}
         self._runs = None
+        self._ore: dict = {}
         self._audit = None  # commutation_failures(), made on first use
         self._mono_cache: dict = {}
         self._relations = None  # defining_relations(), built on first use
@@ -327,6 +335,8 @@ class Presentation:
         fraction-order guard of ``_skew``).  A scalar r passes every run
         whole, as its own value: only the ``k = 0`` term is left.  A run of
         one letter is the step ``x_i c = sigma_i(c) x_i + delta_i(c)``.
+        The terms come from :func:`_binomial_walk`, which the blocks of
+        tailed pairs in :meth:`_mul_monomials` share.
         Pending coefficients are kept per suffix subword, so equal subwords
         merge at each step.  An ordered word with exponents ``e`` yields at
         most ``prod(e_i + 1)`` pairs, not one per branch (``k + 1`` for
@@ -352,19 +362,8 @@ class Presentation:
             sigma, delta = self.sigma[letter], self.delta[letter]
             nxt: dict = {}
             for sub, c in layer.items():
-                # c runs down the chain delta^k(c); x^(m-k) gets C(m, k)
-                # sigma^(m-k)(delta^k(c)), and a scalar's chain stops at k = 0
-                for k in range(m):
-                    img = c
-                    for _ in range(m - k):
-                        img = apply_endo(sigma, img)
-                    if not img.is_zero():
-                        add_term(nxt, (letter,) * (m - k) + sub, img.scale(self.ring.scalar(comb(m, k))) if k else img)
-                    c = apply_sder(delta, c)
-                    if c.is_zero():
-                        break
-                else:
-                    add_term(nxt, sub, c)
+                for rest, img in _binomial_walk(sigma, delta, m, c, self.ring):
+                    add_term(nxt, (letter,) * rest + sub, img)
             layer = nxt
         return [(c, sub) for sub, c in layer.items()]
 
@@ -382,17 +381,23 @@ class Presentation:
           inversion (the run of x_j ending there, then the run of x_i
           starting there) into ``d^(ab) x_i^b x_j^a`` in one step.
         * A pair ``x_j x_i = c x_i x_j + r0 + r1 x_i`` with constant c, r0
-          and r1 (``_passing``; ``weyl``, ``un2``) moves the one x_j at the
-          inversion past the whole run ``x_i^b``: ``c^b x_i^b x_j + [b]_c (r0
-          x_i^(b-1) + r1 x_i^b)`` (:meth:`_passing_tails`).  The x_j before
-          it stay in the prefix, whose walk carries the new coefficients.
+          and r1 (``_passing``; ``weyl``, ``un2``) is ``F[u][x_j; sigma,
+          delta]`` with u for x_i, ``sigma(u) = c u`` and ``delta(u) = r0 +
+          r1 u``.  Where these commute (:meth:`_ore_maps`) and x_j stands
+          before the one at the inversion, the whole block ``x_j^a x_i^b``
+          becomes ``sum_k C(a, k) sigma^(a-k)(delta^k(u^b)) x_j^(a-k)`` in
+          one step (:meth:`_block_tails`).  Otherwise the one x_j at the
+          inversion passes the whole run ``x_i^b``: ``c^b x_i^b x_j + [b]_c
+          (r0 x_i^(b-1) + r1 x_i^b)`` (:meth:`_passing_tails`), and the x_j
+          before it stay in the prefix, whose walk carries the new
+          coefficients.
         * Any other pair rewrites the one inversion by its stored tails.
 
         Every word a rewrite produces either has fewer inversions at the
-        same length (ab or b fewer for a block) or is shorter.  Words are
-        therefore taken in decreasing (length, inversions) order from a heap,
-        and a word is rewritten only after every contribution to it has
-        arrived.  A unit exponent returns the other one with the unit
+        same length (ab or b fewer for a block) or is shorter (``delta``
+        does not raise the degree in u).  Words are therefore taken in
+        decreasing (length, inversions) order from a heap, and a word is
+        rewritten only after every contribution to it has arrived.  A unit exponent returns the other one with the unit
         coefficient at once, as that pass would."""
         if not (any(e1) and any(e2)):
             return SkewPoly({e1 if any(e1) else e2: self.ring.one()}, self.n)
@@ -428,14 +433,18 @@ class Presentation:
                 while end < len(w) and w[end] == i:
                     end += 1
                 b = end - pos - 1
-                if d is None:
-                    tails = self._passing_tails(i, j, b)
-                else:
-                    # w[:pos + 1] is ordered, so its x_j all sit right before pos
+                # w[:pos + 1] is ordered, so its x_j all sit right before pos;
+                # a tailed pair takes them only where its maps commute
+                if d is not None or pos and w[pos - 1] == j and self._ore_maps(i, j):
                     while start and w[start - 1] == j:
                         start -= 1
-                    a = pos + 1 - start
+                a = pos + 1 - start
+                if d is not None:
                     tails = ((d ** (a * b), (i,) * b + (j,) * a),)
+                elif a > 1:
+                    tails = self._block_tails(i, j, a, b)
+                else:
+                    tails = self._passing_tails(i, j, b)
             pre, post = w[:start], w[end:]
             for r, tail in tails:
                 for c, pre2 in self.push_coeff_left(pre, r):
@@ -461,6 +470,39 @@ class Presentation:
             if not qint.is_zero():
                 tails += tuple((qint * r, (i,) * (b - 1 + len(w))) for r, w in rest)
             by_run[b] = tails
+        return tails
+
+    def _ore_maps(self, i: int, j: int):
+        """``(ring, sigma, delta, blocks)`` of a pair in ``_passing``, ``x_j
+        x_i = c x_i x_j + r0 + r1 x_i``, read as the Ore extension
+        ``F[u][x_j; sigma, delta]`` with u standing for x_i: ``sigma(u) = c
+        u`` and ``delta(u) = r0 + r1 u`` over a one-variable ring with the
+        presentation's parameters, and the memo of :meth:`_block_tails`.
+        None when sigma and delta do not commute (``r0 (1 - c) != 0``), as
+        :func:`~spbw.coefficients.commutation_audit` decides.  Made on the
+        pair's first block and kept."""
+        if (i, j) not in self._ore:
+            (c, _), *rest = self.tails[(i, j)]
+            ring = CoeffRing(self.ring.params, ("u",))
+            sigma = CoeffEndo((ring.monomial((1,), c.constant_value()),))
+            image = CoeffPoly({(len(w),): r.constant_value() for r, w in rest}, 1, ring.nparams)
+            delta = CoeffSigmaDerivation((image,), sigma)
+            self._ore[(i, j)] = None if commutation_audit((sigma,), (delta,)) else (ring, sigma, delta, {})
+        return self._ore[(i, j)]
+
+    def _block_tails(self, i: int, j: int, a: int, b: int) -> tuple:
+        """The tails of ``x_j^a x_i^b`` for a pair whose :meth:`_ore_maps`
+        commute: ``sum_k C(a, k) sigma^(a-k)(delta^k(u^b)) x_j^(a-k)``, each
+        term ``s u^e`` of a coefficient giving ``(s, x_i^e x_j^(a-k))``, in
+        the order of :func:`_binomial_walk`.  Made once per (a, b)."""
+        ring, sigma, delta, blocks = self._ore[(i, j)]
+        tails = blocks.get((a, b))
+        if tails is None:
+            tails = blocks[(a, b)] = tuple(
+                (self.ring.const(s), (i,) * e + (j,) * rest)
+                for rest, img in _binomial_walk(sigma, delta, a, ring.monomial((b,)), ring)
+                for (e,), s in img.terms.items()
+            )
         return tails
 
     def multiply(self, f: SkewPoly, g: SkewPoly) -> SkewPoly:
@@ -652,6 +694,26 @@ class Presentation:
             else:
                 bits.append(f"({self.ring.render(atom)})")
         return "*".join(bits)
+
+
+def _binomial_walk(sigma, delta, m: int, c: CoeffPoly, ring: CoeffRing):
+    """The nonzero terms of ``y^m c = sum_k C(m, k) sigma^(m-k)(delta^k(c))
+    y^(m-k)`` in an Ore extension ``R[y; sigma, delta]`` whose sigma and
+    delta commute (Lam and Leroy, J. Algebra 1988), as ``(m - k, coefficient)``
+    pairs in increasing k.  c runs down the chain ``delta^k(c)``, which stops
+    at its first zero (at k = 1 for a scalar); a unit binomial scales
+    nothing."""
+    for k in range(m + 1):
+        img = c
+        for _ in range(m - k):
+            img = apply_endo(sigma, img)
+        if not img.is_zero():
+            binom = comb(m, k)
+            yield m - k, img.scale(ring.scalar(binom)) if binom > 1 else img
+        if k < m:
+            c = apply_sder(delta, c)
+            if c.is_zero():
+                return
 
 
 def _expand(e: tuple) -> tuple:

@@ -220,11 +220,11 @@ def _rational_terms(f) -> dict:
 
 
 def _fraction(s: Scalar) -> Fraction:
-    """The value of a nonzero parameter-free scalar."""
+    """The exact value of a nonzero parameter-free scalar."""
     assert s.is_rational()
     (num,) = s.num.values()
     (den,) = s.den.values()
-    return num / den
+    return Fraction(num) / den
 
 
 def test_weyl_high_power_closed_form(weyl):
@@ -710,9 +710,15 @@ def test_block_rewrites_match_the_small_step_oracle(case):
     else:
         assert not P._passing
     # the same stored fractions as one inversion at a time
+    assert _representation(got) == _representation(_single_steps(P)._mul_monomials(e1, e2))
+
+
+def _single_steps(P):
+    """A copy of P that rewrites one inversion and walks one letter at a
+    time."""
     single = copy.copy(P)
     single._skew, single._passing, single._runs, single._mono_cache = {}, {}, frozenset(), {}
-    assert _representation(got) == _representation(single._mul_monomials(e1, e2))
+    return single
 
 
 def test_skew_commuting_block_is_one_rewrite(monkeypatch):
@@ -774,16 +780,111 @@ def test_a_linear_tail_on_another_generator_keeps_single_steps(text):
 
 @pytest.mark.parametrize("name", ["weyl", "un2"])
 def test_high_powers_walk_polynomially_often(name, monkeypatch):
-    """Each x2 passes each run of x1 in one rewrite, so ``x2^k * x1^k``
-    walks k(k + 1) times; one inversion at a time took 1,300 walks on weyl
-    and 1,872 on un2 at k = 12, and grows faster than any fixed power of k
-    would allow here."""
+    """The block ``x2^k x1^k`` is one rewrite into k + 1 tails, each walked
+    once past the empty prefix.  One x2 past a run of x1 at a time took
+    k(k + 1) = 156 walks at k = 12, and one inversion at a time 1,300 on
+    weyl and 1,872 on un2."""
     P = build_presentation(corpus_doc(name))
     k = 12
     callers = _count_walks(monkeypatch, P)
     product = P.multiply(P.monomial((0, k)), P.monomial((k, 0)))
     assert len(product.terms) == k + 1
-    assert len(callers) <= (k + 1) ** 2
+    assert len(callers) <= k + 1
+
+
+def _weyl_block(a, b) -> dict:
+    """``x2^a x1^b = sum_k (-1)^k k! C(a, k) C(b, k) x1^(b-k) x2^(a-k)`` in
+    the Weyl algebra."""
+    return {(b - k, a - k): Fraction((-1) ** k * factorial(k) * comb(a, k) * comb(b, k)) for k in range(min(a, b) + 1)}
+
+
+def _un2_block(a, b) -> dict:
+    """``x2^a x1^b = x1^b (x2 + b)^a`` in ``un2``, since ``x2 x1^b = x1^b
+    (x2 + b)``."""
+    return {(b, j): Fraction(comb(a, j) * b ** (a - j)) for j in range(a + 1)}
+
+
+@pytest.mark.parametrize("name, closed", [("weyl", _weyl_block), ("un2", _un2_block)], ids=["weyl", "un2"])
+@pytest.mark.parametrize("a, b", [(300, 300), (7, 4), (4, 7), (1, 5), (5, 1)], ids=str)
+def test_tailed_blocks_match_the_closed_forms(name, closed, a, b):
+    P = build_presentation(corpus_doc(name))
+    got = P.multiply(P.monomial((0, a)), P.monomial((b, 0)))
+    assert _rational_terms(got) == closed(a, b)
+
+
+# -- Ore blocks of tailed pairs --------------------------------------------------------
+
+
+# Each tailed pair x2 x1 = c x1 x2 + r0 + r1 x1 is the Ore extension
+# F[x1][x2; sigma, delta], sigma(x1) = c x1 and delta(x1) = r0 + r1 x1,
+# whose maps commute exactly where r0 (1 - c) = 0.
+TAILED_DOCS = {
+    "weyl": corpus_doc("weyl"),
+    "un2": corpus_doc("un2"),
+    "weyl2": parse_presentation(WIDE_DOCS["weyl2"]),
+    "unit-c": parse_presentation("name unitc\ngens x1 x2\nrel x2 x1 = x1 x2 + 2 - x1\n"),
+    "scaled": parse_presentation("name scaled\ngens x1 x2\nrel x2 x1 = 2 * x1 x2 + x1\n"),
+    "param-c": parse_presentation("name paramc\nparams q\ngens x1 x2\nrel x2 x1 = q * x1 x2 + x1\n"),
+    "noncommuting": parse_presentation("name nc\ngens x1 x2\nrel x2 x1 = 2 * x1 x2 + 1\n"),
+}
+
+
+def _block_cases(n):
+    """Pairs of ordered monomials on 2 generators, ``x1^p x2^a * x1^b
+    x2^s``: blocks with no prefix or suffix, with a prefix x1^p and a
+    suffix x2^s, and a single x2; on 4 generators, two such products side
+    by side, one per pair."""
+    two = [((0, a), (b, 0)) for a in (1, 2, 3) for b in (1, 2, 3)]
+    two += [((2, 3), (3, 1)), ((1, 2), (2, 2)), ((2, 2), (1, 3)), ((1, 1), (3, 1))]
+    if n == 2:
+        return two
+    return [(e1 + f1, e2 + f2) for (e1, e2), (f1, f2) in zip(two, reversed(two))]
+
+
+@pytest.mark.parametrize("name", sorted(TAILED_DOCS))
+def test_tailed_pair_blocks_match_the_small_step_oracle(name):
+    """Every product equals the small-step oracle and keeps the stored
+    fractions of one inversion at a time; a pair takes blocks exactly where
+    its maps commute."""
+    P = build_presentation(TAILED_DOCS[name])
+    single = _single_steps(P)
+    for e1, e2 in _block_cases(P.n):
+        got = P.multiply(P.monomial(e1), P.monomial(e2))
+        oracle = P.normalize_atoms(_expand(e1) + _expand(e2))
+        assert got == oracle
+        assert _representation(got) == _representation(oracle)
+        assert _representation(got) == _representation(single._mul_monomials(e1, e2))
+        assert P.render(got) == P.render(oracle)
+    tailed = {pair for pair, tails in P.tails.items() if len(tails) > 1}
+    assert set(P._passing) == set(P._ore) == tailed
+    for maps in P._ore.values():
+        if name == "noncommuting":
+            assert maps is None
+        else:
+            assert any(a > 1 for a, _ in maps[3])  # a block of two or more x_j was taken
+
+
+@pytest.mark.parametrize("name", sorted(set(TAILED_DOCS) - {"noncommuting"}))
+def test_the_first_terms_of_a_block_are_the_passing_tails(name):
+    """The k = 0 and k = 1 terms of ``x_j^a x_i^b`` are ``c^(ab) x_i^b
+    x_j^a`` and ``a sigma^(a-1)`` of the tails past one x_j, ``c^b x_i^b x_j
+    + [b]_c (r0 x_i^(b-1) + r1 x_i^b)``: the ``k = 1`` term scales the term
+    at x_i^e by ``a c^((a-1)e)``.  For a = 1 those are all the terms."""
+    P = build_presentation(TAILED_DOCS[name])
+    for i, j in P._passing:
+        c = P.tails[(i, j)][0][0]
+        assert P._ore_maps(i, j) is not None
+        for b in range(1, 5):
+            (lead, lead_word), *rest = P._passing_tails(i, j, b)
+            for a in range(1, 5):
+                block = {w: r for r, w in P._block_tails(i, j, a, b)}
+                assert block.pop((i,) * b + (j,) * a) == lead ** a
+                for r, w in rest:
+                    e = len(w)
+                    assert block.pop((i,) * e + (j,) * (a - 1)) == P.ring.const(a) * c ** ((a - 1) * e) * r
+                assert all(w.count(j) < a - 1 for w in block)
+                if a == 1:
+                    assert block == {}
 
 
 # -- the coefficient walk by runs ------------------------------------------------------
