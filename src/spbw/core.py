@@ -397,8 +397,9 @@ class Presentation:
         same length (ab or b fewer for a block) or is shorter (``delta``
         does not raise the degree in u).  Words are therefore taken in
         decreasing (length, inversions) order from a heap, and a word is
-        rewritten only after every contribution to it has arrived.  A unit exponent returns the other one with the unit
-        coefficient at once, as that pass would."""
+        rewritten only after every contribution to it has arrived.  A unit
+        exponent returns the other one with the unit coefficient at once, as
+        that pass would."""
         if not (any(e1) and any(e2)):
             return SkewPoly({e1 if any(e1) else e2: self.ring.one()}, self.n)
         key = (e1, e2)
