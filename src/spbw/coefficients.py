@@ -22,12 +22,18 @@ without applying a map.
 
 Constant path.  Most coefficients the layers above multiply are constants,
 so ``CoeffPoly.__mul__`` multiplies one term by one term with a single
-``Scalar`` product, and each ring has one shared unit polynomial
-(:meth:`CoeffRing.one`), whose scalar is the shared unit of
-:mod:`spbw.scalars` (:meth:`Scalar.one`); like that scalar, it must never
-be mutated.  Both return exactly the keys and values the generic code
-would, and the scalar values keep the canonical ``int``-or-``Fraction``
-form of :mod:`spbw.scalars`.
+``Scalar`` product, ``CoeffPoly.scale`` scales one term with no
+comprehension, and ``_make`` builds a result without ``__init__``.
+:func:`apply_sder` of one term scales the memoized ``delta(t^e)`` with no
+sum, and the Leibniz closed form takes its factor e_j from the shared small
+constants (:func:`~spbw.scalars.small_const`).  Each ring has one shared
+unit polynomial (:meth:`CoeffRing.one`), whose scalar is the shared unit
+of :mod:`spbw.scalars` (:meth:`Scalar.one`); like that scalar, it must
+never be mutated.  Every path returns exactly the keys and values the
+generic code would, and the scalar values keep the canonical
+``int``-or-``Fraction`` form of :mod:`spbw.scalars`.  The paths make each
+step cheaper and remove none: every coefficient product is still one
+``Scalar`` product.
 """
 
 from __future__ import annotations
@@ -37,7 +43,9 @@ from operator import add
 
 from .errors import MapError
 from .lincomb import LinComb, add_terms, is_spaced_sum, render_sum, sum_terms
-from .scalars import Scalar, poly_one, render_scalar
+from .scalars import Scalar, check_rational, poly_one, render_scalar, small_const
+
+_new = object.__new__
 
 
 class CoeffRing:
@@ -60,9 +68,12 @@ class CoeffRing:
 
     def scalar(self, value) -> Scalar:
         """The constant ``value`` as a Scalar, made once per value and ring
-        and shared after that (scalars are never mutated)."""
+        and shared after that (scalars are never mutated).  A float is
+        refused before the cache is read, where it would find an equal
+        rational."""
         if isinstance(value, Scalar):
             return value
+        check_rational(value)
         s = self._scalars.get(value)
         if s is None:
             s = self._scalars[value] = Scalar.const(self.nparams, value)
@@ -123,7 +134,9 @@ class CoeffPoly(LinComb):
         self.nparams = nparams
 
     def _make(self, terms: dict) -> "CoeffPoly":
-        return CoeffPoly(terms, self.nvars, self.nparams)
+        out = _new(CoeffPoly)
+        out.terms, out.nvars, out.nparams = terms, self.nvars, self.nparams
+        return out
 
     def is_constant(self) -> bool:
         # the exponents are distinct, so a constant has at most one term
@@ -154,7 +167,7 @@ class CoeffPoly(LinComb):
             # a product of nonzero scalars is nonzero, so nothing cancels
             ((ea, ca),) = a.items()
             ((eb, cb),) = b.items()
-            return self._make({tuple(x + y for x, y in zip(ea, eb)): ca * cb})
+            return self._make({tuple(map(add, ea, eb)): ca * cb})
         out: dict = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -167,8 +180,11 @@ class CoeffPoly(LinComb):
         return self._make(out)
 
     def scale(self, s: Scalar) -> "CoeffPoly":
-        if s.is_zero():
+        if not s.num:
             return self._make({})
+        if len(self.terms) == 1:
+            ((e, c),) = self.terms.items()
+            return self._make({e: c * s})
         return self._make({e: c * s for e, c in self.terms.items()})
 
     def __pow__(self, k: int) -> "CoeffPoly":
@@ -298,6 +314,9 @@ def apply_sder(delta: CoeffSigmaDerivation, p: CoeffPoly) -> CoeffPoly:
     product rule; scalars map to zero, so a constant gives zero at once."""
     if p.is_constant():
         return p._make({})
+    if len(p.terms) == 1:
+        ((e, c),) = p.terms.items()
+        return _sder_monomial(delta, e, p).scale(c)
     return p._make(sum_terms(_sder_monomial(delta, e, p).scale(c) for e, c in p.terms.items()))
 
 
@@ -322,7 +341,7 @@ def _sder_monomial(delta: CoeffSigmaDerivation, e: tuple, ref: CoeffPoly) -> Coe
                 rest = e[:j] + (m - 1,) + e[j + 1:]
                 part = {tuple(map(add, rest, k)): c for k, c in delta.images[j].terms.items()}
                 if m > 1 and acc.keys().isdisjoint(part):
-                    scale = Scalar.const(ref.nparams, m)
+                    scale = small_const(ref.nparams, m)
                     part, m = {k: c * scale for k, c in part.items()}, 1
                 for _ in range(m):
                     add_terms(acc, part)

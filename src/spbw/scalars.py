@@ -25,8 +25,20 @@ Fast paths.  Most products the layers above ask for are trivial, so:
   tested by identity, as ``Scalar.is_unit`` tests it), and
   ``Scalar.__add__`` returns the other operand when one addend is zero.  A
   polynomial or scalar whose value is one but whose numerator is a separate
-  ``{(0, ...): 1}`` dict, such as ``2 * 1/2``, takes the generic product,
-  which gives the same keys and values.
+  ``{(0, ...): 1}`` dict, such as ``2 * 1/2``, is multiplied out, which
+  gives the same keys and values;
+* the constant lane serves parameter-free one-term values: the shared unit
+  as denominator and one numerator term, at the zero exponent (``_ZERO``).
+  ``Scalar.__mul__`` of two of them multiplies the two numbers and builds
+  the result with no ``poly_mul`` and no ``__init__``; its numerator is a
+  fresh ``{zero: c}`` even when c is 1, never the shared unit.  A
+  parametric operand leaves the lane at its first test, the zero exponent
+  in both numerators.  ``__eq__`` compares the numerators when both
+  denominators are the shared unit, which is what cross-multiplying by it
+  gives, and ``__neg__`` skips ``__init__`` at or under the strip
+  threshold, where it would change nothing.  Sums take no lane: one
+  measured no faster;
+* :func:`small_const` shares the constant scalar of each small ``int``.
 
 Every fast path returns exactly the ``num``/``den`` the generic code would:
 the same keys and the same values.  Rendered witnesses show the unreduced
@@ -49,16 +61,25 @@ Expo = tuple  # exponent tuple, one non-negative int per parameter
 _STRIP_THRESHOLD = 10
 
 
+# Absolute value up to which small_const shares its int constants.
+_SMALL_MAX = 256
+
+
 class _Units(dict):
-    """nparams -> the shared unit polynomial, made on first use."""
+    """nparams -> the shared unit polynomial, made on first use; its one
+    key, the zero exponent, goes to ``_ZERO``."""
 
     def __missing__(self, nparams: int) -> dict:
-        unit = self[nparams] = {(0,) * nparams: 1}
+        zero = _ZERO[nparams] = (0,) * nparams
+        unit = self[nparams] = {zero: 1}
         return unit
 
 
 _UNIT = _Units()
+_ZERO: dict = {}  # nparams -> the zero exponent, filled with _UNIT
 _ONE: dict = {}  # nparams -> the shared unit Scalar
+_SMALL: dict = {}  # (nparams, int) -> its shared constant Scalar
+_new = object.__new__
 
 
 def poly_one(nparams: int) -> dict:
@@ -77,9 +98,16 @@ def _reciprocal(c):
     return _canonical(Fraction(c.denominator, c.numerator))
 
 
-def poly_const(nparams: int, value) -> dict:
+def check_rational(value) -> None:
+    """Reject a value that is neither an ``int`` (a ``bool`` included) nor a
+    ``Fraction``; a caller that caches by value checks first, since a
+    ``float`` hashes and compares equal to the rational it rounds to."""
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"a scalar constant is an int or a Fraction, not {type(value).__name__}")
+
+
+def poly_const(nparams: int, value) -> dict:
+    check_rational(value)
     c = _canonical(value)
     if c == 0:
         return {}
@@ -260,20 +288,35 @@ class Scalar:
         )
 
     def __neg__(self) -> "Scalar":
-        return Scalar(poly_neg(self.num), self.den, self.nparams)
+        num, den = poly_neg(self.num), self.den
+        if len(num) + len(den) > _STRIP_THRESHOLD:
+            return Scalar(num, den, self.nparams)
+        # den is already folded, and a zero keeps the shared unit as den
+        out = _new(Scalar)
+        out.num, out.den, out.nparams = num, den, self.nparams
+        return out
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        unit = _UNIT[self.nparams]
-        if other.num is unit and other.den is unit:
+        n = self.nparams
+        unit = _UNIT[n]
+        a, b = self.num, other.num
+        if b is unit and other.den is unit:
             return self
-        if self.num is unit and self.den is unit:
+        if a is unit and self.den is unit:
             return other
-        return Scalar(
-            poly_mul(self.num, other.num), poly_mul(self.den, other.den), self.nparams
-        )
+        zero = _ZERO[n]
+        if zero in a and zero in b and self.den is unit is other.den and len(a) == 1 == len(b):
+            # the constant lane: a fresh numerator, even for a product of one,
+            # and _canonical inlined
+            c = a[zero] * b[zero]
+            out = _new(Scalar)
+            out.num = {zero: c if type(c) is int or c.denominator != 1 else c.numerator}
+            out.den, out.nparams = unit, n
+            return out
+        return Scalar(poly_mul(a, b), poly_mul(self.den, other.den), n)
 
     def inverse(self) -> "Scalar":
         if not self.num:
@@ -286,6 +329,9 @@ class Scalar:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Scalar):
             return NotImplemented
+        unit = _UNIT[self.nparams]
+        if self.den is unit and other.den is unit:
+            return self.num == other.num
         if self.num == other.num and self.den == other.den:
             return True
         return poly_mul(self.num, other.den) == poly_mul(other.num, self.den)
@@ -294,6 +340,21 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({render_scalar(self, tuple(f'p{i}' for i in range(self.nparams)))})"
+
+
+def small_const(nparams: int, value: int) -> Scalar:
+    """The constant ``value``, an ``int`` (a ``bool`` included), as a Scalar;
+    shared per ``nparams`` when its absolute value is at most ``_SMALL_MAX``,
+    so never mutate it."""
+    if not isinstance(value, int):
+        raise TypeError(f"a small constant is an int, not {type(value).__name__}")
+    key = (nparams, value)
+    s = _SMALL.get(key)
+    if s is None:
+        s = Scalar.const(nparams, value)
+        if -_SMALL_MAX <= value <= _SMALL_MAX:
+            _SMALL[key] = s
+    return s
 
 
 def _strip(num: dict, den: dict) -> tuple:

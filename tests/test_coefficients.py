@@ -19,8 +19,9 @@ from spbw.coefficients import (
     commutation_audit,
     derivative,
 )
-from spbw.corpus import CORPUS_NAMES, corpus_doc
+from spbw.corpus import CORPUS_NAMES, corpus_doc, corpus_source
 from spbw.dsl import build_presentation, parse_expression, parse_presentation
+from spbw.lincomb import add_terms
 from spbw.pipeline import run_smooth
 from spbw.scalars import Scalar, poly_one
 
@@ -54,6 +55,17 @@ def test_ring_scalars_are_made_once_per_value_and_ring(ring_qt):
     assert ring_qt.scalar(q) is q
     other = CoeffRing(params=("a", "b"))
     assert other.scalar(3) is not three and other.scalar(3).num == {(0, 0): Fraction(3)}
+
+
+def test_a_float_is_refused_before_the_ring_cache_is_read():
+    """0.5 hashes and compares equal to a cached 1/2, so the type is checked
+    before the lookup; a bool is still an int."""
+    ring = CoeffRing((), ("t",))
+    ring.scalar(Fraction(1, 2)), ring.scalar(3)
+    for value in (0.5, 3.0, 1.0):
+        with pytest.raises(TypeError):
+            ring.scalar(value)
+    assert ring.scalar(True).is_unit() and ring.scalar(False) is ring.szero()
 
 
 def test_ring_arithmetic_basics(ring_qt):
@@ -314,6 +326,112 @@ def test_one_term_products_against_the_definition(case):
         got, want = x * y, _product_by_terms(x, y)
         assert _representation(got) == _representation(want)
         assert ring.render(got) == ring.render(want)
+
+
+def _generic_product(a, b):
+    """``a * b`` by the generic double loop, one term by one term included."""
+    out: dict = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            s = out[e] + ca * cb if e in out else ca * cb
+            if s.is_zero():
+                out.pop(e, None)
+            else:
+                out[e] = s
+    return CoeffPoly(out, a.nvars, a.nparams)
+
+
+def _generic_scale(p, s):
+    return CoeffPoly({} if s.is_zero() else {e: c * s for e, c in p.terms.items()}, p.nvars, p.nparams)
+
+
+def _generic_sder(delta, p):
+    """``delta(p)`` by the memoized twisted product rule, first variable
+    first, on the generic product and scale, summed term by term."""
+    memo: dict = {}
+    one = Scalar.one(p.nparams)
+
+    def on_monomial(e):
+        if e not in memo:
+            j = next((i for i, k in enumerate(e) if k), None)
+            if j is None:
+                memo[e] = {}
+            else:
+                rest = tuple(k - (i == j) for i, k in enumerate(e))
+                lower = CoeffPoly(on_monomial(rest), p.nvars, p.nparams)
+                memo[e] = add_terms(dict(_generic_product(delta.twist.images[j], lower).terms),
+                                    _generic_product(delta.images[j], CoeffPoly({rest: one}, p.nvars, p.nparams)).terms)
+        return memo[e]
+
+    acc: dict = {}
+    for e, c in p.terms.items():
+        add_terms(acc, _generic_scale(CoeffPoly(on_monomial(e), p.nvars, p.nparams), c).terms)
+    return CoeffPoly(acc, p.nvars, p.nparams)
+
+
+def _layout(p):
+    """Keys in order, and each scalar's numerator and denominator items in
+    order; every stored value is a canonical ``int`` or ``Fraction``."""
+    for c in p.terms.values():
+        for v in (*c.num.values(), *c.den.values()):
+            assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+    return [(e, list(c.num.items()), list(c.den.items())) for e, c in p.terms.items()]
+
+
+def _lane_cases(nparams):
+    """(delta, its ring) for the Jordan plane's delta, the one-variable Ore
+    ring of the Weyl pair and a two-variable Leibniz delta, each over a ring
+    with ``nparams`` parameters, and scalars: the literal unit, zero,
+    constants, a one that is not the literal unit and, with a parameter,
+    parametric values."""
+    params = [f"q{i}" for i in range(nparams)]
+
+    def presentation(name):
+        declared = "".join(f"params {q}\n" for q in params)
+        return build_presentation(parse_presentation(declared + corpus_source(name)))
+
+    ring = CoeffRing(params, ("t1", "t2"))
+    scalars = [ring.sone(), ring.szero(), ring.scalar(3), ring.scalar(Fraction(-2, 5)),
+               ring.scalar(2) * ring.scalar(Fraction(1, 2))]
+    if nparams:
+        q = ring.param("q0")
+        scalars += [q, q * q.inverse(), (q + ring.scalar(1)).inverse(), ring.scalar(3) * q]
+    t1, t2 = ring.var(0), ring.var(1)
+    two_var = CoeffSigmaDerivation(
+        ((t1 * t2).scale(scalars[-1]) + ring.const(Fraction(1, 2)), (t1 * t1).scale(ring.scalar(-1))),
+        CoeffEndo((t1, t2)))
+    jordan = presentation("jordan")
+    weyl_ring, _, weyl, _ = presentation("weyl")._ore_maps(0, 1)
+    return [(jordan.delta[0], jordan.ring), (weyl, weyl_ring), (two_var, ring)], scalars
+
+
+def _lane_polys(ring, scalars):
+    """One-term polynomials at the zero exponent and above it with every
+    nonzero scalar, and three of several terms."""
+    n = ring.nvars
+    one_term = [ring.monomial(e, c) for e in ((0,) * n, (1,) * n, (3,) + (2,) * (n - 1))
+                for c in scalars if not c.is_zero()]
+    first, last = ring.var(0), ring.var(n - 1)
+    return one_term + [one_term[1] + one_term[-1], first * last + ring.one().scale(scalars[3]),
+                       (first + ring.const(2)) ** 3]
+
+
+@pytest.mark.parametrize("nparams", [0, 1])
+def test_constant_lanes_keep_the_generic_representation(nparams):
+    """Products of one or more terms, scale and apply_sder store the keys,
+    their order and each scalar's numerator and denominator that the
+    generic code stores."""
+    cases, scalars = _lane_cases(nparams)
+    for delta, ring in cases:
+        assert delta.leibniz and ring.nparams == nparams
+        polys = _lane_polys(ring, scalars)
+        for a in polys:
+            for b in polys:
+                assert _layout(a * b) == _layout(_generic_product(a, b))
+            for s in scalars:
+                assert _layout(a.scale(s)) == _layout(_generic_scale(a, s))
+            assert _layout(apply_sder(delta, a)) == _layout(_generic_sder(delta, a))
 
 
 @pytest.mark.parametrize("name", CORPUS_NAMES)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sympy import QQ
 from sympy.polys.rings import ring
 
+import spbw.scalars
 from spbw.scalars import (
     _STRIP_THRESHOLD,
     Scalar,
@@ -19,6 +20,7 @@ from spbw.scalars import (
     poly_one,
     poly_scale,
     render_scalar,
+    small_const,
 )
 
 
@@ -147,6 +149,11 @@ def _generic_inverse(x, n):
     return _generic_make(x[1], x[0], n)
 
 
+def _generic_eq(x, y):
+    """Equality by cross-multiplication, for every pair of denominators."""
+    return _generic_poly_mul(x[0], y[1]) == _generic_poly_mul(y[0], x[1])
+
+
 # op -> (Scalar operation, generic copy, sympy field operation)
 _OPS = {
     "mul": (operator.mul, _generic_mul, operator.mul),
@@ -167,6 +174,7 @@ def _canonical_values(s):
 def _same_representation(s, pair):
     num, den = pair
     assert s.num == num and s.den == den
+    assert list(s.num) == list(num) and list(s.den) == list(den)
     _canonical_values(s)
 
 
@@ -218,7 +226,8 @@ def test_fast_paths_keep_generic_representation(nparams):
         _same_representation(s, pair)
         v = field_op(a[2], b[2])
         assert value(s) == v
-        assert (a[0] == b[0]) == (a[2] == b[2])
+        _same_representation(-a[0], _generic_neg(a[1], nparams))
+        assert (a[0] == b[0]) == _generic_eq(a[1], b[1]) == (a[2] == b[2])
         if len(s.num) + len(s.den) <= 30:
             pool.append((s, pair, v))
         crossed |= len(s.num) + len(s.den) > _STRIP_THRESHOLD
@@ -272,6 +281,15 @@ def test_values_stay_canonical_and_exact(nparams, data):
 def test_no_float_enters_a_scalar():
     with pytest.raises(TypeError):
         Scalar.const(1, 0.5)
+    # the small-constant cache checks the type before it looks up the value,
+    # which a float equal to a cached int would otherwise find
+    two = small_const(1, 2)
+    assert small_const(1, 2) is two and two.num == {(0,): 2} and two.den is poly_one(1)
+    for value in (2.0, 0.5, Fraction(2)):
+        with pytest.raises(TypeError):
+            small_const(1, value)
+    assert small_const(1, True).num == {(0,): 1} and small_const(1, False).is_zero()
+    assert small_const(1, 10**6) is not small_const(1, 10**6)  # bounded
     assert type(next(iter(Scalar.const(0, True).num.values()))) is int
     assert poly_const(1, Fraction(6, 3)) == {(0,): 2} and type(poly_const(1, Fraction(6, 3))[(0,)]) is int
 
@@ -313,6 +331,35 @@ def test_one_term_product_makes_one_fraction_product(fraction_muls):
     assert fraction_muls[0] == before + 1
     assert poly_mul(poly_one(2), b) is b and poly_mul(a, poly_one(2)) is a
     assert fraction_muls[0] == before + 1
+
+
+@pytest.fixture
+def poly_muls(monkeypatch):
+    count = [0]
+    mul = spbw.scalars.poly_mul
+
+    def counting(a, b):
+        count[0] += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(spbw.scalars, "poly_mul", counting)
+    return count
+
+
+@pytest.mark.parametrize("nparams", [0, 1, 2])
+def test_a_constant_product_makes_one_fraction_product_and_no_poly_mul(nparams, poly_muls, fraction_muls):
+    a, b = Scalar.const(nparams, Fraction(3, 7)), Scalar.const(nparams, Fraction(-7, 3))
+    before = fraction_muls[0]
+    r = a * b
+    assert fraction_muls[0] == before + 1 and poly_muls[0] == 0
+    assert r.num == {(0,) * nparams: -1} and r.num is not poly_one(nparams) and r.den is poly_one(nparams)
+    assert type(r.num[(0,) * nparams]) is int
+    if nparams:
+        q = Scalar.param(nparams, 0)
+        for x, y in ((q, a), (a, q), (q + a, a), (a.inverse() / q, a)):
+            before = poly_muls[0]
+            x * y
+            assert poly_muls[0] == before + 2
 
 
 @pytest.mark.parametrize("nparams", [0, 1, 3])
