@@ -122,13 +122,16 @@ class Calculus:
     what it learns in the tables that ``__init__`` sets up.  The central
     one, ``_d_memo``, holds the coordinates ``(i, expo) -> Scalar`` of d of
     every normal monomial met, keyed by its frame exponent; :meth:`_d_monomial`
-    and the connectedness sweep fill it in the same order.  Compatibility
-    and the sweep decide on these coordinates with no form built, and
-    ``d0`` makes one-forms of them for the wedge path.  These tables, those
-    of the presentation (``_mono_cache``) and those of the twists and their
-    stored inverses (``_power_memo`` and ``_monomial_memo`` for a map that
-    does not rescale, ``_weights`` for one that does) fill as it runs, so
-    one calculus belongs to one thread at a time.  A product with the
+    and the connectedness sweep of a calculus that does not rescale fill it
+    in the same order.  Compatibility and that sweep decide on these
+    coordinates with no form built, and ``d0`` makes one-forms of them for
+    the wedge path.  The sweep of a calculus that rescales builds its rows
+    from one Scalar per exponent prefix (:meth:`_rescaled_rows`) and leaves
+    the memo alone; no stage after connectedness reads it.  These tables,
+    those of the presentation (``_mono_cache``) and those of the twists and
+    their stored inverses (``_power_memo`` and ``_monomial_memo`` for a map
+    that does not rescale, ``_weights`` for one that does) fill as it runs,
+    so one calculus belongs to one thread at a time.  A product with the
     literal unit element, in ``Presentation.multiply``, returns the other
     factor itself."""
 
@@ -498,13 +501,19 @@ class Calculus:
 
         The basis is every frame exponent up to the bound in lexicographic
         order (:func:`exponents_upto`), and column m of the matrix holds the
-        coordinates of d(m), built in one sweep by
-        :meth:`_connectedness_rows`.  Every row goes to :func:`kernel_basis`,
-        which peels the rows with a single entry (on a polynomial ring, all
-        of them) before any elimination."""
+        coordinates of d(m), built in one sweep: by :meth:`_rescaled_rows`
+        when the calculus rescales (:meth:`_owners`), else by
+        :meth:`_connectedness_rows`.  Both give the same rows in the same
+        order.  Every row goes to :func:`kernel_basis`, which peels the rows
+        with a single entry (on a polynomial ring, all of them) before any
+        elimination."""
         basis = list(exponents_upto(self.nsyms, degree_bound))
-        rows = self._connectedness_rows(basis)
-        kernel = kernel_basis(list(rows.values()), len(basis), self.P.ring.nparams)
+        owners = self._owners()
+        if owners is None:
+            rows = list(self._connectedness_rows(basis).values())
+        else:
+            rows = self._rescaled_rows(basis, owners)
+        kernel = kernel_basis(rows, len(basis), self.P.ring.nparams)
         dim = len(kernel)
         witnesses = []
         for vec in kernel[:4]:
@@ -518,7 +527,9 @@ class Calculus:
         must be in lexicographic order.  There the rest m' of m = s m' (s its
         first symbol) comes before m, so each column's coordinates are read
         from ``_d_memo`` or cost the one :meth:`_d_step` that
-        :meth:`_d_monomial` would make, entering the memo in the same order."""
+        :meth:`_d_monomial` would make, entering the memo in the same order.
+        The sweep of a calculus that does not rescale, and the reference of
+        :meth:`_rescaled_rows`."""
         memo = self._d_memo
         rows = defaultdict(dict)
         for col, expo in enumerate(basis):
@@ -528,6 +539,72 @@ class Calculus:
                 coords = memo[expo] = self._d_step(s, rest, memo[rest])
             for key, v in coords.items():
                 rows[key][col] = v
+        return rows
+
+    def _owners(self) -> list | None:
+        """Per frame symbol p, ``(i, b)`` when the calculus rescales, i the
+        generator whose potential is a scalar times p and b the one entry of
+        the dcoords row of p, or None for a symbol with no potential; None
+        when some twist does not rescale or some potential mixes symbols."""
+        if any(dg.twist._scales is None for dg in self.spec.dgens):
+            return None
+        if any(len(row) > 1 for row in self._dterms):
+            return None
+        return [row[0] if row else None for row in self._dterms]
+
+    def _rescaled_rows(self, basis, owners) -> list:
+        """The rows of :meth:`_connectedness_rows` for a calculus that
+        rescales, with the same entries in the same order, from one Scalar
+        per exponent prefix.
+
+        There ``d(x^a) = sum_i du_i k_i(a) x^(a - e_p)``, p the symbol that
+        generator i owns, so each coordinate meets one column and each row
+        holds one entry; the rows come column by column, and in a column in
+        the order of p.  ``k_i(a)`` depends only on the prefix ``a[:p + 1]``
+        and is built once per prefix by the recurrence and operand order of
+        :meth:`_d_step`, peeling the first symbol s: ``c * k`` for s < p and
+        ``b + c * k`` for s = p, where k is ``k_i`` of the rest, c the scale
+        of twist i on s (not multiplied in when it is the literal unit) and
+        b the dcoords entry of p.  When the rest lacks p, or its ``k_i`` is
+        zero, ``c * k`` is zero and the sum is b itself.  A zero ``k_i`` is
+        kept as None and gives no row.
+
+        The basis must be in lexicographic order, the constant first.  The
+        prefix ``a[:p + 1]`` of a column a with ``a[p] >= 1``, followed by
+        zeros, is a column whose last nonzero symbol is p; ``k_i`` of the
+        prefix is built there, once, and kept in ``kappa`` under it.  That
+        column is the first with its prefix, the others follow it in one
+        run, and no other column of the run ends at p, so ``current[p]``
+        holds ``k_i`` of the prefix of the column at hand.  The rest of a
+        column that ends at p comes before it, and ends at p too unless it
+        lacks p."""
+        twist_terms = self._twist_terms
+        owned = [p for p, owner in enumerate(owners) if owner is not None]
+        kappa: dict = {}  # column ending at an owned symbol p -> k_i of it, None when zero
+        current = [None] * self.nsyms
+        rows = []
+        for col, expo in enumerate(basis[1:], 1):
+            p = len(expo) - 1
+            while not expo[p]:
+                p -= 1
+            owner = owners[p]
+            if owner is not None:
+                i, b = owner
+                s, rest = _peel(expo)
+                k = kappa[rest] if rest[p] else None
+                c = twist_terms[s][i][0][0]
+                if k is not None and c is not None:
+                    k = c * k
+                if s == p:
+                    k = b if k is None else b + k
+                    if k.is_zero():
+                        k = None
+                kappa[expo] = current[p] = k
+            for q in owned:
+                if q > p:
+                    break
+                if expo[q] and current[q] is not None:
+                    rows.append({col: current[q]})
         return rows
 
     # -- volume -------------------------------------------------------------------------

@@ -34,6 +34,8 @@ from conftest import (
     WIDE_DOCS,
     IntegralForm,
     Transport,
+    _poly_doc,
+    _qaffine_doc,
     algebra_identity,
     compose,
     d_respects_relations,
@@ -965,9 +967,11 @@ def test_sheared_connectedness_rows_match_d0():
     assert products == {"multiply": 10}
 
 
-# connectedness_check reads d of its basis in one sweep over the memo; it
-# must leave the memo and hand kernel_basis exactly what the per-monomial
-# path gives.
+# connectedness_check reads d of its basis in one sweep; it must hand
+# kernel_basis exactly what the per-monomial path gives.  The sweep of a
+# calculus that does not rescale goes through the memo and must leave it as
+# the per-monomial path does; a rescaling one fills no memo, which no later
+# stage reads.
 
 
 def _sweep_calc(name):
@@ -981,7 +985,7 @@ def _memo_snapshot(calc):
     ]
 
 
-@pytest.mark.parametrize("name", RESCALING + ("un2", "jordan", "aq", "shears"))
+@pytest.mark.parametrize("name", ("un2", "jordan", "aq", "shears"))
 def test_connectedness_fills_the_memo_as_d_monomial_does(name):
     calc = _sweep_calc(name)
     calc.connectedness_check(6)
@@ -991,7 +995,7 @@ def test_connectedness_fills_the_memo_as_d_monomial_does(name):
     assert _memo_snapshot(calc) == _memo_snapshot(fresh)
 
 
-@pytest.mark.parametrize("name", ("poly5", "qaffine4", "un2", "aq", "shears"))
+@pytest.mark.parametrize("name", RESCALING + ("un2", "aq", "shears"))
 def test_connectedness_passes_every_row_to_kernel_basis(name, monkeypatch):
     calls = []
     kernel_basis = spbw.calculus.kernel_basis
@@ -1258,6 +1262,171 @@ def test_mixed_scales_connectedness_record():
     rec = run_smooth(parse_presentation(MIXED_SCALES)).check("connectedness")
     assert (rec.status, rec.data) == ("fail", {"kernel_dimension": 4, "bound": 6})
     assert rec.witnesses == ["[1]", "[x1^2]", "[x1^4]", "[x1^6]"]
+
+
+# -- the rows of a rescaling calculus, one Scalar per exponent prefix ------------
+
+# a potential that is a scalar times its symbol, so the dcoords entry of x
+# is 1/2; it certifies
+SCALED_POTENTIAL = """name scaledpot
+params q
+gens x y
+rel y x = q * x y
+calculus mode=flat
+dgens u y
+dgen u = 2*x
+twist u: y -> q*y
+twist y: x -> q^-1*x
+wedge u y = q
+"""
+
+
+# scales with two terms: the product of one by a q-integer with two terms
+# or more has its terms in the order of its operands; it certifies
+SUM_SCALE = """name sumscale
+params q
+gens x1 x2
+rel x2 x1 = (q + 1)^-1 * x1 x2
+calculus mode=flat
+dgens x1 x2
+twist x1: x1 -> q*x1, x2 -> (q + 1)^-1*x2
+twist x2: x1 -> (q + 1)*x1, x2 -> q*x2
+wedge x1 x2 = (q + 1)^-1
+"""
+
+
+def _scalar_items(rows):
+    """Each row's entries in order, each Scalar as its num and den items in
+    order, so equal lists mean the same representation."""
+    return [[(col, list(v.num.items()), list(v.den.items())) for col, v in row.items()] for row in rows]
+
+
+def _assert_rescaled_rows_are_the_sweep_rows(calc, bounds=(6, 10)):
+    owners = calc._owners()
+    assert owners is not None
+    for bound in bounds:
+        basis = list(exponents_upto(calc.nsyms, bound))
+        rows = calc._rescaled_rows(basis, owners)
+        assert _scalar_items(rows) == _scalar_items(calc._connectedness_rows(basis).values())
+
+
+def _own_symbols(calc):
+    """Whether every twist rescales and each symbol with a potential has
+    one nonzero dcoords entry, read from the twists and the rows."""
+    rows = [row for row in calc._dcoords if row is not None]
+    return _rescales(calc) and all(sum(not b.is_zero() for b in row) == 1 for row in rows)
+
+
+def test_rescaled_rows_are_the_sweep_rows_on_the_sweep():
+    # 24 of the 72 compatible sweep calculi rescale with one symbol per
+    # potential; every other one, and each un2 product, keeps the general
+    # sweep
+    rescaling = 0
+    for calc in _sweep_calculi():
+        assert _own_symbols(calc) == (calc._owners() is not None)
+        if calc._owners() is not None:
+            _assert_rescaled_rows_are_the_sweep_rows(calc)
+            rescaling += 1
+    assert rescaling == 24
+
+
+@pytest.mark.parametrize("text", list(OWN_SCALE_DOCS.values()) + [SCALED_POTENTIAL, SUM_SCALE],
+                         ids=list(OWN_SCALE_DOCS) + ["scaled-potential", "sum-scale"])
+def test_rescaled_rows_are_the_sweep_rows_with_own_scales(text):
+    # scales -1, 2 and q on a symbol's own twist, where q-integers vanish at
+    # -1, a dcoords entry that is not 1, and scales with two terms
+    _assert_rescaled_rows_are_the_sweep_rows(run_calculus_check(parse_presentation(text)))
+
+
+def test_rescaled_rows_are_the_sweep_rows_without_a_potential(jordan):
+    # plain-twist mode over F[t]: t has no differential, and its identity
+    # twist makes no product
+    _assert_rescaled_rows_are_the_sweep_rows(build_calculus(jordan, theorem_spec(jordan)))
+
+
+@pytest.mark.parametrize("text", (SCALED_POTENTIAL, SUM_SCALE), ids=("scaled-potential", "sum-scale"))
+def test_rescaled_documents_certify(text):
+    report = run_smooth(parse_presentation(text))
+    assert report.verdict == "certified-smooth", report.failing
+    assert report.check("connectedness").data == {"kernel_dimension": 1, "bound": 6}
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+@pytest.mark.parametrize("make_doc", (_poly_doc, _qaffine_doc), ids=("poly", "qaffine"))
+def test_rescaled_rows_and_closed_form_with_many_symbols(make_doc, n):
+    # C(n + 6, 6) columns: 3,003 at n = 8
+    calc = run_calculus_check(parse_presentation(make_doc(n)))
+    _assert_rescaled_rows_are_the_sweep_rows(calc, bounds=(6,))
+    assert calc.connectedness_check(6).data["kernel_dimension"] == _closed_form_kernel(calc, 6) == 1
+
+
+@pytest.mark.parametrize("name", RESCALING)
+def test_rescaled_connectedness_leaves_the_memo_alone(name):
+    calc = _sweep_calc(name)
+    before = _memo_snapshot(calc)
+    calc.connectedness_check(6)
+    assert _memo_snapshot(calc) == before
+
+
+def _scalar_ops(monkeypatch, call):
+    """The number of Scalar products and sums that ``call()`` makes."""
+    ops = {"mul": 0, "add": 0}
+    for name, method in (("mul", Scalar.__mul__), ("add", Scalar.__add__)):
+        def counted(a, b, _name=name, _method=method):
+            ops[_name] += 1
+            return _method(a, b)
+        monkeypatch.setattr(Scalar, f"__{name}__", counted)
+    call()
+    monkeypatch.undo()
+    return ops
+
+
+def _prefix_ops(calc, bound):
+    """The products and sums of the prefix recurrence up to the bound, when
+    no prefix Scalar is zero: per symbol p with a potential, owned by
+    generator i, and per prefix a of length p + 1 with ``a[p] >= 1``, s the
+    first symbol of a and the rest ``a - e_s``: one product by the scale of
+    twist i on s when the rest holds p and that scale is not the literal
+    unit, and one sum with the dcoords entry when s = p and the rest holds
+    p."""
+    ops = {"mul": 0, "add": 0}
+    for p, row in enumerate(calc._dcoords):
+        if row is None:
+            continue
+        (i,) = [i for i, b in enumerate(row) if not b.is_zero()]
+        scales = calc.spec.dgens[i].twist._scales
+        for a in exponents_upto(p + 1, bound):
+            if not a[p]:
+                continue
+            s = next(j for j, x in enumerate(a) if x)
+            rest_holds_p = s < p or a[p] > 1
+            ops["mul"] += rest_holds_p and not scales[s].is_unit()
+            ops["add"] += s == p and a[p] > 1
+    return ops
+
+
+@pytest.mark.parametrize("name, ops", [
+    ("qaffine4", {"mul": 185, "add": 20}),
+    ("poly5", {"mul": 0, "add": 25}),
+])
+def test_rescaled_connectedness_makes_one_operation_per_prefix(name, ops, monkeypatch):
+    calc = _sweep_calc(name)
+    assert _prefix_ops(calc, 6) == ops
+    assert _scalar_ops(monkeypatch, lambda: calc.connectedness_check(6)) == ops
+
+
+@pytest.mark.parametrize("name, ops", [
+    ("aq", {"mul": 46, "add": 111}),
+    ("un2", {"mul": 0, "add": 20}),
+    ("jordan", {"mul": 0, "add": 19}),
+    ("shears", {"mul": 80, "add": 39}),
+])
+def test_general_connectedness_operation_counts(name, ops, monkeypatch):
+    # the counts of the sweep through _d_step and the memo, as before the
+    # prefix recurrence
+    calc = _sweep_calc(name)
+    assert calc._owners() is None
+    assert _scalar_ops(monkeypatch, lambda: calc.connectedness_check(6)) == ops
 
 
 @pytest.mark.parametrize("name", tuple(UN2_PRODUCT_DOCS))
