@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, islice
+from math import comb
 from operator import add
 
 from .coefficients import CoeffPoly
@@ -33,6 +34,12 @@ from .scalars import Scalar
 THEOREM_MODE = "theorem"
 FLAT_MODE = "flat"
 NO_INTEGRABILITY = "divergence transport requested without an integrability certificate"
+# The most basis columns the connectedness check builds.  One column costs
+# about 1 kB and 5 us on a polynomial ring (on 2 CPUs with CPython 3.11,
+# 100,001 columns took 0.45 s and 91 MB on one symbol, and 74,613 took
+# 0.43 s and 112 MB on 16); larger bounds are a ConfigError before any
+# column is built.
+MAX_CONN_COLUMNS = 100_000
 
 # The parts (a) to (d) of the certificate on the frame generators
 # (:meth:`Calculus._failure`), each the name of the Calculus method that
@@ -126,7 +133,8 @@ class Calculus:
     in the same order.  Compatibility and that sweep decide on these
     coordinates with no form built, and ``d0`` makes one-forms of them for
     the wedge path.  The sweep of a calculus that rescales builds its rows
-    from one Scalar per exponent prefix (:meth:`_rescaled_rows`) and leaves
+    from one Scalar per exponent prefix (:meth:`_rescaled_rows`), or per
+    exponent of one symbol where the earlier scales are the unit, and leaves
     the memo alone; no stage after connectedness reads it.  These tables,
     those of the presentation (``_mono_cache``) and those of the twists and
     their stored inverses (``_power_memo`` and ``_monomial_memo`` for a map
@@ -506,7 +514,15 @@ class Calculus:
         :meth:`_connectedness_rows`.  Both give the same rows in the same
         order.  Every row goes to :func:`kernel_basis`, which peels the rows
         with a single entry (on a polynomial ring, all of them) before any
-        elimination."""
+        elimination.  A bound whose basis has more than
+        ``MAX_CONN_COLUMNS`` columns raises a ConfigError, counted by
+        ``comb(nsyms + bound, bound)`` before any is built."""
+        columns = comb(self.nsyms + degree_bound, degree_bound)
+        if columns > MAX_CONN_COLUMNS:
+            raise ConfigError(
+                f"conn_degree={degree_bound} gives C({self.nsyms} + {degree_bound}, {degree_bound}) = {columns} "
+                f"basis columns, more than the {MAX_CONN_COLUMNS} the connectedness check builds"
+            )
         basis = list(exponents_upto(self.nsyms, degree_bound))
         owners = self._owners()
         if owners is None:
@@ -577,7 +593,24 @@ class Calculus:
         run, and no other column of the run ends at p, so ``current[p]``
         holds ``k_i`` of the prefix of the column at hand.  The rest of a
         column that ends at p comes before it, and ends at p too unless it
-        lacks p."""
+        lacks p.
+
+        When every owner twist has the literal unit as its scale on every
+        symbol before its own (:meth:`_unit_scale_kappas`), ``c * k`` is k
+        itself for s < p, so ``k_i(a)`` is ``k_i(a[p] e_p)``: the rows are
+        read from one list per owned symbol, indexed by ``a[p]``, and no
+        prefix is looked up.  The lists run to the degree of the last
+        column, which in lexicographic order is that degree times the first
+        symbol."""
+        kappas = self._unit_scale_kappas(owners, sum(basis[-1]))
+        if kappas is not None:
+            rows = []
+            for col, expo in enumerate(basis[1:], 1):
+                for p, ks in kappas:
+                    k = ks[expo[p]]
+                    if k is not None:
+                        rows.append({col: k})
+            return rows
         twist_terms = self._twist_terms
         owned = [p for p, owner in enumerate(owners) if owner is not None]
         kappa: dict = {}  # column ending at an owned symbol p -> k_i of it, None when zero
@@ -606,6 +639,33 @@ class Calculus:
                 if expo[q] and current[q] is not None:
                     rows.append({col: current[q]})
         return rows
+
+    def _unit_scale_kappas(self, owners, degree: int) -> list | None:
+        """``(p, [k_i(a e_p) for a = 0..degree])`` per owned symbol p in
+        order, i its owner, when each owner twist has the literal unit as
+        its scale on every symbol before p; else None.  The list starts
+        with None for a = 0 and follows the recurrence of
+        :meth:`_rescaled_rows` at s = p, ``b + c * k`` with k the entry
+        before, c the scale of twist i on p (no product when it is the
+        literal unit) and b the dcoords entry of p; a zero is kept as None,
+        and the entry after it is b."""
+        twist_terms = self._twist_terms
+        owned = [(p, owner) for p, owner in enumerate(owners) if owner is not None]
+        if any(twist_terms[s][i][0][0] is not None for p, (i, _) in owned for s in range(p)):
+            return None
+        kappas = []
+        for p, (i, b) in owned:
+            c = twist_terms[p][i][0][0]
+            k, ks = None, [None]
+            for _ in range(degree):
+                if k is not None and c is not None:
+                    k = c * k
+                k = b if k is None else b + k
+                if k.is_zero():
+                    k = None
+                ks.append(k)
+            kappas.append((p, ks))
+        return kappas
 
     # -- volume -------------------------------------------------------------------------
 

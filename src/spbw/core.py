@@ -643,7 +643,8 @@ class Presentation:
 
     def pbw_consistency_check(self) -> PbwAudit:
         """Compare the two maximal reduction strategies on every overlap
-        ambiguity, and name the first word whose normal forms differ.
+        ambiguity that constants do not already resolve, and name the first
+        word whose normal forms differ.
 
         The reduction system is ``x_j x_i -> tails`` (j > i), ``x_i t_v ->
         sigma_i(t_v) x_i + delta_i(t_v)`` and ``t_b t_a -> t_a t_b``
@@ -659,9 +660,23 @@ class Presentation:
         words reduces to one normal form, so a pass proves the presentation
         consistent.  For ``x_i t_b t_a`` that is ``(sigma_i(t_a) - t_a)
         delta_i(t_b) = (sigma_i(t_b) - t_b) delta_i(t_a)``.
+
+        Every overlap is reduced both ways except ``x_k x_j x_i`` when all
+        three of its pairs are pure, ``x_b x_a = d_ab x_a x_b`` with one
+        tail, the ordered word, whose coefficient d_ab is a constant.  Such
+        a word resolves, so it is skipped.  Each pair rewrite swaps one
+        inverted adjacent pair and leaves one word with a constant in
+        front, and a constant passes a generator as itself (sigma fixes it,
+        delta kills it), so every reduction path is a chain of single words
+        that swaps each of the three pairs once.  Constants commute, so both
+        strategies end at ``d_jk d_ik d_ij x_i x_j x_k``.  Purity is read
+        from ``tails`` itself, not from ``_skew``, which the fraction-order
+        guard can leave empty.
         """
         var = self.ring.var
-        words = [tuple(reversed(combo)) for combo in combinations(range(self.n), 3)]
+        pure = {pair for pair, t in self.tails.items() if len(t) == 1 and t[0][0].is_constant()}
+        words = [(k, j, i) for i, j, k in combinations(range(self.n), 3)
+                 if not {(i, j), (i, k), (j, k)} <= pure]
         for j in range(self.n):
             for i in range(j):
                 for v in range(self.ring.nvars):

@@ -4,6 +4,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
+from math import comb
 
 import pytest
 import sympy
@@ -1064,6 +1065,39 @@ def test_sign_twist_kernel_grows_with_the_bound(bound):
     assert rec.data == {"kernel_dimension": bound // 2 + 1, "bound": bound}
 
 
+def test_a_huge_conn_degree_is_an_error_record_before_any_column_is_built(monkeypatch):
+    # a basis of 10^11 columns was enumerated until memory ran out; the
+    # count C(nsyms + bound, bound) is compared with the ceiling first
+    enumerate_basis = spbw.calculus.exponents_upto
+
+    def guarded(nvars, total):
+        assert comb(nvars + total, total) <= spbw.calculus.MAX_CONN_COLUMNS, "the basis was enumerated"
+        return enumerate_basis(nvars, total)
+
+    monkeypatch.setattr(spbw.calculus, "exponents_upto", guarded)
+    start = time.perf_counter()
+    report = run_smooth(parse_presentation(SIGN_TWIST + "options conn_degree=100000000000\n"))
+    assert time.perf_counter() - start < 1.0
+    rec = report.check("connectedness")
+    assert (rec.status, rec.data) == ("error", {})
+    assert rec.witnesses == [
+        "conn_degree=100000000000 gives C(1 + 100000000000, 100000000000) = 100000000001 basis columns, "
+        "more than the 100000 the connectedness check builds"
+    ]
+    assert report.verdict == "not-certified"
+
+
+def test_the_column_ceiling_admits_its_own_count(monkeypatch):
+    # above every count the shipped inputs use: 38,760 columns for a
+    # 14-symbol qaffine at the default bound 6
+    assert comb(14 + 6, 6) == 38_760 < spbw.calculus.MAX_CONN_COLUMNS
+    calc = run_calculus_check(parse_presentation(SIGN_TWIST))
+    monkeypatch.setattr(spbw.calculus, "MAX_CONN_COLUMNS", 7)
+    assert calc.connectedness_check(6).data == {"kernel_dimension": 4, "bound": 6}
+    with pytest.raises(ConfigError, match=r"= 8 basis columns, more than the 7 "):
+        calc.connectedness_check(7)
+
+
 AFFINE_TWIST = """name affine
 gens x
 calculus mode=flat
@@ -1317,25 +1351,64 @@ def _own_symbols(calc):
     return _rescales(calc) and all(sum(not b.is_zero() for b in row) == 1 for row in rows)
 
 
+def _unit_earlier_scales(calc):
+    """Per symbol p with a potential, in order, whether the twist of its
+    generator has the literal unit as its scale on every symbol before p,
+    read from the twists' scales and the dcoords rows."""
+    out = []
+    for p, row in enumerate(calc._dcoords):
+        if row is not None:
+            (i,) = [i for i, b in enumerate(row) if not b.is_zero()]
+            out.append(all(c.is_unit() for c in calc.spec.dgens[i].twist._scales[:p]))
+    return out
+
+
+def _takes_the_lists(calc):
+    return calc._unit_scale_kappas(calc._owners(), 6) is not None
+
+
 def test_rescaled_rows_are_the_sweep_rows_on_the_sweep():
     # 24 of the 72 compatible sweep calculi rescale with one symbol per
     # potential; every other one, and each un2 product, keeps the general
-    # sweep
-    rescaling = 0
+    # sweep.  12 of the 24 read their rows from one list per symbol: poly2,
+    # poly3, weyl, poly4, weyl2, poly5 and 6 grid texts
+    rescaling = lists = 0
     for calc in _sweep_calculi():
         assert _own_symbols(calc) == (calc._owners() is not None)
         if calc._owners() is not None:
             _assert_rescaled_rows_are_the_sweep_rows(calc)
             rescaling += 1
-    assert rescaling == 24
+            assert _takes_the_lists(calc) == all(_unit_earlier_scales(calc))
+            lists += _takes_the_lists(calc)
+    assert (rescaling, lists) == (24, 12)
+
+
+# the calculi of RESCALING whose owner twists all have the literal unit as
+# their scale on every earlier symbol; in qplane, qaffine3 and qaffine4 only
+# the owner of x1, which has no earlier symbol, qualifies, so they keep the
+# prefix sweep (the sweep test runs the row oracle on all of them)
+UNIT_SCALE = ("poly2", "poly3", "weyl", "poly4", "weyl2", "poly5")
+
+
+@pytest.mark.parametrize("name", RESCALING)
+def test_rows_come_from_lists_exactly_where_the_earlier_scales_are_the_unit(name):
+    calc = _sweep_calc(name)
+    qualifies = _unit_earlier_scales(calc)
+    assert qualifies[0]
+    assert _takes_the_lists(calc) == all(qualifies) == (name in UNIT_SCALE)
 
 
 @pytest.mark.parametrize("text", list(OWN_SCALE_DOCS.values()) + [SCALED_POTENTIAL, SUM_SCALE],
                          ids=list(OWN_SCALE_DOCS) + ["scaled-potential", "sum-scale"])
 def test_rescaled_rows_are_the_sweep_rows_with_own_scales(text):
     # scales -1, 2 and q on a symbol's own twist, where q-integers vanish at
-    # -1, a dcoords entry that is not 1, and scales with two terms
-    _assert_rescaled_rows_are_the_sweep_rows(run_calculus_check(parse_presentation(text)))
+    # -1, a dcoords entry that is not 1, and scales with two terms.  The own
+    # scale documents read their rows from the lists, zeros at -1 included;
+    # the other two rescale x by q^-1 and q + 1 under the twist of the later
+    # symbol, so only their first owner qualifies and they keep the sweep
+    calc = run_calculus_check(parse_presentation(text))
+    assert _takes_the_lists(calc) == all(_unit_earlier_scales(calc)) == (text in OWN_SCALE_DOCS.values())
+    _assert_rescaled_rows_are_the_sweep_rows(calc)
 
 
 def test_rescaled_rows_are_the_sweep_rows_without_a_potential(jordan):
@@ -1410,6 +1483,10 @@ def _prefix_ops(calc, bound):
     ("poly5", {"mul": 0, "add": 25}),
 ])
 def test_rescaled_connectedness_makes_one_operation_per_prefix(name, ops, monkeypatch):
+    """qaffine4 builds each k_i once per exponent prefix.  poly5 reads its
+    rows from one list per symbol, whose entries are the prefixes a e_p:
+    one sum per entry past the first, and no product, since every scale is
+    the literal unit."""
     calc = _sweep_calc(name)
     assert _prefix_ops(calc, 6) == ops
     assert _scalar_ops(monkeypatch, lambda: calc.connectedness_check(6)) == ops

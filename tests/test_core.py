@@ -1086,6 +1086,88 @@ def test_multiply_is_associative_exactly_where_the_pbw_check_passes(data):
         assert (left, right) == (audit.left, audit.right)
 
 
+def _pure_constant(P, i, j):
+    """d when the normal form of x_j x_i is ``d x_i x_j`` with d a constant,
+    read from the element, else None."""
+    rhs = P.relation_rhs(i, j).terms
+    c = rhs.get(_pack((i, j), P.n))
+    return c if len(rhs) == 1 and c is not None and c.is_constant() else None
+
+
+def _pure_triple(P, word):
+    """Whether the overlap is ``x_k x_j x_i`` with all three pairs pure."""
+    if not all(isinstance(a, int) for a in word):
+        return False
+    k, j, i = word
+    return all(_pure_constant(P, a, b) is not None for a, b in ((i, j), (i, k), (j, k)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_skew_presentations())
+def test_pure_overlaps_resolve_to_the_product_of_their_constants(case):
+    """The overlaps that pbw_consistency_check skips: both strategies of the
+    small-step oracle end at ``d_jk d_ik d_ij x_i x_j x_k``."""
+    P, _ = case
+    for k, j, i in (w for w in _overlap_words(P) if _pure_triple(P, w)):
+        d = _pure_constant(P, j, k) * _pure_constant(P, i, k) * _pure_constant(P, i, j)
+        expected = P.monomial(_pack((i, j, k), P.n), d)
+        assert P.normalize_atoms((k, j, i), "leftmost") == expected
+        assert P.normalize_atoms((k, j, i), "rightmost") == expected
+
+
+def _reduced_words(monkeypatch, P):
+    """The audit of P and the ``(word, strategy)`` of every
+    normalize_atoms call it makes, in order."""
+    calls = []
+    normalize_atoms = Presentation.normalize_atoms
+
+    def spy(self, atoms, strategy="leftmost"):
+        calls.append((tuple(atoms), strategy))
+        return normalize_atoms(self, atoms, strategy)
+
+    monkeypatch.setattr(Presentation, "normalize_atoms", spy)
+    audit = P.pbw_consistency_check()
+    monkeypatch.undo()
+    return audit, calls
+
+
+# the probe of the CI packaging step: x1 commutes with every generator,
+# x4 x3 x1 is a pure triple, and x4 x3 x2 does not resolve
+MIXED_TRIPLES = """name mixedtriples
+gens x1 x2 x3 x4
+rel x2 x1 = x1 x2
+rel x3 x1 = x1 x3
+rel x4 x1 = x1 x4
+rel x3 x2 = x2 x3 + x4
+rel x4 x2 = x2 x4 + x2
+rel x4 x3 = x3 x4
+"""
+
+
+@pytest.mark.parametrize("name, reductions", [
+    ("poly5", 0), ("qaffine4", 0), ("weyl2", 8), ("broken", 2), ("mixed-triples", 6),
+] + [(name, None) for name in CORPUS_NAMES if name != "broken"])
+def test_pbw_check_reduces_exactly_the_overlaps_that_are_not_pure(name, reductions, monkeypatch):
+    """Each overlap but the pure triples is reduced both ways, in the order
+    of the overlap list, up to the first that does not resolve."""
+    text = WIDE_DOCS.get(name) or (MIXED_TRIPLES if name == "mixed-triples" else None)
+    P = build_presentation(parse_presentation(text) if text else corpus_doc(name))
+    audit, calls = _reduced_words(monkeypatch, P)
+    # the check lists x_k x_j x_i by (i, j, k), then the other overlaps
+    triples = sorted((w for w in _overlap_words(P) if all(isinstance(a, int) for a in w)), key=lambda w: w[::-1])
+    others = [w for w in _overlap_words(P) if not all(isinstance(a, int) for a in w)]
+    words = [w for w in triples + others if not _pure_triple(P, w)]
+    if not audit.ok:
+        words = words[:[P.render_word(w) for w in words].index(audit.rendered) + 1]
+    assert [word for word, _ in calls] == [w for w in words for _ in range(2)]
+    assert [strategy for _, strategy in calls] == ["leftmost", "rightmost"] * len(words)
+    if reductions is not None:
+        assert len(calls) == reductions
+    if name == "mixed-triples":
+        assert _pure_triple(P, (3, 2, 0))
+        assert (audit.ok, audit.rendered) == (False, "x4*x3*x2")
+
+
 def _pair_inversions(w):
     """The inversions of a word by brute force over every pair of positions."""
     return sum(1 for p, q in combinations(range(len(w)), 2) if w[p] > w[q])
